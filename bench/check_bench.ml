@@ -1,21 +1,19 @@
 (* Bench-regression guard: compare a freshly generated smoke-bench JSON
-   (BENCH_sim.json / BENCH_modular.json / BENCH_par.json /
-   BENCH_compiled.json) against its committed baseline under
-   bench/baselines/.
+   (BENCH_sim.json, BENCH_modular.json, BENCH_opt.json,
+   BENCH_compiled.json, BENCH_batch.json, BENCH_prove.json) against its
+   committed baseline under bench/baselines/.
 
    Only *deterministic* counters are compared — numeric fields whose
-   names mention visits, tasks, barriers, levels, summaries, nets,
-   ops, lanes, runs, jobs or groups — with a relative tolerance
+   names mention visits, summaries, nets, cycles, gates, drivers,
+   folded, merged, ops, lanes, runs, jobs or groups — with a relative
+   tolerance
    (default 25%).  Wall-clock fields ("seconds", "speedup", and the
    derived "*_runs_per_sec" rates) and boolean agreement flags are
    ignored for tolerance purposes, except that any
    "snapshots_agree": false in the current file is always an error.
 
    A counter present in the baseline but absent from the current file
-   is a hard failure, except for the per-level engine's legacy fields
-   (tasks / barriers / levels / fanout): the per-level engine was
-   demoted to an explicit opt-in, so its rows may disappear from smoke
-   output — that prints a note and passes.
+   is a hard failure.
 
    Usage: check_bench [--tolerance 0.25] BASELINE CURRENT
           check_bench --update-baselines [--baselines-dir DIR] [FILE...]
@@ -46,16 +44,10 @@ let has_sub k sub =
 let checked_key k =
   let mem = has_sub k in
   (not (mem "per_sec"))
-  && (mem "visits" || mem "tasks" || mem "barriers" || mem "levels"
-     || mem "summaries" || mem "nets" || mem "fanout" || mem "cycles"
+  && (mem "visits" || mem "summaries" || mem "nets" || mem "cycles"
      || mem "gates" || mem "drivers" || mem "folded" || mem "merged"
      || mem "ops" || mem "lanes" || mem "runs" || mem "jobs"
      || mem "groups")
-
-(* legacy per-level engine counters: allowed to vanish from current
-   output (the engine is opt-in now), noted rather than failed *)
-let legacy_key path =
-  List.exists (has_sub path) [ "tasks"; "barriers"; "levels"; "fanout" ]
 
 type entry = {
   path : string; (* "design-label/key" *)
@@ -221,15 +213,9 @@ let () =
         (fun b ->
           match List.find_opt (fun c -> c.path = b.path) cur_entries with
           | None ->
-              if legacy_key b.path then
-                Printf.printf
-                  "note: %s: legacy per-level counter absent from current \
-                   output (engine is opt-in)\n"
-                  b.path
-              else
-                failures :=
-                  Printf.sprintf "%s: present in baseline, missing now" b.path
-                  :: !failures
+              failures :=
+                Printf.sprintf "%s: present in baseline, missing now" b.path
+                :: !failures
           | Some c ->
               let lo = b.value *. (1.0 -. !tolerance)
               and hi = b.value *. (1.0 +. !tolerance) in

@@ -14,7 +14,6 @@
      E9  runtime-checks     the NP-completeness-motivated runtime check
      E13 incremental        cross-cycle incremental engine vs firing
      E14 modular            modular summary analysis vs elaborate+lint
-     E15 parallel           per-level domain-parallel engine vs incremental
      E16 opt                proof-carrying reduction vs plain simulation
      E17 compiled           compiled bytecode engine vs incremental
      E18 batch              batch engine (whole-run sharding + lane
@@ -26,12 +25,12 @@
    `dune exec bench/main.exe` prints all report tables and then runs the
    timing benchmarks (pass --no-timing to skip them).  E13 also writes
    machine-readable results to BENCH_sim.json, E14 to BENCH_modular.json,
-   E15 to BENCH_par.json, E16 to BENCH_opt.json, E17 to
-   BENCH_compiled.json, E18 to BENCH_batch.json and E19 to
-   BENCH_prove.json.  Pass --smoke to run
-   only the (shortened) simulator, modular, parallel, reduction and
-   batch benches and the JSON dumps — the CI mode; --batch-smoke runs
-   E18 alone at 2 domains (the CI batch artifact job). *)
+   E16 to BENCH_opt.json, E17 to BENCH_compiled.json, E18 to
+   BENCH_batch.json and E19 to BENCH_prove.json.  Pass --smoke to run
+   only the (shortened) simulator, modular, reduction, compiled, batch
+   and prove benches and the JSON dumps — the CI mode; --batch-smoke
+   runs E18 alone at 2 domains (the CI batch artifact job).  (E15, a
+   per-level domain-parallel engine, was retired; see EXPERIMENTS.md.) *)
 
 open Zeus
 
@@ -839,31 +838,13 @@ let e14_modular ?(smoke = false) () =
   e14_write_json rows "BENCH_modular.json"
 
 (* ------------------------------------------------------------------ *)
-(* E15: the domain-parallel engine                                      *)
+(* E16: the proof-carrying reduction (zeusc opt)                        *)
 (* ------------------------------------------------------------------ *)
 
-type e15_par_row = {
-  p_jobs : int;
-  p_visits : int;
-  p_secs : float;
-  p_barriers : int;
-  p_chunked : int;
-  p_max_fanout : int;
-  p_agree : bool; (* final snapshot bit-identical to incremental *)
-}
-
-type e15_row = {
-  p_design : string;
-  p_cycles : int;
-  p_incr_visits : int;
-  p_incr_secs : float;
-  p_runs : e15_par_row list; (* one per domain count *)
-}
-
-(* High-activity workloads: most of the design switches every cycle —
-   the regime where chunking a wide dirty level across domains pays.
-   Each workload is (name, source, warm-up pokes, per-cycle stimulus). *)
-let e15_workloads =
+(* High-activity workloads (restated by E17-E19): most of the design
+   switches every cycle, so the dirty cone is wide.  Each workload is
+   (name, source, warm-up pokes, per-cycle stimulus). *)
+let activity_workloads =
   [
     ( "routing(128)/all-headers",
       Corpus.routing_network 128,
@@ -894,108 +875,6 @@ let e15_workloads =
         Sim.poke_bool sim "match.wild" (c land 4 = 4);
         Sim.poke_bool sim "match.resultin" (c land 1 = 0) );
   ]
-
-let e15_jobs = [ 1; 2; 4; 8 ]
-
-let e15_write_json rows path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"cycles\": %d,\n\
-           \     \"incremental\": {\"node_visits\": %d, \"seconds\": %.6f},\n\
-           \     \"parallel\": [\n"
-           r.p_design r.p_cycles r.p_incr_visits r.p_incr_secs);
-      List.iteri
-        (fun j p ->
-          if j > 0 then Buffer.add_string buf ",\n";
-          Buffer.add_string buf
-            (Printf.sprintf
-               "       {\"jobs\": %d, \"node_visits\": %d, \"seconds\": \
-                %.6f,\n\
-               \        \"speedup\": %.2f, \"barriers\": %d, \
-                \"chunked_levels\": %d,\n\
-               \        \"max_fanout\": %d, \"snapshots_agree\": %b}"
-               p.p_jobs p.p_visits p.p_secs
-               (r.p_incr_secs /. Float.max 1e-9 p.p_secs)
-               p.p_barriers p.p_chunked p.p_max_fanout p.p_agree))
-        r.p_runs;
-      Buffer.add_string buf "\n     ]}")
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
-let e15_parallel ~cycles () =
-  section "E15"
-    "domain-parallel engine: wall clock and work breakdown vs incremental \
-     at 1/2/4/8 domains (high-activity workloads)";
-  let bench (name, src, warm, stim) =
-    let run_with create =
-      let sim = create () in
-      warm sim;
-      Sim.step sim;
-      (* cold-start cycle excluded from the counts *)
-      let v0 = Sim.node_visits sim in
-      let t0 = Unix.gettimeofday () in
-      for c = 1 to cycles do
-        stim sim c;
-        Sim.step sim
-      done;
-      (Sim.node_visits sim - v0, Unix.gettimeofday () -. t0, sim)
-    in
-    let d = compile src in
-    let iv, is_, isim = run_with (fun () -> Sim.create ~engine:Sim.Incremental d) in
-    let reference = Sim.snapshot isim in
-    let runs =
-      List.map
-        (fun jobs ->
-          let pv, ps, psim =
-            run_with (fun () -> Sim.create ~engine:Sim.Parallel ~jobs d)
-          in
-          let stats =
-            match Sim.parallel_stats psim with
-            | Some s -> s
-            | None -> assert false
-          in
-          { p_jobs = jobs; p_visits = pv; p_secs = ps;
-            p_barriers = stats.Sim.par_barriers;
-            p_chunked = stats.Sim.par_chunked_levels;
-            p_max_fanout = stats.Sim.par_max_fanout;
-            p_agree = Sim.snapshot psim = reference })
-        e15_jobs
-    in
-    { p_design = name; p_cycles = cycles; p_incr_visits = iv;
-      p_incr_secs = is_; p_runs = runs }
-  in
-  let rows = List.map bench e15_workloads in
-  Fmt.pr "  %-26s %5s %10s %9s %9s %8s %8s %6s@." "workload" "jobs"
-    "visits" "secs" "speedup" "barrier" "fanout" "agree";
-  List.iter
-    (fun r ->
-      Fmt.pr "  %-26s %5s %10d %9.4f %9s %8s %8s %6s@." r.p_design "incr"
-        r.p_incr_visits r.p_incr_secs "1.0x" "-" "-" "-";
-      List.iter
-        (fun p ->
-          Fmt.pr "  %-26s %5d %10d %9.4f %8.1fx %8d %8d %6s@." "" p.p_jobs
-            p.p_visits p.p_secs
-            (r.p_incr_secs /. Float.max 1e-9 p.p_secs)
-            p.p_barriers p.p_max_fanout
-            (if p.p_agree then "yes" else "NO"))
-        r.p_runs)
-    rows;
-  Fmt.pr "(visit counts are jobs-invariant; wall-clock speedup needs \
-          multiple cores)@.";
-  e15_write_json rows "BENCH_par.json"
-
-(* ------------------------------------------------------------------ *)
-(* E16: the proof-carrying reduction (zeusc opt)                        *)
-(* ------------------------------------------------------------------ *)
 
 type e16_row = {
   o_design : string;
@@ -1086,7 +965,7 @@ let e16_opt ~cycles () =
       o_agree = !agree;
     }
   in
-  let rows = List.map bench e15_workloads in
+  let rows = List.map bench activity_workloads in
   Fmt.pr "  %-26s %8s %8s %8s %8s %10s %9s %8s %6s@." "workload" "gates"
     "drivers" "folded" "merged" "visits" "secs" "speedup" "agree";
   List.iter
@@ -1126,7 +1005,7 @@ type e17_row = {
   b_agree : bool;
 }
 
-(* The e15 high-activity workloads, with the poke paths resolved once
+(* The high-activity workloads, with the poke paths resolved once
    per design instead of sprintf+resolve on every cycle — the stimulus
    must not dominate the measurement when the engine under test spends
    well under a millisecond per cycle. *)
@@ -1277,9 +1156,9 @@ type e18_row = {
   t_agree : bool; (* every final snapshot matches its serial run *)
 }
 
-(* The E15 corpus restated as independent batch runs: run [r] drives
-   the same nets with a per-run offset, so no two runs share a stimulus
-   (and each run gets its own RANDOM seed). *)
+(* The high-activity corpus restated as independent batch runs: run
+   [r] drives the same nets with a per-run offset, so no two runs share
+   a stimulus (and each run gets its own RANDOM seed). *)
 let e18_workloads =
   [
     ( "routing(128)/all-headers",
@@ -1519,8 +1398,9 @@ type e19_row = {
 }
 
 (* Register-heavy machines whose driver exclusivity is sequential —
-   the regime the prover targets — plus one registerless E15 workload
-   as the no-op control (proof cost on a purely combinational design).
+   the regime the prover targets — plus one registerless high-activity
+   workload as the no-op control (proof cost on a purely combinational
+   design).
    Each workload is (name, source, warm-up pokes, per-cycle stimulus);
    the stimulus pokes only defined values, which is the environment
    assumption discharge lives under. *)
@@ -1749,7 +1629,6 @@ let () =
     e8_simcmp ();
     e13_incremental ~cycles:50 ();
     e14_modular ~smoke:true ();
-    e15_parallel ~cycles:20 ();
     e16_opt ~cycles:20 ();
     e17_compiled ~cycles:50 ();
     e18_batch ~runs:16 ~cycles:10 ~jobs:4 ();
@@ -1773,7 +1652,6 @@ let () =
     a1_machines ();
     e13_incremental ~cycles:200 ();
     e14_modular ();
-    e15_parallel ~cycles:100 ();
     e16_opt ~cycles:100 ();
     e17_compiled ~cycles:200 ();
     e18_batch ~runs:32 ~cycles:25 ~jobs:4 ();

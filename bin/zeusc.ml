@@ -342,7 +342,7 @@ let sim_cmd =
           ~doc:
             "Scheduling engine: $(b,firing), $(b,firing-strict), \
              $(b,fixpoint), $(b,relaxation), $(b,incremental) \
-             (default), $(b,parallel-level) or $(b,compiled).  All \
+             (default) or $(b,compiled).  All \
              engines compute identical values.  With $(b,--batch) this \
              picks the per-run template; $(b,compiled) additionally \
              packs runs $(b,--lanes) at a time.")
@@ -353,10 +353,9 @@ let sim_cmd =
       & opt (some int) None
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:
-            "Domains for $(b,--engine parallel-level) chunking and for \
-             $(b,--batch) run sharding (default: the recommended domain \
-             count).  Results are bit-identical at any value; only the \
-             work distribution changes.")
+            "Domains for $(b,--batch) run sharding (default: the \
+             recommended domain count).  Results are bit-identical at any \
+             value; only the work distribution changes.")
   in
   let batch_file =
     Arg.(
@@ -384,26 +383,16 @@ let sim_cmd =
              runs one bytecode pass evaluates at once (default 8).  \
              Results are bit-identical at any value.")
   in
-  let grain =
-    Arg.(
-      value
-      & opt int 64
-      & info [ "grain" ] ~docv:"N"
-          ~doc:
-            "Minimum dirty-level width the parallel engine fans out to \
-             the domain pool; narrower levels run on the calling domain.")
-  in
   let stats =
     Arg.(
       value & flag
       & info [ "stats" ]
           ~doc:
             "After the run, print the work breakdown: total node visits, \
-             for the parallel-level engine the per-level fan-out, barrier \
-             and per-domain visit counters, for the compiled engine \
-             the program size, vector coverage and one-time compile \
-             time, and for $(b,--batch) the run/job/lane counters (all \
-             but the compile time deterministic).")
+             for the compiled engine the program size, vector coverage \
+             and one-time compile time, and for $(b,--batch) the \
+             run/job/lane counters (all but the compile time \
+             deterministic).")
   in
   let optimize =
     Arg.(
@@ -440,8 +429,8 @@ let sim_cmd =
         Fmt.epr "batch file %s: no runs@." bf;
         1
     | Ok runs ->
-        let tmpl = Zeus.Sim.create ~engine ~jobs:1 ~optimize ?discharged design in
-        let results, st = Zeus.Sim.run_batch ?jobs ~lanes tmpl runs in
+        let tmpl = Zeus.Sim.create ~engine ?jobs ~optimize ?discharged design in
+        let results, st = Zeus.Sim.run_batch ~lanes tmpl runs in
         List.iteri
           (fun i (res : Zeus.Sim.batch_result) ->
             Fmt.pr "run %d:" i;
@@ -469,12 +458,22 @@ let sim_cmd =
         0
   in
   let run file cycles pokes peeks do_reset trace wave explain activity vcd_out
-      engine jobs grain stats optimize discharge batch_file lanes =
+      engine jobs stats optimize discharge batch_file lanes =
     match Zeus.compile (load file) with
     | Error diags ->
         report_diags diags;
         1
     | Ok design -> (
+        (* a -p/-w path that names nothing is a usage error, caught
+           before the first cycle rather than half-way through a line *)
+        List.iter
+          (fun path ->
+            match Zeus.Elaborate.resolve_path design path with
+            | Ok _ -> ()
+            | Error msg ->
+                Fmt.epr "sim: %s@." msg;
+                exit 2)
+          (List.map fst pokes @ peeks);
         let discharged =
           if not discharge then None
           else begin
@@ -490,7 +489,7 @@ let sim_cmd =
               ~stats ~watch:peeks bf
         | None ->
         let sim =
-          Zeus.Sim.create ~engine ?jobs ~grain ~optimize ?discharged design
+          Zeus.Sim.create ~engine ~optimize ?discharged design
         in
         List.iter (fun (p, v) ->
             if v <= 1 then Zeus.Sim.poke sim p [ (if v = 1 then Zeus.Logic.One else Zeus.Logic.Zero) ]
@@ -544,19 +543,6 @@ let sim_cmd =
             (Zeus.Sim.trace_last_cycle sim);
         if stats then begin
           Fmt.pr "node visits: %d@." (Zeus.Sim.node_visits sim);
-          (match Zeus.Sim.parallel_stats sim with
-          | None -> ()
-          | Some s ->
-              Fmt.pr
-                "parallel: jobs=%d levels=%d chunked=%d barriers=%d \
-                 node-tasks=%d net-tasks=%d max-fanout=%d@."
-                s.Zeus.Sim.par_jobs s.Zeus.Sim.par_levels
-                s.Zeus.Sim.par_chunked_levels s.Zeus.Sim.par_barriers
-                s.Zeus.Sim.par_node_tasks s.Zeus.Sim.par_net_tasks
-                s.Zeus.Sim.par_max_fanout;
-              Fmt.pr "domain visits:%a@."
-                Fmt.(array ~sep:nop (fmt " %d"))
-                s.Zeus.Sim.par_domain_visits);
           (match Zeus.Sim.compiled_stats sim with
           | None -> ()
           | Some s ->
@@ -580,7 +566,7 @@ let sim_cmd =
     (Cmd.info "sim" ~doc:"Simulate a design for N cycles.")
     Term.(
       const run $ file_arg $ cycles $ pokes $ peeks $ do_reset $ trace $ wave
-      $ explain $ activity $ vcd_out $ engine $ jobs $ grain $ stats
+      $ explain $ activity $ vcd_out $ engine $ jobs $ stats
       $ optimize $ discharge $ batch_file $ lanes)
 
 let lint_cmd =

@@ -6,7 +6,7 @@
    sim.ml's semantics, not against what "looks like" the obvious
    Verilog:
 
-   - [finalize_net_core] counts every non-NOINFL produced value and
+   - [Sim.finalize_net] counts every non-NOINFL produced value and
      forces UNDEF on the second one *even when the values agree*.
      Verilog's native wired resolution would merge agreeing drivers, so
      a multi-producer class gets one wire per producer plus an explicit

@@ -10,10 +10,8 @@
                        Firing-engine run is bit-identical to the
                        original's (print/parse/elaborate preserve
                        semantics, not just syntax);
-   O3 "engine:<name>"  all seven scheduling engines — including the
-                       domain-parallel one, run at 4 domains with every
-                       dirty level chunked (grain 1), and the bytecode-
-                       compiled one — produce identical
+   O3 "engine:<name>"  all six scheduling engines — including the
+                       bytecode-compiled one — produce identical
                        snapshots *per cycle* and identical runtime-error
                        sets (cycle, net, code) over the poke sequence —
                        the cycle-by-cycle comparison subsumes the
@@ -31,7 +29,7 @@
                        never classified safe in the first place.)
    O6 "opt-identity:<name>" / "opt-proof"
                        the proof-carrying reduction preserves behaviour:
-                       the reduced design, run on each of the seven
+                       the reduced design, run on each of the six
                        engines, matches the unoptimized Firing reference
                        cycle-by-cycle on every net the abstract
                        interpretation marked observable.  Values are
@@ -193,12 +191,8 @@ type run = {
   errors : (int * string * string) list; (* cycle, net, code; sorted *)
 }
 
-let run_engine ?(jobs = 4) ?(grain = 1) design engine (stim : Gen_prog.stimulus)
-    =
-  (* jobs/grain only affect the Parallel engine; grain 1 forces every
-     dirty level through the domain pool so the fuzz actually exercises
-     the chunked path *)
-  let sim = Sim.create ~engine ~jobs ~grain design in
+let run_engine design engine (stim : Gen_prog.stimulus) =
+  let sim = Sim.create ~engine design in
   let snaps =
     List.map
       (fun pokes ->
@@ -237,8 +231,8 @@ let errors_to_string errs =
     (List.map (fun (c, n, code) -> Printf.sprintf "%s@%d[%s]" n c code) errs)
 
 (* The full matrix.  Returns every divergence found (empty = agreement
-   everywhere).  [jobs] shapes the Parallel engine's chunking and the
-   batch row's sharding; batch workers already inside a pool region
+   everywhere).  [jobs] shapes the batch row's sharding; batch workers
+   already inside a pool region
    must pass [~jobs:1] (Pool regions do not nest, but [Pool.run ~jobs:1]
    short-circuits to a plain call). *)
 let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
@@ -297,12 +291,12 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
           add "compile" (diags_to_string diags);
           List.rev !divs
       | Ok design ->
-          (* O3: the seven-engine matrix, cycle-by-cycle *)
-          let reference = run_engine ~jobs design Sim.Firing stim in
+          (* O3: the six-engine matrix, cycle-by-cycle *)
+          let reference = run_engine design Sim.Firing stim in
           List.iter
             (fun engine ->
               if engine <> Sim.Firing then begin
-                let r = run_engine ~jobs design engine stim in
+                let r = run_engine design engine stim in
                 (match first_snap_mismatch reference.snaps r.snaps with
                 | None -> ()
                 | Some (cycle, diffs) ->
@@ -407,7 +401,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                   results)
               Sim.all_engines
           end;
-          (* O6: the proof-carrying reduction, on all seven engines *)
+          (* O6: the proof-carrying reduction, on all six engines *)
           (match
              try Some (Reduce.run design)
              with exn ->
@@ -439,7 +433,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
               in
               List.iter
                 (fun engine ->
-                  let ro = run_engine ~jobs r.Reduce.design engine stim in
+                  let ro = run_engine r.Reduce.design engine stim in
                   let rec go cycle ss os =
                     match (ss, os) with
                     | [], [] -> ()
@@ -505,7 +499,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                 ("pretty-printed source does not compile: "
                 ^ diags_to_string diags)
           | Ok design2 -> (
-              let r2 = run_engine ~jobs design2 Sim.Firing stim in
+              let r2 = run_engine design2 Sim.Firing stim in
               match first_snap_mismatch reference.snaps r2.snaps with
               | None -> ()
               | Some (cycle, diffs) ->

@@ -6,8 +6,7 @@
     pp-fixpoint      pretty-print → reparse → pretty-print is a fixpoint
     reelaborate      pretty-printed source compiles and simulates
                      bit-identically to the original (Firing engine)
-    engine:<name>    every engine matches Firing — including the
-                     domain-parallel one at 4 domains, grain 1:
+    engine:<name>    every one of the six engines matches Firing:
                      identical snapshots per cycle and identical
                      runtime-error sets (subsumes "Incremental agrees
                      with Fixpoint cycle-by-cycle")
@@ -22,7 +21,7 @@
     opt-identity:<name>
                      the proof-carrying reduction ({!Zeus_sem.Reduce})
                      preserves behaviour: the reduced design, run on
-                     each of the seven engines, matches the unoptimized
+                     each of the six engines, matches the unoptimized
                      Firing reference cycle-by-cycle on every net the
                      abstract interpretation marked observable (values
                      compared per net through each design's class map;
@@ -74,16 +73,14 @@ type run = {
   errors : (int * string * string) list;  (** cycle, net, code; sorted *)
 }
 
-(** [jobs]/[grain] shape the {!Sim.Parallel} engine only (defaults 4
-    and 1: every dirty level is chunked across 4 domains); results are
-    identical at any value. *)
+(** A fresh handle on [engine], poked and stepped once per stimulus
+    cycle. *)
 val run_engine :
-  ?jobs:int -> ?grain:int ->
   Zeus_sem.Elaborate.design -> Sim.engine -> Gen_prog.stimulus -> run
 
 val check : ?jobs:int -> src:string -> Gen_prog.stimulus -> divergence list
 (** Run the whole matrix; [[]] means agreement everywhere.  [jobs]
-    (default 4) shapes the Parallel engine's chunking and the batch
-    row's sharding; a caller already inside a {!Zeus_sim.Pool} region
-    (e.g. a batch-fuzz worker) must pass [~jobs:1] — pool regions do
-    not nest, and [jobs = 1] short-circuits past the pool. *)
+    (default 4) shapes the batch row's sharding; a caller already
+    inside a {!Zeus_sim.Pool} region (e.g. a batch-fuzz worker) must
+    pass [~jobs:1] — pool regions do not nest, and [jobs = 1]
+    short-circuits past the pool. *)

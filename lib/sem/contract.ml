@@ -403,7 +403,7 @@ let pp ppf c =
    The source digest keys the whole pretty-printed compilation unit, so
    any edit anywhere invalidates every entry for that program — coarse
    but impossible to get wrong; the memoized in-process table provides
-   the fine-grained sharing.  A version stamp plus the OCaml version
+   the finer per-type sharing.  A version stamp plus the OCaml version
    guard against unmarshalling foreign data. *)
 module Cache = struct
   let format_version = 1

@@ -1,26 +1,34 @@
-(* A reusable domain pool for the parallel simulation engine.
+(* A reusable domain pool for whole-run sharding.
+
+   Two callers fork on it: the batch engine ({!Sim.run_batch}), which
+   shards independent simulation runs, and batch fuzzing
+   ([Fuzz.run ~batch]), which shards case detection.  Each slice is a
+   whole run or a whole case, so there is one region per batch and no
+   barrier inside a run.
 
    OCaml 5 caps the number of domains that can ever exist concurrently
-   (~128), so the simulator must not spawn domains per run — a fuzz
-   session creates thousands of simulators.  One process-wide pool is
-   created lazily, grows to the largest [jobs] ever requested, and is
-   shut down from [at_exit].
+   (~128), so no caller may spawn domains per batch — a fuzz session
+   runs thousands of them.  One process-wide pool is created lazily,
+   grows to the largest [jobs] ever requested, and is shut down from
+   [at_exit].
 
    [run ~jobs f] is a fork-join region: it runs [f 0] on the calling
    domain and [f 1] .. [f (jobs-1)] on pool workers, returning when all
    have finished.  Regions are serialized by construction — the caller
-   does not return until every worker chunk is done, so one pool serves
-   any number of simulator handles.  An exception in any chunk is
-   re-raised at the caller after the join (the barrier still completes,
-   leaving the pool reusable).
+   does not return until every worker slice is done — and they do not
+   nest: code running inside a slice must not open another region
+   (batch-fuzz workers therefore run the oracle with [~jobs:1], which
+   never touches the pool).  An exception in any slice is re-raised at
+   the caller after the join (the join still completes, leaving the
+   pool reusable).
 
    The protocol is a classic job-epoch monitor: publishing a region
    increments [job_id] under the mutex and broadcasts; every worker
    remembers the last epoch it saw, so a worker that naps through an
    entire region (possible only for non-participating workers) simply
-   skips it.  All shared-array access inside the simulator is ordered by
-   this mutex: the region publish happens-before every chunk, and every
-   chunk happens-before the caller's return. *)
+   skips it.  The mutex orders the region publish before every slice,
+   and every slice before the caller's return, so results a slice
+   writes into caller-owned arrays are visible after the join. *)
 
 type t = {
   m : Mutex.t;

@@ -1,11 +1,11 @@
-(** A reusable process-wide domain pool for the parallel simulation
-    engine.
+(** A reusable process-wide domain pool for whole-run sharding: the
+    batch engine ({!Sim.run_batch}) and batch fuzzing are its only
+    users.
 
-    OCaml 5 caps concurrent domains at ~128, so simulators must never
-    spawn domains per handle.  One lazily-created pool grows to the
-    largest [jobs] ever requested and is shut down at process exit; any
-    number of simulator handles share it (regions are serialized by the
-    fork-join protocol itself). *)
+    OCaml 5 caps concurrent domains at ~128, so callers must never spawn
+    domains per batch.  One lazily-created pool grows to the largest
+    [jobs] ever requested and is shut down at process exit; regions are
+    serialized by the fork-join protocol itself and must not nest. *)
 
 (** Hard ceiling on [jobs] — requests above it are clamped. *)
 val max_jobs : int

@@ -1,14 +1,13 @@
 (* Stateless per-net PRNG for the RANDOM component.
 
-   The serial engines used to draw RANDOM values from one shared
-   [Random.State] in node-creation order, which made the stream depend
-   on evaluation order — impossible to reproduce from a parallel engine
-   whose domains race for the next draw.  Instead every draw is a pure
-   function of (simulator seed, output class id, cycle number): the
-   splitmix64 finalizer applied twice, so the value is independent of
-   which domain computes it, in which order, and how many domains there
-   are.  All seven engines share this function, so their RANDOM streams
-   are bit-identical by construction.
+   A shared [Random.State] drawn in evaluation order would make the
+   stream depend on the engine's schedule, and on which domain a batch
+   run lands.  Instead every draw is a pure function of (simulator
+   seed, output class id, cycle number): the splitmix64 finalizer
+   applied twice, so the value is independent of which domain computes
+   it and in which order.  All six engines and every batch lane share
+   this function, so their RANDOM streams are bit-identical by
+   construction.
 
    Splitmix64 (Steele, Lea & Flood, OOPSLA 2014) is the standard cheap
    stateless mixer: invertible, full 64-bit avalanche, and good enough

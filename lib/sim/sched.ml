@@ -22,8 +22,9 @@ type t = {
   net_level : int array; (* per class; -1 = cyclic *)
   max_level : int;
   acyclic : bool;
-  (* static per-level membership, for the parallel engine's chunking and
-     its --stats fan-out profile; cyclic items (level -1) are omitted *)
+  (* static per-level membership, the walk order of the bytecode
+     compiler and the Verilog exporter; cyclic items (level -1) are
+     omitted *)
   nodes_at : int array array; (* per level: node ids, ascending *)
   nets_at : int array array; (* per level: class ids, ascending *)
 }
@@ -43,9 +44,6 @@ let bucketize max_level levels =
       end)
     levels;
   buckets
-
-let max_width t =
-  Array.fold_left (fun acc b -> max acc (Array.length b)) 0 t.nodes_at
 
 let build (g : Graph.t) =
   let n_nodes = Array.length g.Graph.nodes in

@@ -18,12 +18,9 @@ type t = {
   acyclic : bool;  (** every node and class received a level *)
   nodes_at : int array array;
       (** static membership: node ids of each level, ascending — the
-          parallel engine's chunking metadata; cyclic items omitted *)
+          walk order of {!Compile} and the Verilog exporter; cyclic
+          items omitted *)
   nets_at : int array array;  (** class ids of each level, ascending *)
 }
 
 val build : Graph.t -> t
-
-(** Widest level of the static node schedule — the upper bound on how
-    many nodes the parallel engine can ever fire concurrently. *)
-val max_width : t -> int

@@ -1,6 +1,6 @@
 (* Cycle-based simulation of elaborated Zeus designs.
 
-   Seven scheduling engines over the same semantics graph, values and
+   Six scheduling engines over the same semantics graph, values and
    resolution rules (so their results are identical — the paper's claim
    in section 8 that every legal propagation order gives the same result
    is a tested invariant here):
@@ -26,16 +26,6 @@
                    cost O(dirty), not O(nets) — the "work proportional
                    to activity" property section 8 claims for the
                    firing evaluator, made true across cycles;
-   - [Parallel]    the incremental engine with each level of the dirty
-                   cone fired concurrently on a reusable domain pool
-                   ({!Pool}): within a level every node writes only its
-                   own [produced] slot and every net only its own
-                   resolution slots, so chunks are data-race-free by
-                   construction; dirty-successor sets merge at the
-                   barrier between levels.  RANDOM draws are a pure
-                   function of (seed, class, cycle) ({!Prand}) — shared
-                   by all engines — so snapshots are bit-identical
-                   regardless of domain count;
    - [Compiled]    the levelized schedule lowered once ({!Compile}) to
                    flat bytecode ({!Bytecode}) — dense opcode array,
                    operand indices resolved at compile time — executed
@@ -71,7 +61,6 @@ type engine =
   | Fixpoint
   | Relaxation
   | Incremental
-  | Parallel
   | Compiled
 
 let engine_name = function
@@ -80,33 +69,10 @@ let engine_name = function
   | Fixpoint -> "fixpoint"
   | Relaxation -> "relaxation"
   | Incremental -> "incremental"
-  (* demoted from "parallel" when the batch engine (run_batch) took
-     over throughput work: per-level chunking loses to the serial
-     incremental path at every domain count (BENCH_par.json), so the
-     engine is kept for the differential matrix under a name that says
-     what it parallelizes *)
-  | Parallel -> "parallel-level"
   | Compiled -> "compiled"
 
 let all_engines =
-  [
-    Firing; Firing_strict; Fixpoint; Relaxation; Incremental; Parallel;
-    Compiled;
-  ]
-
-(* observable work breakdown of the parallel engine (--stats) — all
-   counters are deterministic functions of (design, stimulus, jobs,
-   grain): no wall-clock, so they are golden-testable *)
-type par_stats = {
-  par_jobs : int;
-  par_levels : int; (* warm levels that had any scheduled work *)
-  par_chunked_levels : int; (* of those, levels fanned out on the pool *)
-  par_barriers : int; (* fork-join regions (one per chunked phase) *)
-  par_node_tasks : int; (* node evaluations in warm passes *)
-  par_net_tasks : int; (* net resolutions in warm passes *)
-  par_max_fanout : int; (* widest dirty node level seen *)
-  par_domain_visits : int array; (* node evaluations per domain *)
-}
+  [ Firing; Firing_strict; Fixpoint; Relaxation; Incremental; Compiled ]
 
 (* observable shape of the compiled program (--stats) — all counters
    except the compile time are deterministic functions of the design *)
@@ -167,25 +133,11 @@ type t = {
   (* --- compiled engine machinery --- *)
   cprog : Bytecode.prog option; (* Some iff engine = Compiled && acyclic *)
   cstate : Bytecode.state option;
-  (* --- parallel engine machinery --- *)
-  par_serial : bool; (* jobs/width too small to beat the serial path *)
-  jobs : int; (* domains per chunked level (1 for serial engines) *)
-  grain : int; (* levels narrower than this run on the caller *)
-  dom_out : int list array; (* node phase: changed-output nets, per domain *)
-  dom_changed : int list array; (* net phase: nets whose value changed *)
-  dom_regs : int list array; (* net phase: nets affecting a register *)
-  dom_conf : int list array; (* net phase: newly entered conflicts *)
-  dom_visits : int array; (* node evaluations per domain *)
-  mutable ps_levels : int;
-  mutable ps_chunked : int;
-  mutable ps_barriers : int;
-  mutable ps_node_tasks : int;
-  mutable ps_net_tasks : int;
-  mutable ps_max_fanout : int;
+  jobs : int; (* default domain count of [run_batch] *)
 }
 
-let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(grain = 64)
-    ?(optimize = false) ?discharged (design : Elaborate.design) =
+let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
+    ?discharged (design : Elaborate.design) =
   (* the proof-carrying reduction shares nets with the original, so
      poke/peek paths are unchanged; merged copy classes share one
      union-find root, and eliminated logic may read UNDEF/None *)
@@ -268,23 +220,7 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(grain = 64)
     reg_dirty_list = [];
     cprog;
     cstate;
-    (* with one domain (or a design narrower than the grain) no level
-       ever fans out, so the pool is pure overhead: take the serial
-       incremental path instead *)
-    par_serial = jobs <= 1 || Sched.max_width sched <= max 1 grain;
     jobs;
-    grain = max 1 grain;
-    dom_out = Array.make jobs [];
-    dom_changed = Array.make jobs [];
-    dom_regs = Array.make jobs [];
-    dom_conf = Array.make jobs [];
-    dom_visits = Array.make jobs 0;
-    ps_levels = 0;
-    ps_chunked = 0;
-    ps_barriers = 0;
-    ps_node_tasks = 0;
-    ps_net_tasks = 0;
-    ps_max_fanout = 0;
   }
 
 let design t = t.g.Graph.design
@@ -315,7 +251,7 @@ let conflict_error t net =
     t.cycle
 
 (* RANDOM: a pure function of (seed, output class, cycle) — identical
-   in every engine, at every domain count, and idempotent under cone
+   in every engine and every batch lane, and idempotent under cone
    re-evaluation *)
 let random_value t net =
   Logic.of_bool (Prand.bool ~seed:t.seed ~net ~cycle:t.cycle)
@@ -545,15 +481,14 @@ let mark_reg_dirty t i =
 
 (* Recompute a class's resolution from its producers' produced values
    (or, for producer-less classes, its seed).  Returns
-   (value_changed, driven_flag_changed, entered_conflict).  Every write
-   is to this net's own slot, so distinct nets can be finalized from
-   distinct domains concurrently; the shared [conflict_list] append is
-   left to the (sequential) callers. *)
-let finalize_net_core t net =
+   (value_changed, driven_flag_changed).  A newly entered conflict joins
+   [conflict_list]; [emit_conflict] also reports it at once, while the
+   incremental engine instead reports every standing conflict once per
+   cycle, after its pass. *)
+let finalize_net t ~emit_conflict net =
   let g = t.g in
   let old_value = t.values.(net) in
   let old_driven = t.drives_seen.(net) > 0 in
-  let entered = ref false in
   if g.Graph.producer_count.(net) = 0 then
     t.values.(net) <- Some (seed_value t net)
   else begin
@@ -576,24 +511,14 @@ let finalize_net_core t net =
     if !drives >= 2 then begin
       if not t.in_conflict.(net) then begin
         t.in_conflict.(net) <- true;
-        entered := true
+        t.conflict_list <- net :: t.conflict_list;
+        if emit_conflict then conflict_error t net
       end
     end
     else if t.in_conflict.(net) then t.in_conflict.(net) <- false
     (* stale entries are filtered from conflict_list lazily *)
   end;
-  (t.values.(net) <> old_value, (t.drives_seen.(net) > 0) <> old_driven, !entered)
-
-(* the serial wrapper: [emit_conflict] reports newly-entered conflicts;
-   the incremental engine instead reports every standing conflict once
-   per cycle, after its pass *)
-let finalize_net t ~emit_conflict net =
-  let changed, driven_changed, entered = finalize_net_core t net in
-  if entered then begin
-    t.conflict_list <- net :: t.conflict_list;
-    if emit_conflict then conflict_error t net
-  end;
-  (changed, driven_changed)
+  (t.values.(net) <> old_value, (t.drives_seen.(net) > 0) <> old_driven)
 
 (* Forward pass over the level buckets: nodes of level l, then classes
    of level l.  Classes caught in combinational cycles live in the
@@ -700,7 +625,7 @@ let latch_reg t i =
 (* ------------------------------------------------------------------ *)
 
 let event_driven = function
-  | Firing | Firing_strict | Incremental | Parallel | Compiled -> true
+  | Firing | Firing_strict | Incremental | Compiled -> true
   | Fixpoint | Relaxation -> false
 
 let step_full t =
@@ -786,7 +711,7 @@ let step_full t =
     if t.remaining.(net) = 0 then fire net (seed_value t net)
   done;
   (match t.engine with
-  | Firing | Firing_strict | Incremental | Parallel | Compiled ->
+  | Firing | Firing_strict | Incremental | Compiled ->
       (* nodes with only constant inputs fire without stimulus *)
       Array.iter (fun node_id -> ignore (try_node node_id)) t.const_nodes;
       let rec drain () =
@@ -826,7 +751,7 @@ let step_full t =
       done;
       if !stuck then begin
         (match t.engine with
-        | Firing | Firing_strict | Incremental | Parallel | Compiled ->
+        | Firing | Firing_strict | Incremental | Compiled ->
             let rec drain () =
               match Queue.take_opt worklist with
               | Some node_id ->
@@ -890,11 +815,7 @@ let step_full t =
 (* One incremental clock cycle                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* the shared warm-cycle prologue and epilogue of the incremental and
-   parallel engines: RANDOM redraw + dirty-seed scheduling before the
-   pass, standing-conflict re-report + dirty-register latch after it *)
-
-let warm_prologue t =
+let step_incremental t =
   let g = t.g in
   t.epoch <- t.epoch + 1;
   t.trace <- [];
@@ -922,12 +843,10 @@ let warm_prologue t =
         g.Graph.producer_count.(c) = 0
         && t.values.(c) <> Some (seed_value t c)
       then schedule_net t c)
-    dirty
-
-let warm_epilogue t =
+    dirty;
+  run_pass t ~emit_conflict:false ~incremental:true;
   (* the runtime multiple-drive check re-reports a standing conflict
-     every cycle, like the re-firing engines; the report order is sorted
-     by class id so the incremental and parallel traces are identical *)
+     every cycle, like the re-firing engines, in class order *)
   if t.conflict_list <> [] then begin
     t.conflict_list <- List.filter (fun c -> t.in_conflict.(c)) t.conflict_list;
     List.iter (fun c -> conflict_error t c) (List.sort compare t.conflict_list)
@@ -941,155 +860,6 @@ let warm_epilogue t =
       latch_reg t i)
     regs;
   t.cycle <- t.cycle + 1
-
-let step_incremental t =
-  warm_prologue t;
-  run_pass t ~emit_conflict:false ~incremental:true;
-  warm_epilogue t
-
-(* ------------------------------------------------------------------ *)
-(* One parallel clock cycle                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* The incremental dirty-cone pass with each level fired concurrently.
-
-   Safety: within the node phase of a level every chunk writes only the
-   [produced] slots of its own nodes (each node is in exactly one
-   chunk) and reads values of strictly lower levels, which no chunk
-   writes; within the net phase every chunk writes only the resolution
-   slots of its own nets and reads [produced] of nodes of level <= l,
-   all written before the phase started.  The pool's mutex orders the
-   region publish before every chunk and every chunk before the join,
-   so there are no data races.  Everything shared — bucket scheduling,
-   conflict-list appends, register dirty marks, the trace — happens
-   sequentially at the barrier between phases.
-
-   Determinism: values are order-independent (disjoint writes, strict
-   evaluation), so snapshots cannot depend on [jobs]; the merged
-   changed-set is sorted by class id before its observable effects
-   (trace order), so the trace cannot either. *)
-let run_pass_parallel t =
-  if t.any_scheduled then begin
-    t.any_scheduled <- false;
-    let g = t.g in
-    let levels = overflow_slot t in
-    (* acyclic is guaranteed here (see [step]), so the overflow slot is
-       never populated *)
-    let chunked n = t.jobs > 1 && n > t.grain in
-    for l = 0 to levels - 1 do
-      let had_nodes = t.node_buckets.(l) <> [] in
-      let had_nets = ref (t.net_buckets.(l) <> []) in
-      (* --- node phase --- *)
-      (match t.node_buckets.(l) with
-      | [] -> ()
-      | ns ->
-          t.node_buckets.(l) <- [];
-          let arr = Array.of_list ns in
-          let n = Array.length arr in
-          t.ps_node_tasks <- t.ps_node_tasks + n;
-          t.node_visits <- t.node_visits + n;
-          if n > t.ps_max_fanout then t.ps_max_fanout <- n;
-          let nchunks = if chunked n then t.jobs else 1 in
-          let chunk d =
-            let lo = n * d / nchunks and hi = n * (d + 1) / nchunks in
-            let out = ref [] in
-            for k = lo to hi - 1 do
-              let node = arr.(k) in
-              let v = strict_eval_node t node in
-              if t.produced.(node) <> Some v then begin
-                t.produced.(node) <- Some v;
-                out := Graph.node_output g.Graph.nodes.(node) :: !out
-              end
-            done;
-            t.dom_visits.(d) <- t.dom_visits.(d) + (hi - lo);
-            t.dom_out.(d) <- !out
-          in
-          if nchunks > 1 then begin
-            Pool.run ~jobs:nchunks chunk;
-            t.ps_barriers <- t.ps_barriers + 1;
-            t.ps_chunked <- t.ps_chunked + 1
-          end
-          else chunk 0;
-          (* barrier merge: schedule the changed-output nets (epoch
-             marks deduplicate nets shared by several chunks) *)
-          for d = 0 to nchunks - 1 do
-            List.iter (fun net -> schedule_net t net) t.dom_out.(d);
-            t.dom_out.(d) <- []
-          done);
-      if t.net_buckets.(l) <> [] then had_nets := true;
-      (* --- net phase --- *)
-      (match t.net_buckets.(l) with
-      | [] -> ()
-      | ss ->
-          t.net_buckets.(l) <- [];
-          let arr = Array.of_list ss in
-          let n = Array.length arr in
-          t.ps_net_tasks <- t.ps_net_tasks + n;
-          let nchunks = if chunked n then t.jobs else 1 in
-          let chunk d =
-            let lo = n * d / nchunks and hi = n * (d + 1) / nchunks in
-            let changed = ref [] and regs = ref [] and conf = ref [] in
-            for k = lo to hi - 1 do
-              let net = arr.(k) in
-              let value_changed, driven_changed, entered =
-                finalize_net_core t net
-              in
-              if value_changed then begin
-                (match (t.prev_values.(net), t.values.(net)) with
-                | Some a, Some b when not (Logic.equal a b) ->
-                    t.toggles.(net) <- t.toggles.(net) + 1
-                | _ -> ());
-                t.prev_values.(net) <- t.values.(net);
-                changed := net :: !changed
-              end;
-              if
-                (value_changed || driven_changed)
-                && g.Graph.regs_of_in.(net) <> []
-              then regs := net :: !regs;
-              if entered then conf := net :: !conf
-            done;
-            t.dom_changed.(d) <- !changed;
-            t.dom_regs.(d) <- !regs;
-            t.dom_conf.(d) <- !conf
-          in
-          if nchunks > 1 then begin
-            Pool.run ~jobs:nchunks chunk;
-            t.ps_barriers <- t.ps_barriers + 1
-          end
-          else chunk 0;
-          (* barrier merge: conflicts, register marks, then the changed
-             set sorted by class id for a jobs-independent trace *)
-          let changed = ref [] in
-          for d = 0 to nchunks - 1 do
-            changed := List.rev_append t.dom_changed.(d) !changed;
-            t.dom_changed.(d) <- [];
-            List.iter
-              (fun net ->
-                List.iter (mark_reg_dirty t) g.Graph.regs_of_in.(net))
-              t.dom_regs.(d);
-            t.dom_regs.(d) <- [];
-            List.iter
-              (fun net -> t.conflict_list <- net :: t.conflict_list)
-              t.dom_conf.(d);
-            t.dom_conf.(d) <- []
-          done;
-          List.iter
-            (fun net ->
-              (if t.trace_enabled then
-                 match t.values.(net) with
-                 | Some v ->
-                     t.trace <- (g.Graph.names.(net), v) :: t.trace
-                 | None -> ());
-              Graph.iter_consumers g net (fun node -> schedule_node t node))
-            (List.sort compare !changed));
-      if had_nodes || !had_nets then t.ps_levels <- t.ps_levels + 1
-    done
-  end
-
-let step_parallel t =
-  warm_prologue t;
-  run_pass_parallel t;
-  warm_epilogue t
 
 (* ------------------------------------------------------------------ *)
 (* One compiled clock cycle                                             *)
@@ -1132,21 +902,6 @@ let step_compiled t prog st =
   t.started <- true;
   t.cycle <- t.cycle + 1
 
-let parallel_stats t =
-  if t.engine <> Parallel then None
-  else
-    Some
-      {
-        par_jobs = t.jobs;
-        par_levels = t.ps_levels;
-        par_chunked_levels = t.ps_chunked;
-        par_barriers = t.ps_barriers;
-        par_node_tasks = t.ps_node_tasks;
-        par_net_tasks = t.ps_net_tasks;
-        par_max_fanout = t.ps_max_fanout;
-        par_domain_visits = Array.copy t.dom_visits;
-      }
-
 let compiled_stats t =
   match t.cprog with
   | Some p ->
@@ -1166,10 +921,6 @@ let compiled_stats t =
 let step t =
   match t.engine with
   | Incremental when t.started && t.sched.Sched.acyclic -> step_incremental t
-  | Parallel when t.started && t.sched.Sched.acyclic ->
-      (* the jobs<=1 / sub-grain configurations pay pool setup for zero
-         fan-out: short-circuit to the serial incremental path *)
-      if t.par_serial then step_incremental t else step_parallel t
   | Compiled -> (
       match (t.cprog, t.cstate) with
       | Some prog, Some st -> step_compiled t prog st
@@ -1205,10 +956,10 @@ let reset t =
   mark_seed t rset
 
 (* full power-up re-initialization: the handle behaves exactly like a
-   fresh [create] with the same design, engine, seed and jobs — every
-   residual bit of cross-cycle state (values, register contents, pokes,
-   dirty sets, epoch stamps, per-domain buffers, counters) is cleared,
-   so engine re-entry under the reused domain pool is reproducible *)
+   fresh [create] with the same design, engine and seed — every residual
+   bit of cross-cycle state (values, register contents, pokes, dirty
+   sets, epoch stamps, counters) is cleared, so re-entry is
+   reproducible *)
 let restart t =
   Array.fill t.values 0 (Array.length t.values) None;
   Array.fill t.produced 0 (Array.length t.produced) None;
@@ -1239,19 +990,6 @@ let restart t =
   t.conflict_list <- [];
   Array.fill t.reg_dirty 0 (Array.length t.reg_dirty) false;
   t.reg_dirty_list <- [];
-  for d = 0 to t.jobs - 1 do
-    t.dom_out.(d) <- [];
-    t.dom_changed.(d) <- [];
-    t.dom_regs.(d) <- [];
-    t.dom_conf.(d) <- [];
-    t.dom_visits.(d) <- 0
-  done;
-  t.ps_levels <- 0;
-  t.ps_chunked <- 0;
-  t.ps_barriers <- 0;
-  t.ps_node_tasks <- 0;
-  t.ps_net_tasks <- 0;
-  t.ps_max_fanout <- 0;
   match (t.cprog, t.cstate) with
   | Some prog, Some st -> Bytecode.reset_state prog st
   | _ -> ()
@@ -1294,10 +1032,10 @@ let snapshot t =
 (* ------------------------------------------------------------------ *)
 
 (* The parallelism Zeus actually has is many independent runs (fuzz
-   cases, stimulus vectors, regression corpora), not the per-level
-   chunking of [Parallel]: sharding whole runs needs zero cross-run
-   barriers, and the splitmix RANDOM — a pure function of (seed, class,
-   cycle) — makes every run replay deterministically wherever it lands.
+   cases, stimulus vectors, regression corpora): sharding whole runs
+   needs zero cross-run barriers, and the splitmix RANDOM — a pure
+   function of (seed, class, cycle) — makes every run replay
+   deterministically wherever it lands.
 
    Two execution paths, both bit-identical to a serial run:
 
@@ -1309,8 +1047,9 @@ let snapshot t =
      designs, [lanes = 1], zero-cycle runs): a fresh per-run handle
      stepped with the template's engine.
 
-   Inner handles always run jobs=1: the pool is owned by this sharding
-   layer and its fork-join protocol does not nest. *)
+   This sharding layer is the pool's only user inside the simulator;
+   stepping a handle never forks, so inner handles cannot nest a
+   region. *)
 
 type batch_run = {
   br_stim : (string * Logic.t list) list array;
@@ -1379,20 +1118,6 @@ let fresh_like t ~seed =
     reg_dirty = Array.make (Array.length t.reg_dirty) false;
     reg_dirty_list = [];
     cstate = Option.map Bytecode.create_state t.cprog;
-    (* inner handles never touch the pool (see above) *)
-    par_serial = true;
-    jobs = 1;
-    dom_out = Array.make 1 [];
-    dom_changed = Array.make 1 [];
-    dom_regs = Array.make 1 [];
-    dom_conf = Array.make 1 [];
-    dom_visits = Array.make 1 0;
-    ps_levels = 0;
-    ps_chunked = 0;
-    ps_barriers = 0;
-    ps_node_tasks = 0;
-    ps_net_tasks = 0;
-    ps_max_fanout = 0;
   }
 
 (* one run, one fresh handle, the template's engine; [resolve] is the
@@ -1497,11 +1222,7 @@ let run_batch ?jobs ?(lanes = 8) ?(snapshots = false) t runs =
   let runs = Array.of_list runs in
   let nruns = Array.length runs in
   let jobs =
-    let requested =
-      match jobs with
-      | Some j -> j
-      | None -> Domain.recommended_domain_count ()
-    in
+    let requested = Option.value jobs ~default:t.jobs in
     max 1 (min (min requested Pool.max_jobs) (max 1 nruns))
   in
   let lanes = max 1 lanes in

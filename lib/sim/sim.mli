@@ -18,9 +18,9 @@
 open Zeus_base
 open Zeus_sem
 
-(** The seven scheduling engines compute identical values (a tested
+(** The six scheduling engines compute identical values (a tested
     invariant — section 8's "all orders lead to the same result"); they
-    differ only in how much work they do, and on how many domains. *)
+    differ only in how much work they do. *)
 type engine =
   | Firing  (** event-driven, fires each node at most once *)
   | Firing_strict
@@ -37,22 +37,6 @@ type engine =
           re-evaluated, in levelized schedule order ({!Sched});
           quiescent cycles cost O(dirty).  With {!set_trace} on, the
           per-cycle trace lists only the nets whose value {e changed}. *)
-  | Parallel
-      (** the incremental engine with each level of the dirty cone fired
-          concurrently on a reusable domain pool ({!Pool}); registers
-          still latch sequentially at the end of the cycle.  Snapshots,
-          runtime errors and the RANDOM stream are bit-identical to
-          every serial engine at any domain count: RANDOM draws are a
-          pure function of (seed, class, cycle) ({!Prand}), and the
-          per-cycle trace is sorted by class id within each level.
-          [jobs <= 1] (and designs narrower than [grain]) short-circuit
-          to the serial incremental path: no pool, no barriers.
-
-          {b Demoted} to CLI name [parallel-level]: per-level chunking
-          loses to the serial incremental engine at every domain count
-          (BENCH_par.json), so it is kept for the differential matrix
-          only — throughput work goes through {!run_batch}, which
-          shards whole independent runs with zero cross-run barriers. *)
   | Compiled
       (** the levelized schedule lowered once to flat bytecode
           ({!Compile}, {!Bytecode}): dense opcode array, operand
@@ -70,22 +54,6 @@ val engine_name : engine -> string
 
 (** All engines, in declaration order — for tests and CLI enumeration. *)
 val all_engines : engine list
-
-(** Work breakdown of the {!Parallel} engine.  Every counter is a
-    deterministic function of (design, stimulus, [jobs], [grain]) — no
-    wall clock — so the output is golden-testable. *)
-type par_stats = {
-  par_jobs : int;  (** domains used for chunked levels *)
-  par_levels : int;  (** warm levels that had any scheduled work *)
-  par_chunked_levels : int;  (** levels fanned out on the domain pool *)
-  par_barriers : int;  (** fork-join regions (one per chunked phase) *)
-  par_node_tasks : int;  (** node evaluations in warm passes *)
-  par_net_tasks : int;  (** net resolutions in warm passes *)
-  par_max_fanout : int;  (** widest dirty node level seen *)
-  par_domain_visits : int array;
-      (** node evaluations per domain; unchunked work accrues to
-          domain 0 *)
-}
 
 (** Shape of the {!Compiled} engine's program.  Every field except
     [c_compile_secs] is a deterministic function of the design — no
@@ -118,10 +86,9 @@ type t
     component deterministically (every draw is a pure function of the
     seed, the output class and the cycle, so the stream is identical in
     all engines).  [jobs] (default: {!Domain.recommended_domain_count},
-    clamped to [Pool.max_jobs]) and [grain] (default 64: levels with
-    fewer dirty nodes run on the calling domain) only affect the
-    {!Parallel} engine — and only its work distribution, never its
-    results.  [optimize] (default [false]) runs the proof-carrying
+    clamped to [Pool.max_jobs]) is the handle's default domain count
+    for {!run_batch}; stepping never uses more than the calling domain.
+    [optimize] (default [false]) runs the proof-carrying
     reduction ({!Zeus_sem.Reduce}) before building the graph: constant
     and unobservable logic is dropped, while snapshots stay indexed by
     the same classes (unobservable classes may then read [None]); every
@@ -135,8 +102,8 @@ type t
     change, only Z101 reporting; the proofs assume defined inputs, so
     the discharge is opt-in ([zeusc sim --discharge]). *)
 val create :
-  ?engine:engine -> ?seed:int -> ?jobs:int -> ?grain:int ->
-  ?optimize:bool -> ?discharged:(int -> bool) -> Elaborate.design -> t
+  ?engine:engine -> ?seed:int -> ?jobs:int -> ?optimize:bool ->
+  ?discharged:(int -> bool) -> Elaborate.design -> t
 
 val design : t -> Elaborate.design
 
@@ -193,11 +160,11 @@ val run_until : t -> max:int -> (t -> bool) -> int option
 val reset : t -> unit
 
 (** Return the handle to its power-up state, exactly as a fresh
-    {!create} with the same design, engine, seed and domain count:
-    registers back to their initial values, all pokes forgotten, the
-    cycle counter (and hence the RANDOM stream) rewound, and every
-    residual dirty-set, conflict and per-domain buffer cleared — two
-    consecutive runs on one handle are bit-identical. *)
+    {!create} with the same design, engine and seed: registers back to
+    their initial values, all pokes forgotten, the cycle counter (and
+    hence the RANDOM stream) rewound, and every residual dirty-set and
+    conflict list cleared — two consecutive runs on one handle are
+    bit-identical. *)
 val restart : t -> unit
 
 val cycle_count : t -> int
@@ -209,10 +176,6 @@ val runtime_errors : t -> runtime_error list
 
 (** Total node evaluations — the work metric of experiment E8. *)
 val node_visits : t -> int
-
-(** Work breakdown of the {!Parallel} engine so far; [None] for every
-    other engine. *)
-val parallel_stats : t -> par_stats option
 
 (** Shape of the {!Compiled} engine's program; [None] for every other
     engine and for cyclic designs (which fall back uncompiled). *)
@@ -280,7 +243,7 @@ type batch_stats = {
     design/engine/seed/optimize choices are shared by all runs (so the
     graph, schedule and bytecode program are built once per batch, not
     once per run).  Contiguous slices of runs are sharded over [jobs]
-    domains (default {!Domain.recommended_domain_count}, clamped to the
+    domains (default: the [jobs] [t] was created with; clamped to the
     pool size and the run count); within a slice, consecutive runs with
     equal cycle counts are packed [lanes] (default 8) at a time through
     the compiled lane path when [t] compiled, everything else falls

@@ -39,7 +39,6 @@ module Sim = Zeus_sim.Sim
 module Fixpoint = Zeus_sim.Fixpoint
 module Switchlevel = Zeus_sim.Switchlevel
 module Incremental = Zeus_sim.Incremental
-module Parallel = Zeus_sim.Parallel
 module Prand = Zeus_sim.Prand
 module Bytecode = Zeus_sim.Bytecode
 module Compile = Zeus_sim.Compile

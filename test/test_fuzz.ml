@@ -36,7 +36,7 @@ let gen_inputs n =
   QCheck.Gen.(list_repeat n (oneofl [ Logic.Zero; Logic.One; Logic.Undef ]))
 
 (* compile once, evaluate under random input vectors with each of the
-   seven engines, and compare every OUT port against direct evaluation *)
+   six engines, and compare every OUT port against direct evaluation *)
 let prop_comb_direct_oracle =
   QCheck.Test.make ~count:150 ~name:"comb_direct_oracle" arb_comb (fun p ->
       let src = Gen.to_zeus p in
@@ -125,42 +125,6 @@ let test_nested_not_roundtrip () =
           Alcotest.(check string)
             "fixpoint" printed
             (Pretty.program_to_string p2))
-
-(* ------------------------------------------------------------------ *)
-(* Parallel identity: domain count is unobservable                      *)
-(* ------------------------------------------------------------------ *)
-
-(* the domain-parallel engine at jobs 1, 2, 4 and 7 (grain 1: every
-   dirty level goes through the pool) produces cycle-for-cycle
-   identical snapshots AND identical runtime-error traces to the
-   incremental engine on random full-language programs; divergences
-   shrink through the IR shrinker like every other oracle failure *)
-let prop_parallel_identity =
-  QCheck.Test.make ~count:120 ~name:"parallel_identity"
-    (Gen.arbitrary ())
-    (fun (p, stim) ->
-      match Oracle.compile (Gen.to_zeus p) with
-      | Error _ -> true (* compile failures belong to the matrix property *)
-      | Ok design ->
-          let reference = Oracle.run_engine design Sim.Incremental stim in
-          List.for_all
-            (fun jobs ->
-              let r =
-                Oracle.run_engine ~jobs ~grain:1 design Sim.Parallel stim
-              in
-              if r.Oracle.snaps <> reference.Oracle.snaps then
-                QCheck.Test.fail_reportf
-                  "parallel(jobs=%d) snapshots differ from incremental for@.%s"
-                  jobs
-                  (Gen.print_case (p, stim))
-              else if r.Oracle.errors <> reference.Oracle.errors then
-                QCheck.Test.fail_reportf
-                  "parallel(jobs=%d) error trace differs from incremental \
-                   for@.%s"
-                  jobs
-                  (Gen.print_case (p, stim))
-              else true)
-            [ 1; 2; 4; 7 ])
 
 (* ------------------------------------------------------------------ *)
 (* Optimize identity: the proof-carrying reduction is unobservable      *)
@@ -315,7 +279,6 @@ let () =
           [
             prop_comb_direct_oracle;
             prop_oracle_matrix;
-            prop_parallel_identity;
             prop_optimize_identity;
             prop_roundtrip;
             prop_register_pipeline;

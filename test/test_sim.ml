@@ -1,8 +1,7 @@
 (* The firing simulator of section 8: gate evaluation, registers,
    multiplex resolution, runtime checks, the evaluation-sequence trace,
-   and the equivalence of all seven scheduling engines (including the
-   cross-cycle incremental engine, the domain-parallel one and the
-   bytecode-compiled one). *)
+   and the equivalence of all six scheduling engines (including the
+   cross-cycle incremental engine and the bytecode-compiled one). *)
 
 open Zeus
 
@@ -318,7 +317,7 @@ let test_engines_agree_corpus () =
             true
             (run engine = f))
         [ Sim.Firing_strict; Sim.Fixpoint; Sim.Relaxation; Sim.Incremental;
-          Sim.Parallel; Sim.Compiled ])
+          Sim.Compiled ])
     Corpus.all_named
 
 let test_engines_agree_blackjack () =
@@ -481,7 +480,7 @@ let test_incremental_quiescent_zero_visits () =
   Alcotest.(check (option int)) "incremental update" (Some 5556)
     (Sim.peek_int_lsb sim "adder.s")
 
-(* Snapshots are identical across all seven engines on random
+(* Snapshots are identical across all six engines on random
    multi-cycle poke sequences over designs that include drive
    conflicts, registers and aliasing — with UNDEF in the stimulus
    alphabet, and runtime-error counts agreeing too.  Failures print
@@ -570,61 +569,14 @@ let test_firing_fewer_visits () =
     (Printf.sprintf "fixpoint(%d) <= relaxation(%d)" fx rx)
     true (fx <= rx)
 
-(* ---- parallel engine ---- *)
-
-(* The domain-parallel engine at real fan-out (grain 1 chunks every
-   dirty level across the pool) is bit-identical to firing on the whole
-   corpus, including error traces, at several domain counts. *)
-let test_parallel_chunked_agrees_corpus () =
-  List.iter
-    (fun (name, src) ->
-      let d = compile src in
-      let inputs = Check.top_input_nets d in
-      let rng = Random.State.make [| 99 |] in
-      let stimulus =
-        List.init 4 (fun _ ->
-            List.map
-              (fun _ ->
-                if Random.State.bool rng then Logic.One else Logic.Zero)
-              inputs)
-      in
-      let run sim =
-        let snaps =
-          List.map
-            (fun vec ->
-              Sim.poke_nets sim inputs vec;
-              Sim.step sim;
-              Sim.snapshot sim)
-            stimulus
-        in
-        let errs =
-          List.map
-            (fun (e : Sim.runtime_error) ->
-              (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
-            (Sim.runtime_errors sim)
-        in
-        (snaps, List.sort compare errs)
-      in
-      let reference = run (Sim.create ~engine:Sim.Firing d) in
-      List.iter
-        (fun jobs ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: parallel(jobs=%d) = firing" name jobs)
-            true
-            (run (Sim.create ~engine:Sim.Parallel ~jobs ~grain:1 d)
-            = reference))
-        [ 1; 2; 4 ])
-    Corpus.all_named
-
-(* Satellite fix guard: engine re-entry on one handle under the reused
-   domain pool.  [Sim.restart] returns the simulator to power-up, so
-   two consecutive runs on the same parallel handle must give identical
-   cycle-for-cycle traces — residual dirty-set, conflict-list or
-   per-domain buffer state from run 1 must not leak into run 2 — and
-   both must match a fresh incremental handle.  A mid-run [Sim.reset]
-   (RSET pulse) before the restart makes the residual state as dirty as
-   it gets. *)
-let test_parallel_restart_reentry () =
+(* Restart + re-entry on one warm incremental handle: [Sim.restart]
+   returns the simulator to power-up, so two consecutive runs on the
+   same handle must give identical cycle-for-cycle traces — residual
+   dirty-set, conflict-list or epoch state from run 1 must not leak into
+   run 2 — and both must match a fresh firing handle.  A mid-run
+   [Sim.reset] (RSET pulse) before the restart makes the residual state
+   as dirty as it gets. *)
+let test_incremental_restart_reentry () =
   let d = compile Corpus.section8_example in
   let pokes =
     [ [ ("top.a", true); ("top.b", true); ("top.x", true); ("top.y", false) ];
@@ -646,102 +598,62 @@ let test_parallel_restart_reentry () =
     (* leave conflict / dirty machinery mid-flight before re-entry *)
     (snaps, List.length (Sim.runtime_errors sim))
   in
-  let psim = Sim.create ~engine:Sim.Parallel ~jobs:4 ~grain:1 d in
-  let first = run_once psim in
-  Sim.restart psim;
-  let second = run_once psim in
+  let isim = Sim.create ~engine:Sim.Incremental d in
+  let first = run_once isim in
+  Sim.restart isim;
+  let second = run_once isim in
   Alcotest.(check bool) "restart + re-entry: identical traces" true
     (first = second);
-  let isim = Sim.create ~engine:Sim.Incremental d in
-  Alcotest.(check bool) "matches a fresh incremental run" true
-    (run_once isim = first)
+  let fsim = Sim.create ~engine:Sim.Firing d in
+  Alcotest.(check bool) "matches a fresh firing run" true
+    (run_once fsim = first)
 
-(* Work-breakdown stats: only the parallel engine reports them, the
-   counters are deterministic across identical runs, and the per-domain
-   visit counts account for every evaluated node task. *)
-let test_parallel_stats_deterministic () =
-  let d = compile (Corpus.adder_n 16) in
-  let run () =
-    let sim = Sim.create ~engine:Sim.Parallel ~jobs:4 ~grain:1 d in
-    Sim.poke_int_lsb sim "adder.a" 21845;
-    Sim.poke_int_lsb sim "adder.b" 13107;
-    Sim.poke_bool sim "adder.cin" false;
-    Sim.step sim;
-    Sim.poke_bool sim "adder.cin" true;
-    Sim.step_n sim 3;
-    match Sim.parallel_stats sim with
-    | None -> Alcotest.fail "parallel engine must report stats"
-    | Some s -> s
-  in
-  let a = run () and b = run () in
-  Alcotest.(check bool) "stats are deterministic" true (a = b);
-  Alcotest.(check int) "jobs recorded" 4 a.Sim.par_jobs;
-  Alcotest.(check bool) "warm cycles were chunked" true
-    (a.Sim.par_chunked_levels > 0 && a.Sim.par_barriers > 0);
-  Alcotest.(check int) "domain visits account for node tasks"
-    a.Sim.par_node_tasks
-    (Array.fold_left ( + ) 0 a.Sim.par_domain_visits);
-  let other = Sim.create ~engine:Sim.Incremental d in
-  Sim.step other;
-  Alcotest.(check bool) "serial engines report no parallel stats" true
-    (Sim.parallel_stats other = None)
+(* ---- parallelism ---- *)
 
 (* The RANDOM stream is a pure function of (seed, net, cycle): the
-   same seed gives the same stream on every engine at every domain
-   count, and different seeds diverge. *)
+   same seed gives the same stream on every engine and in every lane of
+   a batch sharded over any domain count, and different seeds
+   diverge. *)
 let test_parallel_random_stream () =
   let d =
     compile
       "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS BEGIN y := \
        AND(a,RANDOM()) END; SIGNAL s: t;"
   in
-  let run ~engine ?jobs ~seed () =
-    let sim = Sim.create ~engine ?jobs ~grain:1 ~seed d in
+  let run ~engine ~seed =
+    let sim = Sim.create ~engine ~seed d in
     Sim.poke_bool sim "s.a" true;
     List.init 24 (fun _ ->
         Sim.step sim;
-        Sim.peek_bit sim "s.y")
+        Sim.snapshot sim)
   in
-  let reference = run ~engine:Sim.Firing ~seed:7 () in
+  let reference = run ~engine:Sim.Firing ~seed:7 in
   List.iter
     (fun engine ->
-      List.iter
-        (fun jobs ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s jobs=%d: same RANDOM stream"
-               (Sim.engine_name engine) jobs)
-            true
-            (run ~engine ~jobs ~seed:7 () = reference))
-        [ 1; 2; 4 ])
+      Alcotest.(check bool)
+        (Sim.engine_name engine ^ ": same RANDOM stream")
+        true
+        (run ~engine ~seed:7 = reference))
     Sim.all_engines;
-  Alcotest.(check bool) "different seeds diverge" true
-    (run ~engine:Sim.Parallel ~jobs:4 ~seed:8 () <> reference)
-
-(* --engine parallel --jobs 1 short-circuits to the serial incremental
-   path: no domain pool is consulted, no level is chunked, no barrier
-   crossed — every parallel work counter stays 0 — and the values still
-   match a plain incremental run. *)
-let test_parallel_jobs1_serial_fast_path () =
-  let d = compile (Corpus.adder_n 16) in
-  let drive sim =
-    Sim.poke_int_lsb sim "adder.a" 21845;
-    Sim.poke_int_lsb sim "adder.b" 13107;
-    Sim.poke_bool sim "adder.cin" false;
-    Sim.step_n sim 4;
-    Sim.snapshot sim
+  let runs =
+    List.init 4 (fun _ ->
+        { Sim.br_stim = [| [ ("s.a", [ Logic.One ]) ] |]; br_cycles = 24;
+          br_seed = None; br_watch = [] })
   in
-  let sim = Sim.create ~engine:Sim.Parallel ~jobs:1 ~grain:1 d in
-  let psnap = drive sim in
-  Alcotest.(check bool) "values match incremental" true
-    (psnap = drive (Sim.create ~engine:Sim.Incremental d));
-  match Sim.parallel_stats sim with
-  | None -> Alcotest.fail "parallel handle must report stats"
-  | Some s ->
-      Alcotest.(check int) "no chunked levels" 0 s.Sim.par_chunked_levels;
-      Alcotest.(check int) "no barriers" 0 s.Sim.par_barriers;
-      Alcotest.(check int) "no node tasks" 0 s.Sim.par_node_tasks;
-      Alcotest.(check int) "no net tasks" 0 s.Sim.par_net_tasks;
-      Alcotest.(check int) "no fan-out seen" 0 s.Sim.par_max_fanout
+  List.iter
+    (fun jobs ->
+      let tmpl = Sim.create ~engine:Sim.Compiled ~seed:7 d in
+      let results, _ = Sim.run_batch ~jobs ~snapshots:true tmpl runs in
+      List.iter
+        (fun (res : Sim.batch_result) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "batch jobs=%d: same RANDOM stream" jobs)
+            true
+            (res.Sim.bres_snaps = reference))
+        results)
+    [ 1; 2; 4 ];
+  Alcotest.(check bool) "different seeds diverge" true
+    (run ~engine:Sim.Incremental ~seed:8 <> reference)
 
 (* ---- the compiled engine ---- *)
 
@@ -1040,19 +952,13 @@ let () =
         [
           Alcotest.test_case "quiescent cycles are free" `Quick
             test_incremental_quiescent_zero_visits;
+          Alcotest.test_case "restart + re-entry on one handle" `Quick
+            test_incremental_restart_reentry;
         ] );
       ( "parallel",
         [
-          Alcotest.test_case "chunked corpus agreement" `Quick
-            test_parallel_chunked_agrees_corpus;
-          Alcotest.test_case "restart + re-entry on one handle" `Quick
-            test_parallel_restart_reentry;
-          Alcotest.test_case "deterministic stats" `Quick
-            test_parallel_stats_deterministic;
           Alcotest.test_case "random stream engine/jobs invariant" `Quick
             test_parallel_random_stream;
-          Alcotest.test_case "jobs=1 serial fast path" `Quick
-            test_parallel_jobs1_serial_fast_path;
         ] );
       ( "compiled",
         [
