@@ -198,6 +198,11 @@ let poke_conv : (string * int) Arg.conv =
   in
   Arg.conv (parse, fun ppf (p, v) -> Fmt.pf ppf "%s=%d" p v)
 
+(* a poke of 0 or 1 sets one bit, so it needs a single-bit path *)
+let bit_poke_error path v width =
+  Printf.sprintf "%s=%d: 0/1 pokes a single bit, but %s is %d bits wide" path v
+    path width
+
 (* The --batch stimulus file: a [run [seed=N] [cycles=N]] header starts
    each independent run, every following line is one cycle of
    space-separated path=value pokes ('-' for a cycle with no new pokes;
@@ -205,12 +210,26 @@ let poke_conv : (string * int) Arg.conv =
    the explicit [cycles=N] if given, else its number of stimulus lines.
    Values follow the -p convention: 0/1 poke a single bit, anything
    larger pokes BIN(value, width) MSB-first.  Raises [Failure] with a
-   line-numbered message on a malformed file. *)
+   line-numbered message on a malformed file, an unknown path or a 0/1
+   poke on a multi-bit path. *)
 let parse_batch_file design ~watch src =
   let bit v = if v = 1 then Zeus.Logic.One else Zeus.Logic.Zero in
   let runs = ref [] and cur = ref None and lineno = ref 0 in
   let fail fmt = Printf.ksprintf (fun m ->
       failwith (Printf.sprintf "line %d: %s" !lineno m)) fmt in
+  (* each distinct path is resolved once, on its first poke *)
+  let widths = Hashtbl.create 64 in
+  let width path =
+    match Hashtbl.find_opt widths path with
+    | Some w -> w
+    | None -> (
+        match Zeus.Elaborate.resolve_path design path with
+        | Error e -> fail "%s" e
+        | Ok nets ->
+            let w = List.length nets in
+            Hashtbl.add widths path w;
+            w)
+  in
   let flush () =
     match !cur with
     | None -> ()
@@ -269,14 +288,12 @@ let parse_batch_file design ~watch src =
                         let path, v = split_kv tok in
                         match int_of_string_opt v with
                         | None -> fail "poke value must be an integer, got %S" v
-                        | Some v when v <= 1 -> (path, [ bit v ])
-                        | Some v -> (
-                            match Zeus.Elaborate.resolve_path design path with
-                            | Error e -> fail "%s" e
-                            | Ok nets ->
-                                ( path,
-                                  Zeus.Cval.sctree_leaves
-                                    (Zeus.Cval.bin v (List.length nets)) )))
+                        | Some v ->
+                            let w = width path in
+                            if v > 1 then
+                              (path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v w))
+                            else if w = 1 then (path, [ bit v ])
+                            else fail "%s" (bit_poke_error path v w))
                       (toks line)
                 in
                 cur := Some (seed, cycles, pokes :: stim)))
@@ -464,16 +481,24 @@ let sim_cmd =
         report_diags diags;
         1
     | Ok design -> (
-        (* a -p/-w path that names nothing is a usage error, caught
-           before the first cycle rather than half-way through a line *)
+        (* a -p/-w path that names nothing, or a 0/1 poke on a
+           multi-bit path, is a usage error, caught before the first
+           cycle rather than half-way through a line *)
+        let usage msg =
+          Fmt.epr "sim: %s@." msg;
+          exit 2
+        in
+        let width path =
+          match Zeus.Elaborate.resolve_path design path with
+          | Ok nets -> List.length nets
+          | Error msg -> usage msg
+        in
         List.iter
-          (fun path ->
-            match Zeus.Elaborate.resolve_path design path with
-            | Ok _ -> ()
-            | Error msg ->
-                Fmt.epr "sim: %s@." msg;
-                exit 2)
-          (List.map fst pokes @ peeks);
+          (fun (path, v) ->
+            let w = width path in
+            if v <= 1 && w <> 1 then usage (bit_poke_error path v w))
+          pokes;
+        List.iter (fun path -> ignore (width path)) peeks;
         let discharged =
           if not discharge then None
           else begin

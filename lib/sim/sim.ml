@@ -121,8 +121,13 @@ type t = {
   mutable epoch : int; (* stamps instead of Array.fill *)
   node_mark : int array; (* epoch when the node was scheduled *)
   net_mark : int array; (* epoch when the class was scheduled *)
-  node_buckets : int list array; (* per level; last slot = cyclic overflow *)
-  net_buckets : int list array;
+  (* per-level work stacks, walked in push order; last slot = cyclic
+     overflow.  Sized once from the schedule, so scheduling allocates
+     nothing *)
+  node_stack : int array array;
+  node_fill : int array; (* per slot: pushed entries *)
+  net_stack : int array array;
+  net_fill : int array;
   mutable any_scheduled : bool;
   seed_dirty : bool array; (* per class: seed may differ next cycle *)
   mutable seed_dirty_list : int list;
@@ -135,6 +140,14 @@ type t = {
   cstate : Bytecode.state option;
   jobs : int; (* default domain count of [run_batch] *)
 }
+
+(* one work stack per level, sized to the level's static membership,
+   plus the cyclic overflow slot sized to the items no level holds *)
+let level_stacks at n_items =
+  let placed = Array.fold_left (fun acc a -> acc + Array.length a) 0 at in
+  Array.append
+    (Array.map (fun a -> Array.make (Array.length a) 0) at)
+    [| Array.make (n_items - placed) 0 |]
 
 let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     ?discharged (design : Elaborate.design) =
@@ -209,8 +222,10 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     epoch = 0;
     node_mark = Array.make n_nodes 0;
     net_mark = Array.make n 0;
-    node_buckets = Array.make (sched.Sched.max_level + 2) [];
-    net_buckets = Array.make (sched.Sched.max_level + 2) [];
+    node_stack = level_stacks sched.Sched.nodes_at n_nodes;
+    node_fill = Array.make (sched.Sched.max_level + 2) 0;
+    net_stack = level_stacks sched.Sched.nets_at n;
+    net_fill = Array.make (sched.Sched.max_level + 2) 0;
     any_scheduled = false;
     seed_dirty = Array.make n false;
     seed_dirty_list = [];
@@ -411,6 +426,16 @@ let strict_src t = function
   | Netlist.Sconst v -> v
   | Netlist.Snet id -> Option.value ~default:Logic.Undef t.values.(id)
 
+(* a gate's inputs folded with a two-input table, the first input
+   booleanized: [Logic.and_list] and friends over the array, without
+   building the list *)
+let strict_fold t f (inputs : Netlist.src array) =
+  let acc = ref (Logic.booleanize (strict_src t inputs.(0))) in
+  for i = 1 to Array.length inputs - 1 do
+    acc := f !acc (strict_src t inputs.(i))
+  done;
+  !acc
+
 let strict_eval_node t node_id =
   match t.g.Graph.nodes.(node_id) with
   | Graph.Ngate { op = Netlist.Grandom; output; _ } ->
@@ -418,15 +443,24 @@ let strict_eval_node t node_id =
          same value the pre-pass drew *)
       random_value t output
   | Graph.Ngate { op; inputs; _ } -> (
-      let vals = Array.to_list (Array.map (strict_src t) inputs) in
       match op with
-      | Netlist.Gand -> Logic.and_list vals
-      | Netlist.Gor -> Logic.or_list vals
-      | Netlist.Gnand -> Logic.nand_list vals
-      | Netlist.Gnor -> Logic.nor_list vals
-      | Netlist.Gxor -> Logic.xor_list vals
-      | Netlist.Gnot -> Logic.not_ (List.hd vals)
-      | Netlist.Gequal -> equal_fold vals
+      | Netlist.Gand -> strict_fold t Logic.and2 inputs
+      | Netlist.Gor -> strict_fold t Logic.or2 inputs
+      | Netlist.Gnand -> Logic.not_ (strict_fold t Logic.and2 inputs)
+      | Netlist.Gnor -> Logic.not_ (strict_fold t Logic.or2 inputs)
+      | Netlist.Gxor -> strict_fold t Logic.xor2 inputs
+      | Netlist.Gnot -> Logic.not_ (strict_src t inputs.(0))
+      | Netlist.Gequal ->
+          (* [equal_fold] over the two halves of the input array *)
+          let n = Array.length inputs / 2 in
+          let acc = ref Logic.One in
+          for i = 0 to n - 1 do
+            acc :=
+              Logic.and2 !acc
+                (Logic.equal2 (strict_src t inputs.(i))
+                   (strict_src t inputs.(n + i)))
+          done;
+          !acc
       | Netlist.Grandom -> assert false)
   | Graph.Ndriver { guard; source; _ } -> (
       match guard with
@@ -453,14 +487,26 @@ let seed_value t c =
 (* Dirty-cone propagation (incremental engine + conflict re-fire)       *)
 (* ------------------------------------------------------------------ *)
 
-let overflow_slot t = Array.length t.node_buckets - 1
+let overflow_slot t = Array.length t.node_fill - 1
+
+(* Push [x] on slot [b].  Only the cyclic overflow slot can outgrow its
+   create-time size: a fixpoint cut off by its budget leaves entries
+   behind, and a later pass may push them again. *)
+let push stacks fill b x =
+  let k = fill.(b) in
+  if k = Array.length stacks.(b) then begin
+    let grown = Array.make (max 8 (2 * k)) 0 in
+    Array.blit stacks.(b) 0 grown 0 k;
+    stacks.(b) <- grown
+  end;
+  stacks.(b).(k) <- x;
+  fill.(b) <- k + 1
 
 let schedule_node t node =
   if t.node_mark.(node) <> t.epoch then begin
     t.node_mark.(node) <- t.epoch;
     let l = t.sched.Sched.node_level.(node) in
-    let b = if l < 0 then overflow_slot t else l in
-    t.node_buckets.(b) <- node :: t.node_buckets.(b);
+    push t.node_stack t.node_fill (if l < 0 then overflow_slot t else l) node;
     t.any_scheduled <- true
   end
 
@@ -468,8 +514,7 @@ let schedule_net t net =
   if t.net_mark.(net) <> t.epoch then begin
     t.net_mark.(net) <- t.epoch;
     let l = t.sched.Sched.net_level.(net) in
-    let b = if l < 0 then overflow_slot t else l in
-    t.net_buckets.(b) <- net :: t.net_buckets.(b);
+    push t.net_stack t.net_fill (if l < 0 then overflow_slot t else l) net;
     t.any_scheduled <- true
   end
 
@@ -479,9 +524,36 @@ let mark_reg_dirty t i =
     t.reg_dirty_list <- i :: t.reg_dirty_list
   end
 
+let rec mark_regs_dirty t = function
+  | [] -> ()
+  | i :: rest ->
+      mark_reg_dirty t i;
+      mark_regs_dirty t rest
+
+(* The stored option of a value.  [Some] of a constant constructor is a
+   static constant, so the per-visit stores allocate nothing. *)
+let some_value = function
+  | Logic.Zero -> Some Logic.Zero
+  | Logic.One -> Some Logic.One
+  | Logic.Undef -> Some Logic.Undef
+  | Logic.Noinfl -> Some Logic.Noinfl
+
+let holds o v = match o with Some u -> Logic.equal u v | None -> false
+
+let same_value (a : Logic.t option) b =
+  match (a, b) with
+  | Some x, Some y -> Logic.equal x y
+  | None, None -> true
+  | _ -> false
+
+(* result bits of [finalize_net] *)
+let value_changed = 1
+
+let driven_changed = 2
+
 (* Recompute a class's resolution from its producers' produced values
-   (or, for producer-less classes, its seed).  Returns
-   (value_changed, driven_flag_changed).  A newly entered conflict joins
+   (or, for producer-less classes, its seed).  Returns [value_changed]
+   and [driven_changed] bits.  A newly entered conflict joins
    [conflict_list]; [emit_conflict] also reports it at once, while the
    incremental engine instead reports every standing conflict once per
    cycle, after its pass. *)
@@ -490,15 +562,16 @@ let finalize_net t ~emit_conflict net =
   let old_value = t.values.(net) in
   let old_driven = t.drives_seen.(net) > 0 in
   if g.Graph.producer_count.(net) = 0 then
-    t.values.(net) <- Some (seed_value t net)
+    t.values.(net) <- some_value (seed_value t net)
   else begin
     let drives = ref 0 and dval = ref Logic.Noinfl in
-    Graph.iter_producers g net (fun node ->
-        match t.produced.(node) with
-        | Some v when not (Logic.equal v Logic.Noinfl) ->
-            incr drives;
-            dval := (if !drives = 1 then v else Logic.Undef)
-        | _ -> ());
+    for k = g.Graph.prod_off.(net) to g.Graph.prod_off.(net + 1) - 1 do
+      match t.produced.(g.Graph.prod_nodes.(k)) with
+      | Some v when not (Logic.equal v Logic.Noinfl) ->
+          incr drives;
+          dval := if !drives = 1 then v else Logic.Undef
+      | _ -> ()
+    done;
     t.drives_seen.(net) <- !drives;
     t.mux_value.(net) <- !dval;
     let v =
@@ -507,7 +580,7 @@ let finalize_net t ~emit_conflict net =
           if !drives = 0 then Logic.Undef else Logic.booleanize !dval
       | Etype.KMux -> !dval
     in
-    t.values.(net) <- Some v;
+    t.values.(net) <- some_value v;
     if !drives >= 2 then begin
       if not t.in_conflict.(net) then begin
         t.in_conflict.(net) <- true;
@@ -518,85 +591,96 @@ let finalize_net t ~emit_conflict net =
     else if t.in_conflict.(net) then t.in_conflict.(net) <- false
     (* stale entries are filtered from conflict_list lazily *)
   end;
-  (t.values.(net) <> old_value, (t.drives_seen.(net) > 0) <> old_driven)
+  (if same_value t.values.(net) old_value then 0 else value_changed)
+  lor if (t.drives_seen.(net) > 0) <> old_driven then driven_changed else 0
 
-(* Forward pass over the level buckets: nodes of level l, then classes
-   of level l.  Classes caught in combinational cycles live in the
+let process_node t node =
+  t.node_visits <- t.node_visits + 1;
+  let v = strict_eval_node t node in
+  if not (holds t.produced.(node) v) then begin
+    t.produced.(node) <- some_value v;
+    schedule_net t (Graph.node_output t.g.Graph.nodes.(node))
+  end
+
+let process_net t ~emit_conflict ~incremental net =
+  let g = t.g in
+  let flags = finalize_net t ~emit_conflict net in
+  if flags land value_changed <> 0 then begin
+    if incremental then begin
+      (match (t.prev_values.(net), t.values.(net)) with
+      | Some a, Some b when not (Logic.equal a b) ->
+          t.toggles.(net) <- t.toggles.(net) + 1
+      | _ -> ());
+      t.prev_values.(net) <- t.values.(net);
+      if t.trace_enabled then
+        match t.values.(net) with
+        | Some v -> t.trace <- (g.Graph.names.(net), v) :: t.trace
+        | None -> ()
+    end;
+    for k = g.Graph.cons_off.(net) to g.Graph.cons_off.(net + 1) - 1 do
+      schedule_node t g.Graph.cons_nodes.(k)
+    done
+  end;
+  if incremental && flags <> 0 then mark_regs_dirty t g.Graph.regs_of_in.(net)
+
+(* Forward pass over the level stacks: nodes of level l, then classes
+   of level l.  A level-l node pushes only classes of level >= l and a
+   level-l class only nodes of a later level, so no stack grows while
+   it is walked.  Classes caught in combinational cycles live in the
    overflow slot and are relaxed to a bounded fixpoint. *)
 let run_pass t ~emit_conflict ~incremental =
   if t.any_scheduled then begin
     t.any_scheduled <- false;
-    let g = t.g in
-    let nb = t.node_buckets and sb = t.net_buckets in
     let levels = overflow_slot t in
-    let process_node node =
-      t.node_visits <- t.node_visits + 1;
-      let v = strict_eval_node t node in
-      if t.produced.(node) <> Some v then begin
-        t.produced.(node) <- Some v;
-        schedule_net t (Graph.node_output g.Graph.nodes.(node))
-      end
-    in
-    let process_net net =
-      let changed, driven_changed = finalize_net t ~emit_conflict net in
-      if changed then begin
-        if incremental then begin
-          (match (t.prev_values.(net), t.values.(net)) with
-          | Some a, Some b when not (Logic.equal a b) ->
-              t.toggles.(net) <- t.toggles.(net) + 1
-          | _ -> ());
-          t.prev_values.(net) <- t.values.(net);
-          if t.trace_enabled then
-            match t.values.(net) with
-            | Some v -> t.trace <- (g.Graph.names.(net), v) :: t.trace
-            | None -> ()
-        end;
-        Graph.iter_consumers g net (fun node -> schedule_node t node)
-      end;
-      if incremental && (changed || driven_changed) then
-        List.iter (mark_reg_dirty t) g.Graph.regs_of_in.(net)
-    in
     for l = 0 to levels - 1 do
-      (match nb.(l) with
-      | [] -> ()
-      | ns ->
-          nb.(l) <- [];
-          List.iter process_node (List.rev ns));
-      match sb.(l) with
-      | [] -> ()
-      | ss ->
-          sb.(l) <- [];
-          List.iter process_net (List.rev ss)
+      let n = t.node_fill.(l) in
+      if n > 0 then begin
+        t.node_fill.(l) <- 0;
+        let s = t.node_stack.(l) in
+        for k = 0 to n - 1 do
+          process_node t s.(k)
+        done
+      end;
+      let n = t.net_fill.(l) in
+      if n > 0 then begin
+        t.net_fill.(l) <- 0;
+        let s = t.net_stack.(l) in
+        for k = 0 to n - 1 do
+          process_net t ~emit_conflict ~incremental s.(k)
+        done
+      end
     done;
     (* overflow: combinational cycles (designs with check errors only) —
        iterate to a bounded fixpoint; unmark before processing so items
        can be re-scheduled by later changes *)
-    if nb.(levels) <> [] || sb.(levels) <> [] then begin
+    if t.node_fill.(levels) > 0 || t.net_fill.(levels) > 0 then begin
       let budget = ref 1000 in
       let continue_ = ref true in
       while !continue_ && !budget > 0 do
         continue_ := false;
         decr budget;
-        (match sb.(levels) with
-        | [] -> ()
-        | ss ->
-            sb.(levels) <- [];
-            continue_ := true;
-            List.iter
-              (fun net ->
-                t.net_mark.(net) <- t.epoch - 1;
-                process_net net)
-              (List.rev ss));
-        match nb.(levels) with
-        | [] -> ()
-        | ns ->
-            nb.(levels) <- [];
-            continue_ := true;
-            List.iter
-              (fun node ->
-                t.node_mark.(node) <- t.epoch - 1;
-                process_node node)
-              (List.rev ns)
+        let n = t.net_fill.(levels) in
+        if n > 0 then begin
+          t.net_fill.(levels) <- 0;
+          continue_ := true;
+          let s = t.net_stack.(levels) in
+          for k = 0 to n - 1 do
+            let net = s.(k) in
+            t.net_mark.(net) <- t.epoch - 1;
+            process_net t ~emit_conflict ~incremental net
+          done
+        end;
+        let n = t.node_fill.(levels) in
+        if n > 0 then begin
+          t.node_fill.(levels) <- 0;
+          continue_ := true;
+          let s = t.node_stack.(levels) in
+          for k = 0 to n - 1 do
+            let node = s.(k) in
+            t.node_mark.(node) <- t.epoch - 1;
+            process_node t node
+          done
+        end
       done
     end
   end
@@ -827,8 +911,8 @@ let step_incremental t =
       t.node_visits <- t.node_visits + 1;
       let out = Graph.node_output g.Graph.nodes.(node) in
       let v = random_value t out in
-      if t.produced.(node) <> Some v then begin
-        t.produced.(node) <- Some v;
+      if not (holds t.produced.(node) v) then begin
+        t.produced.(node) <- some_value v;
         schedule_net t out
       end)
     t.random_nodes;
@@ -841,7 +925,7 @@ let step_incremental t =
       t.seed_dirty.(c) <- false;
       if
         g.Graph.producer_count.(c) = 0
-        && t.values.(c) <> Some (seed_value t c)
+        && not (holds t.values.(c) (seed_value t c))
       then schedule_net t c)
     dirty;
   run_pass t ~emit_conflict:false ~incremental:true;
@@ -981,8 +1065,8 @@ let restart t =
   t.epoch <- 0;
   Array.fill t.node_mark 0 (Array.length t.node_mark) 0;
   Array.fill t.net_mark 0 (Array.length t.net_mark) 0;
-  Array.fill t.node_buckets 0 (Array.length t.node_buckets) [];
-  Array.fill t.net_buckets 0 (Array.length t.net_buckets) [];
+  Array.fill t.node_fill 0 (Array.length t.node_fill) 0;
+  Array.fill t.net_fill 0 (Array.length t.net_fill) 0;
   t.any_scheduled <- false;
   Array.fill t.seed_dirty 0 (Array.length t.seed_dirty) false;
   t.seed_dirty_list <- [];
@@ -1108,8 +1192,10 @@ let fresh_like t ~seed =
     epoch = 0;
     node_mark = Array.make n_nodes 0;
     net_mark = Array.make n 0;
-    node_buckets = Array.make (Array.length t.node_buckets) [];
-    net_buckets = Array.make (Array.length t.net_buckets) [];
+    node_stack = level_stacks t.sched.Sched.nodes_at n_nodes;
+    node_fill = Array.make (Array.length t.node_fill) 0;
+    net_stack = level_stacks t.sched.Sched.nets_at n;
+    net_fill = Array.make (Array.length t.net_fill) 0;
     any_scheduled = false;
     seed_dirty = Array.make n false;
     seed_dirty_list = [];

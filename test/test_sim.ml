@@ -480,6 +480,48 @@ let test_incremental_quiescent_zero_visits () =
   Alcotest.(check (option int)) "incremental update" (Some 5556)
     (Sim.peek_int_lsb sim "adder.s")
 
+(* The dirty-cone pass runs over preallocated storage: with every
+   header of routing(16) re-poked each cycle the incremental engine
+   visits thousands of nodes per step, and a visit must allocate
+   (next to) nothing.  Only [Sim.step] is measured, not the pokes. *)
+let test_incremental_step_allocation () =
+  let d = compile (Corpus.routing_network 16) in
+  let sim = Sim.create ~engine:Sim.Incremental d in
+  let headers =
+    Array.init 16 (fun i ->
+        match Elaborate.resolve_path d (Printf.sprintf "net.input[%d]" i) with
+        | Ok nets -> nets
+        | Error msg -> Alcotest.fail msg)
+  in
+  let poke_all c =
+    Array.iteri
+      (fun i nets ->
+        let v = ((7 * i) + (13 * c)) land 1023 in
+        Sim.poke_nets sim nets
+          (Cval.sctree_leaves (Cval.bin v (List.length nets))))
+      headers
+  in
+  (* cold start, then one warm cycle *)
+  for c = 0 to 1 do
+    poke_all c;
+    Sim.step sim
+  done;
+  let words = ref 0.0 and visits = ref 0 in
+  for c = 2 to 51 do
+    poke_all c;
+    let v0 = Sim.node_visits sim in
+    let w0 = Gc.minor_words () in
+    Sim.step sim;
+    words := !words +. (Gc.minor_words () -. w0);
+    visits := !visits + (Sim.node_visits sim - v0)
+  done;
+  let per_visit = !words /. float_of_int (max 1 !visits) in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.3f minor words per visit over %d visits" per_visit
+       !visits)
+    true
+    (!visits > 0 && per_visit < 1.0)
+
 (* Snapshots are identical across all six engines on random
    multi-cycle poke sequences over designs that include drive
    conflicts, registers and aliasing — with UNDEF in the stimulus
@@ -954,6 +996,8 @@ let () =
             test_incremental_quiescent_zero_visits;
           Alcotest.test_case "restart + re-entry on one handle" `Quick
             test_incremental_restart_reentry;
+          Alcotest.test_case "step allocates nothing per visit" `Quick
+            test_incremental_step_allocation;
         ] );
       ( "parallel",
         [
