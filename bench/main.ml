@@ -474,21 +474,20 @@ let e11_autoplace () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* E12: the optimizer (constant propagation + dead logic)               *)
+(* E12: netlist reduction (constant folding + dead logic + wires)      *)
 (* ------------------------------------------------------------------ *)
 
-let e12_optimize () =
+let e12_reduce () =
   section "E12"
-    "netlist optimization: nodes removed while observables stay exact";
+    "netlist reduction: nodes removed while observables stay exact";
   Fmt.pr "  %-18s %8s %8s %9s %9s %7s@." "design" "gates" "gates'" "drivers"
     "drivers'" "consts";
   List.iter
     (fun (name, src) ->
-      let d = compile src in
-      let _, r = Optimize.run d in
-      Fmt.pr "  %-18s %8d %8d %9d %9d %7d@." name r.Optimize.gates_before
-        r.Optimize.gates_after r.Optimize.drivers_before
-        r.Optimize.drivers_after r.Optimize.constants_found)
+      let r = (Reduce.run (compile src)).Reduce.stats in
+      Fmt.pr "  %-18s %8d %8d %9d %9d %7d@." name r.Reduce.gates_before
+        r.Reduce.gates_after r.Reduce.drivers_before r.Reduce.drivers_after
+        r.Reduce.consts_folded)
     [
       ("adder(32)", Corpus.adder_n 32);
       ("blackjack", Corpus.blackjack);
@@ -1648,7 +1647,7 @@ let () =
     e9_runtime_checks ();
     e10_lazy_ablation ();
     e11_autoplace ();
-    e12_optimize ();
+    e12_reduce ();
     a1_machines ();
     e13_incremental ~cycles:200 ();
     e14_modular ();

@@ -11,20 +11,24 @@
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let load path =
-  let src =
-    match path with
-    | "-" -> In_channel.input_all stdin
-    | p -> read_file p
-  in
-  src
+(* every input file goes through here: a missing or unreadable file is
+   a usage error (exit 2) named after the subcommand, not an uncaught
+   Sys_error *)
+let load ~cmd path =
+  match path with
+  | "-" -> In_channel.input_all stdin
+  | p -> (
+      try In_channel.with_open_bin p In_channel.input_all
+      with Sys_error msg ->
+        let prefix = p ^ ": " in
+        let reason =
+          if String.starts_with ~prefix msg then
+            String.sub msg (String.length prefix)
+              (String.length msg - String.length prefix)
+          else msg
+        in
+        Fmt.epr "%s: cannot read '%s': %s@." cmd p reason;
+        exit 2)
 
 let report_diags diags =
   List.iter (fun d -> Fmt.epr "%a@." Zeus.Diag.pp d) diags
@@ -93,7 +97,7 @@ let check_cmd =
       & info [ "no-cache" ] ~doc:"Disable the persistent summary cache.")
   in
   let run file modular contracts cache_dir no_cache =
-    let src = load file in
+    let src = load ~cmd:"check" file in
     if modular then begin
       match Zeus.Parser.program src with
       | None, bag ->
@@ -153,7 +157,7 @@ let check_cmd =
 
 let pp_cmd =
   let run file =
-    match Zeus.Parser.program (load file) with
+    match Zeus.Parser.program (load ~cmd:"pp" file) with
     | Some prog, _ ->
         print_endline (Zeus.Pretty.program_to_string prog);
         0
@@ -167,7 +171,7 @@ let pp_cmd =
 
 let stats_cmd =
   let run file =
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"stats" file) with
     | Ok design ->
         let nl = design.Zeus.Elaborate.netlist in
         Fmt.pr "%a" Zeus.Stats.pp (Zeus.Stats.of_netlist nl);
@@ -436,7 +440,7 @@ let sim_cmd =
   let run_batch_mode design ~engine ~jobs ~lanes ~optimize ~discharged ~stats
       ~watch bf =
     match
-      try Ok (parse_batch_file design ~watch (load bf))
+      try Ok (parse_batch_file design ~watch (load ~cmd:"sim" bf))
       with Failure m -> Error m
     with
     | Error m ->
@@ -476,7 +480,7 @@ let sim_cmd =
   in
   let run file cycles pokes peeks do_reset trace wave explain activity vcd_out
       engine jobs stats optimize discharge batch_file lanes =
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"sim" file) with
     | Error diags ->
         report_diags diags;
         1
@@ -651,7 +655,7 @@ let lint_cmd =
   in
   let run file format budget suppress max_severity modular sequential =
     validate_suppress ~cmd:"lint" suppress;
-    let src = load file in
+    let src = load ~cmd:"lint" file in
     match Zeus.compile src with
     | Error diags ->
         report_diags diags;
@@ -769,7 +773,7 @@ let prove_cmd =
   in
   let run file depth budget format regs suppress =
     validate_suppress ~cmd:"prove" suppress;
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"prove" file) with
     | Error diags ->
         report_diags diags;
         1
@@ -835,7 +839,7 @@ let layout_cmd =
       & info [ "t"; "top" ] ~doc:"Top-level signal (default: first).")
   in
   let run file top =
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"layout" file) with
     | Error diags ->
         report_diags diags;
         1
@@ -867,7 +871,7 @@ let layout_cmd =
 
 let tree_cmd =
   let run file =
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"tree" file) with
     | Error diags ->
         report_diags diags;
         1
@@ -903,22 +907,6 @@ let tree_cmd =
        ~doc:"Instance hierarchy with port widths (> IN, < OUT, = INOUT).")
     Term.(const run $ file_arg)
 
-let optimize_cmd =
-  let run file =
-    match Zeus.compile (load file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design ->
-        let _, report = Zeus.Optimize.run design in
-        Fmt.pr "%a@." Zeus.Optimize.pp_report report;
-        0
-  in
-  Cmd.v
-    (Cmd.info "optimize"
-       ~doc:"Constant propagation + dead-logic elimination report.")
-    Term.(const run $ file_arg)
-
 let opt_cmd =
   let stats =
     Arg.(
@@ -937,7 +925,7 @@ let opt_cmd =
           ~doc:"Output format: $(b,text) (default) or $(b,json).")
   in
   let run file stats format =
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"opt" file) with
     | Error diags ->
         report_diags diags;
         1
@@ -973,7 +961,7 @@ let place_cmd =
       & info [ "t"; "top" ] ~doc:"Top-level signal (default: first).")
   in
   let run file top =
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"place" file) with
     | Error diags ->
         report_diags diags;
         1
@@ -1013,7 +1001,7 @@ let place_cmd =
 
 let dot_cmd =
   let run file =
-    match Zeus.compile (load file) with
+    match Zeus.compile (load ~cmd:"dot" file) with
     | Error diags ->
         report_diags diags;
         1
@@ -1099,7 +1087,7 @@ let export_cmd =
       2
     end
     else
-      match Zeus.compile (load file) with
+      match Zeus.compile (load ~cmd:"export" file) with
       | Error diags ->
           report_diags diags;
           1
@@ -1281,6 +1269,6 @@ let () =
        (Cmd.group info
           [
             check_cmd; pp_cmd; stats_cmd; tree_cmd; lint_cmd; prove_cmd;
-            sim_cmd; layout_cmd; place_cmd; optimize_cmd; opt_cmd; dot_cmd;
+            sim_cmd; layout_cmd; place_cmd; opt_cmd; dot_cmd;
             export_cmd; fuzz_cmd; corpus_cmd;
           ]))

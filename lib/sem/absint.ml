@@ -6,8 +6,8 @@
    input — so the transfer functions are the simulator's own evaluation
    rules lifted pointwise:
 
-   - gates use the early-firing partial evaluators (Optimize shares
-     them), with Top as "unknown input";
+   - gates use the early-firing partial evaluators, with Top as
+     "unknown input";
    - drivers case-split on the guard's abstract value (0 contributes
      NOINFL, 1 the source, a provably-undefined guard drives UNDEF);
    - multi-driven classes join producer contributions through the
@@ -24,7 +24,12 @@
    CSR: flat consumer/producer node-id arrays with offset tables.  A
    FIFO worklist then runs the monotone transfer functions to a
    fixpoint; the lattice has height 2, so every class is re-evaluated
-   O(fan-in) times. *)
+   O(fan-in) times.
+
+   Observability is the backward closure over the same producer CSR.
+   It is the one liveness walk in the static analyses: [analyze]
+   stores it per class, and [observable_nets] runs it alone (no value
+   fixpoint) for callers that need only liveness. *)
 
 open Zeus_base
 
@@ -80,81 +85,171 @@ type node =
   | Ngate of Netlist.gate_op * csrc list
   | Ndriver of csrc option * csrc
 
-let node_inputs = function
-  | Ngate (_, inputs) -> inputs
-  | Ndriver (guard, source) -> source :: Option.to_list guard
+(* evaluate a gate over (possibly unknown) constant inputs with the
+   simulator's early-firing rules: [Some v] only when the output is
+   forced under all inputs (an AND with one constant-0 input is 0
+   regardless of the rest) *)
+let eval_gate_const op (vals : Logic.t option list) =
+  match (op : Netlist.gate_op) with
+  | Netlist.Gand -> Logic.and_partial vals
+  | Netlist.Gor -> Logic.or_partial vals
+  | Netlist.Gnand -> Logic.nand_partial vals
+  | Netlist.Gnor -> Logic.nor_partial vals
+  | Netlist.Gxor -> Logic.xor_partial vals
+  | Netlist.Gnot -> (
+      match vals with
+      | [ v ] -> Option.map Logic.not_ v
+      | _ -> None)
+  | Netlist.Gequal ->
+      Logic.map_all
+        (fun vs ->
+          let n = List.length vs / 2 in
+          let a = List.filteri (fun i _ -> i < n) vs
+          and b = List.filteri (fun i _ -> i >= n) vs in
+          List.fold_left2
+            (fun acc x y -> Logic.and2 acc (Logic.equal2 x y))
+            Logic.One a b)
+        vals
+  | Netlist.Grandom -> None
 
-let analyze (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
+(* the compacted class graph shared by the fixpoint and the
+   observability closure: dense class ids plus the producer CSR *)
+type graph = {
+  g_classes : int;
+  g_canon : int array;
+  g_rep : int array;
+  nodes : node array;
+  node_out : int array;
+  prod_off : int array;
+  prod_nodes : int array;
+}
+
+let iter_input_classes node f =
+  let src = function Cnet c -> f c | Cconst _ -> () in
+  match node with
+  | Ngate (_, inputs) -> List.iter src inputs
+  | Ndriver (guard, source) ->
+      src source;
+      Option.iter src guard
+
+(* CSR adjacency class -> node ids, where [iter i f] calls [f c] for
+   every class node [i] touches: count, prefix-sum, fill *)
+let csr n_classes n_nodes iter =
+  let off = Array.make (n_classes + 1) 0 in
+  for i = 0 to n_nodes - 1 do
+    iter i (fun c -> off.(c + 1) <- off.(c + 1) + 1)
+  done;
+  for c = 0 to n_classes - 1 do
+    off.(c + 1) <- off.(c) + off.(c + 1)
+  done;
+  let adj = Array.make off.(n_classes) 0 and fill = Array.copy off in
+  for i = 0 to n_nodes - 1 do
+    iter i (fun c ->
+        adj.(fill.(c)) <- i;
+        fill.(c) <- fill.(c) + 1)
+  done;
+  (off, adj)
+
+let build nl =
   let n = Netlist.net_count nl in
   (* resolve the union-find once: original id -> dense class id *)
-  let canon = Array.make n (-1) in
-  let rep_rev = ref [] in
+  let canon = Array.make n (-1) and rep = Array.make n 0 in
   let n_classes = ref 0 in
   for id = 0 to n - 1 do
     let root = Netlist.canonical nl id in
     if canon.(root) < 0 then begin
       canon.(root) <- !n_classes;
-      rep_rev := root :: !rep_rev;
+      rep.(!n_classes) <- root;
       incr n_classes
     end;
     canon.(id) <- canon.(root)
   done;
   let n_classes = !n_classes in
-  let rep = Array.make n_classes 0 in
-  List.iteri (fun i root -> rep.(n_classes - 1 - i) <- root) !rep_rev;
+  let rep = Array.sub rep 0 n_classes in
   let canon_src = function
     | Netlist.Snet id -> Cnet canon.(id)
     | Netlist.Sconst v -> Cconst v
   in
-  (* producer nodes, with their output class *)
-  let nodes = ref [] and outs = ref [] in
-  List.iter
-    (fun (g : Netlist.gate) ->
-      nodes := Ngate (g.Netlist.op, List.map canon_src g.Netlist.inputs) :: !nodes;
-      outs := canon.(g.Netlist.output) :: !outs)
-    (Netlist.gates nl);
-  List.iter
-    (fun (d : Netlist.driver) ->
-      nodes :=
-        Ndriver (Option.map canon_src d.Netlist.guard, canon_src d.Netlist.source)
-        :: !nodes;
-      outs := canon.(d.Netlist.target) :: !outs)
-    (Netlist.drivers nl);
-  let nodes = Array.of_list (List.rev !nodes) in
-  let node_out = Array.of_list (List.rev !outs) in
-  (* CSR adjacency: count, prefix-sum, fill — consumers (class -> nodes
-     reading it) drive the worklist, producers (class -> nodes writing
-     it) drive re-evaluation *)
-  let cons_cnt = Array.make n_classes 0 and prod_cnt = Array.make n_classes 0 in
-  let iter_input_classes node f =
-    List.iter (function Cnet c -> f c | Cconst _ -> ()) (node_inputs node)
-  in
-  Array.iteri
-    (fun i node ->
-      iter_input_classes node (fun c -> cons_cnt.(c) <- cons_cnt.(c) + 1);
-      prod_cnt.(node_out.(i)) <- prod_cnt.(node_out.(i)) + 1)
+  (* producer nodes (gates, then drivers), with their output class *)
+  let gates = Netlist.gates nl and drivers = Netlist.drivers nl in
+  let n_gates = List.length gates in
+  let n_nodes = n_gates + List.length drivers in
+  let nodes = Array.make n_nodes (Ndriver (None, Cconst Logic.Undef)) in
+  let node_out = Array.make n_nodes 0 in
+  List.iteri
+    (fun i (g : Netlist.gate) ->
+      nodes.(i) <- Ngate (g.Netlist.op, List.map canon_src g.Netlist.inputs);
+      node_out.(i) <- canon.(g.Netlist.output))
+    gates;
+  List.iteri
+    (fun i (d : Netlist.driver) ->
+      nodes.(n_gates + i) <-
+        Ndriver (Option.map canon_src d.Netlist.guard, canon_src d.Netlist.source);
+      node_out.(n_gates + i) <- canon.(d.Netlist.target))
+    drivers;
+  (* producers: class -> nodes writing it *)
+  let prod_off, prod_nodes = csr n_classes n_nodes (fun i f -> f node_out.(i)) in
+  {
+    g_classes = n_classes;
+    g_canon = canon;
+    g_rep = rep;
     nodes;
-  let offsets cnt =
-    let off = Array.make (n_classes + 1) 0 in
-    for c = 0 to n_classes - 1 do
-      off.(c + 1) <- off.(c) + cnt.(c)
-    done;
-    off
+    node_out;
+    prod_off;
+    prod_nodes;
+  }
+
+(* observability: backward closure from register inputs and root
+   OUT/INOUT pins, through producer-node inputs *)
+let observability nl g =
+  let observable = Array.make g.g_classes false in
+  let stack = ref [] in
+  let mark c =
+    if not observable.(c) then begin
+      observable.(c) <- true;
+      stack := c :: !stack
+    end
   in
-  let cons_off = offsets cons_cnt and prod_off = offsets prod_cnt in
-  let cons_nodes = Array.make cons_off.(n_classes) 0 in
-  let prod_nodes = Array.make prod_off.(n_classes) 0 in
-  let cons_fill = Array.copy cons_off and prod_fill = Array.copy prod_off in
-  Array.iteri
-    (fun i node ->
-      iter_input_classes node (fun c ->
-          cons_nodes.(cons_fill.(c)) <- i;
-          cons_fill.(c) <- cons_fill.(c) + 1);
-      let o = node_out.(i) in
-      prod_nodes.(prod_fill.(o)) <- i;
-      prod_fill.(o) <- prod_fill.(o) + 1)
-    nodes;
+  List.iter
+    (fun (r : Netlist.reg) -> mark g.g_canon.(r.Netlist.rin))
+    (Netlist.regs nl);
+  List.iter
+    (fun (i : Netlist.instance) ->
+      if not (String.contains i.Netlist.ipath '.') then
+        List.iter
+          (fun (_, mode, nets) ->
+            match mode with
+            | Etype.Out | Etype.Inout ->
+                List.iter (fun id -> mark g.g_canon.(id)) nets
+            | Etype.In -> ())
+          i.Netlist.iports)
+    (Netlist.instances nl);
+  while !stack <> [] do
+    match !stack with
+    | [] -> ()
+    | c :: rest ->
+        stack := rest;
+        for k = g.prod_off.(c) to g.prod_off.(c + 1) - 1 do
+          iter_input_classes g.nodes.(g.prod_nodes.(k)) mark
+        done
+  done;
+  observable
+
+let observable_nets nl =
+  let g = build nl in
+  let observable = observability nl g in
+  Array.map (fun c -> observable.(c)) g.g_canon
+
+let analyze (design : Elaborate.design) =
+  let nl = design.Elaborate.netlist in
+  let g = build nl in
+  let n_classes = g.g_classes and canon = g.g_canon in
+  let nodes = g.nodes and node_out = g.node_out in
+  let prod_off = g.prod_off and prod_nodes = g.prod_nodes in
+  (* consumers (class -> nodes reading it) drive the worklist *)
+  let cons_off, cons_nodes =
+    csr n_classes (Array.length nodes) (fun i f -> iter_input_classes nodes.(i) f)
+  in
   (* register wiring: out class -> registers; in class -> out classes *)
   let regs_of_out = Array.make n_classes [] in
   let reg_consumers = Array.make n_classes [] in
@@ -194,7 +289,7 @@ let analyze (design : Elaborate.design) =
         let opt =
           List.map (function Const v -> Some v | Bot | Top -> None) avs
         in
-        (match Optimize.eval_gate_const op opt with
+        (match eval_gate_const op opt with
         | Some v -> Const v
         | None -> if List.mem Bot avs then Bot else Top)
     | Ndriver (guard, source) -> (
@@ -289,39 +384,7 @@ let analyze (design : Elaborate.design) =
       List.iter push reg_consumers.(c)
     end
   done;
-  (* observability: backward closure from register inputs and root
-     OUT/INOUT pins, through producer-node inputs *)
-  let observable = Array.make n_classes false in
-  let stack = ref [] in
-  let mark c =
-    if not observable.(c) then begin
-      observable.(c) <- true;
-      stack := c :: !stack
-    end
-  in
-  List.iter
-    (fun (r : Netlist.reg) -> mark canon.(r.Netlist.rin))
-    (Netlist.regs nl);
-  List.iter
-    (fun (i : Netlist.instance) ->
-      if not (String.contains i.Netlist.ipath '.') then
-        List.iter
-          (fun (_, mode, nets) ->
-            match mode with
-            | Etype.Out | Etype.Inout ->
-                List.iter (fun id -> mark canon.(id)) nets
-            | Etype.In -> ())
-          i.Netlist.iports)
-    (Netlist.instances nl);
-  while !stack <> [] do
-    match !stack with
-    | [] -> ()
-    | c :: rest ->
-        stack := rest;
-        for k = prod_off.(c) to prod_off.(c + 1) - 1 do
-          iter_input_classes nodes.(prod_nodes.(k)) mark
-        done
-  done;
+  let observable = observability nl g in
   let cls =
     Array.map
       (function
@@ -335,13 +398,13 @@ let analyze (design : Elaborate.design) =
   {
     n_classes;
     canon;
-    rep;
+    rep = g.g_rep;
     value;
     cls;
     observable;
     input_class;
     reg_out_class;
-    producers = prod_cnt;
+    producers = Array.init n_classes (fun c -> prod_off.(c + 1) - prod_off.(c));
     steps = !steps;
   }
 

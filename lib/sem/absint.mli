@@ -73,6 +73,13 @@ type t = {
 
 val analyze : Elaborate.design -> t
 
+(** The observability closure alone, without the value fixpoint: per
+    {e original} net id, [true] iff the net's class reaches a register
+    input or an OUT/INOUT pin of a root instance.  The same closure as
+    [(analyze d).observable], for callers that need only liveness
+    (Z302 in the sequential prover, dead-net counts in {!Stats}). *)
+val observable_nets : Netlist.t -> bool array
+
 (** Abstract value / classification of an original net id (resolved
     through the alias class). *)
 val value_of_net : t -> int -> av

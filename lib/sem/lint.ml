@@ -42,9 +42,10 @@
       undriven (Z201) or driven-but-never-defined (Z202).
 
    3. Dead hardware (Z301/Z302).  Drivers whose guard is statically
-      false after constant propagation (a conditional branch surviving
+      false by Absint's proof table (a conditional branch surviving
       elaboration that can never fire), and instances none of whose
-      outputs can reach a register or a root output port.
+      outputs can reach a register or a root output port (Absint's
+      observability closure).
 
    4. Abstract interpretation (Z501/Z502/Z503).  The four-valued
       constant fixpoint of Absint — the proof table zeusc opt reduces
@@ -771,14 +772,15 @@ let undef_pass bag (design : Elaborate.design) (sets, undriven) =
 
 (* returns the paths of instances reported dead, so pass 4 can avoid
    re-reporting every net inside an already-flagged instance *)
-let dead_pass bag (design : Elaborate.design) =
+let dead_pass bag (design : Elaborate.design) (ai : Absint.t) =
   let nl = design.Elaborate.netlist in
-  let canon id = Netlist.canonical nl id in
   let dead_paths = ref [] in
-  let known = Optimize.known_constants design in
   let guard_value = function
     | Netlist.Sconst v -> Some v
-    | Netlist.Snet id -> known.(canon id)
+    | Netlist.Snet id -> (
+        match Absint.value_of_net ai id with
+        | Absint.Const v -> Some v
+        | Absint.Bot | Absint.Top -> None)
   in
   (* one report per source location: an IF arm over a wide signal makes
      one driver per bit, all at the same loc *)
@@ -803,7 +805,7 @@ let dead_pass bag (design : Elaborate.design) =
               end
           | _ -> ()))
     (Netlist.drivers nl);
-  let live = Optimize.observable design in
+  let live id = ai.Absint.observable.(ai.Absint.canon.(id)) in
   List.iter
     (fun (i : Netlist.instance) ->
       if String.contains i.Netlist.ipath '.' && not i.Netlist.is_function_call
@@ -816,7 +818,7 @@ let dead_pass bag (design : Elaborate.design) =
               | Etype.In -> [])
             i.Netlist.iports
         in
-        if out_nets <> [] && not (List.exists (fun id -> live.(canon id)) out_nets)
+        if out_nets <> [] && not (List.exists live out_nets)
         then begin
           dead_paths := i.Netlist.ipath :: !dead_paths;
           Diag.Bag.warning bag ~code:Diag.Code.dead_instance Diag.Lint_error
@@ -833,9 +835,9 @@ let dead_pass bag (design : Elaborate.design) =
 (* Pass 4: abstract interpretation (Z501/Z502/Z503)                     *)
 (* ------------------------------------------------------------------ *)
 
-let absint_pass bag (design : Elaborate.design) (sets, _undriven) ~dead_paths =
+let absint_pass bag (design : Elaborate.design) (ai : Absint.t)
+    (sets, _undriven) ~dead_paths =
   let nl = design.Elaborate.netlist in
-  let ai = Absint.analyze design in
   let members = Array.make ai.Absint.n_classes [] in
   Array.iter
     (fun (net : Netlist.net) ->
@@ -968,8 +970,9 @@ let run ?(budget = default_budget) ?proven_safe (design : Elaborate.design) =
   let can_undef c = booleanize_mask sets.(c) land m_undef <> 0 in
   let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl in
   undef_pass bag design vsets;
-  let dead_paths = dead_pass bag design in
-  absint_pass bag design vsets ~dead_paths;
+  let ai = Absint.analyze design in
+  let dead_paths = dead_pass bag design ai in
+  absint_pass bag design ai vsets ~dead_paths;
   { verdicts; findings = Diag.Bag.all bag; splits = !splits }
 
 let count cls report =

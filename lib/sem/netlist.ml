@@ -279,25 +279,22 @@ let drivers_by_target t =
     t.drivers;
   Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) tbl []
 
-(* a shallow variant of [t] with replaced gate/driver lists — used by
-   the optimizer; nets, aliases and instances are shared *)
-let with_nodes t ~gates ~drivers =
-  {
-    t with
-    gates = List.rev gates;
-    n_gates = List.length gates;
-    drivers = List.rev drivers;
-    n_drivers = List.length drivers;
-  }
-
-(* [with_nodes] plus extra alias unions — the reducer's copy-propagation
-   hook.  The union-find is copied first, so the original's classes are
-   untouched; usage bookkeeping ([reads], [touched]) is deliberately not
-   updated: these unions are an optimization artifact, not source-level
-   '==' aliases. *)
+(* a shallow variant of [t] with replaced gate/driver lists plus extra
+   alias unions — the reducer's copy-propagation hook.  Nets and
+   instances are shared; the union-find is copied first, so the
+   original's classes are untouched; usage bookkeeping ([reads],
+   [touched]) is deliberately not updated: these unions are an
+   optimization artifact, not source-level '==' aliases. *)
 let with_nodes_merged t ~gates ~drivers ~merges =
   let t' =
-    { (with_nodes t ~gates ~drivers) with uf_parent = Array.copy t.uf_parent }
+    {
+      t with
+      gates = List.rev gates;
+      n_gates = List.length gates;
+      drivers = List.rev drivers;
+      n_drivers = List.length drivers;
+      uf_parent = Array.copy t.uf_parent;
+    }
   in
   List.iter
     (fun (a, b) ->

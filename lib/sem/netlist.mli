@@ -155,14 +155,11 @@ val instance_count : t -> int
 val find_instance : t -> int -> instance
 
 (** A shallow variant with replaced gate/driver lists (given in forward
-    order) — nets, alias classes and instances are shared with the
-    original.  Used by {!Optimize}. *)
-val with_nodes : t -> gates:gate list -> drivers:driver list -> t
-
-(** {!with_nodes} plus extra alias unions, one [(target, source)] pair
-    per propagated copy — {!Reduce}'s wire-merging hook.  The union-find
-    is copied, not shared, so the original keeps its own classes; usage
-    bookkeeping is not touched. *)
+    order) plus extra alias unions, one [(target, source)] pair per
+    propagated copy — {!Reduce}'s wire-merging hook.  Nets and instances
+    are shared with the original; the union-find is copied, not shared,
+    so the original keeps its own classes; usage bookkeeping is not
+    touched. *)
 val with_nodes_merged :
   t -> gates:gate list -> drivers:driver list -> merges:(int * int) list -> t
 

@@ -1,13 +1,12 @@
 (* Proof-carrying netlist reduction: cone-of-influence + constant
    folding, justified by the Absint fixpoint.
 
-   Where Optimize.run is the conservative legacy pass (single-producer
-   constant propagation only), this pass consumes the full abstract
-   interpretation: constant *reads* fold through any class the analysis
-   proved constant (including multi-driven resolutions and constant
-   register outputs), while constant *replacement* — rewriting a class
-   to one Sconst driver — keeps Optimize's single-producer discipline
-   so the runtime multiple-drive check is preserved verbatim. *)
+   The pass consumes the full abstract interpretation: constant *reads*
+   fold through any class the analysis proved constant (including
+   multi-driven resolutions and constant register outputs), while
+   constant *replacement* — rewriting a class to one Sconst driver — is
+   limited to single-producer classes so the runtime multiple-drive
+   check is preserved verbatim. *)
 
 open Zeus_base
 

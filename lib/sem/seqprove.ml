@@ -531,7 +531,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
     cycle_masks ctx ~rset_mask:Lint.m_zero ~reg_masks:stripped
       ~exclusive:exclusive'
   in
-  let live = Optimize.observable ctx.design in
+  let live = Absint.observable_nets ctx.design.Elaborate.netlist in
   for c = 0 to ctx.n - 1 do
     if
       ctx.is_canon.(c) && live.(c)

@@ -80,39 +80,12 @@ let alias_classes nl =
   done;
   Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) sizes 0
 
-(* nets from which no observable point (register input, OUT/INOUT pin
-   of a root instance) is reachable *)
+(* driven nets (drivers or gate outputs) from which no observable
+   point — a register input, an OUT/INOUT pin of a root instance — is
+   reachable *)
 let dead_nets nl =
-  let adj = Check.dependency_graph nl in
-  let n = Array.length adj in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun src dsts -> List.iter (fun d -> preds.(d) <- src :: preds.(d)) dsts)
-    adj;
-  let live = Array.make n false in
-  let rec mark v =
-    if not live.(v) then begin
-      live.(v) <- true;
-      List.iter mark preds.(v)
-    end
-  in
-  (* observables: register inputs... *)
-  List.iter (fun (r : Netlist.reg) -> mark (Netlist.canonical nl r.Netlist.rin))
-    (Netlist.regs nl);
-  (* ...and output pins of root instances *)
-  List.iter
-    (fun (i : Netlist.instance) ->
-      if not (String.contains i.Netlist.ipath '.') then
-        List.iter
-          (fun (_, mode, nets) ->
-            match mode with
-            | Etype.Out | Etype.Inout ->
-                List.iter (fun id -> mark (Netlist.canonical nl id)) nets
-            | Etype.In -> ())
-          i.Netlist.iports)
-    (Netlist.instances nl);
-  (* driven nets (drivers or gate outputs) that are not live *)
-  let driven = Array.make n false in
+  let live = Absint.observable_nets nl in
+  let driven = Array.make (Netlist.net_count nl) false in
   List.iter
     (fun (d : Netlist.driver) -> driven.(Netlist.canonical nl d.Netlist.target) <- true)
     (Netlist.drivers nl);
@@ -120,9 +93,7 @@ let dead_nets nl =
     (fun (g : Netlist.gate) -> driven.(Netlist.canonical nl g.Netlist.output) <- true)
     (Netlist.gates nl);
   let count = ref 0 in
-  for v = 0 to n - 1 do
-    if driven.(v) && not live.(v) then incr count
-  done;
+  Array.iteri (fun v d -> if d && not live.(v) then incr count) driven;
   !count
 
 let of_netlist nl =

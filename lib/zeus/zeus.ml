@@ -25,7 +25,6 @@ module Netlist = Zeus_sem.Netlist
 module Elaborate = Zeus_sem.Elaborate
 module Check = Zeus_sem.Check
 module Stats = Zeus_sem.Stats
-module Optimize = Zeus_sem.Optimize
 module Absint = Zeus_sem.Absint
 module Reduce = Zeus_sem.Reduce
 module Lint = Zeus_sem.Lint

@@ -127,7 +127,7 @@ let test_nested_not_roundtrip () =
             (Pretty.program_to_string p2))
 
 (* ------------------------------------------------------------------ *)
-(* Optimize identity: the proof-carrying reduction is unobservable      *)
+(* Reduction identity: the proof-carrying reduction is unobservable     *)
 (* ------------------------------------------------------------------ *)
 
 (* [Reduce.run] (cone-of-influence + constant folding + copy

@@ -144,7 +144,18 @@ let test_dead_branch () =
        REG; BEGIN IF AND(a,0) THEN r.in := b END; z := r.out END; SIGNAL s: \
        t;"
   in
-  Alcotest.(check bool) "Z301" true (has_code report Diag.Code.dead_branch)
+  Alcotest.(check bool) "Z301" true (has_code report Diag.Code.dead_branch);
+  (* the guard reads a register that powers up 0 and only ever latches
+     0: the abstract interpretation proves it constant-0 through the
+     register, so the THEN arm is dead *)
+  let report =
+    lint
+      "TYPE t = COMPONENT (IN a: boolean; OUT z: boolean) IS SIGNAL g: \
+       REG(0); BEGIN g.in := 0; IF g.out THEN z := a ELSE z := NOT a END \
+       END; SIGNAL s: t;"
+  in
+  Alcotest.(check bool) "Z301 through a register" true
+    (has_code report Diag.Code.dead_branch)
 
 let test_dead_instance () =
   let report =
