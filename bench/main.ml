@@ -10,7 +10,7 @@
      E5  evalseq            section 8 "A possible evaluation sequence"
      E6  routing            section 4.2 HISDL routing network
      E7  typerules          section 4.7 type rule tables (1), (2), (3)
-     E8  simcmp             firing vs fixpoint vs relaxation scheduling
+     E8  simcmp             firing vs the Sweep fixpoint/relaxation baselines
      E9  runtime-checks     the NP-completeness-motivated runtime check
      E13 incremental        cross-cycle incremental engine vs firing
      E14 modular            modular summary analysis vs elaborate+lint
@@ -313,18 +313,28 @@ let e7_typerules () =
 (* E8: simulator scheduling comparison                                  *)
 (* ------------------------------------------------------------------ *)
 
-let visits_of engine d pokes =
-  let sim = Sim.create ~engine d in
+(* one cycle's node visits; the pokes are integers, index 1 = LSB *)
+let firing_visits d pokes =
+  let sim = Sim.create d in
   List.iter (fun (p, v) -> Sim.poke_int_lsb sim p v) pokes;
   Sim.step sim;
   Sim.node_visits sim
 
+let sweep_visits order d pokes =
+  let bits (p, v) =
+    match Elaborate.resolve_path d p with
+    | Ok ids ->
+        List.mapi (fun i id -> (id, Logic.of_bool ((v lsr i) land 1 = 1))) ids
+    | Error msg -> failwith msg
+  in
+  (Sweep.run ~order d [ List.concat_map bits pokes ]).Sweep.visits
+
 let e8_simcmp () =
   section "E8"
-    "node visits per cycle: firing (section 8) vs strict-firing ablation \
-     vs sweep-to-fixpoint vs relaxation";
-  Fmt.pr "  %-18s %8s %6s %9s %8s %10s %12s@." "design" "nodes" "depth"
-    "firing" "strict" "fixpoint" "relaxation";
+    "node visits per cycle: firing (section 8) vs sweep-to-fixpoint vs \
+     relaxation";
+  Fmt.pr "  %-18s %8s %6s %9s %10s %12s@." "design" "nodes" "depth"
+    "firing" "fixpoint" "relaxation";
   List.iter
     (fun (name, src, pokes) ->
       let d = compile src in
@@ -333,11 +343,10 @@ let e8_simcmp () =
         + List.length (Netlist.drivers d.Elaborate.netlist)
       in
       let depth = (Stats.of_netlist d.Elaborate.netlist).Stats.depth in
-      let f = visits_of Sim.Firing d pokes
-      and fs = visits_of Sim.Firing_strict d pokes
-      and fx = visits_of Sim.Fixpoint d pokes
-      and rx = visits_of Sim.Relaxation d pokes in
-      Fmt.pr "  %-18s %8d %6d %9d %8d %10d %12d@." name nodes depth f fs fx rx)
+      let f = firing_visits d pokes
+      and fx = sweep_visits Sweep.Fixpoint d pokes
+      and rx = sweep_visits Sweep.Relaxation d pokes in
+      Fmt.pr "  %-18s %8d %6d %9d %10d %12d@." name nodes depth f fx rx)
     [
       ("rippleCarry(8)", Corpus.adder_n 8, [ ("adder.a", 255); ("adder.b", 1) ]);
       ("rippleCarry(32)", Corpus.adder_n 32,
@@ -352,7 +361,8 @@ let e8_simcmp () =
       ("dictionary(16x8)", Corpus.dictionary ~slots:16 ~keybits:8, []);
     ];
   Fmt.pr "(the firing evaluator visits each node O(1) times; the sweeping \
-          baselines pay one full sweep per logic level)@."
+          baselines re-evaluate every node on every sweep, one sweep per \
+          logic level the order gets wrong)@."
 
 (* ------------------------------------------------------------------ *)
 (* E9: runtime checks                                                   *)
@@ -1549,6 +1559,11 @@ let bechamel_tests () =
     let sim = Sim.create ~engine d in
     Test.make ~name (Staged.stage (fun () -> Sim.step sim))
   in
+  let sweep_cycle_test order name src =
+    let d = compile src in
+    Test.make ~name
+      (Staged.stage (fun () -> ignore (Sweep.run ~order d [ [] ])))
+  in
   let layout_test name src top =
     let d = compile src in
     Test.make ~name (Staged.stage (fun () -> ignore (Floorplan.of_design d top)))
@@ -1571,9 +1586,8 @@ let bechamel_tests () =
       compile_test "e6/compile/routing32" (Corpus.routing_network 32);
       (* E8: one cycle under each scheduling engine *)
       sim_cycle_test ~engine:Sim.Firing "e8/firing/adder64" (Corpus.adder_n 64);
-      sim_cycle_test ~engine:Sim.Fixpoint "e8/fixpoint/adder64"
-        (Corpus.adder_n 64);
-      sim_cycle_test ~engine:Sim.Relaxation "e8/relaxation/adder64"
+      sweep_cycle_test Sweep.Fixpoint "e8/fixpoint/adder64" (Corpus.adder_n 64);
+      sweep_cycle_test Sweep.Relaxation "e8/relaxation/adder64"
         (Corpus.adder_n 64);
       sim_cycle_test ~engine:Sim.Incremental "e8/incremental/adder64"
         (Corpus.adder_n 64);

@@ -361,9 +361,8 @@ let sim_cmd =
       & opt (enum engines) Zeus.Sim.Incremental
       & info [ "engine" ] ~docv:"ENGINE"
           ~doc:
-            "Scheduling engine: $(b,firing), $(b,firing-strict), \
-             $(b,fixpoint), $(b,relaxation), $(b,incremental) \
-             (default) or $(b,compiled).  All \
+            "Scheduling engine: $(b,firing) (the section 8 reference), \
+             $(b,incremental) (default) or $(b,compiled).  All \
              engines compute identical values.  With $(b,--batch) this \
              picks the per-run template; $(b,compiled) additionally \
              packs runs $(b,--lanes) at a time.")

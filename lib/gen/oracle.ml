@@ -10,12 +10,12 @@
                        Firing-engine run is bit-identical to the
                        original's (print/parse/elaborate preserve
                        semantics, not just syntax);
-   O3 "engine:<name>"  all six scheduling engines — including the
-                       bytecode-compiled one — produce identical
-                       snapshots *per cycle* and identical runtime-error
-                       sets (cycle, net, code) over the poke sequence —
-                       the cycle-by-cycle comparison subsumes the
-                       "Incremental agrees with Fixpoint" requirement;
+   O3 "engine:<name>"  the Incremental and Compiled engines and the two
+                       sweep orders of the independent reference
+                       evaluator {!Sweep} ("engine:fixpoint",
+                       "engine:relaxation") produce the same snapshots
+                       *per cycle* as Firing and the same runtime-error
+                       sets (cycle, net, code) over the poke sequence;
    O4 "lint-vs-runtime" a net the lint prover classified [Safe] never
                        raises the runtime multiple-drive check (the two
                        halves of the NP-complete section 4.7 check must
@@ -29,7 +29,7 @@
                        never classified safe in the first place.)
    O6 "opt-identity:<name>" / "opt-proof"
                        the proof-carrying reduction preserves behaviour:
-                       the reduced design, run on each of the six
+                       the reduced design, run on each of the three
                        engines, matches the unoptimized Firing reference
                        cycle-by-cycle on every net the abstract
                        interpretation marked observable.  Values are
@@ -98,6 +98,7 @@ open Zeus_base
 open Zeus_lang
 open Zeus_sem
 module Sim = Zeus_sim.Sim
+module Sweep = Zeus_sim.Sweep
 module Graph = Zeus_sim.Graph
 
 type divergence = {
@@ -210,6 +211,20 @@ let run_engine design engine (stim : Gen_prog.stimulus) =
   in
   { snaps; errors }
 
+(* The same observation from the sweeping reference evaluator *)
+let run_sweep design order (stim : Gen_prog.stimulus) =
+  let pokes =
+    List.map
+      (List.map (fun (path, v) ->
+           match Elaborate.resolve_path design path with
+           | Ok [ id ] -> (id, v)
+           | Ok _ -> invalid_arg "Sweep: width mismatch"
+           | Error msg -> invalid_arg ("Sweep: " ^ msg)))
+      stim
+  in
+  let r = Sweep.run ~order design pokes in
+  { snaps = r.Sweep.snaps; errors = List.sort compare r.Sweep.errors }
+
 let first_snap_mismatch a b =
   let rec go cycle sa sb =
     match (sa, sb) with
@@ -291,29 +306,35 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
           add "compile" (diags_to_string diags);
           List.rev !divs
       | Ok design ->
-          (* O3: the six-engine matrix, cycle-by-cycle *)
+          (* O3: the other engines and the independent sweeping
+             reference evaluator, against Firing cycle-by-cycle *)
           let reference = run_engine design Sim.Firing stim in
+          let compare_run name r =
+            (match first_snap_mismatch reference.snaps r.snaps with
+            | None -> ()
+            | Some (cycle, diffs) ->
+                add ("engine:" ^ name)
+                  (Printf.sprintf
+                     "snapshot differs from firing at cycle %d (%d nets)"
+                     cycle diffs));
+            if r.errors <> reference.errors then
+              add ("engine:" ^ name)
+                (Printf.sprintf
+                   "runtime errors differ from firing: {%s} vs {%s}"
+                   (errors_to_string r.errors)
+                   (errors_to_string reference.errors))
+          in
           List.iter
             (fun engine ->
-              if engine <> Sim.Firing then begin
-                let r = run_engine design engine stim in
-                (match first_snap_mismatch reference.snaps r.snaps with
-                | None -> ()
-                | Some (cycle, diffs) ->
-                    add
-                      ("engine:" ^ Sim.engine_name engine)
-                      (Printf.sprintf
-                         "snapshot differs from firing at cycle %d (%d nets)"
-                         cycle diffs));
-                if r.errors <> reference.errors then
-                  add
-                    ("engine:" ^ Sim.engine_name engine)
-                    (Printf.sprintf
-                       "runtime errors differ from firing: {%s} vs {%s}"
-                       (errors_to_string r.errors)
-                       (errors_to_string reference.errors))
-              end)
+              if engine <> Sim.Firing then
+                compare_run (Sim.engine_name engine)
+                  (run_engine design engine stim))
             Sim.all_engines;
+          List.iter
+            (fun order ->
+              compare_run (Sweep.order_name order)
+                (run_sweep design order stim))
+            [ Sweep.Fixpoint; Sweep.Relaxation ];
           (* O7: the batch engine, against fresh serial runs — a mix of
              full and truncated runs with distinct per-run seeds, so the
              lane grouping, the sharding and the per-run RANDOM streams
@@ -401,7 +422,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                   results)
               Sim.all_engines
           end;
-          (* O6: the proof-carrying reduction, on all six engines *)
+          (* O6: the proof-carrying reduction, on all three engines *)
           (match
              try Some (Reduce.run design)
              with exn ->

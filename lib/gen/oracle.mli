@@ -6,10 +6,11 @@
     pp-fixpoint      pretty-print → reparse → pretty-print is a fixpoint
     reelaborate      pretty-printed source compiles and simulates
                      bit-identically to the original (Firing engine)
-    engine:<name>    every one of the six engines matches Firing:
-                     identical snapshots per cycle and identical
-                     runtime-error sets (subsumes "Incremental agrees
-                     with Fixpoint cycle-by-cycle")
+    engine:<name>    Incremental, Compiled and both sweep orders of
+                     the independent reference evaluator
+                     ({!Zeus_sim.Sweep}: fixpoint, relaxation) match
+                     Firing: identical snapshots per cycle and
+                     identical runtime-error sets
     batch:<name>     the batch engine ({!Sim.run_batch}) is
                      bit-identical to serial: full and truncated runs
                      with distinct per-run seeds, sharded over the pool
@@ -21,7 +22,7 @@
     opt-identity:<name>
                      the proof-carrying reduction ({!Zeus_sem.Reduce})
                      preserves behaviour: the reduced design, run on
-                     each of the six engines, matches the unoptimized
+                     each of the three engines, matches the unoptimized
                      Firing reference cycle-by-cycle on every net the
                      abstract interpretation marked observable (values
                      compared per net through each design's class map;

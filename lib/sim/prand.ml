@@ -5,9 +5,9 @@
    run lands.  Instead every draw is a pure function of (simulator
    seed, output class id, cycle number): the splitmix64 finalizer
    applied twice, so the value is independent of which domain computes
-   it and in which order.  All six engines and every batch lane share
-   this function, so their RANDOM streams are bit-identical by
-   construction.
+   it and in which order.  Every engine, every batch lane and the
+   sweeping reference evaluator share this function, so their RANDOM
+   streams are bit-identical by construction.
 
    Splitmix64 (Steele, Lea & Flood, OOPSLA 2014) is the standard cheap
    stateless mixer: invertible, full 64-bit avalanche, and good enough

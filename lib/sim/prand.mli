@@ -2,9 +2,9 @@
 
     Every draw is a pure function of (simulator seed, output class id,
     cycle number) — a splitmix64 hash — so the stream does not depend on
-    evaluation order, engine, or domain count.  All six simulation
-    engines use this function, which is what makes their RANDOM streams
-    bit-identical. *)
+    evaluation order, engine, or domain count.  Every simulation
+    engine and the {!Sweep} reference use this function, which is what
+    makes their RANDOM streams bit-identical. *)
 
 (** The full 64-bit hash of one draw. *)
 val bits64 : seed:int -> net:int -> cycle:int -> int64

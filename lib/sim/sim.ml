@@ -1,22 +1,14 @@
 (* Cycle-based simulation of elaborated Zeus designs.
 
-   Six scheduling engines over the same semantics graph, values and
-   resolution rules (so their results are identical — the paper's claim
-   in section 8 that every legal propagation order gives the same result
-   is a tested invariant here):
+   Three engines over the same semantics graph, values and resolution
+   rules (so their results are identical — the paper's claim in section
+   8 that every legal propagation order gives the same result is a
+   tested invariant here):
 
-   - [Firing]      the event-driven firing-rule evaluator of section 8:
-                   each node fires at most once, as soon as its output is
-                   determined ("as soon as" semantics, e.g. AND fires 0 on
-                   the first 0 input);
-   - [Firing_strict] an ablation that waits for every input;
-   - [Fixpoint]    a naive baseline: sweep all nodes in creation order
-                   until nothing changes;
-   - [Relaxation]  a switch-level-style baseline: sweep in reverse order
-                   (pessimal information flow), standing in for the
-                   iterate-to-stability relaxation of switch-level
-                   simulators (Bryant 1981) that section 1 compares
-                   against;
+   - [Firing]      the event-driven firing-rule evaluator of section 8,
+                   the reference: each node fires at most once, as soon
+                   as its output is determined ("as soon as" semantics,
+                   e.g. AND fires 0 on the first 0 input);
    - [Incremental] cross-cycle event-driven evaluation: between cycles
                    only the cone of *changed* seeds (pokes that differ
                    from last cycle, register outputs that latched a new
@@ -38,6 +30,9 @@
                    engines by an order of magnitude; designs with
                    combinational cycles fall back to [step_full].
 
+   The iterate-to-stability baselines of experiment E8 live outside the
+   handle, in the independent reference evaluator {!Sweep}.
+
    Per cycle, a net's value:
    - a boolean net fires on its first driving value;
    - a multiplex net fires once all its producers have produced, with
@@ -55,24 +50,14 @@
 open Zeus_base
 open Zeus_sem
 
-type engine =
-  | Firing
-  | Firing_strict
-  | Fixpoint
-  | Relaxation
-  | Incremental
-  | Compiled
+type engine = Firing | Incremental | Compiled
 
 let engine_name = function
   | Firing -> "firing"
-  | Firing_strict -> "firing-strict"
-  | Fixpoint -> "fixpoint"
-  | Relaxation -> "relaxation"
   | Incremental -> "incremental"
   | Compiled -> "compiled"
 
-let all_engines =
-  [ Firing; Firing_strict; Fixpoint; Relaxation; Incremental; Compiled ]
+let all_engines = [ Firing; Incremental; Compiled ]
 
 (* observable shape of the compiled program (--stats) — all counters
    except the compile time are deterministic functions of the design *)
@@ -149,6 +134,55 @@ let level_stacks at n_items =
     (Array.map (fun a -> Array.make (Array.length a) 0) at)
     [| Array.make (n_items - placed) 0 |]
 
+(* A handle with power-up run state over the given compile artifacts:
+   the one place the record is built, for [create] and for the batch
+   engine's per-run clones ([fresh_like]) *)
+let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~jobs =
+  let n = g.Graph.n_classes in
+  let n_nodes = Array.length g.Graph.nodes in
+  {
+    g;
+    sched;
+    engine;
+    values = Array.make n None;
+    produced = Array.make n_nodes None;
+    remaining = Array.make n 0;
+    drives_seen = Array.make n 0;
+    mux_value = Array.make n Logic.Noinfl;
+    fired = Array.make n false;
+    reg_state =
+      Array.map (fun (r : Netlist.reg) -> r.Netlist.rinit) g.Graph.regs;
+    poked = Array.make n None;
+    cycle = 0;
+    seed;
+    errors = [];
+    node_visits = 0;
+    trace = [];
+    trace_enabled = false;
+    prev_values = Array.make n None;
+    toggles = Array.make n 0;
+    const_nodes;
+    random_nodes;
+    started = false;
+    epoch = 0;
+    node_mark = Array.make n_nodes 0;
+    net_mark = Array.make n 0;
+    node_stack = level_stacks sched.Sched.nodes_at n_nodes;
+    node_fill = Array.make (sched.Sched.max_level + 2) 0;
+    net_stack = level_stacks sched.Sched.nets_at n;
+    net_fill = Array.make (sched.Sched.max_level + 2) 0;
+    any_scheduled = false;
+    seed_dirty = Array.make n false;
+    seed_dirty_list = [];
+    in_conflict = Array.make n false;
+    conflict_list = [];
+    reg_dirty = Array.make (Array.length g.Graph.regs) false;
+    reg_dirty_list = [];
+    cprog;
+    cstate = Option.map Bytecode.create_state cprog;
+    jobs;
+  }
+
 let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     ?discharged (design : Elaborate.design) =
   (* the proof-carrying reduction shares nets with the original, so
@@ -165,7 +199,6 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     in
     max 1 (min requested Pool.max_jobs)
   in
-  let n = g.Graph.n_classes in
   let n_nodes = Array.length g.Graph.nodes in
   let const_nodes = ref [] and random_nodes = ref [] in
   for node = n_nodes - 1 downto 0 do
@@ -194,49 +227,8 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
       Compile.build ?discharged g sched
     else None
   in
-  let cstate = Option.map Bytecode.create_state cprog in
-  {
-    g;
-    sched;
-    engine;
-    values = Array.make n None;
-    produced = Array.make n_nodes None;
-    remaining = Array.make n 0;
-    drives_seen = Array.make n 0;
-    mux_value = Array.make n Logic.Noinfl;
-    fired = Array.make n false;
-    reg_state =
-      Array.map (fun (r : Netlist.reg) -> r.Netlist.rinit) g.Graph.regs;
-    poked = Array.make n None;
-    cycle = 0;
-    seed;
-    errors = [];
-    node_visits = 0;
-    trace = [];
-    trace_enabled = false;
-    prev_values = Array.make n None;
-    toggles = Array.make n 0;
-    const_nodes = Array.of_list !const_nodes;
-    random_nodes = Array.of_list !random_nodes;
-    started = false;
-    epoch = 0;
-    node_mark = Array.make n_nodes 0;
-    net_mark = Array.make n 0;
-    node_stack = level_stacks sched.Sched.nodes_at n_nodes;
-    node_fill = Array.make (sched.Sched.max_level + 2) 0;
-    net_stack = level_stacks sched.Sched.nets_at n;
-    net_fill = Array.make (sched.Sched.max_level + 2) 0;
-    any_scheduled = false;
-    seed_dirty = Array.make n false;
-    seed_dirty_list = [];
-    in_conflict = Array.make n false;
-    conflict_list = [];
-    reg_dirty = Array.make (Array.length g.Graph.regs) false;
-    reg_dirty_list = [];
-    cprog;
-    cstate;
-    jobs;
-  }
+  alloc ~g ~sched ~engine ~seed ~const_nodes:(Array.of_list !const_nodes)
+    ~random_nodes:(Array.of_list !random_nodes) ~cprog ~jobs
 
 let design t = t.g.Graph.design
 
@@ -250,20 +242,22 @@ let set_trace t b = t.trace_enabled <- b
 
 let trace_last_cycle t = List.rev t.trace
 
-let error t ~code net_id fmt =
-  Fmt.kstr
-    (fun message ->
-      t.errors <-
-        { err_cycle = t.cycle; err_net = t.g.Graph.names.(net_id);
-          err_code = code; err_message = message }
-        :: t.errors)
-    fmt
+(* the section 4.7 "burning transistors" report, for a handle and for
+   a batch lane alike *)
+let drive_conflict g ~cycle net =
+  {
+    err_cycle = cycle;
+    err_net = g.Graph.names.(net);
+    err_code = Diag.Code.drive_conflict;
+    err_message =
+      Fmt.str
+        "more than one driving assignment in cycle %d — burning transistors \
+         (value forced to UNDEF)"
+        cycle;
+  }
 
 let conflict_error t net =
-  error t ~code:Diag.Code.drive_conflict net
-    "more than one driving assignment in cycle %d — burning transistors \
-     (value forced to UNDEF)"
-    t.cycle
+  t.errors <- drive_conflict t.g ~cycle:t.cycle net :: t.errors
 
 (* RANDOM: a pure function of (seed, output class, cycle) — identical
    in every engine and every batch lane, and idempotent under cone
@@ -379,23 +373,11 @@ let equal_fold vs =
 
 let eval_gate t op (inputs : Netlist.src array) =
   let vals = Array.to_list (Array.map (src_value t) inputs) in
-  (* the Firing_strict ablation waits for every input before firing,
-     instead of the "as soon as" rule of section 8; the result is the
-     same, only later (more node visits) *)
-  let strict = t.engine = Firing_strict in
   match op with
-  | Netlist.Gand ->
-      if strict then Logic.map_all Logic.and_list vals
-      else Logic.and_partial vals
-  | Netlist.Gor ->
-      if strict then Logic.map_all Logic.or_list vals
-      else Logic.or_partial vals
-  | Netlist.Gnand ->
-      if strict then Logic.map_all Logic.nand_list vals
-      else Logic.nand_partial vals
-  | Netlist.Gnor ->
-      if strict then Logic.map_all Logic.nor_list vals
-      else Logic.nor_partial vals
+  | Netlist.Gand -> Logic.and_partial vals
+  | Netlist.Gor -> Logic.or_partial vals
+  | Netlist.Gnand -> Logic.nand_partial vals
+  | Netlist.Gnor -> Logic.nor_partial vals
   | Netlist.Gxor -> Logic.xor_partial vals
   | Netlist.Gnot -> Logic.not_partial vals
   | Netlist.Gequal -> Logic.map_all equal_fold vals
@@ -408,15 +390,9 @@ let eval_driver t guard source =
   | Some gs -> (
       match guard_value t gs with
       | None -> None
-      | Some Logic.Zero ->
-          (* strict ablation: wait for the source anyway ("the IF node is
-             firing as soon as both entering edges have been assigned") *)
-          if t.engine = Firing_strict && src_value t source = None then None
-          else Some Logic.Noinfl
+      | Some Logic.Zero -> Some Logic.Noinfl
       | Some Logic.One -> src_value t source
-      | Some (Logic.Undef | Logic.Noinfl) ->
-          if t.engine = Firing_strict && src_value t source = None then None
-          else Some Logic.Undef)
+      | Some (Logic.Undef | Logic.Noinfl) -> Some Logic.Undef)
 
 (* Strict re-evaluation with full information, used by the dirty-cone
    pass: by the section 8 invariant it computes the same value the
@@ -705,12 +681,8 @@ let latch_reg t i =
   if not (Logic.equal old t.reg_state.(i)) then mark_seed t g.Graph.reg_out.(i)
 
 (* ------------------------------------------------------------------ *)
-(* One full clock cycle (all engines; Incremental cold start)           *)
+(* One full clock cycle (Firing; Incremental cold start; cyclic designs) *)
 (* ------------------------------------------------------------------ *)
-
-let event_driven = function
-  | Firing | Firing_strict | Incremental | Compiled -> true
-  | Fixpoint | Relaxation -> false
 
 let step_full t =
   let g = t.g in
@@ -731,8 +703,7 @@ let step_full t =
       t.fired.(net) <- true;
       t.values.(net) <- Some v;
       if t.trace_enabled then t.trace <- (g.Graph.names.(net), v) :: t.trace;
-      if event_driven t.engine then
-        Graph.iter_consumers g net (fun nid -> Queue.add nid worklist)
+      Graph.iter_consumers g net (fun nid -> Queue.add nid worklist)
     end
   in
   (* Incremental resolution: [mux_value] keeps the single driving value
@@ -771,22 +742,23 @@ let step_full t =
       t.node_visits <- t.node_visits + 1;
       match g.Graph.nodes.(node_id) with
       | Graph.Ngate { op = Netlist.Grandom; output; _ } ->
-          produce node_id output (random_value t output);
-          true
+          produce node_id output (random_value t output)
       | Graph.Ngate { op; inputs; output } -> (
           match eval_gate t op inputs with
-          | Some v ->
-              produce node_id output v;
-              true
-          | None -> false)
+          | Some v -> produce node_id output v
+          | None -> ())
       | Graph.Ndriver { guard; source; target } -> (
           match eval_driver t guard source with
-          | Some v ->
-              produce node_id target v;
-              true
-          | None -> false)
+          | Some v -> produce node_id target v
+          | None -> ())
     end
-    else false
+  in
+  let rec drain () =
+    match Queue.take_opt worklist with
+    | Some node_id ->
+        try_node node_id;
+        drain ()
+    | None -> ()
   in
   (* seed producer-less classes: testbench inputs, register outputs, CLK,
      RSET, and undriven nets (which read UNDEF) — register outputs via
@@ -794,34 +766,9 @@ let step_full t =
   for net = 0 to n - 1 do
     if t.remaining.(net) = 0 then fire net (seed_value t net)
   done;
-  (match t.engine with
-  | Firing | Firing_strict | Incremental | Compiled ->
-      (* nodes with only constant inputs fire without stimulus *)
-      Array.iter (fun node_id -> ignore (try_node node_id)) t.const_nodes;
-      let rec drain () =
-        match Queue.take_opt worklist with
-        | Some node_id ->
-            ignore (try_node node_id);
-            drain ()
-        | None -> ()
-      in
-      drain ()
-  | Fixpoint | Relaxation ->
-      (* sweep until stable; Relaxation sweeps against the creation
-         order, modelling an iterate-to-stability relaxation *)
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        if t.engine = Fixpoint then begin
-          for node_id = 0 to n_nodes - 1 do
-            if try_node node_id then changed := true
-          done
-        end
-        else
-          for node_id = n_nodes - 1 downto 0 do
-            if try_node node_id then changed := true
-          done
-      done);
+  (* nodes with only constant inputs fire without stimulus *)
+  Array.iter try_node t.const_nodes;
+  drain ();
   (* defensive: anything still unfired (only on designs with check
      errors, e.g. combinational cycles) reads UNDEF *)
   let rec mop_up budget =
@@ -834,34 +781,7 @@ let step_full t =
         end
       done;
       if !stuck then begin
-        (match t.engine with
-        | Firing | Firing_strict | Incremental | Compiled ->
-            let rec drain () =
-              match Queue.take_opt worklist with
-              | Some node_id ->
-                  ignore (try_node node_id);
-                  drain ()
-              | None -> ()
-            in
-            drain ()
-        | Fixpoint ->
-            let changed = ref true in
-            while !changed do
-              changed := false;
-              for node_id = 0 to n_nodes - 1 do
-                if try_node node_id then changed := true
-              done
-            done
-        | Relaxation ->
-            (* sweep against creation order here too: the fallback must
-               keep the pessimal information flow the engine models *)
-            let changed = ref true in
-            while !changed do
-              changed := false;
-              for node_id = n_nodes - 1 downto 0 do
-                if try_node node_id then changed := true
-              done
-            done);
+        drain ();
         mop_up (budget - 1)
       end
     end
@@ -930,7 +850,7 @@ let step_incremental t =
     dirty;
   run_pass t ~emit_conflict:false ~incremental:true;
   (* the runtime multiple-drive check re-reports a standing conflict
-     every cycle, like the re-firing engines, in class order *)
+     every cycle, like the firing engine, in class order *)
   if t.conflict_list <> [] then begin
     t.conflict_list <- List.filter (fun c -> t.in_conflict.(c)) t.conflict_list;
     List.iter (fun c -> conflict_error t c) (List.sort compare t.conflict_list)
@@ -1101,8 +1021,8 @@ let snapshot t =
   match t.cstate with
   | Some st when Bytecode.ran st ->
       (* every class is evaluated every compiled cycle, so every
-         representative reads [Some] — exactly like the re-firing
-         engines after their first full cycle *)
+         representative reads [Some] — exactly like the firing
+         engine after its first full cycle *)
       Array.init g.Graph.n_nets (fun i ->
           let c = g.Graph.canon.(i) in
           if g.Graph.rep.(c) = i then Some (Bytecode.get st c) else None)
@@ -1167,44 +1087,9 @@ type batch_stats = {
    schedule, bytecode program) of [t] but owning every piece of mutable
    run state — the per-run clone of the batch engine's serial path. *)
 let fresh_like t ~seed =
-  let n = Array.length t.values in
-  let n_nodes = Array.length t.produced in
-  {
-    t with
-    values = Array.make n None;
-    produced = Array.make n_nodes None;
-    remaining = Array.make n 0;
-    drives_seen = Array.make n 0;
-    mux_value = Array.make n Logic.Noinfl;
-    fired = Array.make n false;
-    reg_state =
-      Array.map (fun (r : Netlist.reg) -> r.Netlist.rinit) t.g.Graph.regs;
-    poked = Array.make n None;
-    cycle = 0;
-    seed;
-    errors = [];
-    node_visits = 0;
-    trace = [];
-    trace_enabled = false;
-    prev_values = Array.make n None;
-    toggles = Array.make n 0;
-    started = false;
-    epoch = 0;
-    node_mark = Array.make n_nodes 0;
-    net_mark = Array.make n 0;
-    node_stack = level_stacks t.sched.Sched.nodes_at n_nodes;
-    node_fill = Array.make (Array.length t.node_fill) 0;
-    net_stack = level_stacks t.sched.Sched.nets_at n;
-    net_fill = Array.make (Array.length t.net_fill) 0;
-    any_scheduled = false;
-    seed_dirty = Array.make n false;
-    seed_dirty_list = [];
-    in_conflict = Array.make n false;
-    conflict_list = [];
-    reg_dirty = Array.make (Array.length t.reg_dirty) false;
-    reg_dirty_list = [];
-    cstate = Option.map Bytecode.create_state t.cprog;
-  }
+  alloc ~g:t.g ~sched:t.sched ~engine:t.engine ~seed
+    ~const_nodes:t.const_nodes ~random_nodes:t.random_nodes ~cprog:t.cprog
+    ~jobs:t.jobs
 
 (* one run, one fresh handle, the template's engine; [resolve] is the
    caller-built path table so workers never touch the elaborator *)
@@ -1277,18 +1162,7 @@ let batch_exec_lanes tmpl prog runs ~resolve ~snapshots =
     for li = 0 to nl - 1 do
       List.iter
         (fun cls ->
-          errors.(li) <-
-            {
-              err_cycle = c;
-              err_net = g.Graph.names.(cls);
-              err_code = Diag.Code.drive_conflict;
-              err_message =
-                Fmt.str
-                  "more than one driving assignment in cycle %d — burning \
-                   transistors (value forced to UNDEF)"
-                  c;
-            }
-            :: errors.(li))
+          errors.(li) <- drive_conflict g ~cycle:c cls :: errors.(li))
         (List.sort compare confs.(li));
       if snapshots then snaps.(li) <- lane_snapshot li :: snaps.(li)
     done

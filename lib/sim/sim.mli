@@ -1,6 +1,7 @@
 (** Cycle-based simulation of elaborated designs — the firing-rule
-    evaluator of report section 8, plus two baseline schedulers used by
-    the E8 comparison.
+    evaluator of report section 8 and two faster engines that compute
+    the same values.  (The iterate-to-stability baselines of experiment
+    E8 are the separate reference evaluator {!Sweep}.)
 
     Per clock cycle every net is re-evaluated:
     - gate nodes fire as soon as their output is forced (AND fires 0 on
@@ -18,18 +19,13 @@
 open Zeus_base
 open Zeus_sem
 
-(** The six scheduling engines compute identical values (a tested
-    invariant — section 8's "all orders lead to the same result"); they
-    differ only in how much work they do. *)
+(** The three engines compute identical values (a tested invariant —
+    section 8's "all orders lead to the same result"); they differ only
+    in how much work they do. *)
 type engine =
-  | Firing  (** event-driven, fires each node at most once *)
-  | Firing_strict
-      (** ablation of section 8's "as soon as" rule: every node waits for
-          all of its inputs — same results, more work *)
-  | Fixpoint  (** sweep all nodes in creation order until stable *)
-  | Relaxation
-      (** sweep against creation order — a stand-in for switch-level
-          iterate-to-stability relaxation (Bryant 1981) *)
+  | Firing
+      (** the reference: event-driven, fires each node at most once, as
+          soon as its output is determined *)
   | Incremental
       (** cross-cycle event-driven: after a full first cycle, only the
           cone of changed seeds (pokes that differ from the previous

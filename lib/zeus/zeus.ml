@@ -35,9 +35,7 @@ module Layout_ir = Zeus_sem.Layout_ir
 module Graph = Zeus_sim.Graph
 module Sched = Zeus_sim.Sched
 module Sim = Zeus_sim.Sim
-module Fixpoint = Zeus_sim.Fixpoint
-module Switchlevel = Zeus_sim.Switchlevel
-module Incremental = Zeus_sim.Incremental
+module Sweep = Zeus_sim.Sweep
 module Prand = Zeus_sim.Prand
 module Bytecode = Zeus_sim.Bytecode
 module Compile = Zeus_sim.Compile

@@ -11,8 +11,8 @@
    - full-language programs (registers, recursive chains, guarded
      multiplex drivers, RSET, UNDEF stimulus) are checked with the
      differential oracle matrix of [Oracle.check]: pretty-print
-     fixpoint, re-elaboration, all six simulator engines cycle by
-     cycle, and lint-vs-runtime consistency.
+     fixpoint, re-elaboration, the three simulator engines and the
+     sweeping reference evaluator cycle by cycle, and lint-vs-runtime consistency.
 
    Failing cases shrink through [Gen.shrink_steps] to a minimal
    program + poke sequence, printed as Zeus source. *)
@@ -36,7 +36,7 @@ let gen_inputs n =
   QCheck.Gen.(list_repeat n (oneofl [ Logic.Zero; Logic.One; Logic.Undef ]))
 
 (* compile once, evaluate under random input vectors with each of the
-   six engines, and compare every OUT port against direct evaluation *)
+   three engines, and compare every OUT port against direct evaluation *)
 let prop_comb_direct_oracle =
   QCheck.Test.make ~count:150 ~name:"comb_direct_oracle" arb_comb (fun p ->
       let src = Gen.to_zeus p in

@@ -1,7 +1,8 @@
 (* The firing simulator of section 8: gate evaluation, registers,
    multiplex resolution, runtime checks, the evaluation-sequence trace,
-   and the equivalence of all six scheduling engines (including the
-   cross-cycle incremental engine and the bytecode-compiled one). *)
+   and the equivalence of the three engines (firing, the cross-cycle
+   incremental engine and the bytecode-compiled one) with each other
+   and with the independent sweeping reference evaluator [Sweep]. *)
 
 open Zeus
 
@@ -266,6 +267,26 @@ let test_section8_conflict_case () =
 
 (* ---- engine equivalence (the section 8 claim) ---- *)
 
+(* path pokes as the (net id, value) pokes of [Sweep.run] *)
+let net_pokes d pokes =
+  List.concat_map
+    (fun (p, vs) ->
+      match Elaborate.resolve_path d p with
+      | Ok ids -> List.combine ids vs
+      | Error msg -> Alcotest.fail msg)
+    pokes
+
+let sweep_orders = [ Sweep.Fixpoint; Sweep.Relaxation ]
+
+(* runtime errors as the sorted (cycle, net, code) set [Sweep] reports *)
+let sorted_errors errs =
+  List.sort compare
+    (List.map
+       (fun (e : Sim.runtime_error) ->
+         (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
+       errs)
+
+(* every engine and both sweep orders reach one final snapshot *)
 let engines_agree_on src ~inputs ~cycles =
   let d = compile src in
   let run engine =
@@ -274,9 +295,16 @@ let engines_agree_on src ~inputs ~cycles =
     Sim.step_n sim cycles;
     Sim.snapshot sim
   in
-  match List.map run Sim.all_engines with
-  | [] -> true
-  | a :: rest -> List.for_all (( = ) a) rest
+  let sweep order =
+    let pokes =
+      net_pokes d (List.map (fun (p, v) -> (p, [ v ])) inputs)
+      :: List.init (cycles - 1) (fun _ -> [])
+    in
+    List.nth (Sweep.run ~order d pokes).Sweep.snaps (cycles - 1)
+  in
+  let f = run Sim.Firing in
+  List.for_all (fun e -> run e = f) Sim.all_engines
+  && List.for_all (fun o -> sweep o = f) sweep_orders
 
 let test_engines_agree_adder () =
   Alcotest.(check bool) "adder" true
@@ -316,8 +344,15 @@ let test_engines_agree_corpus () =
             (name ^ ": firing = " ^ Sim.engine_name engine)
             true
             (run engine = f))
-        [ Sim.Firing_strict; Sim.Fixpoint; Sim.Relaxation; Sim.Incremental;
-          Sim.Compiled ])
+        [ Sim.Incremental; Sim.Compiled ];
+      let pokes = List.map (List.combine inputs) stimulus in
+      List.iter
+        (fun order ->
+          Alcotest.(check bool)
+            (name ^ ": firing = " ^ Sweep.order_name order)
+            true
+            ((Sweep.run ~order d pokes).Sweep.snaps = f))
+        sweep_orders)
     Corpus.all_named
 
 let test_engines_agree_blackjack () =
@@ -391,11 +426,11 @@ let test_conflict_reported_each_cycle () =
         (List.length (Sim.runtime_errors sim)))
     Sim.all_engines
 
-(* The Relaxation mop-up fallback must sweep against creation order like
-   the engine's main loop: on a design with a combinational cycle (a
-   check error, but still simulatable) the outputs fed by the forced
-   nets fire in reverse creation order — and all engines still agree. *)
-let test_mop_up_respects_relaxation_order () =
+(* A combinational cycle (a check error, but still simulatable): the
+   sweeping reference ends — unresolved classes read UNDEF, as in the
+   firing evaluator's fallback — and agrees with Firing for every value
+   of the input *)
+let test_sweep_combinational_cycle () =
   let src =
     "TYPE t = COMPONENT (IN a: boolean; OUT z1,z2: boolean) IS SIGNAL p,q: \
      boolean; BEGIN p := AND(a,q); q := OR(p,a); z1 := p; z2 := q END; \
@@ -406,26 +441,20 @@ let test_mop_up_respects_relaxation_order () =
     | Some d, _ -> d
     | None, diags -> Alcotest.failf "parse: %a" Fmt.(list Diag.pp) diags
   in
-  let trace engine =
-    let sim = Sim.create ~engine d in
-    Sim.set_trace sim true;
-    (* a stays UNDEF so the p/q cycle never resolves and mop-up runs *)
-    Sim.step sim;
-    (List.map fst (Sim.trace_last_cycle sim), Sim.snapshot sim)
-  in
-  let idx names n =
-    match List.find_index (( = ) n) names with
-    | Some i -> i
-    | None -> Alcotest.failf "%s did not fire" n
-  in
-  let fx_names, fx_snap = trace Sim.Fixpoint in
-  let rx_names, rx_snap = trace Sim.Relaxation in
-  Alcotest.(check bool) "fixpoint mop-up fires z1 before z2" true
-    (idx fx_names "s.z1" < idx fx_names "s.z2");
-  Alcotest.(check bool) "relaxation mop-up fires z2 before z1" true
-    (idx rx_names "s.z2" < idx rx_names "s.z1");
-  Alcotest.(check bool) "cyclic design: engines still agree" true
-    (fx_snap = rx_snap)
+  List.iter
+    (fun a ->
+      let sim = Sim.create d in
+      Sim.poke sim "s.a" [ a ];
+      Sim.step sim;
+      List.iter
+        (fun order ->
+          let r = Sweep.run ~order d [ net_pokes d [ ("s.a", [ a ]) ] ] in
+          Alcotest.(check bool)
+            (Fmt.str "a=%a: %s = firing" Logic.pp a (Sweep.order_name order))
+            true
+            (r.Sweep.snaps = [ Sim.snapshot sim ]))
+        sweep_orders)
+    [ Logic.Zero; Logic.One; Logic.Undef ]
 
 (* Sim.reset must not clobber the testbench's poke of RSET: holding the
    design in reset by poking RSET=1 survives a reset pulse. *)
@@ -522,10 +551,10 @@ let test_incremental_step_allocation () =
     true
     (!visits > 0 && per_visit < 1.0)
 
-(* Snapshots are identical across all six engines on random
-   multi-cycle poke sequences over designs that include drive
-   conflicts, registers and aliasing — with UNDEF in the stimulus
-   alphabet, and runtime-error counts agreeing too.  Failures print
+(* Snapshots are identical across the three engines and both sweep
+   orders on random multi-cycle poke sequences over designs that
+   include drive conflicts, registers and aliasing — with UNDEF in the
+   stimulus alphabet, and runtime-error sets agreeing too.  Failures print
    the design name and stimulus, and shrink to a minimal poke
    sequence (fewer cycles, shorter vectors, values toward 0). *)
 let prop_snapshot_identity =
@@ -570,46 +599,100 @@ let prop_snapshot_identity =
         | 1 -> Logic.One
         | _ -> Logic.Undef
       in
+      let pokes =
+        List.map
+          (fun vec ->
+            List.concat
+              (List.mapi
+                 (fun i id ->
+                   match List.nth_opt vec (i mod max 1 (List.length vec)) with
+                   | Some v -> [ (id, lv v) ]
+                   | None -> [])
+                 inputs))
+          stimulus
+      in
       let run engine =
         let sim = Sim.create ~engine d in
         let snaps =
           List.map
-            (fun vec ->
-              List.iteri
-                (fun i id ->
-                  match List.nth_opt vec (i mod max 1 (List.length vec)) with
-                  | Some v -> Sim.poke_nets sim [ id ] [ lv v ]
-                  | None -> ())
-                inputs;
+            (fun cycle_pokes ->
+              List.iter
+                (fun (id, v) -> Sim.poke_nets sim [ id ] [ v ])
+                cycle_pokes;
               Sim.step sim;
               Sim.snapshot sim)
-            stimulus
+            pokes
         in
-        (snaps, List.length (Sim.runtime_errors sim))
+        (snaps, sorted_errors (Sim.runtime_errors sim))
+      in
+      let sweep order =
+        let r = Sweep.run ~order d pokes in
+        (r.Sweep.snaps, List.sort compare r.Sweep.errors)
       in
       let r0 = run Sim.Firing in
-      List.for_all (fun e -> run e = r0) Sim.all_engines)
+      List.for_all (fun e -> run e = r0) Sim.all_engines
+      && List.for_all (fun o -> sweep o = r0) sweep_orders)
 
 (* firing does strictly less work than the sweeping baselines (E8) *)
 let test_firing_fewer_visits () =
   let d = compile (Corpus.adder_n 32) in
-  let visits engine =
-    let sim = Sim.create ~engine d in
-    Sim.poke_int_lsb sim "adder.a" 123456789;
-    Sim.poke_int_lsb sim "adder.b" 987654321;
-    Sim.poke_bool sim "adder.cin" false;
-    Sim.step sim;
-    Sim.node_visits sim
+  let sim = Sim.create d in
+  Sim.poke_int_lsb sim "adder.a" 123456789;
+  Sim.poke_int_lsb sim "adder.b" 987654321;
+  Sim.poke_bool sim "adder.cin" false;
+  Sim.step sim;
+  let f = Sim.node_visits sim in
+  let pokes =
+    net_pokes d
+      [
+        ("adder.a", Sim.peek sim "adder.a");
+        ("adder.b", Sim.peek sim "adder.b");
+        ("adder.cin", [ Logic.Zero ]);
+      ]
   in
-  let f = visits Sim.Firing
-  and fx = visits Sim.Fixpoint
-  and rx = visits Sim.Relaxation in
+  let visits order = (Sweep.run ~order d [ pokes ]).Sweep.visits in
+  let fx = visits Sweep.Fixpoint and rx = visits Sweep.Relaxation in
   Alcotest.(check bool)
     (Printf.sprintf "firing(%d) < fixpoint(%d)" f fx)
     true (f < fx);
   Alcotest.(check bool)
     (Printf.sprintf "fixpoint(%d) <= relaxation(%d)" fx rx)
     true (fx <= rx)
+
+(* A standing drive conflict, seen by the sweeping reference: the same
+   snapshots as Firing and the same Z101 (cycle, net) set — reported
+   once per cycle, on the conflicted net only *)
+let test_sweep_drive_conflict () =
+  let d = compile mux_design in
+  let stim =
+    [ [ ("s.b", [ Logic.One ]); ("s.c", [ Logic.One ]); ("s.x", [ Logic.One ]);
+        ("s.y", [ Logic.Zero ]) ];
+      []; [ ("s.c", [ Logic.Zero ]) ]; [ ("s.c", [ Logic.One ]) ] ]
+  in
+  let sim = Sim.create d in
+  let snaps =
+    List.map
+      (fun pokes ->
+        List.iter (fun (p, v) -> Sim.poke sim p v) pokes;
+        Sim.step sim;
+        Sim.snapshot sim)
+      stim
+  in
+  let firing = sorted_errors (Sim.runtime_errors sim) in
+  Alcotest.(check (list (triple int string string)))
+    "firing: z101 on m in cycles 0, 1 and 3"
+    [ (0, "s.m", "Z101"); (1, "s.m", "Z101"); (3, "s.m", "Z101") ]
+    firing;
+  List.iter
+    (fun order ->
+      let r = Sweep.run ~order d (List.map (net_pokes d) stim) in
+      let name = Sweep.order_name order in
+      Alcotest.(check bool) (name ^ ": snapshots = firing") true
+        (r.Sweep.snaps = snaps);
+      Alcotest.(check (list (triple int string string)))
+        (name ^ ": z101 set = firing") firing
+        (List.sort compare r.Sweep.errors))
+    sweep_orders
 
 (* Restart + re-entry on one warm incremental handle: [Sim.restart]
    returns the simulator to power-up, so two consecutive runs on the
@@ -975,6 +1058,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_engines_agree_random_inputs;
           QCheck_alcotest.to_alcotest prop_snapshot_identity;
           Alcotest.test_case "work comparison" `Quick test_firing_fewer_visits;
+          Alcotest.test_case "sweep: standing drive conflict" `Quick
+            test_sweep_drive_conflict;
         ] );
       ( "conflict-repropagation",
         [
@@ -985,8 +1070,8 @@ let () =
         ] );
       ( "scheduling-fixes",
         [
-          Alcotest.test_case "relaxation mop-up order" `Quick
-            test_mop_up_respects_relaxation_order;
+          Alcotest.test_case "sweep: combinational cycle" `Quick
+            test_sweep_combinational_cycle;
           Alcotest.test_case "reset restores RSET poke" `Quick
             test_reset_restores_rset_poke;
         ] );
