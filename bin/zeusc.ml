@@ -210,29 +210,72 @@ let bit_poke_error path v width =
 (* The --batch stimulus file: a [run [seed=N] [cycles=N]] header starts
    each independent run, every following line is one cycle of
    space-separated path=value pokes ('-' for a cycle with no new pokes;
-   '#' comments and blank lines are skipped).  A run's cycle count is
+   '#' comments and blank lines are skipped; a line's leading and
+   trailing blanks, a CR included, are ignored).  A run's cycle count is
    the explicit [cycles=N] if given, else its number of stimulus lines.
    Values follow the -p convention: 0/1 poke a single bit, anything
    larger pokes BIN(value, width) MSB-first.  Raises [Failure] with a
    line-numbered message on a malformed file, an unknown path or a 0/1
-   poke on a multi-bit path. *)
+   poke on a multi-bit path.
+
+   Decks run to megabytes, so the reader makes one pass over [src] by
+   index: no line, token or trimmed copies.  Each distinct path is
+   resolved once and kept as one shared string, and every 0/1 poke of
+   it is one of two shared (path, bit list) pairs. *)
 let parse_batch_file design ~watch src =
-  let bit v = if v = 1 then Zeus.Logic.One else Zeus.Logic.Zero in
+  let len = String.length src in
   let runs = ref [] and cur = ref None and lineno = ref 0 in
   let fail fmt = Printf.ksprintf (fun m ->
       failwith (Printf.sprintf "line %d: %s" !lineno m)) fmt in
-  (* each distinct path is resolved once, on its first poke *)
-  let widths = Hashtbl.create 64 in
-  let width path =
-    match Hashtbl.find_opt widths path with
-    | Some w -> w
+  let sub i j = String.sub src i (j - i) in
+  (* [String.trim]'s blanks; tokens are separated by spaces only *)
+  let blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012' || c = '\n' in
+  let is i j lit = j - i = String.length lit && sub i j = lit in
+  (* the end of the token starting at [i], within a line ending at [e] *)
+  let token_end i e =
+    let j = ref i in
+    while !j < e && src.[!j] <> ' ' do incr j done;
+    !j
+  in
+  (* fold [f] over the tokens of [i, e) in order *)
+  let rec fold_tokens f acc i e =
+    if i >= e then acc
+    else if src.[i] = ' ' then fold_tokens f acc (i + 1) e
+    else
+      let j = token_end i e in
+      fold_tokens f (f acc i j) j e
+  in
+  (* the position of the '=' of the key=value token [i, j) *)
+  let split_kv i j =
+    match String.index_from_opt src i '=' with
+    | Some k when k < j -> k
+    | _ -> fail "expected key=value, got %S" (sub i j)
+  in
+  let zero = [ Zeus.Logic.Zero ] and one = [ Zeus.Logic.One ] in
+  (* path -> its width and its shared 0 and 1 pokes *)
+  let paths = Hashtbl.create 64 in
+  let lookup path =
+    match Hashtbl.find_opt paths path with
+    | Some e -> e
     | None -> (
         match Zeus.Elaborate.resolve_path design path with
         | Error e -> fail "%s" e
         | Ok nets ->
-            let w = List.length nets in
-            Hashtbl.add widths path w;
-            w)
+            let e = (List.length nets, (path, zero), (path, one)) in
+            Hashtbl.add paths path e;
+            e)
+  in
+  let poke acc i j =
+    let k = split_kv i j in
+    let v = sub (k + 1) j in
+    match int_of_string_opt v with
+    | None -> fail "poke value must be an integer, got %S" v
+    | Some v ->
+        let w, ((path, _) as p0), p1 = lookup (sub i k) in
+        if v > 1 then
+          (path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v w)) :: acc
+        else if w = 1 then (if v = 1 then p1 else p0) :: acc
+        else fail "%s" (bit_poke_error path v w)
   in
   let flush () =
     match !cur with
@@ -246,62 +289,56 @@ let parse_batch_file design ~watch src =
           :: !runs;
         cur := None
   in
-  let toks line =
-    List.filter (fun t -> t <> "") (String.split_on_char ' ' line)
+  let header i e =
+    flush ();
+    let seed = ref None and cycles = ref None in
+    fold_tokens
+      (fun () i j ->
+        let k = split_kv i j in
+        let v = sub (k + 1) j in
+        if is i k "seed" then (
+          match int_of_string_opt v with
+          | Some n -> seed := Some n
+          | None -> fail "seed must be an integer, got %S" v)
+        else if is i k "cycles" then (
+          match int_of_string_opt v with
+          | Some n when n >= 0 -> cycles := Some n
+          | _ -> fail "cycles must be a non-negative integer")
+        else fail "unknown run option %S" (sub i k))
+      () i e;
+    cur := Some (!seed, !cycles, [])
   in
-  let split_kv tok =
-    match String.index_opt tok '=' with
-    | None -> fail "expected key=value, got %S" tok
-    | Some i ->
-        ( String.sub tok 0 i,
-          String.sub tok (i + 1) (String.length tok - i - 1) )
-  in
-  List.iter
-    (fun raw ->
-      incr lineno;
-      let line = String.trim raw in
-      if line = "" || line.[0] = '#' then ()
+  let line b e =
+    let b = ref b and e = ref e in
+    while !b < !e && blank src.[!b] do incr b done;
+    while !e > !b && blank src.[!e - 1] do decr e done;
+    let b = !b and e = !e in
+    if b = e || src.[b] = '#' then ()
+    else
+      let t = token_end b e in
+      if is b t "run" then header t e
       else
-        match toks line with
-        | "run" :: opts ->
-            flush ();
-            let seed = ref None and cycles = ref None in
-            List.iter
-              (fun tok ->
-                match split_kv tok with
-                | "seed", v -> (
-                    match int_of_string_opt v with
-                    | Some n -> seed := Some n
-                    | None -> fail "seed must be an integer, got %S" v)
-                | "cycles", v -> (
-                    match int_of_string_opt v with
-                    | Some n when n >= 0 -> cycles := Some n
-                    | _ -> fail "cycles must be a non-negative integer")
-                | k, _ -> fail "unknown run option %S" k)
-              opts;
-            cur := Some (!seed, !cycles, [])
-        | _ -> (
-            match !cur with
-            | None -> fail "stimulus line before any 'run' header"
-            | Some (seed, cycles, stim) ->
-                let pokes =
-                  if line = "-" then []
-                  else
-                    List.map
-                      (fun tok ->
-                        let path, v = split_kv tok in
-                        match int_of_string_opt v with
-                        | None -> fail "poke value must be an integer, got %S" v
-                        | Some v ->
-                            let w = width path in
-                            if v > 1 then
-                              (path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v w))
-                            else if w = 1 then (path, [ bit v ])
-                            else fail "%s" (bit_poke_error path v w))
-                      (toks line)
-                in
-                cur := Some (seed, cycles, pokes :: stim)))
-    (String.split_on_char '\n' src);
+        match !cur with
+        | None -> fail "stimulus line before any 'run' header"
+        | Some (seed, cycles, stim) ->
+            let pokes =
+              if is b e "-" then [] else List.rev (fold_tokens poke [] b e)
+            in
+            cur := Some (seed, cycles, pokes :: stim)
+  in
+  (* lines end at '\n'; like [String.split_on_char], a final '\n' is
+     followed by one (empty) line *)
+  let start = ref 0 in
+  while !start <= len do
+    let stop =
+      match String.index_from_opt src !start '\n' with
+      | Some i -> i
+      | None -> len
+    in
+    incr lineno;
+    line !start stop;
+    start := stop + 1
+  done;
   flush ();
   List.rev !runs
 

@@ -115,14 +115,25 @@ let lex_number st =
     | _ -> false
   in
   let loc = Loc.make start st.pos in
+  let too_large () =
+    Diag.Bag.error st.bag Diag.Lex_error loc
+      "integer literal %s%s exceeds the largest integer %d" digits
+      (if octal then "B" else "") max_int;
+    0
+  in
   let value =
     if octal then (
       if String.exists (fun c -> c = '8' || c = '9') digits then (
         Diag.Bag.error st.bag Diag.Lex_error loc
           "digit 8 or 9 in octal number %sB" digits;
         0)
-      else int_of_string ("0o" ^ digits))
-    else int_of_string digits
+      else
+        (* an octal literal of 63 bits parses, but wraps negative *)
+        match int_of_string_opt ("0o" ^ digits) with
+        | Some v when v >= 0 -> v
+        | _ -> too_large ())
+    else
+      match int_of_string_opt digits with Some v -> v | None -> too_large ()
   in
   { Token.tok = Token.Number value; loc }
 

@@ -46,12 +46,26 @@ let rec eval_int (lookup : lookup) (e : Ast.const_expr) : int =
       | None -> error id.Ast.id_loc "unknown constant function '%s'" id.Ast.id)
   | Ast.Cbin (op, a, b) -> (
       let va = eval_int lookup a and vb = eval_int lookup b in
+      let overflow sym =
+        error (Ast.const_expr_loc e) "integer overflow in %d %s %d" va sym vb
+      in
       match op with
-      | Ast.Cadd -> va + vb
-      | Ast.Csub -> va - vb
-      | Ast.Cmul -> va * vb
+      | Ast.Cadd ->
+          let r = va + vb in
+          (* the sum wrapped iff both operands differ in sign from it *)
+          if (va lxor r) land (vb lxor r) < 0 then overflow "+" else r
+      | Ast.Csub ->
+          let r = va - vb in
+          if (va lxor vb) land (va lxor r) < 0 then overflow "-" else r
+      | Ast.Cmul ->
+          let r = va * vb in
+          (* [min_int / -1] wraps too, so that one case is named *)
+          if va <> 0 && (r / va <> vb || (va = -1 && vb = min_int)) then
+            overflow "*"
+          else r
       | Ast.Cdiv ->
           if vb = 0 then error (Ast.const_expr_loc e) "division by zero"
+          else if va = min_int && vb = -1 then overflow "DIV"
           else va / vb
       | Ast.Cmod ->
           if vb = 0 then error (Ast.const_expr_loc e) "modulo by zero"
@@ -62,7 +76,10 @@ let rec eval_int (lookup : lookup) (e : Ast.const_expr) : int =
   | Ast.Cun (op, a) -> (
       let va = eval_int lookup a in
       match op with
-      | Ast.Cneg -> -va
+      | Ast.Cneg ->
+          if va = min_int then
+            error (Ast.const_expr_loc e) "integer overflow in -(%d)" va
+          else -va
       | Ast.Cpos -> va
       | Ast.Cnot -> if va = 0 then 1 else 0)
   | Ast.Crel (rel, a, b) ->

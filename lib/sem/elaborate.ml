@@ -28,6 +28,9 @@ let max_instance_depth = 2000
 
 let max_instances = 2_000_000
 
+(* ... and its counterpart for runaway arrays and loops *)
+let max_nets = 10_000_000
+
 (* ------------------------------------------------------------------ *)
 (* Environments and values                                             *)
 (* ------------------------------------------------------------------ *)
@@ -103,6 +106,14 @@ type ctx = {
   mutable depth : int;
   mutable call_counter : int;
 }
+
+(* every net of a signal, gate, guard or register comes through here,
+   so [max_nets] bounds the netlist the way [max_instances] bounds the
+   hierarchy *)
+let fresh_net ctx ~name ~kind ?pin ~loc () =
+  if Netlist.net_count ctx.nl >= max_nets then
+    abort loc "more than %d nets at '%s'" max_nets name;
+  Netlist.fresh_net ctx.nl ~name ~kind ?pin ~loc ()
 
 type frame = {
   env : env;
@@ -263,9 +274,13 @@ let rec build_sigval ctx ~pin ~(mode : Etype.mode) ~path ~loc rty : sigval =
             "INOUT parameters of basic type must be multiplex: %s" path
       | _ -> ());
       let pin = Option.map (fun iid -> (iid, mode)) pin in
-      Vbit (Netlist.fresh_net ctx.nl ~name:path ~kind:k ?pin ~loc ())
+      Vbit (fresh_net ctx ~name:path ~kind:k ?pin ~loc ())
   | Rarray (lo, hi, elem) ->
       let n = hi - lo + 1 in
+      (* [n <= 0]: the element count itself overflowed *)
+      if n <= 0 || n > max_nets - Netlist.net_count ctx.nl then
+        abort loc "more than %d nets at '%s': array [%d..%d]" max_nets path
+          lo hi;
       Varr
         ( lo,
           Array.init n (fun i ->
@@ -349,11 +364,11 @@ and force_slot _ctx ~loc slot =
 and force_reg ctx path loc ~init _slot =
   let inst = Netlist.add_instance ctx.nl ~path ~type_name:"REG" ~ports:[] ~loc in
   let rin =
-    Netlist.fresh_net ctx.nl ~name:(path ^ ".in") ~kind:Etype.KBool
+    fresh_net ctx ~name:(path ^ ".in") ~kind:Etype.KBool
       ~pin:(inst.Netlist.iid, Etype.In) ~loc ()
   in
   let rout =
-    Netlist.fresh_net ctx.nl ~name:(path ^ ".out") ~kind:Etype.KBool
+    fresh_net ctx ~name:(path ^ ".out") ~kind:Etype.KBool
       ~pin:(inst.Netlist.iid, Etype.Out) ~loc ()
   in
   inst.Netlist.iports <- [ ("in", Etype.In, [ rin ]); ("out", Etype.Out, [ rout ]) ];
@@ -433,7 +448,7 @@ and force_comp ctx cc path loc _slot =
         in
         Some
           (List.init w (fun i ->
-               Netlist.fresh_net ctx.nl
+               fresh_net ctx
                  ~name:(Printf.sprintf "%s.RESULT[%d]" path i)
                  ~kind:Etype.KMux ~pin:(iid, Etype.Out) ~loc ()))
   in
@@ -620,7 +635,7 @@ and apply_selector ctx frame arms sel =
                     |> List.map (fun v -> Netlist.Sconst v)
                   in
                   let eq_out =
-                    Netlist.fresh_net ctx.nl
+                    fresh_net ctx
                       ~name:(Printf.sprintf "%s.num_sel#%d" frame.path idx)
                       ~kind:Etype.KBool ~loc ()
                   in
@@ -718,7 +733,7 @@ and read_arms ctx frame ~loc arms =
     flat;
   List.init width (fun bitpos ->
       let out =
-        Netlist.fresh_net ctx.nl
+        fresh_net ctx
           ~name:(Printf.sprintf "%s.num_mux[%d]" frame.path bitpos)
           ~kind:Etype.KMux ~loc ()
       in
@@ -739,7 +754,7 @@ and and_src ctx frame ~loc a b =
   | Some (Netlist.Sconst Logic.One), s -> s
   | Some a, b ->
       let out =
-        Netlist.fresh_net ctx.nl
+        fresh_net ctx
           ~name:(frame.path ^ ".guard")
           ~kind:Etype.KBool ~loc ()
       in
@@ -753,7 +768,7 @@ and not_src ctx frame ~loc s =
   | Netlist.Sconst v -> Netlist.Sconst (Logic.not_ v)
   | Netlist.Snet _ ->
       let out =
-        Netlist.fresh_net ctx.nl
+        fresh_net ctx
           ~name:(frame.path ^ ".nguard")
           ~kind:Etype.KBool ~loc ()
       in
@@ -880,7 +895,7 @@ and eval_gate ctx frame op name params args loc : item list =
       args
   in
   let fresh_out i =
-    Netlist.fresh_net ctx.nl
+    fresh_net ctx
       ~name:(Printf.sprintf "%s.%s#%d[%d]" frame.path (String.lowercase_ascii name)
                ctx.call_counter i)
       ~kind:Etype.KBool ~loc ()

@@ -264,9 +264,10 @@ let write32 p pos k v =
 (* Poke mirror                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* the packed poked planes are kept in sync incrementally (Sim drains
-   its dirty-seed list into this), so the wide register-seed op can
-   merge pokes without a per-net scan *)
+(* the packed poked planes are the compiled state's only poke store:
+   Sim drains its dirty-seed list into them, the batch engine writes
+   each lane's pokes straight in, and every seed op (scalar and wide)
+   reads them *)
 let sync_poke st c (v : Logic.t option) =
   match v with
   | None -> set_bit st.pm c 0
@@ -293,18 +294,17 @@ let sync_poke st c (v : Logic.t option) =
 
 (* Execute one clock cycle over K independent lanes — the batch
    engine's multi-stimulus mode.  Lane [li] is a whole independent run:
-   its own packed planes ([sts.(li)]), its own testbench pokes
-   ([pokeds.(li)]) and its own RANDOM seed ([seeds.(li)]); the opcode
-   array is walked ONCE with each op applied to every lane, so the
-   dispatch cost is amortized K ways while the per-lane word ops stay
-   exactly the single-run ones.  Returns, per lane, the classes that
-   saw a drive conflict this cycle (unsorted) — conflicts in one lane
-   never leak into a sibling.
+   its own packed planes ([sts.(li)]), including the poke mirror its
+   testbench pokes were synced into, and its own RANDOM seed
+   ([seeds.(li)]); the opcode array is walked ONCE with each op
+   applied to every lane, so the dispatch cost is amortized K ways
+   while the per-lane word ops stay exactly the single-run ones.
+   Returns, per lane, the classes that saw a drive conflict this cycle
+   (unsorted) — conflicts in one lane never leak into a sibling.
 
    The single-run [run_cycle] below is the one-lane instance of this
    loop, so there is exactly one copy of the bytecode semantics. *)
-let run_lanes (prog : prog) (sts : state array)
-    ~(pokeds : Logic.t option array array) ~(seeds : int array) ~cycle =
+let run_lanes (prog : prog) (sts : state array) ~(seeds : int array) ~cycle =
   let nl = Array.length sts in
   let confs = Array.make nl [] in
   for li = 0 to nl - 1 do
@@ -318,14 +318,13 @@ let run_lanes (prog : prog) (sts : state array)
         for li = 0 to nl - 1 do
           let st = Array.unsafe_get sts li in
           let code =
-            match (Array.unsafe_get pokeds li).(cls) with
-            | Some v -> encode v
-            | None ->
-                if kind >= 0 then
-                  get_bit st.ra kind lor (get_bit st.rb kind lsl 1)
-                else if kind = seed_clk then code_one
-                else if kind = seed_rset then code_zero
-                else code_x
+            if get_bit st.pm cls = 1 then
+              get_bit st.pva cls lor (get_bit st.pvb cls lsl 1)
+            else if kind >= 0 then
+              get_bit st.ra kind lor (get_bit st.rb kind lsl 1)
+            else if kind = seed_clk then code_one
+            else if kind = seed_rset then code_zero
+            else code_x
           in
           set_code st cls code
         done
@@ -617,13 +616,12 @@ let run_lanes (prog : prog) (sts : state array)
   done;
   confs
 
-(* Execute one clock cycle for a single run.  [poked] backs the scalar
-   seed ops (the packed mirror backs the wide ones); register state
-   lives in the packed planes.  Returns the classes that saw a drive
-   conflict this cycle (unsorted). *)
-let run_cycle (prog : prog) (st : state) ~(poked : Logic.t option array)
-    ~seed ~cycle =
-  (run_lanes prog [| st |] ~pokeds:[| poked |] ~seeds:[| seed |] ~cycle).(0)
+(* Execute one clock cycle for a single run.  Pokes come from the
+   packed mirror ([sync_poke]); register state lives in the packed
+   planes.  Returns the classes that saw a drive conflict this cycle
+   (unsorted). *)
+let run_cycle (prog : prog) (st : state) ~seed ~cycle =
+  (run_lanes prog [| st |] ~seeds:[| seed |] ~cycle).(0)
 
 (* ------------------------------------------------------------------ *)
 (* Change sweep (toggles + trace)                                       *)

@@ -56,8 +56,8 @@ val seed_rset : int
 
 type op =
   | Oseed of { cls : int; kind : int }
-      (** load the cycle seed of a producer-less class: the poke if
-          present, else CLK/RSET/register/UNDEF by [kind] *)
+      (** load the cycle seed of a producer-less class: the packed poke
+          mirror if poked, else CLK/RSET/register/UNDEF by [kind] *)
   | Ogate of {
       gate : int;
       args : int array;
@@ -152,30 +152,29 @@ val ran : state -> bool
 val get : state -> int -> Logic.t
 val reg_get : state -> int -> Logic.t
 
-(** Mirror one poke (or unpoke, [None]) into the packed poke planes. *)
+(** Mirror one poke (or unpoke, [None]) into the packed poke planes —
+    the only poke store the program reads. *)
 val sync_poke : state -> int -> Logic.t option -> unit
 
 (** {1 Execution} *)
 
-(** [run_lanes prog sts ~pokeds ~seeds ~cycle] executes one clock cycle
-    over [Array.length sts] independent lanes — the batch engine's
+(** [run_lanes prog sts ~seeds ~cycle] executes one clock cycle over
+    [Array.length sts] independent lanes — the batch engine's
     multi-stimulus mode.  Lane [li] is a whole independent run with its
-    own packed planes [sts.(li)], pokes [pokeds.(li)] and RANDOM seed
-    [seeds.(li)]; the opcode array is walked once with every op applied
-    to all lanes, amortizing dispatch across the lanes.  Returns the
-    per-lane drive-conflict classes (unsorted); a conflict in one lane
-    never affects a sibling.  All three arrays must have equal length. *)
+    own packed planes [sts.(li)] (its pokes are whatever {!sync_poke}
+    put in their mirror) and RANDOM seed [seeds.(li)]; the opcode array
+    is walked once with every op applied to all lanes, amortizing
+    dispatch across the lanes.  Returns the per-lane drive-conflict
+    classes (unsorted); a conflict in one lane never affects a sibling.
+    Both arrays must have equal length. *)
 val run_lanes :
-  prog -> state array -> pokeds:Logic.t option array array ->
-  seeds:int array -> cycle:int -> int list array
+  prog -> state array -> seeds:int array -> cycle:int -> int list array
 
-(** [run_cycle prog st ~poked ~seed ~cycle] executes one clock cycle
-    for a single run (the one-lane instance of {!run_lanes}) and
-    returns the classes whose resolution saw a drive conflict
-    (unsorted; the caller reports them in class order). *)
-val run_cycle :
-  prog -> state -> poked:Logic.t option array -> seed:int -> cycle:int ->
-  int list
+(** [run_cycle prog st ~seed ~cycle] executes one clock cycle for a
+    single run (the one-lane instance of {!run_lanes}) and returns the
+    classes whose resolution saw a drive conflict (unsorted; the caller
+    reports them in class order). *)
+val run_cycle : prog -> state -> seed:int -> cycle:int -> int list
 
 (** Per-cycle change sweep against the previous cycle's planes, in
     ascending class order: accrues toggle counts (skipped on the

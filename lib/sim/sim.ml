@@ -877,7 +877,7 @@ let step_incremental t =
    [reg_states] needs no dispatch. *)
 let step_compiled t prog st =
   (* mirror pokes/unpokes since the last cycle into the packed poke
-     planes (read by the wide register-seed op) *)
+     planes, the program's only poke store *)
   let dirty = t.seed_dirty_list in
   t.seed_dirty_list <- [];
   List.iter
@@ -887,7 +887,7 @@ let step_compiled t prog st =
     dirty;
   let first = not (Bytecode.ran st) in
   let conflicts =
-    Bytecode.run_cycle prog st ~poked:t.poked ~seed:t.seed ~cycle:t.cycle
+    Bytecode.run_cycle prog st ~seed:t.seed ~cycle:t.cycle
   in
   (* the runtime multiple-drive check re-reports a standing conflict
      every cycle, in class order like the warm incremental path *)
@@ -1045,8 +1045,9 @@ let snapshot t =
 
    - the compiled lane path: up to [lanes] consecutive runs with equal
      cycle counts are packed into one {!Bytecode.run_lanes} walk, each
-     lane owning its packed planes, pokes and seed — one dispatch pass
-     evaluates K scenarios;
+     lane owning its packed planes (pokes included) and seed — one
+     dispatch pass evaluates K scenarios.  Each domain allocates its
+     lane planes once and resets them between groups;
    - the serial fallback (interpreted engines, combinational-cycle
      designs, [lanes = 1], zero-cycle runs): a fresh per-run handle
      stepped with the template's engine.
@@ -1065,8 +1066,8 @@ type batch_run = {
 }
 
 type batch_result = {
-  bres_snapshot : Logic.t option array; (* after the final cycle *)
-  bres_snaps : Logic.t option array list; (* per cycle, when requested *)
+  bres_snaps : Logic.t option array list;
+      (* per cycle, when requested: the last one is the final state *)
   bres_errors : runtime_error list;
   bres_watched : (string * Logic.t list) list;
 }
@@ -1105,19 +1106,24 @@ let batch_exec_serial tmpl run ~resolve ~snapshots =
     if snapshots then snaps := snapshot t :: !snaps
   done;
   {
-    bres_snapshot = snapshot t;
     bres_snaps = List.rev !snaps;
     bres_errors = runtime_errors t;
     bres_watched = List.map (fun p -> (p, peek_nets t (resolve p))) run.br_watch;
   }
 
-(* a group of runs with one shared cycle count, one lane each *)
-let batch_exec_lanes tmpl prog runs ~resolve ~snapshots =
+(* a group of runs with one shared cycle count, one lane each, on the
+   first [Array.length runs] of the domain's reusable lane planes *)
+let batch_exec_lanes tmpl prog planes runs ~resolve ~snapshots =
   let g = tmpl.g in
   let nl = Array.length runs in
-  let n = g.Graph.n_classes in
-  let sts = Array.init nl (fun _ -> Bytecode.create_state prog) in
-  let pokeds = Array.init nl (fun _ -> Array.make n None) in
+  let sts =
+    if Array.length planes = nl then planes else Array.sub planes 0 nl
+  in
+  (* a plane that ran holds an earlier group's values, registers and
+     pokes; a fresh one is already at power-up *)
+  Array.iter
+    (fun st -> if Bytecode.ran st then Bytecode.reset_state prog st)
+    sts;
   let seeds =
     Array.map (fun r -> Option.value r.br_seed ~default:tmpl.seed) runs
   in
@@ -1126,11 +1132,9 @@ let batch_exec_lanes tmpl prog runs ~resolve ~snapshots =
   let cycles = runs.(0).br_cycles in
   let lane_snapshot li =
     let st = sts.(li) in
-    if not (Bytecode.ran st) then Array.make g.Graph.n_nets None
-    else
-      Array.init g.Graph.n_nets (fun i ->
-          let c = g.Graph.canon.(i) in
-          if g.Graph.rep.(c) = i then Some (Bytecode.get st c) else None)
+    Array.init g.Graph.n_nets (fun i ->
+        let c = g.Graph.canon.(i) in
+        if g.Graph.rep.(c) = i then Some (Bytecode.get st c) else None)
   in
   let lane_value li id =
     let v =
@@ -1152,13 +1156,11 @@ let batch_exec_lanes tmpl prog runs ~resolve ~snapshots =
               invalid_arg "Sim.run_batch: width mismatch";
             List.iter2
               (fun id v ->
-                let cls = g.Graph.canon.(id) in
-                pokeds.(li).(cls) <- Some v;
-                Bytecode.sync_poke sts.(li) cls (Some v))
+                Bytecode.sync_poke sts.(li) g.Graph.canon.(id) (Some v))
               nets bits)
           run.br_stim.(c)
     done;
-    let confs = Bytecode.run_lanes prog sts ~pokeds ~seeds ~cycle:c in
+    let confs = Bytecode.run_lanes prog sts ~seeds ~cycle:c in
     for li = 0 to nl - 1 do
       List.iter
         (fun cls ->
@@ -1169,7 +1171,6 @@ let batch_exec_lanes tmpl prog runs ~resolve ~snapshots =
   done;
   Array.init nl (fun li ->
       {
-        bres_snapshot = lane_snapshot li;
         bres_snaps = List.rev snaps.(li);
         bres_errors = List.rev errors.(li);
         bres_watched =
@@ -1210,6 +1211,8 @@ let run_batch ?jobs ?(lanes = 8) ?(snapshots = false) t runs =
   and d_serial_runs = Array.make jobs 0 in
   let exec_slice d =
     let lo = nruns * d / jobs and hi = nruns * (d + 1) / jobs in
+    (* this domain's lane planes, allocated on its first lane group *)
+    let planes = ref [||] in
     let i = ref lo in
     while !i < hi do
       let j = !i in
@@ -1223,7 +1226,13 @@ let run_batch ?jobs ?(lanes = 8) ?(snapshots = false) t runs =
             incr k
           done;
           let group = Array.sub runs j (!k - j) in
-          let rs = batch_exec_lanes t prog group ~resolve ~snapshots in
+          if Array.length !planes = 0 then
+            planes :=
+              Array.init (min lanes (hi - lo)) (fun _ ->
+                  Bytecode.create_state prog);
+          let rs =
+            batch_exec_lanes t prog !planes group ~resolve ~snapshots
+          in
           Array.iteri (fun o r -> results.(j + o) <- Some r) rs;
           d_groups.(d) <- d_groups.(d) + 1;
           d_lane_runs.(d) <- d_lane_runs.(d) + (!k - j);

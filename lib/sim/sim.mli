@@ -199,7 +199,9 @@ val trace_last_cycle : t -> (string * Logic.t) list
     template handle is {!Compiled} (and the design acyclic), up to
     [lanes] runs with equal cycle counts are packed into one
     {!Bytecode.run_lanes} pass — one dispatch walk evaluates K
-    scenarios, each lane owning its packed planes, pokes and seed.
+    scenarios, each lane owning its packed planes (pokes included) and
+    seed.  Each domain allocates its lane planes once per batch and
+    resets them between groups, so a run costs only its evaluation.
     Results are bit-identical to stepping each run serially on a fresh
     handle (the [batch_identity] property and oracle row O7). *)
 
@@ -215,9 +217,10 @@ type batch_run = {
 }
 
 type batch_result = {
-  bres_snapshot : Logic.t option array;  (** after the final cycle *)
   bres_snaps : Logic.t option array list;
-      (** per-cycle snapshots, oldest first — only with [~snapshots] *)
+      (** per-cycle snapshots, oldest first, so the last one is the
+          state after the final cycle — only with [~snapshots]
+          (otherwise, and for a zero-cycle run, empty) *)
   bres_errors : runtime_error list;
   bres_watched : (string * Logic.t list) list;
 }
@@ -243,10 +246,11 @@ type batch_stats = {
     pool size and the run count); within a slice, consecutive runs with
     equal cycle counts are packed [lanes] (default 8) at a time through
     the compiled lane path when [t] compiled, everything else falls
-    back to a fresh serial handle per run.  [snapshots] additionally
-    collects a snapshot after every cycle of every run (for the
-    batch-vs-serial oracle).  Results and stats are deterministic for a
-    given [jobs] — independent of scheduling. *)
+    back to a fresh serial handle per run.  No snapshot is built
+    unless [snapshots] (default [false]) asks for one after every cycle
+    of every run (for the batch-vs-serial oracle); the watched paths
+    and runtime errors are always returned.  Results and stats are
+    deterministic for a given [jobs] — independent of scheduling. *)
 val run_batch :
   ?jobs:int -> ?lanes:int -> ?snapshots:bool -> t -> batch_run list ->
   batch_result list * batch_stats

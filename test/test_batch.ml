@@ -16,7 +16,9 @@
    - corpus agreement: every paper example at jobs=4 lanes=8 against
      serial goldens.
    - stats: the deterministic work-breakdown counters for a known
-     design and run mix. *)
+     design and run mix.
+   - plane reuse: a run on lane planes an earlier run poked and
+     latched starts from power-up. *)
 
 open Zeus
 
@@ -229,6 +231,76 @@ let test_batch_watch () =
       | _ -> Alcotest.fail "expected exactly the watched sum")
     [ 1; 5; 9 ] results
 
+(* Each domain allocates its lane planes once and resets them between
+   lane groups.  With jobs=1, lanes=2 and cycle counts 5,5,5,3,3,5 the
+   groups are {0,1} {2} {3,4} {5} on two planes, so every quiet run
+   (2, 4, 5) lands on a plane an earlier run poked, latched registers
+   on and drove into a conflict.  A quiet run must still see power-up
+   — unpoked inputs UNDEF, registers at their initial values — and
+   report exactly a fresh serial handle's snapshots and errors (its
+   UNDEF guards conflict on their own). *)
+let reuse_src =
+  "TYPE t = COMPONENT (IN d,en,x,y: boolean; OUT q,p,o: boolean) IS \
+   SIGNAL r: REG(1); u: REG; h: multiplex; BEGIN IF en THEN r.in := d; \
+   u.in := d END; q := r.out; p := u.out; IF x THEN h := 1 END; IF y THEN \
+   h := 0 END; o := h END; SIGNAL s: t;"
+
+let logic = Alcotest.testable Logic.pp Logic.equal
+
+let test_plane_reuse () =
+  let design = Zeus.compile_exn reuse_src in
+  let pokes d =
+    [|
+      [ ("s.en", [ Logic.One ]); ("s.d", [ d ]); ("s.x", [ Logic.One ]);
+        ("s.y", [ Logic.One ]) ];
+    |]
+  in
+  let mk cycles stim =
+    {
+      Sim.br_stim = stim;
+      br_cycles = cycles;
+      br_seed = None;
+      br_watch = [ "s.d"; "s.o" ];
+    }
+  in
+  let runs =
+    [ mk 5 (pokes Logic.Zero); mk 5 (pokes Logic.Zero); mk 5 [||];
+      mk 3 (pokes Logic.One); mk 3 [||]; mk 5 [||] ]
+  in
+  let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
+  let results, st = Sim.run_batch ~jobs:1 ~lanes:2 ~snapshots:true tmpl runs in
+  Alcotest.(check int) "lane groups" 4 st.Sim.bs_lane_groups;
+  Alcotest.(check int) "lane runs" 6 st.Sim.bs_lane_runs;
+  let nl = design.Elaborate.netlist in
+  let at snap path =
+    match Elaborate.resolve_path design path with
+    | Ok [ id ] -> snap.(Netlist.canonical nl id)
+    | _ -> Alcotest.failf "%s: not a single net" path
+  in
+  List.iteri
+    (fun i ((r : Sim.batch_run), (res : Sim.batch_result)) ->
+      let ref_snaps, ref_errs = serial_run design r in
+      if res.Sim.bres_snaps <> ref_snaps then
+        Alcotest.failf "run %d: snapshots differ from a fresh serial handle" i;
+      if err_triples res.Sim.bres_errors <> ref_errs then
+        Alcotest.failf "run %d: errors differ from a fresh serial handle" i;
+      if r.Sim.br_stim = [||] then begin
+        let first = List.hd res.Sim.bres_snaps in
+        let check what v path =
+          Alcotest.(check (option logic))
+            (Printf.sprintf "quiet run %d: %s" i what)
+            (Some v) (at first path)
+        in
+        check "unpoked input" Logic.Undef "s.d";
+        check "REG(1) output" Logic.One "s.q";
+        check "REG output" Logic.Undef "s.p";
+        if
+          res.Sim.bres_watched
+          <> [ ("s.d", [ Logic.Undef ]); ("s.o", [ Logic.Undef ]) ]
+        then Alcotest.failf "run %d: watched values leak from an earlier run" i
+      end)
+    (List.combine runs results)
+
 let () =
   Alcotest.run "batch"
     [
@@ -242,5 +314,7 @@ let () =
         [
           Alcotest.test_case "work breakdown" `Quick test_batch_stats;
           Alcotest.test_case "watch readback" `Quick test_batch_watch;
+          Alcotest.test_case "reused lane planes start at power-up" `Quick
+            test_plane_reuse;
         ] );
     ]

@@ -67,7 +67,19 @@ let test_errors () =
   eval_err "1 MOD 0";
   eval_err "undefined_name";
   eval_err "odd(1,2)";
-  eval_err ~env:[ ("s", Cval.Vsig (Cval.Leaf Logic.One)) ] "s + 1"
+  eval_err ~env:[ ("s", Cval.Vsig (Cval.Leaf Logic.One)) ] "s + 1";
+  (* arithmetic that would wrap is an overflow error; the extremes
+     themselves still evaluate *)
+  let env = [ ("big", Cval.Vint max_int); ("small", Cval.Vint min_int) ] in
+  eval_err ~env "big + 1";
+  eval_err ~env "small - 1";
+  eval_err ~env "big * 2";
+  eval_err ~env "small * (0 - 1)";
+  eval_err ~env "small DIV (0 - 1)";
+  eval_err ~env "-small";
+  check_int ~env "max_int" "big - 1 + 1" max_int;
+  check_int ~env "min_int" "-big - 1" min_int;
+  check_int ~env "negative product" "(big DIV 2) * (0 - 2)" (-(max_int - 1))
 
 (* ---- BIN and NUM ---- *)
 

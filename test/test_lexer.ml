@@ -58,7 +58,19 @@ let test_numbers () =
   (* digit 8 in an octal literal is an error *)
   let bag = Diag.Bag.create () in
   ignore (Lexer.tokenize ~bag "18B");
-  Alcotest.(check bool) "octal error" true (Diag.Bag.has_errors bag)
+  Alcotest.(check bool) "octal error" true (Diag.Bag.has_errors bag);
+  (* the largest integer lexes, anything above it is an error, decimal
+     or octal (a 63-bit octal would otherwise wrap negative) *)
+  (match toks "4611686018427387903 377777777777777777777B" with
+  | [ Token.Number a; Token.Number b ] when a = max_int && b = max_int -> ()
+  | _ -> Alcotest.fail "largest integer literals");
+  List.iter
+    (fun src ->
+      let bag = Diag.Bag.create () in
+      ignore (Lexer.tokenize ~bag src);
+      Alcotest.(check bool) ("too large: " ^ src) true
+        (Diag.Bag.has_errors bag))
+    [ "4611686018427387904"; "99999999999999999999"; "777777777777777777777B" ]
 
 let test_comments () =
   check_toks "simple comment" "a <* hello *> b" [ "a"; "b" ];

@@ -991,7 +991,9 @@ let test_batch_lane_boundary () =
       in
       let runs = List.init 8 mk in
       let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 d in
-      let results, stats = Sim.run_batch ~jobs:1 ~lanes:8 tmpl runs in
+      let results, stats =
+        Sim.run_batch ~jobs:1 ~lanes:8 ~snapshots:true tmpl runs
+      in
       Alcotest.(check int) "one lane group" 1 stats.Sim.bs_lane_groups;
       Alcotest.(check int) "all runs lane-packed" 8 stats.Sim.bs_lane_runs;
       List.iteri
@@ -1004,12 +1006,17 @@ let test_batch_lane_boundary () =
                   "lane %d (pairs=%d): output does not match its own poke" r
                   pairs
           | _ -> Alcotest.fail "expected exactly the watched bus");
-          (* and the whole snapshot matches a fresh serial handle *)
+          (* and the final snapshot matches a fresh serial handle *)
           let sim = Sim.create ~engine:Sim.Incremental d in
           Sim.poke sim "s.x" (pattern r);
           Sim.step sim;
           Sim.step sim;
-          if res.Sim.bres_snapshot <> Sim.snapshot sim then
+          let final =
+            match List.rev res.Sim.bres_snaps with
+            | last :: _ -> last
+            | [] -> Alcotest.failf "lane %d: no snapshots" r
+          in
+          if final <> Sim.snapshot sim then
             Alcotest.failf "lane %d (pairs=%d): snapshot differs from serial"
               r pairs)
         results)
