@@ -11,6 +11,14 @@
 
 open Cmdliner
 
+(* the reason of a Sys_error about [path], without its "path: " prefix *)
+let sys_error_reason path msg =
+  let prefix = path ^ ": " in
+  if String.starts_with ~prefix msg then
+    String.sub msg (String.length prefix)
+      (String.length msg - String.length prefix)
+  else msg
+
 (* every input file goes through here: a missing or unreadable file is
    a usage error (exit 2) named after the subcommand, not an uncaught
    Sys_error *)
@@ -20,14 +28,7 @@ let load ~cmd path =
   | p -> (
       try In_channel.with_open_bin p In_channel.input_all
       with Sys_error msg ->
-        let prefix = p ^ ": " in
-        let reason =
-          if String.starts_with ~prefix msg then
-            String.sub msg (String.length prefix)
-              (String.length msg - String.length prefix)
-          else msg
-        in
-        Fmt.epr "%s: cannot read '%s': %s@." cmd p reason;
+        Fmt.epr "%s: cannot read '%s': %s@." cmd p (sys_error_reason p msg);
         exit 2)
 
 let report_diags diags =
@@ -553,6 +554,17 @@ let sim_cmd =
             run_batch_mode design ~engine ~jobs ~lanes ~optimize ~discharged
               ~stats ~watch:peeks bf
         | None ->
+        (* so are an --explain path and an unwritable VCD file, which
+           would otherwise fail only after the run *)
+        List.iter (fun path -> ignore (width path)) explain;
+        (match vcd_out with
+        | Some path when peeks <> [] -> (
+            try close_out (open_out path)
+            with Sys_error msg ->
+              usage
+                (Fmt.str "cannot write '%s': %s" path
+                   (sys_error_reason path msg)))
+        | _ -> ());
         let sim =
           Zeus.Sim.create ~engine ~optimize ?discharged design
         in

@@ -278,6 +278,28 @@ let sync_poke st c (v : Logic.t option) =
       set_bit st.pvb c (code lsr 1)
 
 (* ------------------------------------------------------------------ *)
+(* Mid-run entry                                                        *)
+(* ------------------------------------------------------------------ *)
+
+(* a handle that hands a run over to the program part-way through loads
+   its stored register values and primes the previous-cycle planes with
+   its last values, so the next [sweep] counts toggles across the
+   hand-over; taking the run back, it reads the last swept cycle from
+   the previous-cycle planes *)
+let set_reg st r (v : Logic.t) =
+  let code = encode v in
+  set_bit st.ra r (code land 1);
+  set_bit st.rb r (code lsr 1)
+
+let get_prev st c =
+  decode.(get_bit st.pa c lor (get_bit st.pb c lsl 1))
+
+let set_prev st c (v : Logic.t) =
+  let code = encode v in
+  set_bit st.pa c (code land 1);
+  set_bit st.pb c (code lsr 1)
+
+(* ------------------------------------------------------------------ *)
 (* Dispatch loop                                                        *)
 (* ------------------------------------------------------------------ *)
 

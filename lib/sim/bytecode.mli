@@ -156,6 +156,19 @@ val reg_get : state -> int -> Logic.t
     the only poke store the program reads. *)
 val sync_poke : state -> int -> Logic.t option -> unit
 
+(** Store a register value / read or store the previous-cycle value of
+    a class — for a run handed over to the program part-way through:
+    the registers take the handle's stored values, and priming the
+    previous-cycle planes with the handle's last values lets the next
+    {!sweep} count toggles across the hand-over.  After a {!sweep} the
+    previous-cycle planes hold the swept cycle, so a handle taking the
+    run back reads them even when a later {!run_cycle} is to be
+    discarded. *)
+
+val set_reg : state -> int -> Logic.t -> unit
+val get_prev : state -> int -> Logic.t
+val set_prev : state -> int -> Logic.t -> unit
+
 (** {1 Execution} *)
 
 (** [run_lanes prog sts ~seeds ~cycle] executes one clock cycle over

@@ -17,7 +17,9 @@
                    keep their previous-cycle values, so quiescent cycles
                    cost O(dirty), not O(nets) — the "work proportional
                    to activity" property section 8 claims for the
-                   firing evaluator, made true across cycles;
+                   firing evaluator, made true across cycles.  Busy
+                   stretches run through the [Compiled] program
+                   instead, with every counter unchanged;
    - [Compiled]    the levelized schedule lowered once ({!Compile}) to
                    flat bytecode ({!Bytecode}) — dense opcode array,
                    operand indices resolved at compile time — executed
@@ -79,6 +81,14 @@ type runtime_error = {
   err_message : string;
 }
 
+(* The incremental engine's bytecode program, compiled the first time a
+   busy run needs it and then shared by the template handle and every
+   batch clone; any domain may be the one that builds it. *)
+type shared_prog = {
+  built : Bytecode.prog option option Atomic.t;
+  lock : Mutex.t;
+}
+
 type t = {
   g : Graph.t;
   sched : Sched.t;
@@ -94,6 +104,8 @@ type t = {
   mutable cycle : int;
   seed : int; (* RANDOM draws are Prand.bool (seed, class, cycle) *)
   mutable errors : runtime_error list;
+  mutable conflict_msg : string; (* Z101 message of [conflict_msg_cycle] *)
+  mutable conflict_msg_cycle : int;
   mutable node_visits : int; (* work metric for the simulator benches *)
   mutable trace : (string * Logic.t) list; (* firing order, last cycle *)
   mutable trace_enabled : bool;
@@ -122,7 +134,17 @@ type t = {
   mutable reg_dirty_list : int list;
   (* --- compiled engine machinery --- *)
   cprog : Bytecode.prog option; (* Some iff engine = Compiled && acyclic *)
-  cstate : Bytecode.state option;
+  mutable cstate : Bytecode.state option;
+      (* the compiled engine's planes; the incremental engine's, from its
+         first switch to the program on *)
+  (* --- incremental engine: busy cycles through the program --- *)
+  iprog : shared_prog;
+  mutable program : Bytecode.prog option;
+      (* Some while the run's cycles go through the program, whose
+         planes ([cstate]) then hold the run's values *)
+  mutable run_len : int;
+      (* consecutive busy cone cycles, or sparse program cycles *)
+  mutable program_cycles : int;
   jobs : int; (* default domain count of [run_batch] *)
 }
 
@@ -137,7 +159,8 @@ let level_stacks at n_items =
 (* A handle with power-up run state over the given compile artifacts:
    the one place the record is built, for [create] and for the batch
    engine's per-run clones ([fresh_like]) *)
-let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~jobs =
+let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~iprog ~jobs
+    =
   let n = g.Graph.n_classes in
   let n_nodes = Array.length g.Graph.nodes in
   {
@@ -156,6 +179,8 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~jobs =
     cycle = 0;
     seed;
     errors = [];
+    conflict_msg = "";
+    conflict_msg_cycle = -1;
     node_visits = 0;
     trace = [];
     trace_enabled = false;
@@ -180,6 +205,10 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~jobs =
     reg_dirty_list = [];
     cprog;
     cstate = Option.map Bytecode.create_state cprog;
+    iprog;
+    program = None;
+    run_len = 0;
+    program_cycles = 0;
     jobs;
   }
 
@@ -228,7 +257,9 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     else None
   in
   alloc ~g ~sched ~engine ~seed ~const_nodes:(Array.of_list !const_nodes)
-    ~random_nodes:(Array.of_list !random_nodes) ~cprog ~jobs
+    ~random_nodes:(Array.of_list !random_nodes) ~cprog
+    ~iprog:{ built = Atomic.make None; lock = Mutex.create () }
+    ~jobs
 
 let design t = t.g.Graph.design
 
@@ -238,26 +269,36 @@ let cycle_count t = t.cycle
 
 let node_visits t = t.node_visits
 
+let program_cycles t = t.program_cycles
+
 let set_trace t b = t.trace_enabled <- b
 
 let trace_last_cycle t = List.rev t.trace
 
 (* the section 4.7 "burning transistors" report, for a handle and for
-   a batch lane alike *)
-let drive_conflict g ~cycle net =
+   a batch lane alike; a cycle's reports share one message, formatted
+   once (a wide design can report thousands of conflicts per cycle) *)
+let conflict_message cycle =
+  Fmt.str
+    "more than one driving assignment in cycle %d — burning transistors \
+     (value forced to UNDEF)"
+    cycle
+
+let drive_conflict g ~cycle ~message net =
   {
     err_cycle = cycle;
     err_net = g.Graph.names.(net);
     err_code = Diag.Code.drive_conflict;
-    err_message =
-      Fmt.str
-        "more than one driving assignment in cycle %d — burning transistors \
-         (value forced to UNDEF)"
-        cycle;
+    err_message = message;
   }
 
 let conflict_error t net =
-  t.errors <- drive_conflict t.g ~cycle:t.cycle net :: t.errors
+  if t.conflict_msg_cycle <> t.cycle then begin
+    t.conflict_msg <- conflict_message t.cycle;
+    t.conflict_msg_cycle <- t.cycle
+  end;
+  t.errors <-
+    drive_conflict t.g ~cycle:t.cycle ~message:t.conflict_msg net :: t.errors
 
 (* RANDOM: a pure function of (seed, output class, cycle) — identical
    in every engine and every batch lane, and idempotent under cone
@@ -906,6 +947,186 @@ let step_compiled t prog st =
   t.started <- true;
   t.cycle <- t.cycle + 1
 
+(* ------------------------------------------------------------------ *)
+(* Incremental engine: busy cycles through the compiled program         *)
+(* ------------------------------------------------------------------ *)
+
+(* The cone pass costs 100-500 ns per visited node; a program cycle
+   evaluates every node, but for far less per node.  So a busy run of
+   the incremental engine hands its cycles to the {!Compile}d program and
+   takes them back when activity drops.  The rule counts work and never
+   reads the clock, so a run's counters do not depend on the host:
+
+   - a cone cycle is busy when its cone — the node visits it counts —
+     reaches [dense_num/dense_den] of the graph's nodes and it changed at
+     most one stored register value;
+   - after [switch_after] busy cone cycles in a row the next cycle runs
+     the program; after [switch_after] program cycles in a row below the
+     same fraction the next one runs the cone pass again.
+
+   DESIGN.md gives the measurement behind both constants.  Every
+   observable stays what the cone pass reports: values, errors and their
+   order, toggles, [node_visits] (a program cycle adds the exact cone the
+   pass would have visited) and the trace.  The program lists its trace
+   in class order, not firing order, so it never runs while the trace is
+   on.  The pass's firing order also depends on the order of its dirty
+   seeds, and a latch lists the registers it changed in the order the
+   pass reached their inputs — which the program cannot know.  So a
+   program cycle commits only when at most one register changed;
+   otherwise it is dropped and the cone pass runs that cycle (and takes
+   the run back).  A busy cycle must change at most one register too,
+   so register-heavy designs do not switch only to drop the cycle. *)
+let dense_num = 1
+
+let dense_den = 8
+
+let switch_after = 4
+
+(* [visits] is the cycle's cone; the seeds left listed after a cycle
+   are the registers it changed *)
+let busy t visits =
+  visits * dense_den >= dense_num * Array.length t.g.Graph.nodes
+  && match t.seed_dirty_list with _ :: _ :: _ -> false | _ -> true
+
+(* built at most once per template, whichever domain asks first *)
+let shared_program t =
+  match Atomic.get t.iprog.built with
+  | Some p -> p
+  | None ->
+      Mutex.protect t.iprog.lock (fun () ->
+          match Atomic.get t.iprog.built with
+          | Some p -> p
+          | None ->
+              let p = Compile.build t.g t.sched in
+              Atomic.set t.iprog.built (Some p);
+              p)
+
+(* Hand the run to the program: the planes (at power-up — fresh, or
+   reset when the last program stretch ended) take the standing pokes
+   and register contents, and their previous-cycle half takes this
+   cycle's values, so toggle counting carries on across the switch. *)
+let enter_program t prog =
+  let st =
+    match t.cstate with
+    | Some st -> st
+    | None ->
+        let st = Bytecode.create_state prog in
+        t.cstate <- Some st;
+        st
+  in
+  for c = 0 to t.g.Graph.n_classes - 1 do
+    Bytecode.sync_poke st c t.poked.(c);
+    Bytecode.set_prev st c (Option.value ~default:Logic.Undef t.values.(c))
+  done;
+  Array.iteri (Bytecode.set_reg st) t.reg_state;
+  t.program <- Some prog;
+  t.run_len <- 0
+
+(* Take the run back at the last committed cycle, which the planes'
+   previous-cycle half holds: decode it into [values], then rebuild the
+   per-node and per-class resolution state the cone pass reads with one
+   strict pass (RANDOM draws at that cycle, [t.cycle - 1]).  The planes
+   go back to power-up, so peeks and snapshots read [values] again. *)
+let leave_program t prog st =
+  let g = t.g in
+  for c = 0 to g.Graph.n_classes - 1 do
+    let v = some_value (Bytecode.get_prev st c) in
+    t.values.(c) <- v;
+    t.prev_values.(c) <- v
+  done;
+  let cycle = t.cycle - 1 in
+  Array.iteri
+    (fun node n ->
+      let v =
+        match n with
+        | Graph.Ngate { op = Netlist.Grandom; output; _ } ->
+            Logic.of_bool (Prand.bool ~seed:t.seed ~net:output ~cycle)
+        | _ -> strict_eval_node t node
+      in
+      t.produced.(node) <- some_value v)
+    g.Graph.nodes;
+  List.iter (fun c -> t.in_conflict.(c) <- false) t.conflict_list;
+  t.conflict_list <- [];
+  for c = 0 to g.Graph.n_classes - 1 do
+    if g.Graph.producer_count.(c) > 0 then
+      ignore (finalize_net t ~emit_conflict:false c)
+  done;
+  Bytecode.reset_state prog st;
+  t.program <- None;
+  t.run_len <- 0
+
+(* One program cycle of the incremental engine; [false] when it latched
+   two or more changed registers and must be redone by the cone pass.
+   The dirty seeds stay listed until the cycle commits.  A committed
+   cycle adds to [node_visits] the cone the pass would have visited:
+   every RANDOM source, plus each distinct consumer of a class whose
+   value changed (stamped with the pass's own epoch marks). *)
+let program_cycle t prog st =
+  let g = t.g in
+  List.iter (fun c -> Bytecode.sync_poke st c t.poked.(c)) t.seed_dirty_list;
+  let conflicts = Bytecode.run_cycle prog st ~seed:t.seed ~cycle:t.cycle in
+  (* the one register whose stored value changed, -1 for none, -2 for
+     two or more *)
+  let n_regs = Array.length g.Graph.regs in
+  let latched = ref (-1) and i = ref 0 in
+  while !i < n_regs do
+    if not (Logic.equal (Bytecode.reg_get st !i) t.reg_state.(!i)) then
+      latched := if !latched = -1 then !i else -2;
+    i := if !latched = -2 then n_regs else !i + 1
+  done;
+  if !latched = -2 then false
+  else begin
+    List.iter (fun c -> t.seed_dirty.(c) <- false) t.seed_dirty_list;
+    t.seed_dirty_list <- [];
+    List.iter (fun c -> conflict_error t c) (List.sort compare conflicts);
+    t.epoch <- t.epoch + 1;
+    t.trace <- [];
+    t.node_visits <- t.node_visits + Array.length t.random_nodes;
+    let count_cone c _ =
+      for k = g.Graph.cons_off.(c) to g.Graph.cons_off.(c + 1) - 1 do
+        let node = g.Graph.cons_nodes.(k) in
+        if t.node_mark.(node) <> t.epoch then begin
+          t.node_mark.(node) <- t.epoch;
+          t.node_visits <- t.node_visits + 1
+        end
+      done
+    in
+    Bytecode.sweep st ~first:false ~toggles:t.toggles
+      ~on_change:(Some count_cone);
+    (* the latch of [latch_reg], its dirty seed included *)
+    if !latched >= 0 then begin
+      t.reg_state.(!latched) <- Bytecode.reg_get st !latched;
+      mark_seed t g.Graph.reg_out.(!latched)
+    end;
+    t.program_cycles <- t.program_cycles + 1;
+    t.cycle <- t.cycle + 1;
+    true
+  end
+
+let step_warm t =
+  (match (t.program, t.cstate) with
+  | Some prog, Some st ->
+      if t.trace_enabled || t.run_len >= switch_after then
+        leave_program t prog st
+  | _ ->
+      if (not t.trace_enabled) && t.run_len >= switch_after then (
+        match shared_program t with
+        | Some prog -> enter_program t prog
+        | None -> t.run_len <- 0 (* nothing to switch to *)));
+  let v0 = t.node_visits in
+  (match (t.program, t.cstate) with
+  | Some prog, Some st ->
+      if not (program_cycle t prog st) then begin
+        leave_program t prog st;
+        step_incremental t
+      end
+  | _ -> step_incremental t);
+  (* a busy cone cycle, or a sparse program cycle, is one more step
+     towards the other evaluator *)
+  if busy t (t.node_visits - v0) = Option.is_none t.program then
+    t.run_len <- t.run_len + 1
+  else t.run_len <- 0
+
 let compiled_stats t =
   match t.cprog with
   | Some p ->
@@ -924,7 +1145,7 @@ let compiled_stats t =
 
 let step t =
   match t.engine with
-  | Incremental when t.started && t.sched.Sched.acyclic -> step_incremental t
+  | Incremental when t.started && t.sched.Sched.acyclic -> step_warm t
   | Compiled -> (
       match (t.cprog, t.cstate) with
       | Some prog, Some st -> step_compiled t prog st
@@ -994,9 +1215,15 @@ let restart t =
   t.conflict_list <- [];
   Array.fill t.reg_dirty 0 (Array.length t.reg_dirty) false;
   t.reg_dirty_list <- [];
-  match (t.cprog, t.cstate) with
-  | Some prog, Some st -> Bytecode.reset_state prog st
-  | _ -> ()
+  (* back to the cone pass; the incremental engine's planes are already
+     at power-up unless a program stretch is running *)
+  (match (t.cprog, t.program, t.cstate) with
+  | Some prog, _, Some st | None, Some prog, Some st ->
+      Bytecode.reset_state prog st
+  | _ -> ());
+  t.program <- None;
+  t.run_len <- 0;
+  t.program_cycles <- 0
 
 (* switching activity: nets with the most value changes so far,
    descending; gate temporaries (names containing '#') are skipped *)
@@ -1084,13 +1311,14 @@ type batch_stats = {
   bs_cycles : int; (* total cycles across all runs *)
 }
 
-(* A fresh handle sharing the immutable compile artifacts (graph,
-   schedule, bytecode program) of [t] but owning every piece of mutable
-   run state — the per-run clone of the batch engine's serial path. *)
+(* A fresh handle sharing the compile artifacts (graph, schedule,
+   bytecode program, the incremental engine's on-demand program) of [t]
+   but owning every piece of mutable run state — the per-run clone of
+   the batch engine's serial path. *)
 let fresh_like t ~seed =
   alloc ~g:t.g ~sched:t.sched ~engine:t.engine ~seed
     ~const_nodes:t.const_nodes ~random_nodes:t.random_nodes ~cprog:t.cprog
-    ~jobs:t.jobs
+    ~iprog:t.iprog ~jobs:t.jobs
 
 (* one run, one fresh handle, the template's engine; [resolve] is the
    caller-built path table so workers never touch the elaborator *)
@@ -1161,10 +1389,13 @@ let batch_exec_lanes tmpl prog planes runs ~resolve ~snapshots =
           run.br_stim.(c)
     done;
     let confs = Bytecode.run_lanes prog sts ~seeds ~cycle:c in
+    let message =
+      if Array.exists (fun l -> l <> []) confs then conflict_message c else ""
+    in
     for li = 0 to nl - 1 do
       List.iter
         (fun cls ->
-          errors.(li) <- drive_conflict g ~cycle:c cls :: errors.(li))
+          errors.(li) <- drive_conflict g ~cycle:c ~message cls :: errors.(li))
         (List.sort compare confs.(li));
       if snapshots then snaps.(li) <- lane_snapshot li :: snaps.(li)
     done

@@ -31,8 +31,20 @@ type engine =
           cone of changed seeds (pokes that differ from the previous
           cycle, registers that latched a new value, RANDOM sources) is
           re-evaluated, in levelized schedule order ({!Sched});
-          quiescent cycles cost O(dirty).  With {!set_trace} on, the
-          per-cycle trace lists only the nets whose value {e changed}. *)
+          quiescent cycles cost O(dirty).  Busy stretches run through
+          the {!Compiled} engine's program instead: after 4 cycles in a
+          row whose cone covers at least 1/8 of the graph's nodes and
+          changes at most one stored register value, the cycles go
+          through the bytecode program (compiled on first need, and
+          shared by a template and its {!run_batch} clones), and after
+          4 program cycles in a row below 1/8 they return to the cone
+          pass.  A program cycle that changes two or more registers is
+          dropped and rerun by the cone pass.  The switch is invisible:
+          values, runtime errors and their order, toggles, the trace
+          and {!node_visits} are those of the cone pass alone.  It
+          never runs the program while {!set_trace} is on; then the
+          per-cycle trace lists only the nets whose value {e changed},
+          in firing order. *)
   | Compiled
       (** the levelized schedule lowered once to flat bytecode
           ({!Compile}, {!Bytecode}): dense opcode array, operand
@@ -170,8 +182,16 @@ val cycle_count : t -> int
 (** Runtime check violations collected so far, oldest first. *)
 val runtime_errors : t -> runtime_error list
 
-(** Total node evaluations — the work metric of experiment E8. *)
+(** Total node evaluations — the work metric of experiment E8.  For the
+    {!Incremental} engine it counts the dirty cone of every warm cycle
+    whichever evaluator ran it: a cycle run through the compiled program
+    adds exactly the visits the cone pass would have made. *)
 val node_visits : t -> int
+
+(** Cycles the {!Incremental} engine ran through the compiled program
+    since {!create} or the last {!restart} (always 0 for the other
+    engines). *)
+val program_cycles : t -> int
 
 (** Shape of the {!Compiled} engine's program; [None] for every other
     engine and for cyclic designs (which fall back uncompiled). *)
@@ -185,7 +205,8 @@ val activity : ?top:int -> t -> (string * int) list
 (** Sum of all value changes over all nets and cycles. *)
 val total_toggles : t -> int
 
-(** Record the firing order of each cycle (experiment E5). *)
+(** Record the firing order of each cycle (experiment E5).  While it is
+    on, the {!Incremental} engine keeps to its cone pass. *)
 val set_trace : t -> bool -> unit
 
 val trace_last_cycle : t -> (string * Logic.t) list

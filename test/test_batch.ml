@@ -159,6 +159,47 @@ let test_corpus_agreement () =
             results)
     (Corpus.all_named @ Corpus_fsm.all_named)
 
+(* Busy runs on an incremental template: every header of routing(16)
+   re-poked each cycle, so each run's clone hands its cycles to the
+   program the template shares, built by whichever of the two domains
+   asks first.  Results equal the firing engine's. *)
+let test_incremental_busy_runs () =
+  let design = Zeus.compile_exn (Corpus.routing_network 16) in
+  let run k =
+    {
+      Sim.br_stim =
+        Array.init 16 (fun c ->
+            List.init 16 (fun i ->
+                ( Printf.sprintf "net.input[%d]" i,
+                  Cval.sctree_leaves
+                    (Cval.bin (((5 * i) + (11 * c) + (97 * k)) land 1023) 10) )));
+      br_cycles = 20;
+      br_seed = None;
+      br_watch = [ "net.output[3]" ];
+    }
+  in
+  let runs = List.init 6 run in
+  let firing r =
+    let sim = Sim.create ~engine:Sim.Firing design in
+    let snaps = ref [] in
+    for c = 0 to r.Sim.br_cycles - 1 do
+      if c < Array.length r.Sim.br_stim then
+        List.iter (fun (p, bits) -> Sim.poke sim p bits) r.Sim.br_stim.(c);
+      Sim.step sim;
+      snaps := Sim.snapshot sim :: !snaps
+    done;
+    (List.rev !snaps, Sim.runtime_errors sim)
+  in
+  let tmpl = Sim.create ~engine:Sim.Incremental ~jobs:2 design in
+  let results, _ = Sim.run_batch ~jobs:2 ~snapshots:true tmpl runs in
+  List.iteri
+    (fun i ((snaps, errs), (res : Sim.batch_result)) ->
+      if res.Sim.bres_snaps <> snaps then
+        Alcotest.failf "run %d: snapshots differ from firing" i;
+      if res.Sim.bres_errors <> errs then
+        Alcotest.failf "run %d: errors differ from firing" i)
+    (List.combine (List.map firing runs) results)
+
 (* ------------------------------------------------------------------ *)
 (* Deterministic work breakdown                                        *)
 (* ------------------------------------------------------------------ *)
@@ -309,6 +350,8 @@ let () =
         :: [
              Alcotest.test_case "corpus agreement (jobs=4, lanes=8)" `Quick
                test_corpus_agreement;
+             Alcotest.test_case "busy runs on an incremental template" `Quick
+               test_incremental_busy_runs;
            ] );
       ( "stats",
         [

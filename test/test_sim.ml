@@ -512,7 +512,12 @@ let test_incremental_quiescent_zero_visits () =
 (* The dirty-cone pass runs over preallocated storage: with every
    header of routing(16) re-poked each cycle the incremental engine
    visits thousands of nodes per step, and a visit must allocate
-   (next to) nothing.  Only [Sim.step] is measured, not the pokes. *)
+   (next to) nothing.  Busy stretches run through the compiled program,
+   whose cycles must not allocate per visit either; the measured window
+   alternates busy and one-header phases, so it covers cone cycles,
+   program cycles and the switches both ways.  The warm-up ends in
+   program mode, so the one-time compile and plane allocation fall
+   outside the window.  Only [Sim.step] is measured, not the pokes. *)
 let test_incremental_step_allocation () =
   let d = compile (Corpus.routing_network 16) in
   let sim = Sim.create ~engine:Sim.Incremental d in
@@ -522,28 +527,35 @@ let test_incremental_step_allocation () =
         | Ok nets -> nets
         | Error msg -> Alcotest.fail msg)
   in
-  let poke_all c =
-    Array.iteri
-      (fun i nets ->
-        let v = ((7 * i) + (13 * c)) land 1023 in
-        Sim.poke_nets sim nets
-          (Cval.sctree_leaves (Cval.bin v (List.length nets))))
-      headers
+  let poke i c =
+    let v = ((7 * i) + (13 * c)) land 1023 in
+    Sim.poke_nets sim headers.(i)
+      (Cval.sctree_leaves (Cval.bin v (List.length headers.(i))))
   in
-  (* cold start, then one warm cycle *)
-  for c = 0 to 1 do
+  let poke_all c = Array.iteri (fun i _ -> poke i c) headers in
+  (* cold start, then busy cycles until the program runs *)
+  for c = 0 to 7 do
     poke_all c;
     Sim.step sim
   done;
+  Alcotest.(check bool) "warm-up ends in program mode" true
+    (Sim.program_cycles sim > 0);
   let words = ref 0.0 and visits = ref 0 in
-  for c = 2 to 51 do
-    poke_all c;
+  let p0 = Sim.program_cycles sim in
+  for c = 8 to 67 do
+    if (c - 8) / 10 mod 2 = 0 then poke_all c else poke (c land 15) c;
     let v0 = Sim.node_visits sim in
     let w0 = Gc.minor_words () in
     Sim.step sim;
     words := !words +. (Gc.minor_words () -. w0);
     visits := !visits + (Sim.node_visits sim - v0)
   done;
+  let program = Sim.program_cycles sim - p0 in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d program and %d cone cycles measured" program
+       (60 - program))
+    true
+    (program > 0 && program < 60);
   let per_visit = !words /. float_of_int (max 1 !visits) in
   Alcotest.(check bool)
     (Printf.sprintf "%.3f minor words per visit over %d visits" per_visit
@@ -551,25 +563,105 @@ let test_incremental_step_allocation () =
     true
     (!visits > 0 && per_visit < 1.0)
 
+(* Busy phases hand the incremental engine's cycles to the compiled
+   program on most designs of the dense/sparse/quiet scenario (whose
+   counters test/golden/incremental_switch.txt locks), while a run whose
+   cone stays small — one data bit of a 256-word RAM toggling, the
+   pattern of the sim-sparse benchmark — never leaves the cone pass.
+   The other engines report no program cycles. *)
+let test_incremental_program_mode () =
+  let switched =
+    List.filter
+      (fun (_, src) ->
+        let before = ref 0 in
+        let sim =
+          Switch_scenario.run
+            ~on_restart:(fun sim -> before := Sim.program_cycles sim)
+            (compile src)
+        in
+        !before + Sim.program_cycles sim > 0)
+      Switch_scenario.designs
+  in
+  let n = List.length Switch_scenario.designs in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d designs switch" (List.length switched) n)
+    true
+    (2 * List.length switched > n && List.mem_assoc "routing16" switched);
+  let d = compile (Corpus.ram ~abits:8 ~wbits:16) in
+  List.iter
+    (fun engine ->
+      let sim = Sim.create ~engine d in
+      Sim.poke_int sim "m.addr" 251;
+      Sim.poke_int sim "m.data" 3765;
+      Sim.poke_bool sim "m.we" true;
+      for c = 0 to 59 do
+        Sim.poke_bool sim "m.data[12]" (c land 1 = 1);
+        Sim.step sim
+      done;
+      Alcotest.(check int)
+        (Sim.engine_name engine ^ ": sparse run, no program cycles")
+        0 (Sim.program_cycles sim))
+    Sim.all_engines
+
 (* Snapshots are identical across the three engines and both sweep
    orders on random multi-cycle poke sequences over designs that
    include drive conflicts, registers and aliasing — with UNDEF in the
-   stimulus alphabet, and runtime-error sets agreeing too.  Failures print
-   the design name and stimulus, and shrink to a minimal poke
-   sequence (fewer cycles, shorter vectors, values toward 0). *)
-let prop_snapshot_identity =
-  let pool =
-    [|
-      ("mux", mux_design);
-      ("reg", reg_design);
-      ("section8", Corpus.section8_example);
-      ("adder4", Corpus.adder_n 4);
-      ("blackjack", Corpus.blackjack);
-    |]
+   stimulus alphabet, and runtime-error sets agreeing too.  Half the
+   runs are long enough (12-24 cycles) for the incremental engine to
+   switch to its compiled program and back.  Failures print the design
+   name and stimulus, and shrink to a minimal poke sequence (fewer
+   cycles, shorter vectors, values toward 0). *)
+let identity_pool =
+  [|
+    ("mux", mux_design);
+    ("reg", reg_design);
+    ("section8", Corpus.section8_example);
+    ("adder4", Corpus.adder_n 4);
+    ("blackjack", Corpus.blackjack);
+  |]
+
+let identity_gen =
+  QCheck.Gen.(
+    pair
+      (int_bound (Array.length identity_pool - 1))
+      (frequency
+         [
+           (1, list_size (1 -- 6) (list_size (0 -- 8) (int_bound 2)));
+           (1, list_size (12 -- 24) (list_size (0 -- 8) (int_bound 2)));
+         ]))
+
+(* per cycle, the (net, value) pokes a stimulus vector spreads over the
+   design's top-level inputs *)
+let identity_pokes d stimulus =
+  let inputs = Check.top_input_nets d in
+  let lv = function 0 -> Logic.Zero | 1 -> Logic.One | _ -> Logic.Undef in
+  List.map
+    (fun vec ->
+      List.concat
+        (List.mapi
+           (fun i id ->
+             match List.nth_opt vec (i mod max 1 (List.length vec)) with
+             | Some v -> [ (id, lv v) ]
+             | None -> [])
+           inputs))
+    stimulus
+
+let identity_run engine d pokes =
+  let sim = Sim.create ~engine d in
+  let snaps =
+    List.map
+      (fun cycle_pokes ->
+        List.iter (fun (id, v) -> Sim.poke_nets sim [ id ] [ v ]) cycle_pokes;
+        Sim.step sim;
+        Sim.snapshot sim)
+      pokes
   in
+  (sim, snaps)
+
+let prop_snapshot_identity =
   let print (di, stimulus) =
     Printf.sprintf "design %s, stimulus [%s]"
-      (fst pool.(di))
+      (fst identity_pool.(di))
       (String.concat "; "
          (List.map
             (fun vec ->
@@ -583,46 +675,13 @@ let prop_snapshot_identity =
     QCheck.Shrink.(
       pair nil (list ~shrink:(list ~shrink:int)))
   in
-  let gen =
-    QCheck.Gen.(
-      pair
-        (int_bound (Array.length pool - 1))
-        (list_size (1 -- 6) (list_size (0 -- 8) (int_bound 2))))
-  in
   QCheck.Test.make ~count:40 ~name:"snapshot_identity_all_engines"
-    (QCheck.make ~print ~shrink gen)
+    (QCheck.make ~print ~shrink identity_gen)
     (fun (di, stimulus) ->
-      let d = compile (snd pool.(di)) in
-      let inputs = Check.top_input_nets d in
-      let lv = function
-        | 0 -> Logic.Zero
-        | 1 -> Logic.One
-        | _ -> Logic.Undef
-      in
-      let pokes =
-        List.map
-          (fun vec ->
-            List.concat
-              (List.mapi
-                 (fun i id ->
-                   match List.nth_opt vec (i mod max 1 (List.length vec)) with
-                   | Some v -> [ (id, lv v) ]
-                   | None -> [])
-                 inputs))
-          stimulus
-      in
+      let d = compile (snd identity_pool.(di)) in
+      let pokes = identity_pokes d stimulus in
       let run engine =
-        let sim = Sim.create ~engine d in
-        let snaps =
-          List.map
-            (fun cycle_pokes ->
-              List.iter
-                (fun (id, v) -> Sim.poke_nets sim [ id ] [ v ])
-                cycle_pokes;
-              Sim.step sim;
-              Sim.snapshot sim)
-            pokes
-        in
+        let sim, snaps = identity_run engine d pokes in
         (snaps, sorted_errors (Sim.runtime_errors sim))
       in
       let sweep order =
@@ -632,6 +691,24 @@ let prop_snapshot_identity =
       let r0 = run Sim.Firing in
       List.for_all (fun e -> run e = r0) Sim.all_engines
       && List.for_all (fun o -> sweep o = r0) sweep_orders)
+
+(* The identity property's generator reaches the incremental engine's
+   program mode: of 40 cases drawn with a fixed seed, some run cycles
+   through the compiled program. *)
+let test_identity_gen_switches () =
+  let rand = Random.State.make [| 0 |] in
+  let switched =
+    List.filter
+      (fun (di, stimulus) ->
+        let d = compile (snd identity_pool.(di)) in
+        let sim, _ = identity_run Sim.Incremental d (identity_pokes d stimulus) in
+        Sim.program_cycles sim > 0)
+      (QCheck.Gen.generate ~rand ~n:40 identity_gen)
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of 40 runs switch" (List.length switched))
+    true
+    (List.length switched > 0)
 
 (* firing does strictly less work than the sweeping baselines (E8) *)
 let test_firing_fewer_visits () =
@@ -1064,6 +1141,8 @@ let () =
           Alcotest.test_case "whole corpus" `Quick test_engines_agree_corpus;
           QCheck_alcotest.to_alcotest prop_engines_agree_random_inputs;
           QCheck_alcotest.to_alcotest prop_snapshot_identity;
+          Alcotest.test_case "identity runs reach program mode" `Quick
+            test_identity_gen_switches;
           Alcotest.test_case "work comparison" `Quick test_firing_fewer_visits;
           Alcotest.test_case "sweep: standing drive conflict" `Quick
             test_sweep_drive_conflict;
@@ -1090,6 +1169,8 @@ let () =
             test_incremental_restart_reentry;
           Alcotest.test_case "step allocates nothing per visit" `Quick
             test_incremental_step_allocation;
+          Alcotest.test_case "busy phases run the program" `Quick
+            test_incremental_program_mode;
         ] );
       ( "parallel",
         [
