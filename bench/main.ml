@@ -342,7 +342,7 @@ let e8_simcmp () =
         List.length (Netlist.gates d.Elaborate.netlist)
         + List.length (Netlist.drivers d.Elaborate.netlist)
       in
-      let depth = (Stats.of_netlist d.Elaborate.netlist).Stats.depth in
+      let depth = (Stats.of_design d).Stats.depth in
       let f = firing_visits d pokes
       and fx = sweep_visits Sweep.Fixpoint d pokes
       and rx = sweep_visits Sweep.Relaxation d pokes in
@@ -958,7 +958,7 @@ let e16_opt ~cycles () =
     let agree = ref true in
     Array.iter
       (fun root ->
-        if ai.Absint.observable.(ai.Absint.canon.(root)) then begin
+        if ai.Absint.observable.(ai.Absint.graph.Graph.canon.(root)) then begin
           let slot2 = g2.Graph.rep.(g2.Graph.canon.(root)) in
           if s1.(root) <> s2.(slot2) then agree := false
         end)

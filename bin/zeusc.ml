@@ -175,7 +175,7 @@ let stats_cmd =
     match Zeus.compile (load ~cmd:"stats" file) with
     | Ok design ->
         let nl = design.Zeus.Elaborate.netlist in
-        Fmt.pr "%a" Zeus.Stats.pp (Zeus.Stats.of_netlist nl);
+        Fmt.pr "%a" Zeus.Stats.pp (Zeus.Stats.of_design design);
         List.iter
           (fun (i : Zeus.Netlist.instance) ->
             if not i.Zeus.Netlist.is_function_call then
@@ -610,9 +610,9 @@ let sim_cmd =
             (Zeus.Sim.activity ~top:15 sim);
         List.iter
           (fun path ->
-            Fmt.pr "%a@."
-              Zeus.Explain.pp
-              (Zeus.Explain.explain sim path ~depth:2))
+            match Zeus.Explain.explain sim path ~depth:2 with
+            | Ok entries -> Fmt.pr "%a@." Zeus.Explain.pp entries
+            | Error msg -> usage msg)
           explain;
         if trace then
           List.iter

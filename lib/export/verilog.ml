@@ -25,8 +25,6 @@
 
 open Zeus_base
 open Zeus_sem
-module Graph = Zeus_sim.Graph
-module Sched = Zeus_sim.Sched
 module Sim = Zeus_sim.Sim
 module Prand = Zeus_sim.Prand
 
@@ -219,7 +217,7 @@ let export ?module_name (design : Elaborate.design) =
         raise (Unsupported_exn "the predefined CLK net is driven");
       (* input ports: producer-less IN/INOUT pins of root instances
          (plus RSET), named after the first pin net of each class *)
-      let top_inputs = Check.top_input_nets design in
+      let top_inputs = Graph.top_input_nets design in
       let in_path = Array.make n None in
       let is_input = Array.make n false in
       List.iter
@@ -231,7 +229,7 @@ let export ?module_name (design : Elaborate.design) =
         top_inputs;
       Array.iteri
         (fun c inp ->
-          if inp && g.Graph.reg_of_out.(c) >= 0 then
+          if inp && Graph.reg_of_out g c >= 0 then
             raise
               (Unsupported_exn
                  (Printf.sprintf
@@ -239,7 +237,7 @@ let export ?module_name (design : Elaborate.design) =
                      the simulator gives a poke priority over the stored \
                      value dynamically"
                     g.Graph.names.(c)
-                    g.Graph.regs.(g.Graph.reg_of_out.(c)).Netlist.rpath)))
+                    g.Graph.regs.(Graph.reg_of_out g c).Netlist.rpath)))
         is_input;
       (* output ports: OUT pins of root instances (and driven INOUT
          pins, which the input scan skipped) *)
@@ -473,7 +471,7 @@ let export ?module_name (design : Elaborate.design) =
                  latch edge is the separate clk port *)
               assign wire.(c) "1'b1"
             else if producerless c then begin
-              let r = g.Graph.reg_of_out.(c) in
+              let r = Graph.reg_of_out g c in
               if r >= 0 then assign wire.(c) qname.(r)
               else assign wire.(c) "1'bx"
             end

@@ -99,7 +99,6 @@ open Zeus_lang
 open Zeus_sem
 module Sim = Zeus_sim.Sim
 module Sweep = Zeus_sim.Sweep
-module Graph = Zeus_sim.Graph
 
 type divergence = {
   oracle : string; (* which row of the matrix failed *)
@@ -433,7 +432,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
           | None -> ()
           | Some r ->
               let ai = r.Reduce.ai in
-              let g1 = Graph.build design in
+              let g1 = ai.Absint.graph in
               let g2 = Graph.build r.Reduce.design in
               (* Snapshots are indexed by original net id, holding each
                  class's value at its union-find root slot.  Per
@@ -442,11 +441,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                  class's root slot in the reduced one — looked up
                  through net ids, so the two compactions never need to
                  agree on class numbering. *)
-              let obs =
-                Array.map
-                  (fun root -> ai.Absint.observable.(ai.Absint.canon.(root)))
-                  g1.Graph.rep
-              in
+              let obs = ai.Absint.observable in
               let opt_slot =
                 Array.map
                   (fun root -> g2.Graph.rep.(g2.Graph.canon.(root)))
@@ -486,7 +481,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
               (* the table itself must be honest on the reference run *)
               Array.iteri
                 (fun c root ->
-                  let cls = ai.Absint.cls.(ai.Absint.canon.(root)) in
+                  let cls = ai.Absint.cls.(c) in
                   let want =
                     match cls with
                     | Absint.Const0 -> Some Logic.Zero
@@ -495,8 +490,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                   in
                   match want with
                   | Some w
-                    when obs.(c)
-                         && ai.Absint.producers.(ai.Absint.canon.(root)) > 0 ->
+                    when obs.(c) && g1.Graph.producer_count.(c) > 0 ->
                       List.iteri
                         (fun i snap ->
                           if snap.(root) <> Some w then
@@ -535,7 +529,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
           let input_names =
             List.map
               (fun id -> (Netlist.net nl (Netlist.canonical nl id)).Netlist.name)
-              (Check.top_input_nets design)
+              (Graph.top_input_nets design)
           in
           let defined v = v = Logic.Zero || v = Logic.One in
           let env_defined =

@@ -11,29 +11,6 @@
 
 open Zeus_sem
 
-(* combinational depth per canonical net *)
-let net_depths nl =
-  let adj = Check.dependency_graph nl in
-  let n = Array.length adj in
-  let preds = Array.make n [] in
-  Array.iteri
-    (fun src dsts -> List.iter (fun d -> preds.(d) <- src :: preds.(d)) dsts)
-    adj;
-  let memo = Array.make n (-1) in
-  let rec go v =
-    if memo.(v) >= 0 then memo.(v)
-    else begin
-      memo.(v) <- 0;
-      let d = List.fold_left (fun acc p -> max acc (1 + go p)) 0 preds.(v) in
-      memo.(v) <- d;
-      d
-    end
-  in
-  for v = 0 to n - 1 do
-    ignore (go v)
-  done;
-  memo
-
 (* The placeable cells under a root: the shallowest descendants that
    have net-bearing ports.  Usually these are the direct children (the
    granularity the designer's ORDER statements use); where a child's
@@ -71,13 +48,15 @@ let placeable design root_path =
   in
   List.filter (fun i -> has_nets i && not (ancestor_has_nets i)) under
 
-let level_of_instance nl depths (i : Netlist.instance) =
+(* the combinational depth of an instance's input pins: their highest
+   Sched level *)
+let level_of_instance (g : Graph.t) (sc : Sched.t) (i : Netlist.instance) =
   List.fold_left
     (fun acc (_, mode, nets) ->
       match mode with
       | Etype.In | Etype.Inout ->
           List.fold_left
-            (fun acc id -> max acc depths.(Netlist.canonical nl id))
+            (fun acc id -> max acc sc.Sched.net_level.(g.Graph.canon.(id)))
             acc nets
       | Etype.Out -> acc)
     0 i.Netlist.iports
@@ -96,9 +75,9 @@ let place design top =
       let cells = placeable design top in
       if cells = [] then None
       else begin
-        let depths = net_depths nl in
-        let levelled =
-          List.map (fun i -> (level_of_instance nl depths i, i)) cells
+        let g = Graph.build design in
+        let sc = Sched.build g in
+        let levelled = List.map (fun i -> (level_of_instance g sc i, i)) cells
         in
         let levels =
           List.sort_uniq compare (List.map fst levelled)
@@ -160,44 +139,44 @@ let wirelength design (plan : Floorplan.plan) =
         ( (2 * p.Floorplan.rect.Geom.x) + p.Floorplan.rect.Geom.w,
           (2 * p.Floorplan.rect.Geom.y) + p.Floorplan.rect.Geom.h ))
     plan.Floorplan.cells;
-  (* producers per canonical net, to chase locations through locals *)
-  let n = Netlist.net_count nl in
-  let producers = Array.make n [] in
-  let add_producer target src =
-    match src with
-    | Netlist.Snet s ->
-        let t = Netlist.canonical nl target in
-        producers.(t) <- Netlist.canonical nl s :: producers.(t)
-    | Netlist.Sconst _ -> ()
+  (* chase locations through locals: a class whose producers read
+     exactly one net inherits that net's owner *)
+  let g = Graph.build design in
+  let sole_source c =
+    let srcs = ref [] in
+    Graph.iter_producers g c (fun i ->
+        match g.Graph.nodes.(i) with
+        | Graph.Ndriver { source = Netlist.Snet s; _ } -> srcs := s :: !srcs
+        | Graph.Ndriver _ -> ()
+        | Graph.Ngate { inputs; _ } ->
+            Array.iter
+              (function
+                | Netlist.Snet s -> srcs := s :: !srcs
+                | Netlist.Sconst _ -> ())
+              inputs);
+    match !srcs with [ s ] -> Some s | _ -> None
   in
-  List.iter
-    (fun (d : Netlist.driver) -> add_producer d.Netlist.target d.Netlist.source)
-    (Netlist.drivers nl);
-  List.iter
-    (fun (g : Netlist.gate) ->
-      List.iter (add_producer g.Netlist.output) g.Netlist.inputs)
-    (Netlist.gates nl);
-  let memo = Hashtbl.create 64 in
-  let rec owner depth id =
-    let id = Netlist.canonical nl id in
-    match Hashtbl.find_opt memo id with
+  let memo = Array.make g.Graph.n_classes None in
+  let rec owner_class depth c =
+    match memo.(c) with
     | Some o -> o
     | None ->
-        Hashtbl.replace memo id None (* cycle guard *);
+        memo.(c) <- Some None (* cycle guard *);
         let o =
-          match (Netlist.net nl id).Netlist.pin with
+          match (Netlist.net nl g.Graph.rep.(c)).Netlist.pin with
           | Some (iid, _) when Hashtbl.mem where iid ->
               Hashtbl.find_opt where iid
           | _ ->
               if depth > 8 then None
               else (
-                match producers.(id) with
-                | [ p ] -> owner (depth + 1) p
-                | _ -> None)
+                match sole_source c with
+                | Some s -> owner_class (depth + 1) s
+                | None -> None)
         in
-        Hashtbl.replace memo id o;
+        memo.(c) <- Some o;
         o
   in
+  let owner depth id = owner_class depth g.Graph.canon.(id) in
   let dist a b =
     match (owner 0 a, owner 0 b) with
     | Some (x1, y1), Some (x2, y2) -> abs (x1 - x2) + abs (y1 - y2)

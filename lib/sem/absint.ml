@@ -19,16 +19,15 @@
      with every value the input can latch across cycles; a NOINFL
      input keeps the stored value and contributes nothing new.
 
-   The alias union-find is resolved once into dense class ids — the
-   same compaction Zeus_sim.Graph.build performs — and adjacency is
-   CSR: flat consumer/producer node-id arrays with offset tables.  A
-   FIFO worklist then runs the monotone transfer functions to a
-   fixpoint; the lattice has height 2, so every class is re-evaluated
-   O(fan-in) times.
+   The interpreter runs over the one compacted class graph (Graph):
+   dense class ids, the consumer CSR driving a FIFO worklist and the
+   producer CSR feeding each class's transfer function.  The worklist
+   runs the monotone transfer functions to a fixpoint; the lattice has
+   height 2, so every class is re-evaluated O(fan-in) times.
 
    Observability is the backward closure over the same producer CSR.
    It is the one liveness walk in the static analyses: [analyze]
-   stores it per class, and [observable_nets] runs it alone (no value
+   stores it per class, and [observability] runs it alone (no value
    fixpoint) for callers that need only liveness. *)
 
 open Zeus_base
@@ -64,26 +63,12 @@ let classification_to_string = function
   | Varying -> "varying"
 
 type t = {
-  n_classes : int;
-  canon : int array;
-  rep : int array;
+  graph : Graph.t;
   value : av array;
   cls : classification array;
   observable : bool array;
-  input_class : bool array;
-  reg_out_class : bool array;
-  producers : int array;
   steps : int;
 }
-
-(* a producer node with class ids baked into its sources *)
-type csrc =
-  | Cnet of int
-  | Cconst of Logic.t
-
-type node =
-  | Ngate of Netlist.gate_op * csrc list
-  | Ndriver of csrc option * csrc
 
 (* evaluate a gate over (possibly unknown) constant inputs with the
    simulator's early-firing rules: [Some v] only when the output is
@@ -112,97 +97,10 @@ let eval_gate_const op (vals : Logic.t option list) =
         vals
   | Netlist.Grandom -> None
 
-(* the compacted class graph shared by the fixpoint and the
-   observability closure: dense class ids plus the producer CSR *)
-type graph = {
-  g_classes : int;
-  g_canon : int array;
-  g_rep : int array;
-  nodes : node array;
-  node_out : int array;
-  prod_off : int array;
-  prod_nodes : int array;
-}
-
-let iter_input_classes node f =
-  let src = function Cnet c -> f c | Cconst _ -> () in
-  match node with
-  | Ngate (_, inputs) -> List.iter src inputs
-  | Ndriver (guard, source) ->
-      src source;
-      Option.iter src guard
-
-(* CSR adjacency class -> node ids, where [iter i f] calls [f c] for
-   every class node [i] touches: count, prefix-sum, fill *)
-let csr n_classes n_nodes iter =
-  let off = Array.make (n_classes + 1) 0 in
-  for i = 0 to n_nodes - 1 do
-    iter i (fun c -> off.(c + 1) <- off.(c + 1) + 1)
-  done;
-  for c = 0 to n_classes - 1 do
-    off.(c + 1) <- off.(c) + off.(c + 1)
-  done;
-  let adj = Array.make off.(n_classes) 0 and fill = Array.copy off in
-  for i = 0 to n_nodes - 1 do
-    iter i (fun c ->
-        adj.(fill.(c)) <- i;
-        fill.(c) <- fill.(c) + 1)
-  done;
-  (off, adj)
-
-let build nl =
-  let n = Netlist.net_count nl in
-  (* resolve the union-find once: original id -> dense class id *)
-  let canon = Array.make n (-1) and rep = Array.make n 0 in
-  let n_classes = ref 0 in
-  for id = 0 to n - 1 do
-    let root = Netlist.canonical nl id in
-    if canon.(root) < 0 then begin
-      canon.(root) <- !n_classes;
-      rep.(!n_classes) <- root;
-      incr n_classes
-    end;
-    canon.(id) <- canon.(root)
-  done;
-  let n_classes = !n_classes in
-  let rep = Array.sub rep 0 n_classes in
-  let canon_src = function
-    | Netlist.Snet id -> Cnet canon.(id)
-    | Netlist.Sconst v -> Cconst v
-  in
-  (* producer nodes (gates, then drivers), with their output class *)
-  let gates = Netlist.gates nl and drivers = Netlist.drivers nl in
-  let n_gates = List.length gates in
-  let n_nodes = n_gates + List.length drivers in
-  let nodes = Array.make n_nodes (Ndriver (None, Cconst Logic.Undef)) in
-  let node_out = Array.make n_nodes 0 in
-  List.iteri
-    (fun i (g : Netlist.gate) ->
-      nodes.(i) <- Ngate (g.Netlist.op, List.map canon_src g.Netlist.inputs);
-      node_out.(i) <- canon.(g.Netlist.output))
-    gates;
-  List.iteri
-    (fun i (d : Netlist.driver) ->
-      nodes.(n_gates + i) <-
-        Ndriver (Option.map canon_src d.Netlist.guard, canon_src d.Netlist.source);
-      node_out.(n_gates + i) <- canon.(d.Netlist.target))
-    drivers;
-  (* producers: class -> nodes writing it *)
-  let prod_off, prod_nodes = csr n_classes n_nodes (fun i f -> f node_out.(i)) in
-  {
-    g_classes = n_classes;
-    g_canon = canon;
-    g_rep = rep;
-    nodes;
-    node_out;
-    prod_off;
-    prod_nodes;
-  }
-
 (* observability: backward closure from register inputs and root
    OUT/INOUT pins, through producer-node inputs *)
-let observability nl g =
-  let observable = Array.make g.g_classes false in
+let observability (g : Graph.t) =
+  let observable = Array.make g.Graph.n_classes false in
   let stack = ref [] in
   let mark c =
     if not observable.(c) then begin
@@ -210,9 +108,7 @@ let observability nl g =
       stack := c :: !stack
     end
   in
-  List.iter
-    (fun (r : Netlist.reg) -> mark g.g_canon.(r.Netlist.rin))
-    (Netlist.regs nl);
+  Array.iter mark g.Graph.reg_in;
   List.iter
     (fun (i : Netlist.instance) ->
       if not (String.contains i.Netlist.ipath '.') then
@@ -220,83 +116,47 @@ let observability nl g =
           (fun (_, mode, nets) ->
             match mode with
             | Etype.Out | Etype.Inout ->
-                List.iter (fun id -> mark g.g_canon.(id)) nets
+                List.iter (fun id -> mark g.Graph.canon.(id)) nets
             | Etype.In -> ())
           i.Netlist.iports)
-    (Netlist.instances nl);
+    (Netlist.instances g.Graph.nl);
   while !stack <> [] do
     match !stack with
     | [] -> ()
     | c :: rest ->
         stack := rest;
-        for k = g.prod_off.(c) to g.prod_off.(c + 1) - 1 do
-          iter_input_classes g.nodes.(g.prod_nodes.(k)) mark
-        done
+        Graph.iter_producers g c (fun i ->
+            List.iter
+              (function Netlist.Snet s -> mark s | Netlist.Sconst _ -> ())
+              (Graph.node_inputs g.Graph.nodes.(i)))
   done;
   observable
 
-let observable_nets nl =
-  let g = build nl in
-  let observable = observability nl g in
-  Array.map (fun c -> observable.(c)) g.g_canon
-
-let analyze (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
-  let g = build nl in
-  let n_classes = g.g_classes and canon = g.g_canon in
-  let nodes = g.nodes and node_out = g.node_out in
-  let prod_off = g.prod_off and prod_nodes = g.prod_nodes in
-  (* consumers (class -> nodes reading it) drive the worklist *)
-  let cons_off, cons_nodes =
-    csr n_classes (Array.length nodes) (fun i f -> iter_input_classes nodes.(i) f)
-  in
-  (* register wiring: out class -> registers; in class -> out classes *)
-  let regs_of_out = Array.make n_classes [] in
-  let reg_consumers = Array.make n_classes [] in
-  let reg_out_class = Array.make n_classes false in
-  List.iter
-    (fun (r : Netlist.reg) ->
-      let oc = canon.(r.Netlist.rout) and ic = canon.(r.Netlist.rin) in
-      regs_of_out.(oc) <- r :: regs_of_out.(oc);
-      reg_consumers.(ic) <- oc :: reg_consumers.(ic);
-      reg_out_class.(oc) <- true)
-    (Netlist.regs nl);
-  let input_class = Array.make n_classes false in
-  List.iter
-    (fun id -> input_class.(canon.(id)) <- true)
-    (Check.top_input_nets design);
-  (* kind per class (mux if any member is): the engines give a class
-     with no driving value a kind-dependent default — boolean UNDEF,
-     multiplex NOINFL *)
-  let class_mux = Array.make n_classes false in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      if net.Netlist.kind = Etype.KMux then
-        class_mux.(canon.(net.Netlist.id)) <- true)
-    (Netlist.nets_array nl);
+let analyze (g : Graph.t) =
+  let n_classes = g.Graph.n_classes in
   let value = Array.make n_classes Bot in
   let av_of_src = function
-    | Cconst v -> Const v
-    | Cnet c -> value.(c)
+    | Netlist.Sconst v -> Const v
+    | Netlist.Snet c -> value.(c)
   in
   (* gate transfer: Const inputs are exact, Top inputs are unknown —
      the partial evaluators fire exactly when the output is forced.
      With a Bot input an unforced output stays Bot (strict). *)
   let eval_node i =
-    match nodes.(i) with
-    | Ngate (op, inputs) ->
-        let avs = List.map av_of_src inputs in
+    match g.Graph.nodes.(i) with
+    | Graph.Ngate { op; inputs; _ } ->
+        let avs = List.map av_of_src (Array.to_list inputs) in
         let opt =
           List.map (function Const v -> Some v | Bot | Top -> None) avs
         in
         (match eval_gate_const op opt with
         | Some v -> Const v
         | None -> if List.mem Bot avs then Bot else Top)
-    | Ndriver (guard, source) -> (
+    | Graph.Ndriver { guard; source; _ } -> (
         match guard with
         | None -> av_of_src source
-        | Some g -> (
-            match av_of_src g with
+        | Some gs -> (
+            match av_of_src gs with
             | Bot -> Bot
             | Top ->
                 (* the guard can be 0 (NOINFL), 1 (source) or UNDEF
@@ -320,41 +180,43 @@ let analyze (design : Elaborate.design) =
                (List.map (function Const v -> v | _ -> assert false) contribs))
               .Logic.value
   in
+  (* the engines give a class with no driving value a kind-dependent
+     default — boolean UNDEF, multiplex NOINFL *)
+  let class_mux c = g.Graph.class_kind.(c) = Etype.KMux in
   let eval_class c =
-    if input_class.(c) then Top (* testbench-pokeable: CLK, RSET, pins *)
+    if g.Graph.input_class.(c) then
+      Top (* testbench-pokeable: CLK, RSET, pins *)
     else begin
       let contribs = ref [] in
-      for k = prod_off.(c) to prod_off.(c + 1) - 1 do
-        contribs := eval_node prod_nodes.(k) :: !contribs
-      done;
+      Graph.iter_producers g c (fun i -> contribs := eval_node i :: !contribs);
       (* register widening: power-up value joined with everything the
          input can latch; NOINFL keeps the stored value *)
+      let regs = g.Graph.regs_of_out.(c) in
       let regv =
         List.fold_left
-          (fun acc (r : Netlist.reg) ->
+          (fun acc r ->
             let latched =
-              match value.(canon.(r.Netlist.rin)) with
+              match value.(g.Graph.reg_in.(r)) with
               | Bot -> Bot
               | Const Logic.Noinfl -> Bot
               | Const v -> Const (Logic.booleanize v)
               | Top -> Top
             in
-            join acc (join (Const r.Netlist.rinit) latched))
-          Bot regs_of_out.(c)
+            join acc (join (Const g.Graph.regs.(r).Netlist.rinit) latched))
+          Bot regs
       in
-      if !contribs = [] && regs_of_out.(c) = [] then
+      if !contribs = [] && regs = [] then
         (* producer-less: a boolean net reads UNDEF forever, a
            multiplex one floats *)
-        Const (if class_mux.(c) then Logic.Noinfl else Logic.Undef)
+        Const (if class_mux c then Logic.Noinfl else Logic.Undef)
       else
         let v = join (resolve_abs !contribs) regv in
         (* kind default: every producer provably firing NOINFL leaves a
            boolean class UNDEF — only multiplex classes are stuck-Z *)
         match v with
         | Const l
-          when Logic.equal l Logic.Noinfl
-               && (not class_mux.(c))
-               && regs_of_out.(c) = [] ->
+          when Logic.equal l Logic.Noinfl && (not (class_mux c)) && regs = []
+          ->
             Const Logic.Undef
         | v -> v
     end
@@ -378,13 +240,11 @@ let analyze (design : Elaborate.design) =
     let nv = join value.(c) (eval_class c) in
     if nv <> value.(c) then begin
       value.(c) <- nv;
-      for k = cons_off.(c) to cons_off.(c + 1) - 1 do
-        push node_out.(cons_nodes.(k))
-      done;
-      List.iter push reg_consumers.(c)
+      Graph.iter_consumers g c (fun i ->
+          push (Graph.node_output g.Graph.nodes.(i)));
+      List.iter (fun r -> push g.Graph.reg_out.(r)) g.Graph.regs_of_in.(c)
     end
   done;
-  let observable = observability nl g in
   let cls =
     Array.map
       (function
@@ -395,21 +255,10 @@ let analyze (design : Elaborate.design) =
         | Top | Bot -> Varying)
       value
   in
-  {
-    n_classes;
-    canon;
-    rep = g.g_rep;
-    value;
-    cls;
-    observable;
-    input_class;
-    reg_out_class;
-    producers = Array.init n_classes (fun c -> prod_off.(c + 1) - prod_off.(c));
-    steps = !steps;
-  }
+  { graph = g; value; cls; observable = observability g; steps = !steps }
 
-let value_of_net t id = t.value.(t.canon.(id))
-let classification_of_net t id = t.cls.(t.canon.(id))
+let value_of_net t id = t.value.(t.graph.Graph.canon.(id))
+let classification_of_net t id = t.cls.(t.graph.Graph.canon.(id))
 
 let counts t =
   let c0 = ref 0 and c1 = ref 0 and cx = ref 0 and cz = ref 0 and cv = ref 0 in

@@ -10,11 +10,10 @@
     vary; [Bot] is the unreached initial state (it survives only inside
     combinational cycles, which the static checks reject anyway).
 
-    The interpreter mirrors the simulator's semantics graph: the alias
-    union-find is resolved once into dense class ids (the same compaction
-    as [Zeus_sim.Graph.build]), producers and consumers are stored as CSR
-    adjacency, and a worklist runs the monotone transfer functions to a
-    fixpoint:
+    The interpreter runs over the one compacted class graph
+    ({!Graph.t}, shared with the simulator and the other static
+    analyses): a worklist over its consumer CSR runs the monotone
+    transfer functions to a fixpoint:
 
     - gates evaluate with the simulator's early-firing partial
       evaluators (an AND with a constant-0 input is 0 no matter what);
@@ -58,27 +57,22 @@ type classification =
 val classification_to_string : classification -> string
 
 type t = {
-  n_classes : int;
-  canon : int array;  (** original net id -> dense class id *)
-  rep : int array;  (** class id -> representative original net id *)
+  graph : Graph.t;  (** the class graph the analysis ran over *)
   value : av array;  (** per class: the fixpoint abstract value *)
   cls : classification array;  (** per class *)
   observable : bool array;
       (** per class: reaches a register input or a root OUT/INOUT pin *)
-  input_class : bool array;  (** testbench-pokeable (never constant) *)
-  reg_out_class : bool array;  (** sequential state (never folded) *)
-  producers : int array;  (** gate + driver count per class *)
   steps : int;  (** worklist class evaluations until the fixpoint *)
 }
 
-val analyze : Elaborate.design -> t
+val analyze : Graph.t -> t
 
 (** The observability closure alone, without the value fixpoint: per
-    {e original} net id, [true] iff the net's class reaches a register
-    input or an OUT/INOUT pin of a root instance.  The same closure as
-    [(analyze d).observable], for callers that need only liveness
-    (Z302 in the sequential prover, dead-net counts in {!Stats}). *)
-val observable_nets : Netlist.t -> bool array
+    class, [true] iff the class reaches a register input or an
+    OUT/INOUT pin of a root instance.  The same closure as
+    [(analyze g).observable], for callers that need only liveness
+    (Z602 in the sequential prover, dead-net counts in {!Stats}). *)
+val observability : Graph.t -> bool array
 
 (** Abstract value / classification of an original net id (resolved
     through the alias class). *)

@@ -9,100 +9,104 @@
    - SEQUENTIAL/PARALLEL ordering constraints must be compatible with the
      dataflow partial order;
    - undriven nets that are read (everything except testbench inputs and
-     register outputs) get a warning: they read UNDEF forever. *)
+     register outputs) get a warning: they read UNDEF forever.
+
+   Every check reads the one compacted class graph (Graph) and its Kahn
+   levels (Sched). *)
 
 open Zeus_base
 
-type class_info = {
-  mutable members : int list;
-  mutable uncond : Netlist.driver list;
-  mutable cond : Netlist.driver list;
-}
-
-let class_table nl =
-  let tbl = Hashtbl.create 64 in
-  let info key =
-    match Hashtbl.find_opt tbl key with
-    | Some i -> i
-    | None ->
-        let i = { members = []; uncond = []; cond = [] } in
-        Hashtbl.add tbl key i;
-        i
-  in
-  let n = Netlist.net_count nl in
-  for id = 0 to n - 1 do
-    let i = info (Netlist.canonical nl id) in
-    i.members <- id :: i.members
+(* The per-class checks collect [(class, report)] pairs and run the
+   reports in the order a hash table keyed by class root, filled in
+   class order, iterates them — the order these diagnostics have always
+   had, which the goldens lock: by bucket (the root's [Hashtbl.hash]
+   masked to the table's final power-of-two size, at least 64 and
+   resized past two entries per bucket), then latest class first. *)
+let in_report_order (g : Graph.t) reports =
+  let buckets = ref 64 in
+  while 2 * !buckets < g.Graph.n_classes do
+    buckets := 2 * !buckets
   done;
+  let key c = (Hashtbl.hash g.Graph.rep.(c) land (!buckets - 1), -c) in
   List.iter
-    (fun (d : Netlist.driver) ->
-      let i = info (Netlist.canonical nl d.Netlist.target) in
-      match d.Netlist.guard with
-      | None -> i.uncond <- d :: i.uncond
-      | Some _ -> i.cond <- d :: i.cond)
-    (Netlist.drivers nl);
-  tbl
+    (fun (_, report) -> report ())
+    (List.sort (fun (a, _) (b, _) -> compare (key a) (key b)) reports)
 
-(* Dependency edges between canonical nets: src -> dst means the value of
-   dst needs src.  REG breaks the cycle (no edge rout -> rin). *)
-let dependency_graph nl =
-  let n = Netlist.net_count nl in
-  let adj = Array.make n [] in
-  let add_edge src dst =
-    match src with
-    | Netlist.Sconst _ -> ()
-    | Netlist.Snet s ->
-        let s = Netlist.canonical nl s and d = Netlist.canonical nl dst in
-        if s <> d then adj.(s) <- d :: adj.(s)
-  in
-  List.iter
-    (fun (d : Netlist.driver) ->
-      add_edge d.Netlist.source d.Netlist.target;
-      Option.iter (fun g -> add_edge g d.Netlist.target) d.Netlist.guard)
-    (Netlist.drivers nl);
-  List.iter
-    (fun (g : Netlist.gate) ->
-      List.iter (fun i -> add_edge i g.Netlist.output) g.Netlist.inputs)
-    (Netlist.gates nl);
-  adj
+(* the drivers of class [c], latest first *)
+let drivers_of (g : Graph.t) c =
+  let n_gates = Array.length g.Graph.gates in
+  let acc = ref [] in
+  Graph.iter_producers g c (fun i ->
+      if i >= n_gates then acc := g.Graph.drivers.(i - n_gates) :: !acc);
+  !acc
 
-(* --------------------------------------------------------------- *)
-
-let check_assignment_discipline bag nl tbl =
-  Hashtbl.iter
-    (fun _key (i : class_info) ->
-      let name id = (Netlist.net nl id).Netlist.name in
-      (match i.uncond with
-      | d1 :: d2 :: _ ->
-          Diag.Bag.error bag Diag.Assign_error d2.Netlist.dloc
-            "'%s' is unconditionally assigned more than once (also at %a) — \
-             this could connect power to ground"
-            (name d1.Netlist.target) Loc.pp d1.Netlist.dloc
-      | _ -> ());
-      (match (i.uncond, i.cond) with
-      | d :: _, c :: _ ->
-          Diag.Bag.error bag Diag.Assign_error c.Netlist.dloc
-            "'%s' is assigned both conditionally and unconditionally \
-             (unconditional assignment at %a)"
-            (name d.Netlist.target) Loc.pp d.Netlist.dloc
-      | _ -> ());
-      (* boolean aliased with '==' must not also get an unconditional ':=' *)
-      if List.length i.members > 1 then
-        List.iter
+let check_assignment_discipline bag (g : Graph.t) =
+  let nl = g.Graph.nl in
+  let name id = (Netlist.net nl id).Netlist.name in
+  let reports = ref [] in
+  for c = 0 to g.Graph.n_classes - 1 do
+    let uncond, cond =
+      List.partition
+        (fun (d : Netlist.driver) -> d.Netlist.guard = None)
+        (drivers_of g c)
+    in
+    (* boolean aliased with '==' must not also get an unconditional ':=' *)
+    let aliased_bools =
+      if g.Graph.mem_off.(c + 1) - g.Graph.mem_off.(c) > 1 then
+        List.filter
           (fun (d : Netlist.driver) ->
-            let net = Netlist.net nl d.Netlist.target in
-            if net.Netlist.kind = Etype.KBool then
-              Diag.Bag.error bag Diag.Assign_error d.Netlist.dloc
-                "boolean '%s' is aliased with '==' and also unconditionally \
-                 assigned with ':='"
-                net.Netlist.name)
-          i.uncond)
-    tbl
+            (Netlist.net nl d.Netlist.target).Netlist.kind = Etype.KBool)
+          uncond
+      else []
+    in
+    let double = match uncond with _ :: _ :: _ -> true | _ -> false in
+    let mixed = uncond <> [] && cond <> [] in
+    if double || mixed || aliased_bools <> [] then
+      reports :=
+        ( c,
+          fun () ->
+            (match uncond with
+            | d1 :: d2 :: _ ->
+                Diag.Bag.error bag Diag.Assign_error d2.Netlist.dloc
+                  "'%s' is unconditionally assigned more than once (also \
+                   at %a) — this could connect power to ground"
+                  (name d1.Netlist.target) Loc.pp d1.Netlist.dloc
+            | _ -> ());
+            (match (uncond, cond) with
+            | d :: _, dc :: _ ->
+                Diag.Bag.error bag Diag.Assign_error dc.Netlist.dloc
+                  "'%s' is assigned both conditionally and unconditionally \
+                   (unconditional assignment at %a)"
+                  (name d.Netlist.target) Loc.pp d.Netlist.dloc
+            | _ -> ());
+            List.iter
+              (fun (d : Netlist.driver) ->
+                Diag.Bag.error bag Diag.Assign_error d.Netlist.dloc
+                  "boolean '%s' is aliased with '==' and also \
+                   unconditionally assigned with ':='"
+                  (name d.Netlist.target))
+              aliased_bools )
+        :: !reports
+  done;
+  in_report_order g !reports
 
-let check_cycles bag nl adj =
-  (* iterative DFS with colouring; report one representative cycle per
-     strongly connected region we stumble into *)
-  let n = Array.length adj in
+(* The dependency successors of class [c] (the classes its consumers
+   produce, self-loops excluded), in the order the walks below visit
+   them: gate consumers latest first, then driver consumers latest
+   first. *)
+let successors (g : Graph.t) c =
+  let n_gates = Array.length g.Graph.gates in
+  let gs = ref [] and ds = ref [] in
+  Graph.iter_consumers g c (fun i ->
+      let d = Graph.node_output g.Graph.nodes.(i) in
+      if d <> c then if i < n_gates then gs := d :: !gs else ds := d :: !ds);
+  !gs @ !ds
+
+(* Only runs when the Kahn pass left some class unlevelled.  A recursive
+   DFS with colouring reports one witness cycle per strongly connected
+   region it stumbles into, at most five. *)
+let check_cycles bag (g : Graph.t) =
+  let n = g.Graph.n_classes in
   let colour = Array.make n 0 in
   (* 0 white, 1 grey, 2 black *)
   let parent = Array.make n (-1) in
@@ -115,10 +119,9 @@ let check_cycles bag nl adj =
         if x = u || x = -1 then x :: acc else collect (x :: acc) parent.(x)
       in
       let path = collect [] v in
-      let names =
-        List.map (fun id -> (Netlist.net nl id).Netlist.name) (u :: List.tl path)
-      in
-      Diag.Bag.error bag Diag.Cycle_error (Netlist.net nl u).Netlist.loc
+      let names = List.map (fun c -> g.Graph.names.(c)) (u :: List.tl path) in
+      Diag.Bag.error bag Diag.Cycle_error
+        (Netlist.net g.Graph.nl g.Graph.rep.(u)).Netlist.loc
         "combinational feedback loop (no REG on the path): %s"
         (String.concat " -> " (names @ [ List.hd names ]))
     end
@@ -132,14 +135,12 @@ let check_cycles bag nl adj =
           dfs w
         end
         else if colour.(w) = 1 then report_cycle v w)
-      adj.(v);
+      (successors g v);
     colour.(v) <- 2
   in
-  for v = 0 to n - 1 do
-    if colour.(v) = 0 && Netlist.canonical nl v = v then dfs v
-  done
+  Array.iter (fun v -> if colour.(v) = 0 then dfs v) (Graph.by_rep g)
 
-let check_unused_ports bag nl _tbl =
+let check_unused_ports bag nl =
   (* "used or assigned" means used by the *surrounding* component: only
      touches from a scope other than the instance itself count (the
      instance's own body always reads its IN and drives its OUT pins) *)
@@ -168,110 +169,91 @@ let check_unused_ports bag nl _tbl =
       end)
     (Netlist.instances nl)
 
-let check_order_constraints bag nl adj =
-  let n = Array.length adj in
-  List.iter
-    (fun (loc, before, after) ->
+let check_order_constraints bag (g : Graph.t) (sc : Sched.t) =
+  let level = sc.Sched.net_level in
+  (* per-constraint marks, stamped with the constraint's index *)
+  let target = Array.make g.Graph.n_classes (-1) in
+  let visited = Array.make g.Graph.n_classes (-1) in
+  List.iteri
+    (fun k (loc, before, after) ->
       (* the declared order says [before] executes first; it is wrong if
          something written by [after] is needed (transitively) by
          [before] *)
-      let target = Array.make n false in
-      List.iter (fun id -> target.(Netlist.canonical nl id) <- true) before;
-      let visited = Array.make n false in
+      List.iter (fun id -> target.(g.Graph.canon.(id)) <- k) before;
+      (* levels strictly increase along every dependency edge, so no
+         class above the highest target level reaches a target (an
+         unlevelled target, on a cyclic design, disables the cut) *)
+      let bound =
+        List.fold_left
+          (fun b id ->
+            let l = level.(g.Graph.canon.(id)) in
+            if l < 0 then max_int else max b l)
+          (-1) before
+      in
       let bad = ref None in
       let rec dfs v =
-        if not visited.(v) && !bad = None then begin
-          visited.(v) <- true;
-          if target.(v) then bad := Some v
-          else List.iter dfs adj.(v)
+        if visited.(v) <> k && !bad = None && level.(v) <= bound then begin
+          visited.(v) <- k;
+          if target.(v) = k then bad := Some v
+          else List.iter dfs (successors g v)
         end
       in
       List.iter
         (fun id ->
-          let c = Netlist.canonical nl id in
-          if target.(c) then () else List.iter dfs adj.(c))
+          let c = g.Graph.canon.(id) in
+          if target.(c) <> k then List.iter dfs (successors g c))
         after;
       match !bad with
       | Some v ->
           Diag.Bag.error bag Diag.Order_error loc
             "SEQUENTIAL order is incompatible with the dataflow: '%s' is \
              computed from a later statement's result"
-            (Netlist.net nl v).Netlist.name
+            g.Graph.names.(v)
       | None -> ())
-    (Netlist.order_constraints nl)
+    (Netlist.order_constraints g.Graph.nl)
 
-let check_undriven bag nl tbl ~top_inputs =
-  let reg_outs = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Netlist.reg) ->
-      Hashtbl.replace reg_outs (Netlist.canonical nl r.Netlist.rout) ())
-    (Netlist.regs nl);
-  (* gate outputs are produced by their gate, not by drivers *)
-  List.iter
-    (fun (g : Netlist.gate) ->
-      Hashtbl.replace reg_outs (Netlist.canonical nl g.Netlist.output) ())
-    (Netlist.gates nl);
-  let inputs = Hashtbl.create 16 in
-  List.iter (fun id -> Hashtbl.replace inputs (Netlist.canonical nl id) ()) top_inputs;
-  Hashtbl.iter
-    (fun key (i : class_info) ->
-      if
-        i.uncond = [] && i.cond = []
-        && (not (Hashtbl.mem reg_outs key))
-        && not (Hashtbl.mem inputs key)
-      then
-        let read_members =
-          List.filter
-            (fun id -> (Netlist.net nl id).Netlist.reads > 0)
-            i.members
-        in
-        (* prefer a member with a real source location to report at *)
-        let located =
-          List.filter
-            (fun id -> not (Loc.is_dummy (Netlist.net nl id).Netlist.loc))
-            read_members
-        in
-        match (located, read_members) with
-        | id :: _, _ | [], id :: _ ->
-            let net = Netlist.net nl id in
-            Diag.Bag.warning bag ~code:Diag.Code.undriven_read
-              Diag.Assign_error net.Netlist.loc
-              "'%s' is read but never assigned — it reads UNDEF"
-              net.Netlist.name
-        | [], [] -> ())
-    tbl
-
-(* Top-level testbench inputs: IN/INOUT pins of root instances, plus CLK
-   and RSET. *)
-let top_input_nets (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
-  let roots =
-    List.filter
-      (fun (i : Netlist.instance) ->
-        not (String.contains i.Netlist.ipath '.'))
-      (Netlist.instances nl)
-  in
-  let pins =
-    List.concat_map
-      (fun (i : Netlist.instance) ->
-        List.concat_map
-          (fun (_, m, nets) ->
-            match m with
-            | Etype.In | Etype.Inout -> nets
-            | Etype.Out -> [])
-          i.Netlist.iports)
-      roots
-  in
-  design.Elaborate.clk_net :: design.Elaborate.rset_net :: pins
+let check_undriven bag (g : Graph.t) =
+  let nl = g.Graph.nl in
+  let reports = ref [] in
+  for c = 0 to g.Graph.n_classes - 1 do
+    if
+      g.Graph.producer_count.(c) = 0
+      && (not g.Graph.reg_out_class.(c))
+      && not g.Graph.input_class.(c)
+    then
+      let read_members =
+        List.filter
+          (fun id -> (Netlist.net nl id).Netlist.reads > 0)
+          (List.rev (Graph.members g c))
+      in
+      (* prefer a member with a real source location to report at *)
+      let located =
+        List.filter
+          (fun id -> not (Loc.is_dummy (Netlist.net nl id).Netlist.loc))
+          read_members
+      in
+      match (located, read_members) with
+      | id :: _, _ | [], id :: _ ->
+          let net = Netlist.net nl id in
+          reports :=
+            ( c,
+              fun () ->
+                Diag.Bag.warning bag ~code:Diag.Code.undriven_read
+                  Diag.Assign_error net.Netlist.loc
+                  "'%s' is read but never assigned — it reads UNDEF"
+                  net.Netlist.name )
+            :: !reports
+      | [], [] -> ()
+  done;
+  in_report_order g !reports
 
 let run (design : Elaborate.design) =
   let bag = design.Elaborate.diags in
-  let nl = design.Elaborate.netlist in
-  let tbl = class_table nl in
-  let adj = dependency_graph nl in
-  check_assignment_discipline bag nl tbl;
-  check_cycles bag nl adj;
-  check_unused_ports bag nl tbl;
-  check_order_constraints bag nl adj;
-  check_undriven bag nl tbl ~top_inputs:(top_input_nets design);
+  let g = Graph.build design in
+  let sc = Sched.build g in
+  check_assignment_discipline bag g;
+  if not sc.Sched.acyclic then check_cycles bag g;
+  check_unused_ports bag g.Graph.nl;
+  check_order_constraints bag g sc;
+  check_undriven bag g;
   not (Diag.Bag.has_errors bag)

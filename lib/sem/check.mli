@@ -9,17 +9,11 @@
       closed with ['*'];
     - SEQUENTIAL ordering must be compatible with the dataflow partial
       order;
-    - undriven-but-read nets are warned about (they read UNDEF). *)
+    - undriven-but-read nets are warned about (they read UNDEF).
 
-(** Nets a testbench may drive: CLK, RSET and the IN/INOUT pins of the
-    top-level instances. *)
-val top_input_nets : Elaborate.design -> int list
-
-(** Dependency edges between canonical nets ([adj.(src)] lists the nets
-    whose value needs [src]); registers break cycles.  Exposed for the
-    simulator baselines and tests. *)
-val dependency_graph : Netlist.t -> int list array
+    All of them read one {!Graph.t}; the cycle and ORDER checks use its
+    {!Sched} levels. *)
 
 (** Run all checks, recording diagnostics in [design.diags].  Returns
-    [true] when no errors (warnings allowed). *)
+    [true] when no errors (warnings allowed).  Builds one {!Graph.t}. *)
 val run : Elaborate.design -> bool

@@ -150,15 +150,11 @@ let rec exists_var p = function
 (* ------------------------------------------------------------------ *)
 
 type expander = {
-  nl : Netlist.t;
-  gates_of : int list array; (* canonical net -> gate indices *)
-  drivers_of : int list array; (* canonical net -> driver indices *)
-  gate_arr : Netlist.gate array;
-  driver_arr : Netlist.driver array;
-  free_root : bool array; (* canonical: input / reg out / RANDOM *)
+  g : Graph.t;
+  free_root : bool array; (* per class: input / reg out / RANDOM *)
   undef_roots : (int, unit) Hashtbl.t; (* opaques that can read UNDEF *)
-  memo : (int, bexp) Hashtbl.t;
-  busy : (int, unit) Hashtbl.t;
+  memo : bexp option array; (* per class *)
+  busy : bool array; (* per class: on the expansion stack *)
   mutable nodes : int; (* formula nodes built so far (size cap) *)
   mutable fresh_opq : int; (* negative ids for constant-UNDEF leaves *)
 }
@@ -166,85 +162,63 @@ type expander = {
 (* keep formulas bounded: past this many nodes, leaves become opaque *)
 let expansion_cap = 50_000
 
-let make_expander design =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  let gate_arr = Array.of_list (Netlist.gates nl) in
-  let driver_arr = Array.of_list (Netlist.drivers nl) in
-  let gates_of = Array.make n [] in
-  Array.iteri
-    (fun i (g : Netlist.gate) ->
-      let c = canon g.Netlist.output in
-      gates_of.(c) <- i :: gates_of.(c))
-    gate_arr;
-  let drivers_of = Array.make n [] in
-  Array.iteri
-    (fun i (d : Netlist.driver) ->
-      let c = canon d.Netlist.target in
-      drivers_of.(c) <- i :: drivers_of.(c))
-    driver_arr;
-  let free_root = Array.make n false in
-  List.iter (fun id -> free_root.(canon id) <- true) (Check.top_input_nets design);
-  List.iter
-    (fun (r : Netlist.reg) -> free_root.(canon r.Netlist.rout) <- true)
-    (Netlist.regs nl);
+let make_expander (g : Graph.t) =
+  let free_root =
+    Array.mapi
+      (fun c input -> input || g.Graph.reg_out_class.(c))
+      g.Graph.input_class
+  in
   Array.iter
-    (fun (g : Netlist.gate) ->
-      if g.Netlist.op = Netlist.Grandom then
-        free_root.(canon g.Netlist.output) <- true)
-    gate_arr;
+    (function
+      | Graph.Ngate { op = Netlist.Grandom; output; _ } ->
+          free_root.(output) <- true
+      | _ -> ())
+    g.Graph.nodes;
   {
-    nl;
-    gates_of;
-    drivers_of;
-    gate_arr;
-    driver_arr;
+    g;
     free_root;
     undef_roots = Hashtbl.create 16;
-    memo = Hashtbl.create 256;
-    busy = Hashtbl.create 16;
+    memo = Array.make g.Graph.n_classes None;
+    busy = Array.make g.Graph.n_classes false;
     nodes = 0;
     fresh_opq = 0;
   }
 
-(* read-only views for the sequential prover (Seqprove) *)
-let expander_netlist st = st.nl
-let is_free_root st c = c >= 0 && c < Array.length st.free_root && st.free_root.(c)
-let is_undef_root st v = Hashtbl.mem st.undef_roots v
-
-let rec expand st id =
-  let c = Netlist.canonical st.nl id in
-  match Hashtbl.find_opt st.memo c with
+(* the formula of class [c]: variables are class ids *)
+let rec expand st c =
+  match st.memo.(c) with
   | Some e -> e
   | None ->
       let e =
-        if Hashtbl.mem st.busy c then Bopq c (* combinational cycle *)
+        if st.busy.(c) then Bopq c (* combinational cycle *)
         else if st.free_root.(c) then Bvar c
         else begin
-          Hashtbl.add st.busy c ();
+          st.busy.(c) <- true;
+          let g = st.g in
           let e =
             if st.nodes > expansion_cap then Bopq c
             else
-              match (st.gates_of.(c), st.drivers_of.(c)) with
-              | [ gi ], [] -> expand_gate st st.gate_arr.(gi)
-              | [], [ di ] -> (
-                  let d = st.driver_arr.(di) in
-                  match d.Netlist.guard with
-                  | None -> expand_src st d.Netlist.source
-                  | Some _ -> Bopq c (* value can be NOINFL/UNDEF *))
-              | [], [] ->
+              match g.Graph.producer_count.(c) with
+              | 0 ->
                   (* undriven: always reads UNDEF *)
                   Hashtbl.replace st.undef_roots c ();
                   Bopq c
+              | 1 -> (
+                  let sole = g.Graph.prod_nodes.(g.Graph.prod_off.(c)) in
+                  match g.Graph.nodes.(sole) with
+                  | Graph.Ngate { op; inputs; _ } -> expand_gate st c op inputs
+                  | Graph.Ndriver { guard = None; source; _ } ->
+                      expand_src st source
+                  | Graph.Ndriver { guard = Some _; _ } ->
+                      Bopq c (* value can be NOINFL/UNDEF *))
               | _ -> Bopq c (* multi-driven: resolution is not boolean *)
           in
-          Hashtbl.remove st.busy c;
+          st.busy.(c) <- false;
           e
         end
       in
       st.nodes <- st.nodes + 1;
-      Hashtbl.replace st.memo c e;
+      st.memo.(c) <- Some e;
       e
 
 and expand_src st = function
@@ -257,17 +231,16 @@ and expand_src st = function
           st.fresh_opq <- st.fresh_opq - 1;
           Hashtbl.replace st.undef_roots st.fresh_opq ();
           Bopq st.fresh_opq)
-  | Netlist.Snet id -> expand st id
+  | Netlist.Snet c -> expand st c
 
-and expand_gate st (g : Netlist.gate) =
-  let ins () = List.map (expand_src st) g.Netlist.inputs in
-  match g.Netlist.op with
+and expand_gate st c op inputs =
+  let ins () = List.map (expand_src st) (Array.to_list inputs) in
+  match (op : Netlist.gate_op) with
   | Netlist.Gand -> band (ins ())
   | Netlist.Gor -> bor (ins ())
   | Netlist.Gnand -> bnot (band (ins ()))
   | Netlist.Gnor -> bnot (bor (ins ()))
-  | Netlist.Gnot -> (
-      match ins () with [ e ] -> bnot e | _ -> Bopq (Netlist.canonical st.nl g.Netlist.output))
+  | Netlist.Gnot -> ( match ins () with [ e ] -> bnot e | _ -> Bopq c)
   | Netlist.Gxor -> (
       match ins () with
       | [] -> Bfalse
@@ -275,12 +248,12 @@ and expand_gate st (g : Netlist.gate) =
   | Netlist.Gequal ->
       let vs = ins () in
       let len = List.length vs in
-      if len mod 2 <> 0 then Bopq (Netlist.canonical st.nl g.Netlist.output)
+      if len mod 2 <> 0 then Bopq c
       else
         let a = List.filteri (fun i _ -> i < len / 2) vs
         and b = List.filteri (fun i _ -> i >= len / 2) vs in
         band (List.map2 (fun x y -> bnot (bxor x y)) a b)
-  | Netlist.Grandom -> Bvar (Netlist.canonical st.nl g.Netlist.output)
+  | Netlist.Grandom -> Bvar c
 
 (* ------------------------------------------------------------------ *)
 (* The bounded solver                                                   *)
@@ -380,11 +353,10 @@ let drive_cond st = function
       | _ -> Btrue (* 1 drives the source; UNDEF drives UNDEF *))
   | Some (Netlist.Snet id) -> expand st id
 
-let witness_to_string nl m =
+let witness_to_string (g : Graph.t) m =
   let free =
     List.filter_map
-      (fun (v, b) ->
-        if v >= 0 then Some ((Netlist.net nl v).Netlist.name, b) else None)
+      (fun (v, b) -> if v >= 0 then Some (g.Graph.names.(v), b) else None)
       m
   in
   let free = List.sort (fun (a, _) (b, _) -> compare a b) free in
@@ -400,10 +372,8 @@ let witness_to_string nl m =
    both of which the chain covers.  Nets outside any instance (CLK,
    RSET) are never skipped; the global scope holds declarations only,
    so it contributes no drivers of its own. *)
-let modular_skip (design : Elaborate.design) proven_safe =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
+let modular_skip (g : Graph.t) proven_safe =
+  let nl = g.Graph.nl in
   let type_of_path = Hashtbl.create 16 in
   List.iter
     (fun (i : Netlist.instance) ->
@@ -424,156 +394,154 @@ let modular_skip (design : Elaborate.design) proven_safe =
     in
     go name []
   in
-  let skip = Array.make n true in
-  let seen = Array.make n false in
+  let skip = Array.make g.Graph.n_classes true in
   Array.iter
     (fun (net : Netlist.net) ->
-      let c = canon net.Netlist.id in
-      seen.(c) <- true;
+      let c = g.Graph.canon.(net.Netlist.id) in
       match owner_types net.Netlist.name with
       | [] -> skip.(c) <- false
       | ts ->
           if not (List.for_all proven_safe ts) then skip.(c) <- false)
     (Netlist.nets_array nl);
-  Array.mapi (fun c s -> s && seen.(c)) skip
+  skip
 
-let prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl =
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  (* producers per canonical class, in creation order *)
-  let prods = Array.make n [] in
-  Array.iter
-    (fun (g : Netlist.gate) ->
-      let c = canon g.Netlist.output in
-      prods.(c) <- { pr_cond = Btrue; pr_loc = g.Netlist.gloc } :: prods.(c))
-    st.gate_arr;
-  Array.iter
-    (fun (d : Netlist.driver) ->
-      let c = canon d.Netlist.target in
-      prods.(c) <-
-        { pr_cond = drive_cond st d.Netlist.guard; pr_loc = d.Netlist.dloc }
-        :: prods.(c))
-    st.driver_arr;
-  (* class kind: mux if any member is mux *)
-  let kind = Array.make n Etype.KBool in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      if net.Netlist.kind = Etype.KMux then kind.(canon net.Netlist.id) <- Etype.KMux)
-    (Netlist.nets_array nl);
+let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
+  let g = st.g in
+  let n_gates = Array.length g.Graph.gates in
+  (* every producer's drive condition, expanded in creation order
+     before any pair is solved, so undef_roots is complete *)
+  let cond =
+    Array.map
+      (function
+        | Graph.Ngate _ -> Btrue
+        | Graph.Ndriver { guard; _ } -> drive_cond st guard)
+      g.Graph.nodes
+  in
+  let producer i =
+    {
+      pr_cond = cond.(i);
+      pr_loc =
+        (if i < n_gates then g.Graph.gates.(i).Netlist.gloc
+         else g.Graph.drivers.(i - n_gates).Netlist.dloc);
+    }
+  in
   let verdicts = ref [] in
-  for c = 0 to n - 1 do
-    match List.rev prods.(c) with
-    | [] | [ _ ] -> ()
-    | ps when skip c ->
-        verdicts :=
-          {
-            v_net = c;
-            v_name = (Netlist.net nl c).Netlist.name;
-            v_kind = kind.(c);
-            v_producers = List.length ps;
-            v_class = Safe;
-            v_detail = "proved by the modular type summary (pre-pass)";
-          }
-          :: !verdicts
-    | ps ->
-        let name = (Netlist.net nl c).Netlist.name in
-        let nps = List.length ps in
-        let parr = Array.of_list ps in
-        let conflict = ref None and unknown = ref None in
-        let pairs = ref 0 in
-        (try
-           for i = 0 to nps - 1 do
-             for j = i + 1 to nps - 1 do
-               if !conflict = None then begin
-                 incr pairs;
-                 let f = band [ parr.(i).pr_cond; parr.(j).pr_cond ] in
-                 let touches_undef =
-                   exists_var (fun v opq -> opq && Hashtbl.mem st.undef_roots v) f
-                 in
-                 if touches_undef then begin
-                   if !unknown = None then
-                     unknown :=
-                       Some
-                         ( "a guard can read UNDEF (an undefined guard \
-                            drives)",
-                           parr.(j).pr_loc )
-                 end
-                 else
-                   match solve ~budget ~splits f with
-                   | Unsat ->
-                       (* exclusive over booleans — but an UNDEF guard
-                          also drives, so exclusivity only holds if no
-                          variable in either guard can read UNDEF
-                          (register power-up, or a latched UNDEF) *)
-                       if
-                         exists_var
-                           (fun v opq -> (not opq) && v >= 0 && can_undef v)
-                           f
-                       then
-                         if !unknown = None then
-                           unknown :=
-                             Some
-                               ( "a guard depends on sequential state that \
-                                  can read UNDEF (an undefined guard \
-                                  drives)",
-                                 parr.(j).pr_loc )
-                   | Budget_out ->
+  Array.iter
+    (fun c ->
+      let ps = ref [] in
+      Graph.iter_producers g c (fun i -> ps := producer i :: !ps);
+      match List.rev !ps with
+      | [] | [ _ ] -> ()
+      | ps when skip c ->
+          verdicts :=
+            {
+              v_net = g.Graph.rep.(c);
+              v_name = g.Graph.names.(c);
+              v_kind = g.Graph.class_kind.(c);
+              v_producers = List.length ps;
+              v_class = Safe;
+              v_detail = "proved by the modular type summary (pre-pass)";
+            }
+            :: !verdicts
+      | ps ->
+          let name = g.Graph.names.(c) in
+          let nps = List.length ps in
+          let parr = Array.of_list ps in
+          let conflict = ref None and unknown = ref None in
+          let pairs = ref 0 in
+          (try
+             for i = 0 to nps - 1 do
+               for j = i + 1 to nps - 1 do
+                 if !conflict = None then begin
+                   incr pairs;
+                   let f = band [ parr.(i).pr_cond; parr.(j).pr_cond ] in
+                   let touches_undef =
+                     exists_var (fun v opq -> opq && Hashtbl.mem st.undef_roots v) f
+                   in
+                   if touches_undef then begin
+                     if !unknown = None then
                        unknown :=
                          Some
-                           ( Printf.sprintf
-                               "solver budget of %d case splits exhausted"
-                               budget,
-                             parr.(j).pr_loc );
-                       raise Exit
-                   | Sat m ->
-                       if List.exists (fun (v, _) -> not (v >= 0 && st.free_root.(v))) m
-                       then begin
-                         if !unknown = None then
-                           unknown :=
-                             Some
-                               ( "exclusivity depends on a net the prover \
-                                  cannot reduce",
-                                 parr.(j).pr_loc )
-                       end
-                       else
-                         conflict :=
-                           Some (witness_to_string nl m, parr.(i).pr_loc, parr.(j).pr_loc)
-               end
+                           ( "a guard can read UNDEF (an undefined guard \
+                              drives)",
+                             parr.(j).pr_loc )
+                   end
+                   else
+                     match solve ~budget ~splits f with
+                     | Unsat ->
+                         (* exclusive over booleans — but an UNDEF guard
+                            also drives, so exclusivity only holds if no
+                            variable in either guard can read UNDEF
+                            (register power-up, or a latched UNDEF) *)
+                         if
+                           exists_var
+                             (fun v opq -> (not opq) && v >= 0 && can_undef v)
+                             f
+                         then
+                           if !unknown = None then
+                             unknown :=
+                               Some
+                                 ( "a guard depends on sequential state that \
+                                    can read UNDEF (an undefined guard \
+                                    drives)",
+                                   parr.(j).pr_loc )
+                     | Budget_out ->
+                         unknown :=
+                           Some
+                             ( Printf.sprintf
+                                 "solver budget of %d case splits exhausted"
+                                 budget,
+                               parr.(j).pr_loc );
+                         raise Exit
+                     | Sat m ->
+                         if List.exists (fun (v, _) -> not (v >= 0 && st.free_root.(v))) m
+                         then begin
+                           if !unknown = None then
+                             unknown :=
+                               Some
+                                 ( "exclusivity depends on a net the prover \
+                                    cannot reduce",
+                                   parr.(j).pr_loc )
+                         end
+                         else
+                           conflict :=
+                             Some (witness_to_string g m, parr.(i).pr_loc, parr.(j).pr_loc)
+                 end
+               done
              done
-           done
-         with Exit -> ());
-        let v_class, v_detail =
-          match (!conflict, !unknown) with
-          | Some (w, l1, l2), _ ->
-              let w = if w = "" then "any input" else w in
-              Diag.Bag.error bag ~code:Diag.Code.drive_conflict Diag.Lint_error l2
-                "'%s' can receive two driving values in one cycle (drivers \
-                 at %a and %a; witness: %s) — this would burn transistors"
-                name Loc.pp l1 Loc.pp l2 w;
-              (Conflict, Printf.sprintf "witness: %s" w)
-          | None, Some (why, loc) ->
-              Diag.Bag.warning bag ~code:Diag.Code.drive_unproven Diag.Lint_error
-                loc
-                "'%s': driver exclusivity not proved (%s) — the runtime \
-                 multiple-drive check [%s] guards this net"
-                name why Diag.Code.drive_conflict;
-              (Needs_runtime_check, why)
-          | None, None ->
-              ( Safe,
-                Printf.sprintf "proved exclusive (%d pair%s)" !pairs
-                  (if !pairs = 1 then "" else "s") )
-        in
-        verdicts :=
-          {
-            v_net = c;
-            v_name = name;
-            v_kind = kind.(c);
-            v_producers = nps;
-            v_class;
-            v_detail;
-          }
-          :: !verdicts
-  done;
+           with Exit -> ());
+          let v_class, v_detail =
+            match (!conflict, !unknown) with
+            | Some (w, l1, l2), _ ->
+                let w = if w = "" then "any input" else w in
+                Diag.Bag.error bag ~code:Diag.Code.drive_conflict Diag.Lint_error l2
+                  "'%s' can receive two driving values in one cycle (drivers \
+                   at %a and %a; witness: %s) — this would burn transistors"
+                  name Loc.pp l1 Loc.pp l2 w;
+                (Conflict, Printf.sprintf "witness: %s" w)
+            | None, Some (why, loc) ->
+                Diag.Bag.warning bag ~code:Diag.Code.drive_unproven Diag.Lint_error
+                  loc
+                  "'%s': driver exclusivity not proved (%s) — the runtime \
+                   multiple-drive check [%s] guards this net"
+                  name why Diag.Code.drive_conflict;
+                (Needs_runtime_check, why)
+            | None, None ->
+                ( Safe,
+                  Printf.sprintf "proved exclusive (%d pair%s)" !pairs
+                    (if !pairs = 1 then "" else "s") )
+          in
+          verdicts :=
+            {
+              v_net = g.Graph.rep.(c);
+              v_name = name;
+              v_kind = g.Graph.class_kind.(c);
+              v_producers = nps;
+              v_class;
+              v_detail;
+            }
+            :: !verdicts)
+    (Graph.by_rep g);
   List.rev !verdicts
 
 (* ------------------------------------------------------------------ *)
@@ -634,114 +602,79 @@ let gate_mask op inputs =
           m_one a b
   | Netlist.Grandom -> m_zero lor m_one
 
-(* The value-set fixpoint, shared with pass 1: [sets] maps every
-   canonical net to the set of values it can ever carry; [undriven]
-   flags producer-less non-input, non-register classes.  Inputs are
-   assumed defined ({0,1}) — that is the documented environment
-   assumption of the whole lint — but register outputs start from their
-   power-up value (UNDEF unless REG(c) gave a constant) and absorb
-   whatever their input can latch, so UNDEF-capability of sequential
-   state is tracked precisely. *)
-let value_sets (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
-  let inputs = Array.make n false in
-  List.iter (fun id -> inputs.(canon id) <- true) (Check.top_input_nets design);
-  let gates_of = Array.make n [] and drivers_of = Array.make n [] in
-  List.iter
-    (fun (g : Netlist.gate) ->
-      let c = canon g.Netlist.output in
-      gates_of.(c) <- g :: gates_of.(c))
-    (Netlist.gates nl);
-  List.iter
-    (fun (d : Netlist.driver) ->
-      let c = canon d.Netlist.target in
-      drivers_of.(c) <- d :: drivers_of.(c))
-    (Netlist.drivers nl);
-  let reg_of_out = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Netlist.reg) -> Hashtbl.replace reg_of_out (canon r.Netlist.rout) r)
-    (Netlist.regs nl);
+(* The value-set transfer function of one producer node, with the
+   input masks read through [mask_of_src]: an undefined guard drives
+   UNDEF, a 0 guard contributes NOINFL. *)
+let node_mask mask_of_src = function
+  | Graph.Ngate { op; inputs; _ } ->
+      gate_mask op (List.map mask_of_src (Array.to_list inputs))
+  | Graph.Ndriver { guard = None; source; _ } -> mask_of_src source
+  | Graph.Ndriver { guard = Some gs; source; _ } ->
+      let gm = booleanize_mask (mask_of_src gs) in
+      (if gm land m_one <> 0 then mask_of_src source else 0)
+      lor (if gm land m_zero <> 0 then m_noinfl else 0)
+      lor (if gm land m_undef <> 0 then m_undef else 0)
+
+(* The value-set fixpoint, shared with pass 1: [sets] maps every class
+   to the set of values it can ever carry; [undriven] flags
+   producer-less non-input, non-register classes.  Inputs are assumed
+   defined ({0,1}) — that is the documented environment assumption of
+   the whole lint — but register outputs start from their power-up
+   value (UNDEF unless REG(c) gave a constant) and absorb whatever
+   their input can latch, so UNDEF-capability of sequential state is
+   tracked precisely. *)
+let value_sets (g : Graph.t) =
+  let n = g.Graph.n_classes in
   let sets = Array.make n 0 in
   let mask_of_src = function
     | Netlist.Sconst v -> mask_of v
-    | Netlist.Snet id -> sets.(canon id)
+    | Netlist.Snet c -> sets.(c)
   in
   let changed = ref true in
   while !changed do
     changed := false;
     for c = 0 to n - 1 do
-      if canon c = c then begin
-        let contribs = ref [] in
-        List.iter
-          (fun (g : Netlist.gate) ->
-            contribs := gate_mask g.Netlist.op (List.map mask_of_src g.Netlist.inputs) :: !contribs)
-          gates_of.(c);
-        List.iter
-          (fun (d : Netlist.driver) ->
-            let src = mask_of_src d.Netlist.source in
-            let m =
-              match d.Netlist.guard with
-              | None -> src
-              | Some g ->
-                  let gm = booleanize_mask (mask_of_src g) in
-                  (if gm land m_one <> 0 then src else 0)
-                  lor (if gm land m_zero <> 0 then m_noinfl else 0)
-                  lor (if gm land m_undef <> 0 then m_undef else 0)
-            in
-            contribs := m :: !contribs)
-          drivers_of.(c);
-        let driving = List.filter (fun m -> m land lnot m_noinfl <> 0) !contribs in
-        let base =
-          if inputs.(c) then m_zero lor m_one
-          else
-            match Hashtbl.find_opt reg_of_out c with
-            | Some r ->
-                mask_of r.Netlist.rinit
-                lor booleanize_mask (sets.(canon r.Netlist.rin) land lnot m_noinfl)
-            | None ->
-                if !contribs = [] then m_undef (* producer-less: reads UNDEF *)
-                else 0
-        in
-        let m =
-          List.fold_left ( lor ) base !contribs
-          lor (if List.length driving >= 2 then m_undef else 0)
-        in
-        let m = sets.(c) lor m in
-        if m <> sets.(c) then begin
-          sets.(c) <- m;
-          changed := true
-        end
+      let base =
+        if g.Graph.input_class.(c) then m_zero lor m_one
+        else
+          match Graph.reg_of_out g c with
+          | -1 ->
+              (* producer-less: reads UNDEF *)
+              if g.Graph.producer_count.(c) = 0 then m_undef else 0
+          | r ->
+              mask_of g.Graph.regs.(r).Netlist.rinit
+              lor booleanize_mask (sets.(g.Graph.reg_in.(r)) land lnot m_noinfl)
+      in
+      let m = ref base and driving = ref 0 in
+      Graph.iter_producers g c (fun i ->
+          let pm = node_mask mask_of_src g.Graph.nodes.(i) in
+          if pm land lnot m_noinfl <> 0 then incr driving;
+          m := !m lor pm);
+      let m = sets.(c) lor !m lor (if !driving >= 2 then m_undef else 0) in
+      if m <> sets.(c) then begin
+        sets.(c) <- m;
+        changed := true
       end
     done
   done;
   let undriven =
     Array.init n (fun c ->
-        gates_of.(c) = [] && drivers_of.(c) = []
-        && (not inputs.(c))
-        && not (Hashtbl.mem reg_of_out c))
+        g.Graph.producer_count.(c) = 0
+        && (not g.Graph.input_class.(c))
+        && Graph.reg_of_out g c < 0)
   in
   (sets, undriven)
 
-let undef_pass bag (design : Elaborate.design) (sets, undriven) =
-  let nl = design.Elaborate.netlist in
-  let n = Netlist.net_count nl in
-  let canon id = Netlist.canonical nl id in
+let undef_pass bag (g : Graph.t) (sets, undriven) =
+  let nl = g.Graph.nl in
   (* report per class, through a representative read, user-visible net *)
-  let members = Array.make n [] in
   Array.iter
-    (fun (net : Netlist.net) ->
-      let c = canon net.Netlist.id in
-      members.(c) <- net :: members.(c))
-    (Netlist.nets_array nl);
-  for c = 0 to n - 1 do
-    if canon c = c then begin
+    (fun c ->
       let read =
         List.filter
           (fun (net : Netlist.net) ->
             net.Netlist.reads > 0 && not (String.contains net.Netlist.name '#'))
-          members.(c)
+          (List.rev_map (Netlist.net nl) (Graph.members g c))
       in
       let rep =
         match
@@ -762,9 +695,8 @@ let undef_pass bag (design : Elaborate.design) (sets, undriven) =
             Diag.Bag.warning bag ~code:Diag.Code.undef_only Diag.Lint_error
               net.Netlist.loc
               "'%s' can never carry a defined value — every read yields UNDEF"
-              net.Netlist.name
-    end
-  done
+              net.Netlist.name)
+    (Graph.by_rep g)
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: dead hardware                                                *)
@@ -772,8 +704,9 @@ let undef_pass bag (design : Elaborate.design) (sets, undriven) =
 
 (* returns the paths of instances reported dead, so pass 4 can avoid
    re-reporting every net inside an already-flagged instance *)
-let dead_pass bag (design : Elaborate.design) (ai : Absint.t) =
-  let nl = design.Elaborate.netlist in
+let dead_pass bag (ai : Absint.t) =
+  let g = ai.Absint.graph in
+  let nl = g.Graph.nl in
   let dead_paths = ref [] in
   let guard_value = function
     | Netlist.Sconst v -> Some v
@@ -805,7 +738,7 @@ let dead_pass bag (design : Elaborate.design) (ai : Absint.t) =
               end
           | _ -> ()))
     (Netlist.drivers nl);
-  let live id = ai.Absint.observable.(ai.Absint.canon.(id)) in
+  let live id = ai.Absint.observable.(g.Graph.canon.(id)) in
   List.iter
     (fun (i : Netlist.instance) ->
       if String.contains i.Netlist.ipath '.' && not i.Netlist.is_function_call
@@ -835,15 +768,9 @@ let dead_pass bag (design : Elaborate.design) (ai : Absint.t) =
 (* Pass 4: abstract interpretation (Z501/Z502/Z503)                     *)
 (* ------------------------------------------------------------------ *)
 
-let absint_pass bag (design : Elaborate.design) (ai : Absint.t)
-    (sets, _undriven) ~dead_paths =
-  let nl = design.Elaborate.netlist in
-  let members = Array.make ai.Absint.n_classes [] in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let c = ai.Absint.canon.(net.Netlist.id) in
-      members.(c) <- net :: members.(c))
-    (Netlist.nets_array nl);
+let absint_pass bag (ai : Absint.t) (sets, _undriven) ~dead_paths =
+  let g = ai.Absint.graph in
+  let nl = g.Graph.nl in
   let under_dead name =
     List.exists
       (fun p ->
@@ -862,8 +789,8 @@ let absint_pass bag (design : Elaborate.design) (ai : Absint.t)
     | net :: _ -> Some net
     | [] -> ( match nets with net :: _ -> Some net | [] -> None)
   in
-  for c = 0 to ai.Absint.n_classes - 1 do
-    if ai.Absint.producers.(c) > 0 && not ai.Absint.input_class.(c) then begin
+  for c = 0 to g.Graph.n_classes - 1 do
+    if g.Graph.producer_count.(c) > 0 && not g.Graph.input_class.(c) then begin
       let generated (name : string) =
         (* elaboration helpers with no source-level identity: gate
            temporaries ('#') and the guard/negated-guard nets built for
@@ -879,7 +806,7 @@ let absint_pass bag (design : Elaborate.design) (ai : Absint.t)
       let visible =
         List.filter
           (fun (n : Netlist.net) -> not (generated n.Netlist.name))
-          (List.rev members.(c))
+          (List.map (Netlist.net nl) (Graph.members g c))
       in
       (* a net someone looks at: read by logic, or an OUT/INOUT pin *)
       let observed =
@@ -910,8 +837,7 @@ let absint_pass bag (design : Elaborate.design) (ai : Absint.t)
              never read a defined value; Z502 adds the strictly finer
              must-facts it misses — e.g. a guaranteed drive conflict
              resolving to UNDEF every cycle *)
-          let oc = ai.Absint.rep.(c) in
-          if booleanize_mask sets.(oc) land (m_zero lor m_one) <> 0 then
+          if booleanize_mask sets.(c) land (m_zero lor m_one) <> 0 then
             match pick observed with
             | Some net ->
                 Diag.Bag.warning bag ~code:Diag.Code.absint_stuck
@@ -950,30 +876,28 @@ let absint_pass bag (design : Elaborate.design) (ai : Absint.t)
 
 let default_budget = 4096
 
-let run ?(budget = default_budget) ?proven_safe (design : Elaborate.design) =
-  let nl = design.Elaborate.netlist in
+let analyze ~budget ~proven_safe (g : Graph.t) =
   let bag = Diag.Bag.create () in
-  let st = make_expander design in
+  let st = make_expander g in
   let splits = ref 0 in
   let skip =
     match proven_safe with
     | None -> fun _ -> false
     | Some p ->
-        let arr = modular_skip design p in
+        let arr = modular_skip g p in
         fun c -> arr.(c)
   in
-  (* expansion must precede the conflict pass so undef_roots is filled
-     before pairs are scanned — drive_cond runs inside the pass, so
-     scan pairs only after all conditions are expanded (prove_conflicts
-     builds every producer's condition before solving any pair) *)
-  let (sets, _) as vsets = value_sets design in
+  let (sets, _) as vsets = value_sets g in
   let can_undef c = booleanize_mask sets.(c) land m_undef <> 0 in
-  let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip nl in
-  undef_pass bag design vsets;
-  let ai = Absint.analyze design in
-  let dead_paths = dead_pass bag design ai in
-  absint_pass bag design ai vsets ~dead_paths;
+  let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip in
+  undef_pass bag g vsets;
+  let ai = Absint.analyze g in
+  let dead_paths = dead_pass bag ai in
+  absint_pass bag ai vsets ~dead_paths;
   { verdicts; findings = Diag.Bag.all bag; splits = !splits }
+
+let run ?(budget = default_budget) ?proven_safe design =
+  analyze ~budget ~proven_safe (Graph.build design)
 
 let count cls report =
   List.length (List.filter (fun v -> v.v_class = cls) report.verdicts)

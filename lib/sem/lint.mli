@@ -100,6 +100,11 @@ val default_budget : int
 val run :
   ?budget:int -> ?proven_safe:(string -> bool) -> Elaborate.design -> report
 
+(** [run] over an already built class graph, for callers that share
+    one {!Graph.t} across analyses ({!Seqprove}). *)
+val analyze :
+  budget:int -> proven_safe:(string -> bool) option -> Graph.t -> report
+
 (** [count cls report] — verdicts with classification [cls]. *)
 val count : classification -> report -> int
 
@@ -114,35 +119,19 @@ val summary : report -> string
     duplicating the netlist walk. *)
 
 (** The memoizing guard expander of the conflict prover: walks the
-    netlist backwards from a net to a [bexp] over free variables
-    (testbench inputs, register outputs, RANDOM sources — their
-    canonical class ids) and opaque leaves. *)
+    class graph backwards from a class to a [bexp] over free variables
+    (testbench inputs, register outputs, RANDOM sources — their class
+    ids) and opaque leaves.  Bounded by an internal node cap past which
+    leaves become opaque. *)
 type expander
 
-val make_expander : Elaborate.design -> expander
-
-(** [expand st id] — the boolean formula for net [id] (any alias of
-    the class).  Memoized; bounded by an internal node cap past which
-    leaves become opaque. *)
-val expand : expander -> int -> bexp
+val make_expander : Graph.t -> expander
 
 (** [drive_cond st guard] — the condition under which a driver with
-    this guard produces a driving (non-NOINFL) value: [Btrue] for an
-    unconditional driver, and the expanded guard otherwise (an UNDEF
-    guard also drives). *)
+    this guard (a {!Graph.node} source) produces a driving (non-NOINFL)
+    value: [Btrue] for an unconditional driver, and the expanded guard
+    otherwise (an UNDEF guard also drives). *)
 val drive_cond : expander -> Netlist.src option -> bexp
-
-val expander_netlist : expander -> Netlist.t
-
-(** Is this canonical class a free root (testbench input, register
-    output, RANDOM source)?  Variable ids in expanded formulas are
-    canonical class ids, so this classifies [Bvar]s. *)
-val is_free_root : expander -> int -> bool
-
-(** Did the expansion record this (possibly negative) opaque id as one
-    that can read UNDEF (an undriven net or a literal-UNDEF
-    constant)? *)
-val is_undef_root : expander -> int -> bool
 
 (** {3 Value-set masks}
 
@@ -159,15 +148,17 @@ val mask_of : Zeus_base.Logic.t -> int
 (** NOINFL reads back as UNDEF (an undriven mux net). *)
 val booleanize_mask : int -> int
 
-(** The transfer function of a gate over input value-set masks
-    (inputs are booleanized first, as the simulator does). *)
-val gate_mask : Netlist.gate_op -> int list -> int
+(** The transfer function of one producer node over the masks its
+    sources read ([mask_of_src] sees class-id sources): gate inputs are
+    booleanized first, as the simulator does; an undefined guard drives
+    UNDEF, a 0 guard contributes NOINFL. *)
+val node_mask : (Netlist.src -> int) -> Graph.node -> int
 
-(** The flow-insensitive value-set fixpoint: for every canonical net,
-    the mask of values it can ever carry, plus the producer-less
-    (undriven) flags.  Inputs are assumed defined ({0,1}); register
-    outputs start from power-up. *)
-val value_sets : Elaborate.design -> int array * bool array
+(** The flow-insensitive value-set fixpoint: for every class, the mask
+    of values it can ever carry, plus the producer-less (undriven)
+    flags.  Inputs are assumed defined ({0,1}); register outputs start
+    from power-up. *)
+val value_sets : Graph.t -> int array * bool array
 
 (** The schema version carried in the [version] member of the JSON
     report; bumped on any incompatible change to the output shape. *)

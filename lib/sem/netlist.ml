@@ -269,16 +269,6 @@ let instances t = List.rev t.instances
 
 let order_constraints t = List.rev t.order_constraints
 
-(* Drivers grouped by canonical target — used by checker and simulator. *)
-let drivers_by_target t =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun d ->
-      let key = canonical t d.target in
-      Hashtbl.replace tbl key (d :: Option.value ~default:[] (Hashtbl.find_opt tbl key)))
-    t.drivers;
-  Hashtbl.fold (fun k v acc -> (k, List.rev v) :: acc) tbl []
-
 (* a shallow variant of [t] with replaced gate/driver lists plus extra
    alias unions — the reducer's copy-propagation hook.  Nets and
    instances are shared; the union-find is copied first, so the

@@ -141,7 +141,6 @@ val drivers : t -> driver list
 val regs : t -> reg list
 val instances : t -> instance list
 val order_constraints : t -> (Loc.t * int list * int list) list
-val drivers_by_target : t -> (int * driver list) list
 
 (** Net ids written (driver targets, gate outputs) since the given
     snapshot from {!counts} — builds SEQUENTIAL ordering constraints. *)

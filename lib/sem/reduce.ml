@@ -44,25 +44,22 @@ type result = {
   stats : stats;
 }
 
-let class_name (design : Elaborate.design) (ai : Absint.t) c =
-  let nl = design.Elaborate.netlist in
-  let best = ref None in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      if
-        ai.Absint.canon.(net.Netlist.id) = c
-        && !best = None
-        && not (String.contains net.Netlist.name '#')
-      then best := Some net.Netlist.name)
-    (Netlist.nets_array nl);
-  match !best with
-  | Some name -> name
-  | None -> (Netlist.net nl ai.Absint.rep.(c)).Netlist.name
+let class_name (ai : Absint.t) c =
+  let cg = ai.Absint.graph in
+  let name id = (Netlist.net cg.Graph.nl id).Netlist.name in
+  match
+    List.find_opt
+      (fun id -> not (String.contains (name id) '#'))
+      (Graph.members cg c)
+  with
+  | Some id -> name id
+  | None -> cg.Graph.names.(c)
 
 let run (design : Elaborate.design) =
-  let ai = Absint.analyze design in
+  let cg = Graph.build design in
+  let ai = Absint.analyze cg in
   let nl = design.Elaborate.netlist in
-  let canon id = ai.Absint.canon.(id) in
+  let canon id = cg.Graph.canon.(id) in
   let const_of c =
     match ai.Absint.value.(c) with
     | Absint.Const v -> Some v
@@ -72,9 +69,9 @@ let run (design : Elaborate.design) =
      not pokeable — exactly the nets whose every producer the rewrite
      may delete without changing drive counts on any other class *)
   let foldable c =
-    ai.Absint.producers.(c) = 1
-    && (not ai.Absint.input_class.(c))
-    && (not ai.Absint.reg_out_class.(c))
+    cg.Graph.producer_count.(c) = 1
+    && (not cg.Graph.input_class.(c))
+    && (not cg.Graph.reg_out_class.(c))
     && const_of c <> None
   in
   let rewrite_src s =
@@ -87,16 +84,11 @@ let run (design : Elaborate.design) =
   in
   let live c = ai.Absint.observable.(c) in
   (* mux taint per class, for the copy-propagation kind guard *)
-  let class_mux = Array.make ai.Absint.n_classes false in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      if net.Netlist.kind = Etype.KMux then
-        class_mux.(canon net.Netlist.id) <- true)
-    (Netlist.nets_array nl);
-  let const_driver_emitted = Array.make ai.Absint.n_classes false in
+  let class_mux = Array.map (fun k -> k = Etype.KMux) cg.Graph.class_kind in
+  let const_driver_emitted = Array.make cg.Graph.n_classes false in
   (* never-firing drivers already dropped per class — a drop is only
      legal while the class keeps at least one other producer *)
-  let guard0_dropped = Array.make ai.Absint.n_classes 0 in
+  let guard0_dropped = Array.make cg.Graph.n_classes 0 in
   let gates = ref [] and drivers = ref [] and consts = ref 0 in
   let merges = ref [] and copies = ref 0 in
   (* copy propagation: an unguarded [t := s] whose target class has no
@@ -121,9 +113,9 @@ let run (design : Elaborate.design) =
   let copy_mergeable tc sc =
     (not has_random)
     && tc <> sc
-    && ai.Absint.producers.(tc) = 1
-    && (not ai.Absint.input_class.(tc))
-    && (not ai.Absint.reg_out_class.(tc))
+    && cg.Graph.producer_count.(tc) = 1
+    && (not cg.Graph.input_class.(tc))
+    && (not cg.Graph.reg_out_class.(tc))
     && class_mux.(tc) = class_mux.(sc)
   in
   let emit_const target v loc =
@@ -204,9 +196,9 @@ let run (design : Elaborate.design) =
             merges := (d.Netlist.target, s) :: !merges
         | Some (Netlist.Sconst v), _
           when Logic.booleanize v = Logic.Zero
-               && ai.Absint.producers.(t) - guard0_dropped.(t) > 1
-               && (not ai.Absint.input_class.(t))
-               && not ai.Absint.reg_out_class.(t) ->
+               && cg.Graph.producer_count.(t) - guard0_dropped.(t) > 1
+               && (not cg.Graph.input_class.(t))
+               && not cg.Graph.reg_out_class.(t) ->
             (* never fires, contributes NOINFL, and another producer
                remains: dropping it changes neither the resolved value
                nor the runtime drive count *)
@@ -219,7 +211,7 @@ let run (design : Elaborate.design) =
     Netlist.with_nodes_merged nl ~gates ~drivers ~merges:!merges
   in
   (* classes whose whole producing cone vanished *)
-  let producers_after = Array.make ai.Absint.n_classes 0 in
+  let producers_after = Array.make cg.Graph.n_classes 0 in
   List.iter
     (fun (g : Netlist.gate) ->
       let c = canon g.Netlist.output in
@@ -234,11 +226,11 @@ let run (design : Elaborate.design) =
   Array.iteri
     (fun c before ->
       if before > 0 && producers_after.(c) = 0 then incr eliminated)
-    ai.Absint.producers;
+    cg.Graph.producer_count;
   let const0, const1, stuckx, stuckz, varying = Absint.counts ai in
   let stats =
     {
-      classes = ai.Absint.n_classes;
+      classes = cg.Graph.n_classes;
       const0;
       const1;
       stuckx;
@@ -259,18 +251,19 @@ let run (design : Elaborate.design) =
 
 let proof_table r =
   let ai = r.ai in
+  let cg = ai.Absint.graph in
   let rows = ref [] in
-  for c = ai.Absint.n_classes - 1 downto 0 do
+  for c = cg.Graph.n_classes - 1 downto 0 do
     if
-      ai.Absint.producers.(c) > 0
+      cg.Graph.producer_count.(c) > 0
       && (ai.Absint.cls.(c) <> Absint.Varying || not ai.Absint.observable.(c))
     then
       rows :=
         ( c,
-          class_name r.design ai c,
+          class_name ai c,
           ai.Absint.cls.(c),
           ai.Absint.observable.(c),
-          ai.Absint.producers.(c) )
+          cg.Graph.producer_count.(c) )
         :: !rows
   done;
   !rows
@@ -293,17 +286,18 @@ let json_schema_version = 1
 
 let json_of_result r =
   let ai = r.ai and s = r.stats in
+  let cg = ai.Absint.graph in
   let b = Buffer.create 1024 in
   Buffer.add_string b
     (Printf.sprintf "{\n  \"version\": %d,\n  \"classes\": [" json_schema_version);
-  for c = 0 to ai.Absint.n_classes - 1 do
+  for c = 0 to cg.Graph.n_classes - 1 do
     if c > 0 then Buffer.add_char b ',';
     Buffer.add_string b
       (Printf.sprintf
          "\n    {\"net\":\"%s\",\"class\":\"%s\",\"observable\":%b,\"producers\":%d}"
-         (json_escape (class_name r.design ai c))
+         (json_escape (class_name ai c))
          (Absint.classification_to_string ai.Absint.cls.(c))
-         ai.Absint.observable.(c) ai.Absint.producers.(c))
+         ai.Absint.observable.(c) cg.Graph.producer_count.(c))
   done;
   Buffer.add_string b
     (Printf.sprintf

@@ -55,10 +55,10 @@ open Zeus_base
 
 (** A concrete stimulus trace that trips the runtime multiple-drive
     check.  [w_trace.(c)] lists the pokes applied before cycle [c]
-    (canonical net id, net name, value) — every enumerated input is
-    poked every cycle, so the replay is deterministic. *)
+    (representative net id, net name, value) — every enumerated input
+    is poked every cycle, so the replay is deterministic. *)
 type witness = {
-  w_class : int;  (** canonical class of the conflicting net *)
+  w_class : int;  (** representative net id of the conflicting class *)
   w_name : string;
   w_cycle : int;  (** 0-based cycle at which the conflict fires *)
   w_trace : (int * string * Logic.t) list array;
@@ -67,7 +67,7 @@ type witness = {
 (** Per-register reachability facts, as value-set masks. *)
 type reg_trace = {
   rt_name : string;  (** hierarchical register path *)
-  rt_out : int;  (** canonical class of the register output *)
+  rt_out : int;  (** representative net id of the register output *)
   rt_init : int;  (** power-up mask *)
   rt_fix : int;  (** every value reachable from power-up (fixpoint) *)
   rt_reset : int array;
@@ -80,7 +80,8 @@ type report = {
   sp_depth : int;
   sp_regs : reg_trace list;
   sp_upgraded : (int * string) list;
-      (** classes upgraded to [Safe_sequential] (canonical id, name) *)
+      (** classes upgraded to [Safe_sequential] (representative net id,
+          name) *)
   sp_findings : Diag.t list;  (** Z601/Z602/Z603 *)
   sp_witnesses : witness list;
   sp_splits : int;  (** case splits spent by the per-state prover *)
@@ -96,7 +97,8 @@ val default_depth : int
     trajectory and the concrete witness search; [budget] bounds the
     DPLL case splits per pair check (default {!Lint.default_budget});
     [lint] supplies an existing combinational report for the same
-    design (it is re-run otherwise). *)
+    design (otherwise {!Lint.analyze} runs over the one {!Graph.t}
+    this call builds and shares with the prover). *)
 val run :
   ?depth:int -> ?budget:int -> ?lint:Lint.report -> Elaborate.design -> report
 

@@ -1,6 +1,7 @@
 (* Structural statistics over an elaborated netlist: gate histogram,
    combinational depth (the longest gate/driver chain between registers
-   or inputs and any net), fanout distribution.  Used by `zeusc stats`
+   or inputs and any net: the highest Sched level), fanout distribution
+   — all read off the one class graph.  Used by `zeusc stats`
    and the E8 analysis (depth is what separates the firing evaluator
    from sweep-to-fixpoint baselines). *)
 
@@ -29,74 +30,17 @@ let gate_histogram nl =
   Hashtbl.fold (fun op n acc -> (op, n) :: acc) tbl []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-(* longest path in the (acyclic) dependency graph, by memoized DFS *)
-let depth nl =
-  let adj = Check.dependency_graph nl in
-  let n = Array.length adj in
-  (* reverse edges: depth.(v) = 1 + max over predecessors *)
-  let preds = Array.make n [] in
-  Array.iteri (fun src dsts -> List.iter (fun d -> preds.(d) <- src :: preds.(d)) dsts) adj;
-  let memo = Array.make n (-1) in
-  let rec go v =
-    if memo.(v) >= 0 then memo.(v)
-    else begin
-      memo.(v) <- 0 (* cycle guard: designs with check errors *);
-      let d =
-        List.fold_left (fun acc p -> max acc (1 + go p)) 0 preds.(v)
-      in
-      memo.(v) <- d;
-      d
-    end
+let of_design (design : Elaborate.design) =
+  let nl = design.Elaborate.netlist in
+  let g = Graph.build design in
+  let live = Absint.observability g in
+  let count p =
+    let k = ref 0 in
+    for c = 0 to g.Graph.n_classes - 1 do
+      if p c then incr k
+    done;
+    !k
   in
-  let best = ref 0 in
-  for v = 0 to n - 1 do
-    best := max !best (go v)
-  done;
-  !best
-
-let max_fanout nl =
-  let count = Hashtbl.create 64 in
-  let bump = function
-    | Netlist.Snet id ->
-        let id = Netlist.canonical nl id in
-        Hashtbl.replace count id
-          (1 + Option.value ~default:0 (Hashtbl.find_opt count id))
-    | Netlist.Sconst _ -> ()
-  in
-  List.iter (fun (g : Netlist.gate) -> List.iter bump g.Netlist.inputs) (Netlist.gates nl);
-  List.iter
-    (fun (d : Netlist.driver) ->
-      bump d.Netlist.source;
-      Option.iter bump d.Netlist.guard)
-    (Netlist.drivers nl);
-  Hashtbl.fold (fun _ n acc -> max n acc) count 0
-
-let alias_classes nl =
-  let sizes = Hashtbl.create 64 in
-  for id = 0 to Netlist.net_count nl - 1 do
-    let c = Netlist.canonical nl id in
-    Hashtbl.replace sizes c
-      (1 + Option.value ~default:0 (Hashtbl.find_opt sizes c))
-  done;
-  Hashtbl.fold (fun _ n acc -> if n > 1 then acc + 1 else acc) sizes 0
-
-(* driven nets (drivers or gate outputs) from which no observable
-   point — a register input, an OUT/INOUT pin of a root instance — is
-   reachable *)
-let dead_nets nl =
-  let live = Absint.observable_nets nl in
-  let driven = Array.make (Netlist.net_count nl) false in
-  List.iter
-    (fun (d : Netlist.driver) -> driven.(Netlist.canonical nl d.Netlist.target) <- true)
-    (Netlist.drivers nl);
-  List.iter
-    (fun (g : Netlist.gate) -> driven.(Netlist.canonical nl g.Netlist.output) <- true)
-    (Netlist.gates nl);
-  let count = ref 0 in
-  Array.iteri (fun v d -> if d && not live.(v) then incr count) driven;
-  !count
-
-let of_netlist nl =
   {
     nets = Netlist.net_count nl;
     gates = List.length (Netlist.gates nl);
@@ -104,10 +48,15 @@ let of_netlist nl =
     regs = List.length (Netlist.regs nl);
     instances = List.length (Netlist.instances nl);
     gate_histogram = gate_histogram nl;
-    depth = depth nl;
-    max_fanout = max_fanout nl;
-    alias_classes = alias_classes nl;
-    dead_nets = dead_nets nl;
+    depth = Array.fold_left max 0 (Sched.build g).Sched.net_level;
+    max_fanout =
+      Array.fold_left max 0
+        (Array.init g.Graph.n_classes (Graph.consumer_count g));
+    alias_classes =
+      count (fun c -> g.Graph.mem_off.(c + 1) - g.Graph.mem_off.(c) > 1);
+    (* driven classes (drivers or gate outputs) from which no
+       observable point is reachable *)
+    dead_nets = count (fun c -> g.Graph.producer_count.(c) > 0 && not live.(c));
   }
 
 let pp ppf t =

@@ -18,5 +18,8 @@ type t = {
           register input or an OUT pin of a root instance) *)
 }
 
-val of_netlist : Netlist.t -> t
+(** Builds one {!Graph.t}.  [depth] is the highest {!Sched} net level;
+    on a design with a combinational cycle it ignores the cyclic
+    classes. *)
+val of_design : Elaborate.design -> t
 val pp : t Fmt.t

@@ -202,7 +202,7 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
     let seed_kind c =
       if c = g.Graph.clk then Bytecode.seed_clk
       else if c = g.Graph.rset then Bytecode.seed_rset
-      else if g.Graph.reg_of_out.(c) >= 0 then g.Graph.reg_of_out.(c)
+      else if Graph.reg_of_out g c >= 0 then Graph.reg_of_out g c
       else Bytecode.seed_plain
     in
     let c = ref 0 in

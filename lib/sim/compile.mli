@@ -23,7 +23,10 @@
     engines.  The kept/elided site counts are reported as
     [check_ops]/[discharged_ops] on the program. *)
 val build :
-  ?discharged:(int -> bool) -> Graph.t -> Sched.t -> Bytecode.prog option
+  ?discharged:(int -> bool) ->
+  Zeus_sem.Graph.t ->
+  Zeus_sem.Sched.t ->
+  Bytecode.prog option
 
 (** Shortest stride-1 run the vectorizer turns into a word op. *)
 val vmin : int

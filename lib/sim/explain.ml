@@ -26,33 +26,21 @@ type entry = {
 
 (* explain the value of one net from the last evaluated cycle,
    descending [depth] levels into its producers *)
-let explain sim path ~depth =
-  let design = Sim.design sim in
-  let nl = design.Elaborate.netlist in
-  let nets =
-    match Elaborate.resolve_path design path with
-    | Ok nets -> nets
-    | Error msg -> invalid_arg ("Explain: " ^ msg)
-  in
+let explain_nets sim nets ~depth =
+  let g = Sim.graph sim in
+  let nl = g.Graph.nl in
   let value_of id = List.hd (Sim.peek_nets sim [ id ]) in
   let name id = (Netlist.net nl id).Netlist.name in
-  let regs_by_out = Hashtbl.create 16 in
-  List.iter
-    (fun (r : Netlist.reg) ->
-      Hashtbl.replace regs_by_out (Netlist.canonical nl r.Netlist.rout) r)
-    (Netlist.regs nl);
-  let gates_by_out = Hashtbl.create 16 in
-  List.iter
-    (fun (gt : Netlist.gate) ->
-      Hashtbl.replace gates_by_out (Netlist.canonical nl gt.Netlist.output) gt)
-    (Netlist.gates nl);
-  let drivers_by_target = Hashtbl.create 16 in
-  List.iter
-    (fun (d : Netlist.driver) ->
-      let k = Netlist.canonical nl d.Netlist.target in
-      Hashtbl.replace drivers_by_target k
-        (d :: Option.value ~default:[] (Hashtbl.find_opt drivers_by_target k)))
-    (Netlist.drivers nl);
+  (* the producers of a class, off the graph's producer CSR: its last
+     gate, and its drivers latest first *)
+  let n_gates = Array.length g.Graph.gates in
+  let producers c =
+    let gate = ref None and drivers = ref [] in
+    Graph.iter_producers g c (fun i ->
+        if i < n_gates then gate := Some g.Graph.gates.(i)
+        else drivers := g.Graph.drivers.(i - n_gates) :: !drivers);
+    (!gate, !drivers)
+  in
   let seen = Hashtbl.create 16 in
   let entries = ref [] in
   let src_value = function
@@ -60,14 +48,15 @@ let explain sim path ~depth =
     | Netlist.Snet s -> value_of s
   in
   let rec go id depth =
-    let c = Netlist.canonical nl id in
+    let c = g.Graph.canon.(id) in
     if depth >= 0 && not (Hashtbl.mem seen c) then begin
       Hashtbl.replace seen c ();
+      let gate, drivers = producers c in
       let reason, feeds =
-        match Hashtbl.find_opt regs_by_out c with
-        | Some r -> (Register r.Netlist.rpath, [])
-        | None -> (
-            match Hashtbl.find_opt gates_by_out c with
+        match Graph.reg_of_out g c with
+        | r when r >= 0 -> (Register g.Graph.regs.(r).Netlist.rpath, [])
+        | _ -> (
+            match gate with
             | Some gt ->
                 ( Gate
                     ( gt.Netlist.op,
@@ -78,8 +67,8 @@ let explain sim path ~depth =
                     (function Netlist.Snet s -> Some s | _ -> None)
                     gt.Netlist.inputs )
             | None -> (
-                match Hashtbl.find_opt drivers_by_target c with
-                | Some ds ->
+                match drivers with
+                | _ :: _ as ds ->
                     let fires =
                       List.map
                         (fun (d : Netlist.driver) ->
@@ -111,7 +100,7 @@ let explain sim path ~depth =
                             (function Netlist.Snet s -> Some s | _ -> None)
                             (d.Netlist.source :: Option.to_list d.Netlist.guard))
                         ds )
-                | None -> (Input, [])))
+                | [] -> (Input, [])))
       in
       entries := { net = name id; value = value_of id; reason } :: !entries;
       List.iter (fun s -> go s (depth - 1)) feeds
@@ -122,6 +111,11 @@ let explain sim path ~depth =
   in
   List.iter (fun id -> go id depth) nets;
   List.rev !entries
+
+let explain sim path ~depth =
+  Result.map
+    (fun nets -> explain_nets sim nets ~depth)
+    (Elaborate.resolve_path (Sim.design sim) path)
 
 let pp_entry ppf e =
   Fmt.pf ppf "%s = %a: " e.net Logic.pp e.value;

@@ -27,8 +27,9 @@ type entry = {
 
 (** [explain sim path ~depth] explains every bit of [path], descending
     [depth] producer levels.  Call after at least one {!Sim.step}.
-    @raise Invalid_argument for unresolvable paths. *)
-val explain : Sim.t -> string -> depth:int -> entry list
+    [Error] carries the path resolution message of a path that names
+    nothing. *)
+val explain : Sim.t -> string -> depth:int -> (entry list, string) result
 
 val pp_entry : entry Fmt.t
 val pp : entry list Fmt.t

@@ -262,6 +262,7 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     ~jobs
 
 let design t = t.g.Graph.design
+let graph t = t.g
 
 let runtime_errors t = List.rev t.errors
 
@@ -369,7 +370,7 @@ let value_of_net t id =
     | Some st when Bytecode.ran st -> Bytecode.get st c
     | _ -> Option.value ~default:Logic.Undef t.values.(c)
   in
-  match t.g.Graph.net_kind.(id) with
+  match (Netlist.net t.g.Graph.nl id).Netlist.kind with
   | Etype.KBool -> Logic.booleanize v
   | Etype.KMux -> v
 
@@ -497,7 +498,7 @@ let seed_value t c =
       if c = g.Graph.clk then Logic.One
       else if c = g.Graph.rset then Logic.Zero
       else
-        let r = g.Graph.reg_of_out.(c) in
+        let r = Graph.reg_of_out g c in
         if r >= 0 then t.reg_state.(r) else Logic.Undef
 
 (* ------------------------------------------------------------------ *)
@@ -1369,7 +1370,7 @@ let batch_exec_lanes tmpl prog planes runs ~resolve ~snapshots =
       if Bytecode.ran sts.(li) then Bytecode.get sts.(li) g.Graph.canon.(id)
       else Logic.Undef
     in
-    match g.Graph.net_kind.(id) with
+    match (Netlist.net g.Graph.nl id).Netlist.kind with
     | Etype.KBool -> Logic.booleanize v
     | Etype.KMux -> v
   in

@@ -115,6 +115,10 @@ val create :
 
 val design : t -> Elaborate.design
 
+(** The class graph the engines run over (of the reduced design under
+    [~optimize]). *)
+val graph : t -> Graph.t
+
 (** {1 Driving inputs}
 
     Paths are hierarchical ("adder.a", "bj.score.out") and resolve

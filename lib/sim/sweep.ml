@@ -111,7 +111,7 @@ let run ?(seed = 0x5eed) ~order (design : Elaborate.design) pokes =
     | None ->
         if c = g.Graph.clk then Logic.One
         else if c = g.Graph.rset then Logic.Zero
-        else if g.Graph.reg_of_out.(c) >= 0 then reg.(g.Graph.reg_of_out.(c))
+        else if Graph.reg_of_out g c >= 0 then reg.(Graph.reg_of_out g c)
         else Logic.Undef
   in
   let rec relax cycle =

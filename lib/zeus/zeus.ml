@@ -23,6 +23,8 @@ module Cval = Zeus_sem.Cval
 module Const_eval = Zeus_sem.Const_eval
 module Netlist = Zeus_sem.Netlist
 module Elaborate = Zeus_sem.Elaborate
+module Graph = Zeus_sem.Graph
+module Sched = Zeus_sem.Sched
 module Check = Zeus_sem.Check
 module Stats = Zeus_sem.Stats
 module Absint = Zeus_sem.Absint
@@ -32,8 +34,6 @@ module Seqprove = Zeus_sem.Seqprove
 module Contract = Zeus_sem.Contract
 module Summary = Zeus_sem.Summary
 module Layout_ir = Zeus_sem.Layout_ir
-module Graph = Zeus_sim.Graph
-module Sched = Zeus_sim.Sched
 module Sim = Zeus_sim.Sim
 module Sweep = Zeus_sim.Sweep
 module Prand = Zeus_sim.Prand

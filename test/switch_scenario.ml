@@ -42,7 +42,7 @@ let restart_at = 150
    the restart.  Returns the handle after the last cycle. *)
 let run ?(on_cycle = fun _ _ -> ()) ?(on_restart = fun _ -> ()) design =
   let sim = Sim.create ~engine:Sim.Incremental design in
-  let inputs = Array.of_list (Check.top_input_nets design) in
+  let inputs = Array.of_list (Graph.top_input_nets design) in
   let state = ref 0x2545F491 in
   let next () =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;

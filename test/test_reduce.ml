@@ -173,7 +173,7 @@ let test_reduction_on_blackjack () =
 
 let value_of design name =
   Absint.av_to_string
-    (Absint.value_of_net (Absint.analyze design) (net_id design name))
+    (Absint.value_of_net (Absint.analyze (Graph.build design)) (net_id design name))
 
 let test_noinfl_only_net () =
   (* a multiplex whose single producer sits behind a statically-false
@@ -240,7 +240,7 @@ let test_alias_class_constants () =
 (* ---- abstract interpretation (Absint) + reduction (Reduce) ---- *)
 
 let classify design name =
-  let ai = Absint.analyze design in
+  let ai = Absint.analyze (Graph.build design) in
   Absint.classification_to_string
     (Absint.classification_of_net ai (net_id design name))
 

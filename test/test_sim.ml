@@ -319,7 +319,7 @@ let test_engines_agree_corpus () =
   List.iter
     (fun (name, src) ->
       let d = compile src in
-      let inputs = Check.top_input_nets d in
+      let inputs = Graph.top_input_nets d in
       let rng = Random.State.make [| 77 |] in
       let stimulus =
         List.init 4 (fun _ ->
@@ -633,7 +633,7 @@ let identity_gen =
 (* per cycle, the (net, value) pokes a stimulus vector spreads over the
    design's top-level inputs *)
 let identity_pokes d stimulus =
-  let inputs = Check.top_input_nets d in
+  let inputs = Graph.top_input_nets d in
   let lv = function 0 -> Logic.Zero | 1 -> Logic.One | _ -> Logic.Undef in
   List.map
     (fun vec ->

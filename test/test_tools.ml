@@ -59,7 +59,7 @@ let test_testbench_expect_bits () =
 
 let test_stats_counts () =
   let d = compile (Corpus.adder_n 8) in
-  let s = Stats.of_netlist d.Elaborate.netlist in
+  let s = Stats.of_design d in
   Alcotest.(check int) "gates" 40 s.Stats.gates;
   Alcotest.(check int) "instances" 25 s.Stats.instances;
   Alcotest.(check bool) "histogram covers all gates" true
@@ -70,7 +70,7 @@ let test_stats_depth_scales () =
   (* ripple-carry depth grows linearly with width *)
   let depth n =
     let d = compile (Corpus.adder_n n) in
-    (Stats.of_netlist d.Elaborate.netlist).Stats.depth
+    (Stats.of_design d).Stats.depth
   in
   let d8 = depth 8 and d16 = depth 16 and d32 = depth 32 in
   Alcotest.(check bool)
@@ -101,7 +101,7 @@ let test_stats_regs_break_depth () =
     Buffer.add_string buf
       (Printf.sprintf "  q := r[%d].out\nEND;\nSIGNAL s: t;\n" n);
     let d = compile (Buffer.contents buf) in
-    (Stats.of_netlist d.Elaborate.netlist).Stats.depth
+    (Stats.of_design d).Stats.depth
   in
   Alcotest.(check int) "depth independent of pipeline length" (pipeline 4)
     (pipeline 32)
@@ -112,10 +112,15 @@ let test_stats_alias_classes () =
       "TYPE t = COMPONENT (em,fm,gm: multiplex; IN a: boolean) IS BEGIN em \
        == fm; fm == gm; IF a THEN em := 1 END END; SIGNAL s: t;"
   in
-  let s = Stats.of_netlist d.Elaborate.netlist in
+  let s = Stats.of_design d in
   Alcotest.(check int) "one alias class" 1 s.Stats.alias_classes
 
 (* ---- Explain ---- *)
+
+let explain sim path ~depth =
+  match Explain.explain sim path ~depth with
+  | Ok entries -> entries
+  | Error msg -> Alcotest.failf "explain %s: %s" path msg
 
 let test_explain_traces_undef () =
   let d = compile (Corpus.adder_n 2) in
@@ -123,7 +128,7 @@ let test_explain_traces_undef () =
   Sim.poke_int_lsb sim "adder.b" 1;
   (* a and cin left floating *)
   Sim.step sim;
-  let entries = Explain.explain sim "adder.s[1]" ~depth:8 in
+  let entries = explain sim "adder.s[1]" ~depth:8 in
   Alcotest.(check bool) "several levels" true (List.length entries >= 3);
   (* the trail ends at an undriven/testbench input *)
   Alcotest.(check bool) "reaches an input" true
@@ -138,7 +143,7 @@ let test_explain_register () =
   Sim.poke_bool sim "c.en" true;
   Sim.reset sim;
   Sim.step sim;
-  let entries = Explain.explain sim "c.value[2]" ~depth:2 in
+  let entries = explain sim "c.value[2]" ~depth:2 in
   Alcotest.(check bool) "finds the register" true
     (List.exists
        (fun e -> match e.Explain.reason with Explain.Register _ -> true | _ -> false)
@@ -154,7 +159,7 @@ let test_explain_guarded_driver () =
   Sim.poke_bool sim "s.b" false;
   Sim.poke_bool sim "s.x" true;
   Sim.step sim;
-  let entries = Explain.explain sim "s.m" ~depth:1 in
+  let entries = explain sim "s.m" ~depth:1 in
   match entries with
   | { Explain.reason = Explain.Drivers [ f ]; value; _ } :: _ ->
       Alcotest.(check char) "net floats" 'Z' (Logic.to_char value);
@@ -164,6 +169,20 @@ let test_explain_guarded_driver () =
       | Some (_, gv) -> Alcotest.(check char) "guard is 0" '0' (Logic.to_char gv)
       | None -> Alcotest.fail "expected a guard")
   | _ -> Alcotest.fail "expected one guarded driver"
+
+let test_explain_unknown_path () =
+  let d = compile (Corpus.adder_n 2) in
+  let sim = Sim.create d in
+  Sim.step sim;
+  match Explain.explain sim "adder.nosuch" ~depth:2 with
+  | Ok _ -> Alcotest.fail "an unknown path must not explain"
+  | Error msg ->
+      let sub = "adder.nosuch" in
+      let n = String.length sub in
+      Alcotest.(check bool) "names the path" true
+        (List.exists
+           (fun i -> String.sub msg i n = sub)
+           (List.init (max 0 (String.length msg - n + 1)) Fun.id))
 
 (* ---- switching activity ---- *)
 
@@ -276,6 +295,7 @@ let () =
           Alcotest.test_case "register" `Quick test_explain_register;
           Alcotest.test_case "guarded driver" `Quick
             test_explain_guarded_driver;
+          Alcotest.test_case "unknown path" `Quick test_explain_unknown_path;
         ] );
       ( "activity",
         [
