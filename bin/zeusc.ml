@@ -47,6 +47,14 @@ let validate_suppress ~cmd suppress =
         (Zeus.Diag.Code.valid_codes_message ());
       exit 2
 
+(* a negative --depth or --budget is a usage error (exit 2), reported
+   the same way as an unknown --suppress code *)
+let validate_non_negative ~cmd ~flag n =
+  if n < 0 then begin
+    Fmt.epr "%s: --%s must be a non-negative integer, got %d@." cmd flag n;
+    exit 2
+  end
+
 let drop_suppressed suppress diags =
   List.filter
     (fun (d : Zeus.Diag.t) ->
@@ -703,6 +711,7 @@ let lint_cmd =
   in
   let run file format budget suppress max_severity modular sequential =
     validate_suppress ~cmd:"lint" suppress;
+    validate_non_negative ~cmd:"lint" ~flag:"budget" budget;
     let src = load ~cmd:"lint" file in
     match Zeus.compile src with
     | Error diags ->
@@ -821,6 +830,8 @@ let prove_cmd =
   in
   let run file depth budget format regs suppress =
     validate_suppress ~cmd:"prove" suppress;
+    validate_non_negative ~cmd:"prove" ~flag:"depth" depth;
+    validate_non_negative ~cmd:"prove" ~flag:"budget" budget;
     match Zeus.compile (load ~cmd:"prove" file) with
     | Error diags ->
         report_diags diags;
@@ -837,11 +848,11 @@ let prove_cmd =
                 (fun (r : Zeus.Seqprove.reg_trace) ->
                   Fmt.pr "register %-28s init=%s reachable=%s reset: %s@."
                     r.Zeus.Seqprove.rt_name
-                    (Zeus.Seqprove.mask_to_string r.Zeus.Seqprove.rt_init)
-                    (Zeus.Seqprove.mask_to_string r.Zeus.Seqprove.rt_fix)
+                    (Zeus.Absint.mask_to_string r.Zeus.Seqprove.rt_init)
+                    (Zeus.Absint.mask_to_string r.Zeus.Seqprove.rt_fix)
                     (String.concat " -> "
                        (Array.to_list
-                          (Array.map Zeus.Seqprove.mask_to_string
+                          (Array.map Zeus.Absint.mask_to_string
                              r.Zeus.Seqprove.rt_reset))))
                 rep.Zeus.Seqprove.sp_regs;
             List.iter

@@ -167,6 +167,23 @@ let pp ppf d =
 
 let to_string d = Fmt.str "%a" pp d
 
+(* the string escaping of every hand-rolled JSON report *)
+let json_escape s =
+  let b = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | '"' -> Buffer.add_string b "\\\""
+      | '\\' -> Buffer.add_string b "\\\\"
+      | '\n' -> Buffer.add_string b "\\n"
+      | '\t' -> Buffer.add_string b "\\t"
+      | '\r' -> Buffer.add_string b "\\r"
+      | c when Char.code c < 0x20 ->
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
+      | c -> Buffer.add_char b c)
+    s;
+  Buffer.contents b
+
 (* A mutable bag of diagnostics threaded through a compilation phase. *)
 module Bag = struct
   type diag = t

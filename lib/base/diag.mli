@@ -91,6 +91,11 @@ val severity_to_string : severity -> string
 val pp : t Fmt.t
 val to_string : t -> string
 
+(** [s] escaped for a JSON string literal: quote, backslash, [\n],
+    [\t] and [\r] as two-character escapes, other control characters
+    as [\u00XX].  Shared by the [--format json] reports. *)
+val json_escape : string -> string
+
 (** A mutable bag of diagnostics threaded through a compilation. *)
 module Bag : sig
   type diag := t

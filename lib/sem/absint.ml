@@ -25,6 +25,13 @@
    runs the monotone transfer functions to a fixpoint; the lattice has
    height 2, so every class is re-evaluated O(fan-in) times.
 
+   Beside the must-lattice, [value_sets] is the may-analysis of the
+   static side: per class, the set of values it can carry, as a 4-bit
+   mask, on the same worklist.  Lint's UNDEF pass and the sequential
+   prover's abstract cycle both run it, each with its own seed.  The
+   flat lattice is not its quotient (strict Bot and XOR(Top, UNDEF) =
+   Top, see absint.mli), so the two transfers stay separate.
+
    Observability is the backward closure over the same producer CSR.
    It is the one liveness walk in the static analyses: [analyze]
    stores it per class, and [observability] runs it alone (no value
@@ -132,9 +139,38 @@ let observability (g : Graph.t) =
   done;
   observable
 
+(* The FIFO worklist every value fixpoint here runs on.  [update c]
+   re-evaluates class [c] and reports whether its value grew.  The queue
+   starts with every class in id order; a change pushes the outputs of
+   [c]'s consumers in CSR order, then the output of every register
+   latching from [c] (a register output's value reads its input across
+   cycles).  Returns the number of class evaluations. *)
+let worklist (g : Graph.t) update =
+  let queue = Queue.create () and queued = Array.make g.Graph.n_classes false in
+  let push c =
+    if not queued.(c) then begin
+      queued.(c) <- true;
+      Queue.add c queue
+    end
+  in
+  for c = 0 to g.Graph.n_classes - 1 do
+    push c
+  done;
+  let steps = ref 0 in
+  while not (Queue.is_empty queue) do
+    let c = Queue.take queue in
+    queued.(c) <- false;
+    incr steps;
+    if update c then begin
+      Graph.iter_consumers g c (fun i ->
+          push (Graph.node_output g.Graph.nodes.(i)));
+      List.iter (fun r -> push g.Graph.reg_out.(r)) g.Graph.regs_of_in.(c)
+    end
+  done;
+  !steps
+
 let analyze (g : Graph.t) =
-  let n_classes = g.Graph.n_classes in
-  let value = Array.make n_classes Bot in
+  let value = Array.make g.Graph.n_classes Bot in
   let av_of_src = function
     | Netlist.Sconst v -> Const v
     | Netlist.Snet c -> value.(c)
@@ -221,30 +257,15 @@ let analyze (g : Graph.t) =
         | v -> v
     end
   in
-  (* FIFO worklist to the fixpoint *)
-  let queue = Queue.create () and queued = Array.make n_classes false in
-  let push c =
-    if not queued.(c) then begin
-      queued.(c) <- true;
-      Queue.add c queue
-    end
+  let steps =
+    worklist g (fun c ->
+        let nv = join value.(c) (eval_class c) in
+        if nv = value.(c) then false
+        else begin
+          value.(c) <- nv;
+          true
+        end)
   in
-  for c = 0 to n_classes - 1 do
-    push c
-  done;
-  let steps = ref 0 in
-  while not (Queue.is_empty queue) do
-    let c = Queue.take queue in
-    queued.(c) <- false;
-    incr steps;
-    let nv = join value.(c) (eval_class c) in
-    if nv <> value.(c) then begin
-      value.(c) <- nv;
-      Graph.iter_consumers g c (fun i ->
-          push (Graph.node_output g.Graph.nodes.(i)));
-      List.iter (fun r -> push g.Graph.reg_out.(r)) g.Graph.regs_of_in.(c)
-    end
-  done;
   let cls =
     Array.map
       (function
@@ -255,7 +276,7 @@ let analyze (g : Graph.t) =
         | Top | Bot -> Varying)
       value
   in
-  { graph = g; value; cls; observable = observability g; steps = !steps }
+  { graph = g; value; cls; observable = observability g; steps }
 
 let value_of_net t id = t.value.(t.graph.Graph.canon.(id))
 let classification_of_net t id = t.cls.(t.graph.Graph.canon.(id))
@@ -274,3 +295,115 @@ let counts t =
 
 let unobservable_count t =
   Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 t.observable
+
+(* ------------------------------------------------------------------ *)
+(* Value sets                                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* The may-analysis beside the must-lattice above: every class gets the
+   set of values it can carry, as a bitmask over the four values. *)
+let m_zero = 1
+and m_one = 2
+and m_undef = 4
+and m_noinfl = 8
+
+let mask_of = function
+  | Logic.Zero -> m_zero
+  | Logic.One -> m_one
+  | Logic.Undef -> m_undef
+  | Logic.Noinfl -> m_noinfl
+
+let values_of_mask m =
+  List.filter
+    (fun v -> m land mask_of v <> 0)
+    [ Logic.Zero; Logic.One; Logic.Undef; Logic.Noinfl ]
+
+let mask_to_string m =
+  let parts =
+    List.filter_map
+      (fun (bit, s) -> if m land bit <> 0 then Some s else None)
+      [ (m_zero, "0"); (m_one, "1"); (m_undef, "U"); (m_noinfl, "Z") ]
+  in
+  "{" ^ String.concat "," parts ^ "}"
+
+let booleanize_mask m =
+  if m land m_noinfl <> 0 then (m land lnot m_noinfl) lor m_undef else m
+
+let apply1 f m =
+  List.fold_left (fun acc v -> acc lor mask_of (f v)) 0 (values_of_mask m)
+
+let apply2 f ma mb =
+  List.fold_left
+    (fun acc a ->
+      List.fold_left (fun acc b -> acc lor mask_of (f a b)) acc (values_of_mask mb))
+    0 (values_of_mask ma)
+
+let fold2 f = function
+  | [] -> 0
+  | m :: ms -> List.fold_left (apply2 f) (booleanize_mask m) ms
+
+let gate_mask op inputs =
+  let inputs = List.map booleanize_mask inputs in
+  match (op : Netlist.gate_op) with
+  | Netlist.Gand -> fold2 Logic.and2 inputs
+  | Netlist.Gor -> fold2 Logic.or2 inputs
+  | Netlist.Gnand -> apply1 Logic.not_ (fold2 Logic.and2 inputs)
+  | Netlist.Gnor -> apply1 Logic.not_ (fold2 Logic.or2 inputs)
+  | Netlist.Gxor -> fold2 Logic.xor2 inputs
+  | Netlist.Gnot -> (
+      match inputs with [ m ] -> apply1 Logic.not_ m | _ -> m_undef)
+  | Netlist.Gequal ->
+      let len = List.length inputs in
+      if len mod 2 <> 0 then m_undef
+      else
+        let a = List.filteri (fun i _ -> i < len / 2) inputs
+        and b = List.filteri (fun i _ -> i >= len / 2) inputs in
+        List.fold_left2
+          (fun acc x y -> apply2 Logic.and2 acc (apply2 Logic.equal2 x y))
+          m_one a b
+  | Netlist.Grandom -> m_zero lor m_one
+
+(* The value-set transfer function of one producer node, with the
+   input masks read through [mask_of_src]: an undefined guard drives
+   UNDEF, a 0 guard contributes NOINFL. *)
+let node_mask mask_of_src = function
+  | Graph.Ngate { op; inputs; _ } ->
+      gate_mask op (List.map mask_of_src (Array.to_list inputs))
+  | Graph.Ndriver { guard = None; source; _ } -> mask_of_src source
+  | Graph.Ndriver { guard = Some gs; source; _ } ->
+      let gm = booleanize_mask (mask_of_src gs) in
+      (if gm land m_one <> 0 then mask_of_src source else 0)
+      lor (if gm land m_zero <> 0 then m_noinfl else 0)
+      lor (if gm land m_undef <> 0 then m_undef else 0)
+
+(* The value-set fixpoint on the same worklist as [analyze]: a class's
+   mask is its [seed] (re-read at every evaluation, since a register
+   output's seed may read its input's current mask), joined with every
+   producer's contribution, plus UNDEF when two producers can drive and
+   the class is not [exclusive].  Every transfer is monotone and the
+   worklist re-queues every reader of a grown mask, so the result is
+   the least fixpoint whatever the visiting order. *)
+let value_sets (g : Graph.t) ~seed ~exclusive =
+  let sets = Array.make g.Graph.n_classes 0 in
+  let mask c = sets.(c) in
+  let mask_of_src = function
+    | Netlist.Sconst v -> mask_of v
+    | Netlist.Snet c -> sets.(c)
+  in
+  ignore
+    (worklist g (fun c ->
+         let m = ref (seed mask c) and driving = ref 0 in
+         Graph.iter_producers g c (fun i ->
+             let pm = node_mask mask_of_src g.Graph.nodes.(i) in
+             if pm land lnot m_noinfl <> 0 then incr driving;
+             m := !m lor pm);
+         let m =
+           sets.(c) lor !m
+           lor (if !driving >= 2 && not (exclusive c) then m_undef else 0)
+         in
+         if m = sets.(c) then false
+         else begin
+           sets.(c) <- m;
+           true
+         end));
+  sets

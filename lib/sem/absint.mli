@@ -84,3 +84,51 @@ val classification_of_net : t -> int -> classification
 val counts : t -> int * int * int * int * int
 
 val unobservable_count : t -> int
+
+(** {2 Value sets}
+
+    The may-analysis beside the must-lattice: every class gets the set
+    of values it can carry, as a bitmask over the four values of
+    {!Zeus_base.Logic}.  This is the one value-set fixpoint of the static
+    side: {!Lint}'s UNDEF-reachability pass runs it flow-insensitively,
+    and {!Seqprove} runs it once per abstract cycle with register outputs
+    reading a state.
+
+    The flat lattice above is not the quotient of these masks: its
+    strict-⊥ early firing makes AND(⊥, 0) = 0 where the mask of an empty
+    input is empty, and XOR(⊤, X) is ⊤ where the mask is [{X}]. *)
+
+val m_zero : int
+
+val m_one : int
+val m_undef : int
+val m_noinfl : int
+val mask_of : Logic.t -> int
+
+(** The values a mask holds, in the order 0, 1, X, Z. *)
+val values_of_mask : int -> Logic.t list
+
+(** A mask as ["{0,1,U,Z}"] notation. *)
+val mask_to_string : int -> string
+
+(** NOINFL reads back as UNDEF (an undriven mux net). *)
+val booleanize_mask : int -> int
+
+(** The transfer function of one producer node over the masks its
+    sources read ([mask_of_src] sees class-id sources): gate inputs are
+    booleanized first, as the simulator does; an undefined guard drives
+    UNDEF, a 0 guard contributes NOINFL.  On singleton masks it is the
+    simulator's evaluation of the node (a RANDOM gate yields [{0,1}]). *)
+val node_mask : (Netlist.src -> int) -> Graph.node -> int
+
+(** [value_sets g ~seed ~exclusive] — per class, the least mask closed
+    under the producer transfer functions, on {!analyze}'s worklist.
+
+    [seed mask c] is class [c]'s mask before its producers (inputs,
+    register outputs, the UNDEF of a producer-less class); it may read
+    the current mask of any class through [mask] — a register output
+    reads its input's — and is re-read at every evaluation.  A class
+    with two producers that can drive gains UNDEF (a drive conflict)
+    unless [exclusive c]. *)
+val value_sets :
+  Graph.t -> seed:((int -> int) -> int -> int) -> exclusive:(int -> bool) -> int array

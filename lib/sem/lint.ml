@@ -34,10 +34,10 @@
       UNDEF unless REG(c) gave it a constant, and an undefined guard
       *drives* (UNDEF), so g and NOT g both fire when g is undefined.
 
-   2. UNDEF-reachability (Z201/Z202).  A value-set dataflow analysis
-      over the four-valued algebra of Logic: every net gets the set of
-      values it can ever carry, computed to a fixpoint from the inputs,
-      register power-up values and gate/driver transfer functions.
+   2. UNDEF-reachability (Z201/Z202).  The value-set fixpoint of
+      Absint.value_sets, seeded flow-insensitively: every net gets the
+      set of values it can ever carry, from the inputs, register
+      power-up values and gate/driver transfer functions.
       Nets that are read but can only ever read UNDEF are reported:
       undriven (Z201) or driven-but-never-defined (Z202).
 
@@ -548,124 +548,24 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
 (* Pass 2: UNDEF reachability                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* value sets as bitmasks *)
-let m_zero = 1
-and m_one = 2
-and m_undef = 4
-and m_noinfl = 8
+(* The flow-insensitive seed of the value-set fixpoint (Absint.value_sets):
+   inputs are assumed defined ({0,1}) — that is the documented
+   environment assumption of the whole lint — but a register output
+   starts from its power-up value (UNDEF unless REG(c) gave a constant)
+   and absorbs whatever its input can latch, so UNDEF-capability of
+   sequential state is tracked precisely.  A producer-less class reads
+   UNDEF. *)
+let value_seed (g : Graph.t) mask c =
+  if g.Graph.input_class.(c) then Absint.m_zero lor Absint.m_one
+  else
+    match Graph.reg_of_out g c with
+    | -1 -> if g.Graph.producer_count.(c) = 0 then Absint.m_undef else 0
+    | r ->
+        Absint.mask_of g.Graph.regs.(r).Netlist.rinit
+        lor Absint.booleanize_mask
+              (mask g.Graph.reg_in.(r) land lnot Absint.m_noinfl)
 
-let mask_of = function
-  | Logic.Zero -> m_zero
-  | Logic.One -> m_one
-  | Logic.Undef -> m_undef
-  | Logic.Noinfl -> m_noinfl
-
-let values_of_mask m =
-  List.filter
-    (fun v -> m land mask_of v <> 0)
-    [ Logic.Zero; Logic.One; Logic.Undef; Logic.Noinfl ]
-
-let booleanize_mask m =
-  if m land m_noinfl <> 0 then (m land lnot m_noinfl) lor m_undef else m
-
-let apply1 f m =
-  List.fold_left (fun acc v -> acc lor mask_of (f v)) 0 (values_of_mask m)
-
-let apply2 f ma mb =
-  List.fold_left
-    (fun acc a ->
-      List.fold_left (fun acc b -> acc lor mask_of (f a b)) acc (values_of_mask mb))
-    0 (values_of_mask ma)
-
-let fold2 f = function
-  | [] -> 0
-  | m :: ms -> List.fold_left (apply2 f) (booleanize_mask m) ms
-
-let gate_mask op inputs =
-  let inputs = List.map booleanize_mask inputs in
-  match (op : Netlist.gate_op) with
-  | Netlist.Gand -> fold2 Logic.and2 inputs
-  | Netlist.Gor -> fold2 Logic.or2 inputs
-  | Netlist.Gnand -> apply1 Logic.not_ (fold2 Logic.and2 inputs)
-  | Netlist.Gnor -> apply1 Logic.not_ (fold2 Logic.or2 inputs)
-  | Netlist.Gxor -> fold2 Logic.xor2 inputs
-  | Netlist.Gnot -> (
-      match inputs with [ m ] -> apply1 Logic.not_ m | _ -> m_undef)
-  | Netlist.Gequal ->
-      let len = List.length inputs in
-      if len mod 2 <> 0 then m_undef
-      else
-        let a = List.filteri (fun i _ -> i < len / 2) inputs
-        and b = List.filteri (fun i _ -> i >= len / 2) inputs in
-        List.fold_left2
-          (fun acc x y -> apply2 Logic.and2 acc (apply2 Logic.equal2 x y))
-          m_one a b
-  | Netlist.Grandom -> m_zero lor m_one
-
-(* The value-set transfer function of one producer node, with the
-   input masks read through [mask_of_src]: an undefined guard drives
-   UNDEF, a 0 guard contributes NOINFL. *)
-let node_mask mask_of_src = function
-  | Graph.Ngate { op; inputs; _ } ->
-      gate_mask op (List.map mask_of_src (Array.to_list inputs))
-  | Graph.Ndriver { guard = None; source; _ } -> mask_of_src source
-  | Graph.Ndriver { guard = Some gs; source; _ } ->
-      let gm = booleanize_mask (mask_of_src gs) in
-      (if gm land m_one <> 0 then mask_of_src source else 0)
-      lor (if gm land m_zero <> 0 then m_noinfl else 0)
-      lor (if gm land m_undef <> 0 then m_undef else 0)
-
-(* The value-set fixpoint, shared with pass 1: [sets] maps every class
-   to the set of values it can ever carry; [undriven] flags
-   producer-less non-input, non-register classes.  Inputs are assumed
-   defined ({0,1}) — that is the documented environment assumption of
-   the whole lint — but register outputs start from their power-up
-   value (UNDEF unless REG(c) gave a constant) and absorb whatever
-   their input can latch, so UNDEF-capability of sequential state is
-   tracked precisely. *)
-let value_sets (g : Graph.t) =
-  let n = g.Graph.n_classes in
-  let sets = Array.make n 0 in
-  let mask_of_src = function
-    | Netlist.Sconst v -> mask_of v
-    | Netlist.Snet c -> sets.(c)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for c = 0 to n - 1 do
-      let base =
-        if g.Graph.input_class.(c) then m_zero lor m_one
-        else
-          match Graph.reg_of_out g c with
-          | -1 ->
-              (* producer-less: reads UNDEF *)
-              if g.Graph.producer_count.(c) = 0 then m_undef else 0
-          | r ->
-              mask_of g.Graph.regs.(r).Netlist.rinit
-              lor booleanize_mask (sets.(g.Graph.reg_in.(r)) land lnot m_noinfl)
-      in
-      let m = ref base and driving = ref 0 in
-      Graph.iter_producers g c (fun i ->
-          let pm = node_mask mask_of_src g.Graph.nodes.(i) in
-          if pm land lnot m_noinfl <> 0 then incr driving;
-          m := !m lor pm);
-      let m = sets.(c) lor !m lor (if !driving >= 2 then m_undef else 0) in
-      if m <> sets.(c) then begin
-        sets.(c) <- m;
-        changed := true
-      end
-    done
-  done;
-  let undriven =
-    Array.init n (fun c ->
-        g.Graph.producer_count.(c) = 0
-        && (not g.Graph.input_class.(c))
-        && Graph.reg_of_out g c < 0)
-  in
-  (sets, undriven)
-
-let undef_pass bag (g : Graph.t) (sets, undriven) =
+let undef_pass bag (g : Graph.t) sets =
   let nl = g.Graph.nl in
   (* report per class, through a representative read, user-visible net *)
   Array.iter
@@ -686,12 +586,16 @@ let undef_pass bag (g : Graph.t) (sets, undriven) =
       match rep with
       | None -> ()
       | Some net ->
-          if undriven.(c) then
+          if
+            g.Graph.producer_count.(c) = 0
+            && (not g.Graph.input_class.(c))
+            && Graph.reg_of_out g c < 0
+          then
             Diag.Bag.warning bag ~code:Diag.Code.undriven_read Diag.Lint_error
               net.Netlist.loc "'%s' is read but never driven — it reads UNDEF \
                                forever"
               net.Netlist.name
-          else if sets.(c) land (m_zero lor m_one) = 0 then
+          else if sets.(c) land (Absint.m_zero lor Absint.m_one) = 0 then
             Diag.Bag.warning bag ~code:Diag.Code.undef_only Diag.Lint_error
               net.Netlist.loc
               "'%s' can never carry a defined value — every read yields UNDEF"
@@ -768,7 +672,7 @@ let dead_pass bag (ai : Absint.t) =
 (* Pass 4: abstract interpretation (Z501/Z502/Z503)                     *)
 (* ------------------------------------------------------------------ *)
 
-let absint_pass bag (ai : Absint.t) (sets, _undriven) ~dead_paths =
+let absint_pass bag (ai : Absint.t) sets ~dead_paths =
   let g = ai.Absint.graph in
   let nl = g.Graph.nl in
   let under_dead name =
@@ -837,7 +741,8 @@ let absint_pass bag (ai : Absint.t) (sets, _undriven) ~dead_paths =
              never read a defined value; Z502 adds the strictly finer
              must-facts it misses — e.g. a guaranteed drive conflict
              resolving to UNDEF every cycle *)
-          if booleanize_mask sets.(c) land (m_zero lor m_one) <> 0 then
+          if Absint.booleanize_mask sets.(c) land (Absint.m_zero lor Absint.m_one) <> 0
+          then
             match pick observed with
             | Some net ->
                 Diag.Bag.warning bag ~code:Diag.Code.absint_stuck
@@ -887,13 +792,15 @@ let analyze ~budget ~proven_safe (g : Graph.t) =
         let arr = modular_skip g p in
         fun c -> arr.(c)
   in
-  let (sets, _) as vsets = value_sets g in
-  let can_undef c = booleanize_mask sets.(c) land m_undef <> 0 in
+  let sets =
+    Absint.value_sets g ~seed:(value_seed g) ~exclusive:(fun _ -> false)
+  in
+  let can_undef c = Absint.booleanize_mask sets.(c) land Absint.m_undef <> 0 in
   let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip in
-  undef_pass bag g vsets;
+  undef_pass bag g sets;
   let ai = Absint.analyze g in
   let dead_paths = dead_pass bag ai in
-  absint_pass bag ai vsets ~dead_paths;
+  absint_pass bag ai sets ~dead_paths;
   { verdicts; findings = Diag.Bag.all bag; splits = !splits }
 
 let run ?(budget = default_budget) ?proven_safe design =
@@ -925,22 +832,6 @@ let summary report =
 (* JSON output                                                          *)
 (* ------------------------------------------------------------------ *)
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_loc (loc : Loc.t) =
   if Loc.is_dummy loc then "null"
   else
@@ -965,11 +856,11 @@ let json_of_report report =
       Buffer.add_string b
         (Printf.sprintf
            "\n    {\"net\":\"%s\",\"kind\":\"%s\",\"producers\":%d,\"class\":\"%s\",\"detail\":\"%s\"}"
-           (json_escape v.v_name)
+           (Diag.json_escape v.v_name)
            (Etype.kind_to_string v.v_kind)
            v.v_producers
            (classification_to_string v.v_class)
-           (json_escape v.v_detail)))
+           (Diag.json_escape v.v_detail)))
     report.verdicts;
   Buffer.add_string b "\n  ],\n  \"findings\": [";
   List.iteri
@@ -979,12 +870,12 @@ let json_of_report report =
         (Printf.sprintf
            "\n    {\"code\":%s,\"severity\":\"%s\",\"kind\":\"%s\",\"loc\":%s,\"message\":\"%s\"}"
            (match d.Diag.code with
-           | Some c -> Printf.sprintf "\"%s\"" (json_escape c)
+           | Some c -> Printf.sprintf "\"%s\"" (Diag.json_escape c)
            | None -> "null")
            (Diag.severity_to_string d.Diag.severity)
            (Diag.kind_to_string d.Diag.kind)
            (json_loc d.Diag.loc)
-           (json_escape d.Diag.message)))
+           (Diag.json_escape d.Diag.message)))
     report.findings;
   Buffer.add_string b
     (Printf.sprintf

@@ -9,9 +9,9 @@
       DPLL-style solver — the static half of the paper's
       (NP-complete, section 4.7) multiplex single-drive check, with
       the simulator's runtime multiple-drive check as the fallback;
-    - an {b UNDEF-reachability} dataflow pass (Z201/Z202) over the
-      four-valued algebra, flagging nets that can only ever read
-      UNDEF;
+    - an {b UNDEF-reachability} pass (Z201/Z202) over the
+      flow-insensitive value sets of {!Absint.value_sets}, flagging
+      nets that can only ever read UNDEF;
     - a {b dead-hardware} pass (Z301/Z302) for statically-false branch
       guards surviving constant evaluation and instances whose
       outputs reach no register or output port. *)
@@ -113,10 +113,10 @@ val summary : report -> string
 
 (** {2 Internals shared with the sequential prover}
 
-    The guard expander and the four-valued value-set machinery are
-    exposed (read-only) so {!Seqprove} can lift the same guard
-    formulas and transfer functions to per-cycle reachability without
-    duplicating the netlist walk. *)
+    The guard expander is exposed (read-only) so {!Seqprove} can lift
+    the same guard formulas to per-state exclusivity without
+    duplicating the netlist walk.  The value-set masks both read live
+    in {!Absint}. *)
 
 (** The memoizing guard expander of the conflict prover: walks the
     class graph backwards from a class to a [bexp] over free variables
@@ -132,33 +132,6 @@ val make_expander : Graph.t -> expander
     value: [Btrue] for an unconditional driver, and the expanded guard
     otherwise (an UNDEF guard also drives). *)
 val drive_cond : expander -> Netlist.src option -> bexp
-
-(** {3 Value-set masks}
-
-    The four-valued dataflow of pass 2, as bitmasks over
-    {!Zeus_base.Logic.t} values. *)
-
-val m_zero : int
-
-val m_one : int
-val m_undef : int
-val m_noinfl : int
-val mask_of : Zeus_base.Logic.t -> int
-
-(** NOINFL reads back as UNDEF (an undriven mux net). *)
-val booleanize_mask : int -> int
-
-(** The transfer function of one producer node over the masks its
-    sources read ([mask_of_src] sees class-id sources): gate inputs are
-    booleanized first, as the simulator does; an undefined guard drives
-    UNDEF, a 0 guard contributes NOINFL. *)
-val node_mask : (Netlist.src -> int) -> Graph.node -> int
-
-(** The flow-insensitive value-set fixpoint: for every class, the mask
-    of values it can ever carry, plus the producer-less (undriven)
-    flags.  Inputs are assumed defined ({0,1}); register outputs start
-    from power-up. *)
-val value_sets : Graph.t -> int array * bool array
 
 (** The schema version carried in the [version] member of the JSON
     report; bumped on any incompatible change to the output shape. *)

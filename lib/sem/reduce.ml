@@ -268,19 +268,6 @@ let proof_table r =
   done;
   !rows
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 (* bump on incompatible shape changes, like Lint.json_schema_version *)
 let json_schema_version = 1
 
@@ -295,7 +282,7 @@ let json_of_result r =
     Buffer.add_string b
       (Printf.sprintf
          "\n    {\"net\":\"%s\",\"class\":\"%s\",\"observable\":%b,\"producers\":%d}"
-         (json_escape (class_name ai c))
+         (Diag.json_escape (class_name ai c))
          (Absint.classification_to_string ai.Absint.cls.(c))
          ai.Absint.observable.(c) cg.Graph.producer_count.(c))
   done;

@@ -7,10 +7,10 @@
    multi-driven is assumed UNDEF-capable forever, which demotes every
    guard over it.  This module re-runs both with state sensitivity:
 
-   - Registers are tracked as value-set masks (Lint.m_zero & co.), one
-     per register, starting at the power-up value.  One abstract cycle
-     evaluates the combinational masks with register outputs reading
-     the current state (not the cross-cycle union), and the
+   - Registers are tracked as value-set masks (Absint.m_zero & co.),
+     one per register, starting at the power-up value.  One abstract
+     cycle runs Absint.value_sets with register outputs reading the
+     current state (not the cross-cycle union), and the
      conflict-injects-UNDEF rule only fires when the class's producer
      pairs are not exclusive *in this state* — each pair is re-proved
      with the bounded DPLL solver after substituting the state masks
@@ -49,8 +49,9 @@
    - For small acyclic designs without RANDOM, a concrete breadth-first
      search over register states (inputs enumerated over {0,1})
      produces Z603: an actual stimulus trace that makes two drivers of
-     an unproven net fire in one cycle.  The mini-evaluator mirrors
-     the simulator exactly (guards booleanized, an UNDEF guard drives
+     an unproven net fire in one cycle.  The mini-evaluator runs
+     Absint.node_mask on singleton masks and mirrors the simulator
+     exactly (guards booleanized, an UNDEF guard drives
      UNDEF, two driving values force UNDEF and count as a conflict,
      registers keep their value on an all-NOINFL input), and oracle
      row O8 replays the traces through the real engines.
@@ -147,7 +148,7 @@ let regs_mask ctx reg_masks c =
 (* state mask of a register-output variable, or None when the variable
    is not a (pure) register output *)
 let state_mask_of_var ctx reg_masks v =
-  if not ctx.g.Graph.reg_out_class.(v) then Some (Lint.m_zero lor Lint.m_one)
+  if not ctx.g.Graph.reg_out_class.(v) then Some (Absint.m_zero lor Absint.m_one)
   else if ctx.g.Graph.producer_count.(v) = 0 then
     Some (regs_mask ctx reg_masks v)
   else None (* register output with extra producers: opaque *)
@@ -171,10 +172,10 @@ let substitute ctx reg_masks e =
           match state_mask_of_var ctx reg_masks v with
           | None -> fresh_var ()
           | Some m ->
-              let m = Lint.booleanize_mask m in
-              if m land Lint.m_undef <> 0 then fresh_var ()
-              else if m = Lint.m_zero then Lint.Bfalse
-              else if m = Lint.m_one then Lint.Btrue
+              let m = Absint.booleanize_mask m in
+              if m land Absint.m_undef <> 0 then fresh_var ()
+              else if m = Absint.m_zero then Lint.Bfalse
+              else if m = Absint.m_one then Lint.Btrue
               else Lint.Bvar v)
     | Lint.Bopq _ -> fresh_var ()
     | Lint.Bnot a -> Lint.bnot (go a)
@@ -229,39 +230,18 @@ let compute_exclusive ctx ~budget ~splits ~reg_masks =
 let cycle_masks ctx ~rset_mask ~reg_masks ~exclusive =
   let g = ctx.g in
   let n = g.Graph.n_classes in
-  let sets = Array.make n 0 in
+  let seed _ c =
+    if g.Graph.input_class.(c) then
+      if c = g.Graph.rset then rset_mask else Absint.m_zero lor Absint.m_one
+    else if g.Graph.reg_out_class.(c) then regs_mask ctx reg_masks c
+    else if g.Graph.producer_count.(c) = 0 then Absint.m_undef
+    else 0
+  in
+  let sets = Absint.value_sets g ~seed ~exclusive in
   let mask_of_src = function
-    | Netlist.Sconst v -> Lint.mask_of v
+    | Netlist.Sconst v -> Absint.mask_of v
     | Netlist.Snet c -> sets.(c)
   in
-  let base =
-    Array.init n (fun c ->
-        if g.Graph.input_class.(c) then
-          if c = g.Graph.rset then rset_mask else Lint.m_zero lor Lint.m_one
-        else if g.Graph.reg_out_class.(c) then regs_mask ctx reg_masks c
-        else if g.Graph.producer_count.(c) = 0 then Lint.m_undef
-        else 0)
-  in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    for c = 0 to n - 1 do
-      let driving = ref 0 in
-      let m = ref base.(c) in
-      Graph.iter_producers g c (fun i ->
-          let pm = Lint.node_mask mask_of_src g.Graph.nodes.(i) in
-          if pm land lnot Lint.m_noinfl <> 0 then incr driving;
-          m := !m lor pm);
-      let m =
-        !m lor (if !driving >= 2 && not (exclusive c) then Lint.m_undef else 0)
-      in
-      let m = sets.(c) lor m in
-      if m <> sets.(c) then begin
-        sets.(c) <- m;
-        changed := true
-      end
-    done
-  done;
   (* per class: can every producer be silent in the same cycle?  Only
      then can a register input keep its stored value — one driver whose
      guard is never 0 (a reset pulse, say) forces a latch no matter how
@@ -278,10 +258,10 @@ let cycle_masks ctx ~rset_mask ~reg_masks ~exclusive =
               match g.Graph.nodes.(i) with
               | Graph.Ngate _ -> false
               | Graph.Ndriver { guard = None; source; _ } ->
-                  mask_of_src source land Lint.m_noinfl <> 0
+                  mask_of_src source land Absint.m_noinfl <> 0
               | Graph.Ndriver { guard = Some gs; source; _ } ->
-                  Lint.booleanize_mask (mask_of_src gs) land Lint.m_zero <> 0
-                  || mask_of_src source land Lint.m_noinfl <> 0);
+                  Absint.booleanize_mask (mask_of_src gs) land Absint.m_zero <> 0
+                  || mask_of_src source land Absint.m_noinfl <> 0);
         !silent)
   in
   (sets, all_silent)
@@ -296,11 +276,11 @@ let next_regs ctx (sets, all_silent) reg_masks =
     (fun i rc ->
       let old = reg_masks.(i) in
       if g.Graph.producer_count.(rc) = 0 then
-        if g.Graph.input_class.(rc) then old lor Lint.m_zero lor Lint.m_one
+        if g.Graph.input_class.(rc) then old lor Absint.m_zero lor Absint.m_one
         else old
       else begin
         let m = sets.(rc) in
-        let latched = m land (Lint.m_zero lor Lint.m_one lor Lint.m_undef) in
+        let latched = m land (Absint.m_zero lor Absint.m_one lor Absint.m_undef) in
         latched
         lor (if all_silent.(rc) || latched = 0 then old else 0)
       end)
@@ -310,14 +290,14 @@ let next_regs ctx (sets, all_silent) reg_masks =
 (* Reachability fixpoint and reset trajectory                           *)
 (* ------------------------------------------------------------------ *)
 
-let any_input_mask = Lint.m_zero lor Lint.m_one
+let any_input_mask = Absint.m_zero lor Absint.m_one
 
 (* union-accumulated fixpoint from power-up: an over-approximation of
    every reachable register state (RSET free, inputs defined) *)
 let powerup_fixpoint ctx ~budget ~splits =
   let reg_masks =
     Array.map
-      (fun (r : Netlist.reg) -> Lint.mask_of r.Netlist.rinit)
+      (fun (r : Netlist.reg) -> Absint.mask_of r.Netlist.rinit)
       ctx.g.Graph.regs
   in
   let limit = (4 * Array.length ctx.g.Graph.regs) + 2 in
@@ -348,7 +328,7 @@ let reset_trajectory ctx ~budget ~splits ~depth start =
   traj.(0) <- Array.copy start;
   let cur = ref (Array.copy start) in
   for i = 1 to depth do
-    let rset_mask = if i = 1 then Lint.m_one else Lint.m_zero in
+    let rset_mask = if i = 1 then Absint.m_one else Absint.m_zero in
     let exclusive = compute_exclusive ctx ~budget ~splits ~reg_masks:!cur in
     let sets = cycle_masks ctx ~rset_mask ~reg_masks:!cur ~exclusive in
     cur := next_regs ctx sets !cur;
@@ -380,19 +360,6 @@ let class_rep ctx c =
   | net :: _ -> Some net
   | [] -> ( match visible with net :: _ -> Some net | [] -> None)
 
-let mask_to_string m =
-  let parts =
-    List.filter_map
-      (fun (bit, s) -> if m land bit <> 0 then Some s else None)
-      [
-        (Lint.m_zero, "0");
-        (Lint.m_one, "1");
-        (Lint.m_undef, "U");
-        (Lint.m_noinfl, "Z");
-      ]
-  in
-  "{" ^ String.concat "," parts ^ "}"
-
 (* ------------------------------------------------------------------ *)
 (* Z601 / Z602                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -403,7 +370,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
      reset pulse began *)
   Array.iteri
     (fun i (r : Netlist.reg) ->
-      if endst.(i) land Lint.m_undef <> 0 then
+      if endst.(i) land Absint.m_undef <> 0 then
         let loc = (Netlist.net ctx.g.Graph.nl r.Netlist.rout).Netlist.loc in
         Diag.Bag.warning bag ~code:Diag.Code.seq_uninitialized Diag.Lint_error
           loc
@@ -411,7 +378,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
            — no reset path initializes it (reachable: %s)"
           r.Netlist.rpath depth
           (if depth = 1 then "" else "s")
-          (mask_to_string endst.(i)))
+          (Absint.mask_to_string endst.(i)))
     ctx.g.Graph.regs;
   (* Z602: an observable net that reads UNDEF after reset settles,
      where stripping the registers' UNDEF bits removes the UNDEF — the
@@ -421,12 +388,12 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
     compute_exclusive ctx ~budget ~splits ~reg_masks:endst
   in
   let sets, _ =
-    cycle_masks ctx ~rset_mask:Lint.m_zero ~reg_masks:endst ~exclusive
+    cycle_masks ctx ~rset_mask:Absint.m_zero ~reg_masks:endst ~exclusive
   in
   let stripped =
     Array.map
       (fun m ->
-        let s = m land lnot Lint.m_undef in
+        let s = m land lnot Absint.m_undef in
         if s = 0 then m else s)
       endst
   in
@@ -434,7 +401,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
     compute_exclusive ctx ~budget ~splits ~reg_masks:stripped
   in
   let sets', _ =
-    cycle_masks ctx ~rset_mask:Lint.m_zero ~reg_masks:stripped
+    cycle_masks ctx ~rset_mask:Absint.m_zero ~reg_masks:stripped
       ~exclusive:exclusive'
   in
   let g = ctx.g in
@@ -445,8 +412,8 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
         live.(c)
         && (not g.Graph.reg_out_class.(c))
         && (not g.Graph.input_class.(c))
-        && Lint.booleanize_mask sets.(c) land Lint.m_undef <> 0
-        && Lint.booleanize_mask sets'.(c) land Lint.m_undef = 0
+        && Absint.booleanize_mask sets.(c) land Absint.m_undef <> 0
+        && Absint.booleanize_mask sets'.(c) land Absint.m_undef = 0
       then
         match class_rep ctx c with
         | Some net ->
@@ -470,24 +437,6 @@ let max_search_regs = 20
 let max_search_nets = 3000
 let max_search_states = 1024
 let max_witnesses = 4
-
-let gate_eval op (ins : Logic.t list) =
-  let ins = List.map Logic.booleanize ins in
-  match (op : Netlist.gate_op) with
-  | Netlist.Gand -> Logic.and_list ins
-  | Netlist.Gor -> Logic.or_list ins
-  | Netlist.Gnand -> Logic.nand_list ins
-  | Netlist.Gnor -> Logic.nor_list ins
-  | Netlist.Gxor -> Logic.xor_list ins
-  | Netlist.Gnot -> ( match ins with [ v ] -> Logic.not_ v | _ -> Logic.Undef)
-  | Netlist.Gequal ->
-      let len = List.length ins in
-      if len mod 2 <> 0 then Logic.Undef
-      else
-        let a = List.filteri (fun i _ -> i < len / 2) ins
-        and b = List.filteri (fun i _ -> i >= len / 2) ins in
-        Logic.and_list (List.map2 Logic.equal2 a b)
-  | Netlist.Grandom -> Logic.Undef (* excluded by has_random *)
 
 (* one concrete cycle, mirroring the simulator: returns the resolved
    values, the conflicting classes (by ascending representative) and
@@ -518,9 +467,9 @@ let concrete_cycle ctx (state : Logic.t array) (pokes : (int * Logic.t) list) =
         values.(c) <- state.(i)
       end)
     g.Graph.reg_out;
-  let value_of_src = function
-    | Netlist.Sconst v -> v
-    | Netlist.Snet c -> values.(c)
+  let mask_of_src = function
+    | Netlist.Sconst v -> Absint.mask_of v
+    | Netlist.Snet c -> Absint.mask_of values.(c)
   in
   let kmux c = g.Graph.class_kind.(c) = Etype.KMux in
   let drives = Array.make n 0 in
@@ -528,16 +477,16 @@ let concrete_cycle ctx (state : Logic.t array) (pokes : (int * Logic.t) list) =
     let d = ref 0 in
     let value = ref Logic.Noinfl in
     Graph.iter_producers g c (fun i ->
+        (* the value-set transfer on singleton masks is the
+           simulator's evaluation (RANDOM, the one non-singleton
+           result, is excluded by has_random) *)
         let pv =
-          match g.Graph.nodes.(i) with
-          | Graph.Ngate { op; inputs; _ } ->
-              gate_eval op (List.map value_of_src (Array.to_list inputs))
-          | Graph.Ndriver { guard = None; source; _ } -> value_of_src source
-          | Graph.Ndriver { guard = Some gs; source; _ } -> (
-              match Logic.booleanize (value_of_src gs) with
-              | Logic.Zero -> Logic.Noinfl
-              | Logic.One -> value_of_src source
-              | _ -> Logic.Undef)
+          match
+            Absint.values_of_mask
+              (Absint.node_mask mask_of_src g.Graph.nodes.(i))
+          with
+          | [ v ] -> v
+          | _ -> Logic.Undef
         in
         if pv <> Logic.Noinfl then begin
           incr d;
@@ -795,7 +744,7 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
            {
              rt_name = r.Netlist.rpath;
              rt_out = g.Graph.rep.(g.Graph.reg_out.(i));
-             rt_init = Lint.mask_of r.Netlist.rinit;
+             rt_init = Absint.mask_of r.Netlist.rinit;
              rt_fix = fix.(i);
              rt_reset = Array.map (fun masks -> masks.(i)) traj;
            })
@@ -863,22 +812,6 @@ let summary report =
     (if List.length report.sp_witnesses = 1 then "" else "es")
     report.sp_splits
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_schema_version = 1
 
 let json_of_report report =
@@ -892,19 +825,19 @@ let json_of_report report =
       Buffer.add_string b
         (Printf.sprintf
            "\n    {\"name\":\"%s\",\"init\":\"%s\",\"reachable\":\"%s\",\"reset\":[%s]}"
-           (json_escape rt.rt_name)
-           (mask_to_string rt.rt_init)
-           (mask_to_string rt.rt_fix)
+           (Diag.json_escape rt.rt_name)
+           (Absint.mask_to_string rt.rt_init)
+           (Absint.mask_to_string rt.rt_fix)
            (String.concat ","
               (List.map
-                 (fun m -> Printf.sprintf "\"%s\"" (mask_to_string m))
+                 (fun m -> Printf.sprintf "\"%s\"" (Absint.mask_to_string m))
                  (Array.to_list rt.rt_reset)))))
     report.sp_regs;
   Buffer.add_string b "\n  ],\n  \"upgraded\": [";
   List.iteri
     (fun i (_, name) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b (Printf.sprintf "\n    \"%s\"" (json_escape name)))
+      Buffer.add_string b (Printf.sprintf "\n    \"%s\"" (Diag.json_escape name)))
     report.sp_upgraded;
   Buffer.add_string b "\n  ],\n  \"findings\": [";
   List.iteri
@@ -913,10 +846,10 @@ let json_of_report report =
       Buffer.add_string b
         (Printf.sprintf "\n    {\"code\":%s,\"severity\":\"%s\",\"message\":\"%s\"}"
            (match d.Diag.code with
-           | Some c -> Printf.sprintf "\"%s\"" (json_escape c)
+           | Some c -> Printf.sprintf "\"%s\"" (Diag.json_escape c)
            | None -> "null")
            (Diag.severity_to_string d.Diag.severity)
-           (json_escape d.Diag.message)))
+           (Diag.json_escape d.Diag.message)))
     report.sp_findings;
   Buffer.add_string b "\n  ],\n  \"witnesses\": [";
   List.iteri
@@ -924,7 +857,7 @@ let json_of_report report =
       if i > 0 then Buffer.add_char b ',';
       Buffer.add_string b
         (Printf.sprintf "\n    {\"net\":\"%s\",\"cycle\":%d,\"trace\":[%s]}"
-           (json_escape w.w_name) w.w_cycle
+           (Diag.json_escape w.w_name) w.w_cycle
            (String.concat ","
               (List.map
                  (fun pokes ->
@@ -933,7 +866,7 @@ let json_of_report report =
                         (List.map
                            (fun (_, name, v) ->
                              Printf.sprintf "{\"net\":\"%s\",\"value\":\"%s\"}"
-                               (json_escape name) (Logic.to_string v))
+                               (Diag.json_escape name) (Logic.to_string v))
                            pokes)))
                  (Array.to_list w.w_trace)))))
     report.sp_witnesses;

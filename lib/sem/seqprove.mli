@@ -8,9 +8,9 @@
     reachability analysis over register state:
 
     - {b Abstract reachability.}  Every register is tracked as the set
-      of values it can hold (a four-valued mask, {!Lint.m_zero} etc.).
-      A cycle's transfer function is the value-set dataflow of
-      {!Lint.value_sets} made {e state-sensitive}: register outputs
+      of values it can hold (a four-valued mask, {!Absint.m_zero} etc.).
+      A cycle's transfer function is the one value-set fixpoint,
+      {!Absint.value_sets}, made {e state-sensitive}: register outputs
       read the current state masks instead of the flow-insensitive
       union, and the pessimistic "two possible drivers ⇒ inject UNDEF"
       rule is refined by a per-state exclusivity check — each pair of
@@ -108,9 +108,6 @@ val run :
     conflict-check ops under the defined-inputs environment
     assumption. *)
 val discharged : Elaborate.design -> report -> bool array
-
-(** A value-set mask as ["{0,1,U,Z}"] notation. *)
-val mask_to_string : int -> string
 
 (** One line: depth, registers, upgrades, findings, witnesses,
     splits. *)

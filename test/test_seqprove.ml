@@ -116,7 +116,7 @@ let test_rchain_covered () =
       Alcotest.(check bool)
         (rt.Seqprove.rt_name ^ " defined after reset")
         false
-        (rt.Seqprove.rt_reset.(sp.Seqprove.sp_depth) land Lint.m_undef <> 0))
+        (rt.Seqprove.rt_reset.(sp.Seqprove.sp_depth) land Absint.m_undef <> 0))
     sp.Seqprove.sp_regs
 
 (* ------------------------------------------------------------------ *)
