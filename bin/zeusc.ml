@@ -47,8 +47,9 @@ let validate_suppress ~cmd suppress =
         (Zeus.Diag.Code.valid_codes_message ());
       exit 2
 
-(* a negative --depth or --budget is a usage error (exit 2), reported
-   the same way as an unknown --suppress code *)
+(* a negative count such as --depth, --budget or fuzz's --count is a
+   usage error (exit 2), reported the same way as an unknown --suppress
+   code *)
 let validate_non_negative ~cmd ~flag n =
   if n < 0 then begin
     Fmt.epr "%s: --%s must be a non-negative integer, got %d@." cmd flag n;
@@ -211,10 +212,20 @@ let poke_conv : (string * int) Arg.conv =
   in
   Arg.conv (parse, fun ppf (p, v) -> Fmt.pf ppf "%s=%d" p v)
 
-(* a poke of 0 or 1 sets one bit, so it needs a single-bit path *)
-let bit_poke_error path v width =
-  Printf.sprintf "%s=%d: 0/1 pokes a single bit, but %s is %d bits wide" path v
-    path width
+(* a poke of 0 or 1 sets one bit, so it needs a single-bit path; any
+   poke must fit the path, 0..2^width-1, rather than be truncated *)
+let poke_error path v width =
+  if v < 0 || (width < Sys.int_size - 1 && v lsr width <> 0) then
+    Some
+      (Printf.sprintf "%s=%d: out of range for the %d-bit path %s (0..%s)" path
+         v width path
+         (if width < Sys.int_size - 1 then string_of_int ((1 lsl width) - 1)
+          else Printf.sprintf "2^%d-1" width))
+  else if v <= 1 && width <> 1 then
+    Some
+      (Printf.sprintf "%s=%d: 0/1 pokes a single bit, but %s is %d bits wide"
+         path v path width)
+  else None
 
 (* The --batch stimulus file: a [run [seed=N] [cycles=N]] header starts
    each independent run, every following line is one cycle of
@@ -224,8 +235,8 @@ let bit_poke_error path v width =
    the explicit [cycles=N] if given, else its number of stimulus lines.
    Values follow the -p convention: 0/1 poke a single bit, anything
    larger pokes BIN(value, width) MSB-first.  Raises [Failure] with a
-   line-numbered message on a malformed file, an unknown path or a 0/1
-   poke on a multi-bit path.
+   line-numbered message on a malformed file, an unknown path, a value
+   outside 0..2^width-1 or a 0/1 poke on a multi-bit path.
 
    Decks run to megabytes, so the reader makes one pass over [src] by
    index: no line, token or trimmed copies.  Each distinct path is
@@ -281,10 +292,12 @@ let parse_batch_file design ~watch src =
     | None -> fail "poke value must be an integer, got %S" v
     | Some v ->
         let w, ((path, _) as p0), p1 = lookup (sub i k) in
-        if v > 1 then
-          (path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v w)) :: acc
-        else if w = 1 then (if v = 1 then p1 else p0) :: acc
-        else fail "%s" (bit_poke_error path v w)
+        match poke_error path v w with
+        | Some msg -> fail "%s" msg
+        | None ->
+            if v > 1 then
+              (path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v w)) :: acc
+            else (if v = 1 then p1 else p0) :: acc
   in
   let flush () =
     match !cur with
@@ -359,7 +372,10 @@ let sim_cmd =
     Arg.(
       value
       & opt_all poke_conv []
-      & info [ "p"; "poke" ] ~doc:"Input poke, e.g. -p adder.a=5 (MSB-first).")
+      & info [ "p"; "poke" ]
+          ~doc:
+            "Input poke, e.g. -p adder.a=5 (MSB-first); the value must fit \
+             the path, 0..2^width-1.")
   in
   let peeks =
     Arg.(
@@ -545,7 +561,7 @@ let sim_cmd =
         List.iter
           (fun (path, v) ->
             let w = width path in
-            if v <= 1 && w <> 1 then usage (bit_poke_error path v w))
+            Option.iter usage (poke_error path v w))
           pokes;
         List.iter (fun path -> ignore (width path)) peeks;
         let discharged =
@@ -1251,6 +1267,9 @@ let fuzz_cmd =
           ~doc:"Domains for $(b,--batch) detection (default 4).")
   in
   let run count seed corpus_dir shrink_budget comb_only quiet batch jobs =
+    validate_non_negative ~cmd:"fuzz" ~flag:"count" count;
+    validate_non_negative ~cmd:"fuzz" ~flag:"jobs" jobs;
+    validate_non_negative ~cmd:"fuzz" ~flag:"shrink-budget" shrink_budget;
     let profile = if comb_only then Zeus.Gen.comb else Zeus.Gen.full in
     let log = if quiet then ignore else fun s -> Fmt.epr "%s@." s in
     if (not quiet) && not (Zeus.Oracle.iverilog_available ()) then

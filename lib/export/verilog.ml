@@ -62,13 +62,14 @@ let reserved_words =
     "shortint"; "struct"; "typedef"; "union";
   ]
 
+(* built at module initialization, not lazily: exports run on several
+   domains at once, and a lazy forced concurrently raises *)
 let reserved_tbl =
-  lazy
-    (let h = Hashtbl.create 256 in
-     List.iter (fun w -> Hashtbl.replace h w ()) reserved_words;
-     h)
+  let h = Hashtbl.create 256 in
+  List.iter (fun w -> Hashtbl.replace h w ()) reserved_words;
+  h
 
-let is_reserved w = Hashtbl.mem (Lazy.force reserved_tbl) w
+let is_reserved w = Hashtbl.mem reserved_tbl w
 
 let escape s =
   let buf = Buffer.create (String.length s + 8) in

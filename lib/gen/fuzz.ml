@@ -132,6 +132,9 @@ let run ?(profile = Gen_prog.full) ?(shrink_budget = 600)
     let jobs = max 1 (min (min jobs Zeus_sim.Pool.max_jobs) count) in
     log (Printf.sprintf "batch detection: %d cases over %d domain(s)" count jobs);
     let diverged = Array.make count None in
+    (* a lazy forced by two domains at once raises
+       [CamlinternalLazy.Undefined]: probe before the fan-out *)
+    ignore (Oracle.iverilog_available ());
     Zeus_sim.Pool.run ~jobs (fun d ->
         let lo = count * d / jobs and hi = count * (d + 1) / jobs in
         for index = lo to hi - 1 do

@@ -40,8 +40,9 @@
                        merged class reports conflicts under its merged
                        representative's name.  "opt-proof" additionally
                        checks the shipped table against the reference
-                       run: a class proved const-0/1 with a producer
-                       must read exactly that constant every cycle;
+                       run: a class proved const-0/1, stuck-X or stuck-Z
+                       with a producer must read exactly that value every
+                       cycle;
    O7 "batch:<name>"   the batch engine ({!Sim.run_batch}) is
                        bit-identical to serial: a mix of full-length and
                        truncated runs with distinct per-run seeds,
@@ -482,13 +483,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
               Array.iteri
                 (fun c root ->
                   let cls = ai.Absint.cls.(c) in
-                  let want =
-                    match cls with
-                    | Absint.Const0 -> Some Logic.Zero
-                    | Absint.Const1 -> Some Logic.One
-                    | _ -> None
-                  in
-                  match want with
+                  match Absint.const_of cls with
                   | Some w
                     when obs.(c) && g1.Graph.producer_count.(c) > 0 ->
                       List.iteri
@@ -500,7 +495,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                                   cycle %d"
                                  g1.Graph.names.(c)
                                  (Absint.classification_to_string cls)
-                                 (match snap.(c) with
+                                 (match snap.(root) with
                                  | None -> "nothing"
                                  | Some v -> Logic.to_string v)
                                  (i + 1)))

@@ -29,9 +29,9 @@
                      runtime errors on eliminated logic are exempt by
                      design)
     opt-proof        the shipped proof table is honest: a class Absint
-                     proved const-0/const-1 (with at least one
-                     producer) reads exactly that constant on every
-                     cycle of the unoptimized reference run
+                     proved const-0, const-1, stuck-X or stuck-Z (with
+                     at least one producer) reads exactly that value on
+                     every cycle of the unoptimized reference run
     verilog          the structural Verilog export is faithful: every
                      compiled program exports, parses back through
                      {!Zeus_export.Verilog.parse_module} with the same

@@ -1,36 +1,31 @@
 (* Four-valued abstract interpretation over the compacted class graph.
 
-   The lattice is flat: Bot < Const v < Top, with the middle layer the
-   four values of Logic (0, 1, UNDEF, NOINFL).  [Const v] is a *must*
-   fact — the class carries exactly [v] in every cycle under every
-   input — so the transfer functions are the simulator's own evaluation
-   rules lifted pointwise:
+   Every class gets the set of values it can carry, as a 4-bit mask
+   over the four values of Logic (0, 1, UNDEF, NOINFL), and [value_sets]
+   is the one fixpoint that computes them: a FIFO worklist over the
+   consumer CSR runs each class's transfer function until no mask
+   grows.  A class's mask is its seed (what it reads before its
+   producers: a testbench input, a register output, the UNDEF of a
+   producer-less class) joined with the resolution of its producers,
+   which follows the engines' firing rules:
 
-   - gates use the early-firing partial evaluators, with Top as
-     "unknown input";
-   - drivers case-split on the guard's abstract value (0 contributes
-     NOINFL, 1 the source, a provably-undefined guard drives UNDEF);
-   - multi-driven classes join producer contributions through the
-     abstract drive resolution: all-constant contributions resolve
-     exactly via Logic.resolve (a guaranteed conflict is a guaranteed
-     UNDEF, matching the runtime multiple-drive check), anything
-     varying is Top;
-   - register outputs accumulate (widen) the power-up value joined
-     with every value the input can latch across cycles; a NOINFL
-     input keeps the stored value and contributes nothing new.
+   - a gate evaluates its booleanized inputs with Logic's tables;
+   - a driver contributes its source under a 1 guard, NOINFL under a 0
+     guard and UNDEF under an undefined guard (an undefined guard
+     {e drives});
+   - over every combination of the producers' masks, a driving value
+     overrules NOINFL, and two driving values resolve to UNDEF (a drive
+     conflict) unless the caller declares the class exclusive;
+   - with the kind default on, a boolean class reads its resolution
+     booleanized, so a boolean class no producer drives reads UNDEF
+     while a multiplex one floats.
 
-   The interpreter runs over the one compacted class graph (Graph):
-   dense class ids, the consumer CSR driving a FIFO worklist and the
-   producer CSR feeding each class's transfer function.  The worklist
-   runs the monotone transfer functions to a fixpoint; the lattice has
-   height 2, so every class is re-evaluated O(fan-in) times.
-
-   Beside the must-lattice, [value_sets] is the may-analysis of the
-   static side: per class, the set of values it can carry, as a 4-bit
-   mask, on the same worklist.  Lint's UNDEF pass and the sequential
-   prover's abstract cycle both run it, each with its own seed.  The
-   flat lattice is not its quotient (strict Bot and XOR(Top, UNDEF) =
-   Top, see absint.mli), so the two transfers stay separate.
+   Four callers run it, each with its own seed: [analyze] (every input
+   value, register outputs widened across cycles), Lint's UNDEF pass
+   (inputs defined), and the sequential prover's abstract cycle (per
+   register state) and concrete search (singleton seeds).  [analyze]
+   reads its classification off each mask: a singleton is const-0,
+   const-1, stuck-X or stuck-Z, anything else varying.
 
    Observability is the backward closure over the same producer CSR.
    It is the one liveness walk in the static analyses: [analyze]
@@ -38,22 +33,6 @@
    fixpoint) for callers that need only liveness. *)
 
 open Zeus_base
-
-type av =
-  | Bot
-  | Const of Logic.t
-  | Top
-
-let join a b =
-  match (a, b) with
-  | Bot, x | x, Bot -> x
-  | Top, _ | _, Top -> Top
-  | Const u, Const v -> if Logic.equal u v then a else Top
-
-let av_to_string = function
-  | Bot -> "bot"
-  | Const v -> Printf.sprintf "const-%c" (Logic.to_char v)
-  | Top -> "varying"
 
 type classification =
   | Const0
@@ -69,40 +48,19 @@ let classification_to_string = function
   | StuckZ -> "stuck-Z"
   | Varying -> "varying"
 
+let const_of = function
+  | Const0 -> Some Logic.Zero
+  | Const1 -> Some Logic.One
+  | StuckX -> Some Logic.Undef
+  | StuckZ -> Some Logic.Noinfl
+  | Varying -> None
+
 type t = {
   graph : Graph.t;
-  value : av array;
   cls : classification array;
   observable : bool array;
   steps : int;
 }
-
-(* evaluate a gate over (possibly unknown) constant inputs with the
-   simulator's early-firing rules: [Some v] only when the output is
-   forced under all inputs (an AND with one constant-0 input is 0
-   regardless of the rest) *)
-let eval_gate_const op (vals : Logic.t option list) =
-  match (op : Netlist.gate_op) with
-  | Netlist.Gand -> Logic.and_partial vals
-  | Netlist.Gor -> Logic.or_partial vals
-  | Netlist.Gnand -> Logic.nand_partial vals
-  | Netlist.Gnor -> Logic.nor_partial vals
-  | Netlist.Gxor -> Logic.xor_partial vals
-  | Netlist.Gnot -> (
-      match vals with
-      | [ v ] -> Option.map Logic.not_ v
-      | _ -> None)
-  | Netlist.Gequal ->
-      Logic.map_all
-        (fun vs ->
-          let n = List.length vs / 2 in
-          let a = List.filteri (fun i _ -> i < n) vs
-          and b = List.filteri (fun i _ -> i >= n) vs in
-          List.fold_left2
-            (fun acc x y -> Logic.and2 acc (Logic.equal2 x y))
-            Logic.One a b)
-        vals
-  | Netlist.Grandom -> None
 
 (* observability: backward closure from register inputs and root
    OUT/INOUT pins, through producer-node inputs *)
@@ -139,12 +97,12 @@ let observability (g : Graph.t) =
   done;
   observable
 
-(* The FIFO worklist every value fixpoint here runs on.  [update c]
-   re-evaluates class [c] and reports whether its value grew.  The queue
-   starts with every class in id order; a change pushes the outputs of
-   [c]'s consumers in CSR order, then the output of every register
-   latching from [c] (a register output's value reads its input across
-   cycles).  Returns the number of class evaluations. *)
+(* The FIFO worklist.  [update c] re-evaluates class [c] and reports
+   whether its mask grew.  The queue starts with every class in id
+   order; a change pushes the outputs of [c]'s consumers in CSR order,
+   then the output of every register latching from [c] (a register
+   output's seed reads its input).  Returns the number of class
+   evaluations. *)
 let worklist (g : Graph.t) update =
   let queue = Queue.create () and queued = Array.make g.Graph.n_classes false in
   let push c =
@@ -169,139 +127,10 @@ let worklist (g : Graph.t) update =
   done;
   !steps
 
-let analyze (g : Graph.t) =
-  let value = Array.make g.Graph.n_classes Bot in
-  let av_of_src = function
-    | Netlist.Sconst v -> Const v
-    | Netlist.Snet c -> value.(c)
-  in
-  (* gate transfer: Const inputs are exact, Top inputs are unknown —
-     the partial evaluators fire exactly when the output is forced.
-     With a Bot input an unforced output stays Bot (strict). *)
-  let eval_node i =
-    match g.Graph.nodes.(i) with
-    | Graph.Ngate { op; inputs; _ } ->
-        let avs = List.map av_of_src (Array.to_list inputs) in
-        let opt =
-          List.map (function Const v -> Some v | Bot | Top -> None) avs
-        in
-        (match eval_gate_const op opt with
-        | Some v -> Const v
-        | None -> if List.mem Bot avs then Bot else Top)
-    | Graph.Ndriver { guard; source; _ } -> (
-        match guard with
-        | None -> av_of_src source
-        | Some gs -> (
-            match av_of_src gs with
-            | Bot -> Bot
-            | Top ->
-                (* the guard can be 0 (NOINFL), 1 (source) or UNDEF
-                   (drives UNDEF): the join is already Top *)
-                Top
-            | Const v -> (
-                match Logic.booleanize v with
-                | Logic.Zero -> Const Logic.Noinfl
-                | Logic.One -> av_of_src source
-                | Logic.Undef | Logic.Noinfl -> Const Logic.Undef)))
-  in
-  (* abstract Zeus drive resolution over the producer contributions *)
-  let resolve_abs = function
-    | [] -> Bot (* no producers: the base cases below decide *)
-    | contribs ->
-        if List.mem Bot contribs then Bot
-        else if List.mem Top contribs then Top
-        else
-          Const
-            (Logic.resolve
-               (List.map (function Const v -> v | _ -> assert false) contribs))
-              .Logic.value
-  in
-  (* the engines give a class with no driving value a kind-dependent
-     default — boolean UNDEF, multiplex NOINFL *)
-  let class_mux c = g.Graph.class_kind.(c) = Etype.KMux in
-  let eval_class c =
-    if g.Graph.input_class.(c) then
-      Top (* testbench-pokeable: CLK, RSET, pins *)
-    else begin
-      let contribs = ref [] in
-      Graph.iter_producers g c (fun i -> contribs := eval_node i :: !contribs);
-      (* register widening: power-up value joined with everything the
-         input can latch; NOINFL keeps the stored value *)
-      let regs = g.Graph.regs_of_out.(c) in
-      let regv =
-        List.fold_left
-          (fun acc r ->
-            let latched =
-              match value.(g.Graph.reg_in.(r)) with
-              | Bot -> Bot
-              | Const Logic.Noinfl -> Bot
-              | Const v -> Const (Logic.booleanize v)
-              | Top -> Top
-            in
-            join acc (join (Const g.Graph.regs.(r).Netlist.rinit) latched))
-          Bot regs
-      in
-      if !contribs = [] && regs = [] then
-        (* producer-less: a boolean net reads UNDEF forever, a
-           multiplex one floats *)
-        Const (if class_mux c then Logic.Noinfl else Logic.Undef)
-      else
-        let v = join (resolve_abs !contribs) regv in
-        (* kind default: every producer provably firing NOINFL leaves a
-           boolean class UNDEF — only multiplex classes are stuck-Z *)
-        match v with
-        | Const l
-          when Logic.equal l Logic.Noinfl && (not (class_mux c)) && regs = []
-          ->
-            Const Logic.Undef
-        | v -> v
-    end
-  in
-  let steps =
-    worklist g (fun c ->
-        let nv = join value.(c) (eval_class c) in
-        if nv = value.(c) then false
-        else begin
-          value.(c) <- nv;
-          true
-        end)
-  in
-  let cls =
-    Array.map
-      (function
-        | Const Logic.Zero -> Const0
-        | Const Logic.One -> Const1
-        | Const Logic.Undef -> StuckX
-        | Const Logic.Noinfl -> StuckZ
-        | Top | Bot -> Varying)
-      value
-  in
-  { graph = g; value; cls; observable = observability g; steps }
-
-let value_of_net t id = t.value.(t.graph.Graph.canon.(id))
-let classification_of_net t id = t.cls.(t.graph.Graph.canon.(id))
-
-let counts t =
-  let c0 = ref 0 and c1 = ref 0 and cx = ref 0 and cz = ref 0 and cv = ref 0 in
-  Array.iter
-    (function
-      | Const0 -> incr c0
-      | Const1 -> incr c1
-      | StuckX -> incr cx
-      | StuckZ -> incr cz
-      | Varying -> incr cv)
-    t.cls;
-  (!c0, !c1, !cx, !cz, !cv)
-
-let unobservable_count t =
-  Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 t.observable
-
 (* ------------------------------------------------------------------ *)
 (* Value sets                                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The may-analysis beside the must-lattice above: every class gets the
-   set of values it can carry, as a bitmask over the four values. *)
 let m_zero = 1
 and m_one = 2
 and m_undef = 4
@@ -363,47 +192,115 @@ let gate_mask op inputs =
           m_one a b
   | Netlist.Grandom -> m_zero lor m_one
 
+let src_mask sets = function
+  | Netlist.Sconst v -> mask_of v
+  | Netlist.Snet c -> sets.(c)
+
 (* The value-set transfer function of one producer node, with the
-   input masks read through [mask_of_src]: an undefined guard drives
-   UNDEF, a 0 guard contributes NOINFL. *)
-let node_mask mask_of_src = function
+   input masks read from [sets]: an undefined guard drives UNDEF, a 0
+   guard contributes NOINFL. *)
+let node_mask sets = function
   | Graph.Ngate { op; inputs; _ } ->
-      gate_mask op (List.map mask_of_src (Array.to_list inputs))
-  | Graph.Ndriver { guard = None; source; _ } -> mask_of_src source
+      gate_mask op (List.map (src_mask sets) (Array.to_list inputs))
+  | Graph.Ndriver { guard = None; source; _ } -> src_mask sets source
   | Graph.Ndriver { guard = Some gs; source; _ } ->
-      let gm = booleanize_mask (mask_of_src gs) in
-      (if gm land m_one <> 0 then mask_of_src source else 0)
+      let gm = booleanize_mask (src_mask sets gs) in
+      (if gm land m_one <> 0 then src_mask sets source else 0)
       lor (if gm land m_zero <> 0 then m_noinfl else 0)
       lor (if gm land m_undef <> 0 then m_undef else 0)
 
-(* The value-set fixpoint on the same worklist as [analyze]: a class's
-   mask is its [seed] (re-read at every evaluation, since a register
-   output's seed may read its input's current mask), joined with every
-   producer's contribution, plus UNDEF when two producers can drive and
-   the class is not [exclusive].  Every transfer is monotone and the
+(* A class's mask is its [seed] (re-read at every evaluation, since a
+   register output's seed may read its input's current mask) joined
+   with the resolution of its producers over every combination of
+   their masks, folded producer by producer: [silent] says some
+   combination so far drives nothing, [single] holds the values of the
+   combinations with exactly one driving value, [many] says some
+   combination has two.  An empty producer mask (not evaluated yet)
+   empties every combination.  Every transfer is monotone and the
    worklist re-queues every reader of a grown mask, so the result is
    the least fixpoint whatever the visiting order. *)
-let value_sets (g : Graph.t) ~seed ~exclusive =
+let value_sets (g : Graph.t) ~seed ~exclusive ~kind_default =
   let sets = Array.make g.Graph.n_classes 0 in
   let mask c = sets.(c) in
-  let mask_of_src = function
-    | Netlist.Sconst v -> mask_of v
-    | Netlist.Snet c -> sets.(c)
+  let resolve c =
+    let silent = ref true and single = ref 0 and many = ref false in
+    Graph.iter_producers g c (fun i ->
+        let pm = node_mask sets g.Graph.nodes.(i) in
+        let drives = pm land lnot m_noinfl and quiet = pm land m_noinfl <> 0 in
+        many := (!many && pm <> 0) || (!single <> 0 && drives <> 0);
+        single := (if quiet then !single else 0) lor if !silent then drives else 0;
+        silent := !silent && quiet);
+    let r =
+      (if !silent then m_noinfl else 0)
+      lor !single
+      lor if !many && not (exclusive c) then m_undef else 0
+    in
+    if kind_default && g.Graph.class_kind.(c) = Etype.KBool then
+      booleanize_mask r
+    else r
   in
-  ignore
-    (worklist g (fun c ->
-         let m = ref (seed mask c) and driving = ref 0 in
-         Graph.iter_producers g c (fun i ->
-             let pm = node_mask mask_of_src g.Graph.nodes.(i) in
-             if pm land lnot m_noinfl <> 0 then incr driving;
-             m := !m lor pm);
-         let m =
-           sets.(c) lor !m
-           lor (if !driving >= 2 && not (exclusive c) then m_undef else 0)
-         in
-         if m = sets.(c) then false
-         else begin
-           sets.(c) <- m;
-           true
-         end));
-  sets
+  let steps =
+    worklist g (fun c ->
+        let m = seed mask c in
+        let m =
+          if g.Graph.producer_count.(c) = 0 then m else m lor resolve c
+        in
+        let m = sets.(c) lor m in
+        if m = sets.(c) then false
+        else begin
+          sets.(c) <- m;
+          true
+        end)
+  in
+  (sets, steps)
+
+(* The flow-insensitive seed: a testbench input reads [inputs], a
+   register output its power-up value joined with everything its input
+   can latch (a NOINFL input keeps the stored value), and any other
+   producer-less class UNDEF. *)
+let flow_seed (g : Graph.t) ~inputs mask c =
+  if g.Graph.input_class.(c) then inputs
+  else
+    match Graph.reg_of_out g c with
+    | -1 -> if g.Graph.producer_count.(c) = 0 then m_undef else 0
+    | r ->
+        mask_of g.Graph.regs.(r).Netlist.rinit
+        lor booleanize_mask (mask g.Graph.reg_in.(r) land lnot m_noinfl)
+
+let all_values = m_zero lor m_one lor m_undef lor m_noinfl
+
+let analyze (g : Graph.t) =
+  let sets, steps =
+    value_sets g
+      ~seed:(flow_seed g ~inputs:all_values)
+      ~exclusive:(fun _ -> false)
+      ~kind_default:true
+  in
+  let cls =
+    Array.map
+      (fun m ->
+        if m = m_zero then Const0
+        else if m = m_one then Const1
+        else if m = m_undef then StuckX
+        else if m = m_noinfl then StuckZ
+        else Varying)
+      sets
+  in
+  { graph = g; cls; observable = observability g; steps }
+
+let classification_of_net t id = t.cls.(t.graph.Graph.canon.(id))
+
+let counts t =
+  let c0 = ref 0 and c1 = ref 0 and cx = ref 0 and cz = ref 0 and cv = ref 0 in
+  Array.iter
+    (function
+      | Const0 -> incr c0
+      | Const1 -> incr c1
+      | StuckX -> incr cx
+      | StuckZ -> incr cz
+      | Varying -> incr cv)
+    t.cls;
+  (!c0, !c1, !cx, !cz, !cv)
+
+let unobservable_count t =
+  Array.fold_left (fun acc o -> if o then acc else acc + 1) 0 t.observable

@@ -1,51 +1,36 @@
 (** Four-valued abstract interpretation over the compacted class graph.
 
-    A whole-design constant analysis on the flat lattice
-
-    {v ⊥  <  \{0, 1, X, Z\}  <  ⊤ v}
-
-    where the middle layer is the four-valued algebra of {!Zeus_base.Logic}
-    (X = UNDEF, Z = NOINFL).  [Const v] means "this class carries exactly
-    [v] in every cycle, under every input"; [Top] means the value can
-    vary; [Bot] is the unreached initial state (it survives only inside
-    combinational cycles, which the static checks reject anyway).
-
-    The interpreter runs over the one compacted class graph
+    Every class gets the set of values it can carry, as a bitmask over
+    the four values of {!Zeus_base.Logic} (0, 1, X = UNDEF, Z = NOINFL).
+    {!value_sets} is the one fixpoint of the static side that computes
+    these masks; it runs over the one compacted class graph
     ({!Graph.t}, shared with the simulator and the other static
-    analyses): a worklist over its consumer CSR runs the monotone
-    transfer functions to a fixpoint:
+    analyses), and its per-class step resolves producers as the engines
+    do:
 
-    - gates evaluate with the simulator's early-firing partial
-      evaluators (an AND with a constant-0 input is 0 no matter what);
-    - a driver contributes its source under a constant-1 guard, NOINFL
-      under a constant-0 guard, UNDEF under a provably-undefined guard
-      (an undefined guard {e drives});
-    - a multi-driven class joins its producers with the abstract Zeus
-      drive resolution: all-constant contributions resolve exactly
-      (two driving values are a conflict and force UNDEF, matching the
-      runtime check), any varying contribution is ⊤;
-    - register feedback is widened across cycles: the output class
-      accumulates the power-up value joined with everything the input
-      can latch (a NOINFL input keeps the stored value and contributes
-      nothing), iterated to a fixpoint.
+    - gates evaluate their booleanized inputs with the simulator's
+      tables;
+    - a driver contributes its source under a 1 guard, NOINFL under a 0
+      guard, UNDEF under an undefined guard (an undefined guard
+      {e drives});
+    - over every combination of the producers' masks, a driving value
+      overrules NOINFL and two driving values resolve to UNDEF (the
+      runtime drive-conflict rule), unless the caller declares the
+      class exclusive;
+    - with the kind default on, a boolean class reads its resolution
+      booleanized (no driving value reads UNDEF), a multiplex one
+      floats.
 
-    Testbench-pokeable classes (top IN/INOUT pins, CLK, RSET) and RANDOM
-    sources are ⊤; a producer-less non-input class reads UNDEF forever.
-
-    The result doubles as the proof table of {!Reduce}: every class is
-    classified const-0 / const-1 / stuck-X / stuck-Z / varying, together
-    with its observability (whether it can reach a register or a root
-    output port). *)
+    {!analyze} is one run of it: testbench-pokeable classes (top
+    IN/INOUT pins, CLK, RSET) may carry any value, a producer-less class
+    reads UNDEF forever, and a register output is widened across cycles
+    to its power-up value plus everything its input can latch.  Each
+    class is classified off its mask — a singleton is const-0 / const-1
+    / stuck-X / stuck-Z, anything else varying — together with its
+    observability (whether it can reach a register or a root output
+    port).  The result is the proof table of {!Reduce}. *)
 
 open Zeus_base
-
-type av =
-  | Bot  (** unreached (combinational cycles only) *)
-  | Const of Logic.t  (** exactly this value, every cycle, all inputs *)
-  | Top  (** may vary *)
-
-val join : av -> av -> av
-val av_to_string : av -> string
 
 type classification =
   | Const0
@@ -56,9 +41,11 @@ type classification =
 
 val classification_to_string : classification -> string
 
+(** The one value a non-varying class carries every cycle. *)
+val const_of : classification -> Logic.t option
+
 type t = {
   graph : Graph.t;  (** the class graph the analysis ran over *)
-  value : av array;  (** per class: the fixpoint abstract value *)
   cls : classification array;  (** per class *)
   observable : bool array;
       (** per class: reaches a register input or a root OUT/INOUT pin *)
@@ -74,10 +61,8 @@ val analyze : Graph.t -> t
     (Z602 in the sequential prover, dead-net counts in {!Stats}). *)
 val observability : Graph.t -> bool array
 
-(** Abstract value / classification of an original net id (resolved
-    through the alias class). *)
-val value_of_net : t -> int -> av
-
+(** Classification of an original net id (resolved through the alias
+    class). *)
 val classification_of_net : t -> int -> classification
 
 (** [counts t] is [(const0, const1, stuckx, stuckz, varying)]. *)
@@ -85,18 +70,7 @@ val counts : t -> int * int * int * int * int
 
 val unobservable_count : t -> int
 
-(** {2 Value sets}
-
-    The may-analysis beside the must-lattice: every class gets the set
-    of values it can carry, as a bitmask over the four values of
-    {!Zeus_base.Logic}.  This is the one value-set fixpoint of the static
-    side: {!Lint}'s UNDEF-reachability pass runs it flow-insensitively,
-    and {!Seqprove} runs it once per abstract cycle with register outputs
-    reading a state.
-
-    The flat lattice above is not the quotient of these masks: its
-    strict-⊥ early firing makes AND(⊥, 0) = 0 where the mask of an empty
-    input is empty, and XOR(⊤, X) is ⊤ where the mask is [{X}]. *)
+(** {2 Value sets} *)
 
 val m_zero : int
 
@@ -114,21 +88,39 @@ val mask_to_string : int -> string
 (** NOINFL reads back as UNDEF (an undriven mux net). *)
 val booleanize_mask : int -> int
 
-(** The transfer function of one producer node over the masks its
-    sources read ([mask_of_src] sees class-id sources): gate inputs are
-    booleanized first, as the simulator does; an undefined guard drives
-    UNDEF, a 0 guard contributes NOINFL.  On singleton masks it is the
-    simulator's evaluation of the node (a RANDOM gate yields [{0,1}]). *)
-val node_mask : (Netlist.src -> int) -> Graph.node -> int
+(** The mask a source reads: a constant's singleton, or the class's
+    entry in a per-class mask array. *)
+val src_mask : int array -> Netlist.src -> int
 
-(** [value_sets g ~seed ~exclusive] — per class, the least mask closed
-    under the producer transfer functions, on {!analyze}'s worklist.
+(** The transfer function of one producer node over the per-class
+    masks [sets]: gate inputs are booleanized first, as the simulator
+    does; an undefined guard drives UNDEF, a 0 guard contributes
+    NOINFL.  On singleton masks it is the simulator's evaluation of the
+    node (a RANDOM gate yields [{0,1}]). *)
+val node_mask : int array -> Graph.node -> int
+
+(** [value_sets g ~seed ~exclusive ~kind_default] — per class, the least
+    mask closed under the producer transfer functions, and the number
+    of worklist class evaluations it took.
 
     [seed mask c] is class [c]'s mask before its producers (inputs,
     register outputs, the UNDEF of a producer-less class); it may read
     the current mask of any class through [mask] — a register output
-    reads its input's — and is re-read at every evaluation.  A class
-    with two producers that can drive gains UNDEF (a drive conflict)
-    unless [exclusive c]. *)
+    reads its input's — and is re-read at every evaluation.  The
+    producers resolve over every combination of their masks: a driving
+    value overrules NOINFL, and two driving values give UNDEF unless
+    [exclusive c] (then that combination cannot happen).  With
+    [kind_default], a boolean class's resolution is booleanized, as the
+    engines read it. *)
 val value_sets :
-  Graph.t -> seed:((int -> int) -> int -> int) -> exclusive:(int -> bool) -> int array
+  Graph.t ->
+  seed:((int -> int) -> int -> int) ->
+  exclusive:(int -> bool) ->
+  kind_default:bool ->
+  int array * int
+
+(** The flow-insensitive seed: a testbench input reads [inputs]; a
+    register output the latest register's power-up value joined with
+    everything its input can latch (its mask minus NOINFL,
+    booleanized); any other producer-less class UNDEF. *)
+val flow_seed : Graph.t -> inputs:int -> (int -> int) -> int -> int

@@ -47,12 +47,13 @@
       outputs can reach a register or a root output port (Absint's
       observability closure).
 
-   4. Abstract interpretation (Z501/Z502/Z503).  The four-valued
-      constant fixpoint of Absint — the proof table zeusc opt reduces
-      by — surfaced as findings: nets provably constant every cycle
-      (Z501), nets provably stuck at UNDEF or floating every cycle
-      where the coarser value-set pass stayed silent (Z502, e.g. a
-      guaranteed drive conflict whose resolution is exactly UNDEF), and
+   4. Abstract interpretation (Z501/Z502/Z503).  Absint's
+      classification — the proof table zeusc opt reduces by — surfaced
+      as findings: nets provably constant every cycle (Z501), nets
+      provably stuck at UNDEF or floating every cycle where the UNDEF
+      pass stayed silent and some producer can drive a defined value
+      (Z502, e.g. an unread output pin whose two drivers always
+      conflict), and
       driven nets that reach nothing observable (Z503; nets under an
       instance already reported dead by Z302, and '*'-starred nets, are
       skipped).
@@ -548,25 +549,11 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
 (* Pass 2: UNDEF reachability                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* The flow-insensitive seed of the value-set fixpoint (Absint.value_sets):
-   inputs are assumed defined ({0,1}) — that is the documented
-   environment assumption of the whole lint — but a register output
-   starts from its power-up value (UNDEF unless REG(c) gave a constant)
-   and absorbs whatever its input can latch, so UNDEF-capability of
-   sequential state is tracked precisely.  A producer-less class reads
-   UNDEF. *)
-let value_seed (g : Graph.t) mask c =
-  if g.Graph.input_class.(c) then Absint.m_zero lor Absint.m_one
-  else
-    match Graph.reg_of_out g c with
-    | -1 -> if g.Graph.producer_count.(c) = 0 then Absint.m_undef else 0
-    | r ->
-        Absint.mask_of g.Graph.regs.(r).Netlist.rinit
-        lor Absint.booleanize_mask
-              (mask g.Graph.reg_in.(r) land lnot Absint.m_noinfl)
-
+(* returns, per class, whether Z202 reported it, so pass 4 reports a
+   stuck class only where this pass stayed silent *)
 let undef_pass bag (g : Graph.t) sets =
   let nl = g.Graph.nl in
+  let never_defined = Array.make g.Graph.n_classes false in
   (* report per class, through a representative read, user-visible net *)
   Array.iter
     (fun c ->
@@ -595,12 +582,15 @@ let undef_pass bag (g : Graph.t) sets =
               net.Netlist.loc "'%s' is read but never driven — it reads UNDEF \
                                forever"
               net.Netlist.name
-          else if sets.(c) land (Absint.m_zero lor Absint.m_one) = 0 then
+          else if sets.(c) land (Absint.m_zero lor Absint.m_one) = 0 then begin
+            never_defined.(c) <- true;
             Diag.Bag.warning bag ~code:Diag.Code.undef_only Diag.Lint_error
               net.Netlist.loc
               "'%s' can never carry a defined value — every read yields UNDEF"
-              net.Netlist.name)
-    (Graph.by_rep g)
+              net.Netlist.name
+          end)
+    (Graph.by_rep g);
+  never_defined
 
 (* ------------------------------------------------------------------ *)
 (* Pass 3: dead hardware                                                *)
@@ -614,10 +604,7 @@ let dead_pass bag (ai : Absint.t) =
   let dead_paths = ref [] in
   let guard_value = function
     | Netlist.Sconst v -> Some v
-    | Netlist.Snet id -> (
-        match Absint.value_of_net ai id with
-        | Absint.Const v -> Some v
-        | Absint.Bot | Absint.Top -> None)
+    | Netlist.Snet id -> Absint.const_of (Absint.classification_of_net ai id)
   in
   (* one report per source location: an IF arm over a wide signal makes
      one driver per bit, all at the same loc *)
@@ -672,7 +659,7 @@ let dead_pass bag (ai : Absint.t) =
 (* Pass 4: abstract interpretation (Z501/Z502/Z503)                     *)
 (* ------------------------------------------------------------------ *)
 
-let absint_pass bag (ai : Absint.t) sets ~dead_paths =
+let absint_pass bag (ai : Absint.t) sets ~never_defined ~dead_paths =
   let g = ai.Absint.graph in
   let nl = g.Graph.nl in
   let under_dead name =
@@ -737,12 +724,19 @@ let absint_pass bag (ai : Absint.t) sets ~dead_paths =
                 | _ -> "0")
           | None -> ())
       | Absint.StuckX | Absint.StuckZ -> (
-          (* the value-set pass (Z202) already reports classes that can
-             never read a defined value; Z502 adds the strictly finer
-             must-facts it misses — e.g. a guaranteed drive conflict
-             resolving to UNDEF every cycle *)
-          if Absint.booleanize_mask sets.(c) land (Absint.m_zero lor Absint.m_one) <> 0
-          then
+          (* the value-set pass (Z202) already reports read classes
+             that can never carry a defined value; Z502 adds the stuck
+             classes it misses whose UNDEF the resolution itself makes
+             — some producer can drive a defined value, e.g. an unread
+             output pin with a guaranteed drive conflict *)
+          let defined_producer = ref false in
+          Graph.iter_producers g c (fun i ->
+              if
+                Absint.node_mask sets g.Graph.nodes.(i)
+                land (Absint.m_zero lor Absint.m_one)
+                <> 0
+              then defined_producer := true);
+          if !defined_producer && not never_defined.(c) then
             match pick observed with
             | Some net ->
                 Diag.Bag.warning bag ~code:Diag.Code.absint_stuck
@@ -792,15 +786,17 @@ let analyze ~budget ~proven_safe (g : Graph.t) =
         let arr = modular_skip g p in
         fun c -> arr.(c)
   in
-  let sets =
-    Absint.value_sets g ~seed:(value_seed g) ~exclusive:(fun _ -> false)
+  let sets, _ =
+    Absint.value_sets g
+      ~seed:(Absint.flow_seed g ~inputs:(Absint.m_zero lor Absint.m_one))
+      ~exclusive:(fun _ -> false) ~kind_default:false
   in
   let can_undef c = Absint.booleanize_mask sets.(c) land Absint.m_undef <> 0 in
   let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip in
-  undef_pass bag g sets;
+  let never_defined = undef_pass bag g sets in
   let ai = Absint.analyze g in
   let dead_paths = dead_pass bag ai in
-  absint_pass bag ai sets ~dead_paths;
+  absint_pass bag ai sets ~never_defined ~dead_paths;
   { verdicts; findings = Diag.Bag.all bag; splits = !splits }
 
 let run ?(budget = default_budget) ?proven_safe design =

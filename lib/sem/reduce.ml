@@ -60,11 +60,7 @@ let run (design : Elaborate.design) =
   let ai = Absint.analyze cg in
   let nl = design.Elaborate.netlist in
   let canon id = cg.Graph.canon.(id) in
-  let const_of c =
-    match ai.Absint.value.(c) with
-    | Absint.Const v -> Some v
-    | Absint.Bot | Absint.Top -> None
-  in
+  let const_of c = Absint.const_of ai.Absint.cls.(c) in
   (* replacement by a constant driver: single producer, combinational,
      not pokeable — exactly the nets whose every producer the rewrite
      may delete without changing drive counts on any other class *)

@@ -49,12 +49,15 @@
    - For small acyclic designs without RANDOM, a concrete breadth-first
      search over register states (inputs enumerated over {0,1})
      produces Z603: an actual stimulus trace that makes two drivers of
-     an unproven net fire in one cycle.  The mini-evaluator runs
-     Absint.node_mask on singleton masks and mirrors the simulator
-     exactly (guards booleanized, an UNDEF guard drives
-     UNDEF, two driving values force UNDEF and count as a conflict,
-     registers keep their value on an all-NOINFL input), and oracle
-     row O8 replays the traces through the real engines.
+     an unproven net fire in one cycle.  One concrete cycle is one run
+     of Absint.value_sets on singleton seeds with the engines' kind
+     default, which on such a design is the simulator's evaluation
+     (guards booleanized, an UNDEF guard drives UNDEF, two driving
+     values force UNDEF); a count of driving producers per class gives
+     the conflicts and the latch (a register keeps its value when no
+     producer of its input drives).  A mask that is not a singleton (a
+     combinational cycle) gives the search up.  Oracle row O8 replays
+     the traces through the real engines.
 
    Everything shares Lint's environment assumption: inputs are poked
    to defined values.  Discharge is therefore opt-in at simulation
@@ -229,7 +232,6 @@ let compute_exclusive ctx ~budget ~splits ~reg_masks =
    conflict-injects-UNDEF rule is gated on [exclusive] *)
 let cycle_masks ctx ~rset_mask ~reg_masks ~exclusive =
   let g = ctx.g in
-  let n = g.Graph.n_classes in
   let seed _ c =
     if g.Graph.input_class.(c) then
       if c = g.Graph.rset then rset_mask else Absint.m_zero lor Absint.m_one
@@ -237,40 +239,15 @@ let cycle_masks ctx ~rset_mask ~reg_masks ~exclusive =
     else if g.Graph.producer_count.(c) = 0 then Absint.m_undef
     else 0
   in
-  let sets = Absint.value_sets g ~seed ~exclusive in
-  let mask_of_src = function
-    | Netlist.Sconst v -> Absint.mask_of v
-    | Netlist.Snet c -> sets.(c)
-  in
-  (* per class: can every producer be silent in the same cycle?  Only
-     then can a register input keep its stored value — one driver whose
-     guard is never 0 (a reset pulse, say) forces a latch no matter how
-     many silent siblings it has *)
-  let all_silent =
-    Array.init n (fun c ->
-        g.Graph.producer_count.(c) > 0
-        &&
-        let silent = ref true in
-        Graph.iter_producers g c (fun i ->
-            silent :=
-              !silent
-              &&
-              match g.Graph.nodes.(i) with
-              | Graph.Ngate _ -> false
-              | Graph.Ndriver { guard = None; source; _ } ->
-                  mask_of_src source land Absint.m_noinfl <> 0
-              | Graph.Ndriver { guard = Some gs; source; _ } ->
-                  Absint.booleanize_mask (mask_of_src gs) land Absint.m_zero <> 0
-                  || mask_of_src source land Absint.m_noinfl <> 0);
-        !silent)
-  in
-  (sets, all_silent)
+  fst (Absint.value_sets g ~seed ~exclusive ~kind_default:false)
 
 (* the register latch: values latch when some driver fires; the stored
-   value survives only when every driver can be silent in the same
-   cycle ([all_silent]); producer-less inputs latch pokes (defined, by
-   the environment assumption) *)
-let next_regs ctx (sets, all_silent) reg_masks =
+   value survives only when every producer can be silent in the same
+   cycle — the input's mask holds NOINFL (one driver whose guard is
+   never 0, a reset pulse say, forces a latch no matter how many silent
+   siblings it has); producer-less inputs latch pokes (defined, by the
+   environment assumption) *)
+let next_regs ctx sets reg_masks =
   let g = ctx.g in
   Array.mapi
     (fun i rc ->
@@ -282,7 +259,7 @@ let next_regs ctx (sets, all_silent) reg_masks =
         let m = sets.(rc) in
         let latched = m land (Absint.m_zero lor Absint.m_one lor Absint.m_undef) in
         latched
-        lor (if all_silent.(rc) || latched = 0 then old else 0)
+        lor (if m land Absint.m_noinfl <> 0 || latched = 0 then old else 0)
       end)
     g.Graph.reg_in
 
@@ -387,7 +364,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
   let exclusive =
     compute_exclusive ctx ~budget ~splits ~reg_masks:endst
   in
-  let sets, _ =
+  let sets =
     cycle_masks ctx ~rset_mask:Absint.m_zero ~reg_masks:endst ~exclusive
   in
   let stripped =
@@ -400,7 +377,7 @@ let reset_coverage ctx bag ~budget ~splits ~depth traj =
   let exclusive' =
     compute_exclusive ctx ~budget ~splits ~reg_masks:stripped
   in
-  let sets', _ =
+  let sets' =
     cycle_masks ctx ~rset_mask:Absint.m_zero ~reg_masks:stripped
       ~exclusive:exclusive'
   in
@@ -438,106 +415,70 @@ let max_search_nets = 3000
 let max_search_states = 1024
 let max_witnesses = 4
 
-(* one concrete cycle, mirroring the simulator: returns the resolved
-   values, the conflicting classes (by ascending representative) and
-   the next register state, or None when the sweep fails to stabilize
-   (combinational cycle); pokes name classes *)
+(* one concrete cycle, mirroring the simulator: the value-set fixpoint
+   on singleton seeds with the engines' kind default, which on an
+   acyclic design without RANDOM is the simulator's evaluation.
+   Returns the conflicting classes (by ascending representative) and
+   the next register state, or None when some mask is not a singleton
+   (a combinational cycle); pokes name classes *)
 let concrete_cycle ctx (state : Logic.t array) (pokes : (int * Logic.t) list) =
   let g = ctx.g in
   let n = g.Graph.n_classes in
-  let values = Array.make n Logic.Undef in
-  let root = Array.make n false in
   (* seeds: CLK is One, RSET defaults to Zero, pokes override *)
-  for c = 0 to n - 1 do
-    if g.Graph.input_class.(c) then begin
-      root.(c) <- true;
-      values.(c) <-
-        (if c = g.Graph.clk then Logic.One
-         else if c = g.Graph.rset then Logic.Zero
-         else Logic.Undef)
-    end
-  done;
+  let poked = Array.make n None in
   List.iter
-    (fun (c, v) -> if root.(c) then values.(c) <- Logic.booleanize v)
+    (fun (c, v) ->
+      if g.Graph.input_class.(c) then poked.(c) <- Some (Logic.booleanize v))
     pokes;
-  Array.iteri
-    (fun i c ->
-      if g.Graph.producer_count.(c) = 0 then begin
-        root.(c) <- true;
-        values.(c) <- state.(i)
-      end)
-    g.Graph.reg_out;
-  let mask_of_src = function
-    | Netlist.Sconst v -> Absint.mask_of v
-    | Netlist.Snet c -> Absint.mask_of values.(c)
+  let seed _ c =
+    if g.Graph.producer_count.(c) > 0 then 0
+    else
+      match poked.(c) with
+      | Some v -> Absint.mask_of v
+      | None ->
+          if c = g.Graph.clk then Absint.m_one
+          else if c = g.Graph.rset then Absint.m_zero
+          else (
+            match Graph.reg_of_out g c with
+            | -1 -> Absint.m_undef
+            | r -> Absint.mask_of state.(r))
   in
-  let kmux c = g.Graph.class_kind.(c) = Etype.KMux in
-  let drives = Array.make n 0 in
-  let resolve c =
-    let d = ref 0 in
-    let value = ref Logic.Noinfl in
-    Graph.iter_producers g c (fun i ->
-        (* the value-set transfer on singleton masks is the
-           simulator's evaluation (RANDOM, the one non-singleton
-           result, is excluded by has_random) *)
-        let pv =
-          match
-            Absint.values_of_mask
-              (Absint.node_mask mask_of_src g.Graph.nodes.(i))
-          with
-          | [ v ] -> v
-          | _ -> Logic.Undef
-        in
-        if pv <> Logic.Noinfl then begin
-          incr d;
-          if !d = 1 then value := pv
-        end);
-    drives.(c) <- !d;
-    let v =
-      if !d >= 2 then Logic.Undef
-      else if !d = 1 then !value
-      else if kmux c then Logic.Noinfl
-      else Logic.Undef
-    in
-    if kmux c then v else Logic.booleanize v
+  let sets, _ =
+    Absint.value_sets g ~seed ~exclusive:(fun _ -> false) ~kind_default:true
   in
-  let stable = ref false in
-  let sweeps = ref 0 in
-  let cap = n + 8 in
-  while (not !stable) && !sweeps < cap do
-    incr sweeps;
-    stable := true;
-    for c = 0 to n - 1 do
-      if (not root.(c)) && g.Graph.producer_count.(c) > 0 then begin
-        let v = resolve c in
-        if v <> values.(c) then begin
-          values.(c) <- v;
-          stable := false
-        end
-      end
-    done
-  done;
-  if not !stable then None
+  if Array.exists (fun m -> m = 0 || m land (m - 1) <> 0) sets then None
   else begin
+    let value c = List.hd (Absint.values_of_mask sets.(c)) in
+    (* driving producers per class: two are a conflict, one latches *)
+    let drives = Array.make n 0 in
+    Array.iter
+      (fun node ->
+        if Absint.node_mask sets node <> Absint.m_noinfl then begin
+          let c = Graph.node_output node in
+          drives.(c) <- drives.(c) + 1
+        end)
+      g.Graph.nodes;
     let conflicts = ref [] in
-    for c = 0 to n - 1 do
-      if (not root.(c)) && drives.(c) >= 2 then conflicts := c :: !conflicts
+    for c = n - 1 downto 0 do
+      if drives.(c) >= 2 then conflicts := c :: !conflicts
     done;
     let conflicts =
       List.sort (fun a b -> compare g.Graph.rep.(a) g.Graph.rep.(b)) !conflicts
     in
+    (* the register latch: a producer-less input latches whatever it
+       reads unless NOINFL, a driven one only when some producer drives *)
     let next =
       Array.mapi
         (fun i rc ->
-          if g.Graph.producer_count.(rc) = 0 then
-            if root.(rc) && g.Graph.input_class.(rc) then
-              Logic.booleanize values.(rc)
-            else state.(i)
-          else if drives.(rc) >= 1 then Logic.booleanize values.(rc)
+          let v = value rc in
+          if
+            if g.Graph.producer_count.(rc) = 0 then v <> Logic.Noinfl
+            else drives.(rc) >= 1
+          then Logic.booleanize v
           else state.(i))
         g.Graph.reg_in
     in
-    Some (values, conflicts, next)
+    Some (conflicts, next)
   end
 
 let state_key state =
@@ -549,7 +490,7 @@ let concrete_search ctx ~depth =
   else if Array.length g.Graph.regs > max_search_regs then []
   else if g.Graph.n_nets > max_search_nets then []
   else if
-    (* register outputs must be pure state for the mini-evaluator *)
+    (* register outputs must be pure state for the concrete cycle *)
     Array.exists
       (fun c ->
         g.Graph.producer_count.(c) > 0
@@ -602,8 +543,8 @@ let concrete_search ctx ~depth =
                Array.iter
                  (fun pokes ->
                    match concrete_cycle ctx state pokes with
-                   | None -> raise Exit (* unstable: give up entirely *)
-                   | Some (_, conflicts, next) ->
+                   | None -> raise Exit (* not concrete: give up entirely *)
+                   | Some (conflicts, next) ->
                        let rev_trace' = pokes :: rev_trace in
                        List.iter
                          (fun c ->

@@ -171,9 +171,10 @@ let test_reduction_on_blackjack () =
 
 (* ---- constants proved by the abstract interpretation ---- *)
 
-let value_of design name =
-  Absint.av_to_string
-    (Absint.value_of_net (Absint.analyze (Graph.build design)) (net_id design name))
+let classify design name =
+  let ai = Absint.analyze (Graph.build design) in
+  Absint.classification_to_string
+    (Absint.classification_of_net ai (net_id design name))
 
 let test_noinfl_only_net () =
   (* a multiplex whose single producer sits behind a statically-false
@@ -184,9 +185,7 @@ let test_noinfl_only_net () =
        boolean; m: multiplex; BEGIN g := 0; IF g THEN m := x END; y := \
        OR(m, x) END;\nSIGNAL s: t;"
   in
-  Alcotest.(check string) "m is NOINFL"
-    (Absint.av_to_string (Absint.Const Logic.Noinfl))
-    (value_of d "s.m")
+  Alcotest.(check string) "m is NOINFL" "stuck-Z" (classify d "s.m")
 
 let test_register_feedback_constant () =
   (* r.in is the constant 1, but a register output is sequential state
@@ -198,11 +197,11 @@ let test_register_feedback_constant () =
        boolean; r: REG; BEGIN r.in := 1; u := r.out; y := AND(x, u) \
        END;\nSIGNAL s: t;"
   in
-  Alcotest.(check string) "r.in constant" "const-1" (value_of d "s.r.in");
+  Alcotest.(check string) "r.in constant" "const-1" (classify d "s.r.in");
   Alcotest.(check string) "r.out not constant" "varying"
-    (value_of d "s.r.out");
+    (classify d "s.r.out");
   Alcotest.(check string) "copy of r.out not constant" "varying"
-    (value_of d "s.u")
+    (classify d "s.u")
 
 let test_alias_class_constants () =
   (* '==' merges alias classes: a constant learned on one name is known
@@ -213,7 +212,7 @@ let test_alias_class_constants () =
        multiplex; BEGIN a == b; a := 1; y := AND(x, b) END;\nSIGNAL s: t;"
   in
   Alcotest.(check string) "alias of a constant is constant" "const-1"
-    (value_of d "s.b");
+    (classify d "s.b");
   (* two always-firing constant drivers landing on one merged class:
      even agreeing values are a drive conflict (UNDEF, as the runtime
      check forces), and the reduction keeps both producers so the
@@ -224,9 +223,8 @@ let test_alias_class_constants () =
        boolean; a, b: multiplex; BEGIN g := 1; a == b; IF g THEN a := 1 \
        END; IF g THEN b := 1 END; y := AND(x, a) END;\nSIGNAL s: t;"
   in
-  Alcotest.(check string) "two agreeing constants conflict"
-    (Absint.av_to_string (Absint.Const Logic.Undef))
-    (value_of d2 "s.a");
+  Alcotest.(check string) "two agreeing constants conflict" "stuck-X"
+    (classify d2 "s.a");
   let r = Reduce.run d2 in
   let nl = r.Reduce.design.Elaborate.netlist in
   let ac = Netlist.canonical nl (net_id d2 "s.a") in
@@ -238,11 +236,6 @@ let test_alias_class_constants () =
           (Netlist.drivers nl)))
 
 (* ---- abstract interpretation (Absint) + reduction (Reduce) ---- *)
-
-let classify design name =
-  let ai = Absint.analyze (Graph.build design) in
-  Absint.classification_to_string
-    (Absint.classification_of_net ai (net_id design name))
 
 let test_absint_conflict_stuckx () =
   (* two always-firing drivers disagreeing on one net: the runtime
