@@ -1147,7 +1147,7 @@ let e17_compiled ~cycles () =
   e17_write_json rows "BENCH_compiled.json"
 
 (* ------------------------------------------------------------------ *)
-(* E18: the batch engine (whole-run sharding + lane packing)            *)
+(* E18: the batch engine (whole-run sharding + bit-sliced groups)       *)
 (* ------------------------------------------------------------------ *)
 
 type e18_row = {
@@ -1159,7 +1159,7 @@ type e18_row = {
   t_serial_secs : float; (* fresh incremental handle per run *)
   t_cold_secs : float; (* template create (incl. compile) + run_batch *)
   t_warm_secs : float; (* run_batch on the warm template *)
-  t_groups : int; (* lane groups executed *)
+  t_groups : int; (* bit-sliced groups executed *)
   t_lane_runs : int;
   t_fallback_runs : int; (* runs that took the serial fallback *)
   t_agree : bool; (* every final snapshot matches its serial run *)
@@ -1248,10 +1248,15 @@ let e18_write_json rows path =
 let e18_batch ~runs:nruns ~cycles ~jobs () =
   section "E18"
     (Printf.sprintf
-       "batch engine: whole-run sharding + lane packing, runs/second vs a \
-        fresh serial incremental handle per run (jobs=%d, lanes=8)"
-       jobs);
-  let lanes = 8 in
+       "batch engine: whole-run sharding + bit-sliced groups, runs/second \
+        vs a fresh serial incremental handle per run (jobs=%d, lanes=%d)"
+       jobs Bytecode.max_runs);
+  let lanes = Bytecode.max_runs in
+  let batch ?snapshots tmpl runs =
+    match Sim.run_batch ~jobs ~lanes ?snapshots tmpl runs with
+    | Ok r -> r
+    | Error m -> failwith m
+  in
   let bench (name, src, mk) =
     let d = compile src in
     let stims = mk ~runs:nruns ~cycles in
@@ -1299,18 +1304,16 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
        compile) plus the batch itself *)
     let t0 = Unix.gettimeofday () in
     let tmpl = Sim.create ~engine:Sim.Compiled d in
-    let _, st = Sim.run_batch ~jobs ~lanes tmpl batch_runs in
+    let _, st = batch tmpl batch_runs in
     let cold_secs = Unix.gettimeofday () -. t0 in
     (* warm: the template (and its compiled program) is reused *)
     let t0 = Unix.gettimeofday () in
-    ignore (Sim.run_batch ~jobs ~lanes tmpl batch_runs);
+    ignore (batch tmpl batch_runs);
     let warm_secs = Unix.gettimeofday () -. t0 in
     (* the timed batches build no snapshots; agreement comes from one
        extra untimed pass that asks for them (the last is the final
        state) *)
-    let checked, _ =
-      Sim.run_batch ~jobs ~lanes ~snapshots:true tmpl batch_runs
-    in
+    let checked, _ = batch ~snapshots:true tmpl batch_runs in
     let agree =
       List.for_all2
         (fun (res : Sim.batch_result) serial ->

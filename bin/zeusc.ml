@@ -227,6 +227,16 @@ let poke_error path v width =
          path v path width)
   else None
 
+(* a poke takes effect only on a net no gate or driver writes *)
+let driven_error driven path nets =
+  if List.exists driven nets then
+    Some
+      (Printf.sprintf
+         "%s is driven by the design, so a poke of it would be ignored \
+          (only inputs, registers and undriven nets take pokes)"
+         path)
+  else None
+
 (* The --batch stimulus file: a [run [seed=N] [cycles=N]] header starts
    each independent run, every following line is one cycle of
    space-separated path=value pokes ('-' for a cycle with no new pokes;
@@ -235,8 +245,9 @@ let poke_error path v width =
    the explicit [cycles=N] if given, else its number of stimulus lines.
    Values follow the -p convention: 0/1 poke a single bit, anything
    larger pokes BIN(value, width) MSB-first.  Raises [Failure] with a
-   line-numbered message on a malformed file, an unknown path, a value
-   outside 0..2^width-1 or a 0/1 poke on a multi-bit path.
+   line-numbered message on a malformed file, an unknown path, a poke
+   of a driven net, a value outside 0..2^width-1 or a 0/1 poke on a
+   multi-bit path.
 
    Decks run to megabytes, so the reader makes one pass over [src] by
    index: no line, token or trimmed copies.  Each distinct path is
@@ -274,6 +285,7 @@ let parse_batch_file design ~watch src =
   let zero = [ Zeus.Logic.Zero ] and one = [ Zeus.Logic.One ] in
   (* path -> its width and its shared 0 and 1 pokes *)
   let paths = Hashtbl.create 64 in
+  let driven = lazy (Zeus.Graph.driven design) in
   let lookup path =
     match Hashtbl.find_opt paths path with
     | Some e -> e
@@ -281,6 +293,8 @@ let parse_batch_file design ~watch src =
         match Zeus.Elaborate.resolve_path design path with
         | Error e -> fail "%s" e
         | Ok nets ->
+            Option.iter (fail "%s")
+              (driven_error (Lazy.force driven) path nets);
             let e = (List.length nets, (path, zero), (path, one)) in
             Hashtbl.add paths path e;
             e)
@@ -375,7 +389,8 @@ let sim_cmd =
       & info [ "p"; "poke" ]
           ~doc:
             "Input poke, e.g. -p adder.a=5 (MSB-first); the value must fit \
-             the path, 0..2^width-1.")
+             the path, 0..2^width-1, and the path must name nets no gate \
+             or driver writes (inputs, registers, undriven nets).")
   in
   let peeks =
     Arg.(
@@ -427,7 +442,8 @@ let sim_cmd =
              $(b,incremental) (default) or $(b,compiled).  All \
              engines compute identical values.  With $(b,--batch) this \
              picks the per-run template; $(b,compiled) additionally \
-             packs runs $(b,--lanes) at a time.")
+             evaluates up to 63 equal-length runs in one bit-sliced \
+             pass.")
   in
   let jobs =
     Arg.(
@@ -454,16 +470,6 @@ let sim_cmd =
              signals after its final cycle and its runtime errors; the \
              per-cycle options (watch printing, waves, VCD, trace, \
              explain, activity) do not apply.")
-  in
-  let lanes =
-    Arg.(
-      value
-      & opt int 8
-      & info [ "lanes" ] ~docv:"K"
-          ~doc:
-            "With $(b,--batch --engine compiled): how many equal-length \
-             runs one bytecode pass evaluates at once (default 8).  \
-             Results are bit-identical at any value.")
   in
   let stats =
     Arg.(
@@ -498,8 +504,8 @@ let sim_cmd =
              inputs are poked to defined values, so only the Z101 \
              reporting is elided.")
   in
-  let run_batch_mode design ~engine ~jobs ~lanes ~optimize ~discharged ~stats
-      ~watch bf =
+  let run_batch_mode design ~engine ~jobs ~optimize ~discharged ~stats ~watch bf
+      =
     match
       try Ok (parse_batch_file design ~watch (load ~cmd:"sim" bf))
       with Failure m -> Error m
@@ -510,59 +516,69 @@ let sim_cmd =
     | Ok [] ->
         Fmt.epr "batch file %s: no runs@." bf;
         1
-    | Ok runs ->
+    | Ok runs -> (
         let tmpl = Zeus.Sim.create ~engine ?jobs ~optimize ?discharged design in
-        let results, st = Zeus.Sim.run_batch ~lanes tmpl runs in
-        List.iteri
-          (fun i (res : Zeus.Sim.batch_result) ->
-            Fmt.pr "run %d:" i;
-            List.iter
-              (fun (p, bits) ->
-                Fmt.pr " %s=%a" p
-                  Fmt.(list ~sep:nop Zeus.Logic.pp)
-                  bits)
-              res.Zeus.Sim.bres_watched;
-            Fmt.pr "@.";
-            List.iter
-              (fun (e : Zeus.Sim.runtime_error) ->
-                Fmt.pr "runtime error (run %d, cycle %d) [%s] %s: %s@." i
-                  e.Zeus.Sim.err_cycle e.Zeus.Sim.err_code e.Zeus.Sim.err_net
-                  e.Zeus.Sim.err_message)
-              res.Zeus.Sim.bres_errors)
-          results;
-        if stats then
-          Fmt.pr
-            "batch: runs=%d jobs=%d lanes=%d lane-groups=%d lane-runs=%d \
-             serial-runs=%d cycles=%d@."
-            st.Zeus.Sim.bs_runs st.Zeus.Sim.bs_jobs st.Zeus.Sim.bs_lanes
-            st.Zeus.Sim.bs_lane_groups st.Zeus.Sim.bs_lane_runs
-            st.Zeus.Sim.bs_serial_runs st.Zeus.Sim.bs_cycles;
-        0
+        match Zeus.Sim.run_batch tmpl runs with
+        | Error m ->
+            (* the deck reader checks every path and width first *)
+            Fmt.epr "batch file %s: %s@." bf m;
+            1
+        | Ok (results, st) ->
+            List.iteri
+              (fun i (res : Zeus.Sim.batch_result) ->
+                Fmt.pr "run %d:" i;
+                List.iter
+                  (fun (p, bits) ->
+                    Fmt.pr " %s=%a" p
+                      Fmt.(list ~sep:nop Zeus.Logic.pp)
+                      bits)
+                  res.Zeus.Sim.bres_watched;
+                Fmt.pr "@.";
+                List.iter
+                  (fun (e : Zeus.Sim.runtime_error) ->
+                    Fmt.pr "runtime error (run %d, cycle %d) [%s] %s: %s@." i
+                      e.Zeus.Sim.err_cycle e.Zeus.Sim.err_code
+                      e.Zeus.Sim.err_net e.Zeus.Sim.err_message)
+                  res.Zeus.Sim.bres_errors)
+              results;
+            if stats then
+              Fmt.pr
+                "batch: runs=%d jobs=%d lanes=%d lane-groups=%d lane-runs=%d \
+                 serial-runs=%d cycles=%d@."
+                st.Zeus.Sim.bs_runs st.Zeus.Sim.bs_jobs st.Zeus.Sim.bs_lanes
+                st.Zeus.Sim.bs_lane_groups st.Zeus.Sim.bs_lane_runs
+                st.Zeus.Sim.bs_serial_runs st.Zeus.Sim.bs_cycles;
+            0)
   in
   let run file cycles pokes peeks do_reset trace wave explain activity vcd_out
-      engine jobs stats optimize discharge batch_file lanes =
+      engine jobs stats optimize discharge batch_file =
     match Zeus.compile (load ~cmd:"sim" file) with
     | Error diags ->
         report_diags diags;
         1
     | Ok design -> (
-        (* a -p/-w path that names nothing, or a 0/1 poke on a
-           multi-bit path, is a usage error, caught before the first
-           cycle rather than half-way through a line *)
+        (* a -p/-w path that names nothing, a -p of a driven net or a
+           0/1 poke on a multi-bit path is a usage error, caught before
+           the first cycle rather than half-way through a line *)
         let usage msg =
           Fmt.epr "sim: %s@." msg;
           exit 2
         in
-        let width path =
+        let resolve path =
           match Zeus.Elaborate.resolve_path design path with
-          | Ok nets -> List.length nets
+          | Ok nets -> nets
           | Error msg -> usage msg
         in
-        List.iter
-          (fun (path, v) ->
-            let w = width path in
-            Option.iter usage (poke_error path v w))
-          pokes;
+        let width path = List.length (resolve path) in
+        if pokes <> [] then begin
+          let driven = Zeus.Graph.driven design in
+          List.iter
+            (fun (path, v) ->
+              let nets = resolve path in
+              Option.iter usage (driven_error driven path nets);
+              Option.iter usage (poke_error path v (List.length nets)))
+            pokes
+        end;
         List.iter (fun path -> ignore (width path)) peeks;
         let discharged =
           if not discharge then None
@@ -575,8 +591,8 @@ let sim_cmd =
         in
         match batch_file with
         | Some bf ->
-            run_batch_mode design ~engine ~jobs ~lanes ~optimize ~discharged
-              ~stats ~watch:peeks bf
+            run_batch_mode design ~engine ~jobs ~optimize ~discharged ~stats
+              ~watch:peeks bf
         | None ->
         (* so are an --explain path and an unwritable VCD file, which
            would otherwise fail only after the run *)
@@ -668,7 +684,7 @@ let sim_cmd =
     Term.(
       const run $ file_arg $ cycles $ pokes $ peeks $ do_reset $ trace $ wave
       $ explain $ activity $ vcd_out $ engine $ jobs $ stats
-      $ optimize $ discharge $ batch_file $ lanes)
+      $ optimize $ discharge $ batch_file)
 
 let lint_cmd =
   let format =

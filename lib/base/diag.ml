@@ -93,9 +93,8 @@ module Code = struct
          defined value every cycle under all inputs — zeusc opt folds it \
          to a constant" );
       ( absint_stuck,
-        "the abstract interpretation proves the net is stuck: every cycle \
-         it reads UNDEF, or it is never driven and floats (high \
-         impedance)" );
+        "the abstract interpretation proves the net is stuck at UNDEF \
+         every cycle, although some producer can drive a defined value" );
       ( absint_unobservable,
         "the net is driven but cannot reach any register or root output \
          port — the logic producing it is unobservable and zeusc opt \

@@ -47,12 +47,17 @@
                        bit-identical to serial: a mix of full-length and
                        truncated runs with distinct per-run seeds,
                        sharded over the pool and (for a Compiled
-                       template) packed 8 lanes wide, produces the same
-                       per-cycle snapshots and runtime-error sets as
-                       stepping each run on a fresh serial incremental
-                       handle — checked with every engine as the batch
-                       template, so both the lane path and the serial
-                       fallback are exercised;
+                       template) grouped on the bit-sliced store,
+                       produces the same per-cycle snapshots and
+                       runtime-error sets as stepping each run on a
+                       fresh serial incremental handle — checked with
+                       every engine as the batch template, so both the
+                       bit-sliced path and the serial fallback are
+                       exercised; and a block of 64
+                       equal-length runs on one domain, which fills one
+                       63-run group of the compiled template and spills
+                       into a second, matches that template's serial
+                       fallback;
    O8 "prove-vs-runtime" the bounded sequential prover against the same
                        runtime, three ways: a net upgraded to
                        [Safe_sequential] never raises the runtime
@@ -354,7 +359,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
               }
             in
             let half = max 1 (ncycles / 2) in
-            let runs =
+            let mix =
               [
                 mk ~cycles:ncycles ~seed:11;
                 mk ~cycles:half ~seed:12;
@@ -362,6 +367,27 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                 mk ~cycles:ncycles ~seed:11;
                 mk ~cycles:half ~seed:14;
               ]
+            in
+            (* and 64 equal-length runs of up to 3 cycles, each with its
+               own seed and the stimulus lines from its index on: on one
+               domain, the compiled template fills all 63 bits of one
+               group and spills into a second *)
+            let block =
+              let cycles = min ncycles 3 in
+              List.init 64 (fun k ->
+                  {
+                    (mk ~cycles ~seed:(100 + k)) with
+                    Sim.br_stim =
+                      Array.init cycles (fun c ->
+                          stim_arr.((c + k) mod ncycles));
+                  })
+            in
+            let error_set errs =
+              List.sort compare
+                (List.map
+                   (fun (e : Sim.runtime_error) ->
+                     (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
+                   errs)
             in
             let serial (r : Sim.batch_run) =
               let sim =
@@ -376,51 +402,62 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                 Sim.step sim;
                 snaps := Sim.snapshot sim :: !snaps
               done;
-              ( List.rev !snaps,
-                List.sort compare
-                  (List.map
-                     (fun (e : Sim.runtime_error) ->
-                       (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
-                     (Sim.runtime_errors sim)) )
+              (List.rev !snaps, error_set (Sim.runtime_errors sim))
             in
-            let refs = List.map serial runs in
-            List.iter
-              (fun engine ->
-                let tmpl = Sim.create ~engine ~jobs:1 design in
-                let results, _ =
-                  Sim.run_batch ~jobs ~lanes:8 ~snapshots:true tmpl runs
-                in
-                List.iteri
-                  (fun i (res : Sim.batch_result) ->
-                    let ref_snaps, ref_errs = List.nth refs i in
-                    (match
-                       first_snap_mismatch ref_snaps res.Sim.bres_snaps
-                     with
-                    | None -> ()
-                    | Some (cycle, diffs) ->
-                        add
-                          ("batch:" ^ Sim.engine_name engine)
+            (* [batch tmpl ~lanes ~jobs runs] checked run by run against
+               [refs] *)
+            let check_batch (engine, tmpl) ?lanes ~jobs runs refs =
+              let name = "batch:" ^ Sim.engine_name engine in
+              match Sim.run_batch ?lanes ~jobs ~snapshots:true tmpl runs with
+              | Error msg -> add name ("run_batch rejected the runs: " ^ msg)
+              | Ok (results, _) ->
+                  List.iteri
+                    (fun i (res : Sim.batch_result) ->
+                      let ref_snaps, ref_errs = refs.(i) in
+                      (match
+                         first_snap_mismatch ref_snaps res.Sim.bres_snaps
+                       with
+                      | None -> ()
+                      | Some (cycle, diffs) ->
+                          add name
+                            (Printf.sprintf
+                               "run %d snapshot differs from serial at cycle \
+                                %d (%d nets)"
+                               i cycle diffs));
+                      let errs = error_set res.Sim.bres_errors in
+                      if errs <> ref_errs then
+                        add name
                           (Printf.sprintf
-                             "run %d snapshot differs from serial at cycle \
-                              %d (%d nets)"
-                             i cycle diffs));
-                    let errs =
-                      List.sort compare
-                        (List.map
-                           (fun (e : Sim.runtime_error) ->
-                             (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
-                           res.Sim.bres_errors)
-                    in
-                    if errs <> ref_errs then
-                      add
-                        ("batch:" ^ Sim.engine_name engine)
-                        (Printf.sprintf
-                           "run %d runtime errors differ from serial: {%s} \
-                            vs {%s}"
-                           i (errors_to_string errs)
-                           (errors_to_string ref_errs)))
-                  results)
-              Sim.all_engines
+                             "run %d runtime errors differ from serial: {%s} \
+                              vs {%s}"
+                             i (errors_to_string errs)
+                             (errors_to_string ref_errs)))
+                    results
+            in
+            let tmpls =
+              List.map
+                (fun engine -> (engine, Sim.create ~engine ~jobs:1 design))
+                Sim.all_engines
+            in
+            let refs = Array.of_list (List.map serial mix) in
+            List.iter (fun t -> check_batch t ~jobs mix refs) tmpls;
+            (* the block checks the bit-sliced groups against the same
+               template's serial fallback ([lanes = 1]), which the mix
+               has just checked against fresh handles *)
+            let compiled = List.nth tmpls 2 in
+            match
+              Sim.run_batch ~lanes:1 ~jobs:1 ~snapshots:true (snd compiled)
+                block
+            with
+            | Error msg ->
+                add "batch:compiled" ("run_batch rejected the runs: " ^ msg)
+            | Ok (serial_block, _) ->
+                check_batch compiled ~jobs:1 block
+                  (Array.of_list
+                     (List.map
+                        (fun (r : Sim.batch_result) ->
+                          (r.Sim.bres_snaps, error_set r.Sim.bres_errors))
+                        serial_block))
           end;
           (* O6: the proof-carrying reduction, on all three engines *)
           (match

@@ -13,10 +13,12 @@
                      identical runtime-error sets
     batch:<name>     the batch engine ({!Sim.run_batch}) is
                      bit-identical to serial: full and truncated runs
-                     with distinct per-run seeds, sharded over the pool
-                     and lane-packed for a Compiled template, match
-                     fresh serial incremental handles per cycle and per
-                     runtime-error set — with every engine as template
+                     with distinct per-run seeds, sharded over the pool,
+                     match fresh serial incremental handles per cycle
+                     and per runtime-error set — with every engine as
+                     template; a 64-run block that fills one bit-sliced
+                     group of a Compiled template and spills into a
+                     second matches that template's serial fallback
     lint-vs-runtime  a net lint proved Safe never raises the runtime
                      multiple-drive check
     opt-identity:<name>

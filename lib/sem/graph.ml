@@ -83,6 +83,20 @@ let top_input_nets (design : Elaborate.design) =
   in
   design.Elaborate.clk_net :: design.Elaborate.rset_net :: pins
 
+(* the engines read a poke only on a producer-less class; one pass over
+   the netlist marks the union-find roots some gate or driver writes *)
+let driven (design : Elaborate.design) =
+  let nl = design.Elaborate.netlist in
+  let written = Bytes.make (Netlist.net_count nl) '\000' in
+  let mark id = Bytes.set written (Netlist.canonical nl id) '\001' in
+  List.iter
+    (fun (g : Netlist.gate) -> mark g.Netlist.output)
+    (Netlist.gates nl);
+  List.iter
+    (fun (d : Netlist.driver) -> mark d.Netlist.target)
+    (Netlist.drivers nl);
+  fun id -> Bytes.get written (Netlist.canonical nl id) = '\001'
+
 let node_inputs = function
   | Ngate { inputs; _ } -> Array.to_list inputs
   | Ndriver { guard; source; _ } -> source :: Option.to_list guard

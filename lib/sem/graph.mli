@@ -56,6 +56,13 @@ type t = {
     top-level instances. *)
 val top_input_nets : Elaborate.design -> int list
 
+(** [driven design] holds of the nets whose class has a producer: a
+    gate or driver writes one of its members.  The engines read a
+    testbench poke only on producer-less classes (inputs, CLK, RSET,
+    register outputs, undriven nets), so a poke of a driven net would
+    be ignored. *)
+val driven : Elaborate.design -> int -> bool
+
 val build : Elaborate.design -> t
 val node_inputs : node -> Netlist.src list
 val node_output : node -> int

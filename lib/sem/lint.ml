@@ -50,10 +50,9 @@
    4. Abstract interpretation (Z501/Z502/Z503).  Absint's
       classification — the proof table zeusc opt reduces by — surfaced
       as findings: nets provably constant every cycle (Z501), nets
-      provably stuck at UNDEF or floating every cycle where the UNDEF
-      pass stayed silent and some producer can drive a defined value
-      (Z502, e.g. an unread output pin whose two drivers always
-      conflict), and
+      provably stuck at UNDEF every cycle where the UNDEF pass stayed
+      silent and some producer can drive a defined value (Z502, e.g.
+      an unread output pin whose two drivers always conflict), and
       driven nets that reach nothing observable (Z503; nets under an
       instance already reported dead by Z302, and '*'-starred nets, are
       skipped).
@@ -723,12 +722,14 @@ let absint_pass bag (ai : Absint.t) sets ~never_defined ~dead_paths =
                 | Absint.Const1 -> "1"
                 | _ -> "0")
           | None -> ())
-      | Absint.StuckX | Absint.StuckZ -> (
+      | Absint.StuckX -> (
           (* the value-set pass (Z202) already reports read classes
              that can never carry a defined value; Z502 adds the stuck
              classes it misses whose UNDEF the resolution itself makes
              — some producer can drive a defined value, e.g. an unread
-             output pin with a guaranteed drive conflict *)
+             output pin with a guaranteed drive conflict.  A stuck-Z
+             class has no such producer (a defined drive would overrule
+             its NOINFL), so it never qualifies *)
           let defined_producer = ref false in
           Graph.iter_producers g c (fun i ->
               if
@@ -741,15 +742,11 @@ let absint_pass bag (ai : Absint.t) sets ~never_defined ~dead_paths =
             | Some net ->
                 Diag.Bag.warning bag ~code:Diag.Code.absint_stuck
                   Diag.Lint_error net.Netlist.loc
-                  (if ai.Absint.cls.(c) = Absint.StuckX then
-                     "'%s' is stuck at UNDEF: its drivers provably conflict \
-                      (or yield UNDEF) every cycle under all inputs"
-                   else
-                     "'%s' provably floats (NOINFL) every cycle — no driver \
-                      can ever fire")
+                  "'%s' is stuck at UNDEF: its drivers provably conflict \
+                   (or yield UNDEF) every cycle under all inputs"
                   net.Netlist.name
             | None -> ())
-      | Absint.Varying -> ());
+      | Absint.StuckZ | Absint.Varying -> ());
       if not ai.Absint.observable.(c) then begin
         let candidates =
           List.filter

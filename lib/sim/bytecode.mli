@@ -3,11 +3,15 @@
     {!Compile} lowers the levelized schedule over the compacted class
     graph into a [prog]: one dense opcode array whose operand indices
     (class ids, immediates, register indices, scratch slots) were all
-    resolved at compile time.  [run_cycle] executes it with a tight
-    dispatch loop over a bit-packed two-plane value store — 32 classes
-    per word pair — so the wide vectorizable ops (register seed/latch,
-    copy, NOT, guarded multiplex resolution) evaluate 32 nets per
-    handful of word ops.
+    resolved at compile time.  Two stores execute it:
+    - [run_cycle] steps one run over a class-packed two-plane store —
+      32 classes per word pair — so the wide vectorizable ops (register
+      seed/latch, copy, NOT, guarded multiplex resolution) evaluate 32
+      nets per handful of word ops;
+    - [run_sliced] steps up to {!max_runs} independent runs at once
+      over the transposed, bit-sliced store of the batch engine — one
+      word per class and plane, bit r of each word is run r — so every
+      op is a few bitwise operations for all the runs together.
 
     The program is a strict levelized evaluation: it computes exactly
     the per-cycle fixpoint of every other {!Sim} engine (section 8's
@@ -119,6 +123,9 @@ type prog = {
   ops : op array;
   n_classes : int;
   n_nodes : int;
+  n_slots : int;
+      (** scratch slots, one per producer of a multi-producer class
+          ([prod] and [prods] operands index them) *)
   reg_init : int array;
   visits_per_cycle : int;
       (** node evaluations the program represents per cycle *)
@@ -171,23 +178,42 @@ val set_prev : state -> int -> Logic.t -> unit
 
 (** {1 Execution} *)
 
-(** [run_lanes prog sts ~seeds ~cycle] executes one clock cycle over
-    [Array.length sts] independent lanes — the batch engine's
-    multi-stimulus mode.  Lane [li] is a whole independent run with its
-    own packed planes [sts.(li)] (its pokes are whatever {!sync_poke}
-    put in their mirror) and RANDOM seed [seeds.(li)]; the opcode array
-    is walked once with every op applied to all lanes, amortizing
-    dispatch across the lanes.  Returns the per-lane drive-conflict
-    classes (unsorted); a conflict in one lane never affects a sibling.
-    Both arrays must have equal length. *)
-val run_lanes :
-  prog -> state array -> seeds:int array -> cycle:int -> int list array
-
 (** [run_cycle prog st ~seed ~cycle] executes one clock cycle for a
-    single run (the one-lane instance of {!run_lanes}) and returns the
-    classes whose resolution saw a drive conflict (unsorted; the caller
-    reports them in class order). *)
+    single run and returns the classes whose resolution saw a drive
+    conflict (unsorted; the caller reports them in class order). *)
 val run_cycle : prog -> state -> seed:int -> cycle:int -> int list
+
+(** {1 Bit-sliced batch store}
+
+    The batch engine's store: every class, scratch slot, register and
+    poke entry owns one word per plane, and bit r of each word is run r
+    of a group of up to {!max_runs} independent runs.  Poke entries
+    exist only for producer-less classes. *)
+
+type sliced
+
+(** Runs one word carries: 63. *)
+val max_runs : int
+
+val create_sliced : prog -> sliced
+
+(** Start a group of [Array.length seeds] runs (1 to {!max_runs}), run
+    r drawing RANDOM with [seeds.(r)]: registers back to their initial
+    values, every poke forgotten. *)
+val reset_sliced : prog -> sliced -> seeds:int array -> unit
+
+(** Poke class [c] in run [run] until the group ends.  A poke of a
+    class with producers is ignored, as on every engine. *)
+val poke_run : sliced -> run:int -> int -> Logic.t -> unit
+
+(** Value of class [c] in run [run] after the last {!run_sliced}. *)
+val get_run : sliced -> run:int -> int -> Logic.t
+
+(** [run_sliced prog w ~cycle] executes one clock cycle for every run of
+    the group and returns its drive conflicts as unsorted [(class,
+    runs)] pairs: bit r of [runs] is set when run r saw two or more
+    driving values on the class. *)
+val run_sliced : prog -> sliced -> cycle:int -> (int * int) list
 
 (** Per-cycle change sweep against the previous cycle's planes, in
     ascending class order: accrues toggle counts (skipped on the

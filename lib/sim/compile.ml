@@ -58,9 +58,17 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
     let n = g.Graph.n_classes in
     let n_nodes = Array.length g.Graph.nodes in
     let kbool c = g.Graph.class_kind.(c) = Etype.KBool in
-    let prod_slot node out =
-      if g.Graph.producer_count.(out) >= 2 then node else -1
-    in
+    (* the producers of multi-producer classes write dense scratch
+       slots, which the resolution ops then read *)
+    let slot = Array.make (max 1 n_nodes) (-1) and n_slots = ref 0 in
+    Array.iteri
+      (fun node nd ->
+        if g.Graph.producer_count.(Graph.node_output nd) >= 2 then begin
+          slot.(node) <- !n_slots;
+          incr n_slots
+        end)
+      g.Graph.nodes;
+    let prod_slot node = slot.(node) in
     (* the driven plane is read only by the latch ops, so a vector op
        whose lanes feed no register can skip maintaining it *)
     let range_feeds_reg dst len =
@@ -103,7 +111,8 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
       let scalar_resolve c =
         let o = g.Graph.prod_off.(c) in
         let prods =
-          Array.sub g.Graph.prod_nodes o g.Graph.producer_count.(c)
+          Array.init g.Graph.producer_count.(c) (fun i ->
+              prod_slot g.Graph.prod_nodes.(o + i))
         in
         out :=
           Bytecode.Oresolve
@@ -262,7 +271,7 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
             | Graph.Ngate { op = Netlist.Grandom; output; _ } ->
                 emit
                   (Bytecode.Orandom
-                     { out = output; prod = prod_slot node output })
+                     { out = output; prod = prod_slot node })
             | Graph.Ngate { op = Netlist.Gnot; inputs = [| s |]; output }
               when g.Graph.producer_count.(output) = 1 ->
                 nots := (output, encode_src s) :: !nots
@@ -273,7 +282,7 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
                        gate = gate_kind op;
                        args = Array.map encode_src inputs;
                        out = output;
-                       prod = prod_slot node output;
+                       prod = prod_slot node;
                        kbool = kbool output;
                      })
             | Graph.Ndriver { guard = None; source; target }
@@ -292,7 +301,7 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
                          | Some gs -> encode_src gs);
                        src = encode_src source;
                        out = target;
-                       prod = node;
+                       prod = prod_slot node;
                        kbool = kbool target;
                      }))
         sched.Sched.nodes_at.(l);
@@ -416,6 +425,7 @@ let build ?(discharged = fun _ -> false) (g : Graph.t) (sched : Sched.t) :
         Bytecode.ops;
         n_classes = n;
         n_nodes;
+        n_slots = !n_slots;
         reg_init =
           Array.map
             (fun (r : Netlist.reg) -> Bytecode.encode r.Netlist.rinit)

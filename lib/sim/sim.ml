@@ -277,8 +277,9 @@ let set_trace t b = t.trace_enabled <- b
 let trace_last_cycle t = List.rev t.trace
 
 (* the section 4.7 "burning transistors" report, for a handle and for
-   a batch lane alike; a cycle's reports share one message, formatted
-   once (a wide design can report thousands of conflicts per cycle) *)
+   a run of a bit-sliced batch group alike; a cycle's reports share one
+   message, formatted once (a wide design can report thousands of
+   conflicts per cycle) *)
 let conflict_message cycle =
   Fmt.str
     "more than one driving assignment in cycle %d — burning transistors \
@@ -302,7 +303,7 @@ let conflict_error t net =
     drive_conflict t.g ~cycle:t.cycle ~message:t.conflict_msg net :: t.errors
 
 (* RANDOM: a pure function of (seed, output class, cycle) — identical
-   in every engine and every batch lane, and idempotent under cone
+   in every engine and every batch run, and idempotent under cone
    re-evaluation *)
 let random_value t net =
   Logic.of_bool (Prand.bool ~seed:t.seed ~net ~cycle:t.cycle)
@@ -362,17 +363,19 @@ let unpoke t path =
       mark_seed t c)
     (resolve_nets t path)
 
-let value_of_net t id =
-  let c = canon t id in
-  let v =
-    (* the packed planes are authoritative during a compiled run *)
-    match t.cstate with
-    | Some st when Bytecode.ran st -> Bytecode.get st c
-    | _ -> Option.value ~default:Logic.Undef t.values.(c)
-  in
-  match (Netlist.net t.g.Graph.nl id).Netlist.kind with
+(* net [id] reads its class's value [v] through its kind *)
+let read_net g id v =
+  match (Netlist.net g.Graph.nl id).Netlist.kind with
   | Etype.KBool -> Logic.booleanize v
   | Etype.KMux -> v
+
+let value_of_net t id =
+  let c = canon t id in
+  read_net t.g id
+    ((* the packed planes are authoritative during a compiled run *)
+     match t.cstate with
+     | Some st when Bytecode.ran st -> Bytecode.get st c
+     | _ -> Option.value ~default:Logic.Undef t.values.(c))
 
 let peek_nets t nets = List.map (value_of_net t) nets
 
@@ -1269,16 +1272,23 @@ let snapshot t =
    function of (seed, class, cycle) — makes every run replay
    deterministically wherever it lands.
 
-   Two execution paths, both bit-identical to a serial run:
+   Before any fan-out, one pass resolves every stimulus and watch path
+   once and checks every poke's width, so a bad batch is an [Error]
+   from the caller's domain and the workers never see a path string:
+   each run's pokes become a compact stream of path ids.  Three
+   execution paths, all bit-identical to a serial run:
 
-   - the compiled lane path: up to [lanes] consecutive runs with equal
-     cycle counts are packed into one {!Bytecode.run_lanes} walk, each
-     lane owning its packed planes (pokes included) and seed — one
-     dispatch pass evaluates K scenarios.  Each domain allocates its
-     lane planes once and resets them between groups;
+   - the bit-sliced path: up to [lanes] (at most 63) consecutive runs
+     with equal cycle counts form a group on the compiled program's
+     bit-sliced store ({!Bytecode.run_sliced}), run r of the group in
+     bit r of every word, so one dispatch walk of word ops evaluates
+     the whole group.  Each domain allocates its store once and resets
+     it between groups;
+   - a zero-cycle run never steps, so its watches read the power-up
+     value every engine gives a fresh handle: UNDEF on every bit;
    - the serial fallback (interpreted engines, combinational-cycle
-     designs, [lanes = 1], zero-cycle runs): a fresh per-run handle
-     stepped with the template's engine.
+     designs, [lanes = 1]): a fresh per-run handle stepped with the
+     template's engine.
 
    This sharding layer is the pool's only user inside the simulator;
    stepping a handle never forks, so inner handles cannot nest a
@@ -1305,12 +1315,102 @@ type batch_result = {
 type batch_stats = {
   bs_runs : int;
   bs_jobs : int;
-  bs_lanes : int; (* requested lane width *)
-  bs_lane_groups : int; (* run_lanes groups executed *)
-  bs_lane_runs : int; (* runs evaluated through the lane path *)
-  bs_serial_runs : int; (* runs evaluated one at a time *)
+  bs_lanes : int; (* group width: runs per bit-sliced pass *)
+  bs_lane_groups : int; (* bit-sliced groups executed *)
+  bs_lane_runs : int; (* runs evaluated through the bit-sliced path *)
+  bs_serial_runs : int; (* runs evaluated one at a time, or not at all *)
   bs_cycles : int; (* total cycles across all runs *)
 }
+
+(* A batch with every path resolved: [classes] maps a stimulus path id
+   to the path's class ids, [ids] holds each run's poke path ids in
+   poke order (LEB128 varints: a deck's few paths cost a byte a poke),
+   and [watch] maps each watched path to its net ids. *)
+type plan = {
+  classes : int array array;
+  ids : string array;
+  watch : (string, int list) Hashtbl.t;
+}
+
+let plan_batch t (runs : batch_run array) =
+  let exception Bad_batch of string in
+  let design = design t in
+  let paths = Hashtbl.create 64 and rev_classes = ref [] and n = ref 0 in
+  let watch = Hashtbl.create 16 in
+  let buf = Buffer.create 256 in
+  let rec varint v =
+    if v < 0x80 then Buffer.add_char buf (Char.chr v)
+    else begin
+      Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
+      varint (v lsr 7)
+    end
+  in
+  let bad fmt = Fmt.kstr (fun m -> raise (Bad_batch m)) fmt in
+  let stim i c (p, bits) =
+    let id, cls =
+      match Hashtbl.find_opt paths p with
+      | Some e -> e
+      | None -> (
+          match Elaborate.resolve_path design p with
+          | Error msg -> bad "run %d, cycle %d: %s" i c msg
+          | Ok nets ->
+              let e = (!n, Array.of_list (List.map (canon t) nets)) in
+              incr n;
+              rev_classes := snd e :: !rev_classes;
+              Hashtbl.add paths p e;
+              e)
+    in
+    let width = Array.length cls in
+    if List.compare_length_with bits width <> 0 then
+      bad "run %d, cycle %d: %s: a %d-bit poke of the %d-bit path" i c p
+        (List.length bits) width;
+    varint id
+  in
+  let watched i p =
+    if not (Hashtbl.mem watch p) then
+      match Elaborate.resolve_path design p with
+      | Ok nets -> Hashtbl.add watch p nets
+      | Error msg -> bad "run %d: %s" i msg
+  in
+  match
+    Array.mapi
+      (fun i r ->
+        Array.iteri (fun c line -> List.iter (stim i c) line) r.br_stim;
+        List.iter (watched i) r.br_watch;
+        let ids = Buffer.contents buf in
+        Buffer.clear buf;
+        ids)
+      runs
+  with
+  | ids -> Ok { classes = Array.of_list (List.rev !rev_classes); ids; watch }
+  | exception Bad_batch msg -> Error ("Sim.run_batch: " ^ msg)
+
+(* the next path id of stream [s] at cursor [cur.(r)] *)
+let next_id s (cur : int array) r =
+  let p = ref cur.(r) and shift = ref 0 and id = ref 0 and more = ref true in
+  while !more do
+    let b = Char.code (String.unsafe_get s !p) in
+    id := !id lor ((b land 0x7f) lsl !shift);
+    shift := !shift + 7;
+    incr p;
+    more := b >= 0x80
+  done;
+  cur.(r) <- !p;
+  !id
+
+let rec poke_bits poke r cls j = function
+  | [] -> ()
+  | v :: vs ->
+      poke r cls.(j) v;
+      poke_bits poke r cls (j + 1) vs
+
+(* apply one cycle's pokes [line] of the run whose path ids are [ids],
+   read at cursor [cur.(r)], through [poke r class v] *)
+let rec apply_line plan ids cur r poke = function
+  | [] -> ()
+  | (_, bits) :: rest ->
+      poke_bits poke r plan.classes.(next_id ids cur r) 0 bits;
+      apply_line plan ids cur r poke rest
 
 (* A fresh handle sharing the compile artifacts (graph, schedule,
    bytecode program, the incremental engine's on-demand program) of [t]
@@ -1321,120 +1421,96 @@ let fresh_like t ~seed =
     ~const_nodes:t.const_nodes ~random_nodes:t.random_nodes ~cprog:t.cprog
     ~iprog:t.iprog ~jobs:t.jobs
 
-(* one run, one fresh handle, the template's engine; [resolve] is the
-   caller-built path table so workers never touch the elaborator *)
-let batch_exec_serial tmpl run ~resolve ~snapshots =
+let watched plan run value =
+  List.map
+    (fun p -> (p, List.map value (Hashtbl.find plan.watch p)))
+    run.br_watch
+
+(* run [i], one fresh handle, the template's engine *)
+let batch_exec_serial tmpl plan i run ~snapshots =
   let t = fresh_like tmpl ~seed:(Option.value run.br_seed ~default:tmpl.seed) in
-  let snaps = ref [] in
+  let poke _ c v =
+    t.poked.(c) <- Some v;
+    mark_seed t c
+  in
+  let cur = [| 0 |] and snaps = ref [] in
   for c = 0 to run.br_cycles - 1 do
     if c < Array.length run.br_stim then
-      List.iter
-        (fun (p, bits) -> poke_nets t (resolve p) bits)
-        run.br_stim.(c);
+      apply_line plan plan.ids.(i) cur 0 poke run.br_stim.(c);
     step t;
     if snapshots then snaps := snapshot t :: !snaps
   done;
   {
     bres_snaps = List.rev !snaps;
     bres_errors = runtime_errors t;
-    bres_watched = List.map (fun p -> (p, peek_nets t (resolve p))) run.br_watch;
+    bres_watched = watched plan run (value_of_net t);
   }
 
-(* a group of runs with one shared cycle count, one lane each, on the
-   first [Array.length runs] of the domain's reusable lane planes *)
-let batch_exec_lanes tmpl prog planes runs ~resolve ~snapshots =
+(* Runs [lo, hi) share one cycle count: one group on the domain's
+   bit-sliced store [w], run [lo + r] in bit r. *)
+let batch_exec_sliced tmpl prog w plan (runs : batch_run array) lo hi ~snapshots
+    =
   let g = tmpl.g in
-  let nl = Array.length runs in
-  let sts =
-    if Array.length planes = nl then planes else Array.sub planes 0 nl
-  in
-  (* a plane that ran holds an earlier group's values, registers and
-     pokes; a fresh one is already at power-up *)
-  Array.iter
-    (fun st -> if Bytecode.ran st then Bytecode.reset_state prog st)
-    sts;
-  let seeds =
-    Array.map (fun r -> Option.value r.br_seed ~default:tmpl.seed) runs
-  in
-  let errors = Array.make nl [] (* newest first, like [t.errors] *)
-  and snaps = Array.make nl [] in
-  let cycles = runs.(0).br_cycles in
-  let lane_snapshot li =
-    let st = sts.(li) in
+  let n = hi - lo in
+  Bytecode.reset_sliced prog w
+    ~seeds:
+      (Array.init n (fun r ->
+           Option.value runs.(lo + r).br_seed ~default:tmpl.seed));
+  let poke r c v = Bytecode.poke_run w ~run:r c v in
+  let cur = Array.make n 0 in
+  let errors = Array.make n [] (* newest first, like [t.errors] *)
+  and snaps = Array.make n [] in
+  let snapshot_of r =
     Array.init g.Graph.n_nets (fun i ->
         let c = g.Graph.canon.(i) in
-        if g.Graph.rep.(c) = i then Some (Bytecode.get st c) else None)
+        if g.Graph.rep.(c) = i then Some (Bytecode.get_run w ~run:r c)
+        else None)
   in
-  let lane_value li id =
-    let v =
-      if Bytecode.ran sts.(li) then Bytecode.get sts.(li) g.Graph.canon.(id)
-      else Logic.Undef
-    in
-    match (Netlist.net g.Graph.nl id).Netlist.kind with
-    | Etype.KBool -> Logic.booleanize v
-    | Etype.KMux -> v
-  in
-  for c = 0 to cycles - 1 do
-    for li = 0 to nl - 1 do
-      let run = runs.(li) in
+  for c = 0 to runs.(lo).br_cycles - 1 do
+    for r = 0 to n - 1 do
+      let run = runs.(lo + r) in
       if c < Array.length run.br_stim then
-        List.iter
-          (fun (p, bits) ->
-            let nets = resolve p in
-            if List.length nets <> List.length bits then
-              invalid_arg "Sim.run_batch: width mismatch";
-            List.iter2
-              (fun id v ->
-                Bytecode.sync_poke sts.(li) g.Graph.canon.(id) (Some v))
-              nets bits)
-          run.br_stim.(c)
+        apply_line plan plan.ids.(lo + r) cur r poke run.br_stim.(c)
     done;
-    let confs = Bytecode.run_lanes prog sts ~seeds ~cycle:c in
-    let message =
-      if Array.exists (fun l -> l <> []) confs then conflict_message c else ""
-    in
-    for li = 0 to nl - 1 do
-      List.iter
-        (fun cls ->
-          errors.(li) <- drive_conflict g ~cycle:c ~message cls :: errors.(li))
-        (List.sort compare confs.(li));
-      if snapshots then snaps.(li) <- lane_snapshot li :: snaps.(li)
-    done
+    (match Bytecode.run_sliced prog w ~cycle:c with
+    | [] -> ()
+    | confs ->
+        (* each run reports its conflicts in class order *)
+        let message = conflict_message c in
+        List.iter
+          (fun (cls, hit) ->
+            for r = 0 to n - 1 do
+              if (hit lsr r) land 1 = 1 then
+                errors.(r) <-
+                  drive_conflict g ~cycle:c ~message cls :: errors.(r)
+            done)
+          (List.sort (fun (a, _) (b, _) -> compare a b) confs));
+    if snapshots then
+      for r = 0 to n - 1 do
+        snaps.(r) <- snapshot_of r :: snaps.(r)
+      done
   done;
-  Array.init nl (fun li ->
+  Array.init n (fun r ->
+      let value id =
+        read_net g id (Bytecode.get_run w ~run:r g.Graph.canon.(id))
+      in
       {
-        bres_snaps = List.rev snaps.(li);
-        bres_errors = List.rev errors.(li);
-        bres_watched =
-          List.map
-            (fun p -> (p, List.map (lane_value li) (resolve p)))
-            runs.(li).br_watch;
+        bres_snaps = List.rev snaps.(r);
+        bres_errors = List.rev errors.(r);
+        bres_watched = watched plan runs.(lo + r) value;
       })
 
-let run_batch ?jobs ?(lanes = 8) ?(snapshots = false) t runs =
+let run_batch ?jobs ?(lanes = Bytecode.max_runs) ?(snapshots = false) t runs =
   let runs = Array.of_list runs in
+  match plan_batch t runs with
+  | Error _ as e -> e
+  | Ok plan ->
   let nruns = Array.length runs in
   let jobs =
     let requested = Option.value jobs ~default:t.jobs in
     max 1 (min (min requested Pool.max_jobs) (max 1 nruns))
   in
-  let lanes = max 1 lanes in
-  (* resolve every stimulus/watch path once, on the caller, so workers
-     share a read-only table (and bad paths fail before any fan-out) *)
-  let paths = Hashtbl.create 64 in
-  let resolve p =
-    match Hashtbl.find_opt paths p with
-    | Some nets -> nets
-    | None ->
-        let nets = resolve_nets t p in
-        Hashtbl.add paths p nets;
-        nets
-  in
-  Array.iter
-    (fun r ->
-      Array.iter (List.iter (fun (p, _) -> ignore (resolve p))) r.br_stim;
-      List.iter (fun p -> ignore (resolve p)) r.br_watch)
-    runs;
+  let lanes = max 1 (min Bytecode.max_runs lanes) in
   let results = Array.make nruns None in
   (* per-domain counters, merged after the join: contiguous sharding
      makes them (and the results) deterministic for a given [jobs] *)
@@ -1443,34 +1519,47 @@ let run_batch ?jobs ?(lanes = 8) ?(snapshots = false) t runs =
   and d_serial_runs = Array.make jobs 0 in
   let exec_slice d =
     let lo = nruns * d / jobs and hi = nruns * (d + 1) / jobs in
-    (* this domain's lane planes, allocated on its first lane group *)
-    let planes = ref [||] in
+    (* this domain's bit-sliced store, allocated on its first group *)
+    let store = ref None in
     let i = ref lo in
     while !i < hi do
       let j = !i in
       match t.cprog with
-      | Some prog when lanes > 1 && runs.(j).br_cycles > 0 ->
-          (* greedy lane group: consecutive runs sharing a cycle count *)
+      | _ when runs.(j).br_cycles <= 0 ->
+          (* never stepped: every engine's fresh handle reads UNDEF *)
+          results.(j) <-
+            Some
+              {
+                bres_snaps = [];
+                bres_errors = [];
+                bres_watched = watched plan runs.(j) (fun _ -> Logic.Undef);
+              };
+          d_serial_runs.(d) <- d_serial_runs.(d) + 1;
+          incr i
+      | Some prog when lanes > 1 ->
+          (* greedy group: consecutive runs sharing a cycle count *)
           let k = ref (j + 1) in
           while
             !k < hi && !k - j < lanes && runs.(!k).br_cycles = runs.(j).br_cycles
           do
             incr k
           done;
-          let group = Array.sub runs j (!k - j) in
-          if Array.length !planes = 0 then
-            planes :=
-              Array.init (min lanes (hi - lo)) (fun _ ->
-                  Bytecode.create_state prog);
-          let rs =
-            batch_exec_lanes t prog !planes group ~resolve ~snapshots
+          let w =
+            match !store with
+            | Some w -> w
+            | None ->
+                let w = Bytecode.create_sliced prog in
+                store := Some w;
+                w
           in
-          Array.iteri (fun o r -> results.(j + o) <- Some r) rs;
+          Array.iteri
+            (fun o r -> results.(j + o) <- Some r)
+            (batch_exec_sliced t prog w plan runs j !k ~snapshots);
           d_groups.(d) <- d_groups.(d) + 1;
           d_lane_runs.(d) <- d_lane_runs.(d) + (!k - j);
           i := !k
       | _ ->
-          results.(j) <- Some (batch_exec_serial t runs.(j) ~resolve ~snapshots);
+          results.(j) <- Some (batch_exec_serial t plan j runs.(j) ~snapshots);
           d_serial_runs.(d) <- d_serial_runs.(d) + 1;
           incr i
     done
@@ -1488,8 +1577,9 @@ let run_batch ?jobs ?(lanes = 8) ?(snapshots = false) t runs =
       bs_cycles = Array.fold_left (fun acc r -> acc + r.br_cycles) 0 runs;
     }
   in
-  ( Array.to_list
-      (Array.map
-         (function Some r -> r | None -> assert false (* all slots filled *))
-         results),
-    stats )
+  Ok
+    ( Array.to_list
+        (Array.map
+           (function Some r -> r | None -> assert false (* all slots filled *))
+           results),
+      stats )

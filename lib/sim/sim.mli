@@ -14,7 +14,11 @@
       (the "burning transistors" check of section 4.7) and forces UNDEF.
 
     Registers latch at the end of the cycle: an input whose drivers all
-    produced NOINFL keeps the stored value (section 5.1). *)
+    produced NOINFL keeps the stored value (section 5.1).
+
+    Besides stepping one handle, {!run_batch} replays many independent
+    runs of one design; on a {!Compiled} template it evaluates up to 63
+    of them at once, one per bit of each word of a bit-sliced store. *)
 
 open Zeus_base
 open Zeus_sem
@@ -220,15 +224,16 @@ val trace_last_cycle : t -> (string * Logic.t) list
     Throughput mode: many {e independent} runs of one design, sharded
     whole across the domain pool with zero cross-run barriers.  Each
     run replays deterministically wherever it lands because RANDOM
-    draws are a pure function of (seed, class, cycle); when the
+    draws are a pure function of (seed, class, cycle).  When the
     template handle is {!Compiled} (and the design acyclic), up to
-    [lanes] runs with equal cycle counts are packed into one
-    {!Bytecode.run_lanes} pass — one dispatch walk evaluates K
-    scenarios, each lane owning its packed planes (pokes included) and
-    seed.  Each domain allocates its lane planes once per batch and
-    resets them between groups, so a run costs only its evaluation.
-    Results are bit-identical to stepping each run serially on a fresh
-    handle (the [batch_identity] property and oracle row O7). *)
+    [lanes] (at most {!Bytecode.max_runs}, 63) runs with equal cycle
+    counts form one group on the program's bit-sliced store
+    ({!Bytecode.run_sliced}): run r of the group lives in bit r of every
+    word, so one dispatch walk evaluates the whole group with a few
+    bitwise operations per op.  Each domain allocates its store once
+    per batch and resets it between groups.  Results are bit-identical
+    to stepping each run serially on a fresh handle (the
+    [batch_identity] property and oracle row O7). *)
 
 (** One independent run: per-cycle pokes, a cycle count, an optional
     per-run RANDOM seed and paths to read back at the end. *)
@@ -255,10 +260,11 @@ type batch_result = {
 type batch_stats = {
   bs_runs : int;
   bs_jobs : int;  (** effective domain count used for sharding *)
-  bs_lanes : int;  (** requested lane width *)
-  bs_lane_groups : int;  (** {!Bytecode.run_lanes} groups executed *)
-  bs_lane_runs : int;  (** runs evaluated through the lane path *)
-  bs_serial_runs : int;  (** runs evaluated one at a time *)
+  bs_lanes : int;  (** group width: [lanes] clamped to 1..63 *)
+  bs_lane_groups : int;  (** bit-sliced groups executed *)
+  bs_lane_runs : int;  (** runs evaluated through the bit-sliced path *)
+  bs_serial_runs : int;
+      (** runs evaluated one at a time, zero-cycle runs included *)
   bs_cycles : int;  (** total cycles across all runs *)
 }
 
@@ -266,16 +272,21 @@ type batch_stats = {
     results in order.  [t] is a template: it is never mutated, and its
     design/engine/seed/optimize choices are shared by all runs (so the
     graph, schedule and bytecode program are built once per batch, not
-    once per run).  Contiguous slices of runs are sharded over [jobs]
-    domains (default: the [jobs] [t] was created with; clamped to the
-    pool size and the run count); within a slice, consecutive runs with
-    equal cycle counts are packed [lanes] (default 8) at a time through
-    the compiled lane path when [t] compiled, everything else falls
-    back to a fresh serial handle per run.  No snapshot is built
-    unless [snapshots] (default [false]) asks for one after every cycle
-    of every run (for the batch-vs-serial oracle); the watched paths
-    and runtime errors are always returned.  Results and stats are
-    deterministic for a given [jobs] — independent of scheduling. *)
+    once per run).  Before any work, every stimulus and watch path is
+    resolved once and every poke's width checked: an unknown path or a
+    width mismatch is [Error msg], naming the run and cycle.  Contiguous
+    slices of runs are then sharded over [jobs] domains (default: the
+    [jobs] [t] was created with; clamped to the pool size and the run
+    count); within a slice, consecutive runs with equal cycle counts are
+    grouped [lanes] (default 63) at a time through the bit-sliced path
+    when [t] compiled.  A zero-cycle run reads its watches at power-up
+    (UNDEF on every bit, as a fresh handle does) without a handle;
+    every other run falls back to a fresh serial handle ([lanes = 1]
+    forces this).  No snapshot is built unless [snapshots] (default
+    [false]) asks for one after every cycle of every run (for the
+    batch-vs-serial oracle); the watched paths and runtime errors are
+    always returned.  Results and stats are deterministic for a given
+    [jobs] — independent of scheduling. *)
 val run_batch :
   ?jobs:int -> ?lanes:int -> ?snapshots:bool -> t -> batch_run list ->
-  batch_result list * batch_stats
+  (batch_result list * batch_stats, string) result

@@ -2,12 +2,13 @@
    handles.
 
    The batch engine has three moving parts that serial stepping does
-   not: whole-run sharding over the domain pool, greedy lane grouping
-   (consecutive equal-cycle runs packed through one Bytecode.run_lanes
-   dispatch), and per-run RANDOM seeds threaded through the packed
-   planes.  Every test here pins the same contract: a batch is
-   bit-identical — per-cycle snapshots and runtime-error sets — to
-   stepping each run on its own freshly created incremental simulator.
+   not: whole-run sharding over the domain pool, greedy grouping
+   (consecutive equal-cycle runs evaluated together on the bit-sliced
+   store, run r in bit r of every word, by Bytecode.run_sliced), and
+   per-run RANDOM seeds packed into those bits.  Every test here pins
+   the same contract: a batch is bit-identical — per-cycle snapshots
+   and runtime-error sets — to stepping each run on its own freshly
+   created incremental simulator.
 
    - [batch_identity]: random full-language programs (same generator as
      the fuzzer), a mix of full and truncated runs with distinct and
@@ -17,8 +18,10 @@
      serial goldens.
    - stats: the deterministic work-breakdown counters for a known
      design and run mix.
-   - plane reuse: a run on lane planes an earlier run poked and
-     latched starts from power-up. *)
+   - store reuse: a run on the store an earlier group poked and
+     latched starts from power-up.
+   - word formulas: every op's bitwise formula against the scalar
+     tables, and 130 runs that fill, spill and part-fill words. *)
 
 open Zeus
 
@@ -27,8 +30,8 @@ open Zeus
 (* ------------------------------------------------------------------ *)
 
 (* the same run mix as oracle row O7: full and truncated runs, distinct
-   seeds plus one duplicated seed (lane packing must keep the streams
-   apart even when two lanes share a seed) *)
+   seeds plus one duplicated seed (grouping must keep the streams apart
+   even when two runs share a seed) *)
 let runs_of_stim (stim : Gen.stimulus) =
   let stim_arr =
     Array.of_list (List.map (List.map (fun (p, v) -> (p, [ v ]))) stim)
@@ -50,6 +53,12 @@ let runs_of_stim (stim : Gen.stimulus) =
     mk ~cycles:ncycles ~seed:21;
     mk ~cycles:half ~seed:24;
   ]
+
+(* a batch these tests build is well-formed *)
+let run_batch ?jobs ?lanes ?snapshots tmpl runs =
+  match Sim.run_batch ?jobs ?lanes ?snapshots tmpl runs with
+  | Ok r -> r
+  | Error m -> Alcotest.fail m
 
 let err_triples errs =
   List.sort compare
@@ -91,7 +100,7 @@ let prop_batch_identity =
               List.for_all
                 (fun lanes ->
                   let results, stats =
-                    Sim.run_batch ~jobs ~lanes ~snapshots:true tmpl runs
+                    run_batch ~jobs ~lanes ~snapshots:true tmpl runs
                   in
                   if
                     stats.Sim.bs_lane_runs + stats.Sim.bs_serial_runs
@@ -146,7 +155,7 @@ let test_corpus_agreement () =
           let refs = List.map (serial_run design) corpus_runs in
           let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
           let results, _ =
-            Sim.run_batch ~jobs:4 ~lanes:8 ~snapshots:true tmpl corpus_runs
+            run_batch ~jobs:4 ~lanes:8 ~snapshots:true tmpl corpus_runs
           in
           List.iteri
             (fun i (res : Sim.batch_result) ->
@@ -191,7 +200,7 @@ let test_incremental_busy_runs () =
     (List.rev !snaps, Sim.runtime_errors sim)
   in
   let tmpl = Sim.create ~engine:Sim.Incremental ~jobs:2 design in
-  let results, _ = Sim.run_batch ~jobs:2 ~snapshots:true tmpl runs in
+  let results, _ = run_batch ~jobs:2 ~snapshots:true tmpl runs in
   List.iteri
     (fun i ((snaps, errs), (res : Sim.batch_result)) ->
       if res.Sim.bres_snaps <> snaps then
@@ -205,7 +214,7 @@ let test_incremental_busy_runs () =
 (* ------------------------------------------------------------------ *)
 
 (* a compiled template groups consecutive equal-cycle runs up to the
-   lane width; a non-compiled template sends everything down the
+   group width; a non-compiled template sends everything down the
    serial fallback — both breakdowns are pinned here *)
 let test_batch_stats () =
   let design = Zeus.compile_exn (Corpus.adder_n 4) in
@@ -213,10 +222,10 @@ let test_batch_stats () =
     { Sim.br_stim = [||]; br_cycles = cycles; br_seed = None; br_watch = [] }
   in
   (* 5 runs of 6 cycles then 1 of 3: lanes=4 gives groups 4+1 and the
-     odd-length run still lane-packs (a group of one) *)
+     odd-length run still takes the bit-sliced path (a group of one) *)
   let runs = [ mk 6; mk 6; mk 6; mk 6; mk 6; mk 3 ] in
   let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
-  let _, st = Sim.run_batch ~jobs:1 ~lanes:4 tmpl runs in
+  let _, st = run_batch ~jobs:1 ~lanes:4 tmpl runs in
   Alcotest.(check int) "runs" 6 st.Sim.bs_runs;
   Alcotest.(check int) "jobs" 1 st.Sim.bs_jobs;
   Alcotest.(check int) "lanes" 4 st.Sim.bs_lanes;
@@ -224,14 +233,48 @@ let test_batch_stats () =
   Alcotest.(check int) "lane runs" 6 st.Sim.bs_lane_runs;
   Alcotest.(check int) "serial runs" 0 st.Sim.bs_serial_runs;
   Alcotest.(check int) "cycles" 33 st.Sim.bs_cycles;
-  (* same runs, incremental template: no lane path at all *)
+  (* same runs, incremental template: no bit-sliced path at all *)
   let tmpl_inc = Sim.create ~engine:Sim.Incremental ~jobs:1 design in
-  let _, st = Sim.run_batch ~jobs:1 ~lanes:4 tmpl_inc runs in
+  let _, st = run_batch ~jobs:1 ~lanes:4 tmpl_inc runs in
   Alcotest.(check int) "fallback lane runs" 0 st.Sim.bs_lane_runs;
   Alcotest.(check int) "fallback serial runs" 6 st.Sim.bs_serial_runs;
   (* jobs are clamped to the run count *)
-  let _, st = Sim.run_batch ~jobs:64 ~lanes:4 tmpl runs in
+  let _, st = run_batch ~jobs:64 ~lanes:4 tmpl runs in
   Alcotest.(check bool) "jobs clamped" true (st.Sim.bs_jobs <= 6)
+
+(* every stimulus and watch path is resolved, and every poke's width
+   checked, before any fan-out: a bad batch is an [Error] naming the run
+   and cycle, on every engine *)
+let test_batch_errors () =
+  let design = Zeus.compile_exn (Corpus.adder_n 4) in
+  let mk ?(watch = []) stim =
+    { Sim.br_stim = stim; br_cycles = 2; br_seed = None; br_watch = watch }
+  in
+  let ok = mk [| [ ("adder.cin", [ Logic.One ]) ] |] in
+  List.iter
+    (fun engine ->
+      let tmpl = Sim.create ~engine ~jobs:2 design in
+      List.iter
+        (fun (what, runs, want) ->
+          match Sim.run_batch tmpl runs with
+          | Ok _ -> Alcotest.failf "%s: accepted" what
+          | Error msg ->
+              Alcotest.(check string)
+                (Printf.sprintf "%s (%s)" what (Sim.engine_name engine))
+                want msg)
+        [
+          ( "unknown stimulus path",
+            [ ok; mk [| []; [ ("nosuch", [ Logic.One ]) ] |] ],
+            "Sim.run_batch: run 1, cycle 1: no top-level signal 'nosuch'" );
+          ( "width mismatch",
+            [ ok; ok; mk [| [ ("adder.a", [ Logic.One ]) ] |] ],
+            "Sim.run_batch: run 2, cycle 0: adder.a: a 1-bit poke of the \
+             4-bit path" );
+          ( "unknown watch path",
+            [ mk ~watch:[ "adder.nosuch" ] [||] ],
+            "Sim.run_batch: run 0: no field 'nosuch' in \"adder.nosuch\"" );
+        ])
+    Sim.all_engines
 
 (* watch paths are resolved once on the caller and read back per run *)
 let test_batch_watch () =
@@ -261,7 +304,7 @@ let test_batch_watch () =
   in
   let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
   let results, _ =
-    Sim.run_batch ~jobs:1 ~lanes:8 tmpl [ mk 1; mk 5; mk 9 ]
+    run_batch ~jobs:1 ~lanes:8 tmpl [ mk 1; mk 5; mk 9 ]
   in
   List.iter2
     (fun v (r : Sim.batch_result) ->
@@ -272,11 +315,11 @@ let test_batch_watch () =
       | _ -> Alcotest.fail "expected exactly the watched sum")
     [ 1; 5; 9 ] results
 
-(* Each domain allocates its lane planes once and resets them between
-   lane groups.  With jobs=1, lanes=2 and cycle counts 5,5,5,3,3,5 the
-   groups are {0,1} {2} {3,4} {5} on two planes, so every quiet run
-   (2, 4, 5) lands on a plane an earlier run poked, latched registers
-   on and drove into a conflict.  A quiet run must still see power-up
+(* Each domain allocates its bit-sliced store once and resets it
+   between groups.  With jobs=1, lanes=2 and cycle counts 5,5,5,3,3,5
+   the groups are {0,1} {2} {3,4} {5}, so every quiet run (2, 4, 5)
+   lands on bits an earlier run poked, latched registers on and drove
+   into a conflict.  A quiet run must still see power-up
    — unpoked inputs UNDEF, registers at their initial values — and
    report exactly a fresh serial handle's snapshots and errors (its
    UNDEF guards conflict on their own). *)
@@ -309,7 +352,7 @@ let test_plane_reuse () =
       mk 3 (pokes Logic.One); mk 3 [||]; mk 5 [||] ]
   in
   let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
-  let results, st = Sim.run_batch ~jobs:1 ~lanes:2 ~snapshots:true tmpl runs in
+  let results, st = run_batch ~jobs:1 ~lanes:2 ~snapshots:true tmpl runs in
   Alcotest.(check int) "lane groups" 4 st.Sim.bs_lane_groups;
   Alcotest.(check int) "lane runs" 6 st.Sim.bs_lane_runs;
   let nl = design.Elaborate.netlist in
@@ -342,6 +385,358 @@ let test_plane_reuse () =
       end)
     (List.combine runs results)
 
+(* 130 equal-length runs on one domain form groups of 63, 63 and 4, so
+   runs 62/63 and 125/126 sit on either side of a word boundary and run
+   129 in a part-filled word.  On a RANDOM design with a distinct seed
+   per run, and on a conflict design whose drive conflicts fall in runs
+   0, 62, 63 and 129 only, every run must match a fresh serial handle. *)
+let test_full_words () =
+  let check name src runs =
+    let design = Zeus.compile_exn src in
+    let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
+    let results, st = run_batch ~jobs:1 ~snapshots:true tmpl runs in
+    Alcotest.(check int) (name ^ ": groups") 3 st.Sim.bs_lane_groups;
+    Alcotest.(check int) (name ^ ": lanes") 63 st.Sim.bs_lanes;
+    List.iteri
+      (fun i (r, (res : Sim.batch_result)) ->
+        let ref_snaps, ref_errs = serial_run design r in
+        if res.Sim.bres_snaps <> ref_snaps then
+          Alcotest.failf "%s: run %d snapshots differ from serial" name i;
+        if err_triples res.Sim.bres_errors <> ref_errs then
+          Alcotest.failf "%s: run %d errors differ from serial" name i)
+      (List.combine runs results);
+    results
+  in
+  let random_src =
+    "TYPE t = COMPONENT (IN en: boolean; OUT q, c: boolean) IS SIGNAL r: \
+     REG; coin: boolean; BEGIN coin := RANDOM(); IF en THEN r.in := \
+     XOR(r.out, coin) END; q := r.out; c := coin END; SIGNAL s: t;"
+  in
+  let bit b = [ (if b then Logic.One else Logic.Zero) ] in
+  ignore
+    (check "random" random_src
+       (List.init 130 (fun i ->
+            {
+              Sim.br_stim =
+                Array.init 5 (fun c -> [ ("s.en", bit ((i + c) mod 3 <> 0)) ]);
+              br_cycles = 6;
+              br_seed = Some (7 * i);
+              br_watch = [ "s.q" ];
+            })));
+  let conflict_src =
+    "TYPE c = COMPONENT (IN x,y: boolean; OUT out: boolean) IS SIGNAL h: \
+     multiplex; BEGIN IF x THEN h := 1 END; IF y THEN h := 0 END; out := h \
+     END; SIGNAL top: c;"
+  in
+  let fighting = [ 0; 62; 63; 129 ] in
+  let results =
+    check "conflict" conflict_src
+      (List.init 130 (fun i ->
+           let both = List.mem i fighting and even = i mod 2 = 0 in
+           {
+             Sim.br_stim =
+               [|
+                 [ ("top.x", bit (both || even));
+                   ("top.y", bit (both || not even)) ];
+                 [];
+                 [ ("top.x", bit even); ("top.y", bit (not even)) ];
+               |];
+             br_cycles = 4;
+             br_seed = None;
+             br_watch = [ "top.out" ];
+           }))
+  in
+  List.iteri
+    (fun i (res : Sim.batch_result) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf "conflict cycles of run %d" i)
+        (if List.mem i fighting then [ 0; 1 ] else [])
+        (List.map
+           (fun (e : Sim.runtime_error) -> e.Sim.err_cycle)
+           res.Sim.bres_errors))
+    results
+
+(* ------------------------------------------------------------------ *)
+(* Word formulas: the bit-sliced store against the scalar tables       *)
+(* ------------------------------------------------------------------ *)
+
+(* Each case is a tiny hand-built program whose classes [0, inputs)
+   are poked inputs, run through [Bytecode.run_sliced] and, run by run,
+   through [Bytecode.run_cycle] on the scalar program [scalar] — the
+   same program, with each vector op spelled out as the scalar ops it
+   stands for, so every reference value comes from the scalar tables.
+   Every combination of input values (0, 1, UNDEF, NOINFL, or not poked)
+   gets its own group, in which bits 0, 31 and 62 carry it and the other
+   60 runs carry other combinations; all 63 runs are compared, every
+   class after every cycle, and the conflict reports. *)
+
+type word_case = {
+  w_name : string;
+  w_classes : int;
+  w_inputs : int;
+  w_regs : Logic.t array;
+  w_slots : int;
+  w_cycles : int;
+  w_ops : Bytecode.op list;
+  w_scalar : Bytecode.op list;
+}
+
+let word_prog c ops =
+  {
+    Bytecode.ops = Array.of_list ops;
+    n_classes = c.w_classes;
+    n_nodes = 0;
+    n_slots = c.w_slots;
+    reg_init = Array.map Bytecode.encode c.w_regs;
+    visits_per_cycle = 0;
+    scalar_ops = 0;
+    vector_ops = 0;
+    vector_lanes = 0;
+    check_ops = 0;
+    discharged_ops = 0;
+    compile_secs = 0.;
+  }
+
+let input_values = [| Some Logic.Zero; Some Logic.One; Some Logic.Undef;
+                      Some Logic.Noinfl; None |]
+
+(* combination [i] of the case's inputs, input 0 least significant *)
+let combo c i =
+  Array.init c.w_inputs (fun k ->
+      let rec digit i k = if k = 0 then i mod 5 else digit (i / 5) (k - 1) in
+      input_values.(digit i k))
+
+let check_word_case c =
+  let total =
+    let rec pow k = if k = 0 then 1 else 5 * pow (k - 1) in
+    pow c.w_inputs
+  in
+  let sp = word_prog c c.w_scalar and vp = word_prog c c.w_ops in
+  let random =
+    List.exists (function Bytecode.Orandom _ -> true | _ -> false) c.w_scalar
+  in
+  let memo = Hashtbl.create 64 in
+  (* per combination (and seed, if the program draws RANDOM): per cycle,
+     every class and the conflicting classes *)
+  let reference i seed =
+    let seed = if random then seed else 0 in
+    match Hashtbl.find_opt memo (i, seed) with
+    | Some r -> r
+    | None ->
+        let st = Bytecode.create_state sp in
+        Array.iteri (fun k v -> Bytecode.sync_poke st k v) (combo c i);
+        let r =
+          List.init c.w_cycles (fun cycle ->
+              let confs =
+                List.sort compare (Bytecode.run_cycle sp st ~seed ~cycle)
+              in
+              (Array.init c.w_classes (Bytecode.get st), confs))
+        in
+        Hashtbl.add memo (i, seed) r;
+        r
+  in
+  let w = Bytecode.create_sliced vp in
+  for i = 0 to total - 1 do
+    let runs = Bytecode.max_runs in
+    let of_run r = if r = 0 || r = 31 || r = 62 then i else (i + r) mod total in
+    Bytecode.reset_sliced vp w ~seeds:(Array.init runs (fun r -> 1000 + r));
+    for r = 0 to runs - 1 do
+      Array.iteri
+        (fun k v -> Option.iter (Bytecode.poke_run w ~run:r k) v)
+        (combo c (of_run r))
+    done;
+    let got =
+      List.init c.w_cycles (fun cycle ->
+          let confs =
+            List.sort compare (Bytecode.run_sliced vp w ~cycle)
+          in
+          Array.init runs (fun r ->
+              ( Array.init c.w_classes (fun k -> Bytecode.get_run w ~run:r k),
+                List.filter_map
+                  (fun (k, hit) ->
+                    if (hit lsr r) land 1 = 1 then Some k else None)
+                  confs )))
+    in
+    for r = 0 to runs - 1 do
+      List.iteri
+        (fun cycle ((want, want_confs), got) ->
+          let have, have_confs = got.(r) in
+          Array.iteri
+            (fun k v ->
+              if not (Logic.equal v have.(k)) then
+                Alcotest.failf
+                  "%s: combination %d at bit %d, cycle %d: class %d reads %a, \
+                   the scalar tables give %a"
+                  c.w_name (of_run r) r cycle k Logic.pp have.(k) Logic.pp v)
+            want;
+          if have_confs <> want_confs then
+            Alcotest.failf
+              "%s: combination %d at bit %d, cycle %d: conflicts differ"
+              c.w_name (of_run r) r cycle)
+        (List.combine (reference (of_run r) (1000 + r)) got)
+    done
+  done
+
+let word_cases =
+  let open Bytecode in
+  let case ?(regs = [||]) ?(slots = 0) ?(cycles = 1) ?scalar name ~classes
+      ~inputs ops =
+    {
+      w_name = name;
+      w_classes = classes;
+      w_inputs = inputs;
+      w_regs = regs;
+      w_slots = slots;
+      w_cycles = cycles;
+      w_ops = ops;
+      w_scalar = Option.value scalar ~default:ops;
+    }
+  in
+  let gate ?(prod = -1) ~kbool gate args out =
+    Ogate { gate; args; out; prod; kbool }
+  and drv ?(prod = -1) ~kbool guard src out =
+    Odriver { guard; src; out; prod; kbool }
+  and seed c kind = Oseed { cls = c; kind }
+  and latch ~seeded reg cls = Olatch { reg; cls; seeded } in
+  let seeds ?(from = 0) n = List.init n (fun k -> seed (from + k) seed_plain) in
+  let bools = [ false; true ] in
+  let one = imm code_one and zero = imm code_zero and z = imm code_z in
+  let name fmt = Printf.sprintf fmt in
+  List.concat
+    [
+      (* gates, 1 to 4 inputs, immediates included; drivers, guarded
+         and not, with an immediate NOINFL source *)
+      List.concat_map
+        (fun kbool ->
+          List.concat_map
+            (fun (g, gt) ->
+              [
+                case (name "%s/2 kbool=%b" g kbool) ~classes:3 ~inputs:2
+                  (seeds 2 @ [ gate ~kbool gt [| 0; 1 |] 2 ]);
+                case (name "%s/3+imm kbool=%b" g kbool) ~classes:4 ~inputs:3
+                  (seeds 3 @ [ gate ~kbool gt [| 0; 1; 2; one |] 3 ]);
+              ])
+            [ ("AND", gand); ("OR", gor); ("NAND", gnand); ("NOR", gnor);
+              ("XOR", gxor) ]
+          @ [
+              case (name "NOT kbool=%b" kbool) ~classes:2 ~inputs:1
+                (seeds 1 @ [ gate ~kbool gnot [| 0 |] 1 ]);
+              case (name "EQUAL/2 kbool=%b" kbool) ~classes:5 ~inputs:4
+                (seeds 4 @ [ gate ~kbool gequal [| 0; 1; 2; 3 |] 4 ]);
+              case (name "EQUAL/imm kbool=%b" kbool) ~classes:2 ~inputs:1
+                (seeds 1 @ [ gate ~kbool gequal [| 0; zero |] 1 ]);
+              case (name "driver kbool=%b" kbool) ~classes:5 ~inputs:2
+                (seeds 2
+                @ [ drv ~kbool 0 1 2; drv ~kbool no_guard 1 3;
+                    drv ~kbool 0 z 4 ]);
+            ])
+        bools;
+      (* resolution over scratch slots: two guarded drivers, a gate and
+         RANDOM, with and without the booleanize and the check *)
+      List.concat_map
+        (fun kbool ->
+          List.map
+            (fun chk ->
+              case (name "resolve kbool=%b chk=%b" kbool chk) ~classes:5
+                ~inputs:4 ~slots:4
+                (seeds 4
+                @ [ drv ~prod:0 ~kbool 0 1 4; drv ~prod:1 ~kbool 2 3 4;
+                    gate ~prod:2 ~kbool gand [| 0; 2 |] 4;
+                    Orandom { out = 4; prod = 3 };
+                    Oresolve { out = 4; prods = [| 0; 1; 3 |]; kbool; chk } ]))
+            bools)
+        bools;
+      [
+        case "random" ~classes:2 ~inputs:1 ~cycles:3
+          (seeds 1 @ [ Orandom { out = 1; prod = -1 } ]);
+        (* CLK, RSET and register seeds, poked or not; latches of a
+           driven and of a seeded input *)
+        case "seeds and latches" ~classes:6 ~inputs:4 ~cycles:3
+          ~regs:[| Logic.One; Logic.Undef |]
+          [ seed 0 seed_clk; seed 1 seed_rset; seed 2 0; seed 3 1;
+            drv ~kbool:false 0 1 4; drv ~kbool:true 2 3 5;
+            latch ~seeded:false 0 4; latch ~seeded:true 1 3 ];
+        (* vector ops against their scalar spelling *)
+        case "vseed" ~classes:3 ~inputs:3
+          [ Ovseed { cls = 0; len = 3 } ]
+          ~scalar:(seeds 3);
+        case "vregseed and vlatch" ~classes:4 ~inputs:4 ~cycles:3
+          ~regs:[| Logic.Zero; Logic.One |]
+          ([ Ovregseed { reg = 0; cls = 0; len = 2 } ]
+          @ seeds ~from:2 2
+          @ [ Ovlatch { reg = 0; cls = 2; len = 2; seeded = true } ])
+          ~scalar:
+            ([ seed 0 0; seed 1 1 ] @ seeds ~from:2 2
+            @ [ latch ~seeded:true 0 2; latch ~seeded:true 1 3 ]);
+      ];
+      (* copy, NOT and guarded-driver runs over classes 3.., latched
+         through their driven flags into registers read back (classes
+         0 and 1) the next cycle *)
+      List.concat_map
+        (fun kbool ->
+          let regs = [| Logic.One; Logic.Zero |] in
+          let head n = [ seed 0 0; seed 1 1 ] @ seeds ~from:2 n in
+          let latched dst =
+            [ Ovlatch { reg = 0; cls = dst; len = 2; seeded = false } ]
+          and latched_scalar dst =
+            [ latch ~seeded:false 0 dst; latch ~seeded:false 1 (dst + 1) ]
+          in
+          [
+            case (name "vcopy kbool=%b" kbool) ~classes:7 ~inputs:3 ~regs
+              ~cycles:2
+              (head 1
+              @ [ Ovcopy { src = 0; dst = 3; len = 2; kbool; dr = true };
+                  Ovcopy { src = one; dst = 5; len = 2; kbool; dr = false } ]
+              @ latched 3)
+              ~scalar:
+                (head 1
+                @ [ drv ~kbool no_guard 0 3; drv ~kbool no_guard 1 4;
+                    drv ~kbool no_guard one 5; drv ~kbool no_guard one 6 ]
+                @ latched_scalar 3);
+            case (name "vnot kbool=%b" kbool) ~classes:5 ~inputs:3 ~regs
+              ~cycles:2
+              (head 1 @ [ Ovnot { src = 1; dst = 3; len = 2; dr = true } ]
+              @ latched 3)
+              ~scalar:
+                (head 1
+                @ [ gate ~kbool gnot [| 1 |] 3; gate ~kbool gnot [| 2 |] 4 ]
+                @ latched_scalar 3);
+            case (name "vdriver kbool=%b" kbool) ~classes:6 ~inputs:4 ~regs
+              ~cycles:2
+              (head 2
+              @ [ Ovdriver
+                    { guard = 2; src = 1; dst = 4; len = 2; kbool; dr = true } ]
+              @ latched 4)
+              ~scalar:
+                (head 2 @ [ drv ~kbool 2 1 4; drv ~kbool 2 2 5 ]
+                @ latched_scalar 4);
+          ])
+        bools;
+      (* the two-driver multiplex, overlapping and immediate sources *)
+      List.concat_map
+        (fun kbool ->
+          List.map
+            (fun chk ->
+              let mux2 g1 s1 g2 s2 dst =
+                Ovmux2 { g1; s1; g2; s2; dst; len = 2; kbool; dr = true; chk }
+              and resolved (g1, s1, g2, s2, dst) =
+                [ drv ~prod:0 ~kbool g1 s1 dst; drv ~prod:1 ~kbool g2 s2 dst;
+                  Oresolve { out = dst; prods = [| 0; 1 |]; kbool; chk } ]
+              in
+              case (name "vmux2 kbool=%b chk=%b" kbool chk) ~classes:9
+                ~inputs:5 ~slots:2
+                (seeds 5 @ [ mux2 0 1 4 2 5; mux2 4 3 0 one 7 ])
+                ~scalar:
+                  (seeds 5
+                  @ List.concat_map resolved
+                      [ (0, 1, 4, 2, 5); (0, 2, 4, 3, 6); (4, 3, 0, one, 7);
+                        (4, 4, 0, one, 8) ]))
+            bools)
+        bools;
+    ]
+
+let test_word_formulas () = List.iter check_word_case word_cases
+
 let () =
   Alcotest.run "batch"
     [
@@ -357,7 +752,16 @@ let () =
         [
           Alcotest.test_case "work breakdown" `Quick test_batch_stats;
           Alcotest.test_case "watch readback" `Quick test_batch_watch;
+          Alcotest.test_case "bad paths and widths are errors" `Quick
+            test_batch_errors;
           Alcotest.test_case "reused lane planes start at power-up" `Quick
             test_plane_reuse;
+        ] );
+      ( "sliced",
+        [
+          Alcotest.test_case "word formulas match the scalar tables" `Quick
+            test_word_formulas;
+          Alcotest.test_case "130 runs: full, spilled and part-filled words"
+            `Quick test_full_words;
         ] );
     ]

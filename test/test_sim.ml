@@ -13,6 +13,12 @@ let compile src =
   | Ok d -> d
   | Error diags -> Alcotest.failf "compile: %a" Fmt.(list Diag.pp) diags
 
+(* a batch these tests build is well-formed *)
+let run_batch ?jobs ?lanes ?snapshots tmpl runs =
+  match Sim.run_batch ?jobs ?lanes ?snapshots tmpl runs with
+  | Ok r -> r
+  | Error m -> Alcotest.fail m
+
 let simple_gate op =
   compile
     (Printf.sprintf
@@ -845,7 +851,7 @@ let test_parallel_random_stream () =
   List.iter
     (fun jobs ->
       let tmpl = Sim.create ~engine:Sim.Compiled ~seed:7 d in
-      let results, _ = Sim.run_batch ~jobs ~snapshots:true tmpl runs in
+      let results, _ = run_batch ~jobs ~snapshots:true tmpl runs in
       List.iter
         (fun (res : Sim.batch_result) ->
           Alcotest.(check bool)
@@ -1024,11 +1030,11 @@ let test_vcd_to_file () =
 (* Batch lane extraction at the 32-class word boundary                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The compiled engine packs 32 classes per word in each of its two
-   planes, and a batch lane group runs up to 8 scenarios through one
-   dispatch pass.  Lane extraction must not bleed between lanes or
-   across the word boundary, so these designs put the highest class
-   index just below, exactly at, and just above 32: [pairs]
+(* The single-run compiled store packs 32 classes per word in each of
+   its two planes; the batch store gives each class its own words, run
+   r in bit r.  Extraction must not bleed between runs or across the
+   single-run store's word boundary, so these designs put the highest
+   class index just below, exactly at, and just above 32: [pairs]
    passthrough in/out pairs plus an optional dangling input give
    2*pairs(+1) net classes. *)
 let lane_src ~pairs ~extra =
@@ -1069,7 +1075,7 @@ let test_batch_lane_boundary () =
       let runs = List.init 8 mk in
       let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 d in
       let results, stats =
-        Sim.run_batch ~jobs:1 ~lanes:8 ~snapshots:true tmpl runs
+        run_batch ~jobs:1 ~lanes:8 ~snapshots:true tmpl runs
       in
       Alcotest.(check int) "one lane group" 1 stats.Sim.bs_lane_groups;
       Alcotest.(check int) "all runs lane-packed" 8 stats.Sim.bs_lane_runs;
