@@ -1112,7 +1112,7 @@ let e17_compiled ~cycles () =
     let iv, is_, isim = run Sim.Incremental in
     let cv, cs, csim = run Sim.Compiled in
     let stats =
-      match Sim.compiled_stats csim with Some s -> s | None -> assert false
+      match Sim.compiled_program csim with Some p -> p | None -> assert false
     in
     {
       b_design = name;
@@ -1121,11 +1121,11 @@ let e17_compiled ~cycles () =
       b_incr_secs = is_;
       b_visits = cv;
       b_secs = cs;
-      b_prog_ops = stats.Sim.c_ops;
-      b_scalar_ops = stats.Sim.c_scalar_ops;
-      b_vector_ops = stats.Sim.c_vector_ops;
-      b_vector_lanes = stats.Sim.c_vector_lanes;
-      b_compile_secs = stats.Sim.c_compile_secs;
+      b_prog_ops = Array.length stats.Bytecode.ops;
+      b_scalar_ops = stats.Bytecode.scalar_ops;
+      b_vector_ops = stats.Bytecode.vector_ops;
+      b_vector_lanes = stats.Bytecode.vector_lanes;
+      b_compile_secs = stats.Bytecode.compile_secs;
       b_agree = Sim.snapshot csim = Sim.snapshot isim;
     }
   in
@@ -1514,7 +1514,7 @@ let e19_prove ~cycles () =
       done;
       let secs = Unix.gettimeofday () -. t0 in
       let stats =
-        match Sim.compiled_stats sim with Some s -> s | None -> assert false
+        match Sim.compiled_program sim with Some p -> p | None -> assert false
       in
       (secs, stats, sim)
     in
@@ -1528,10 +1528,10 @@ let e19_prove ~cycles () =
       v_upgraded_nets = List.length sp.Seqprove.sp_upgraded;
       v_splits = sp.Seqprove.sp_splits;
       v_prove_secs = prove_secs;
-      v_check_ops = pstats.Sim.c_check_ops;
+      v_check_ops = pstats.Bytecode.check_ops;
       v_plain_secs = ps;
-      v_disch_check_ops = dstats.Sim.c_check_ops;
-      v_discharged_ops = dstats.Sim.c_discharged_ops;
+      v_disch_check_ops = dstats.Bytecode.check_ops;
+      v_discharged_ops = dstats.Bytecode.discharged_ops;
       v_disch_secs = ds;
       v_agree = Sim.snapshot dsim = Sim.snapshot psim;
     }

@@ -7,9 +7,76 @@
      zeusc layout FILE.zeus -t T  ASCII floorplan of top-level signal T
      zeusc dot FILE.zeus          semantics graph in Graphviz format
      zeusc corpus NAME            print a built-in example program
-*)
+
+   Every subcommand runs inside one error boundary ([guard]): a failure
+   raises [Fail], and the boundary prints it and maps it to the exit
+   status of the one table [exits]. *)
 
 open Cmdliner
+
+(* ------------------------------------------------------------------ *)
+(* The error boundary *)
+
+type failure =
+  | Usage of string
+      (* an unreadable input, a bad flag value, a -p/-w/--explain path
+         that names nothing or a poke that does not fit, an unwritable
+         output file *)
+  | Rejected of string  (* the design cannot do what was asked *)
+  | Diagnostics of Zeus.Diag.t list  (* the design does not compile *)
+
+exception Fail of failure
+
+let usage fmt = Fmt.kstr (fun m -> raise (Fail (Usage m))) fmt
+let rejected fmt = Fmt.kstr (fun m -> raise (Fail (Rejected m))) fmt
+
+(* the exit status table, listed by every subcommand's --help *)
+let exit_failed = 1
+let exit_usage = 2
+
+let exits =
+  [
+    Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+    Cmd.Exit.info exit_failed
+      ~doc:
+        "on compile diagnostics, on findings the command does not \
+         tolerate (a fuzz divergence included), or on a design that \
+         cannot do what was asked.";
+    Cmd.Exit.info exit_usage
+      ~doc:
+        "on a usage or input error: an unreadable input file or \
+         $(b,--batch) deck, a bad flag value, a poke, watch or \
+         $(b,--explain) path that names nothing, a poke that does not \
+         fit its path, an unwritable output file.";
+    Cmd.Exit.info Cmd.Exit.cli_error ~doc:"on command line parsing errors.";
+    Cmd.Exit.info Cmd.Exit.internal_error
+      ~doc:"on unexpected internal errors (bugs).";
+  ]
+
+let report_diags diags =
+  List.iter (fun d -> Fmt.epr "%a@." Zeus.Diag.pp d) diags
+
+(* [guard ~cmd run] is the one place a failure becomes an exit status:
+   [Fail], a [Sys_error] and the deck reader's [Failure] (whose message
+   names the deck) *)
+let guard ~cmd run =
+  try run () with
+  | Fail (Diagnostics diags) ->
+      report_diags diags;
+      exit_failed
+  | Fail (Rejected m) ->
+      Fmt.epr "%s: %s@." cmd m;
+      exit_failed
+  | Fail (Usage m) | Sys_error m ->
+      Fmt.epr "%s: %s@." cmd m;
+      exit_usage
+  | Failure m ->
+      Fmt.epr "%s@." m;
+      exit_usage
+
+(* a subcommand: [term] yields its run, which [guard] runs *)
+let command cmd ~doc term =
+  Cmd.v (Cmd.info cmd ~doc ~exits) Term.(const (guard ~cmd) $ term)
 
 (* the reason of a Sys_error about [path], without its "path: " prefix *)
 let sys_error_reason path msg =
@@ -19,42 +86,55 @@ let sys_error_reason path msg =
       (String.length msg - String.length prefix)
   else msg
 
-(* every input file goes through here: a missing or unreadable file is
-   a usage error (exit 2) named after the subcommand, not an uncaught
-   Sys_error *)
-let load ~cmd path =
-  match path with
+(* every input file goes through here ('-' is stdin) *)
+let load = function
   | "-" -> In_channel.input_all stdin
   | p -> (
       try In_channel.with_open_bin p In_channel.input_all
-      with Sys_error msg ->
-        Fmt.epr "%s: cannot read '%s': %s@." cmd p (sys_error_reason p msg);
-        exit 2)
+      with Sys_error msg -> usage "cannot read '%s': %s" p (sys_error_reason p msg))
 
-let report_diags diags =
-  List.iter (fun d -> Fmt.epr "%a@." Zeus.Diag.pp d) diags
+(* and every output file through here; the explicit flush reports a
+   failed write, which closing the channel would swallow *)
+let write_file path text =
+  try
+    Out_channel.with_open_bin path (fun oc ->
+        Out_channel.output_string oc text;
+        Out_channel.flush oc)
+  with Sys_error msg ->
+    usage "cannot write '%s': %s" path (sys_error_reason path msg)
+
+let parse src =
+  match Zeus.Parser.program src with
+  | Some prog, _ -> prog
+  | None, bag -> raise (Fail (Diagnostics (Zeus.Diag.Bag.all bag)))
+
+let compile src =
+  match Zeus.compile src with
+  | Ok design -> design
+  | Error diags -> raise (Fail (Diagnostics diags))
+
+let design file = compile (load file)
 
 (* every subcommand with --suppress validates against the one Z-code
-   registry the same way: unknown codes are a usage error (exit 2) *)
-let validate_suppress ~cmd suppress =
+   registry *)
+let validate_suppress suppress =
   match Zeus.Diag.Code.unknown suppress with
   | [] -> ()
   | unknown ->
-      Fmt.epr "%s: unknown diagnostic code%s %s for --suppress; valid codes: %s@."
-        cmd
+      usage "unknown diagnostic code%s %s for --suppress; valid codes: %s"
         (if List.length unknown > 1 then "s" else "")
         (String.concat ", " unknown)
-        (Zeus.Diag.Code.valid_codes_message ());
-      exit 2
+        (Zeus.Diag.Code.valid_codes_message ())
 
-(* a negative count such as --depth, --budget or fuzz's --count is a
-   usage error (exit 2), reported the same way as an unknown --suppress
-   code *)
-let validate_non_negative ~cmd ~flag n =
-  if n < 0 then begin
-    Fmt.epr "%s: --%s must be a non-negative integer, got %d@." cmd flag n;
-    exit 2
-  end
+(* a count below its minimum is a usage error, not an empty or
+   exhausted run *)
+let validate_count ?(min = 0) ~flag n =
+  if n < min then
+    usage "--%s must be a %s integer, got %d" flag
+      (if min = 0 then "non-negative" else "positive")
+      n
+
+let validate_jobs = validate_count ~min:1 ~flag:"jobs"
 
 let drop_suppressed suppress diags =
   List.filter
@@ -64,11 +144,174 @@ let drop_suppressed suppress diags =
       | None -> true)
     diags
 
+(* the exit status of a report's findings: [max_severity] is the most
+   severe one tolerated *)
+let findings_status ?(max_severity = `Warning) findings =
+  let worst =
+    List.fold_left
+      (fun acc (d : Zeus.Diag.t) ->
+        match (acc, d.Zeus.Diag.severity) with
+        | `Error, _ | _, Zeus.Diag.Error -> `Error
+        | _, Zeus.Diag.Warning -> `Warning)
+      `None findings
+  in
+  let fail =
+    match (max_severity, worst) with
+    | `Error, _ -> false
+    | `Warning, w -> w = `Error
+    | `None, w -> w <> `None
+  in
+  if fail then exit_failed else 0
+
 let file_arg =
   Arg.(
     required
     & pos 0 (some string) None
     & info [] ~docv:"FILE" ~doc:"Zeus source file ('-' for stdin).")
+
+let format_arg =
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:"Output format: $(b,text) (default) or $(b,json).")
+
+let suppress_arg =
+  Arg.(
+    value
+    & opt_all string []
+    & info [ "suppress" ] ~docv:"CODE"
+        ~doc:"Drop findings with this diagnostic code (repeatable).")
+
+(* ------------------------------------------------------------------ *)
+(* The one poke resolver, shared by -p and the --batch deck reader *)
+
+(* [a.[i..i+n)] = [b.[j..j+n)]; this and [int_at] are closure-free, so
+   a deck's per-poke path and value reads allocate nothing *)
+let rec same_chars a i b j n =
+  n = 0 || (a.[i] = b.[j] && same_chars a (i + 1) b (j + 1) (n - 1))
+
+(* a path as the slice [s.[i..j)] of a -p argument or a deck *)
+type slice = { mutable s : string; mutable i : int; mutable j : int }
+
+module Slices = Hashtbl.Make (struct
+  type t = slice
+
+  let equal a b = a.j - a.i = b.j - b.i && same_chars a.s a.i b.s b.i (a.j - a.i)
+
+  let hash a =
+    let h = ref 0 in
+    for k = a.i to a.j - 1 do
+      h := (!h * 31) + Char.code a.s.[k]
+    done;
+    !h land max_int
+end)
+
+type target = {
+  path : string;
+  nets : int list;
+  width : int;
+  zero : string * Zeus.Logic.t list;  (* the shared 0 and 1 pokes *)
+  one : string * Zeus.Logic.t list;
+}
+
+type resolver = {
+  design : Zeus.Elaborate.design;
+  driven : (int -> bool) Lazy.t;
+  fail : string -> exn;  (* the exception a bad path or value raises *)
+  cache : target Slices.t;
+  probe : slice;
+}
+
+let poke_resolver design ~fail =
+  {
+    design;
+    driven = lazy (Zeus.Graph.driven design);
+    fail;
+    cache = Slices.create 64;
+    probe = { s = ""; i = 0; j = 0 };
+  }
+
+(* [target r s i j] resolves the path [s.[i..j)]; a poke takes effect
+   only on nets no gate or driver writes.  Each distinct path is
+   resolved once, and a resolved one is found without copying it *)
+let target r s i j =
+  r.probe.s <- s;
+  r.probe.i <- i;
+  r.probe.j <- j;
+  match Slices.find r.cache r.probe with
+  | t -> t
+  | exception Not_found ->
+      let path = String.sub s i (j - i) in
+      let nets =
+        match Zeus.Elaborate.resolve_path r.design path with
+        | Ok nets -> nets
+        | Error m -> raise (r.fail m)
+      in
+      if List.exists (Lazy.force r.driven) nets then
+        raise
+          (r.fail
+             (Printf.sprintf
+                "%s is driven by the design, so a poke of it would be \
+                 ignored (only inputs, registers and undriven nets take \
+                 pokes)"
+                path));
+      let t =
+        {
+          path;
+          nets;
+          width = List.length nets;
+          zero = (path, [ Zeus.Logic.Zero ]);
+          one = (path, [ Zeus.Logic.One ]);
+        }
+      in
+      Slices.add r.cache { s = path; i = 0; j = String.length path } t;
+      t
+
+(* a poke of 0 or 1 sets one bit, so it needs a single-bit path; any
+   poke must fit the path, 0..2^width-1, rather than be truncated *)
+let poke_error { path; width; _ } v =
+  if v < 0 || (width < Sys.int_size - 1 && v lsr width <> 0) then
+    Some
+      (Printf.sprintf "%s=%d: out of range for the %d-bit path %s (0..%s)" path
+         v width path
+         (if width < Sys.int_size - 1 then string_of_int ((1 lsl width) - 1)
+          else Printf.sprintf "2^%d-1" width))
+  else if v <= 1 && width <> 1 then
+    Some
+      (Printf.sprintf "%s=%d: 0/1 pokes a single bit, but %s is %d bits wide"
+         path v path width)
+  else None
+
+(* [poke r t v] is the (path, bits) a poke of [v] sets on [t]: 0/1 one
+   shared bit, anything larger BIN(v, width) MSB-first *)
+let poke r t v =
+  match poke_error t v with
+  | Some m -> raise (r.fail m)
+  | None ->
+      if v > 1 then (t.path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v t.width))
+      else if v = 1 then t.one
+      else t.zero
+
+(* [s.[i..j)] as [int_of_string_opt] reads it, raising [Not_found] on
+   anything else; plain decimals of up to 18 digits are read in place *)
+let int_of_copy s i j =
+  match int_of_string_opt (String.sub s i (j - i)) with
+  | Some n -> n
+  | None -> raise Not_found
+
+let rec decimal s i j k n =
+  if k = j then n
+  else
+    match s.[k] with
+    | '0' .. '9' as c -> decimal s i j (k + 1) ((n * 10) + Char.code c - 48)
+    | _ -> int_of_copy s i j
+
+let int_at s i j =
+  if j > i && j - i <= 18 then decimal s i j i 0 else int_of_copy s i j
+
+(* [s.[i..j)] = [lit] *)
+let is s i j lit = j - i = String.length lit && same_chars s i lit 0 (j - i)
 
 (* ------------------------------------------------------------------ *)
 
@@ -106,98 +349,68 @@ let check_cmd =
       value & flag
       & info [ "no-cache" ] ~doc:"Disable the persistent summary cache.")
   in
-  let run file modular contracts cache_dir no_cache =
-    let src = load ~cmd:"check" file in
+  let run file modular contracts cache_dir no_cache () =
+    let src = load file in
     if modular then begin
-      match Zeus.Parser.program src with
-      | None, bag ->
-          report_diags (Zeus.Diag.Bag.all bag);
-          1
-      | Some prog, _ ->
-          let cache_dir =
-            if no_cache then None
-            else Some (Option.value cache_dir ~default:(default_cache_dir ()))
-          in
-          let r = Zeus.Summary.analyze ?cache_dir ~src prog in
-          if contracts then
-            List.iter
-              (fun (_, c) -> Fmt.pr "%a@." Zeus.Contract.pp c)
-              r.Zeus.Summary.contracts;
-          List.iter
-            (fun (name, c) ->
-              Fmt.pr "type %-20s (%s): conflict-%s, %s@." name
-                (if c.Zeus.Contract.c_params = "" then "-"
-                 else c.Zeus.Contract.c_params)
-                (if c.Zeus.Contract.c_conflict_safe then "safe" else "unproven")
-                (if c.Zeus.Contract.c_cycle_free then "cycle-free"
-                 else "cycles-unproven"))
-            r.Zeus.Summary.contracts;
-          List.iter
-            (fun (t, reason) -> Fmt.pr "fallback %s: %s@." t reason)
-            r.Zeus.Summary.fallbacks;
-          report_diags r.Zeus.Summary.findings;
-          Fmt.pr "%s@." (Zeus.Summary.summary_line r);
-          if
-            List.exists
-              (fun (d : Zeus.Diag.t) ->
-                d.Zeus.Diag.severity = Zeus.Diag.Error)
-              r.Zeus.Summary.findings
-          then 1
-          else 0
+      let prog = parse src in
+      let cache_dir =
+        if no_cache then None
+        else Some (Option.value cache_dir ~default:(default_cache_dir ()))
+      in
+      let r = Zeus.Summary.analyze ?cache_dir ~src prog in
+      if contracts then
+        List.iter
+          (fun (_, c) -> Fmt.pr "%a@." Zeus.Contract.pp c)
+          r.Zeus.Summary.contracts;
+      List.iter
+        (fun (name, c) ->
+          Fmt.pr "type %-20s (%s): conflict-%s, %s@." name
+            (if c.Zeus.Contract.c_params = "" then "-"
+             else c.Zeus.Contract.c_params)
+            (if c.Zeus.Contract.c_conflict_safe then "safe" else "unproven")
+            (if c.Zeus.Contract.c_cycle_free then "cycle-free"
+             else "cycles-unproven"))
+        r.Zeus.Summary.contracts;
+      List.iter
+        (fun (t, reason) -> Fmt.pr "fallback %s: %s@." t reason)
+        r.Zeus.Summary.fallbacks;
+      report_diags r.Zeus.Summary.findings;
+      Fmt.pr "%s@." (Zeus.Summary.summary_line r);
+      findings_status r.Zeus.Summary.findings
     end
     else
-      match Zeus.compile src with
-      | Ok design ->
-          Fmt.pr "OK: %s@." (Zeus.Netlist.stats design.Zeus.Elaborate.netlist);
-          let warnings =
-            List.filter
-              (fun (d : Zeus.Diag.t) ->
-                d.Zeus.Diag.severity = Zeus.Diag.Warning)
-              (Zeus.Diag.Bag.all design.Zeus.Elaborate.diags)
-          in
-          report_diags warnings;
-          0
-      | Error diags ->
-          report_diags diags;
-          1
+      let design = compile src in
+      Fmt.pr "OK: %s@." (Zeus.Netlist.stats design.Zeus.Elaborate.netlist);
+      report_diags
+        (List.filter
+           (fun (d : Zeus.Diag.t) -> d.Zeus.Diag.severity = Zeus.Diag.Warning)
+           (Zeus.Diag.Bag.all design.Zeus.Elaborate.diags));
+      0
   in
-  Cmd.v
-    (Cmd.info "check" ~doc:"Parse, elaborate and statically check a program.")
+  command "check" ~doc:"Parse, elaborate and statically check a program."
     Term.(const run $ file_arg $ modular $ contracts $ cache_dir $ no_cache)
 
 let pp_cmd =
-  let run file =
-    match Zeus.Parser.program (load ~cmd:"pp" file) with
-    | Some prog, _ ->
-        print_endline (Zeus.Pretty.program_to_string prog);
-        0
-    | None, bag ->
-        report_diags (Zeus.Diag.Bag.all bag);
-        1
+  let run file () =
+    print_endline (Zeus.Pretty.program_to_string (parse (load file)));
+    0
   in
-  Cmd.v
-    (Cmd.info "pp" ~doc:"Parse and pretty-print back to Zeus concrete syntax.")
+  command "pp" ~doc:"Parse and pretty-print back to Zeus concrete syntax."
     Term.(const run $ file_arg)
 
 let stats_cmd =
-  let run file =
-    match Zeus.compile (load ~cmd:"stats" file) with
-    | Ok design ->
-        let nl = design.Zeus.Elaborate.netlist in
-        Fmt.pr "%a" Zeus.Stats.pp (Zeus.Stats.of_design design);
-        List.iter
-          (fun (i : Zeus.Netlist.instance) ->
-            if not i.Zeus.Netlist.is_function_call then
-              Fmt.pr "  instance %-30s : %s@." i.Zeus.Netlist.ipath
-                i.Zeus.Netlist.itype)
-          (Zeus.Netlist.instances nl);
-        0
-    | Error diags ->
-        report_diags diags;
-        1
+  let run file () =
+    let design = design file in
+    Fmt.pr "%a" Zeus.Stats.pp (Zeus.Stats.of_design design);
+    List.iter
+      (fun (i : Zeus.Netlist.instance) ->
+        if not i.Zeus.Netlist.is_function_call then
+          Fmt.pr "  instance %-30s : %s@." i.Zeus.Netlist.ipath
+            i.Zeus.Netlist.itype)
+      (Zeus.Netlist.instances design.Zeus.Elaborate.netlist);
+    0
   in
-  Cmd.v
-    (Cmd.info "stats" ~doc:"Netlist statistics after elaboration.")
+  command "stats" ~doc:"Netlist statistics after elaboration."
     Term.(const run $ file_arg)
 
 let poke_conv : (string * int) Arg.conv =
@@ -212,56 +425,32 @@ let poke_conv : (string * int) Arg.conv =
   in
   Arg.conv (parse, fun ppf (p, v) -> Fmt.pf ppf "%s=%d" p v)
 
-(* a poke of 0 or 1 sets one bit, so it needs a single-bit path; any
-   poke must fit the path, 0..2^width-1, rather than be truncated *)
-let poke_error path v width =
-  if v < 0 || (width < Sys.int_size - 1 && v lsr width <> 0) then
-    Some
-      (Printf.sprintf "%s=%d: out of range for the %d-bit path %s (0..%s)" path
-         v width path
-         (if width < Sys.int_size - 1 then string_of_int ((1 lsl width) - 1)
-          else Printf.sprintf "2^%d-1" width))
-  else if v <= 1 && width <> 1 then
-    Some
-      (Printf.sprintf "%s=%d: 0/1 pokes a single bit, but %s is %d bits wide"
-         path v path width)
-  else None
-
-(* a poke takes effect only on a net no gate or driver writes *)
-let driven_error driven path nets =
-  if List.exists driven nets then
-    Some
-      (Printf.sprintf
-         "%s is driven by the design, so a poke of it would be ignored \
-          (only inputs, registers and undriven nets take pokes)"
-         path)
-  else None
-
 (* The --batch stimulus file: a [run [seed=N] [cycles=N]] header starts
    each independent run, every following line is one cycle of
    space-separated path=value pokes ('-' for a cycle with no new pokes;
    '#' comments and blank lines are skipped; a line's leading and
    trailing blanks, a CR included, are ignored).  A run's cycle count is
    the explicit [cycles=N] if given, else its number of stimulus lines.
-   Values follow the -p convention: 0/1 poke a single bit, anything
-   larger pokes BIN(value, width) MSB-first.  Raises [Failure] with a
-   line-numbered message on a malformed file, an unknown path, a poke
-   of a driven net, a value outside 0..2^width-1 or a 0/1 poke on a
-   multi-bit path.
+   Values follow the -p convention and go through the same resolver.
+   Raises [Failure] with a message naming the deck [name] and the line
+   on a malformed file, an unknown path, a poke of a driven net, a value
+   outside 0..2^width-1, a 0/1 poke on a multi-bit path or a deck with
+   no runs.
 
    Decks run to megabytes, so the reader makes one pass over [src] by
-   index: no line, token or trimmed copies.  Each distinct path is
-   resolved once and kept as one shared string, and every 0/1 poke of
-   it is one of two shared (path, bit list) pairs. *)
-let parse_batch_file design ~watch src =
+   index: no line, token, trimmed, path or value copies.  Each distinct
+   path is resolved once and kept as one shared string, and every 0/1
+   poke of it is one of two shared (path, bit list) pairs. *)
+let parse_batch_file design ~name ~watch src =
   let len = String.length src in
   let runs = ref [] and cur = ref None and lineno = ref 0 in
-  let fail fmt = Printf.ksprintf (fun m ->
-      failwith (Printf.sprintf "line %d: %s" !lineno m)) fmt in
+  let error m =
+    Failure (Printf.sprintf "batch file %s: line %d: %s" name !lineno m)
+  in
+  let fail fmt = Printf.ksprintf (fun m -> raise (error m)) fmt in
   let sub i j = String.sub src i (j - i) in
   (* [String.trim]'s blanks; tokens are separated by spaces only *)
   let blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012' || c = '\n' in
-  let is i j lit = j - i = String.length lit && sub i j = lit in
   (* the end of the token starting at [i], within a line ending at [e] *)
   let token_end i e =
     let j = ref i in
@@ -282,36 +471,13 @@ let parse_batch_file design ~watch src =
     | Some k when k < j -> k
     | _ -> fail "expected key=value, got %S" (sub i j)
   in
-  let zero = [ Zeus.Logic.Zero ] and one = [ Zeus.Logic.One ] in
-  (* path -> its width and its shared 0 and 1 pokes *)
-  let paths = Hashtbl.create 64 in
-  let driven = lazy (Zeus.Graph.driven design) in
-  let lookup path =
-    match Hashtbl.find_opt paths path with
-    | Some e -> e
-    | None -> (
-        match Zeus.Elaborate.resolve_path design path with
-        | Error e -> fail "%s" e
-        | Ok nets ->
-            Option.iter (fail "%s")
-              (driven_error (Lazy.force driven) path nets);
-            let e = (List.length nets, (path, zero), (path, one)) in
-            Hashtbl.add paths path e;
-            e)
-  in
+  let resolver = poke_resolver design ~fail:error in
   let poke acc i j =
     let k = split_kv i j in
-    let v = sub (k + 1) j in
-    match int_of_string_opt v with
-    | None -> fail "poke value must be an integer, got %S" v
-    | Some v ->
-        let w, ((path, _) as p0), p1 = lookup (sub i k) in
-        match poke_error path v w with
-        | Some msg -> fail "%s" msg
-        | None ->
-            if v > 1 then
-              (path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v w)) :: acc
-            else (if v = 1 then p1 else p0) :: acc
+    match int_at src (k + 1) j with
+    | exception Not_found ->
+        fail "poke value must be an integer, got %S" (sub (k + 1) j)
+    | v -> poke resolver (target resolver src i k) v :: acc
   in
   let flush () =
     match !cur with
@@ -331,15 +497,16 @@ let parse_batch_file design ~watch src =
     fold_tokens
       (fun () i j ->
         let k = split_kv i j in
-        let v = sub (k + 1) j in
-        if is i k "seed" then (
-          match int_of_string_opt v with
-          | Some n -> seed := Some n
-          | None -> fail "seed must be an integer, got %S" v)
-        else if is i k "cycles" then (
-          match int_of_string_opt v with
-          | Some n when n >= 0 -> cycles := Some n
-          | _ -> fail "cycles must be a non-negative integer")
+        if is src i k "seed" then (
+          match int_at src (k + 1) j with
+          | n -> seed := Some n
+          | exception Not_found ->
+              fail "seed must be an integer, got %S" (sub (k + 1) j))
+        else if is src i k "cycles" then (
+          match int_at src (k + 1) j with
+          | n when n >= 0 -> cycles := Some n
+          | _ -> fail "cycles must be a non-negative integer"
+          | exception Not_found -> fail "cycles must be a non-negative integer")
         else fail "unknown run option %S" (sub i k))
       () i e;
     cur := Some (!seed, !cycles, [])
@@ -352,13 +519,13 @@ let parse_batch_file design ~watch src =
     if b = e || src.[b] = '#' then ()
     else
       let t = token_end b e in
-      if is b t "run" then header t e
+      if is src b t "run" then header t e
       else
         match !cur with
         | None -> fail "stimulus line before any 'run' header"
         | Some (seed, cycles, stim) ->
             let pokes =
-              if is b e "-" then [] else List.rev (fold_tokens poke [] b e)
+              if is src b e "-" then [] else List.rev (fold_tokens poke [] b e)
             in
             cur := Some (seed, cycles, pokes :: stim)
   in
@@ -376,6 +543,7 @@ let parse_batch_file design ~watch src =
     start := stop + 1
   done;
   flush ();
+  if !runs = [] then failwith (Printf.sprintf "batch file %s: no runs" name);
   List.rev !runs
 
 let sim_cmd =
@@ -506,142 +674,103 @@ let sim_cmd =
   in
   let run_batch_mode design ~engine ~jobs ~optimize ~discharged ~stats ~watch bf
       =
-    match
-      try Ok (parse_batch_file design ~watch (load ~cmd:"sim" bf))
-      with Failure m -> Error m
-    with
+    let runs = parse_batch_file design ~name:bf ~watch (load bf) in
+    let tmpl = Zeus.Sim.create ~engine ?jobs ~optimize ?discharged design in
+    match Zeus.Sim.run_batch tmpl runs with
     | Error m ->
-        Fmt.epr "batch file %s: %s@." bf m;
-        1
-    | Ok [] ->
-        Fmt.epr "batch file %s: no runs@." bf;
-        1
-    | Ok runs -> (
-        let tmpl = Zeus.Sim.create ~engine ?jobs ~optimize ?discharged design in
-        match Zeus.Sim.run_batch tmpl runs with
-        | Error m ->
-            (* the deck reader checks every path and width first *)
-            Fmt.epr "batch file %s: %s@." bf m;
-            1
-        | Ok (results, st) ->
-            List.iteri
-              (fun i (res : Zeus.Sim.batch_result) ->
-                Fmt.pr "run %d:" i;
-                List.iter
-                  (fun (p, bits) ->
-                    Fmt.pr " %s=%a" p
-                      Fmt.(list ~sep:nop Zeus.Logic.pp)
-                      bits)
-                  res.Zeus.Sim.bres_watched;
-                Fmt.pr "@.";
-                List.iter
-                  (fun (e : Zeus.Sim.runtime_error) ->
-                    Fmt.pr "runtime error (run %d, cycle %d) [%s] %s: %s@." i
-                      e.Zeus.Sim.err_cycle e.Zeus.Sim.err_code
-                      e.Zeus.Sim.err_net e.Zeus.Sim.err_message)
-                  res.Zeus.Sim.bres_errors)
-              results;
-            if stats then
-              Fmt.pr
-                "batch: runs=%d jobs=%d lanes=%d lane-groups=%d lane-runs=%d \
-                 serial-runs=%d cycles=%d@."
-                st.Zeus.Sim.bs_runs st.Zeus.Sim.bs_jobs st.Zeus.Sim.bs_lanes
-                st.Zeus.Sim.bs_lane_groups st.Zeus.Sim.bs_lane_runs
-                st.Zeus.Sim.bs_serial_runs st.Zeus.Sim.bs_cycles;
-            0)
+        (* the deck reader checks every path and width first *)
+        failwith (Printf.sprintf "batch file %s: %s" bf m)
+    | Ok (results, st) ->
+        List.iteri
+          (fun i (res : Zeus.Sim.batch_result) ->
+            Fmt.pr "run %d:" i;
+            List.iter
+              (fun (p, bits) ->
+                Fmt.pr " %s=%a" p Fmt.(list ~sep:nop Zeus.Logic.pp) bits)
+              res.Zeus.Sim.bres_watched;
+            Fmt.pr "@.";
+            List.iter
+              (fun (e : Zeus.Sim.runtime_error) ->
+                Fmt.pr "runtime error (run %d, cycle %d) [%s] %s: %s@." i
+                  e.Zeus.Sim.err_cycle e.Zeus.Sim.err_code
+                  e.Zeus.Sim.err_net e.Zeus.Sim.err_message)
+              res.Zeus.Sim.bres_errors)
+          results;
+        if stats then
+          Fmt.pr
+            "batch: runs=%d jobs=%d lanes=%d lane-groups=%d lane-runs=%d \
+             serial-runs=%d cycles=%d@."
+            st.Zeus.Sim.bs_runs st.Zeus.Sim.bs_jobs st.Zeus.Sim.bs_lanes
+            st.Zeus.Sim.bs_lane_groups st.Zeus.Sim.bs_lane_runs
+            st.Zeus.Sim.bs_serial_runs st.Zeus.Sim.bs_cycles;
+        0
   in
   let run file cycles pokes peeks do_reset trace wave explain activity vcd_out
-      engine jobs stats optimize discharge batch_file =
-    match Zeus.compile (load ~cmd:"sim" file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design -> (
-        (* a -p/-w path that names nothing, a -p of a driven net or a
-           0/1 poke on a multi-bit path is a usage error, caught before
-           the first cycle rather than half-way through a line *)
-        let usage msg =
-          Fmt.epr "sim: %s@." msg;
-          exit 2
-        in
-        let resolve path =
-          match Zeus.Elaborate.resolve_path design path with
-          | Ok nets -> nets
-          | Error msg -> usage msg
-        in
-        let width path = List.length (resolve path) in
-        if pokes <> [] then begin
-          let driven = Zeus.Graph.driven design in
-          List.iter
-            (fun (path, v) ->
-              let nets = resolve path in
-              Option.iter usage (driven_error driven path nets);
-              Option.iter usage (poke_error path v (List.length nets)))
-            pokes
-        end;
-        List.iter (fun path -> ignore (width path)) peeks;
-        let discharged =
-          if not discharge then None
-          else begin
-            let arr =
-              Zeus.Seqprove.discharged design (Zeus.Seqprove.run design)
-            in
-            Some (fun id -> id >= 0 && id < Array.length arr && arr.(id))
-          end
-        in
-        match batch_file with
-        | Some bf ->
-            run_batch_mode design ~engine ~jobs ~optimize ~discharged ~stats
-              ~watch:peeks bf
-        | None ->
+      engine jobs stats optimize discharge batch_file () =
+    Option.iter validate_jobs jobs;
+    let design = design file in
+    (* a -p/-w path that names nothing, a -p of a driven net or a poke
+       that does not fit its path is a usage error, caught before the
+       first cycle rather than half-way through a line *)
+    let resolver = poke_resolver design ~fail:(fun m -> Fail (Usage m)) in
+    let pokes =
+      List.map
+        (fun (path, v) ->
+          let t = target resolver path 0 (String.length path) in
+          (t.nets, snd (poke resolver t v)))
+        pokes
+    in
+    let nets_of path =
+      match Zeus.Elaborate.resolve_path design path with
+      | Ok nets -> nets
+      | Error m -> usage "%s" m
+    in
+    let watched = List.map (fun p -> (p, nets_of p)) peeks in
+    let discharged =
+      if not discharge then None
+      else begin
+        let arr = Zeus.Seqprove.discharged design (Zeus.Seqprove.run design) in
+        Some (fun id -> id >= 0 && id < Array.length arr && arr.(id))
+      end
+    in
+    match batch_file with
+    | Some bf ->
+        run_batch_mode design ~engine ~jobs ~optimize ~discharged ~stats
+          ~watch:peeks bf
+    | None ->
         (* so are an --explain path and an unwritable VCD file, which
            would otherwise fail only after the run *)
-        List.iter (fun path -> ignore (width path)) explain;
-        (match vcd_out with
-        | Some path when peeks <> [] -> (
-            try close_out (open_out path)
-            with Sys_error msg ->
-              usage
-                (Fmt.str "cannot write '%s': %s" path
-                   (sys_error_reason path msg)))
-        | _ -> ());
-        let sim =
-          Zeus.Sim.create ~engine ~optimize ?discharged design
-        in
-        List.iter (fun (p, v) ->
-            if v <= 1 then Zeus.Sim.poke sim p [ (if v = 1 then Zeus.Logic.One else Zeus.Logic.Zero) ]
-            else Zeus.Sim.poke_int sim p v)
-          pokes;
+        List.iter (fun path -> ignore (nets_of path)) explain;
+        let vcd_out = if peeks = [] then None else vcd_out in
+        Option.iter (fun path -> write_file path "") vcd_out;
+        let sim = Zeus.Sim.create ~engine ~optimize ?discharged design in
+        List.iter (fun (nets, bits) -> Zeus.Sim.poke_nets sim nets bits) pokes;
         if do_reset then Zeus.Sim.reset sim;
         Zeus.Sim.set_trace sim trace;
         let waves =
           if wave && peeks <> [] then Some (Zeus.Wave.create sim peeks)
           else None
         in
-        let vcd =
-          match vcd_out with
-          | Some _ when peeks <> [] -> Some (Zeus.Vcd.create sim peeks)
-          | _ -> None
-        in
+        let vcd = Option.map (fun _ -> Zeus.Vcd.create sim peeks) vcd_out in
         for c = 1 to cycles do
           Zeus.Sim.step sim;
           Option.iter Zeus.Wave.sample waves;
           Option.iter Zeus.Vcd.sample vcd;
-          if peeks <> [] && waves = None then begin
+          if watched <> [] && waves = None then begin
             Fmt.pr "cycle %d:" c;
             List.iter
-              (fun p ->
+              (fun (p, nets) ->
                 Fmt.pr " %s=%a" p
                   Fmt.(list ~sep:nop Zeus.Logic.pp)
-                  (Zeus.Sim.peek sim p))
-              peeks;
+                  (Zeus.Sim.peek_nets sim nets))
+              watched;
             Fmt.pr "@."
           end
         done;
         Option.iter (fun w -> print_string (Zeus.Wave.render w)) waves;
         (match (vcd, vcd_out) with
         | Some v, Some path ->
-            Zeus.Vcd.to_file v path;
+            write_file path (Zeus.Vcd.contents v);
             Fmt.pr "VCD written to %s@." path
         | _ -> ());
         if activity then
@@ -652,7 +781,7 @@ let sim_cmd =
           (fun path ->
             match Zeus.Explain.explain sim path ~depth:2 with
             | Ok entries -> Fmt.pr "%a@." Zeus.Explain.pp entries
-            | Error msg -> usage msg)
+            | Error msg -> usage "%s" msg)
           explain;
         if trace then
           List.iter
@@ -660,39 +789,32 @@ let sim_cmd =
             (Zeus.Sim.trace_last_cycle sim);
         if stats then begin
           Fmt.pr "node visits: %d@." (Zeus.Sim.node_visits sim);
-          (match Zeus.Sim.compiled_stats sim with
-          | None -> ()
-          | Some s ->
+          Option.iter
+            (fun (p : Zeus.Bytecode.prog) ->
               Fmt.pr
                 "compiled: ops=%d scalar=%d vector=%d vector-lanes=%d \
                  visits-per-cycle=%d check-ops=%d discharged-ops=%d@."
-                s.Zeus.Sim.c_ops s.Zeus.Sim.c_scalar_ops
-                s.Zeus.Sim.c_vector_ops s.Zeus.Sim.c_vector_lanes
-                s.Zeus.Sim.c_visits_per_cycle s.Zeus.Sim.c_check_ops
-                s.Zeus.Sim.c_discharged_ops;
-              Fmt.pr "compile time: %.3fs@." s.Zeus.Sim.c_compile_secs)
+                (Array.length p.Zeus.Bytecode.ops) p.Zeus.Bytecode.scalar_ops
+                p.Zeus.Bytecode.vector_ops p.Zeus.Bytecode.vector_lanes
+                p.Zeus.Bytecode.visits_per_cycle p.Zeus.Bytecode.check_ops
+                p.Zeus.Bytecode.discharged_ops;
+              Fmt.pr "compile time: %.3fs@." p.Zeus.Bytecode.compile_secs)
+            (Zeus.Sim.compiled_program sim)
         end;
         List.iter
           (fun (e : Zeus.Sim.runtime_error) ->
             Fmt.pr "runtime error (cycle %d) [%s] %s: %s@." e.Zeus.Sim.err_cycle
               e.Zeus.Sim.err_code e.Zeus.Sim.err_net e.Zeus.Sim.err_message)
           (Zeus.Sim.runtime_errors sim);
-        0)
+        0
   in
-  Cmd.v
-    (Cmd.info "sim" ~doc:"Simulate a design for N cycles.")
+  command "sim" ~doc:"Simulate a design for N cycles."
     Term.(
       const run $ file_arg $ cycles $ pokes $ peeks $ do_reset $ trace $ wave
       $ explain $ activity $ vcd_out $ engine $ jobs $ stats
       $ optimize $ discharge $ batch_file)
 
 let lint_cmd =
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text or json.")
-  in
   let budget =
     Arg.(
       value
@@ -701,13 +823,6 @@ let lint_cmd =
           ~doc:
             "Case-split budget of the drive-conflict prover (per driver \
              pair).  Exhausting it demotes the net to needs-runtime-check.")
-  in
-  let suppress =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "suppress" ] ~docv:"CODE"
-          ~doc:"Drop findings with this diagnostic code (repeatable).")
   in
   let modular =
     Arg.(
@@ -741,82 +856,60 @@ let lint_cmd =
              are upgraded to safe-sequential, and the Z6xx \
              reset-coverage findings are appended.")
   in
-  let run file format budget suppress max_severity modular sequential =
-    validate_suppress ~cmd:"lint" suppress;
-    validate_non_negative ~cmd:"lint" ~flag:"budget" budget;
-    let src = load ~cmd:"lint" file in
-    match Zeus.compile src with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design ->
-        let proven_safe, modular_findings =
-          if not modular then (None, [])
-          else
-            match Zeus.Parser.program src with
-            | Some prog, _ ->
-                let r = Zeus.Summary.analyze ~symbolic:false prog in
-                let proven = r.Zeus.Summary.proven_conflict_safe in
-                Fmt.pr "modular pre-pass: %s@." (Zeus.Summary.summary_line r);
-                (Some (fun t -> List.mem t proven), r.Zeus.Summary.findings)
-            | None, _ -> (None, [])
-        in
-        let report = Zeus.Lint.run ~budget ?proven_safe design in
-        let report =
-          { report with
-            Zeus.Lint.findings = modular_findings @ report.Zeus.Lint.findings }
-        in
-        let report, seq_summary =
-          if not sequential then (report, None)
-          else
-            let sp = Zeus.Seqprove.run ~budget ~lint:report design in
-            let merged = sp.Zeus.Seqprove.sp_lint in
-            ( {
-                merged with
-                Zeus.Lint.findings =
-                  merged.Zeus.Lint.findings @ sp.Zeus.Seqprove.sp_findings;
-              },
-              Some (Zeus.Seqprove.summary sp) )
-        in
-        let findings = drop_suppressed suppress report.Zeus.Lint.findings in
-        let report = { report with Zeus.Lint.findings } in
-        (match format with
-        | `Json -> print_endline (Zeus.Lint.json_of_report report)
-        | `Text ->
-            List.iter
-              (fun (v : Zeus.Lint.net_verdict) ->
-                Fmt.pr "net '%s' (%s, %d producers): %s — %s@." v.Zeus.Lint.v_name
-                  (Zeus.Etype.kind_to_string v.Zeus.Lint.v_kind)
-                  v.Zeus.Lint.v_producers
-                  (Zeus.Lint.classification_to_string v.Zeus.Lint.v_class)
-                  v.Zeus.Lint.v_detail)
-              report.Zeus.Lint.verdicts;
-            report_diags findings;
-            Option.iter (Fmt.pr "sequential: %s@.") seq_summary;
-            Fmt.pr "%s@." (Zeus.Lint.summary report));
-        let worst =
-          List.fold_left
-            (fun acc (d : Zeus.Diag.t) ->
-              match (acc, d.Zeus.Diag.severity) with
-              | `Error, _ | _, Zeus.Diag.Error -> `Error
-              | _, Zeus.Diag.Warning -> `Warning)
-            `None findings
-        in
-        let fail =
-          match (max_severity, worst) with
-          | `Error, _ -> false
-          | `Warning, w -> w = `Error
-          | `None, w -> w <> `None
-        in
-        if fail then 1 else 0
+  let run file format budget suppress max_severity modular sequential () =
+    validate_suppress suppress;
+    validate_count ~flag:"budget" budget;
+    let src = load file in
+    let design = compile src in
+    let proven_safe, modular_findings =
+      if not modular then (None, [])
+      else
+        let r = Zeus.Summary.analyze ~symbolic:false (parse src) in
+        let proven = r.Zeus.Summary.proven_conflict_safe in
+        Fmt.pr "modular pre-pass: %s@." (Zeus.Summary.summary_line r);
+        (Some (fun t -> List.mem t proven), r.Zeus.Summary.findings)
+    in
+    let report = Zeus.Lint.run ~budget ?proven_safe design in
+    let report =
+      { report with
+        Zeus.Lint.findings = modular_findings @ report.Zeus.Lint.findings }
+    in
+    let report, seq_summary =
+      if not sequential then (report, None)
+      else
+        let sp = Zeus.Seqprove.run ~budget ~lint:report design in
+        let merged = sp.Zeus.Seqprove.sp_lint in
+        ( {
+            merged with
+            Zeus.Lint.findings =
+              merged.Zeus.Lint.findings @ sp.Zeus.Seqprove.sp_findings;
+          },
+          Some (Zeus.Seqprove.summary sp) )
+    in
+    let findings = drop_suppressed suppress report.Zeus.Lint.findings in
+    let report = { report with Zeus.Lint.findings } in
+    (match format with
+    | `Json -> print_endline (Zeus.Lint.json_of_report report)
+    | `Text ->
+        List.iter
+          (fun (v : Zeus.Lint.net_verdict) ->
+            Fmt.pr "net '%s' (%s, %d producers): %s — %s@." v.Zeus.Lint.v_name
+              (Zeus.Etype.kind_to_string v.Zeus.Lint.v_kind)
+              v.Zeus.Lint.v_producers
+              (Zeus.Lint.classification_to_string v.Zeus.Lint.v_class)
+              v.Zeus.Lint.v_detail)
+          report.Zeus.Lint.verdicts;
+        report_diags findings;
+        Option.iter (Fmt.pr "sequential: %s@.") seq_summary;
+        Fmt.pr "%s@." (Zeus.Lint.summary report));
+    findings_status ~max_severity findings
   in
-  Cmd.v
-    (Cmd.info "lint"
-       ~doc:
-         "Static analysis: drive-conflict proofs, UNDEF reachability and \
-          dead hardware, with stable Zxxx diagnostic codes.")
+  command "lint"
+    ~doc:
+      "Static analysis: drive-conflict proofs, UNDEF reachability and dead \
+       hardware, with stable Zxxx diagnostic codes."
     Term.(
-      const run $ file_arg $ format $ budget $ suppress $ max_severity
+      const run $ file_arg $ format_arg $ budget $ suppress_arg $ max_severity
       $ modular $ sequential)
 
 let prove_cmd =
@@ -838,13 +931,6 @@ let prove_cmd =
             "Case-split budget of the per-state exclusivity prover (per \
              driver pair per fixpoint iteration).")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,text) (default) or $(b,json).")
-  in
   let regs =
     Arg.(
       value & flag
@@ -853,149 +939,120 @@ let prove_cmd =
             "Also print the per-register reachability table (power-up \
              mask, fixpoint mask and the reset trajectory).")
   in
-  let suppress =
-    Arg.(
-      value
-      & opt_all string []
-      & info [ "suppress" ] ~docv:"CODE"
-          ~doc:"Drop findings with this diagnostic code (repeatable).")
+  let run file depth budget format regs suppress () =
+    validate_suppress suppress;
+    validate_count ~flag:"depth" depth;
+    validate_count ~flag:"budget" budget;
+    let rep = Zeus.Seqprove.run ~depth ~budget (design file) in
+    let findings = drop_suppressed suppress rep.Zeus.Seqprove.sp_findings in
+    let rep = { rep with Zeus.Seqprove.sp_findings = findings } in
+    (match format with
+    | `Json -> print_endline (Zeus.Seqprove.json_of_report rep)
+    | `Text ->
+        if regs then
+          List.iter
+            (fun (r : Zeus.Seqprove.reg_trace) ->
+              Fmt.pr "register %-28s init=%s reachable=%s reset: %s@."
+                r.Zeus.Seqprove.rt_name
+                (Zeus.Absint.mask_to_string r.Zeus.Seqprove.rt_init)
+                (Zeus.Absint.mask_to_string r.Zeus.Seqprove.rt_fix)
+                (String.concat " -> "
+                   (Array.to_list
+                      (Array.map Zeus.Absint.mask_to_string
+                         r.Zeus.Seqprove.rt_reset))))
+            rep.Zeus.Seqprove.sp_regs;
+        List.iter
+          (fun (_, name) -> Fmt.pr "upgraded '%s': safe-sequential@." name)
+          rep.Zeus.Seqprove.sp_upgraded;
+        report_diags findings;
+        List.iter
+          (fun (w : Zeus.Seqprove.witness) ->
+            Fmt.pr "witness '%s' conflicts at cycle %d:@."
+              w.Zeus.Seqprove.w_name w.Zeus.Seqprove.w_cycle;
+            Array.iteri
+              (fun c pokes ->
+                Fmt.pr "  cycle %d:%s@." c
+                  (String.concat ""
+                     (List.map
+                        (fun (_, p, v) ->
+                          Fmt.str " %s=%s" p (Zeus.Logic.to_string v))
+                        pokes)))
+              w.Zeus.Seqprove.w_trace)
+          rep.Zeus.Seqprove.sp_witnesses;
+        Fmt.pr "%s@." (Zeus.Seqprove.summary rep));
+    findings_status findings
   in
-  let run file depth budget format regs suppress =
-    validate_suppress ~cmd:"prove" suppress;
-    validate_non_negative ~cmd:"prove" ~flag:"depth" depth;
-    validate_non_negative ~cmd:"prove" ~flag:"budget" budget;
-    match Zeus.compile (load ~cmd:"prove" file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design ->
-        let rep = Zeus.Seqprove.run ~depth ~budget design in
-        let findings = drop_suppressed suppress rep.Zeus.Seqprove.sp_findings in
-        let rep = { rep with Zeus.Seqprove.sp_findings = findings } in
-        (match format with
-        | `Json -> print_endline (Zeus.Seqprove.json_of_report rep)
-        | `Text ->
-            if regs then
-              List.iter
-                (fun (r : Zeus.Seqprove.reg_trace) ->
-                  Fmt.pr "register %-28s init=%s reachable=%s reset: %s@."
-                    r.Zeus.Seqprove.rt_name
-                    (Zeus.Absint.mask_to_string r.Zeus.Seqprove.rt_init)
-                    (Zeus.Absint.mask_to_string r.Zeus.Seqprove.rt_fix)
-                    (String.concat " -> "
-                       (Array.to_list
-                          (Array.map Zeus.Absint.mask_to_string
-                             r.Zeus.Seqprove.rt_reset))))
-                rep.Zeus.Seqprove.sp_regs;
-            List.iter
-              (fun (_, name) -> Fmt.pr "upgraded '%s': safe-sequential@." name)
-              rep.Zeus.Seqprove.sp_upgraded;
-            report_diags findings;
-            List.iter
-              (fun (w : Zeus.Seqprove.witness) ->
-                Fmt.pr "witness '%s' conflicts at cycle %d:@."
-                  w.Zeus.Seqprove.w_name w.Zeus.Seqprove.w_cycle;
-                Array.iteri
-                  (fun c pokes ->
-                    Fmt.pr "  cycle %d:%s@." c
-                      (String.concat ""
-                         (List.map
-                            (fun (_, p, v) ->
-                              Fmt.str " %s=%s" p (Zeus.Logic.to_string v))
-                            pokes)))
-                  w.Zeus.Seqprove.w_trace)
-              rep.Zeus.Seqprove.sp_witnesses;
-            Fmt.pr "%s@." (Zeus.Seqprove.summary rep));
-        if
-          List.exists
-            (fun (d : Zeus.Diag.t) -> d.Zeus.Diag.severity = Zeus.Diag.Error)
-            findings
-        then 1
-        else 0
+  command "prove"
+    ~doc:
+      "Bounded sequential prover: k-cycle symbolic reachability over \
+       register state — upgrades needs-runtime-check nets to \
+       safe-sequential, lints reset coverage (Z601/Z602) and searches for \
+       concrete conflict witnesses (Z603)."
+    Term.(
+      const run $ file_arg $ depth $ budget $ format_arg $ regs $ suppress_arg)
+
+(* [layout] and [place] work on one top-level instance: [-t]'s, else the
+   first top-level signal's *)
+let top_arg =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "t"; "top" ] ~doc:"Top-level signal (default: first).")
+
+let top_instance design top =
+  let name =
+    match (top, design.Zeus.Elaborate.tops) with
+    | Some t, _ | None, (t, _) :: _ -> t
+    | None, [] -> rejected "no top-level signal"
   in
-  Cmd.v
-    (Cmd.info "prove"
-       ~doc:
-         "Bounded sequential prover: k-cycle symbolic reachability over \
-          register state — upgrades needs-runtime-check nets to \
-          safe-sequential, lints reset coverage (Z601/Z602) and searches \
-          for concrete conflict witnesses (Z603).")
-    Term.(const run $ file_arg $ depth $ budget $ format $ regs $ suppress)
+  match
+    List.find_opt
+      (fun (i : Zeus.Netlist.instance) -> i.Zeus.Netlist.ipath = name)
+      (Zeus.Netlist.instances design.Zeus.Elaborate.netlist)
+  with
+  | Some i -> i
+  | None -> usage "no such top-level signal: %s" name
 
 let layout_cmd =
-  let top =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "t"; "top" ] ~doc:"Top-level signal (default: first).")
+  let run file top () =
+    let design = design file in
+    print_string
+      (Zeus.Render.to_string
+         (Zeus.Floorplan.of_instance design (top_instance design top)));
+    0
   in
-  let run file top =
-    match Zeus.compile (load ~cmd:"layout" file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design -> (
-        let name =
-          match top with
-          | Some t -> Some t
-          | None -> (
-              match design.Zeus.Elaborate.tops with
-              | (n, _) :: _ -> Some n
-              | [] -> None)
-        in
-        match name with
-        | None ->
-            Fmt.epr "no top-level signal@.";
-            1
-        | Some name -> (
-            match Zeus.Floorplan.of_design design name with
-            | Some plan ->
-                print_string (Zeus.Render.to_string plan);
-                0
-            | None ->
-                Fmt.epr "no such top-level signal: %s@." name;
-                1))
-  in
-  Cmd.v
-    (Cmd.info "layout" ~doc:"ASCII floorplan of a top-level signal.")
-    Term.(const run $ file_arg $ top)
+  command "layout" ~doc:"ASCII floorplan of a top-level signal."
+    Term.(const run $ file_arg $ top_arg)
 
 let tree_cmd =
-  let run file =
-    match Zeus.compile (load ~cmd:"tree" file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design ->
-        let nl = design.Zeus.Elaborate.netlist in
-        let depth_of path =
-          String.fold_left (fun n c -> if c = '.' then n + 1 else n) 0 path
-        in
-        List.iter
-          (fun (i : Zeus.Netlist.instance) ->
-            if not i.Zeus.Netlist.is_function_call then begin
-              let indent = String.make (2 * depth_of i.Zeus.Netlist.ipath) ' ' in
-              let ports =
-                String.concat " "
-                  (List.map
-                     (fun (n, m, nets) ->
-                       Fmt.str "%s%s:%d"
-                         (match m with
-                         | Zeus.Etype.In -> ">"
-                         | Zeus.Etype.Out -> "<"
-                         | Zeus.Etype.Inout -> "=")
-                         n (List.length nets))
-                     i.Zeus.Netlist.iports)
-              in
-              Fmt.pr "%s%s : %s  %s@." indent i.Zeus.Netlist.ipath
-                i.Zeus.Netlist.itype ports
-            end)
-          (Zeus.Netlist.instances nl);
-        0
+  let run file () =
+    let depth_of path =
+      String.fold_left (fun n c -> if c = '.' then n + 1 else n) 0 path
+    in
+    List.iter
+      (fun (i : Zeus.Netlist.instance) ->
+        if not i.Zeus.Netlist.is_function_call then begin
+          let indent = String.make (2 * depth_of i.Zeus.Netlist.ipath) ' ' in
+          let ports =
+            String.concat " "
+              (List.map
+                 (fun (n, m, nets) ->
+                   Fmt.str "%s%s:%d"
+                     (match m with
+                     | Zeus.Etype.In -> ">"
+                     | Zeus.Etype.Out -> "<"
+                     | Zeus.Etype.Inout -> "=")
+                     n (List.length nets))
+                 i.Zeus.Netlist.iports)
+          in
+          Fmt.pr "%s%s : %s  %s@." indent i.Zeus.Netlist.ipath
+            i.Zeus.Netlist.itype ports
+        end)
+      (Zeus.Netlist.instances (design file).Zeus.Elaborate.netlist);
+    0
   in
-  Cmd.v
-    (Cmd.info "tree"
-       ~doc:"Instance hierarchy with port widths (> IN, < OUT, = INOUT).")
+  command "tree"
+    ~doc:"Instance hierarchy with port widths (> IN, < OUT, = INOUT)."
     Term.(const run $ file_arg)
 
 let opt_cmd =
@@ -1008,123 +1065,77 @@ let opt_cmd =
              interpretation classified non-varying (const-0/1, stuck-X, \
              stuck-Z) or unobservable.")
   in
-  let format =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: $(b,text) (default) or $(b,json).")
+  let run file stats format () =
+    let r = Zeus.Reduce.run (design file) in
+    (match format with
+    | `Json -> print_string (Zeus.Reduce.json_of_result r ^ "\n")
+    | `Text ->
+        Fmt.pr "%a@." Zeus.Reduce.pp_stats r.Zeus.Reduce.stats;
+        if stats then
+          List.iter
+            (fun (_, name, cls, observable, producers) ->
+              Fmt.pr "  %-8s %s (%d producer%s%s)@."
+                (Zeus.Absint.classification_to_string cls)
+                name producers
+                (if producers = 1 then "" else "s")
+                (if observable then "" else ", unobservable"))
+            (Zeus.Reduce.proof_table r));
+    0
   in
-  let run file stats format =
-    match Zeus.compile (load ~cmd:"opt" file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design ->
-        let r = Zeus.Reduce.run design in
-        (match format with
-        | `Json -> print_string (Zeus.Reduce.json_of_result r ^ "\n")
-        | `Text ->
-            Fmt.pr "%a@." Zeus.Reduce.pp_stats r.Zeus.Reduce.stats;
-            if stats then
-              List.iter
-                (fun (_, name, cls, observable, producers) ->
-                  Fmt.pr "  %-8s %s (%d producer%s%s)@."
-                    (Zeus.Absint.classification_to_string cls)
-                    name producers
-                    (if producers = 1 then "" else "s")
-                    (if observable then "" else ", unobservable"))
-                (Zeus.Reduce.proof_table r));
-        0
-  in
-  Cmd.v
-    (Cmd.info "opt"
-       ~doc:
-         "Four-valued abstract interpretation + proof-carrying netlist \
-          reduction.")
-    Term.(const run $ file_arg $ stats $ format)
+  command "opt"
+    ~doc:
+      "Four-valued abstract interpretation + proof-carrying netlist \
+       reduction."
+    Term.(const run $ file_arg $ stats $ format_arg)
 
 let place_cmd =
-  let top =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "t"; "top" ] ~doc:"Top-level signal (default: first).")
-  in
-  let run file top =
-    match Zeus.compile (load ~cmd:"place" file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design -> (
-        let name =
-          match top with
-          | Some t -> Some t
-          | None -> (
-              match design.Zeus.Elaborate.tops with
-              | (n, _) :: _ -> Some n
-              | [] -> None)
-        in
-        match name with
-        | None ->
-            Fmt.epr "no top-level signal@.";
-            1
-        | Some name -> (
-            match Zeus.Autoplace.place design name with
-            | Some plan ->
-                print_string (Zeus.Render.to_string plan);
-                Fmt.pr "estimated wirelength: %d@."
-                  (Zeus.Autoplace.wirelength design plan);
-                (match Zeus.Floorplan.of_design design name with
-                | Some explicit ->
-                    Fmt.pr "designer layout wirelength: %d@."
-                      (Zeus.Autoplace.wirelength design explicit)
-                | None -> ());
-                0
-            | None ->
-                Fmt.epr "nothing to place under %s@." name;
-                1))
-  in
-  Cmd.v
-    (Cmd.info "place"
-       ~doc:"Automatic dataflow placement (vs the designer's layout).")
-    Term.(const run $ file_arg $ top)
-
-let dot_cmd =
-  let run file =
-    match Zeus.compile (load ~cmd:"dot" file) with
-    | Error diags ->
-        report_diags diags;
-        1
-    | Ok design ->
-        let g = Zeus.Graph.build design in
-        Fmt.pr "digraph zeus {@.";
-        Array.iteri
-          (fun i node ->
-            let label, out =
-              match node with
-              | Zeus.Graph.Ngate { op; output; _ } ->
-                  (Zeus.Netlist.gate_op_to_string op, output)
-              | Zeus.Graph.Ndriver { guard; target; _ } ->
-                  ((match guard with Some _ -> "IF" | None -> ":="), target)
-            in
-            Fmt.pr "  n%d [label=\"%s\"];@." i label;
-            Fmt.pr "  n%d -> s%d;@." i out;
-            List.iter
-              (function
-                | Zeus.Netlist.Snet s -> Fmt.pr "  s%d -> n%d;@." s i
-                | Zeus.Netlist.Sconst _ -> ())
-              (Zeus.Graph.node_inputs node))
-          g.Zeus.Graph.nodes;
-        (* names are per dense class id — exactly the ids the edges use *)
-        Array.iteri
-          (fun c name -> Fmt.pr "  s%d [shape=box,label=%S];@." c name)
-          g.Zeus.Graph.names;
-        Fmt.pr "}@.";
+  let run file top () =
+    let design = design file in
+    let inst = top_instance design top in
+    let name = inst.Zeus.Netlist.ipath in
+    match Zeus.Autoplace.place design name with
+    | None -> rejected "nothing to place under %s" name
+    | Some plan ->
+        print_string (Zeus.Render.to_string plan);
+        Fmt.pr "estimated wirelength: %d@." (Zeus.Autoplace.wirelength design plan);
+        Fmt.pr "designer layout wirelength: %d@."
+          (Zeus.Autoplace.wirelength design
+             (Zeus.Floorplan.of_instance design inst));
         0
   in
-  Cmd.v
-    (Cmd.info "dot" ~doc:"Semantics graph in Graphviz format.")
+  command "place"
+    ~doc:"Automatic dataflow placement (vs the designer's layout)."
+    Term.(const run $ file_arg $ top_arg)
+
+let dot_cmd =
+  let run file () =
+    let g = Zeus.Graph.build (design file) in
+    Fmt.pr "digraph zeus {@.";
+    Array.iteri
+      (fun i node ->
+        let label, out =
+          match node with
+          | Zeus.Graph.Ngate { op; output; _ } ->
+              (Zeus.Netlist.gate_op_to_string op, output)
+          | Zeus.Graph.Ndriver { guard; target; _ } ->
+              ((match guard with Some _ -> "IF" | None -> ":="), target)
+        in
+        Fmt.pr "  n%d [label=\"%s\"];@." i label;
+        Fmt.pr "  n%d -> s%d;@." i out;
+        List.iter
+          (function
+            | Zeus.Netlist.Snet s -> Fmt.pr "  s%d -> n%d;@." s i
+            | Zeus.Netlist.Sconst _ -> ())
+          (Zeus.Graph.node_inputs node))
+      g.Zeus.Graph.nodes;
+    (* names are per dense class id — exactly the ids the edges use *)
+    Array.iteri
+      (fun c name -> Fmt.pr "  s%d [shape=box,label=%S];@." c name)
+      g.Zeus.Graph.names;
+    Fmt.pr "}@.";
+    0
+  in
+  command "dot" ~doc:"Semantics graph in Graphviz format."
     Term.(const run $ file_arg)
 
 let export_cmd =
@@ -1172,52 +1183,32 @@ let export_cmd =
       & info [ "module-name" ] ~docv:"NAME"
           ~doc:"Verilog module name (default: the first top-level signal).")
   in
-  let run file verilog output testbench cycles seed module_name =
-    if not verilog then begin
-      Fmt.epr "export: no format selected; pass --verilog@.";
-      2
-    end
-    else
-      match Zeus.compile (load ~cmd:"export" file) with
-      | Error diags ->
-          report_diags diags;
-          1
-      | Ok design -> (
-          match Zeus.Verilog.export ?module_name design with
-          | Error e ->
-              Fmt.epr "export: %s@." (Zeus.Verilog.error_to_string e);
-              1
-          | Ok v -> (
-              let tb =
-                if not testbench then Ok ""
-                else
-                  let deck = Zeus.Verilog.random_deck ~seed ~cycles v in
-                  Zeus.Verilog.testbench ~seed v deck
-              in
-              match tb with
-              | Error msg ->
-                  Fmt.epr "export: testbench: %s@." msg;
-                  1
-              | Ok tb ->
-                  let text =
-                    if testbench then v.Zeus.Verilog.text ^ "\n" ^ tb
-                    else v.Zeus.Verilog.text
-                  in
-                  (match output with
-                  | None -> print_string text
-                  | Some path ->
-                      Out_channel.with_open_bin path (fun oc ->
-                          Out_channel.output_string oc text));
-                  0))
+  let run file verilog output testbench cycles seed module_name () =
+    if not verilog then usage "no format selected; pass --verilog";
+    let v =
+      match Zeus.Verilog.export ?module_name (design file) with
+      | Ok v -> v
+      | Error e -> rejected "%s" (Zeus.Verilog.error_to_string e)
+    in
+    let text =
+      if not testbench then v.Zeus.Verilog.text
+      else
+        let deck = Zeus.Verilog.random_deck ~seed ~cycles v in
+        match Zeus.Verilog.testbench ~seed v deck with
+        | Ok tb -> v.Zeus.Verilog.text ^ "\n" ^ tb
+        | Error msg -> rejected "testbench: %s" msg
+    in
+    (match output with
+    | None -> print_string text
+    | Some path -> write_file path text);
+    0
   in
-  Cmd.v
-    (Cmd.info "export"
-       ~doc:
-         "Lower a design to synthesizable structural Verilog: four-valued \
-          nets as 0/1/x/z, guarded drivers as conditional continuous \
-          assigns with explicit 1'bz release, registers as clocked \
-          always-blocks.  Designs with combinational cycles cannot be \
-          exported.")
+  command "export"
+    ~doc:
+      "Lower a design to synthesizable structural Verilog: four-valued nets \
+       as 0/1/x/z, guarded drivers as conditional continuous assigns with \
+       explicit 1'bz release, registers as clocked always-blocks.  Designs \
+       with combinational cycles cannot be exported."
     Term.(
       const run $ file_arg $ verilog $ output $ testbench $ cycles $ seed
       $ module_name)
@@ -1282,10 +1273,10 @@ let fuzz_cmd =
       & info [ "j"; "jobs" ] ~docv:"N"
           ~doc:"Domains for $(b,--batch) detection (default 4).")
   in
-  let run count seed corpus_dir shrink_budget comb_only quiet batch jobs =
-    validate_non_negative ~cmd:"fuzz" ~flag:"count" count;
-    validate_non_negative ~cmd:"fuzz" ~flag:"jobs" jobs;
-    validate_non_negative ~cmd:"fuzz" ~flag:"shrink-budget" shrink_budget;
+  let run count seed corpus_dir shrink_budget comb_only quiet batch jobs () =
+    validate_count ~flag:"count" count;
+    validate_jobs jobs;
+    validate_count ~flag:"shrink-budget" shrink_budget;
     let profile = if comb_only then Zeus.Gen.comb else Zeus.Gen.full in
     let log = if quiet then ignore else fun s -> Fmt.epr "%s@." s in
     if (not quiet) && not (Zeus.Oracle.iverilog_available ()) then
@@ -1315,14 +1306,13 @@ let fuzz_cmd =
           failures;
         Fmt.pr "fuzz: %d cases, %d divergences (seed %d)@."
           summary.Zeus.Fuzz.tested (List.length failures) seed;
-        1
+        exit_failed
   in
-  Cmd.v
-    (Cmd.info "fuzz"
-       ~doc:
-         "Differential fuzzing: random full-language programs checked against \
-          the oracle matrix (pretty-print round trip, re-elaboration, all \
-          simulator engines, lint vs runtime conflicts), with shrinking.")
+  command "fuzz"
+    ~doc:
+      "Differential fuzzing: random full-language programs checked against \
+       the oracle matrix (pretty-print round trip, re-elaboration, all \
+       simulator engines, lint vs runtime conflicts), with shrinking."
     Term.(
       const run $ count $ seed $ corpus_dir $ shrink_budget $ comb_only $ quiet
       $ batch $ jobs)
@@ -1335,7 +1325,7 @@ let corpus_cmd =
       & info [] ~docv:"NAME" ~doc:"Example name (omit to list).")
   in
   let all = Zeus.Corpus.all_named @ Zeus.Corpus_fsm.all_named in
-  let run name =
+  let run name () =
     match name with
     | None ->
         List.iter (fun (n, _) -> print_endline n) all;
@@ -1345,17 +1335,14 @@ let corpus_cmd =
         | Some src ->
             print_string src;
             0
-        | None ->
-            Fmt.epr "unknown example %S; try 'zeusc corpus'@." n;
-            1)
+        | None -> usage "unknown example %S; try 'zeusc corpus'" n)
   in
-  Cmd.v
-    (Cmd.info "corpus" ~doc:"Print a built-in example program.")
+  command "corpus" ~doc:"Print a built-in example program."
     Term.(const run $ name_arg)
 
 let () =
   let info =
-    Cmd.info "zeusc" ~version:"1.0.0"
+    Cmd.info "zeusc" ~version:"1.0.0" ~exits
       ~doc:"Compiler, simulator and floorplanner for the Zeus HDL (DAC 1983)."
   in
   exit

@@ -61,19 +61,6 @@ let engine_name = function
 
 let all_engines = [ Firing; Incremental; Compiled ]
 
-(* observable shape of the compiled program (--stats) — all counters
-   except the compile time are deterministic functions of the design *)
-type compiled_stats = {
-  c_ops : int; (* program length, opcodes *)
-  c_scalar_ops : int;
-  c_vector_ops : int; (* wide 32-lane word ops *)
-  c_vector_lanes : int; (* classes covered by vector ops *)
-  c_visits_per_cycle : int; (* node evaluations the program encodes *)
-  c_check_ops : int; (* conflict-check sites kept (classes) *)
-  c_discharged_ops : int; (* conflict-check sites statically discharged *)
-  c_compile_secs : float;
-}
-
 type runtime_error = {
   err_cycle : int;
   err_net : string;
@@ -1131,21 +1118,7 @@ let step_warm t =
     t.run_len <- t.run_len + 1
   else t.run_len <- 0
 
-let compiled_stats t =
-  match t.cprog with
-  | Some p ->
-      Some
-        {
-          c_ops = Array.length p.Bytecode.ops;
-          c_scalar_ops = p.Bytecode.scalar_ops;
-          c_vector_ops = p.Bytecode.vector_ops;
-          c_vector_lanes = p.Bytecode.vector_lanes;
-          c_visits_per_cycle = p.Bytecode.visits_per_cycle;
-          c_check_ops = p.Bytecode.check_ops;
-          c_discharged_ops = p.Bytecode.discharged_ops;
-          c_compile_secs = p.Bytecode.compile_secs;
-        }
-  | None -> None
+let compiled_program t = t.cprog
 
 let step t =
   match t.engine with

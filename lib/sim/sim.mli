@@ -67,22 +67,6 @@ val engine_name : engine -> string
 (** All engines, in declaration order — for tests and CLI enumeration. *)
 val all_engines : engine list
 
-(** Shape of the {!Compiled} engine's program.  Every field except
-    [c_compile_secs] is a deterministic function of the design — no
-    wall clock — so the counters are golden-testable. *)
-type compiled_stats = {
-  c_ops : int;  (** program length, opcodes *)
-  c_scalar_ops : int;
-  c_vector_ops : int;  (** wide 32-lane word ops *)
-  c_vector_lanes : int;  (** classes covered by vector ops *)
-  c_visits_per_cycle : int;  (** node evaluations the program encodes *)
-  c_check_ops : int;
-      (** per-cycle runtime conflict-check sites kept, in classes *)
-  c_discharged_ops : int;
-      (** conflict-check sites elided by a static discharge proof *)
-  c_compile_secs : float;  (** one-time lowering cost *)
-}
-
 type runtime_error = {
   err_cycle : int;
   err_net : string;
@@ -110,7 +94,7 @@ type t
     original canonical net ids} — the indexing of
     {!Zeus_sem.Seqprove.discharged} — marking nets whose runtime drive
     conflict check was statically proved redundant: their check ops
-    compile away ([c_discharged_ops] counts them).  Values never
+    compile away ([Bytecode.discharged_ops] counts them).  Values never
     change, only Z101 reporting; the proofs assume defined inputs, so
     the discharge is opt-in ([zeusc sim --discharge]). *)
 val create :
@@ -201,9 +185,12 @@ val node_visits : t -> int
     engines). *)
 val program_cycles : t -> int
 
-(** Shape of the {!Compiled} engine's program; [None] for every other
-    engine and for cyclic designs (which fall back uncompiled). *)
-val compiled_stats : t -> compiled_stats option
+(** The {!Compiled} engine's program, whose counters give its shape:
+    every one but [compile_secs] is a deterministic function of the
+    design — no wall clock — so they are golden-testable.  [None] for
+    every other engine and for cyclic designs (which fall back
+    uncompiled). *)
+val compiled_program : t -> Bytecode.prog option
 
 (** Switching activity: the nets with the most value changes between
     consecutive cycles so far (a classic dynamic-power proxy), highest

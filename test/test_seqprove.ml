@@ -168,15 +168,15 @@ let test_discharge () =
   let pred id = id >= 0 && id < Array.length disch && disch.(id) in
   let plain = Sim.create ~engine:Sim.Compiled design in
   let cut = Sim.create ~engine:Sim.Compiled ~discharged:pred design in
-  (match (Sim.compiled_stats plain, Sim.compiled_stats cut) with
+  (match (Sim.compiled_program plain, Sim.compiled_program cut) with
   | Some p, Some c ->
       Alcotest.(check bool) "plain run still checks" true
-        (p.Sim.c_check_ops > 0);
+        (p.Bytecode.check_ops > 0);
       Alcotest.(check bool) "checks dropped" true
-        (c.Sim.c_check_ops < p.Sim.c_check_ops);
+        (c.Bytecode.check_ops < p.Bytecode.check_ops);
       Alcotest.(check int) "total conserved"
-        (p.Sim.c_check_ops + p.Sim.c_discharged_ops)
-        (c.Sim.c_check_ops + c.Sim.c_discharged_ops)
+        (p.Bytecode.check_ops + p.Bytecode.discharged_ops)
+        (c.Bytecode.check_ops + c.Bytecode.discharged_ops)
   | _ -> Alcotest.fail "compiled engine not available");
   (* value identity under a defined stimulus *)
   for cycle = 0 to 7 do

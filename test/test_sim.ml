@@ -906,11 +906,12 @@ let test_compiled_restart_reentry () =
 let test_compiled_stats_deterministic () =
   let d = compile (Corpus.adder_n 16) in
   let shape () =
-    match Sim.compiled_stats (Sim.create ~engine:Sim.Compiled d) with
+    match Sim.compiled_program (Sim.create ~engine:Sim.Compiled d) with
     | None -> Alcotest.fail "compiled engine must report stats"
-    | Some s ->
-        (s.Sim.c_ops, s.Sim.c_scalar_ops, s.Sim.c_vector_ops,
-         s.Sim.c_vector_lanes, s.Sim.c_visits_per_cycle)
+    | Some p ->
+        (Array.length p.Bytecode.ops, p.Bytecode.scalar_ops,
+         p.Bytecode.vector_ops, p.Bytecode.vector_lanes,
+         p.Bytecode.visits_per_cycle)
   in
   let ((ops, scalar, vector, lanes, visits) as a) = shape () in
   Alcotest.(check bool) "stats are deterministic" true (a = shape ());
@@ -920,7 +921,7 @@ let test_compiled_stats_deterministic () =
   Alcotest.(check bool) "program encodes every node" true (visits > 0);
   let other = Sim.create ~engine:Sim.Incremental d in
   Alcotest.(check bool) "other engines report no compiled stats" true
-    (Sim.compiled_stats other = None)
+    (Option.is_none (Sim.compiled_program other))
 
 (* ---- VCD output ---- *)
 
