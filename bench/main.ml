@@ -28,8 +28,10 @@
    E16 to BENCH_opt.json, E17 to BENCH_compiled.json, E18 to
    BENCH_batch.json and E19 to BENCH_prove.json.  Pass --smoke to run
    only the (shortened) simulator, modular, reduction, compiled, batch
-   and prove benches and the JSON dumps — the CI mode; --batch-smoke
-   runs E18 alone at 2 domains (the CI batch artifact job).  (E15, a
+   and prove benches and the JSON dumps — the mode the bench guard of
+   `dune runtest` (bench/dune) checks against bench/baselines/;
+   --batch-smoke runs E18 alone at 2 domains (the CI batch artifact
+   job).  (E15, a
    per-level domain-parallel engine, was retired; see EXPERIMENTS.md.) *)
 
 open Zeus
@@ -626,19 +628,123 @@ let a1_machines () =
     (List.length (Sim.runtime_errors sim))
 
 (* ------------------------------------------------------------------ *)
-(* E13: the cross-cycle incremental engine                              *)
+(* One measurement path for E13-E19                                     *)
 (* ------------------------------------------------------------------ *)
 
-type e13_row = {
-  r_design : string;
-  r_cycles : int;
-  r_firing_visits : int;
-  r_firing_secs : float;
-  r_incr_visits : int;
-  r_incr_secs : float;
-  r_quiescent_visits : int; (* total over 10 stimulus-free cycles *)
-  r_agree : bool; (* snapshots identical after the workload *)
-}
+(* A result row is an ordered list of named fields; a [Group] nests
+   exactly where the JSON nests.  One writer turns the rows into a
+   BENCH_*.json and one printer turns the same rows into the stdout
+   table, so every derived ratio is computed once, when the row is
+   built.  check_bench reads the key names, so they never change. *)
+type value =
+  | Label of string
+  | Count of int
+  | Secs of float
+  | Ratio of float
+  | Flag of bool
+  | Group of row
+
+and row = (string * value) list
+
+let ratio a b = a /. Float.max 1e-9 b
+
+let visits_secs visits secs =
+  Group [ ("node_visits", Count visits); ("seconds", Secs secs) ]
+
+(* the one clock: wall time, in seconds, of [f ()] *)
+let timed f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
+
+(* one engine run: the warm-up pokes, one uncounted cold-start cycle
+   (which also holds any one-time compile), then [cycles] stimulated
+   cycles; returns their node visits and seconds, and the handle *)
+let drive engine ?discharged ~cycles d (warm, stim) =
+  let sim = Sim.create ~engine ?discharged d in
+  warm sim;
+  Sim.step sim;
+  let v0 = Sim.node_visits sim in
+  let (), secs =
+    timed (fun () ->
+        for c = 1 to cycles do
+          stim sim c;
+          Sim.step sim
+        done)
+  in
+  (Sim.node_visits sim - v0, secs, sim)
+
+let quote s = "\"" ^ Diag.json_escape s ^ "\""
+
+let rec json = function
+  | Label s -> quote s
+  | Count n -> string_of_int n
+  | Secs s -> Printf.sprintf "%.6f" s
+  | Ratio r -> Printf.sprintf "%.2f" r
+  | Flag b -> string_of_bool b
+  | Group fields -> "{" ^ String.concat ", " (List.map json_field fields) ^ "}"
+
+and json_field (k, v) = quote k ^ ": " ^ json v
+
+(* a table column is a header and the dotted path of the field it
+   shows; the first column is left-aligned, the rest right-aligned *)
+let print_table columns rows =
+  let cell row path =
+    match
+      List.fold_left
+        (fun v k ->
+          match v with Group g -> List.assoc k g | _ -> raise Not_found)
+        (Group row)
+        (String.split_on_char '.' path)
+    with
+    | Label s -> s
+    | v -> json v
+  in
+  let lines =
+    List.map fst columns
+    :: List.map (fun row -> List.map (fun (_, p) -> cell row p) columns) rows
+  in
+  let widths =
+    List.fold_left
+      (List.map2 (fun w c -> max w (String.length c)))
+      (List.map (fun _ -> 0) columns)
+      lines
+  in
+  List.iter
+    (fun line ->
+      List.iteri
+        (fun i (w, c) ->
+          if i = 0 then Fmt.pr "  %-*s" w c else Fmt.pr " %*s" w c)
+        (List.combine widths line);
+      Fmt.pr "@.")
+    lines
+
+(* the table, then the file: one experiment per row; a row's scalars
+   share a line and each of its groups gets a line of its own *)
+let report path columns rows =
+  print_table columns rows;
+  let group = function _, Group _ -> true | _ -> false in
+  let rec join prev = function
+    | [] -> ""
+    | f :: rest ->
+        (if group prev || group f then ",\n     " else ", ")
+        ^ json_field f ^ join f rest
+  in
+  let row = function
+    | [] -> "    {}"
+    | f :: rest -> "    {" ^ json_field f ^ join f rest ^ "}"
+  in
+  let oc = open_out path in
+  output_string oc
+    ("{\n  \"experiments\": [\n"
+    ^ String.concat ",\n" (List.map row rows)
+    ^ "\n  ]\n}\n");
+  close_out oc;
+  Fmt.pr "wrote %s@." path
+
+(* ------------------------------------------------------------------ *)
+(* E13: the cross-cycle incremental engine                              *)
+(* ------------------------------------------------------------------ *)
 
 (* Low-activity workloads: a handful of input bits change per cycle
    while the bulk of the design is quiet — the regime the cross-cycle
@@ -669,91 +775,45 @@ let e13_workloads =
       fun sim c -> Sim.poke_bool sim "adder.cin" (c land 1 = 1) );
   ]
 
-let e13_write_json rows path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"cycles\": %d,\n\
-           \     \"firing\": {\"node_visits\": %d, \"seconds\": %.6f},\n\
-           \     \"incremental\": {\"node_visits\": %d, \"seconds\": %.6f},\n\
-           \     \"visit_ratio\": %.2f, \"quiescent_visits_per_cycle\": %d,\n\
-           \     \"snapshots_agree\": %b}"
-           r.r_design r.r_cycles r.r_firing_visits r.r_firing_secs
-           r.r_incr_visits r.r_incr_secs
-           (float_of_int r.r_firing_visits
-           /. float_of_int (max 1 r.r_incr_visits))
-           (r.r_quiescent_visits / 10)
-           r.r_agree))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 let e13_incremental ~cycles () =
   section "E13"
     "cross-cycle incremental engine: node visits and wall clock vs \
      per-cycle firing (low-activity workloads)";
   let bench (name, src, warm, stim) =
     let d = compile src in
-    let run engine =
-      let sim = Sim.create ~engine d in
-      warm sim;
-      Sim.step sim;
-      (* cold-start cycle excluded from the counts *)
-      let v0 = Sim.node_visits sim in
-      let t0 = Sys.time () in
-      for c = 1 to cycles do
-        stim sim c;
-        Sim.step sim
-      done;
-      (Sim.node_visits sim - v0, Sys.time () -. t0, sim)
-    in
-    let fv, fs, fsim = run Sim.Firing in
-    let iv, is_, isim = run Sim.Incremental in
+    let fv, fs, fsim = drive Sim.Firing ~cycles d (warm, stim) in
+    let iv, is_, isim = drive Sim.Incremental ~cycles d (warm, stim) in
     let agree = Sim.snapshot fsim = Sim.snapshot isim in
     (* a fully quiescent tail: the incremental engine must do no work *)
     let q0 = Sim.node_visits isim in
     Sim.step_n isim 10;
     let qv = Sim.node_visits isim - q0 in
-    { r_design = name; r_cycles = cycles; r_firing_visits = fv;
-      r_firing_secs = fs; r_incr_visits = iv; r_incr_secs = is_;
-      r_quiescent_visits = qv; r_agree = agree }
+    [
+      ("design", Label name);
+      ("cycles", Count cycles);
+      ("firing", visits_secs fv fs);
+      ("incremental", visits_secs iv is_);
+      ( "visit_ratio",
+        Ratio (ratio (float_of_int fv) (float_of_int (max 1 iv))) );
+      ("quiescent_visits_per_cycle", Count (qv / 10));
+      ("snapshots_agree", Flag agree);
+    ]
   in
-  let rows = List.map bench e13_workloads in
-  Fmt.pr "  %-24s %6s %10s %9s %10s %9s %7s %6s %6s@." "workload" "cycles"
-    "fire-vis" "fire-s" "incr-vis" "incr-s" "ratio" "quiet" "agree";
-  List.iter
-    (fun r ->
-      Fmt.pr "  %-24s %6d %10d %9.4f %10d %9.4f %6.1fx %6d %6s@." r.r_design
-        r.r_cycles r.r_firing_visits r.r_firing_secs r.r_incr_visits
-        r.r_incr_secs
-        (float_of_int r.r_firing_visits
-        /. float_of_int (max 1 r.r_incr_visits))
-        (r.r_quiescent_visits / 10)
-        (if r.r_agree then "yes" else "NO"))
-    rows;
+  report "BENCH_sim.json"
+    [
+      ("workload", "design"); ("cycles", "cycles");
+      ("fire-vis", "firing.node_visits"); ("fire-s", "firing.seconds");
+      ("incr-vis", "incremental.node_visits");
+      ("incr-s", "incremental.seconds"); ("ratio", "visit_ratio");
+      ("quiet", "quiescent_visits_per_cycle"); ("agree", "snapshots_agree");
+    ]
+    (List.map bench e13_workloads);
   Fmt.pr "(\"quiet\" = incremental node visits per fully quiescent cycle — \
-          must be 0)@.";
-  e13_write_json rows "BENCH_sim.json"
+          must be 0)@."
 
 (* ------------------------------------------------------------------ *)
 (* E14: modular summary analysis vs elaborate-then-lint                 *)
 (* ------------------------------------------------------------------ *)
-
-type e14_row = {
-  m_design : string;
-  m_nets : int; (* elaborated design size, for scale *)
-  m_mod_secs : float;
-  m_summaries : int; (* (type, signature) summaries the modular pass built *)
-  m_elab_secs : float;
-  m_proven : bool; (* top type proved conflict-safe AND cycle-free *)
-}
 
 (* The modular pass is O(types × signatures): the recursive families
    need log N summaries while elaboration builds Θ(N log N) hardware,
@@ -776,75 +836,57 @@ let e14_bench family mk ty n =
         exit 1
   in
   (* modular: parse + summaries, no cache, no elaboration; averaged over
-     a few repetitions because a single run is near the clock tick *)
+     a few repetitions because a single run takes well under a
+     millisecond *)
   let reps = 5 in
-  let t0 = Sys.time () in
-  let res = ref None in
-  for _ = 1 to reps do
-    res := Some (Summary.analyze prog)
-  done;
-  let mod_secs = (Sys.time () -. t0) /. float_of_int reps in
-  let r = Option.get !res in
-  (* the elaborated pipeline it replaces: elaborate + check + lint *)
-  let t1 = Sys.time () in
-  let d = compile src in
-  let (_ : Lint.report) = Lint.run d in
-  let elab_secs = Sys.time () -. t1 in
-  let proven =
-    List.mem ty r.Summary.proven_conflict_safe
-    && List.mem ty r.Summary.proven_cycle_free
+  let r, mod_secs =
+    timed (fun () ->
+        for _ = 2 to reps do
+          ignore (Summary.analyze prog)
+        done;
+        Summary.analyze prog)
   in
-  {
-    m_design = Printf.sprintf "%s(%d)" family n;
-    m_nets = Netlist.net_count d.Elaborate.netlist;
-    m_mod_secs = mod_secs;
-    m_summaries = r.Summary.summaries_computed;
-    m_elab_secs = elab_secs;
-    m_proven = proven;
-  }
-
-let e14_write_json rows path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"nets\": %d,\n\
-           \     \"modular\": {\"summaries\": %d, \"seconds\": %.6f},\n\
-           \     \"elaborate_lint\": {\"seconds\": %.6f},\n\
-           \     \"speedup\": %.2f, \"proven\": %b}"
-           r.m_design r.m_nets r.m_summaries r.m_mod_secs r.m_elab_secs
-           (r.m_elab_secs /. Float.max 1e-9 r.m_mod_secs)
-           r.m_proven))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
+  let mod_secs = mod_secs /. float_of_int reps in
+  (* the elaborated pipeline it replaces: elaborate + check + lint *)
+  let d, elab_secs =
+    timed (fun () ->
+        let d = compile src in
+        ignore (Lint.run d : Lint.report);
+        d)
+  in
+  [
+    ("design", Label (Printf.sprintf "%s(%d)" family n));
+    ("nets", Count (Netlist.net_count d.Elaborate.netlist));
+    ( "modular",
+      Group
+        [
+          (* (type, signature) summaries the modular pass built *)
+          ("summaries", Count r.Summary.summaries_computed);
+          ("seconds", Secs mod_secs);
+        ] );
+    ("elaborate_lint", Group [ ("seconds", Secs elab_secs) ]);
+    ("speedup", Ratio (ratio elab_secs mod_secs));
+    (* top type proved conflict-safe AND cycle-free *)
+    ( "proven",
+      Flag
+        (List.mem ty r.Summary.proven_conflict_safe
+        && List.mem ty r.Summary.proven_cycle_free) );
+  ]
 
 let e14_modular ?(smoke = false) () =
   section "E14"
     "modular summary analysis vs elaborate-then-lint on the recursive \
      families (seconds; modular should stay near-flat in N)";
-  let rows =
-    List.concat_map
-      (fun (family, mk, ty, sizes) ->
-        List.map (e14_bench family mk ty) sizes)
-      (e14_families ~smoke)
-  in
-  Fmt.pr "  %-14s %8s %10s %10s %10s %8s %7s@." "design" "nets" "summaries"
-    "modular-s" "elab-s" "speedup" "proven";
-  List.iter
-    (fun r ->
-      Fmt.pr "  %-14s %8d %10d %10.4f %10.4f %7.1fx %7s@." r.m_design r.m_nets
-        r.m_summaries r.m_mod_secs r.m_elab_secs
-        (r.m_elab_secs /. Float.max 1e-9 r.m_mod_secs)
-        (if r.m_proven then "yes" else "NO"))
-    rows;
-  e14_write_json rows "BENCH_modular.json"
+  report "BENCH_modular.json"
+    [
+      ("design", "design"); ("nets", "nets");
+      ("summaries", "modular.summaries"); ("modular-s", "modular.seconds");
+      ("elab-s", "elaborate_lint.seconds"); ("speedup", "speedup");
+      ("proven", "proven");
+    ]
+    (List.concat_map
+       (fun (family, mk, ty, sizes) -> List.map (e14_bench family mk ty) sizes)
+       (e14_families ~smoke))
 
 (* ------------------------------------------------------------------ *)
 (* E16: the proof-carrying reduction (zeusc opt)                        *)
@@ -885,48 +927,6 @@ let activity_workloads =
         Sim.poke_bool sim "match.resultin" (c land 1 = 0) );
   ]
 
-type e16_row = {
-  o_design : string;
-  o_cycles : int;
-  o_stats : Reduce.stats;
-  o_plain_visits : int;
-  o_plain_secs : float;
-  o_opt_visits : int;
-  o_opt_secs : float;
-  o_agree : bool; (* observable final snapshot identical through class maps *)
-}
-
-let e16_write_json rows path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let s = r.o_stats in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"cycles\": %d,\n\
-           \     \"reduction\": {\"gates_before\": %d, \"gates_after\": %d, \
-            \"drivers_before\": %d, \"drivers_after\": %d,\n\
-           \                   \"consts_folded\": %d, \"copies_merged\": %d, \
-            \"nets_eliminated\": %d},\n\
-           \     \"plain\": {\"node_visits\": %d, \"seconds\": %.6f},\n\
-           \     \"optimized\": {\"node_visits\": %d, \"seconds\": %.6f, \
-            \"speedup\": %.2f, \"snapshots_agree\": %b}}"
-           r.o_design r.o_cycles s.Reduce.gates_before s.Reduce.gates_after
-           s.Reduce.drivers_before s.Reduce.drivers_after
-           s.Reduce.consts_folded s.Reduce.copies_merged
-           s.Reduce.nets_eliminated r.o_plain_visits r.o_plain_secs
-           r.o_opt_visits r.o_opt_secs
-           (r.o_plain_secs /. Float.max 1e-9 r.o_opt_secs)
-           r.o_agree))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 let e16_opt ~cycles () =
   section "E16"
     "proof-carrying reduction: optimized vs plain simulation (incremental \
@@ -934,21 +934,10 @@ let e16_opt ~cycles () =
   let bench (name, src, warm, stim) =
     let d = compile src in
     let r = Reduce.run d in
-    let run design =
-      let sim = Sim.create ~engine:Sim.Incremental design in
-      warm sim;
-      Sim.step sim;
-      (* cold-start cycle excluded from the counts *)
-      let v0 = Sim.node_visits sim in
-      let t0 = Unix.gettimeofday () in
-      for c = 1 to cycles do
-        stim sim c;
-        Sim.step sim
-      done;
-      (Sim.node_visits sim - v0, Unix.gettimeofday () -. t0, sim)
+    let pv, ps, psim = drive Sim.Incremental ~cycles d (warm, stim) in
+    let ov, os_, osim =
+      drive Sim.Incremental ~cycles r.Reduce.design (warm, stim)
     in
-    let pv, ps, psim = run d in
-    let ov, os_, osim = run r.Reduce.design in
     (* observable equality through each design's class map: the
        reduction merges copy classes, so only per-net root slots are
        comparable (same check as oracle row O6, on the final state) *)
@@ -963,56 +952,50 @@ let e16_opt ~cycles () =
           if s1.(root) <> s2.(slot2) then agree := false
         end)
       g1.Graph.rep;
-    {
-      o_design = name;
-      o_cycles = cycles;
-      o_stats = r.Reduce.stats;
-      o_plain_visits = pv;
-      o_plain_secs = ps;
-      o_opt_visits = ov;
-      o_opt_secs = os_;
-      o_agree = !agree;
-    }
+    let s = r.Reduce.stats in
+    [
+      ("design", Label name);
+      ("cycles", Count cycles);
+      ( "reduction",
+        Group
+          [
+            ("gates_before", Count s.Reduce.gates_before);
+            ("gates_after", Count s.Reduce.gates_after);
+            ("drivers_before", Count s.Reduce.drivers_before);
+            ("drivers_after", Count s.Reduce.drivers_after);
+            ("consts_folded", Count s.Reduce.consts_folded);
+            ("copies_merged", Count s.Reduce.copies_merged);
+            ("nets_eliminated", Count s.Reduce.nets_eliminated);
+          ] );
+      ("plain", visits_secs pv ps);
+      ( "optimized",
+        Group
+          [
+            ("node_visits", Count ov);
+            ("seconds", Secs os_);
+            ("speedup", Ratio (ratio ps os_));
+            ("snapshots_agree", Flag !agree);
+          ] );
+    ]
   in
-  let rows = List.map bench activity_workloads in
-  Fmt.pr "  %-26s %8s %8s %8s %8s %10s %9s %8s %6s@." "workload" "gates"
-    "drivers" "folded" "merged" "visits" "secs" "speedup" "agree";
-  List.iter
-    (fun r ->
-      let s = r.o_stats in
-      Fmt.pr "  %-26s %8s %8s %8s %8s %10d %9.4f %8s %6s@." r.o_design
-        (Printf.sprintf "%d" s.Reduce.gates_before)
-        (Printf.sprintf "%d" s.Reduce.drivers_before)
-        "-" "-" r.o_plain_visits r.o_plain_secs "1.0x" "-";
-      Fmt.pr "  %-26s %8s %8s %8s %8s %10d %9.4f %7.1fx %6s@." "  (optimized)"
-        (Printf.sprintf "%d" s.Reduce.gates_after)
-        (Printf.sprintf "%d" s.Reduce.drivers_after)
-        (Printf.sprintf "%d" s.Reduce.consts_folded)
-        (Printf.sprintf "%d" s.Reduce.copies_merged)
-        r.o_opt_visits r.o_opt_secs
-        (r.o_plain_secs /. Float.max 1e-9 r.o_opt_secs)
-        (if r.o_agree then "yes" else "NO"))
-    rows;
-  e16_write_json rows "BENCH_opt.json"
+  report "BENCH_opt.json"
+    [
+      ("workload", "design"); ("gates", "reduction.gates_before");
+      ("gates'", "reduction.gates_after");
+      ("drivers", "reduction.drivers_before");
+      ("drivers'", "reduction.drivers_after");
+      ("folded", "reduction.consts_folded");
+      ("merged", "reduction.copies_merged");
+      ("plain-vis", "plain.node_visits"); ("plain-s", "plain.seconds");
+      ("opt-vis", "optimized.node_visits"); ("opt-s", "optimized.seconds");
+      ("speedup", "optimized.speedup");
+      ("agree", "optimized.snapshots_agree");
+    ]
+    (List.map bench activity_workloads)
 
 (* ------------------------------------------------------------------ *)
 (* E17: the compiled bytecode engine                                    *)
 (* ------------------------------------------------------------------ *)
-
-type e17_row = {
-  b_design : string;
-  b_cycles : int;
-  b_incr_visits : int;
-  b_incr_secs : float;
-  b_visits : int;
-  b_secs : float;
-  b_prog_ops : int;
-  b_scalar_ops : int;
-  b_vector_ops : int;
-  b_vector_lanes : int;
-  b_compile_secs : float;
-  b_agree : bool;
-}
 
 (* The high-activity workloads, with the poke paths resolved once
    per design instead of sprintf+resolve on every cycle — the stimulus
@@ -1062,108 +1045,50 @@ let e17_workloads =
             Sim.poke_bool sim "match.resultin" (c land 1 = 0) ) );
   ]
 
-let e17_write_json rows path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"cycles\": %d,\n\
-           \     \"incremental\": {\"node_visits\": %d, \"seconds\": %.6f},\n\
-           \     \"compiled\": {\"node_visits\": %d, \"seconds\": %.6f, \
-            \"speedup\": %.2f,\n\
-           \       \"prog_ops\": %d, \"scalar_ops\": %d, \"vector_ops\": \
-            %d, \"vector_lanes\": %d,\n\
-           \       \"compile_seconds\": %.6f, \"snapshots_agree\": %b}}"
-           r.b_design r.b_cycles r.b_incr_visits r.b_incr_secs r.b_visits
-           r.b_secs
-           (r.b_incr_secs /. Float.max 1e-9 r.b_secs)
-           r.b_prog_ops r.b_scalar_ops r.b_vector_ops r.b_vector_lanes
-           r.b_compile_secs r.b_agree))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 let e17_compiled ~cycles () =
   section "E17"
     "compiled bytecode engine: wall clock and program shape vs incremental \
      (high-activity workloads, poke paths preresolved)";
   let bench (name, src, prepare) =
     let d = compile src in
-    let warm, stim = prepare d in
-    let run engine =
-      let sim = Sim.create ~engine d in
-      warm sim;
-      Sim.step sim;
-      (* cold-start cycle (and the one-time compile) excluded *)
-      let v0 = Sim.node_visits sim in
-      let t0 = Unix.gettimeofday () in
-      for c = 1 to cycles do
-        stim sim c;
-        Sim.step sim
-      done;
-      (Sim.node_visits sim - v0, Unix.gettimeofday () -. t0, sim)
-    in
-    let iv, is_, isim = run Sim.Incremental in
-    let cv, cs, csim = run Sim.Compiled in
-    let stats =
-      match Sim.compiled_program csim with Some p -> p | None -> assert false
-    in
-    {
-      b_design = name;
-      b_cycles = cycles;
-      b_incr_visits = iv;
-      b_incr_secs = is_;
-      b_visits = cv;
-      b_secs = cs;
-      b_prog_ops = Array.length stats.Bytecode.ops;
-      b_scalar_ops = stats.Bytecode.scalar_ops;
-      b_vector_ops = stats.Bytecode.vector_ops;
-      b_vector_lanes = stats.Bytecode.vector_lanes;
-      b_compile_secs = stats.Bytecode.compile_secs;
-      b_agree = Sim.snapshot csim = Sim.snapshot isim;
-    }
+    let workload = prepare d in
+    let iv, is_, isim = drive Sim.Incremental ~cycles d workload in
+    let cv, cs, csim = drive Sim.Compiled ~cycles d workload in
+    let p = Option.get (Sim.compiled_program csim) in
+    [
+      ("design", Label name);
+      ("cycles", Count cycles);
+      ("incremental", visits_secs iv is_);
+      ( "compiled",
+        Group
+          [
+            ("node_visits", Count cv);
+            ("seconds", Secs cs);
+            ("speedup", Ratio (ratio is_ cs));
+            ("prog_ops", Count (Array.length p.Bytecode.ops));
+            ("scalar_ops", Count p.Bytecode.scalar_ops);
+            ("vector_ops", Count p.Bytecode.vector_ops);
+            ("vector_lanes", Count p.Bytecode.vector_lanes);
+            ("compile_seconds", Secs p.Bytecode.compile_secs);
+            ("snapshots_agree", Flag (Sim.snapshot csim = Sim.snapshot isim));
+          ] );
+    ]
   in
-  let rows = List.map bench e17_workloads in
-  Fmt.pr "  %-26s %10s %10s %9s %8s %8s %8s %6s@." "workload" "engine"
-    "visits" "secs" "speedup" "progops" "vlanes" "agree";
-  List.iter
-    (fun r ->
-      Fmt.pr "  %-26s %10s %10d %9.4f %8s %8s %8s %6s@." r.b_design "incr"
-        r.b_incr_visits r.b_incr_secs "1.0x" "-" "-" "-";
-      Fmt.pr "  %-26s %10s %10d %9.4f %7.1fx %8d %8d %6s@." "" "compiled"
-        r.b_visits r.b_secs
-        (r.b_incr_secs /. Float.max 1e-9 r.b_secs)
-        r.b_prog_ops r.b_vector_lanes
-        (if r.b_agree then "yes" else "NO"))
-    rows;
+  report "BENCH_compiled.json"
+    [
+      ("workload", "design"); ("incr-vis", "incremental.node_visits");
+      ("incr-s", "incremental.seconds"); ("comp-vis", "compiled.node_visits");
+      ("comp-s", "compiled.seconds"); ("speedup", "compiled.speedup");
+      ("progops", "compiled.prog_ops"); ("vlanes", "compiled.vector_lanes");
+      ("agree", "compiled.snapshots_agree");
+    ]
+    (List.map bench e17_workloads);
   Fmt.pr "(program shape is design-deterministic; wall-clock speedup is \
-          machine-dependent)@.";
-  e17_write_json rows "BENCH_compiled.json"
+          machine-dependent)@."
 
 (* ------------------------------------------------------------------ *)
 (* E18: the batch engine (whole-run sharding + bit-sliced groups)       *)
 (* ------------------------------------------------------------------ *)
-
-type e18_row = {
-  t_design : string;
-  t_runs : int;
-  t_cycles : int; (* per run *)
-  t_jobs : int;
-  t_lanes : int;
-  t_serial_secs : float; (* fresh incremental handle per run *)
-  t_cold_secs : float; (* template create (incl. compile) + run_batch *)
-  t_warm_secs : float; (* run_batch on the warm template *)
-  t_groups : int; (* bit-sliced groups executed *)
-  t_lane_runs : int;
-  t_fallback_runs : int; (* runs that took the serial fallback *)
-  t_agree : bool; (* every final snapshot matches its serial run *)
-}
 
 (* The high-activity corpus restated as independent batch runs: run
    [r] drives the same nets with a per-run offset, so no two runs share
@@ -1211,40 +1136,6 @@ let e18_workloads =
                 ])) );
   ]
 
-let e18_write_json rows path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      let rps secs = float_of_int r.t_runs /. Float.max 1e-9 secs in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"runs\": %d, \"cycles\": %d, \"jobs\": \
-            %d, \"lanes\": %d,\n\
-           \     \"lane_groups\": %d, \"lane_runs\": %d, \
-            \"serial_fallback_runs\": %d,\n\
-           \     \"serial\": {\"seconds\": %.6f, \"serial_runs_per_sec\": \
-            %.1f},\n\
-           \     \"batch\": {\"cold_seconds\": %.6f, \
-            \"cold_runs_per_sec\": %.1f,\n\
-           \       \"warm_seconds\": %.6f, \"warm_runs_per_sec\": %.1f,\n\
-           \       \"speedup_cold\": %.2f, \"speedup_warm\": %.2f, \
-            \"snapshots_agree\": %b}}"
-           r.t_design r.t_runs r.t_cycles r.t_jobs r.t_lanes r.t_groups
-           r.t_lane_runs r.t_fallback_runs r.t_serial_secs
-           (rps r.t_serial_secs) r.t_cold_secs (rps r.t_cold_secs)
-           r.t_warm_secs (rps r.t_warm_secs)
-           (r.t_serial_secs /. Float.max 1e-9 r.t_cold_secs)
-           (r.t_serial_secs /. Float.max 1e-9 r.t_warm_secs)
-           r.t_agree))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 let e18_batch ~runs:nruns ~cycles ~jobs () =
   section "E18"
     (Printf.sprintf
@@ -1257,6 +1148,8 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
     | Ok r -> r
     | Error m -> failwith m
   in
+  (* one measurement: (runs, lane groups, lane runs, serial-fallback
+     runs), (serial, cold, warm seconds), every final snapshot agrees *)
   let bench (name, src, mk) =
     let d = compile src in
     let stims = mk ~runs:nruns ~cycles in
@@ -1284,32 +1177,31 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
                 | Ok nets -> Hashtbl.add resolved p nets
                 | Error m -> failwith m)))
       stims;
-    let serial_snaps = Array.make nruns [||] in
-    let t0 = Unix.gettimeofday () in
-    Array.iteri
-      (fun r stim ->
-        let sim = Sim.create ~engine:Sim.Incremental ~seed:r d in
-        Array.iter
-          (fun pokes ->
-            List.iter
-              (fun (p, bits) ->
-                Sim.poke_nets sim (Hashtbl.find resolved p) bits)
-              pokes;
-            Sim.step sim)
-          stim;
-        serial_snaps.(r) <- Sim.snapshot sim)
-      stims;
-    let serial_secs = Unix.gettimeofday () -. t0 in
+    let serial_snaps, serial_secs =
+      timed (fun () ->
+          Array.mapi
+            (fun r stim ->
+              let sim = Sim.create ~engine:Sim.Incremental ~seed:r d in
+              Array.iter
+                (fun pokes ->
+                  List.iter
+                    (fun (p, bits) ->
+                      Sim.poke_nets sim (Hashtbl.find resolved p) bits)
+                    pokes;
+                  Sim.step sim)
+                stim;
+              Sim.snapshot sim)
+            stims)
+    in
     (* cold: template creation (graph, schedule, one-time bytecode
        compile) plus the batch itself *)
-    let t0 = Unix.gettimeofday () in
-    let tmpl = Sim.create ~engine:Sim.Compiled d in
-    let _, st = batch tmpl batch_runs in
-    let cold_secs = Unix.gettimeofday () -. t0 in
+    let (tmpl, (_, st)), cold_secs =
+      timed (fun () ->
+          let tmpl = Sim.create ~engine:Sim.Compiled d in
+          (tmpl, batch tmpl batch_runs))
+    in
     (* warm: the template (and its compiled program) is reused *)
-    let t0 = Unix.gettimeofday () in
-    ignore (batch tmpl batch_runs);
-    let warm_secs = Unix.gettimeofday () -. t0 in
+    let _, warm_secs = timed (fun () -> batch tmpl batch_runs) in
     (* the timed batches build no snapshots; agreement comes from one
        extra untimed pass that asks for them (the last is the final
        state) *)
@@ -1322,97 +1214,67 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
           | [] -> false)
         checked (Array.to_list serial_snaps)
     in
-    {
-      t_design = name;
-      t_runs = nruns;
-      t_cycles = cycles;
-      t_jobs = jobs;
-      t_lanes = lanes;
-      t_serial_secs = serial_secs;
-      t_cold_secs = cold_secs;
-      t_warm_secs = warm_secs;
-      t_groups = st.Sim.bs_lane_groups;
-      t_lane_runs = st.Sim.bs_lane_runs;
-      t_fallback_runs = st.Sim.bs_serial_runs;
-      t_agree = agree;
-    }
+    ( name,
+      ( (nruns, st.Sim.bs_lane_groups, st.Sim.bs_lane_runs,
+         st.Sim.bs_serial_runs),
+        (serial_secs, cold_secs, warm_secs),
+        agree ) )
   in
-  let rows = List.map bench e18_workloads in
+  let row
+      (name, ((runs, groups, lane_runs, fallback), (serial, cold, warm), agree))
+      =
+    let rps secs = Ratio (ratio (float_of_int runs) secs) in
+    [
+      ("design", Label name);
+      ("runs", Count runs);
+      ("cycles", Count cycles);
+      ("jobs", Count jobs);
+      ("lanes", Count lanes);
+      ("lane_groups", Count groups);
+      ("lane_runs", Count lane_runs);
+      ("serial_fallback_runs", Count fallback);
+      ( "serial",
+        Group [ ("seconds", Secs serial); ("serial_runs_per_sec", rps serial) ]
+      );
+      ( "batch",
+        Group
+          [
+            ("cold_seconds", Secs cold);
+            ("cold_runs_per_sec", rps cold);
+            ("warm_seconds", Secs warm);
+            ("warm_runs_per_sec", rps warm);
+            ("speedup_cold", Ratio (ratio serial cold));
+            ("speedup_warm", Ratio (ratio serial warm));
+            ("snapshots_agree", Flag agree);
+          ] );
+    ]
+  in
+  let measured = List.map bench e18_workloads in
   (* the acceptance metric: runs/second over the whole corpus — one
      slow-to-simulate design must not hide behind two fast ones (or
-     vice versa), so the totals weight each run by its true cost *)
-  let total =
-    List.fold_left
-      (fun acc r ->
-        {
-          acc with
-          t_runs = acc.t_runs + r.t_runs;
-          t_serial_secs = acc.t_serial_secs +. r.t_serial_secs;
-          t_cold_secs = acc.t_cold_secs +. r.t_cold_secs;
-          t_warm_secs = acc.t_warm_secs +. r.t_warm_secs;
-          t_groups = acc.t_groups + r.t_groups;
-          t_lane_runs = acc.t_lane_runs + r.t_lane_runs;
-          t_fallback_runs = acc.t_fallback_runs + r.t_fallback_runs;
-          t_agree = acc.t_agree && r.t_agree;
-        })
-      {
-        t_design = "corpus-total";
-        t_runs = 0;
-        t_cycles = cycles;
-        t_jobs = jobs;
-        t_lanes = lanes;
-        t_serial_secs = 0.;
-        t_cold_secs = 0.;
-        t_warm_secs = 0.;
-        t_groups = 0;
-        t_lane_runs = 0;
-        t_fallback_runs = 0;
-        t_agree = true;
-      }
-      rows
+     vice versa), so the totals weight each run by its true cost;
+     cycles, jobs and lanes stay per-run *)
+  let add ((r, g, l, f), (s, c, w), a)
+      (_, ((r', g', l', f'), (s', c', w'), a')) =
+    ((r + r', g + g', l + l', f + f'), (s +. s', c +. c', w +. w'), a && a')
   in
-  let rows = rows @ [ total ] in
-  Fmt.pr "  %-26s %6s %7s %10s %9s %8s %7s %6s@." "workload" "mode" "runs"
-    "runs/sec" "secs" "speedup" "groups" "agree";
-  List.iter
-    (fun r ->
-      let rps secs = float_of_int r.t_runs /. Float.max 1e-9 secs in
-      Fmt.pr "  %-26s %6s %7d %10.1f %9.4f %8s %7s %6s@." r.t_design "serial"
-        r.t_runs (rps r.t_serial_secs) r.t_serial_secs "1.0x" "-" "-";
-      Fmt.pr "  %-26s %6s %7d %10.1f %9.4f %7.1fx %7d %6s@." "" "cold"
-        r.t_runs (rps r.t_cold_secs) r.t_cold_secs
-        (r.t_serial_secs /. Float.max 1e-9 r.t_cold_secs)
-        r.t_groups
-        (if r.t_agree then "yes" else "NO");
-      Fmt.pr "  %-26s %6s %7d %10.1f %9.4f %7.1fx %7d %6s@." "" "warm"
-        r.t_runs (rps r.t_warm_secs) r.t_warm_secs
-        (r.t_serial_secs /. Float.max 1e-9 r.t_warm_secs)
-        r.t_groups
-        (if r.t_agree then "yes" else "NO"))
-    rows;
+  let total = List.fold_left add ((0, 0, 0, 0), (0., 0., 0.), true) measured in
+  report "BENCH_batch.json"
+    [
+      ("workload", "design"); ("runs", "runs"); ("serial-s", "serial.seconds");
+      ("serial-r/s", "serial.serial_runs_per_sec");
+      ("cold-s", "batch.cold_seconds"); ("cold-r/s", "batch.cold_runs_per_sec");
+      ("warm-s", "batch.warm_seconds"); ("warm-r/s", "batch.warm_runs_per_sec");
+      ("x-cold", "batch.speedup_cold"); ("x-warm", "batch.speedup_warm");
+      ("groups", "lane_groups"); ("agree", "batch.snapshots_agree");
+    ]
+    (List.map row (measured @ [ ("corpus-total", total) ]));
   Fmt.pr "(counters are deterministic in (design, runs, jobs, lanes); \
-          runs/second is machine-dependent)@.";
-  e18_write_json rows "BENCH_batch.json"
+          runs/second is machine-dependent)@."
 
 (* ------------------------------------------------------------------ *)
 (* E19: the bounded sequential prover + conflict-check discharge        *)
 (* ------------------------------------------------------------------ *)
-
-type e19_row = {
-  v_design : string;
-  v_cycles : int;
-  v_regs : int;
-  v_nrc_nets : int; (* needs-runtime-check before the prover *)
-  v_upgraded_nets : int; (* ... upgraded to safe-sequential *)
-  v_splits : int;
-  v_prove_secs : float;
-  v_check_ops : int; (* compiled engine, no discharge *)
-  v_plain_secs : float;
-  v_disch_check_ops : int; (* ... with --discharge *)
-  v_discharged_ops : int;
-  v_disch_secs : float;
-  v_agree : bool; (* final snapshots identical with and without *)
-}
 
 (* Register-heavy machines whose driver exclusivity is sequential —
    the regime the prover targets — plus one registerless high-activity
@@ -1455,33 +1317,6 @@ let e19_workloads =
       fun sim c -> Sim.poke_bool sim "a.in" (c land 1 = 1) );
   ]
 
-let e19_write_json rows path =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"experiments\": [\n";
-  List.iteri
-    (fun i r ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"design\": %S, \"cycles\": %d,\n\
-           \     \"prove\": {\"registers\": %d, \"nrc_nets\": %d, \
-            \"upgraded_nets\": %d, \"splits\": %d, \"seconds\": %.6f},\n\
-           \     \"plain\": {\"check_ops\": %d, \"seconds\": %.6f},\n\
-           \     \"discharged\": {\"check_ops\": %d, \"discharged_ops\": \
-            %d, \"seconds\": %.6f,\n\
-           \       \"speedup\": %.2f, \"snapshots_agree\": %b}}"
-           r.v_design r.v_cycles r.v_regs r.v_nrc_nets r.v_upgraded_nets
-           r.v_splits r.v_prove_secs r.v_check_ops r.v_plain_secs
-           r.v_disch_check_ops r.v_discharged_ops r.v_disch_secs
-           (r.v_plain_secs /. Float.max 1e-9 r.v_disch_secs)
-           r.v_agree))
-    rows;
-  Buffer.add_string buf "\n  ]\n}\n";
-  let oc = open_out path in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Fmt.pr "wrote %s@." path
-
 let e19_prove ~cycles () =
   section "E19"
     "bounded sequential prover: proof cost, upgraded nets, and the \
@@ -1490,68 +1325,65 @@ let e19_prove ~cycles () =
     let d = compile src in
     let lint = Lint.run d in
     let nrc =
-      Array.fold_left
-        (fun acc (v : Lint.net_verdict) ->
-          match v.Lint.v_class with
-          | Lint.Needs_runtime_check -> acc + 1
-          | _ -> acc)
-        0
-        (Array.of_list lint.Lint.verdicts)
+      List.length
+        (List.filter
+           (fun (v : Lint.net_verdict) ->
+             v.Lint.v_class = Lint.Needs_runtime_check)
+           lint.Lint.verdicts)
     in
-    let t0 = Unix.gettimeofday () in
-    let sp = Seqprove.run ~lint d in
-    let prove_secs = Unix.gettimeofday () -. t0 in
+    let sp, prove_secs = timed (fun () -> Seqprove.run ~lint d) in
     let disch = Seqprove.discharged d sp in
-    let run ?discharged () =
-      let sim = Sim.create ~engine:Sim.Compiled ?discharged d in
-      warm sim;
-      Sim.step sim;
-      (* cold-start cycle (and the one-time compile) excluded *)
-      let t0 = Unix.gettimeofday () in
-      for c = 1 to cycles do
-        stim sim c;
-        Sim.step sim
-      done;
-      let secs = Unix.gettimeofday () -. t0 in
-      let stats =
-        match Sim.compiled_program sim with Some p -> p | None -> assert false
-      in
-      (secs, stats, sim)
+    let _, ps, psim = drive Sim.Compiled ~cycles d (warm, stim) in
+    let _, ds, dsim =
+      drive Sim.Compiled ~discharged:(fun c -> disch.(c)) ~cycles d (warm, stim)
     in
-    let ps, pstats, psim = run () in
-    let ds, dstats, dsim = run ~discharged:(fun c -> disch.(c)) () in
-    {
-      v_design = name;
-      v_cycles = cycles;
-      v_regs = List.length sp.Seqprove.sp_regs;
-      v_nrc_nets = nrc;
-      v_upgraded_nets = List.length sp.Seqprove.sp_upgraded;
-      v_splits = sp.Seqprove.sp_splits;
-      v_prove_secs = prove_secs;
-      v_check_ops = pstats.Bytecode.check_ops;
-      v_plain_secs = ps;
-      v_disch_check_ops = dstats.Bytecode.check_ops;
-      v_discharged_ops = dstats.Bytecode.discharged_ops;
-      v_disch_secs = ds;
-      v_agree = Sim.snapshot dsim = Sim.snapshot psim;
-    }
+    let plain = Option.get (Sim.compiled_program psim)
+    and dis = Option.get (Sim.compiled_program dsim) in
+    [
+      ("design", Label name);
+      ("cycles", Count cycles);
+      ( "prove",
+        Group
+          [
+            ("registers", Count (List.length sp.Seqprove.sp_regs));
+            (* needs-runtime-check before the prover, and how many of
+               them it upgraded to safe-sequential *)
+            ("nrc_nets", Count nrc);
+            ("upgraded_nets", Count (List.length sp.Seqprove.sp_upgraded));
+            ("splits", Count sp.Seqprove.sp_splits);
+            ("seconds", Secs prove_secs);
+          ] );
+      ( "plain",
+        Group
+          [
+            ("check_ops", Count plain.Bytecode.check_ops);
+            ("seconds", Secs ps);
+          ] );
+      ( "discharged",
+        Group
+          [
+            ("check_ops", Count dis.Bytecode.check_ops);
+            ("discharged_ops", Count dis.Bytecode.discharged_ops);
+            ("seconds", Secs ds);
+            ("speedup", Ratio (ratio ps ds));
+            ("snapshots_agree", Flag (Sim.snapshot dsim = Sim.snapshot psim));
+          ] );
+    ]
   in
-  let rows = List.map bench e19_workloads in
-  Fmt.pr "  %-26s %5s %5s %8s %8s %9s %8s %8s %9s %6s@." "workload" "regs"
-    "nrc" "upgrade" "splits" "prove-s" "chkops" "dischrg" "secs" "agree";
-  List.iter
-    (fun r ->
-      Fmt.pr "  %-26s %5d %5d %8d %8d %9.4f %8d %8s %9.4f %6s@." r.v_design
-        r.v_regs r.v_nrc_nets r.v_upgraded_nets r.v_splits r.v_prove_secs
-        r.v_check_ops "-" r.v_plain_secs "-";
-      Fmt.pr "  %-26s %5s %5s %8s %8s %9s %8d %8d %9.4f %6s@."
-        "  (discharged)" "" "" "" "" "" r.v_disch_check_ops
-        r.v_discharged_ops r.v_disch_secs
-        (if r.v_agree then "yes" else "NO"))
-    rows;
+  report "BENCH_prove.json"
+    [
+      ("workload", "design"); ("regs", "prove.registers");
+      ("nrc", "prove.nrc_nets"); ("upgrade", "prove.upgraded_nets");
+      ("splits", "prove.splits"); ("prove-s", "prove.seconds");
+      ("chkops", "plain.check_ops"); ("plain-s", "plain.seconds");
+      ("chkops'", "discharged.check_ops");
+      ("dischrg", "discharged.discharged_ops");
+      ("disch-s", "discharged.seconds"); ("speedup", "discharged.speedup");
+      ("agree", "discharged.snapshots_agree");
+    ]
+    (List.map bench e19_workloads);
   Fmt.pr "(proof counters are design-deterministic; wall-clock is \
-          machine-dependent)@.";
-  e19_write_json rows "BENCH_prove.json"
+          machine-dependent)@."
 
 (* ------------------------------------------------------------------ *)
 (* Timing benchmarks (Bechamel)                                         *)

@@ -447,17 +447,23 @@ module Cache = struct
         else None
       with _ -> None
 
+  (* the entry is written to a temp file and renamed into place only
+     after [close_out] (and so the flush) succeeded, so a short write
+     never replaces an entry; on any failure the temp file goes *)
   let store ~dir ~key payload =
+    let file = path ~dir ~key in
+    let tmp = file ^ ".tmp" in
     try
       if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let file = path ~dir ~key in
-      let tmp = file ^ ".tmp" in
       let oc = open_out_bin tmp in
       Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
           Marshal.to_channel oc
             { f_magic = magic; f_version = format_version;
               f_ocaml = Sys.ocaml_version; f_payload = payload }
-            []);
+            [];
+          close_out oc);
       Sys.rename tmp file
-    with _ -> () (* a cache that cannot write is just a miss *)
+    with _ ->
+      (* a cache that cannot write is just a miss *)
+      (try Sys.remove tmp with Sys_error _ -> ())
 end

@@ -113,10 +113,15 @@ let contents t =
   if not t.header_done then write_header t;
   Buffer.contents t.buf
 
-(* {!Wave} renders to a string only (no channel to leak); this is the
-   one file-writing sink of the waveform layer *)
+(* {!Wave} renders to a string only, and zeusc writes its VCD through
+   its own file writer; this is the library's file sink.  The flush
+   happens in [close_out] inside the body, so a write that fails there
+   (a full disk) raises [Sys_error] to the caller; [finally] still
+   closes the channel on every path. *)
 let to_file t path =
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (contents t))
+    (fun () ->
+      output_string oc (contents t);
+      close_out oc)

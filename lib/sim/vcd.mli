@@ -25,4 +25,8 @@ val create : Sim.t -> string list -> t
 val sample : t -> unit
 
 val contents : t -> string
+
+(** Write {!contents} to a file.  @raise Sys_error when the file cannot
+    be opened or written, including a write that fails on the final
+    flush. *)
 val to_file : t -> string -> unit

@@ -1027,6 +1027,16 @@ let test_vcd_to_file () =
       close_in ic;
       Alcotest.(check string) "file holds the dump" (Vcd.contents vcd) data)
 
+(* A write that fails only when the buffered channel is flushed (here a
+   device that is always full) reaches the caller. *)
+let test_vcd_to_file_full () =
+  if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
+  let d = compile (Corpus.adder_n 4) in
+  let vcd = Vcd.create (Sim.create d) [ "adder.s" ] in
+  match Vcd.to_file vcd "/dev/full" with
+  | () -> Alcotest.fail "to_file to a full device returned normally"
+  | exception Sys_error _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Batch lane extraction at the 32-class word boundary                  *)
 (* ------------------------------------------------------------------ *)
@@ -1206,5 +1216,7 @@ let () =
             test_vcd_quiescent_no_timestamp;
           Alcotest.test_case "to_file writes the dump" `Quick
             test_vcd_to_file;
+          Alcotest.test_case "to_file reports a failed write" `Quick
+            test_vcd_to_file_full;
         ] );
     ]

@@ -189,6 +189,40 @@ let test_cache_roundtrip () =
   Alcotest.(check bool) "edited source recomputes" true
     (r3.Summary.summaries_computed > 0)
 
+(* A truncated entry (a write cut short) is a miss, not an error: the
+   run that misses writes the entry again, and the run after it hits. *)
+let test_cache_truncated () =
+  let stamp = Filename.temp_file "zeus-summary-test" "" in
+  let dir = stamp ^ ".d" in
+  let src = Corpus.htree 16 in
+  let r1 = analyze ~cache_dir:dir src in
+  let entries () =
+    List.filter
+      (fun f -> Filename.check_suffix f ".bin")
+      (Array.to_list (Sys.readdir dir))
+  in
+  Alcotest.(check bool) "cold run stores entries" true (entries () <> []);
+  List.iter
+    (fun f ->
+      let file = Filename.concat dir f in
+      let data = In_channel.with_open_bin file In_channel.input_all in
+      Out_channel.with_open_bin file (fun oc ->
+          output_string oc (String.sub data 0 (String.length data / 2))))
+    (entries ());
+  let r2 = analyze ~cache_dir:dir src in
+  Alcotest.(check int) "truncated entries miss" 0 r2.Summary.cache_hits;
+  Alcotest.(check int) "and are recomputed" r1.Summary.summaries_computed
+    r2.Summary.summaries_computed;
+  let r3 = analyze ~cache_dir:dir src in
+  Alcotest.(check int) "rewritten entries compute nothing" 0
+    r3.Summary.summaries_computed;
+  Alcotest.(check bool) "rewritten entries hit" true
+    (r3.Summary.cache_hits > 0);
+  Alcotest.(check bool) "no temp file is left" false
+    (Array.exists
+       (fun f -> Filename.check_suffix f ".tmp")
+       (Sys.readdir dir))
+
 (* ------------------------------------------------------------------ *)
 (* Soundness against the elaborated pipeline, over the whole corpus     *)
 (* ------------------------------------------------------------------ *)
@@ -252,7 +286,10 @@ let () =
           Alcotest.test_case "Z405 recursion" `Quick test_recursion_z405;
         ] );
       ( "cache",
-        [ Alcotest.test_case "roundtrip" `Quick test_cache_roundtrip ] );
+        [
+          Alcotest.test_case "roundtrip" `Quick test_cache_roundtrip;
+          Alcotest.test_case "truncated entry" `Quick test_cache_truncated;
+        ] );
       ( "soundness",
         [ Alcotest.test_case "corpus vs lint" `Quick test_corpus_sound ] );
     ]
