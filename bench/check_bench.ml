@@ -5,7 +5,7 @@
 
    Only *deterministic* counters are compared — numeric fields whose
    names mention visits, summaries, nets, cycles, gates, drivers,
-   folded, merged, ops, lanes, runs, jobs or groups — with a relative
+   folded, merged, ops, lanes, runs, jobs, groups or splits — with a relative
    tolerance
    (default 25%).  Wall-clock fields ("seconds", "speedup", and the
    derived "*_runs_per_sec" rates) and boolean agreement flags are
@@ -38,8 +38,9 @@ let has_sub k sub =
   go 0
 
 (* checked counters: deterministic work metrics, never wall-clock.
-   "runs"/"jobs"/"groups" cover the batch engine's sharding counters;
-   the per_sec guard keeps the derived rate fields (cold_runs_per_sec
+   "runs"/"jobs"/"groups" cover the batch engine's sharding counters,
+   "splits" the case splits of the drive-conflict provers; the per_sec
+   guard keeps the derived rate fields (cold_runs_per_sec
    etc.) out, since those are wall-clock in disguise. *)
 let checked_key k =
   let mem = has_sub k in
@@ -47,7 +48,7 @@ let checked_key k =
   && (mem "visits" || mem "summaries" || mem "nets" || mem "cycles"
      || mem "gates" || mem "drivers" || mem "folded" || mem "merged"
      || mem "ops" || mem "lanes" || mem "runs" || mem "jobs"
-     || mem "groups")
+     || mem "groups" || mem "splits")
 
 type entry = {
   path : string; (* "design-label/key" *)

@@ -821,8 +821,9 @@ let lint_cmd =
       & opt int Zeus.Lint.default_budget
       & info [ "budget" ] ~docv:"N"
           ~doc:
-            "Case-split budget of the drive-conflict prover (per driver \
-             pair).  Exhausting it demotes the net to needs-runtime-check.")
+            "Case-split budget of the drive-conflict prover (per \
+             multi-driven class).  Exhausting it demotes the net to \
+             needs-runtime-check.")
   in
   let modular =
     Arg.(
@@ -929,7 +930,7 @@ let prove_cmd =
       & info [ "budget" ] ~docv:"N"
           ~doc:
             "Case-split budget of the per-state exclusivity prover (per \
-             driver pair per fixpoint iteration).")
+             multi-driven class per fixpoint iteration).")
   in
   let regs =
     Arg.(

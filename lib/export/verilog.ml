@@ -420,21 +420,33 @@ let export ?module_name (design : Elaborate.design) =
         | Graph.Ndriver { guard; source; _ } -> driver_expr guard source
       in
       (* first non-z wins; any second non-z forces x — exactly
-         [Logic.resolve], which conflicts even on agreeing values *)
-      let resolver pws =
+         [Logic.resolve], which conflicts even on agreeing values.
+         Appended piecewise: the expression is O(k^2) bytes, and
+         nesting it through sprintf would copy it once per level *)
+      let resolver pws b =
         let k = Array.length pws in
+        let add = Buffer.add_string b in
         let rec others j v =
-          if j >= k then v
-          else
-            Printf.sprintf "((%s === 1'bz) ? %s : 1'bx)" pws.(j)
-              (others (j + 1) v)
+          if j >= k then add v
+          else begin
+            add "((";
+            add pws.(j);
+            add " === 1'bz) ? ";
+            others (j + 1) v;
+            add " : 1'bx)"
+          end
         in
         let rec first i =
-          if i = k - 1 then pws.(i)
-          else
-            Printf.sprintf "((%s === 1'bz) ? %s : %s)" pws.(i)
-              (first (i + 1))
-              (others (i + 1) pws.(i))
+          if i = k - 1 then add pws.(i)
+          else begin
+            add "((";
+            add pws.(i);
+            add " === 1'bz) ? ";
+            first (i + 1);
+            add " : ";
+            others (i + 1) pws.(i);
+            add ")"
+          end
         in
         first 0
       in
@@ -447,9 +459,15 @@ let export ?module_name (design : Elaborate.design) =
         incr wire_decls;
         Buffer.add_string decls (Printf.sprintf "  wire %s;\n" name)
       in
-      let assign name e =
-        Buffer.add_string body (Printf.sprintf "  assign %s = %s;\n" name e)
+      (* [emit name write]: [write] appends the expression to [body] *)
+      let emit name write =
+        Buffer.add_string body "  assign ";
+        Buffer.add_string body name;
+        Buffer.add_string body " = ";
+        write body;
+        Buffer.add_string body ";\n"
       in
+      let assign name e = emit name (fun b -> Buffer.add_string b e) in
       (* register always-blocks need the *raw* resolution of their
          input class; raw_wire.(c) names the wire that carries it *)
       let raw_wire = Array.copy wire in
@@ -516,16 +534,16 @@ let export ?module_name (design : Elaborate.design) =
                 in
                 let r = resolver pws in
                 match kind with
-                | Etype.KMux -> assign wire.(c) r
+                | Etype.KMux -> emit wire.(c) r
                 | Etype.KBool ->
                     if raw_can_z c then begin
                       let rw = uniq (wire.(c) ^ "$raw") in
                       decl_wire rw;
                       raw_wire.(c) <- rw;
-                      assign rw r;
+                      emit rw r;
                       assign wire.(c) (bz rw)
                     end
-                    else assign wire.(c) r
+                    else emit wire.(c) r
               end
             end)
           sched.Sched.nets_at.(l)

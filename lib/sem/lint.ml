@@ -11,10 +11,12 @@
       into a boolean formula over *free* variables (testbench inputs,
       register outputs, RANDOM sources) by walking the netlist
       backwards through gates and unconditional forwarding drivers.
-      Each pair of producers is then checked for mutual exclusivity
-      with a DPLL-style case-splitting solver under a configurable
-      split budget (honouring the NP-completeness result: we buy
-      completeness up to the budget, never beyond).  A net is
+      The producers of a class are then checked for mutual
+      exclusivity by one class-wide case split (co_drive) under a
+      configurable split budget per class (honouring the
+      NP-completeness result: we buy completeness up to the budget,
+      never beyond); only the pairs it finds co-drivable go to the
+      pair solver, for a witness.  A net is
 
       - [safe]   every pair proved mutually exclusive;
       - [conflict] some pair is satisfiable with a witness over free
@@ -266,8 +268,33 @@ type sat_result =
 
 exception Out_of_budget
 
-(* [budget] bounds the case splits of this one call (one driver pair);
-   [splits] accumulates the grand total for the report *)
+(* the split variable of a set of open formulas: the first free
+   variable when one is left, otherwise the first opaque one *)
+let pick es =
+  let first_free = ref None and first_opq = ref None in
+  let rec go e =
+    !first_free = None
+    &&
+    match e with
+    | Btrue | Bfalse -> true
+    | Bvar v ->
+        first_free := Some v;
+        false
+    | Bopq v ->
+        if !first_opq = None then first_opq := Some v;
+        true
+    | Bnot a -> go a
+    | Band l | Bor l -> List.for_all go l
+    | Bxor (a, b) -> go a && go b
+  in
+  ignore (List.for_all go es);
+  match (!first_free, !first_opq) with
+  | Some v, _ -> v
+  | None, Some v -> v
+  | None, None -> invalid_arg "Lint.pick: no variable in open formula"
+
+(* [budget] bounds the case splits of this one call; [splits]
+   accumulates the grand total for the report *)
 let solve ~budget ~splits e =
   let spent = ref 0 in
   let env : (int, bool) Hashtbl.t = Hashtbl.create 16 in
@@ -284,30 +311,6 @@ let solve ~budget ~splits e =
     | Bor l -> bor (List.map eval l)
     | Bxor (a, b) -> bxor (eval a) (eval b)
   in
-  (* split on a free variable when one is left, otherwise on an opaque *)
-  let pick e =
-    let first_free = ref None and first_opq = ref None in
-    let rec go e =
-      !first_free = None
-      &&
-      match e with
-      | Btrue | Bfalse -> true
-      | Bvar v ->
-          first_free := Some v;
-          false
-      | Bopq v ->
-          if !first_opq = None then first_opq := Some v;
-          true
-      | Bnot a -> go a
-      | Band l | Bor l -> List.for_all go l
-      | Bxor (a, b) -> go a && go b
-    in
-    ignore (go e);
-    match (!first_free, !first_opq) with
-    | Some v, _ -> v
-    | None, Some v -> v
-    | None, None -> invalid_arg "Lint.solve: no variable in open formula"
-  in
   let rec go e =
     match eval e with
     | Btrue ->
@@ -317,7 +320,7 @@ let solve ~budget ~splits e =
         if !spent >= budget then raise Out_of_budget;
         incr spent;
         incr splits;
-        let v = pick e' in
+        let v = pick [ e' ] in
         Hashtbl.replace env v true;
         let r =
           match go e' with
@@ -331,6 +334,132 @@ let solve ~budget ~splits e =
   in
   try match go e with Some m -> Sat m | None -> Unsat
   with Out_of_budget -> Budget_out
+
+(* [e] with variable [v] fixed to [b]; a subformula without [v] is
+   returned as it is, not rebuilt *)
+let rec cofactor v b e =
+  match e with
+  | Btrue | Bfalse -> e
+  | Bvar x | Bopq x -> if x <> v then e else if b then Btrue else Bfalse
+  | Bnot a ->
+      let a' = cofactor v b a in
+      if a' == a then e else bnot a'
+  | Band l ->
+      let l' = List.map (cofactor v b) l in
+      if List.for_all2 ( == ) l l' then e else band l'
+  | Bor l ->
+      let l' = List.map (cofactor v b) l in
+      if List.for_all2 ( == ) l l' then e else bor l'
+  | Bxor (a, c) ->
+      let a' = cofactor v b a and c' = cofactor v b c in
+      if a' == a && c' == c then e else bxor a' c'
+
+(* The class-wide at-most-one proof: one case split over all drive
+   conditions of a class at once.  A branch cofactors every live
+   condition, drops those that become false, and marks every pair of
+   conditions that are both true.  A condition is settled in a branch
+   once its pair with every other live condition is marked: it can add
+   no pair below, so it is dropped too, and the branch stops when
+   nothing is left — in particular once at most one condition
+   survives.  The split variable comes from the first unmarked live
+   pair, in [solve]'s order, so a decoder over k address bits costs
+   about one split per guard where the pair-by-pair proof costs one per
+   pair.  The marked pairs are exactly the pairs whose conjunction is
+   satisfiable: the branch that follows a satisfying assignment of
+   [ci /\ cj] keeps both live until both are true.  [first] stops at
+   the first marked pair, which decides "at most one" alone; [budget]
+   bounds the splits of this one call. *)
+let co_drive ?(first = false) ~budget ~splits conds =
+  let n = Array.length conds in
+  (* index sets as bitsets, 63 indices a word *)
+  let words = (n / 63) + 1 in
+  let bit i = 1 lsl (i mod 63) in
+  (* co.(i): the conditions marked with i, allocated on its first mark,
+     so an exclusive class allocates none *)
+  let co = Array.make n [||] in
+  let marked i j = Array.length co.(i) > 0 && co.(i).(j / 63) land bit j <> 0 in
+  let mark i j =
+    if Array.length co.(i) = 0 then co.(i) <- Array.make words 0;
+    co.(i).(j / 63) <- co.(i).(j / 63) lor bit j
+  in
+  let rec lowest d k = if d land 1 <> 0 then k else lowest (d lsr 1) (k + 1) in
+  (* the lowest member of [set] other than [i] whose pair with [i] is
+     not marked, or -1 *)
+  let open_partner set i =
+    let row = co.(i) in
+    let rec go w =
+      if w = words then -1
+      else
+        let d = set.(w) land if Array.length row = 0 then -1 else lnot row.(w) in
+        let d = if w = i / 63 then d land lnot (bit i) else d in
+        if d = 0 then go (w + 1) else (w * 63) + lowest d 0
+    in
+    go 0
+  in
+  let spent = ref 0 in
+  (* [live]: (index, cofactored condition), in index order, none false;
+     [fresh]: the conditions that became true at this node, each marked
+     once against every true one *)
+  let rec go fresh live =
+    List.iter
+      (fun i ->
+        List.iter
+          (fun (j, e) ->
+            if i <> j && e = Btrue && not (marked i j) then begin
+              mark i j;
+              mark j i;
+              if first then raise Exit
+            end)
+          live)
+      fresh;
+    let set = Array.make words 0 in
+    List.iter (fun (i, _) -> set.(i / 63) <- set.(i / 63) lor bit i) live;
+    match List.filter (fun (i, _) -> open_partner set i >= 0) live with
+    | [] -> ()
+    | (i, ei) :: _ as live ->
+        if !spent >= budget then raise Out_of_budget;
+        incr spent;
+        incr splits;
+        (* the partner is open with [i], so it survived the filter *)
+        let v = pick [ ei; List.assoc (open_partner set i) live ] in
+        List.iter
+          (fun b ->
+            let fresh = ref [] in
+            let live =
+              List.filter_map
+                (fun (i, e) ->
+                  match cofactor v b e with
+                  | Bfalse -> None
+                  | Btrue when e <> Btrue ->
+                      fresh := i :: !fresh;
+                      Some (i, Btrue)
+                  | e -> Some (i, e))
+                live
+            in
+            go !fresh live)
+          [ true; false ]
+  in
+  let live =
+    List.filter
+      (fun (_, e) -> e <> Bfalse)
+      (List.mapi (fun i e -> (i, e)) (Array.to_list conds))
+  in
+  let pairs () =
+    List.concat_map
+      (fun i ->
+        List.filter_map
+          (fun j -> if marked i j then Some (i, j) else None)
+          (List.init (n - i - 1) (fun k -> i + 1 + k)))
+      (List.filter (fun i -> Array.length co.(i) > 0) (List.init n Fun.id))
+  in
+  try
+    go
+      (List.filter_map (fun (i, e) -> if e = Btrue then Some i else None) live)
+      live;
+    Some (pairs ())
+  with
+  | Exit -> Some (pairs ())
+  | Out_of_budget -> None
 
 (* ------------------------------------------------------------------ *)
 (* Pass 1: the drive-conflict prover                                    *)
@@ -445,20 +574,50 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
             :: !verdicts
       | ps ->
           let name = g.Graph.names.(c) in
-          let nps = List.length ps in
           let parr = Array.of_list ps in
+          let nps = Array.length parr in
+          (* the two UNDEF reasons, once per guard: an opaque leaf that
+             can read UNDEF, and a free variable (register output) whose
+             value set holds UNDEF *)
+          let flag p = Array.map (fun pr -> exists_var p pr.pr_cond) parr in
+          let undef_leaf = flag (fun v opq -> opq && Hashtbl.mem st.undef_roots v)
+          and undef_state = flag (fun v opq -> (not opq) && v >= 0 && can_undef v) in
+          (* a pair is flagged when either guard is and neither is false *)
+          let flagged a i j =
+            parr.(i).pr_cond <> Bfalse
+            && parr.(j).pr_cond <> Bfalse
+            && (a.(i) || a.(j))
+          in
           let conflict = ref None and unknown = ref None in
-          let pairs = ref 0 in
+          let budget_out loc =
+            unknown :=
+              Some
+                ( Printf.sprintf "solver budget of %d case splits exhausted"
+                    budget,
+                  loc );
+            raise Exit
+          in
           (try
+             (* one class proof over the guards whose pairs need solving;
+                only its co-drivable pairs reach [solve], for the witness *)
+             let proved =
+               List.filter (fun i -> not undef_leaf.(i)) (List.init nps Fun.id)
+             in
+             let co_drivable = Hashtbl.create 16 in
+             (match
+                co_drive ~budget ~splits
+                  (Array.of_list (List.map (fun i -> parr.(i).pr_cond) proved))
+              with
+             | None -> budget_out parr.(1).pr_loc
+             | Some co ->
+                 let idx = Array.of_list proved in
+                 List.iter
+                   (fun (a, b) -> Hashtbl.replace co_drivable (idx.(a), idx.(b)) ())
+                   co);
              for i = 0 to nps - 1 do
                for j = i + 1 to nps - 1 do
                  if !conflict = None then begin
-                   incr pairs;
-                   let f = band [ parr.(i).pr_cond; parr.(j).pr_cond ] in
-                   let touches_undef =
-                     exists_var (fun v opq -> opq && Hashtbl.mem st.undef_roots v) f
-                   in
-                   if touches_undef then begin
+                   if flagged undef_leaf i j then begin
                      if !unknown = None then
                        unknown :=
                          Some
@@ -467,32 +626,25 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
                              parr.(j).pr_loc )
                    end
                    else
-                     match solve ~budget ~splits f with
+                     match
+                       if Hashtbl.mem co_drivable (i, j) then
+                         solve ~budget ~splits
+                           (band [ parr.(i).pr_cond; parr.(j).pr_cond ])
+                       else Unsat
+                     with
                      | Unsat ->
                          (* exclusive over booleans — but an UNDEF guard
                             also drives, so exclusivity only holds if no
                             variable in either guard can read UNDEF
                             (register power-up, or a latched UNDEF) *)
-                         if
-                           exists_var
-                             (fun v opq -> (not opq) && v >= 0 && can_undef v)
-                             f
-                         then
-                           if !unknown = None then
-                             unknown :=
-                               Some
-                                 ( "a guard depends on sequential state that \
-                                    can read UNDEF (an undefined guard \
-                                    drives)",
-                                   parr.(j).pr_loc )
-                     | Budget_out ->
-                         unknown :=
-                           Some
-                             ( Printf.sprintf
-                                 "solver budget of %d case splits exhausted"
-                                 budget,
-                               parr.(j).pr_loc );
-                         raise Exit
+                         if flagged undef_state i j && !unknown = None then
+                           unknown :=
+                             Some
+                               ( "a guard depends on sequential state that \
+                                  can read UNDEF (an undefined guard \
+                                  drives)",
+                                 parr.(j).pr_loc )
+                     | Budget_out -> budget_out parr.(j).pr_loc
                      | Sat m ->
                          if List.exists (fun (v, _) -> not (v >= 0 && st.free_root.(v))) m
                          then begin
@@ -527,9 +679,10 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
                   name why Diag.Code.drive_conflict;
                 (Needs_runtime_check, why)
             | None, None ->
+                let pairs = nps * (nps - 1) / 2 in
                 ( Safe,
-                  Printf.sprintf "proved exclusive (%d pair%s)" !pairs
-                    (if !pairs = 1 then "" else "s") )
+                  Printf.sprintf "proved exclusive (%d pair%s)" pairs
+                    (if pairs = 1 then "" else "s") )
           in
           verdicts :=
             {

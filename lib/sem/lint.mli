@@ -5,8 +5,8 @@
 
     - a {b drive-conflict prover} (Z101/Z102) that collects the guard
       expressions of every producer of each multi-driven net and
-      decides their pairwise mutual exclusivity with a bounded
-      DPLL-style solver — the static half of the paper's
+      decides their pairwise mutual exclusivity with one bounded
+      class-wide case split ({!co_drive}) — the static half of the paper's
       (NP-complete, section 4.7) multiplex single-drive check, with
       the simulator's runtime multiple-drive check as the fallback;
     - an {b UNDEF-reachability} pass (Z201/Z202) over the
@@ -50,8 +50,28 @@ type sat_result =
 
 (** DPLL-style case-splitting, free variables split first.  [budget]
     bounds the splits of this one call; [splits] accumulates a grand
-    total across calls. *)
+    total across calls.  The conflict prover calls it only on pairs
+    {!co_drive} found co-drivable, for their witness. *)
 val solve : budget:int -> splits:int ref -> bexp -> sat_result
+
+(** [co_drive ~budget ~splits conds] — the class-wide at-most-one
+    proof: one case split over all of a class's drive conditions at
+    once.  Each branch cofactors every live condition and drops those
+    that become [Bfalse] or can add no undecided pair; it splits on the
+    first undecided pair, in {!solve}'s order, and stops when none is
+    left (in particular once at most one condition survives).  Returns
+    the co-drivable pairs [(i, j)], [i < j], sorted — exactly the pairs
+    whose conjunction is satisfiable — or [None] when the splits of
+    this one call exceed [budget].  With [~first:true] it stops at the
+    first co-drivable pair, so the list is empty iff the conditions are
+    pairwise exclusive.  Decoder guards over k bits cost about one split
+    per guard, not one proof per pair. *)
+val co_drive :
+  ?first:bool ->
+  budget:int ->
+  splits:int ref ->
+  bexp array ->
+  (int * int) list option
 
 type classification =
   | Safe  (** every pair of drivers proved mutually exclusive *)
@@ -86,9 +106,11 @@ type report = {
 val default_budget : int
 
 (** Run all three passes.  [budget] bounds the number of case splits
-    the conflict prover may spend per net pair (default
-    {!default_budget}); exhausting it demotes the net to
-    [Needs_runtime_check] rather than guessing.
+    the conflict prover may spend on one multi-driven class (default
+    {!default_budget}): the class-wide proof {!co_drive} gets that
+    many, and so does each witness search of a co-drivable pair.
+    Exhausting it demotes the net to [Needs_runtime_check] rather than
+    guessing.
 
     [proven_safe] is the modular fast path: a predicate over component
     type names whose summaries ({!Summary}) already proved every drive

@@ -12,10 +12,11 @@
      cycle runs Absint.value_sets with register outputs reading the
      current state (not the cross-cycle union), and the
      conflict-injects-UNDEF rule only fires when the class's producer
-     pairs are not exclusive *in this state* — each pair is re-proved
-     with the bounded DPLL solver after substituting the state masks
-     into the guard formulas.  Substitution is the sound boolean
-     over-approximation of the four-valued evaluation:
+     pairs are not exclusive *in this state* — the class is re-proved
+     with Lint's class-wide at-most-one proof (Lint.co_drive) after
+     substituting the state masks into the guard formulas.
+     Substitution is the sound boolean over-approximation of the
+     four-valued evaluation:
        {0}         |-> false
        {1}         |-> true
        {0,1}       |-> the shared variable (boolean case)
@@ -188,23 +189,12 @@ let substitute ctx reg_masks e =
   in
   go e
 
-(* are all producer pairs of this class exclusive in this state? *)
+(* are all producer pairs of this class exclusive in this state?  One
+   class-wide proof: no pair co-drivable, within the budget *)
 let class_exclusive ctx ~budget ~splits ~reg_masks conds =
-  let np = Array.length conds in
-  let sub = Array.map (substitute ctx reg_masks) conds in
-  try
-    for i = 0 to np - 1 do
-      for j = i + 1 to np - 1 do
-        match Lint.band [ sub.(i); sub.(j) ] with
-        | Lint.Bfalse -> ()
-        | f -> (
-            match Lint.solve ~budget ~splits f with
-            | Lint.Unsat -> ()
-            | Lint.Sat _ | Lint.Budget_out -> raise Exit)
-      done
-    done;
-    true
-  with Exit -> false
+  Lint.co_drive ~first:true ~budget ~splits
+    (Array.map (substitute ctx reg_masks) conds)
+  = Some []
 
 (* the per-class exclusivity decision for one abstract state; only
    needs-runtime-check classes are re-proved (Safe transfers, Conflict

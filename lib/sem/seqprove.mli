@@ -95,7 +95,8 @@ val default_depth : int
 (** [run design] proves what it can about the design's sequential
     behaviour.  [depth] (default {!default_depth}) bounds the reset
     trajectory and the concrete witness search; [budget] bounds the
-    DPLL case splits per pair check (default {!Lint.default_budget});
+    case splits of each per-state class proof ({!Lint.co_drive},
+    default {!Lint.default_budget});
     [lint] supplies an existing combinational report for the same
     design (otherwise {!Lint.analyze} runs over the one {!Graph.t}
     this call builds and shares with the prover). *)

@@ -171,6 +171,14 @@ let test_register_block_shape () =
    it), but [export] guards on the schedule itself for designs obtained
    without the checks — the [Cyclic] error must be reported, not a
    crash or a wrong module *)
+(* ram128x16's read port resolves 128 producers per bit: the largest
+   resolver expressions in the corpus.  The export text is pinned by
+   digest (the end-to-end harness pins the same md5) *)
+let test_wide_resolver_digest () =
+  let v = export_exn (Zeus.compile_exn (Corpus.ram ~abits:7 ~wbits:16)) in
+  Alcotest.(check string) "ram128x16 export md5" "d14f51887570cef4c528ad0841c0ce7f"
+    (Digest.to_hex (Digest.string v.Verilog.text))
+
 let test_cyclic_rejected () =
   let src =
     "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS SIGNAL u,v: \
@@ -225,6 +233,8 @@ let () =
           Alcotest.test_case "all examples export" `Quick test_corpus_exports;
           Alcotest.test_case "register block shape" `Quick
             test_register_block_shape;
+          Alcotest.test_case "wide resolver digest" `Quick
+            test_wide_resolver_digest;
         ] );
       ( "errors",
         [

@@ -110,6 +110,93 @@ let test_overlap_conflict () =
   Alcotest.(check bool) "Z101" true (has_code report Diag.Code.drive_conflict)
 
 (* ------------------------------------------------------------------ *)
+(* The class-wide at-most-one proof                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* random guard arrays over six variables, ids 0-2 free and 3-5 opaque
+   (an id keeps one kind, as in the expander) *)
+let gen_guards =
+  let open QCheck.Gen in
+  let leaf =
+    map (fun v -> if v < 3 then Lint.Bvar v else Lint.Bopq v) (int_bound 5)
+  in
+  let rec formula d =
+    if d = 0 then leaf
+    else
+      let sub = formula (d - 1) in
+      frequency
+        [
+          (3, leaf);
+          (2, map Lint.bnot sub);
+          (2, map Lint.band (list_size (int_range 2 3) sub));
+          (2, map Lint.bor (list_size (int_range 2 3) sub));
+          (1, map2 Lint.bxor sub sub);
+        ]
+  in
+  let guard =
+    frequency [ (1, return Lint.Btrue); (1, return Lint.Bfalse); (8, formula 3) ]
+  in
+  pair (map Array.of_list (list_size (int_range 2 12) guard)) (int_bound 64)
+
+let rec bexp_to_string = function
+  | Lint.Btrue -> "1"
+  | Lint.Bfalse -> "0"
+  | Lint.Bvar v -> Printf.sprintf "v%d" v
+  | Lint.Bopq v -> Printf.sprintf "o%d" v
+  | Lint.Bnot e -> "~" ^ bexp_to_string e
+  | Lint.Band l -> "(" ^ String.concat " & " (List.map bexp_to_string l) ^ ")"
+  | Lint.Bor l -> "(" ^ String.concat " | " (List.map bexp_to_string l) ^ ")"
+  | Lint.Bxor (a, b) -> "(" ^ bexp_to_string a ^ " ^ " ^ bexp_to_string b ^ ")"
+
+(* the co-drivable pairs are exactly the pairs the pair solver finds
+   satisfiable; a small budget may give up (None) but never answers
+   wrongly — in particular never "exclusive" for a co-drivable class *)
+let prop_co_drive_agrees =
+  QCheck.Test.make ~count:300 ~name:"co_drive agrees with pairwise solve"
+    (QCheck.make
+       ~print:(fun (gs, b) ->
+         Printf.sprintf "budget %d: [%s]" b
+           (String.concat "; " (Array.to_list (Array.map bexp_to_string gs))))
+       gen_guards)
+    (fun (gs, budget) ->
+      let n = Array.length gs in
+      let truth =
+        List.concat_map
+          (fun i ->
+            List.filter_map
+              (fun j ->
+                match
+                  Lint.solve ~budget:max_int ~splits:(ref 0)
+                    (Lint.band [ gs.(i); gs.(j) ])
+                with
+                | Lint.Sat _ -> Some (i, j)
+                | Lint.Unsat -> None
+                | Lint.Budget_out ->
+                    QCheck.Test.fail_report "unbounded solve gave up")
+              (List.init (n - i - 1) (fun k -> i + 1 + k)))
+          (List.init n Fun.id)
+      in
+      let co ?first budget = Lint.co_drive ?first ~budget ~splits:(ref 0) gs in
+      co max_int = Some truth
+      && (match co budget with None -> true | Some ps -> ps = truth)
+      &&
+      match co ~first:true budget with
+      | None -> true
+      | Some [] -> truth = []
+      | Some [ p ] -> List.mem p truth
+      | Some _ -> false)
+
+(* ram128x16's read port: 16 classes of 128 decoder-guarded producers.
+   The class proof spends about one split per producer; proving the
+   8128 pairs of each class one by one costs 252 928 splits *)
+let test_wide_decoder_linear () =
+  let report = lint (Corpus.ram ~abits:7 ~wbits:16) in
+  Alcotest.(check int) "16 classes" 16 (List.length report.Lint.verdicts);
+  Alcotest.(check int) "all safe" 16 (Lint.count Lint.Safe report);
+  if report.Lint.splits > 16 * 128 then
+    Alcotest.failf "%d case splits, more than 16 x 128" report.Lint.splits
+
+(* ------------------------------------------------------------------ *)
 (* UNDEF reachability                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -362,6 +449,9 @@ let () =
           Alcotest.test_case "overlap conflict" `Quick test_overlap_conflict;
           Alcotest.test_case "dictionary conflict" `Quick
             test_dictionary_conflict;
+          QCheck_alcotest.to_alcotest prop_co_drive_agrees;
+          Alcotest.test_case "wide decoder linear" `Quick
+            test_wide_decoder_linear;
         ] );
       ( "undef",
         [

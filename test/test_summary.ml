@@ -166,11 +166,26 @@ let test_recursion_z405 () =
 (* The persistent summary cache                                         *)
 (* ------------------------------------------------------------------ *)
 
-let test_cache_roundtrip () =
-  (* a fresh directory per run, without depending on unix: temp_file
-     reserves a unique name, and the cache creates the directory *)
+(* a fresh cache directory per run, without depending on unix:
+   temp_file reserves a unique name, and the cache creates the
+   directory.  Both go afterwards, also when a check fails (the cache
+   writes only flat files into the directory). *)
+let with_cache_dir f =
   let stamp = Filename.temp_file "zeus-summary-test" "" in
   let dir = stamp ^ ".d" in
+  Fun.protect
+    ~finally:(fun () ->
+      if Sys.file_exists dir then begin
+        Array.iter
+          (fun e -> Sys.remove (Filename.concat dir e))
+          (Sys.readdir dir);
+        Sys.rmdir dir
+      end;
+      Sys.remove stamp)
+    (fun () -> f dir)
+
+let test_cache_roundtrip () =
+  with_cache_dir @@ fun dir ->
   let src = Corpus.htree 16 in
   let r1 = analyze ~cache_dir:dir src in
   Alcotest.(check int) "cold run hits nothing" 0 r1.Summary.cache_hits;
@@ -192,8 +207,7 @@ let test_cache_roundtrip () =
 (* A truncated entry (a write cut short) is a miss, not an error: the
    run that misses writes the entry again, and the run after it hits. *)
 let test_cache_truncated () =
-  let stamp = Filename.temp_file "zeus-summary-test" "" in
-  let dir = stamp ^ ".d" in
+  with_cache_dir @@ fun dir ->
   let src = Corpus.htree 16 in
   let r1 = analyze ~cache_dir:dir src in
   let entries () =
