@@ -5,8 +5,8 @@
 
    Only *deterministic* counters are compared — numeric fields whose
    names mention visits, summaries, nets, cycles, gates, drivers,
-   folded, merged, ops, lanes, runs, jobs, groups or splits — with a relative
-   tolerance
+   folded, merged, ops, lanes, runs, jobs, groups, splits or words — with a
+   relative tolerance
    (default 25%).  Wall-clock fields ("seconds", "speedup", and the
    derived "*_runs_per_sec" rates) and boolean agreement flags are
    ignored for tolerance purposes, except that any
@@ -39,7 +39,8 @@ let has_sub k sub =
 
 (* checked counters: deterministic work metrics, never wall-clock.
    "runs"/"jobs"/"groups" cover the batch engine's sharding counters,
-   "splits" the case splits of the drive-conflict provers; the per_sec
+   "splits" the case splits of the drive-conflict provers, "words" the
+   deck reader's minor-heap words per poke; the per_sec
    guard keeps the derived rate fields (cold_runs_per_sec
    etc.) out, since those are wall-clock in disguise. *)
 let checked_key k =
@@ -48,7 +49,7 @@ let checked_key k =
   && (mem "visits" || mem "summaries" || mem "nets" || mem "cycles"
      || mem "gates" || mem "drivers" || mem "folded" || mem "merged"
      || mem "ops" || mem "lanes" || mem "runs" || mem "jobs"
-     || mem "groups" || mem "splits")
+     || mem "groups" || mem "splits" || mem "words")
 
 type entry = {
   path : string; (* "design-label/key" *)

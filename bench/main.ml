@@ -641,6 +641,7 @@ type value =
   | Count of int
   | Secs of float
   | Ratio of float
+  | Mean of float  (* a deterministic per-item mean, to 4 places *)
   | Flag of bool
   | Group of row
 
@@ -681,13 +682,15 @@ let rec json = function
   | Count n -> string_of_int n
   | Secs s -> Printf.sprintf "%.6f" s
   | Ratio r -> Printf.sprintf "%.2f" r
+  | Mean m -> Printf.sprintf "%.4f" m
   | Flag b -> string_of_bool b
   | Group fields -> "{" ^ String.concat ", " (List.map json_field fields) ^ "}"
 
 and json_field (k, v) = quote k ^ ": " ^ json v
 
 (* a table column is a header and the dotted path of the field it
-   shows; the first column is left-aligned, the rest right-aligned *)
+   shows ("-" in a row without it); the first column is left-aligned,
+   the rest right-aligned *)
 let print_table columns rows =
   let cell row path =
     match
@@ -699,6 +702,7 @@ let print_table columns rows =
     with
     | Label s -> s
     | v -> json v
+    | exception Not_found -> "-"
   in
   let lines =
     List.map fst columns
@@ -1136,6 +1140,37 @@ let e18_workloads =
                 ])) );
   ]
 
+(* The deck reader on a batch-narrow-shaped deck: patternmatch(9), each
+   run an RSET=1 then an RSET=0 line, then every input poked 0/1 each
+   cycle.  Returns (runs, pokes), (seconds, minor words) of one
+   [Stimulus.read_deck]; the words are deterministic. *)
+let e18_deck ~runs ~cycles =
+  let d = compile (Corpus.patternmatch 9) in
+  let inputs = [ "pattern"; "string"; "endofpattern"; "wild"; "resultin" ] in
+  let b = Buffer.create (runs * cycles * 90) and pokes = ref 0 in
+  for r = 0 to runs - 1 do
+    Buffer.add_string b "run\nRSET=1\nRSET=0\n";
+    pokes := !pokes + 2;
+    for c = 0 to cycles - 1 do
+      List.iteri
+        (fun i p ->
+          Printf.bprintf b "%smatch.%s=%d"
+            (if i = 0 then "" else " ")
+            p
+            (((r * 7) + (c * 3) + i) / (i + 1) land 1))
+        inputs;
+      Buffer.add_char b '\n';
+      pokes := !pokes + List.length inputs
+    done
+  done;
+  let text = Buffer.contents b in
+  let w0 = Gc.minor_words () in
+  let _, secs =
+    timed (fun () -> Stimulus.read_deck d ~name:"deck" ~watch:[] text)
+  in
+  let words = Gc.minor_words () -. w0 in
+  ((runs, !pokes), (secs, words))
+
 let e18_batch ~runs:nruns ~cycles ~jobs () =
   section "E18"
     (Printf.sprintf
@@ -1259,6 +1294,24 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
     ((r + r', g + g', l + l', f + f'), (s +. s', c +. c', w +. w'), a && a')
   in
   let total = List.fold_left add ((0, 0, 0, 0), (0., 0., 0.), true) measured in
+  (* the deck row: a fixed 200-run deck in every mode, so the words per
+     poke do not depend on --smoke *)
+  let deck =
+    let deck_cycles = 50 in
+    let (runs, pokes), (secs, words) = e18_deck ~runs:200 ~cycles:deck_cycles in
+    [
+      ("design", Label "deck/patternmatch(9)");
+      ("runs", Count runs);
+      ("cycles", Count deck_cycles);
+      ("pokes", Count pokes);
+      ( "reader",
+        Group
+          [
+            ("seconds", Secs secs);
+            ("minor_words_per_poke", Mean (words /. float_of_int pokes));
+          ] );
+    ]
+  in
   report "BENCH_batch.json"
     [
       ("workload", "design"); ("runs", "runs"); ("serial-s", "serial.seconds");
@@ -1267,8 +1320,10 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
       ("warm-s", "batch.warm_seconds"); ("warm-r/s", "batch.warm_runs_per_sec");
       ("x-cold", "batch.speedup_cold"); ("x-warm", "batch.speedup_warm");
       ("groups", "lane_groups"); ("agree", "batch.snapshots_agree");
+      ("reader-s", "reader.seconds");
+      ("words/poke", "reader.minor_words_per_poke");
     ]
-    (List.map row (measured @ [ ("corpus-total", total) ]));
+    (List.map row (measured @ [ ("corpus-total", total) ]) @ [ deck ]);
   Fmt.pr "(counters are deterministic in (design, runs, jobs, lanes); \
           runs/second is machine-dependent)@."
 

@@ -184,136 +184,6 @@ let suppress_arg =
         ~doc:"Drop findings with this diagnostic code (repeatable).")
 
 (* ------------------------------------------------------------------ *)
-(* The one poke resolver, shared by -p and the --batch deck reader *)
-
-(* [a.[i..i+n)] = [b.[j..j+n)]; this and [int_at] are closure-free, so
-   a deck's per-poke path and value reads allocate nothing *)
-let rec same_chars a i b j n =
-  n = 0 || (a.[i] = b.[j] && same_chars a (i + 1) b (j + 1) (n - 1))
-
-(* a path as the slice [s.[i..j)] of a -p argument or a deck *)
-type slice = { mutable s : string; mutable i : int; mutable j : int }
-
-module Slices = Hashtbl.Make (struct
-  type t = slice
-
-  let equal a b = a.j - a.i = b.j - b.i && same_chars a.s a.i b.s b.i (a.j - a.i)
-
-  let hash a =
-    let h = ref 0 in
-    for k = a.i to a.j - 1 do
-      h := (!h * 31) + Char.code a.s.[k]
-    done;
-    !h land max_int
-end)
-
-type target = {
-  path : string;
-  nets : int list;
-  width : int;
-  zero : string * Zeus.Logic.t list;  (* the shared 0 and 1 pokes *)
-  one : string * Zeus.Logic.t list;
-}
-
-type resolver = {
-  design : Zeus.Elaborate.design;
-  driven : (int -> bool) Lazy.t;
-  fail : string -> exn;  (* the exception a bad path or value raises *)
-  cache : target Slices.t;
-  probe : slice;
-}
-
-let poke_resolver design ~fail =
-  {
-    design;
-    driven = lazy (Zeus.Graph.driven design);
-    fail;
-    cache = Slices.create 64;
-    probe = { s = ""; i = 0; j = 0 };
-  }
-
-(* [target r s i j] resolves the path [s.[i..j)]; a poke takes effect
-   only on nets no gate or driver writes.  Each distinct path is
-   resolved once, and a resolved one is found without copying it *)
-let target r s i j =
-  r.probe.s <- s;
-  r.probe.i <- i;
-  r.probe.j <- j;
-  match Slices.find r.cache r.probe with
-  | t -> t
-  | exception Not_found ->
-      let path = String.sub s i (j - i) in
-      let nets =
-        match Zeus.Elaborate.resolve_path r.design path with
-        | Ok nets -> nets
-        | Error m -> raise (r.fail m)
-      in
-      if List.exists (Lazy.force r.driven) nets then
-        raise
-          (r.fail
-             (Printf.sprintf
-                "%s is driven by the design, so a poke of it would be \
-                 ignored (only inputs, registers and undriven nets take \
-                 pokes)"
-                path));
-      let t =
-        {
-          path;
-          nets;
-          width = List.length nets;
-          zero = (path, [ Zeus.Logic.Zero ]);
-          one = (path, [ Zeus.Logic.One ]);
-        }
-      in
-      Slices.add r.cache { s = path; i = 0; j = String.length path } t;
-      t
-
-(* a poke of 0 or 1 sets one bit, so it needs a single-bit path; any
-   poke must fit the path, 0..2^width-1, rather than be truncated *)
-let poke_error { path; width; _ } v =
-  if v < 0 || (width < Sys.int_size - 1 && v lsr width <> 0) then
-    Some
-      (Printf.sprintf "%s=%d: out of range for the %d-bit path %s (0..%s)" path
-         v width path
-         (if width < Sys.int_size - 1 then string_of_int ((1 lsl width) - 1)
-          else Printf.sprintf "2^%d-1" width))
-  else if v <= 1 && width <> 1 then
-    Some
-      (Printf.sprintf "%s=%d: 0/1 pokes a single bit, but %s is %d bits wide"
-         path v path width)
-  else None
-
-(* [poke r t v] is the (path, bits) a poke of [v] sets on [t]: 0/1 one
-   shared bit, anything larger BIN(v, width) MSB-first *)
-let poke r t v =
-  match poke_error t v with
-  | Some m -> raise (r.fail m)
-  | None ->
-      if v > 1 then (t.path, Zeus.Cval.sctree_leaves (Zeus.Cval.bin v t.width))
-      else if v = 1 then t.one
-      else t.zero
-
-(* [s.[i..j)] as [int_of_string_opt] reads it, raising [Not_found] on
-   anything else; plain decimals of up to 18 digits are read in place *)
-let int_of_copy s i j =
-  match int_of_string_opt (String.sub s i (j - i)) with
-  | Some n -> n
-  | None -> raise Not_found
-
-let rec decimal s i j k n =
-  if k = j then n
-  else
-    match s.[k] with
-    | '0' .. '9' as c -> decimal s i j (k + 1) ((n * 10) + Char.code c - 48)
-    | _ -> int_of_copy s i j
-
-let int_at s i j =
-  if j > i && j - i <= 18 then decimal s i j i 0 else int_of_copy s i j
-
-(* [s.[i..j)] = [lit] *)
-let is s i j lit = j - i = String.length lit && same_chars s i lit 0 (j - i)
-
-(* ------------------------------------------------------------------ *)
 
 let default_cache_dir () =
   Filename.concat (Filename.get_temp_dir_name ()) "zeus-summary-cache"
@@ -424,127 +294,6 @@ let poke_conv : (string * int) Arg.conv =
     | None -> Error (`Msg "poke must look like path=value")
   in
   Arg.conv (parse, fun ppf (p, v) -> Fmt.pf ppf "%s=%d" p v)
-
-(* The --batch stimulus file: a [run [seed=N] [cycles=N]] header starts
-   each independent run, every following line is one cycle of
-   space-separated path=value pokes ('-' for a cycle with no new pokes;
-   '#' comments and blank lines are skipped; a line's leading and
-   trailing blanks, a CR included, are ignored).  A run's cycle count is
-   the explicit [cycles=N] if given, else its number of stimulus lines.
-   Values follow the -p convention and go through the same resolver.
-   Raises [Failure] with a message naming the deck [name] and the line
-   on a malformed file, an unknown path, a poke of a driven net, a value
-   outside 0..2^width-1, a 0/1 poke on a multi-bit path or a deck with
-   no runs.
-
-   Decks run to megabytes, so the reader makes one pass over [src] by
-   index: no line, token, trimmed, path or value copies.  Each distinct
-   path is resolved once and kept as one shared string, and every 0/1
-   poke of it is one of two shared (path, bit list) pairs. *)
-let parse_batch_file design ~name ~watch src =
-  let len = String.length src in
-  let runs = ref [] and cur = ref None and lineno = ref 0 in
-  let error m =
-    Failure (Printf.sprintf "batch file %s: line %d: %s" name !lineno m)
-  in
-  let fail fmt = Printf.ksprintf (fun m -> raise (error m)) fmt in
-  let sub i j = String.sub src i (j - i) in
-  (* [String.trim]'s blanks; tokens are separated by spaces only *)
-  let blank c = c = ' ' || c = '\t' || c = '\r' || c = '\012' || c = '\n' in
-  (* the end of the token starting at [i], within a line ending at [e] *)
-  let token_end i e =
-    let j = ref i in
-    while !j < e && src.[!j] <> ' ' do incr j done;
-    !j
-  in
-  (* fold [f] over the tokens of [i, e) in order *)
-  let rec fold_tokens f acc i e =
-    if i >= e then acc
-    else if src.[i] = ' ' then fold_tokens f acc (i + 1) e
-    else
-      let j = token_end i e in
-      fold_tokens f (f acc i j) j e
-  in
-  (* the position of the '=' of the key=value token [i, j) *)
-  let split_kv i j =
-    match String.index_from_opt src i '=' with
-    | Some k when k < j -> k
-    | _ -> fail "expected key=value, got %S" (sub i j)
-  in
-  let resolver = poke_resolver design ~fail:error in
-  let poke acc i j =
-    let k = split_kv i j in
-    match int_at src (k + 1) j with
-    | exception Not_found ->
-        fail "poke value must be an integer, got %S" (sub (k + 1) j)
-    | v -> poke resolver (target resolver src i k) v :: acc
-  in
-  let flush () =
-    match !cur with
-    | None -> ()
-    | Some (seed, cycles, rev_stim) ->
-        let stim = Array.of_list (List.rev rev_stim) in
-        let cyc = Option.value cycles ~default:(Array.length stim) in
-        runs :=
-          { Zeus.Sim.br_stim = stim; br_cycles = cyc; br_seed = seed;
-            br_watch = watch }
-          :: !runs;
-        cur := None
-  in
-  let header i e =
-    flush ();
-    let seed = ref None and cycles = ref None in
-    fold_tokens
-      (fun () i j ->
-        let k = split_kv i j in
-        if is src i k "seed" then (
-          match int_at src (k + 1) j with
-          | n -> seed := Some n
-          | exception Not_found ->
-              fail "seed must be an integer, got %S" (sub (k + 1) j))
-        else if is src i k "cycles" then (
-          match int_at src (k + 1) j with
-          | n when n >= 0 -> cycles := Some n
-          | _ -> fail "cycles must be a non-negative integer"
-          | exception Not_found -> fail "cycles must be a non-negative integer")
-        else fail "unknown run option %S" (sub i k))
-      () i e;
-    cur := Some (!seed, !cycles, [])
-  in
-  let line b e =
-    let b = ref b and e = ref e in
-    while !b < !e && blank src.[!b] do incr b done;
-    while !e > !b && blank src.[!e - 1] do decr e done;
-    let b = !b and e = !e in
-    if b = e || src.[b] = '#' then ()
-    else
-      let t = token_end b e in
-      if is src b t "run" then header t e
-      else
-        match !cur with
-        | None -> fail "stimulus line before any 'run' header"
-        | Some (seed, cycles, stim) ->
-            let pokes =
-              if is src b e "-" then [] else List.rev (fold_tokens poke [] b e)
-            in
-            cur := Some (seed, cycles, pokes :: stim)
-  in
-  (* lines end at '\n'; like [String.split_on_char], a final '\n' is
-     followed by one (empty) line *)
-  let start = ref 0 in
-  while !start <= len do
-    let stop =
-      match String.index_from_opt src !start '\n' with
-      | Some i -> i
-      | None -> len
-    in
-    incr lineno;
-    line !start stop;
-    start := stop + 1
-  done;
-  flush ();
-  if !runs = [] then failwith (Printf.sprintf "batch file %s: no runs" name);
-  List.rev !runs
 
 let sim_cmd =
   let cycles =
@@ -672,38 +421,36 @@ let sim_cmd =
              inputs are poked to defined values, so only the Z101 \
              reporting is elided.")
   in
+  (* the deck reader (Zeus.Stimulus) raises [Failure] naming the deck
+     and line, before any run starts *)
   let run_batch_mode design ~engine ~jobs ~optimize ~discharged ~stats ~watch bf
       =
-    let runs = parse_batch_file design ~name:bf ~watch (load bf) in
+    let stim = Zeus.Stimulus.read_deck design ~name:bf ~watch (load bf) in
     let tmpl = Zeus.Sim.create ~engine ?jobs ~optimize ?discharged design in
-    match Zeus.Sim.run_batch tmpl runs with
-    | Error m ->
-        (* the deck reader checks every path and width first *)
-        failwith (Printf.sprintf "batch file %s: %s" bf m)
-    | Ok (results, st) ->
-        List.iteri
-          (fun i (res : Zeus.Sim.batch_result) ->
-            Fmt.pr "run %d:" i;
-            List.iter
-              (fun (p, bits) ->
-                Fmt.pr " %s=%a" p Fmt.(list ~sep:nop Zeus.Logic.pp) bits)
-              res.Zeus.Sim.bres_watched;
-            Fmt.pr "@.";
-            List.iter
-              (fun (e : Zeus.Sim.runtime_error) ->
-                Fmt.pr "runtime error (run %d, cycle %d) [%s] %s: %s@." i
-                  e.Zeus.Sim.err_cycle e.Zeus.Sim.err_code
-                  e.Zeus.Sim.err_net e.Zeus.Sim.err_message)
-              res.Zeus.Sim.bres_errors)
-          results;
-        if stats then
-          Fmt.pr
-            "batch: runs=%d jobs=%d lanes=%d lane-groups=%d lane-runs=%d \
-             serial-runs=%d cycles=%d@."
-            st.Zeus.Sim.bs_runs st.Zeus.Sim.bs_jobs st.Zeus.Sim.bs_lanes
-            st.Zeus.Sim.bs_lane_groups st.Zeus.Sim.bs_lane_runs
-            st.Zeus.Sim.bs_serial_runs st.Zeus.Sim.bs_cycles;
-        0
+    let results, st = Zeus.Sim.run_stimulus tmpl stim in
+    List.iteri
+      (fun i (res : Zeus.Sim.batch_result) ->
+        Fmt.pr "run %d:" i;
+        List.iter
+          (fun (p, bits) ->
+            Fmt.pr " %s=%a" p Fmt.(list ~sep:nop Zeus.Logic.pp) bits)
+          res.Zeus.Sim.bres_watched;
+        Fmt.pr "@.";
+        List.iter
+          (fun (e : Zeus.Sim.runtime_error) ->
+            Fmt.pr "runtime error (run %d, cycle %d) [%s] %s: %s@." i
+              e.Zeus.Sim.err_cycle e.Zeus.Sim.err_code
+              e.Zeus.Sim.err_net e.Zeus.Sim.err_message)
+          res.Zeus.Sim.bres_errors)
+      results;
+    if stats then
+      Fmt.pr
+        "batch: runs=%d jobs=%d lanes=%d lane-groups=%d lane-runs=%d \
+         serial-runs=%d cycles=%d@."
+        st.Zeus.Sim.bs_runs st.Zeus.Sim.bs_jobs st.Zeus.Sim.bs_lanes
+        st.Zeus.Sim.bs_lane_groups st.Zeus.Sim.bs_lane_runs
+        st.Zeus.Sim.bs_serial_runs st.Zeus.Sim.bs_cycles;
+    0
   in
   let run file cycles pokes peeks do_reset trace wave explain activity vcd_out
       engine jobs stats optimize discharge batch_file () =
@@ -712,12 +459,13 @@ let sim_cmd =
     (* a -p/-w path that names nothing, a -p of a driven net or a poke
        that does not fit its path is a usage error, caught before the
        first cycle rather than half-way through a line *)
-    let resolver = poke_resolver design ~fail:(fun m -> Fail (Usage m)) in
+    let resolver = Zeus.Stimulus.resolver design in
     let pokes =
       List.map
         (fun (path, v) ->
-          let t = target resolver path 0 (String.length path) in
-          (t.nets, snd (poke resolver t v)))
+          match Zeus.Stimulus.poke resolver path v with
+          | Ok poke -> poke
+          | Error m -> usage "%s" m)
         pokes
     in
     let nets_of path =
@@ -736,7 +484,7 @@ let sim_cmd =
     match batch_file with
     | Some bf ->
         run_batch_mode design ~engine ~jobs ~optimize ~discharged ~stats
-          ~watch:peeks bf
+          ~watch:watched bf
     | None ->
         (* so are an --explain path and an unwritable VCD file, which
            would otherwise fail only after the run *)

@@ -35,14 +35,13 @@ let to_string v = Fmt.str "%a" pp v
 (* BIN(a,b): the numeric constant [a] as ARRAY[1..b] OF boolean.
    Index 1 is the most significant bit, so BIN(10,5) = (0,1,0,1,0) reads
    like the binary numeral.  NUM below uses the same convention. *)
+(* bit [shift] of [a]; OCaml leaves [lsr] by Sys.int_size or more
+   unspecified (amd64 wraps the count), so those bits read 0 *)
+let bit a shift = shift < Sys.int_size && (a lsr shift) land 1 = 1
+
 let bin a b =
   if b < 0 then invalid_arg "Cval.bin: negative width";
-  let bits =
-    List.init b (fun i ->
-        let shift = b - 1 - i in
-        Leaf (Logic.of_bool ((a lsr shift) land 1 = 1)))
-  in
-  Tuple bits
+  Tuple (List.init b (fun i -> Leaf (Logic.of_bool (bit a (b - 1 - i)))))
 
 (* NUM over a list of bit values (MSB first); [None] when any bit is not
    a definite 0/1. *)

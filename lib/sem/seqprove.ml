@@ -599,8 +599,15 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
   let ctx = make_ctx g lintrep in
   let splits = ref 0 in
   let bag = Diag.Bag.create () in
+  (* With no register and no needs-runtime-check class there is no
+     state to reach, no class to upgrade and no conflict to witness
+     (Z601/Z602 read register state, Z603 and the upgrades [ctx.conds]),
+     so the passes below are skipped, not run to an empty result. *)
+  let stateless =
+    Array.length g.Graph.regs = 0 && Hashtbl.length ctx.conds = 0
+  in
   (* 1. reachability fixpoint from power-up *)
-  let fix = powerup_fixpoint ctx ~budget ~splits in
+  let fix = if stateless then [||] else powerup_fixpoint ctx ~budget ~splits in
   (* 2. upgrades: needs-runtime-check classes exclusive in every
      reachable state *)
   let exclusive_fix = compute_exclusive ctx ~budget ~splits ~reg_masks:fix in
@@ -639,10 +646,12 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
       Hashtbl.replace ctx.verdict_of g.Graph.canon.(net) Lint.Safe_sequential)
     upgraded;
   (* 3. reset trajectory: Z601 / Z602 *)
-  let traj = reset_trajectory ctx ~budget ~splits ~depth fix in
-  reset_coverage ctx bag ~budget ~splits ~depth traj;
+  let traj =
+    if stateless then [||] else reset_trajectory ctx ~budget ~splits ~depth fix
+  in
+  if not stateless then reset_coverage ctx bag ~budget ~splits ~depth traj;
   (* 4. concrete witness search: Z603 (over the still-unproven nets) *)
-  let witnesses = concrete_search ctx ~depth in
+  let witnesses = if stateless then [] else concrete_search ctx ~depth in
   List.iter
     (fun w ->
       let loc =

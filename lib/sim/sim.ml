@@ -1245,10 +1245,12 @@ let snapshot t =
    function of (seed, class, cycle) — makes every run replay
    deterministically wherever it lands.
 
-   Before any fan-out, one pass resolves every stimulus and watch path
-   once and checks every poke's width, so a bad batch is an [Error]
-   from the caller's domain and the workers never see a path string:
-   each run's pokes become a compact stream of path ids.  Three
+   The executor reads one form, the packed {!Stimulus}: every path was
+   resolved once, before any fan-out, by the front end that built it
+   (the deck reader, or [run_batch]'s string wrapper), so the workers
+   never see a path string.  Each run's pokes are a stream of (entry,
+   value) varints, expanded to class pokes as each line is applied; the
+   only per-batch work here maps each entry's nets to classes.  Three
    execution paths, all bit-identical to a serial run:
 
    - the bit-sliced path: up to [lanes] (at most 63) consecutive runs
@@ -1267,13 +1269,11 @@ let snapshot t =
    stepping a handle never forks, so inner handles cannot nest a
    region. *)
 
-type batch_run = {
+type batch_run = Stimulus.batch_run = {
   br_stim : (string * Logic.t list) list array;
-      (* pokes applied before cycle i; cycles past the array keep the
-         last poked values, like a quiescent testbench *)
   br_cycles : int;
-  br_seed : int option; (* per-run RANDOM seed; default the template's *)
-  br_watch : string list; (* paths peeked after the final cycle *)
+  br_seed : int option;
+  br_watch : string list;
 }
 
 type batch_result = {
@@ -1295,96 +1295,6 @@ type batch_stats = {
   bs_cycles : int; (* total cycles across all runs *)
 }
 
-(* A batch with every path resolved: [classes] maps a stimulus path id
-   to the path's class ids, [ids] holds each run's poke path ids in
-   poke order (LEB128 varints: a deck's few paths cost a byte a poke),
-   and [watch] maps each watched path to its net ids. *)
-type plan = {
-  classes : int array array;
-  ids : string array;
-  watch : (string, int list) Hashtbl.t;
-}
-
-let plan_batch t (runs : batch_run array) =
-  let exception Bad_batch of string in
-  let design = design t in
-  let paths = Hashtbl.create 64 and rev_classes = ref [] and n = ref 0 in
-  let watch = Hashtbl.create 16 in
-  let buf = Buffer.create 256 in
-  let rec varint v =
-    if v < 0x80 then Buffer.add_char buf (Char.chr v)
-    else begin
-      Buffer.add_char buf (Char.chr (v land 0x7f lor 0x80));
-      varint (v lsr 7)
-    end
-  in
-  let bad fmt = Fmt.kstr (fun m -> raise (Bad_batch m)) fmt in
-  let stim i c (p, bits) =
-    let id, cls =
-      match Hashtbl.find_opt paths p with
-      | Some e -> e
-      | None -> (
-          match Elaborate.resolve_path design p with
-          | Error msg -> bad "run %d, cycle %d: %s" i c msg
-          | Ok nets ->
-              let e = (!n, Array.of_list (List.map (canon t) nets)) in
-              incr n;
-              rev_classes := snd e :: !rev_classes;
-              Hashtbl.add paths p e;
-              e)
-    in
-    let width = Array.length cls in
-    if List.compare_length_with bits width <> 0 then
-      bad "run %d, cycle %d: %s: a %d-bit poke of the %d-bit path" i c p
-        (List.length bits) width;
-    varint id
-  in
-  let watched i p =
-    if not (Hashtbl.mem watch p) then
-      match Elaborate.resolve_path design p with
-      | Ok nets -> Hashtbl.add watch p nets
-      | Error msg -> bad "run %d: %s" i msg
-  in
-  match
-    Array.mapi
-      (fun i r ->
-        Array.iteri (fun c line -> List.iter (stim i c) line) r.br_stim;
-        List.iter (watched i) r.br_watch;
-        let ids = Buffer.contents buf in
-        Buffer.clear buf;
-        ids)
-      runs
-  with
-  | ids -> Ok { classes = Array.of_list (List.rev !rev_classes); ids; watch }
-  | exception Bad_batch msg -> Error ("Sim.run_batch: " ^ msg)
-
-(* the next path id of stream [s] at cursor [cur.(r)] *)
-let next_id s (cur : int array) r =
-  let p = ref cur.(r) and shift = ref 0 and id = ref 0 and more = ref true in
-  while !more do
-    let b = Char.code (String.unsafe_get s !p) in
-    id := !id lor ((b land 0x7f) lsl !shift);
-    shift := !shift + 7;
-    incr p;
-    more := b >= 0x80
-  done;
-  cur.(r) <- !p;
-  !id
-
-let rec poke_bits poke r cls j = function
-  | [] -> ()
-  | v :: vs ->
-      poke r cls.(j) v;
-      poke_bits poke r cls (j + 1) vs
-
-(* apply one cycle's pokes [line] of the run whose path ids are [ids],
-   read at cursor [cur.(r)], through [poke r class v] *)
-let rec apply_line plan ids cur r poke = function
-  | [] -> ()
-  | (_, bits) :: rest ->
-      poke_bits poke r plan.classes.(next_id ids cur r) 0 bits;
-      apply_line plan ids cur r poke rest
-
 (* A fresh handle sharing the compile artifacts (graph, schedule,
    bytecode program, the incremental engine's on-demand program) of [t]
    but owning every piece of mutable run state — the per-run clone of
@@ -1394,43 +1304,47 @@ let fresh_like t ~seed =
     ~const_nodes:t.const_nodes ~random_nodes:t.random_nodes ~cprog:t.cprog
     ~iprog:t.iprog ~jobs:t.jobs
 
-let watched plan run value =
-  List.map
-    (fun p -> (p, List.map value (Hashtbl.find plan.watch p)))
-    run.br_watch
+(* the watched paths of [run], read through [value] *)
+let watched (st : Stimulus.t) (run : Stimulus.run) value =
+  Array.fold_right
+    (fun w acc ->
+      let p, nets = st.Stimulus.watches.(w) in
+      (p, List.map value nets) :: acc)
+    run.Stimulus.watch []
 
-(* run [i], one fresh handle, the template's engine *)
-let batch_exec_serial tmpl plan i run ~snapshots =
-  let t = fresh_like tmpl ~seed:(Option.value run.br_seed ~default:tmpl.seed) in
+(* run [run] of [st], one fresh handle, the template's engine *)
+let batch_exec_serial tmpl st classes (run : Stimulus.run) ~snapshots =
+  let t =
+    fresh_like tmpl ~seed:(Option.value run.Stimulus.seed ~default:tmpl.seed)
+  in
   let poke _ c v =
-    t.poked.(c) <- Some v;
+    t.poked.(c) <- some_value v;
     mark_seed t c
   in
-  let cur = [| 0 |] and snaps = ref [] in
-  for c = 0 to run.br_cycles - 1 do
-    if c < Array.length run.br_stim then
-      apply_line plan plan.ids.(i) cur 0 poke run.br_stim.(c);
+  let cur = [| run.Stimulus.off |] and snaps = ref [] in
+  for c = 0 to run.Stimulus.cycles - 1 do
+    if c < run.Stimulus.lines then Stimulus.apply_line st classes cur 0 poke;
     step t;
     if snapshots then snaps := snapshot t :: !snaps
   done;
   {
     bres_snaps = List.rev !snaps;
     bres_errors = runtime_errors t;
-    bres_watched = watched plan run (value_of_net t);
+    bres_watched = watched st run (value_of_net t);
   }
 
 (* Runs [lo, hi) share one cycle count: one group on the domain's
    bit-sliced store [w], run [lo + r] in bit r. *)
-let batch_exec_sliced tmpl prog w plan (runs : batch_run array) lo hi ~snapshots
-    =
+let batch_exec_sliced tmpl prog w st classes lo hi ~snapshots =
   let g = tmpl.g in
+  let runs = st.Stimulus.runs in
   let n = hi - lo in
   Bytecode.reset_sliced prog w
     ~seeds:
       (Array.init n (fun r ->
-           Option.value runs.(lo + r).br_seed ~default:tmpl.seed));
+           Option.value runs.(lo + r).Stimulus.seed ~default:tmpl.seed));
   let poke r c v = Bytecode.poke_run w ~run:r c v in
-  let cur = Array.make n 0 in
+  let cur = Array.init n (fun r -> runs.(lo + r).Stimulus.off) in
   let errors = Array.make n [] (* newest first, like [t.errors] *)
   and snaps = Array.make n [] in
   let snapshot_of r =
@@ -1439,11 +1353,10 @@ let batch_exec_sliced tmpl prog w plan (runs : batch_run array) lo hi ~snapshots
         if g.Graph.rep.(c) = i then Some (Bytecode.get_run w ~run:r c)
         else None)
   in
-  for c = 0 to runs.(lo).br_cycles - 1 do
+  for c = 0 to runs.(lo).Stimulus.cycles - 1 do
     for r = 0 to n - 1 do
-      let run = runs.(lo + r) in
-      if c < Array.length run.br_stim then
-        apply_line plan plan.ids.(lo + r) cur r poke run.br_stim.(c)
+      if c < runs.(lo + r).Stimulus.lines then
+        Stimulus.apply_line st classes cur r poke
     done;
     (match Bytecode.run_sliced prog w ~cycle:c with
     | [] -> ()
@@ -1470,14 +1383,18 @@ let batch_exec_sliced tmpl prog w plan (runs : batch_run array) lo hi ~snapshots
       {
         bres_snaps = List.rev snaps.(r);
         bres_errors = List.rev errors.(r);
-        bres_watched = watched plan runs.(lo + r) value;
+        bres_watched = watched st runs.(lo + r) value;
       })
 
-let run_batch ?jobs ?(lanes = Bytecode.max_runs) ?(snapshots = false) t runs =
-  let runs = Array.of_list runs in
-  match plan_batch t runs with
-  | Error _ as e -> e
-  | Ok plan ->
+let run_stimulus ?jobs ?(lanes = Bytecode.max_runs) ?(snapshots = false) t
+    (st : Stimulus.t) =
+  (* each entry's classes, once per batch *)
+  let classes =
+    Array.map
+      (fun (e : Stimulus.entry) -> Array.map (canon t) e.Stimulus.nets)
+      st.Stimulus.entries
+  in
+  let runs = st.Stimulus.runs in
   let nruns = Array.length runs in
   let jobs =
     let requested = Option.value jobs ~default:t.jobs in
@@ -1498,14 +1415,14 @@ let run_batch ?jobs ?(lanes = Bytecode.max_runs) ?(snapshots = false) t runs =
     while !i < hi do
       let j = !i in
       match t.cprog with
-      | _ when runs.(j).br_cycles <= 0 ->
+      | _ when runs.(j).Stimulus.cycles <= 0 ->
           (* never stepped: every engine's fresh handle reads UNDEF *)
           results.(j) <-
             Some
               {
                 bres_snaps = [];
                 bres_errors = [];
-                bres_watched = watched plan runs.(j) (fun _ -> Logic.Undef);
+                bres_watched = watched st runs.(j) (fun _ -> Logic.Undef);
               };
           d_serial_runs.(d) <- d_serial_runs.(d) + 1;
           incr i
@@ -1513,7 +1430,9 @@ let run_batch ?jobs ?(lanes = Bytecode.max_runs) ?(snapshots = false) t runs =
           (* greedy group: consecutive runs sharing a cycle count *)
           let k = ref (j + 1) in
           while
-            !k < hi && !k - j < lanes && runs.(!k).br_cycles = runs.(j).br_cycles
+            !k < hi
+            && !k - j < lanes
+            && runs.(!k).Stimulus.cycles = runs.(j).Stimulus.cycles
           do
             incr k
           done;
@@ -1527,12 +1446,13 @@ let run_batch ?jobs ?(lanes = Bytecode.max_runs) ?(snapshots = false) t runs =
           in
           Array.iteri
             (fun o r -> results.(j + o) <- Some r)
-            (batch_exec_sliced t prog w plan runs j !k ~snapshots);
+            (batch_exec_sliced t prog w st classes j !k ~snapshots);
           d_groups.(d) <- d_groups.(d) + 1;
           d_lane_runs.(d) <- d_lane_runs.(d) + (!k - j);
           i := !k
       | _ ->
-          results.(j) <- Some (batch_exec_serial t plan j runs.(j) ~snapshots);
+          results.(j) <-
+            Some (batch_exec_serial t st classes runs.(j) ~snapshots);
           d_serial_runs.(d) <- d_serial_runs.(d) + 1;
           incr i
     done
@@ -1547,12 +1467,18 @@ let run_batch ?jobs ?(lanes = Bytecode.max_runs) ?(snapshots = false) t runs =
       bs_lane_groups = sum d_groups;
       bs_lane_runs = sum d_lane_runs;
       bs_serial_runs = sum d_serial_runs;
-      bs_cycles = Array.fold_left (fun acc r -> acc + r.br_cycles) 0 runs;
+      bs_cycles =
+        Array.fold_left (fun acc r -> acc + r.Stimulus.cycles) 0 runs;
     }
   in
-  Ok
-    ( Array.to_list
-        (Array.map
-           (function Some r -> r | None -> assert false (* all slots filled *))
-           results),
-      stats )
+  ( Array.to_list
+      (Array.map
+         (function Some r -> r | None -> assert false (* all slots filled *))
+         results),
+    stats )
+
+(* the string-path front end: the same packed form, the same executor *)
+let run_batch ?jobs ?lanes ?snapshots t runs =
+  match Stimulus.of_batch_runs (design t) (Array.of_list runs) with
+  | Error msg -> Error ("Sim.run_batch: " ^ msg)
+  | Ok st -> Ok (run_stimulus ?jobs ?lanes ?snapshots t st)

@@ -220,11 +220,13 @@ val trace_last_cycle : t -> (string * Logic.t) list
     bitwise operations per op.  Each domain allocates its store once
     per batch and resets it between groups.  Results are bit-identical
     to stepping each run serially on a fresh handle (the
-    [batch_identity] property and oracle row O7). *)
+    [batch_identity] and [packed_identity] properties and oracle row
+    O7).  The runs arrive as one packed {!Stimulus.t}, from the
+    [--batch] deck reader or from {!run_batch}'s string-path runs. *)
 
 (** One independent run: per-cycle pokes, a cycle count, an optional
     per-run RANDOM seed and paths to read back at the end. *)
-type batch_run = {
+type batch_run = Stimulus.batch_run = {
   br_stim : (string * Logic.t list) list array;
       (** pokes applied before cycle [i]; cycles beyond the array keep
           the previously poked values, like a quiescent testbench *)
@@ -255,25 +257,34 @@ type batch_stats = {
   bs_cycles : int;  (** total cycles across all runs *)
 }
 
-(** [run_batch t runs] executes every run independently and returns the
-    results in order.  [t] is a template: it is never mutated, and its
-    design/engine/seed/optimize choices are shared by all runs (so the
-    graph, schedule and bytecode program are built once per batch, not
-    once per run).  Before any work, every stimulus and watch path is
-    resolved once and every poke's width checked: an unknown path or a
-    width mismatch is [Error msg], naming the run and cycle.  Contiguous
-    slices of runs are then sharded over [jobs] domains (default: the
-    [jobs] [t] was created with; clamped to the pool size and the run
-    count); within a slice, consecutive runs with equal cycle counts are
-    grouped [lanes] (default 63) at a time through the bit-sliced path
-    when [t] compiled.  A zero-cycle run reads its watches at power-up
-    (UNDEF on every bit, as a fresh handle does) without a handle;
-    every other run falls back to a fresh serial handle ([lanes = 1]
-    forces this).  No snapshot is built unless [snapshots] (default
-    [false]) asks for one after every cycle of every run (for the
-    batch-vs-serial oracle); the watched paths and runtime errors are
-    always returned.  Results and stats are deterministic for a given
-    [jobs] — independent of scheduling. *)
+(** [run_stimulus t st] executes every run of the packed stimulus [st]
+    independently and returns the results in order.  [t] is a template:
+    it is never mutated, and its design/engine/seed/optimize choices are
+    shared by all runs (so the graph, schedule and bytecode program are
+    built once per batch, not once per run).  Every path of [st] was
+    resolved when it was built, so the only set-up is one class lookup
+    per net of each entry.  Contiguous slices of runs are then sharded
+    over [jobs] domains (default: the [jobs] [t] was created with;
+    clamped to the pool size and the run count); within a slice,
+    consecutive runs with equal cycle counts are grouped [lanes]
+    (default 63) at a time through the bit-sliced path when [t]
+    compiled.  A zero-cycle run reads its watches at power-up (UNDEF on
+    every bit, as a fresh handle does) without a handle; every other run
+    falls back to a fresh serial handle ([lanes = 1] forces this).  No
+    snapshot is built unless [snapshots] (default [false]) asks for one
+    after every cycle of every run (for the batch-vs-serial oracle); the
+    watched paths and runtime errors are always returned.  Results and
+    stats are deterministic for a given [jobs] — independent of
+    scheduling. *)
+val run_stimulus :
+  ?jobs:int -> ?lanes:int -> ?snapshots:bool -> t -> Stimulus.t ->
+  batch_result list * batch_stats
+
+(** [run_batch t runs] is {!run_stimulus} on [runs] packed by
+    {!Stimulus.of_batch_runs}: each distinct stimulus and watch path is
+    resolved once and every poke's width checked before any work; an
+    unknown path or a width mismatch is [Error msg], naming the run and
+    cycle. *)
 val run_batch :
   ?jobs:int -> ?lanes:int -> ?snapshots:bool -> t -> batch_run list ->
   (batch_result list * batch_stats, string) result

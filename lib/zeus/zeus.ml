@@ -35,6 +35,7 @@ module Contract = Zeus_sem.Contract
 module Summary = Zeus_sem.Summary
 module Layout_ir = Zeus_sem.Layout_ir
 module Sim = Zeus_sim.Sim
+module Stimulus = Zeus_sim.Stimulus
 module Sweep = Zeus_sim.Sweep
 module Prand = Zeus_sim.Prand
 module Bytecode = Zeus_sim.Bytecode

@@ -457,6 +457,290 @@ let test_full_words () =
     results
 
 (* ------------------------------------------------------------------ *)
+(* The packed stimulus: deck reader vs string wrapper vs serial pokes  *)
+(* ------------------------------------------------------------------ *)
+
+(* A design to write decks for: its pokeable paths with their widths,
+   (vector, bit of that vector) path pairs, and paths to read back. *)
+type deck_design = {
+  dd_name : string;
+  dd_src : string;
+  dd_paths : (string * int) list;
+  dd_pairs : (string * int * string) list;
+  dd_watch : string list;
+}
+
+let wide_src =
+  "TYPE t = COMPONENT (IN x: ARRAY[1..70] OF boolean; IN c: boolean; OUT \
+   y: ARRAY[1..70] OF boolean) IS BEGIN IF c THEN y := x END END; SIGNAL \
+   top: t;"
+
+let corpus_decks =
+  let dd ?(pairs = []) name src paths watch =
+    { dd_name = name; dd_src = src; dd_paths = paths; dd_pairs = pairs;
+      dd_watch = watch }
+  in
+  [
+    dd "adder4" Corpus.adder4
+      [ ("adder.a", 4); ("adder.b", 4); ("adder.cin", 1); ("adder.a[2]", 1) ]
+      [ "adder.s"; "adder.cout" ]
+      ~pairs:[ ("adder.a", 4, "adder.a[2]"); ("adder.b", 4, "adder.b[4]") ];
+    dd "ram4x3"
+      (Corpus.ram ~abits:2 ~wbits:3)
+      [ ("m.addr", 2); ("m.data", 3); ("m.we", 1); ("RSET", 1) ]
+      [ "m.q" ]
+      ~pairs:[ ("m.data", 3, "m.data[1]") ];
+    dd "routing4" (Corpus.routing_network 4)
+      [ ("net.input[0]", 10); ("net.input[1]", 10); ("net.input[3]", 10) ]
+      [ "net.output[0]"; "net.output[2]" ]
+      ~pairs:[ ("net.input[1]", 10, "net.input[1][1]") ];
+    dd "arbiter" Corpus_fsm.arbiter
+      [ ("arb.req1", 1); ("arb.req2", 1) ]
+      [ "arb.gnt1"; "arb.gnt2" ];
+    dd "wide70" wide_src
+      [ ("top.x", 70); ("top.c", 1); ("top.x[70]", 1) ]
+      [ "top.y" ]
+      ~pairs:[ ("top.x", 70, "top.x[3]") ];
+  ]
+
+(* a value that fits a [w]-bit path: 0/1 on one bit, 2..2^w-1 wider *)
+let value_gen w =
+  let open QCheck.Gen in
+  if w = 1 then int_range 0 1
+  else if w < Sys.int_size - 1 then int_range 2 ((1 lsl w) - 1)
+  else
+    oneof
+      [ int_range 2 1000; map (fun v -> max 2 (v land max_int)) int;
+        return max_int ]
+
+(* one deck run: seed, explicit cycles, lines ([None] = '-') *)
+type deck_run = {
+  dr_seed : int option;
+  dr_cycles : int option;
+  dr_lines : (string * int * int) list option list;  (* path, width, value *)
+}
+
+let deck_gen dd =
+  let open QCheck.Gen in
+  let paths = Array.of_list dd.dd_paths in
+  let poke =
+    int_bound (Array.length paths - 1) >>= fun k ->
+    let p, w = paths.(k) in
+    map (fun v -> (p, w, v)) (value_gen w)
+  in
+  (* a random line, then perhaps its first path again and perhaps a
+     whole vector followed by one of its bits *)
+  let pokes =
+    list_size (int_range 1 4) poke >>= fun first ->
+    (match first with
+    | (p, w, _) :: _ ->
+        frequency
+          [ (2, return []); (1, map (fun v -> [ (p, w, v) ]) (value_gen w)) ]
+    | [] -> return [])
+    >>= fun again ->
+    (match dd.dd_pairs with
+    | [] -> return []
+    | pairs ->
+        frequency
+          [
+            (2, return []);
+            ( 1,
+              oneofl pairs >>= fun (vec, w, bit) ->
+              map2
+                (fun v b -> [ (vec, w, v); (bit, 1, b) ])
+                (value_gen w) (value_gen 1) );
+          ])
+    >>= fun pair -> return (first @ again @ pair)
+  in
+  let line = frequency [ (1, return None); (5, map Option.some pokes) ] in
+  let run =
+    list_size (int_range 0 6) line >>= fun lines ->
+    let n = List.length lines in
+    map2
+      (fun seed cycles -> { dr_seed = seed; dr_cycles = cycles; dr_lines = lines })
+      (opt (int_range 0 3))
+      (opt (int_range 0 (n + 3)))
+  in
+  list_size (int_range 1 6) run
+
+let render_deck runs =
+  let b = Buffer.create 256 in
+  List.iter
+    (fun r ->
+      Buffer.add_string b "run";
+      Option.iter (Printf.bprintf b " seed=%d") r.dr_seed;
+      Option.iter (Printf.bprintf b " cycles=%d") r.dr_cycles;
+      Buffer.add_char b '\n';
+      List.iter
+        (fun line ->
+          (match line with
+          | None -> Buffer.add_char b '-'
+          | Some pokes ->
+              Buffer.add_string b
+                (String.concat " "
+                   (List.map (fun (p, _, v) -> Printf.sprintf "%s=%d" p v) pokes)));
+          Buffer.add_char b '\n')
+        r.dr_lines)
+    runs;
+  Buffer.contents b
+
+(* the same runs in the string form, bits by BIN *)
+let batch_run_of dd r =
+  {
+    Sim.br_stim =
+      Array.of_list
+        (List.map
+           (function
+             | None -> []
+             | Some pokes ->
+                 List.map
+                   (fun (p, w, v) -> (p, Cval.sctree_leaves (Cval.bin v w)))
+                   pokes)
+           r.dr_lines);
+    br_cycles = Option.value r.dr_cycles ~default:(List.length r.dr_lines);
+    br_seed = r.dr_seed;
+    br_watch = dd.dd_watch;
+  }
+
+(* the golden: a fresh handle per run, its pokes replayed by path *)
+let serial_replay design (r : Sim.batch_run) =
+  let sim = Sim.create ~engine:Sim.Incremental ?seed:r.Sim.br_seed design in
+  let snaps = ref [] in
+  for c = 0 to r.Sim.br_cycles - 1 do
+    if c < Array.length r.Sim.br_stim then
+      List.iter (fun (p, bits) -> Sim.poke sim p bits) r.Sim.br_stim.(c);
+    Sim.step sim;
+    snaps := Sim.snapshot sim :: !snaps
+  done;
+  ( List.rev !snaps,
+    err_triples (Sim.runtime_errors sim),
+    List.map (fun p -> (p, Sim.peek sim p)) r.Sim.br_watch )
+
+let deck_case_gen =
+  let open QCheck.Gen in
+  frequency
+    [
+      (1, oneofl corpus_decks);
+      ( 1,
+        map
+          (fun p ->
+            {
+              dd_name = "gen_prog";
+              dd_src = Gen.to_zeus p;
+              dd_paths = List.map (fun p -> (p, 1)) (Gen.poke_paths p);
+              dd_pairs = [];
+              dd_watch = [];
+            })
+          (Gen.gen ()) );
+    ]
+  >>= fun dd -> map (fun runs -> (dd, runs)) (deck_gen dd)
+
+let prop_packed_identity =
+  QCheck.Test.make ~count:100 ~name:"packed_identity"
+    (QCheck.make
+       ~print:(fun (dd, runs) ->
+         Printf.sprintf "%s\n%s\n%s" dd.dd_name dd.dd_src (render_deck runs))
+       deck_case_gen)
+    (fun (dd, runs) ->
+      match Oracle.compile dd.dd_src with
+      | Error _ -> true (* compile failures belong to the matrix property *)
+      | Ok design ->
+          let batch_runs = List.map (batch_run_of dd) runs in
+          let refs = List.map (serial_replay design) batch_runs in
+          let watch =
+            List.map
+              (fun p -> (p, Result.get_ok (Elaborate.resolve_path design p)))
+              dd.dd_watch
+          in
+          let st =
+            Stimulus.read_deck design ~name:"deck" ~watch (render_deck runs)
+          in
+          let compiled = Sim.create ~engine:Sim.Compiled ~jobs:2 design in
+          let incremental = Sim.create ~engine:Sim.Incremental ~jobs:1 design in
+          let paths =
+            [
+              ("deck, bit-sliced", fst (Sim.run_stimulus ~snapshots:true compiled st));
+              ( "deck, serial handles",
+                fst (Sim.run_stimulus ~snapshots:true incremental st) );
+              ( "string wrapper",
+                fst (run_batch ~jobs:1 ~lanes:1 ~snapshots:true compiled batch_runs) );
+            ]
+          in
+          List.for_all
+            (fun (what, results) ->
+              List.length results = List.length refs
+              && List.for_all2
+                   (fun (snaps, errs, watched) (res : Sim.batch_result) ->
+                     if res.Sim.bres_snaps <> snaps then
+                       QCheck.Test.fail_reportf "%s: snapshots differ from serial pokes"
+                         what
+                     else if err_triples res.Sim.bres_errors <> errs then
+                       QCheck.Test.fail_reportf "%s: runtime errors differ from serial pokes"
+                         what
+                     else if res.Sim.bres_watched <> watched then
+                       QCheck.Test.fail_reportf "%s: watched values differ from serial peeks"
+                         what
+                     else true)
+                   refs results)
+            paths)
+
+(* An integer value is applied as BIN(value, width), MSB first, and a
+   bit past the machine integer reads 0: [Stimulus.bits] (the -p
+   expansion) on every width and value, and the deck's packed expansion
+   ([Stimulus.apply_line]) on every one a deck accepts. *)
+let test_value_expansion () =
+  let widths = [ 1; 2; 61; 62; 63; 64; 70; 128 ]
+  and values = [ 0; 1; 2; max_int ] in
+  let logic_list = Alcotest.(list logic) in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun v ->
+          Alcotest.check logic_list
+            (Printf.sprintf "bits %d %d" w v)
+            (Cval.sctree_leaves (Cval.bin v w))
+            (Stimulus.bits ~width:w v))
+        values)
+    widths;
+  Alcotest.check logic_list "BIN(5, 70)"
+    (List.init 70 (fun i -> if i = 67 || i = 69 then Logic.One else Logic.Zero))
+    (Cval.sctree_leaves (Cval.bin 5 70));
+  let src =
+    Printf.sprintf "TYPE t = COMPONENT (%s; OUT o: boolean) IS BEGIN o := \
+                    a1 END; SIGNAL top: t;"
+      (String.concat "; "
+         (List.map
+            (fun w -> Printf.sprintf "IN a%d: ARRAY[1..%d] OF boolean" w w)
+            widths))
+  in
+  let design = Zeus.compile_exn src in
+  List.iter
+    (fun w ->
+      List.iter
+        (fun v ->
+          let fits =
+            if w = 1 then v <= 1 else v >= 2 && (w >= 62 || v lsr w = 0)
+          in
+          if fits then begin
+            let st =
+              Stimulus.read_deck design ~name:"deck" ~watch:[]
+                (Printf.sprintf "run\ntop.a%d=%d\n" w v)
+            in
+            let got = ref [] in
+            Stimulus.apply_line st
+              (Array.map (fun (e : Stimulus.entry) -> e.Stimulus.nets)
+                 st.Stimulus.entries)
+              [| 0 |] 0
+              (fun _ _ b -> got := b :: !got);
+            Alcotest.check logic_list
+              (Printf.sprintf "deck a%d=%d" w v)
+              (Cval.sctree_leaves (Cval.bin v w))
+              (List.rev !got)
+          end)
+        values)
+    widths
+
+(* ------------------------------------------------------------------ *)
 (* Word formulas: the bit-sliced store against the scalar tables       *)
 (* ------------------------------------------------------------------ *)
 
@@ -756,6 +1040,12 @@ let () =
             test_batch_errors;
           Alcotest.test_case "reused lane planes start at power-up" `Quick
             test_plane_reuse;
+        ] );
+      ( "stimulus",
+        [
+          QCheck_alcotest.to_alcotest prop_packed_identity;
+          Alcotest.test_case "integer values expand as BIN" `Quick
+            test_value_expansion;
         ] );
       ( "sliced",
         [
