@@ -232,6 +232,11 @@ let set_code st c code =
 
 let get st c = decode.(get_code st c)
 
+let is_zero st c =
+  let w = c lsr 5 in
+  (Array.unsafe_get st.a w lor Array.unsafe_get st.b w) lsr (c land 31) land 1
+  = 0
+
 let reg_get st r = decode.(get_bit st.ra r lor (get_bit st.rb r lsl 1))
 
 let ran st = st.ran
@@ -911,12 +916,12 @@ let run_sliced (prog : prog) w ~cycle =
    cold-start cycle: every class is fresh, so the trace lists them all
    but no toggles accrue. *)
 let sweep (st : state) ~first ~(toggles : int array)
-    ~(on_change : (int -> Logic.t -> unit) option) =
+    ~(on_change : (int -> unit) option) =
   if first then (
     match on_change with
     | Some f ->
         for c = 0 to st.n - 1 do
-          f c (get st c)
+          f c
         done
     | None -> ())
   else
@@ -931,7 +936,7 @@ let sweep (st : state) ~first ~(toggles : int array)
           if !d land 1 = 1 then begin
             let c = base + !j in
             toggles.(c) <- toggles.(c) + 1;
-            match on_change with Some f -> f c (get st c) | None -> ()
+            match on_change with Some f -> f c | None -> ()
           end;
           d := !d lsr 1;
           incr j

@@ -81,10 +81,9 @@ type t = {
   sched : Sched.t;
   engine : engine;
   values : Logic.t option array; (* per class, this cycle *)
-  produced : Logic.t option array; (* per node *)
+  produced : Logic.t option array; (* per node; written by [set_produced] *)
   remaining : int array; (* producers still to fire, per class *)
-  drives_seen : int array; (* driving (non-NOINFL) values seen per class *)
-  mux_value : Logic.t array; (* resolved-so-far value per class *)
+  tally : int array; (* per class: driving produced values, see [tally_unit] *)
   fired : bool array;
   reg_state : Logic.t array; (* per register *)
   poked : Logic.t option array; (* testbench values, persistent; per class *)
@@ -105,6 +104,10 @@ type t = {
   mutable epoch : int; (* stamps instead of Array.fill *)
   node_mark : int array; (* epoch when the node was scheduled *)
   net_mark : int array; (* epoch when the class was scheduled *)
+  edge_guard : int array;
+      (* parallel to [Graph.cons_nodes], immutable and shared by clones:
+         the guard class of a driver's source edge when the guard is
+         another class, else -1 (see [process_net]) *)
   (* per-level work stacks, walked in push order; last slot = cyclic
      overflow.  Sized once from the schedule, so scheduling allocates
      nothing *)
@@ -143,11 +146,56 @@ let level_stacks at n_items =
     (Array.map (fun a -> Array.make (Array.length a) 0) at)
     [| Array.make (n_items - placed) 0 |]
 
+(* Counted resolution.  A class's [tally] counts its producers'
+   driving produced values by value, in three 21-bit fields: ZERO from
+   bit 0, ONE from bit 21, UNDEF from bit 42 (NOINFL, and a producer that
+   has not produced yet, count nothing).  The class then resolves in
+   O(1), however many producers it has: a tally of 0 is silent, a single
+   unit is that one driving value, anything else is UNDEF — one UNDEF
+   driver, or two or more driving values (section 4.7). *)
+let tally_bits = 21
+
+let tally_max = (1 lsl tally_bits) - 1
+
+let tally_unit = function
+  | Logic.Zero -> 1
+  | Logic.One -> 1 lsl tally_bits
+  | Logic.Undef -> 1 lsl (2 * tally_bits)
+  | Logic.Noinfl -> 0
+
+(* driving producers counted in [x] *)
+let drives x =
+  (x land tally_max)
+  + ((x lsr tally_bits) land tally_max)
+  + (x lsr (2 * tally_bits))
+
+let resolved x =
+  if x = 0 then Logic.Noinfl
+  else if x = 1 then Logic.Zero
+  else if x = 1 lsl tally_bits then Logic.One
+  else Logic.Undef
+
+(* Per consumer edge of [g]: the guard class when the edge is the source
+   edge of a driver guarded by a different class, else -1. *)
+let edge_guards (g : Graph.t) =
+  let eg = Array.make (Array.length g.Graph.cons_nodes) (-1) in
+  for c = 0 to g.Graph.n_classes - 1 do
+    for k = g.Graph.cons_off.(c) to g.Graph.cons_off.(c + 1) - 1 do
+      match g.Graph.nodes.(g.Graph.cons_nodes.(k)) with
+      | Graph.Ndriver
+          { guard = Some (Netlist.Snet gc); source = Netlist.Snet s; _ }
+        when s = c && gc <> c ->
+          eg.(k) <- gc
+      | _ -> ()
+    done
+  done;
+  eg
+
 (* A handle with power-up run state over the given compile artifacts:
    the one place the record is built, for [create] and for the batch
    engine's per-run clones ([fresh_like]) *)
-let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~iprog ~jobs
-    =
+let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~edge_guard ~cprog
+    ~iprog ~jobs =
   let n = g.Graph.n_classes in
   let n_nodes = Array.length g.Graph.nodes in
   {
@@ -157,8 +205,7 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~iprog ~jobs
     values = Array.make n None;
     produced = Array.make n_nodes None;
     remaining = Array.make n 0;
-    drives_seen = Array.make n 0;
-    mux_value = Array.make n Logic.Noinfl;
+    tally = Array.make n 0;
     fired = Array.make n false;
     reg_state =
       Array.map (fun (r : Netlist.reg) -> r.Netlist.rinit) g.Graph.regs;
@@ -179,6 +226,7 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~cprog ~iprog ~jobs
     epoch = 0;
     node_mark = Array.make n_nodes 0;
     net_mark = Array.make n 0;
+    edge_guard;
     node_stack = level_stacks sched.Sched.nodes_at n_nodes;
     node_fill = Array.make (sched.Sched.max_level + 2) 0;
     net_stack = level_stacks sched.Sched.nets_at n;
@@ -206,6 +254,8 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
      union-find root, and eliminated logic may read UNDEF/None *)
   let design = if optimize then (Reduce.run design).Reduce.design else design in
   let g = Graph.build design in
+  if Array.exists (fun n -> n > tally_max) g.Graph.producer_count then
+    invalid_arg "Sim.create: a class with more than 2^21-1 producers";
   let sched = Sched.build g in
   let jobs =
     let requested =
@@ -244,8 +294,8 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     else None
   in
   alloc ~g ~sched ~engine ~seed ~const_nodes:(Array.of_list !const_nodes)
-    ~random_nodes:(Array.of_list !random_nodes) ~cprog
-    ~iprog:{ built = Atomic.make None; lock = Mutex.create () }
+    ~random_nodes:(Array.of_list !random_nodes) ~edge_guard:(edge_guards g)
+    ~cprog ~iprog:{ built = Atomic.make None; lock = Mutex.create () }
     ~jobs
 
 let design t = t.g.Graph.design
@@ -548,48 +598,38 @@ let some_value = function
 
 let holds o v = match o with Some u -> Logic.equal u v | None -> false
 
+(* the one writer of [produced]: node [node] of output class [cls] now
+   produces [v], and the class's tally follows *)
+let set_produced t node cls v =
+  let old = match t.produced.(node) with Some u -> tally_unit u | None -> 0 in
+  t.tally.(cls) <- t.tally.(cls) - old + tally_unit v;
+  t.produced.(node) <- some_value v
+
 let same_value (a : Logic.t option) b =
   match (a, b) with
   | Some x, Some y -> Logic.equal x y
   | None, None -> true
   | _ -> false
 
-(* result bits of [finalize_net] *)
-let value_changed = 1
-
-let driven_changed = 2
-
-(* Recompute a class's resolution from its producers' produced values
-   (or, for producer-less classes, its seed).  Returns [value_changed]
-   and [driven_changed] bits.  A newly entered conflict joins
-   [conflict_list]; [emit_conflict] also reports it at once, while the
-   incremental engine instead reports every standing conflict once per
-   cycle, after its pass. *)
+(* Recompute a class's resolution from its tally (or, for
+   producer-less classes, its seed); true when its value changed.  A
+   newly entered conflict joins [conflict_list]; [emit_conflict] also
+   reports it at once, while the incremental engine instead reports
+   every standing conflict once per cycle, after its pass. *)
 let finalize_net t ~emit_conflict net =
   let g = t.g in
   let old_value = t.values.(net) in
-  let old_driven = t.drives_seen.(net) > 0 in
   if g.Graph.producer_count.(net) = 0 then
     t.values.(net) <- some_value (seed_value t net)
   else begin
-    let drives = ref 0 and dval = ref Logic.Noinfl in
-    for k = g.Graph.prod_off.(net) to g.Graph.prod_off.(net + 1) - 1 do
-      match t.produced.(g.Graph.prod_nodes.(k)) with
-      | Some v when not (Logic.equal v Logic.Noinfl) ->
-          incr drives;
-          dval := if !drives = 1 then v else Logic.Undef
-      | _ -> ()
-    done;
-    t.drives_seen.(net) <- !drives;
-    t.mux_value.(net) <- !dval;
-    let v =
-      match g.Graph.class_kind.(net) with
-      | Etype.KBool ->
-          if !drives = 0 then Logic.Undef else Logic.booleanize !dval
-      | Etype.KMux -> !dval
-    in
-    t.values.(net) <- some_value v;
-    if !drives >= 2 then begin
+    let x = t.tally.(net) in
+    let v = resolved x in
+    t.values.(net) <-
+      some_value
+        (match g.Graph.class_kind.(net) with
+        | Etype.KBool -> Logic.booleanize v
+        | Etype.KMux -> v);
+    if drives x >= 2 then begin
       if not t.in_conflict.(net) then begin
         t.in_conflict.(net) <- true;
         t.conflict_list <- net :: t.conflict_list;
@@ -599,21 +639,30 @@ let finalize_net t ~emit_conflict net =
     else if t.in_conflict.(net) then t.in_conflict.(net) <- false
     (* stale entries are filtered from conflict_list lazily *)
   end;
-  (if same_value t.values.(net) old_value then 0 else value_changed)
-  lor if (t.drives_seen.(net) > 0) <> old_driven then driven_changed else 0
+  not (same_value t.values.(net) old_value)
 
 let process_node t node =
   t.node_visits <- t.node_visits + 1;
   let v = strict_eval_node t node in
   if not (holds t.produced.(node) v) then begin
-    t.produced.(node) <- some_value v;
-    schedule_net t (Graph.node_output t.g.Graph.nodes.(node))
+    let out = Graph.node_output t.g.Graph.nodes.(node) in
+    set_produced t node out v;
+    schedule_net t out
   end
 
+(* A changed class schedules its consumers — except a driver whose
+   source changed while its guard, another class, reads 0: that driver
+   produces NOINFL whatever its source (section 8), and already does.
+   The guard may still be stale: if it changes later this cycle, it
+   schedules the driver through its own edge.  So the skipped visit is
+   exactly a re-evaluation that would change nothing.
+
+   Every processed class of the incremental pass marks its registers
+   for the latch.  A latch whose input resolution did not change is a
+   no-op, so this needs no record of the class's previous resolution. *)
 let process_net t ~emit_conflict ~incremental net =
   let g = t.g in
-  let flags = finalize_net t ~emit_conflict net in
-  if flags land value_changed <> 0 then begin
+  if finalize_net t ~emit_conflict net then begin
     if incremental then begin
       (match (t.prev_values.(net), t.values.(net)) with
       | Some a, Some b when not (Logic.equal a b) ->
@@ -626,10 +675,12 @@ let process_net t ~emit_conflict ~incremental net =
         | None -> ()
     end;
     for k = g.Graph.cons_off.(net) to g.Graph.cons_off.(net + 1) - 1 do
-      schedule_node t g.Graph.cons_nodes.(k)
+      let gc = t.edge_guard.(k) in
+      if gc < 0 || not (holds t.values.(gc) Logic.Zero) then
+        schedule_node t g.Graph.cons_nodes.(k)
     done
   end;
-  if incremental && flags <> 0 then mark_regs_dirty t g.Graph.regs_of_in.(net)
+  if incremental then mark_regs_dirty t g.Graph.regs_of_in.(net)
 
 (* Forward pass over the level stacks: nodes of level l, then classes
    of level l.  A level-l node pushes only classes of level >= l and a
@@ -707,8 +758,8 @@ let latch_reg t i =
      match t.values.(c) with
      | None | Some Logic.Noinfl -> ()
      | Some v -> t.reg_state.(i) <- Logic.booleanize v)
-   else if t.drives_seen.(c) > 0 then
-     t.reg_state.(i) <- Logic.booleanize t.mux_value.(c));
+   else if t.tally.(c) <> 0 then
+     t.reg_state.(i) <- Logic.booleanize (resolved t.tally.(c)));
   (* a changed stored value is a changed seed for the next cycle *)
   if not (Logic.equal old t.reg_state.(i)) then mark_seed t g.Graph.reg_out.(i)
 
@@ -722,8 +773,7 @@ let step_full t =
   let n = g.Graph.n_classes in
   Array.fill t.values 0 n None;
   Array.fill t.produced 0 n_nodes None;
-  Array.fill t.drives_seen 0 n 0;
-  Array.fill t.mux_value 0 n Logic.Noinfl;
+  Array.fill t.tally 0 n 0;
   Array.fill t.fired 0 n false;
   Array.blit g.Graph.producer_count 0 t.remaining 0 n;
   List.iter (fun c -> t.in_conflict.(c) <- false) t.conflict_list;
@@ -738,35 +788,30 @@ let step_full t =
       Graph.iter_consumers g net (fun nid -> Queue.add nid worklist)
     end
   in
-  (* Incremental resolution: [mux_value] keeps the single driving value
-     seen so far; a second driving value is a conflict and forces UNDEF.
+  (* Incremental resolution: the tally resolves what has been produced
+     so far; a second driving value is a conflict and forces UNDEF.
      Firing rule (a) of section 8: a boolean net fires on its first
      driving value; a multiplex net fires once all producers fired. *)
   let produce node_id net v =
     if t.produced.(node_id) = None then begin
-      t.produced.(node_id) <- Some v;
+      set_produced t node_id net v;
       t.remaining.(net) <- t.remaining.(net) - 1;
-      if not (Logic.equal v Logic.Noinfl) then begin
-        t.drives_seen.(net) <- t.drives_seen.(net) + 1;
-        if t.drives_seen.(net) = 2 then begin
-          conflict_error t net;
-          t.values.(net) <- Some Logic.Undef;
-          if not t.in_conflict.(net) then begin
-            t.in_conflict.(net) <- true;
-            t.conflict_list <- net :: t.conflict_list
-          end
-        end;
-        t.mux_value.(net) <-
-          (if t.drives_seen.(net) > 1 then Logic.Undef else v)
+      let driving = not (Logic.equal v Logic.Noinfl) in
+      if driving && drives t.tally.(net) = 2 then begin
+        conflict_error t net;
+        t.values.(net) <- Some Logic.Undef;
+        if not t.in_conflict.(net) then begin
+          t.in_conflict.(net) <- true;
+          t.conflict_list <- net :: t.conflict_list
+        end
       end;
       match g.Graph.class_kind.(net) with
       | Etype.KBool ->
-          if not (Logic.equal v Logic.Noinfl) then
-            fire net (Logic.booleanize t.mux_value.(net))
+          if driving then fire net (Logic.booleanize (resolved t.tally.(net)))
           else if t.remaining.(net) = 0 && not t.fired.(net) then
             fire net Logic.Undef
       | Etype.KMux ->
-          if t.remaining.(net) = 0 then fire net t.mux_value.(net)
+          if t.remaining.(net) = 0 then fire net (resolved t.tally.(net))
     end
   in
   let try_node node_id =
@@ -864,7 +909,7 @@ let step_incremental t =
       let out = Graph.node_output g.Graph.nodes.(node) in
       let v = random_value t out in
       if not (holds t.produced.(node) v) then begin
-        t.produced.(node) <- some_value v;
+        set_produced t node out v;
         schedule_net t out
       end)
     t.random_nodes;
@@ -928,7 +973,8 @@ let step_compiled t prog st =
   t.trace <- [];
   let on_change =
     if t.trace_enabled then
-      Some (fun c v -> t.trace <- (t.g.Graph.names.(c), v) :: t.trace)
+      Some
+        (fun c -> t.trace <- (t.g.Graph.names.(c), Bytecode.get st c) :: t.trace)
     else None
   in
   Bytecode.sweep st ~first ~toggles:t.toggles ~on_change;
@@ -1034,7 +1080,7 @@ let leave_program t prog st =
             Logic.of_bool (Prand.bool ~seed:t.seed ~net:output ~cycle)
         | _ -> strict_eval_node t node
       in
-      t.produced.(node) <- some_value v)
+      set_produced t node (Graph.node_output n) v)
     g.Graph.nodes;
   List.iter (fun c -> t.in_conflict.(c) <- false) t.conflict_list;
   t.conflict_list <- [];
@@ -1051,7 +1097,11 @@ let leave_program t prog st =
    The dirty seeds stay listed until the cycle commits.  A committed
    cycle adds to [node_visits] the cone the pass would have visited:
    every RANDOM source, plus each distinct consumer of a class whose
-   value changed (stamped with the pass's own epoch marks). *)
+   value changed (stamped with the pass's own epoch marks), under the
+   pass's guard rule.  The pass reads a guard when the source changes,
+   possibly before the guard's own change; the program reads it at the
+   end of the cycle.  Either way a changed guard counts the driver
+   through its own edge, so both count the same nodes. *)
 let program_cycle t prog st =
   let g = t.g in
   List.iter (fun c -> Bytecode.sync_poke st c t.poked.(c)) t.seed_dirty_list;
@@ -1072,18 +1122,28 @@ let program_cycle t prog st =
     List.iter (fun c -> conflict_error t c) (List.sort compare conflicts);
     t.epoch <- t.epoch + 1;
     t.trace <- [];
-    t.node_visits <- t.node_visits + Array.length t.random_nodes;
-    let count_cone c _ =
-      for k = g.Graph.cons_off.(c) to g.Graph.cons_off.(c + 1) - 1 do
-        let node = g.Graph.cons_nodes.(k) in
-        if t.node_mark.(node) <> t.epoch then begin
-          t.node_mark.(node) <- t.epoch;
-          t.node_visits <- t.node_visits + 1
+    let node_mark = t.node_mark and epoch = t.epoch in
+    let edge_guard = t.edge_guard in
+    let cons_off = g.Graph.cons_off and cons_nodes = g.Graph.cons_nodes in
+    let visits = ref (Array.length t.random_nodes) in
+    (* the sweep's hot loop on busy cycles: every index comes from the
+       class graph's CSR, so the reads go unchecked *)
+    let count_cone c =
+      for k = Array.unsafe_get cons_off c to Array.unsafe_get cons_off (c + 1) - 1
+      do
+        let node = Array.unsafe_get cons_nodes k in
+        if Array.unsafe_get node_mark node <> epoch then begin
+          let gc = Array.unsafe_get edge_guard k in
+          if gc < 0 || not (Bytecode.is_zero st gc) then begin
+            Array.unsafe_set node_mark node epoch;
+            incr visits
+          end
         end
       done
     in
     Bytecode.sweep st ~first:false ~toggles:t.toggles
       ~on_change:(Some count_cone);
+    t.node_visits <- t.node_visits + !visits;
     (* the latch of [latch_reg], its dirty seed included *)
     if !latched >= 0 then begin
       t.reg_state.(!latched) <- Bytecode.reg_get st !latched;
@@ -1166,8 +1226,7 @@ let restart t =
   Array.fill t.values 0 (Array.length t.values) None;
   Array.fill t.produced 0 (Array.length t.produced) None;
   Array.fill t.remaining 0 (Array.length t.remaining) 0;
-  Array.fill t.drives_seen 0 (Array.length t.drives_seen) 0;
-  Array.fill t.mux_value 0 (Array.length t.mux_value) Logic.Noinfl;
+  Array.fill t.tally 0 (Array.length t.tally) 0;
   Array.fill t.fired 0 (Array.length t.fired) false;
   Array.iteri
     (fun i (r : Netlist.reg) -> t.reg_state.(i) <- r.Netlist.rinit)
@@ -1301,8 +1360,8 @@ type batch_stats = {
    the batch engine's serial path. *)
 let fresh_like t ~seed =
   alloc ~g:t.g ~sched:t.sched ~engine:t.engine ~seed
-    ~const_nodes:t.const_nodes ~random_nodes:t.random_nodes ~cprog:t.cprog
-    ~iprog:t.iprog ~jobs:t.jobs
+    ~const_nodes:t.const_nodes ~random_nodes:t.random_nodes
+    ~edge_guard:t.edge_guard ~cprog:t.cprog ~iprog:t.iprog ~jobs:t.jobs
 
 (* the watched paths of [run], read through [value] *)
 let watched (st : Stimulus.t) (run : Stimulus.run) value =

@@ -177,7 +177,9 @@ val runtime_errors : t -> runtime_error list
 (** Total node evaluations — the work metric of experiment E8.  For the
     {!Incremental} engine it counts the dirty cone of every warm cycle
     whichever evaluator ran it: a cycle run through the compiled program
-    adds exactly the visits the cone pass would have made. *)
+    adds exactly the visits the cone pass would have made.  The cone
+    leaves out a driver whose source changed while its guard, another
+    net, reads 0: that driver produces NOINFL whatever its source. *)
 val node_visits : t -> int
 
 (** Cycles the {!Incremental} engine ran through the compiled program

@@ -86,8 +86,9 @@ val poke : resolver -> string -> int -> (int list * Logic.t list, string) result
     run reads back [watch], paths already resolved to their nets.
 
     Raises [Failure] with a message naming the deck [name] and the line
-    on a malformed line, an unknown path, a poke of a driven net, a
-    value that does not fit its path, or a deck with no runs.
+    on a malformed line, a run option given twice in one header, an
+    unknown path, a poke of a driven net, a value that does not fit its
+    path, or a deck with no runs.
 
     One pass over [src] by index: each distinct path is resolved once
     and found again by the hash computed while scanning to its [=], and

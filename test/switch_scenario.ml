@@ -39,9 +39,13 @@ let trace_off = 130
 let restart_at = 150
 
 (* [on_cycle c sim] after every cycle [c]; [on_restart sim] just before
-   the restart.  Returns the handle after the last cycle. *)
-let run ?(on_cycle = fun _ _ -> ()) ?(on_restart = fun _ -> ()) design =
+   the restart.  [trace_all] holds the trace on for the whole run, which
+   keeps every cycle in the cone pass.  Returns the handle after the
+   last cycle. *)
+let run ?(on_cycle = fun _ _ -> ()) ?(on_restart = fun _ -> ())
+    ?(trace_all = false) design =
   let sim = Sim.create ~engine:Sim.Incremental design in
+  if trace_all then Sim.set_trace sim true;
   let inputs = Array.of_list (Graph.top_input_nets design) in
   let state = ref 0x2545F491 in
   let next () =
@@ -59,7 +63,7 @@ let run ?(on_cycle = fun _ _ -> ()) ?(on_restart = fun _ -> ()) design =
       Sim.restart sim
     end;
     if c = trace_on then Sim.set_trace sim true;
-    if c = trace_off then Sim.set_trace sim false;
+    if c = trace_off && not trace_all then Sim.set_trace sim false;
     if c = 0 || c = restart_at then Sim.poke sim "RSET" [ Logic.One ]
     else if c = 1 || c = restart_at + 1 then Sim.poke sim "RSET" [ Logic.Zero ];
     (match (c / 9) mod 3 with

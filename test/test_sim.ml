@@ -600,14 +600,46 @@ let test_incremental_program_mode () =
       Sim.poke_int sim "m.addr" 251;
       Sim.poke_int sim "m.data" 3765;
       Sim.poke_bool sim "m.we" true;
+      let widest = ref 0 in
       for c = 0 to 59 do
         Sim.poke_bool sim "m.data[12]" (c land 1 = 1);
-        Sim.step sim
+        let v0 = Sim.node_visits sim in
+        Sim.step sim;
+        (* from cycle 2 on, the written word has settled in q *)
+        if c >= 2 then widest := max !widest (Sim.node_visits sim - v0)
       done;
       Alcotest.(check int)
         (Sim.engine_name engine ^ ": sparse run, no program cycles")
-        0 (Sim.program_cycles sim))
+        0 (Sim.program_cycles sim);
+      (* the cone pass pays for what changed: the one write driver
+         whose guard is 1 and the read path of the register it changed,
+         not the 256 drivers on either side *)
+      if engine = Sim.Incremental then
+        Alcotest.(check bool)
+          (Printf.sprintf "at most 4 visits per warm cycle, saw %d" !widest)
+          true (!widest <= 4))
     Sim.all_engines
+
+(* [node_visits] does not depend on the evaluator: per cycle, the
+   scenario counts the same visits when busy phases run the program as
+   when the trace, held on for the whole run, keeps every cycle in the
+   cone pass. *)
+let test_visits_evaluator_parity () =
+  List.iter
+    (fun (name, src) ->
+      let d = compile src in
+      let visits ~trace_all =
+        let v = Array.make Switch_scenario.cycles 0 in
+        ignore
+          (Switch_scenario.run ~trace_all
+             ~on_cycle:(fun c sim -> v.(c) <- Sim.node_visits sim)
+             d);
+        v
+      in
+      Alcotest.(check (array int))
+        (name ^ ": visits per cycle")
+        (visits ~trace_all:true) (visits ~trace_all:false))
+    Switch_scenario.designs
 
 (* Snapshots are identical across the three engines and both sweep
    orders on random multi-cycle poke sequences over designs that
@@ -664,6 +696,21 @@ let identity_run engine d pokes =
   in
   (sim, snaps)
 
+(* every engine and both sweep orders give the same per-cycle snapshots
+   and the same runtime errors *)
+let identity_holds d pokes =
+  let run engine =
+    let sim, snaps = identity_run engine d pokes in
+    (snaps, sorted_errors (Sim.runtime_errors sim))
+  in
+  let sweep order =
+    let r = Sweep.run ~order d pokes in
+    (r.Sweep.snaps, List.sort compare r.Sweep.errors)
+  in
+  let r0 = run Sim.Firing in
+  List.for_all (fun e -> run e = r0) Sim.all_engines
+  && List.for_all (fun o -> sweep o = r0) sweep_orders
+
 let prop_snapshot_identity =
   let print (di, stimulus) =
     Printf.sprintf "design %s, stimulus [%s]"
@@ -685,18 +732,66 @@ let prop_snapshot_identity =
     (QCheck.make ~print ~shrink identity_gen)
     (fun (di, stimulus) ->
       let d = compile (snd identity_pool.(di)) in
-      let pokes = identity_pokes d stimulus in
-      let run engine =
-        let sim, snaps = identity_run engine d pokes in
-        (snaps, sorted_errors (Sim.runtime_errors sim))
+      identity_holds d (identity_pokes d stimulus))
+
+(* Directed identity cases at the edges of the cone pass's guard rule,
+   which skips a driver whose source changed while its guard, another
+   class, reads 0: a guard that is its own source; a guard four gates
+   above its source that falls 1 -> 0, then rises 0 -> 1, in the cycle
+   its source changes; a conflicted source under a 0 guard (the firing
+   engine's re-propagation applies the rule too); an UNDEF guard, and a
+   multiplex guard reading NOINFL, which must still drive UNDEF. *)
+let guard_rule_cases =
+  let z = Logic.Zero and o = Logic.One and u = Logic.Undef in
+  [
+    ( "guard is the source",
+      "TYPE t = COMPONENT (IN d: boolean; o: multiplex) IS BEGIN IF d \
+       THEN o := d END END; SIGNAL s: t;",
+      [ [ ("s.d", o) ]; [ ("s.d", z) ]; [ ("s.d", o) ]; [ ("s.d", u) ];
+        [ ("s.d", z) ]; [ ("s.d", o) ] ] );
+    ( "guard above its source",
+      "TYPE t = COMPONENT (IN a, s, b, c, p, q: boolean; OUT w: boolean; \
+       o, y: multiplex) IS SIGNAL g: boolean; x: multiplex; r: \
+       REG; BEGIN g := NOT(NOT(NOT(NOT(a)))); IF g THEN o := s END; IF \
+       NOT(g) THEN o := NOT(s) END; IF g THEN r.in := s END; w := r.out; \
+       IF b THEN x := p END; IF c THEN x := q END; IF g THEN y := x END \
+       END; SIGNAL s: t;",
+      [
+        [ ("s.a", o); ("s.s", z); ("s.b", z); ("s.c", z); ("s.p", o);
+          ("s.q", z) ];
+        [ ("s.a", z); ("s.s", o) ] (* the guard falls as s changes *);
+        [ ("s.s", z) ];
+        [ ("s.a", o); ("s.s", o) ] (* the guard rises as s changes *);
+        [ ("s.a", z); ("s.b", o); ("s.c", o) ] (* x conflicts under 0 *);
+        [ ("s.p", z) ];
+        [ ("s.a", o); ("s.q", o) ];
+        [ ("s.c", z); ("s.s", z) ];
+      ] );
+    ( "undefined guard",
+      "TYPE t = COMPONENT (IN a, c, s: boolean; o, y: multiplex) IS \
+       SIGNAL m: multiplex; BEGIN IF a THEN o := s END; IF c THEN m := a \
+       END; IF m THEN y := s END END; SIGNAL s: t;",
+      [
+        [ ("s.a", z); ("s.c", o); ("s.s", o) ];
+        [ ("s.a", u); ("s.s", z) ] (* o and y read UNDEF *);
+        [ ("s.s", o) ];
+        [ ("s.a", z); ("s.c", z) ] (* m floats: y reads UNDEF *);
+        [ ("s.s", z) ];
+        [ ("s.a", o); ("s.c", o) ];
+      ] );
+  ]
+
+let test_guard_rule_identity () =
+  List.iter
+    (fun (name, src, cycles) ->
+      let d = compile src in
+      let pokes =
+        List.map
+          (fun line -> net_pokes d (List.map (fun (p, v) -> (p, [ v ])) line))
+          cycles
       in
-      let sweep order =
-        let r = Sweep.run ~order d pokes in
-        (r.Sweep.snaps, List.sort compare r.Sweep.errors)
-      in
-      let r0 = run Sim.Firing in
-      List.for_all (fun e -> run e = r0) Sim.all_engines
-      && List.for_all (fun o -> sweep o = r0) sweep_orders)
+      Alcotest.(check bool) name true (identity_holds d pokes))
+    guard_rule_cases
 
 (* The identity property's generator reaches the incremental engine's
    program mode: of 40 cases drawn with a fixed seed, some run cycles
@@ -1160,6 +1255,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_snapshot_identity;
           Alcotest.test_case "identity runs reach program mode" `Quick
             test_identity_gen_switches;
+          Alcotest.test_case "identity at the guard rule's edges" `Quick
+            test_guard_rule_identity;
           Alcotest.test_case "work comparison" `Quick test_firing_fewer_visits;
           Alcotest.test_case "sweep: standing drive conflict" `Quick
             test_sweep_drive_conflict;
@@ -1188,6 +1285,8 @@ let () =
             test_incremental_step_allocation;
           Alcotest.test_case "busy phases run the program" `Quick
             test_incremental_program_mode;
+          Alcotest.test_case "visits do not depend on the evaluator" `Quick
+            test_visits_evaluator_parity;
         ] );
       ( "parallel",
         [
