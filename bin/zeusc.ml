@@ -45,7 +45,8 @@ let exits =
     Cmd.Exit.info exit_usage
       ~doc:
         "on a usage or input error: an unreadable input file or \
-         $(b,--batch) deck, a bad flag value, a poke, watch or \
+         $(b,--batch) deck, a bad flag value, an option without the \
+         option it needs, a poke, watch or \
          $(b,--explain) path that names nothing, a poke that does not \
          fit its path, an unwritable output file.";
     Cmd.Exit.info Cmd.Exit.cli_error ~doc:"on command line parsing errors.";
@@ -136,6 +137,10 @@ let validate_count ?(min = 0) ~flag n =
 
 let validate_jobs = validate_count ~min:1 ~flag:"jobs"
 
+(* a flag that means nothing without another is a usage error, not a
+   silent no-op *)
+let requires flag needed = usage "--%s requires --%s" flag needed
+
 let drop_suppressed suppress diags =
   List.filter
     (fun (d : Zeus.Diag.t) ->
@@ -185,9 +190,6 @@ let suppress_arg =
 
 (* ------------------------------------------------------------------ *)
 
-let default_cache_dir () =
-  Filename.concat (Filename.get_temp_dir_name ()) "zeus-summary-cache"
-
 let check_cmd =
   let modular =
     Arg.(
@@ -205,29 +207,11 @@ let check_cmd =
       & info [ "contracts" ]
           ~doc:"With $(b,--modular): print every computed port contract.")
   in
-  let cache_dir =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "cache-dir" ] ~docv:"DIR"
-          ~doc:
-            "Directory of the persistent summary cache (default: \
-             zeus-summary-cache under the system temp directory).")
-  in
-  let no_cache =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable the persistent summary cache.")
-  in
-  let run file modular contracts cache_dir no_cache () =
+  let run file modular contracts () =
+    if contracts && not modular then requires "contracts" "modular";
     let src = load file in
     if modular then begin
-      let prog = parse src in
-      let cache_dir =
-        if no_cache then None
-        else Some (Option.value cache_dir ~default:(default_cache_dir ()))
-      in
-      let r = Zeus.Summary.analyze ?cache_dir ~src prog in
+      let r = Zeus.Summary.analyze (parse src) in
       if contracts then
         List.iter
           (fun (_, c) -> Fmt.pr "%a@." Zeus.Contract.pp c)
@@ -258,7 +242,7 @@ let check_cmd =
       0
   in
   command "check" ~doc:"Parse, elaborate and statically check a program."
-    Term.(const run $ file_arg $ modular $ contracts $ cache_dir $ no_cache)
+    Term.(const run $ file_arg $ modular $ contracts)
 
 let pp_cmd =
   let run file () =
@@ -324,7 +308,8 @@ let sim_cmd =
   let wave =
     Arg.(
       value & flag
-      & info [ "wave" ] ~doc:"Render the watched signals as an ASCII waveform.")
+      & info [ "wave" ]
+          ~doc:"Render the watched signals as an ASCII waveform (needs -w).")
   in
   let explain =
     Arg.(
@@ -344,7 +329,7 @@ let sim_cmd =
       value
       & opt (some string) None
       & info [ "vcd" ] ~docv:"FILE"
-          ~doc:"Dump the watched signals as a VCD waveform to FILE.")
+          ~doc:"Dump the watched signals as a VCD waveform to FILE (needs -w).")
   in
   let engine =
     let engines =
@@ -454,7 +439,14 @@ let sim_cmd =
   in
   let run file cycles pokes peeks do_reset trace wave explain activity vcd_out
       engine jobs stats optimize discharge batch_file () =
+    validate_count ~flag:"cycles" cycles;
     Option.iter validate_jobs jobs;
+    (* the per-cycle outputs show the watched signals; --batch ignores
+       them (its documented behaviour) *)
+    if batch_file = None && peeks = [] then begin
+      if vcd_out <> None then requires "vcd" "watch";
+      if wave then requires "wave" "watch"
+    end;
     let design = design file in
     (* a -p/-w path that names nothing, a -p of a driven net or a poke
        that does not fit its path is a usage error, caught before the
@@ -489,14 +481,13 @@ let sim_cmd =
         (* so are an --explain path and an unwritable VCD file, which
            would otherwise fail only after the run *)
         List.iter (fun path -> ignore (nets_of path)) explain;
-        let vcd_out = if peeks = [] then None else vcd_out in
         Option.iter (fun path -> write_file path "") vcd_out;
         let sim = Zeus.Sim.create ~engine ~optimize ?discharged design in
         List.iter (fun (nets, bits) -> Zeus.Sim.poke_nets sim nets bits) pokes;
         if do_reset then Zeus.Sim.reset sim;
         Zeus.Sim.set_trace sim trace;
         let waves =
-          if wave && peeks <> [] then Some (Zeus.Wave.create sim peeks)
+          if wave then Some (Zeus.Wave.create sim peeks)
           else None
         in
         let vcd = Option.map (fun _ -> Zeus.Vcd.create sim peeks) vcd_out in
@@ -934,6 +925,7 @@ let export_cmd =
   in
   let run file verilog output testbench cycles seed module_name () =
     if not verilog then usage "no format selected; pass --verilog";
+    validate_count ~flag:"cycles" cycles;
     let v =
       match Zeus.Verilog.export ?module_name (design file) with
       | Ok v -> v

@@ -5,8 +5,7 @@
    child: per-port drive class (never / always / conditionally, with
    the guard's support set), UNDEF-capability, sequential dependence
    (the port's value flows through a register) and the internal
-   combinational port-to-port reachability relation.  Contracts are
-   plain data — no closures — so they marshal into the on-disk cache.
+   combinational port-to-port reachability relation.
 
    The module also hosts the two abstract domains the analysis runs
    over:
@@ -394,76 +393,3 @@ let pp ppf c =
     c.c_ports
     (String.concat " "
        (List.map (fun (a, b) -> a ^ "->" ^ b) c.c_reach))
-
-(* ------------------------------------------------------------------ *)
-(* Persistent on-disk cache                                             *)
-(* ------------------------------------------------------------------ *)
-
-(* One marshalled file per (source digest, type, parameter signature).
-   The source digest keys the whole pretty-printed compilation unit, so
-   any edit anywhere invalidates every entry for that program — coarse
-   but impossible to get wrong; the memoized in-process table provides
-   the finer per-type sharing.  A version stamp plus the OCaml version
-   guard against unmarshalling foreign data. *)
-module Cache = struct
-  let format_version = 1
-
-  type payload = {
-    pl_contract : t;
-    pl_findings : Zeus_base.Diag.t list;
-  }
-
-  type file = {
-    f_magic : string;
-    f_version : int;
-    f_ocaml : string;
-    f_payload : payload;
-  }
-
-  let magic = "zeus-summary-cache"
-
-  let source_digest src = Digest.to_hex (Digest.string src)
-
-  let path ~dir ~key = Filename.concat dir ("summary-" ^ key ^ ".bin")
-
-  let key ~digest ~type_name ~params =
-    Digest.to_hex
-      (Digest.string (String.concat "\x00" [ digest; type_name; params ]))
-
-  let load ~dir ~key : payload option =
-    let file = path ~dir ~key in
-    if not (Sys.file_exists file) then None
-    else
-      try
-        let ic = open_in_bin file in
-        let f : file =
-          Fun.protect ~finally:(fun () -> close_in_noerr ic) (fun () ->
-              Marshal.from_channel ic)
-        in
-        if
-          f.f_magic = magic && f.f_version = format_version
-          && f.f_ocaml = Sys.ocaml_version
-        then Some f.f_payload
-        else None
-      with _ -> None
-
-  (* the entry is written to a temp file and renamed into place only
-     after [close_out] (and so the flush) succeeded, so a short write
-     never replaces an entry; on any failure the temp file goes *)
-  let store ~dir ~key payload =
-    let file = path ~dir ~key in
-    let tmp = file ^ ".tmp" in
-    try
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      let oc = open_out_bin tmp in
-      Fun.protect ~finally:(fun () -> close_out_noerr oc) (fun () ->
-          Marshal.to_channel oc
-            { f_magic = magic; f_version = format_version;
-              f_ocaml = Sys.ocaml_version; f_payload = payload }
-            [];
-          close_out oc);
-      Sys.rename tmp file
-    with _ ->
-      (* a cache that cannot write is just a miss *)
-      (try Sys.remove tmp with Sys_error _ -> ())
-end

@@ -5,8 +5,7 @@
     parameter signature, everything a parent needs to analyse its own
     body without elaborating the child: per-port drive class,
     UNDEF-capability, sequential dependence and the internal
-    combinational port-to-port reachability relation.  Contracts are
-    plain marshalable data and feed the persistent on-disk cache. *)
+    combinational port-to-port reachability relation. *)
 
 (** {1 Interval / small-set abstraction}
 
@@ -141,28 +140,3 @@ val top :
     fixpoint diverges or a construct defeats the abstraction. *)
 
 val pp : Format.formatter -> t -> unit
-
-(** {1 Persistent on-disk cache}
-
-    One marshalled file per (source digest, type, parameter signature)
-    under a cache directory.  The digest keys the whole canonical
-    pretty-printed compilation unit: any edit invalidates every entry
-    for that program.  Files carry a format version and the OCaml
-    version; a mismatch (or any read error) is a miss. *)
-module Cache : sig
-  val format_version : int
-
-  type payload = {
-    pl_contract : t;
-    pl_findings : Zeus_base.Diag.t list;
-  }
-
-  val source_digest : string -> string
-  (** Hex digest of the canonical source text. *)
-
-  val key : digest:string -> type_name:string -> params:string -> string
-  val load : dir:string -> key:string -> payload option
-
-  val store : dir:string -> key:string -> payload -> unit
-  (** Atomic (write-then-rename); failures are silently a cache miss. *)
-end

@@ -172,14 +172,11 @@ and gctx = {
   mutable pending_deps : string list; (* keys read as in-progress iterates *)
   mutable g_findings : Diag.t list;
   mutable summaries : int;
-  mutable cache_hits : int;
   mutable contracts_acc : (string * C.t) list; (* completion order, reversed *)
   mutable types_seen : (string, unit) Hashtbl.t;
   mutable proven_conflict : (string, bool) Hashtbl.t; (* false = disproven *)
   mutable proven_cycle : (string, bool) Hashtbl.t;
   g_fallbacks : (string * string) list ref;
-  cache_dir : string option;
-  digest : string;
   symbolic : bool;
 }
 
@@ -2157,81 +2154,56 @@ let rec summarize (g : gctx) (h : comp) : C.t =
         c
       end
       else
-        let ckey =
-          Option.map
-            (fun _ ->
-              C.Cache.key ~digest:g.digest ~type_name:h.h_name ~params:key)
-            g.cache_dir
+        let r = ref (C.bottom ~type_name:h.h_name ~params:sigs ~ports) in
+        Hashtbl.replace g.memo key (Ework r);
+        g.stack <- key :: g.stack;
+        let saved = g.pending_deps in
+        let concrete =
+          List.for_all
+            (fun (a : aval) ->
+              C.singleton (iv_of_lin probe a.av_lin) <> None)
+            h.h_args
         in
-        let cached =
-          match (g.cache_dir, ckey) with
-          | Some dir, Some ck -> C.Cache.load ~dir ~key:ck
-          | _ -> None
-        in
-        match cached with
-        | Some pl ->
-            g.cache_hits <- g.cache_hits + 1;
-            Hashtbl.replace g.memo key (Edone pl.C.Cache.pl_contract);
-            g.g_findings <-
-              List.rev pl.C.Cache.pl_findings @ g.g_findings;
-            note_result g h.h_name pl.C.Cache.pl_contract;
-            pl.C.Cache.pl_contract
-        | None ->
-            let r = ref (C.bottom ~type_name:h.h_name ~params:sigs ~ports) in
-            Hashtbl.replace g.memo key (Ework r);
-            g.stack <- key :: g.stack;
-            let saved = g.pending_deps in
-            let concrete =
-              List.for_all
-                (fun (a : aval) ->
-                  C.singleton (iv_of_lin probe a.av_lin) <> None)
-                h.h_args
-            in
-            let finish = ref None in
-            let iters = ref 0 in
-            (try
-               while !finish = None do
-                 incr iters;
-                 g.pending_deps <- [];
-                 let c, findings, fbs = summarize_once g h key sigs concrete in
-                 let deps = g.pending_deps in
-                 if not (List.mem key deps) then
-                   finish := Some (c, findings, fbs, deps)
-                 else if c = !r then finish := Some (c, findings, fbs, deps)
-                 else if !iters >= max_fixpoint_iters then begin
-                   let reason = "summary fixpoint did not converge" in
-                   let c = C.top ~type_name:h.h_name ~params:sigs ~ports ~reason in
-                   finish := Some (c, findings, reason :: fbs, deps)
-                 end
-                 else r := c
-               done
-             with e ->
-               g.stack <- List.tl g.stack;
-               g.pending_deps <- saved;
-               Hashtbl.remove g.memo key;
-               raise e);
-            g.stack <- List.tl g.stack;
-            g.summaries <- g.summaries + 1;
-            let c, findings, fbs, deps = Option.get !finish in
-            let residual = List.filter (fun k -> k <> key) deps in
-            g.pending_deps <- residual @ saved;
-            note_fallbacks g h.h_name fbs;
-            if residual = [] then begin
-              Hashtbl.replace g.memo key (Edone c);
-              g.g_findings <- List.rev findings @ g.g_findings;
-              note_result g h.h_name c;
-              match (g.cache_dir, ckey) with
-              | Some dir, Some ck ->
-                  C.Cache.store ~dir ~key:ck
-                    { C.Cache.pl_contract = c; pl_findings = findings }
-              | _ -> ()
-            end
-            else
-              (* this summary consumed the iterate of a summarization
-                 still in progress elsewhere on the stack: it is
-                 provisional, and the enclosing fixpoint recomputes it *)
-              Hashtbl.remove g.memo key;
-            c)
+        let finish = ref None in
+        let iters = ref 0 in
+        (try
+           while !finish = None do
+             incr iters;
+             g.pending_deps <- [];
+             let c, findings, fbs = summarize_once g h key sigs concrete in
+             let deps = g.pending_deps in
+             if not (List.mem key deps) then
+               finish := Some (c, findings, fbs, deps)
+             else if c = !r then finish := Some (c, findings, fbs, deps)
+             else if !iters >= max_fixpoint_iters then begin
+               let reason = "summary fixpoint did not converge" in
+               let c = C.top ~type_name:h.h_name ~params:sigs ~ports ~reason in
+               finish := Some (c, findings, reason :: fbs, deps)
+             end
+             else r := c
+           done
+         with e ->
+           g.stack <- List.tl g.stack;
+           g.pending_deps <- saved;
+           Hashtbl.remove g.memo key;
+           raise e);
+        g.stack <- List.tl g.stack;
+        g.summaries <- g.summaries + 1;
+        let c, findings, fbs, deps = Option.get !finish in
+        let residual = List.filter (fun k -> k <> key) deps in
+        g.pending_deps <- residual @ saved;
+        note_fallbacks g h.h_name fbs;
+        if residual = [] then begin
+          Hashtbl.replace g.memo key (Edone c);
+          g.g_findings <- List.rev findings @ g.g_findings;
+          note_result g h.h_name c
+        end
+        else
+          (* this summary consumed the iterate of a summarization
+             still in progress elsewhere on the stack: it is
+             provisional, and the enclosing fixpoint recomputes it *)
+          Hashtbl.remove g.memo key;
+        c)
 
 and summarize_once g (h : comp) key sigs concrete :
     C.t * Diag.t list * string list =
@@ -2307,21 +2279,15 @@ type result = {
   fallbacks : (string * string) list;
   types_analyzed : int;
   summaries_computed : int;
-  cache_hits : int;
 }
 
-let analyze ?(symbolic = true) ?cache_dir ?src (prog : Ast.program) : result =
-  let digest =
-    C.Cache.source_digest
-      (match src with Some s -> s | None -> Pretty.program_to_string prog)
-  in
+let analyze ?(symbolic = true) (prog : Ast.program) : result =
   let g =
     { terms = Hashtbl.create 64; term_defs = Hashtbl.create 64; n_terms = 0;
       memo = Hashtbl.create 16; stack = []; pending_deps = [];
-      g_findings = []; summaries = 0; cache_hits = 0; contracts_acc = [];
+      g_findings = []; summaries = 0; contracts_acc = [];
       types_seen = Hashtbl.create 16; proven_conflict = Hashtbl.create 16;
-      proven_cycle = Hashtbl.create 16; g_fallbacks = ref []; cache_dir;
-      digest; symbolic }
+      proven_cycle = Hashtbl.create 16; g_fallbacks = ref []; symbolic }
   in
   let root = mk_sctx g ~tname:"<top>" ~key:"" ~concrete:true in
   let env = process_decls root { vals = [] } prog in
@@ -2406,16 +2372,14 @@ let analyze ?(symbolic = true) ?cache_dir ?src (prog : Ast.program) : result =
     fallbacks = List.rev !(g.g_fallbacks);
     types_analyzed = Hashtbl.length g.types_seen;
     summaries_computed = g.summaries;
-    cache_hits = g.cache_hits;
   }
 
 let summary_line (r : result) =
   Printf.sprintf
-    "%d component type(s), %d summar%s computed (%d cached); conflict-safe: \
-     %s; cycle-free: %s%s"
+    "%d component type(s), %d summar%s computed; conflict-safe: %s; \
+     cycle-free: %s%s"
     r.types_analyzed r.summaries_computed
     (if r.summaries_computed = 1 then "y" else "ies")
-    r.cache_hits
     (if r.proven_conflict_safe = [] then "none"
      else String.concat " " r.proven_conflict_safe)
     (if r.proven_cycle_free = [] then "none"

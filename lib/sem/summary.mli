@@ -44,13 +44,10 @@ type result = {
   fallbacks : (string * string) list;  (** (type, reason) pairs *)
   types_analyzed : int;  (** distinct component types reached *)
   summaries_computed : int;  (** (type, signature) summaries built *)
-  cache_hits : int;  (** summaries served from the on-disk cache *)
 }
 
 val analyze :
   ?symbolic:bool ->
-  ?cache_dir:string ->
-  ?src:string ->
   Zeus_lang.Ast.program ->
   result
 (** [analyze prog] summarizes every top-level component type of [prog].
@@ -61,10 +58,9 @@ val analyze :
     signatures reachable from the program's root SIGNAL declarations
     are always analysed.
 
-    [cache_dir] enables the persistent summary cache: entries are keyed
-    by the digest of the canonical pretty-printed source ([src] if
-    given, else the pretty-printed [prog]), the type name and the
-    canonical parameter signature. *)
+    The only sharing is an in-process memo per (type, canonical
+    signature), so the result is a function of [prog] alone. *)
 
 val summary_line : result -> string
-(** One-line statistics: types, summaries, cache hits, proofs. *)
+(** One-line statistics: types reached, summaries computed, the
+    conflict-safe and cycle-free proofs, and the fallback count. *)

@@ -1,7 +1,6 @@
 (* The modular component-summary analysis (Z401-Z406): per-type port
    contracts, symbolic parameter checking, type-level cycle detection,
-   the persistent summary cache, and the soundness contract against the
-   elaborated lint. *)
+   and the soundness contract against the elaborated lint. *)
 
 open Zeus
 
@@ -13,8 +12,7 @@ let parse src =
         Fmt.(list Diag.pp)
         (Diag.Bag.errors bag)
 
-let analyze ?symbolic ?cache_dir src =
-  Summary.analyze ?symbolic ?cache_dir ~src (parse src)
+let analyze ?symbolic src = Summary.analyze ?symbolic (parse src)
 
 let codes (r : Summary.result) =
   List.filter_map (fun (d : Diag.t) -> d.Diag.code) r.Summary.findings
@@ -127,20 +125,37 @@ let test_cycle_z403 () =
     (List.mem "top" r2.Summary.proven_cycle_free)
 
 (* an ARRAY index out of bounds for the instantiated parameter (Z404),
-   caught by interval abstract interpretation of n *)
+   caught by interval abstract interpretation of n; also one level
+   down, inside a parent, where the finding belongs to every run that
+   summarizes the child, so two runs give the same result *)
+let oob_type_src =
+  "TYPE t(n) = COMPONENT (IN a: boolean; OUT z: boolean) IS\n\
+   SIGNAL s: ARRAY[1..n] OF boolean;\n\
+   BEGIN\n\
+  \  s[n + 1] := a;\n\
+  \  z := s[1];\n\
+   END;\n\n"
+
 let test_range_z404 () =
-  let src =
-    "TYPE t(n) = COMPONENT (IN a: boolean; OUT z: boolean) IS\n\
-     SIGNAL s: ARRAY[1..n] OF boolean;\n\
-     BEGIN\n\
-    \  s[n + 1] := a;\n\
-    \  z := s[1];\n\
-     END;\n\n\
-     SIGNAL x: t(4);\n"
-  in
-  let r = analyze src in
-  Alcotest.(check bool) "Z404 reported" true
-    (has_code r Diag.Code.modular_range)
+  List.iter
+    (fun (name, top) ->
+      let src = oob_type_src ^ top in
+      let r1 = analyze src in
+      let r2 = analyze src in
+      Alcotest.(check bool) (name ^ ": Z404 reported") true
+        (has_code r1 Diag.Code.modular_range);
+      Alcotest.(check bool) (name ^ ": second run equals the first") true
+        (r1 = r2))
+    [
+      ("flat", "SIGNAL x: t(4);\n");
+      ( "nested",
+        "TYPE p = COMPONENT (IN a: boolean; OUT z: boolean) IS\n\
+         SIGNAL c: t(4);\n\
+         BEGIN\n\
+        \  c(a, z);\n\
+         END;\n\n\
+         SIGNAL top: p;\n" );
+    ]
 
 (* recursion whose parameter grows is not well-founded: the depth cap
    fires a Z405, records a fallback and withdraws every proof *)
@@ -161,81 +176,6 @@ let test_recursion_z405 () =
     r.Summary.proven_conflict_safe;
   Alcotest.(check (list string)) "no cycle proof survives" []
     r.Summary.proven_cycle_free
-
-(* ------------------------------------------------------------------ *)
-(* The persistent summary cache                                         *)
-(* ------------------------------------------------------------------ *)
-
-(* a fresh cache directory per run, without depending on unix:
-   temp_file reserves a unique name, and the cache creates the
-   directory.  Both go afterwards, also when a check fails (the cache
-   writes only flat files into the directory). *)
-let with_cache_dir f =
-  let stamp = Filename.temp_file "zeus-summary-test" "" in
-  let dir = stamp ^ ".d" in
-  Fun.protect
-    ~finally:(fun () ->
-      if Sys.file_exists dir then begin
-        Array.iter
-          (fun e -> Sys.remove (Filename.concat dir e))
-          (Sys.readdir dir);
-        Sys.rmdir dir
-      end;
-      Sys.remove stamp)
-    (fun () -> f dir)
-
-let test_cache_roundtrip () =
-  with_cache_dir @@ fun dir ->
-  let src = Corpus.htree 16 in
-  let r1 = analyze ~cache_dir:dir src in
-  Alcotest.(check int) "cold run hits nothing" 0 r1.Summary.cache_hits;
-  Alcotest.(check bool) "cold run computes" true
-    (r1.Summary.summaries_computed > 0);
-  let r2 = analyze ~cache_dir:dir src in
-  Alcotest.(check int) "warm run computes nothing" 0
-    r2.Summary.summaries_computed;
-  Alcotest.(check bool) "warm run served from cache" true
-    (r2.Summary.cache_hits > 0);
-  Alcotest.(check bool) "warm run keeps the proof" true
-    (List.mem "htree" r2.Summary.proven_conflict_safe
-    && List.mem "htree" r2.Summary.proven_cycle_free);
-  (* a different source digest misses: the cache keys on content *)
-  let r3 = analyze ~cache_dir:dir (Corpus.htree 4) in
-  Alcotest.(check bool) "edited source recomputes" true
-    (r3.Summary.summaries_computed > 0)
-
-(* A truncated entry (a write cut short) is a miss, not an error: the
-   run that misses writes the entry again, and the run after it hits. *)
-let test_cache_truncated () =
-  with_cache_dir @@ fun dir ->
-  let src = Corpus.htree 16 in
-  let r1 = analyze ~cache_dir:dir src in
-  let entries () =
-    List.filter
-      (fun f -> Filename.check_suffix f ".bin")
-      (Array.to_list (Sys.readdir dir))
-  in
-  Alcotest.(check bool) "cold run stores entries" true (entries () <> []);
-  List.iter
-    (fun f ->
-      let file = Filename.concat dir f in
-      let data = In_channel.with_open_bin file In_channel.input_all in
-      Out_channel.with_open_bin file (fun oc ->
-          output_string oc (String.sub data 0 (String.length data / 2))))
-    (entries ());
-  let r2 = analyze ~cache_dir:dir src in
-  Alcotest.(check int) "truncated entries miss" 0 r2.Summary.cache_hits;
-  Alcotest.(check int) "and are recomputed" r1.Summary.summaries_computed
-    r2.Summary.summaries_computed;
-  let r3 = analyze ~cache_dir:dir src in
-  Alcotest.(check int) "rewritten entries compute nothing" 0
-    r3.Summary.summaries_computed;
-  Alcotest.(check bool) "rewritten entries hit" true
-    (r3.Summary.cache_hits > 0);
-  Alcotest.(check bool) "no temp file is left" false
-    (Array.exists
-       (fun f -> Filename.check_suffix f ".tmp")
-       (Sys.readdir dir))
 
 (* ------------------------------------------------------------------ *)
 (* Soundness against the elaborated pipeline, over the whole corpus     *)
@@ -298,11 +238,6 @@ let () =
           Alcotest.test_case "Z403 cycle" `Quick test_cycle_z403;
           Alcotest.test_case "Z404 range" `Quick test_range_z404;
           Alcotest.test_case "Z405 recursion" `Quick test_recursion_z405;
-        ] );
-      ( "cache",
-        [
-          Alcotest.test_case "roundtrip" `Quick test_cache_roundtrip;
-          Alcotest.test_case "truncated entry" `Quick test_cache_truncated;
         ] );
       ( "soundness",
         [ Alcotest.test_case "corpus vs lint" `Quick test_corpus_sound ] );
