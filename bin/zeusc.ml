@@ -564,15 +564,6 @@ let lint_cmd =
              multi-driven class).  Exhausting it demotes the net to \
              needs-runtime-check.")
   in
-  let modular =
-    Arg.(
-      value & flag
-      & info [ "modular" ]
-          ~doc:
-            "Run the modular summary analysis first and skip the \
-             drive-conflict prover on nets owned by types it proved \
-             conflict-safe at their instantiated parameters.")
-  in
   let max_severity =
     Arg.(
       value
@@ -585,47 +576,10 @@ let lint_cmd =
              fails, 'warning' (default) fails on errors, 'none' fails on \
              any finding.")
   in
-  let sequential =
-    Arg.(
-      value & flag
-      & info [ "sequential" ]
-          ~doc:
-            "Run the bounded sequential prover ($(b,zeusc prove)) as a \
-             pre-pass: needs-runtime-check nets whose drivers are \
-             exclusive in every register state reachable from power-up \
-             are upgraded to safe-sequential, and the Z6xx \
-             reset-coverage findings are appended.")
-  in
-  let run file format budget suppress max_severity modular sequential () =
+  let run file format budget suppress max_severity () =
     validate_suppress suppress;
     validate_count ~flag:"budget" budget;
-    let src = load file in
-    let design = compile src in
-    let proven_safe, modular_findings =
-      if not modular then (None, [])
-      else
-        let r = Zeus.Summary.analyze ~symbolic:false (parse src) in
-        let proven = r.Zeus.Summary.proven_conflict_safe in
-        Fmt.pr "modular pre-pass: %s@." (Zeus.Summary.summary_line r);
-        (Some (fun t -> List.mem t proven), r.Zeus.Summary.findings)
-    in
-    let report = Zeus.Lint.run ~budget ?proven_safe design in
-    let report =
-      { report with
-        Zeus.Lint.findings = modular_findings @ report.Zeus.Lint.findings }
-    in
-    let report, seq_summary =
-      if not sequential then (report, None)
-      else
-        let sp = Zeus.Seqprove.run ~budget ~lint:report design in
-        let merged = sp.Zeus.Seqprove.sp_lint in
-        ( {
-            merged with
-            Zeus.Lint.findings =
-              merged.Zeus.Lint.findings @ sp.Zeus.Seqprove.sp_findings;
-          },
-          Some (Zeus.Seqprove.summary sp) )
-    in
+    let report = Zeus.Lint.run ~budget (design file) in
     let findings = drop_suppressed suppress report.Zeus.Lint.findings in
     let report = { report with Zeus.Lint.findings } in
     (match format with
@@ -640,7 +594,6 @@ let lint_cmd =
               v.Zeus.Lint.v_detail)
           report.Zeus.Lint.verdicts;
         report_diags findings;
-        Option.iter (Fmt.pr "sequential: %s@.") seq_summary;
         Fmt.pr "%s@." (Zeus.Lint.summary report));
     findings_status ~max_severity findings
   in
@@ -649,8 +602,7 @@ let lint_cmd =
       "Static analysis: drive-conflict proofs, UNDEF reachability and dead \
        hardware, with stable Zxxx diagnostic codes."
     Term.(
-      const run $ file_arg $ format_arg $ budget $ suppress_arg $ max_severity
-      $ modular $ sequential)
+      const run $ file_arg $ format_arg $ budget $ suppress_arg $ max_severity)
 
 let prove_cmd =
   let depth =

@@ -85,13 +85,15 @@
                        (structural checks still run);
    O5 "modular-vs-elaborated" the modular summary analysis never
                        contradicts the elaborated pipeline in its sound
-                       direction: a net the elaborated lint proved in
-                       [Conflict] must not be reclassified [Safe] by
-                       the modular pre-pass (a type was proved
-                       conflict-safe wrongly); if every type is proved
-                       cycle-free with no fallback and no Z403, the
-                       elaborated Check must not find a combinational
-                       cycle; and [Summary.analyze] must not raise.
+                       direction: no class the elaborated lint proved
+                       in [Conflict] may lie wholly under instance
+                       chains of types the summaries proved
+                       conflict-safe ([modular_hidden_conflicts]; such
+                       a type was proved conflict-safe wrongly); if
+                       every type is proved cycle-free with no
+                       fallback and no Z403, the elaborated Check must
+                       not find a combinational cycle; and
+                       [Summary.analyze] must not raise.
                        Modular warnings (Z402/Z403/Z406) are allowed to
                        over-approximate — only "proven" is binding.
 
@@ -249,6 +251,52 @@ let first_snap_mismatch a b =
 let errors_to_string errs =
   String.concat ", "
     (List.map (fun (c, n, code) -> Printf.sprintf "%s@%d[%s]" n c code) errs)
+
+(* O5's rule for the conflict-safe summaries.  A class is covered when
+   every member net lies under a non-empty chain of instances whose
+   types are all proven conflict-safe: a net inside an instance is
+   driven only by that instance's type, and a port net also by the
+   parent that instantiates it, and the chain holds both.  Chains stop
+   at instance paths, so nets outside every instance (CLK, RSET) are
+   never covered.  A covered class that the elaborated lint proved in
+   Conflict means a summary called a conflicting type safe. *)
+let modular_hidden_conflicts (m : Summary.result) (design : Elaborate.design)
+    (lint : Lint.report) =
+  let conflicts =
+    List.filter
+      (fun (v : Lint.net_verdict) -> v.Lint.v_class = Lint.Conflict)
+      lint.Lint.verdicts
+  in
+  if conflicts = [] || m.Summary.proven_conflict_safe = [] then []
+  else begin
+    let nl = design.Elaborate.netlist in
+    let type_of_path = Hashtbl.create 16 in
+    List.iter
+      (fun (i : Netlist.instance) ->
+        Hashtbl.replace type_of_path i.Netlist.ipath i.Netlist.itype)
+      (Netlist.instances nl);
+    let rec covered ~under name =
+      match String.rindex_opt name '.' with
+      | None -> under
+      | Some i -> (
+          let prefix = String.sub name 0 i in
+          match Hashtbl.find_opt type_of_path prefix with
+          | Some t ->
+              List.mem t m.Summary.proven_conflict_safe
+              && covered ~under:true prefix
+          | None -> covered ~under prefix)
+    in
+    let g = Graph.build design in
+    List.filter_map
+      (fun (v : Lint.net_verdict) ->
+        if
+          List.for_all
+            (fun n -> covered ~under:false (Netlist.net nl n).Netlist.name)
+            (Graph.members g g.Graph.canon.(v.Lint.v_net))
+        then Some v.Lint.v_name
+        else None)
+      conflicts
+  end
 
 (* The full matrix.  Returns every divergence found (empty = agreement
    everywhere).  [jobs] shapes the batch row's sharding; batch workers
@@ -717,37 +765,20 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                   reference.errors
               end);
           (* O5, part 3: a type the summaries proved conflict-safe must
-             not own a net the elaborated prover showed in conflict — the
-             modular pre-pass would silently hide the Z101 *)
-          (match modular with
-          | Some m when m.Summary.proven_conflict_safe <> [] ->
-              let conflicts =
-                List.filter
-                  (fun (v : Lint.net_verdict) -> v.Lint.v_class = Lint.Conflict)
-                  lint.Lint.verdicts
-              in
-              if conflicts <> [] then begin
-                let proven t = List.mem t m.Summary.proven_conflict_safe in
-                let pre = Lint.run ~proven_safe:proven design in
-                List.iter
-                  (fun (v : Lint.net_verdict) ->
-                    match
-                      List.find_opt
-                        (fun (w : Lint.net_verdict) ->
-                          w.Lint.v_name = v.Lint.v_name)
-                        pre.Lint.verdicts
-                    with
-                    | Some w when w.Lint.v_class = Lint.Safe ->
-                        add "modular-vs-elaborated"
-                          (Printf.sprintf
-                             "net '%s' is a proved conflict, but the modular \
-                              pre-pass classified it safe (a type summary is \
-                              wrongly conflict-safe)"
-                             v.Lint.v_name)
-                    | _ -> ())
-                  conflicts
-              end
-          | _ -> ());
+             not own a net the elaborated prover showed in conflict *)
+          Option.iter
+            (fun m ->
+              List.iter
+                (fun name ->
+                  add "modular-vs-elaborated"
+                    (Printf.sprintf
+                       "net '%s' is a proved conflict, but every member \
+                        lies under types the summaries proved \
+                        conflict-safe (a type summary is wrongly \
+                        conflict-safe)"
+                       name))
+                (modular_hidden_conflicts m design lint))
+            modular;
           (* O9: the structural Verilog export.  A compiled program has
              an acyclic class schedule (Check rejects combinational
              cycles), so any export error is a finding.  The emitted

@@ -46,10 +46,11 @@
     modular-vs-elaborated
                      the modular summary analysis ({!Zeus_sem.Summary})
                      never contradicts the elaborated pipeline in its
-                     sound direction: proven-conflict-safe types hide no
-                     proved-Conflict net, "all types cycle-free with no
-                     fallback" admits no elaborated cycle error, and
-                     [Summary.analyze] never raises
+                     sound direction: no proved-Conflict class lies
+                     wholly under proven-conflict-safe types
+                     ({!modular_hidden_conflicts}), "all types
+                     cycle-free with no fallback" admits no elaborated
+                     cycle error, and [Summary.analyze] never raises
     parse / compile  generated programs are legal by construction, so a
                      front-end rejection is itself a finding
     v} *)
@@ -80,6 +81,18 @@ type run = {
     cycle. *)
 val run_engine :
   Zeus_sem.Elaborate.design -> Sim.engine -> Gen_prog.stimulus -> run
+
+(** O5's rule for the conflict-safe summaries: the names of the
+    [Conflict] verdicts of [lint] whose every member net lies under a
+    non-empty chain of instances, each of a type in
+    [m.proven_conflict_safe].  Nets outside every instance (CLK, RSET)
+    are never covered.  A non-empty result means a summary called a
+    conflicting type conflict-safe. *)
+val modular_hidden_conflicts :
+  Zeus_sem.Summary.result ->
+  Zeus_sem.Elaborate.design ->
+  Zeus_sem.Lint.report ->
+  string list
 
 val check : ?jobs:int -> src:string -> Gen_prog.stimulus -> divergence list
 (** Run the whole matrix; [[]] means agreement everywhere.  [jobs]

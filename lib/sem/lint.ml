@@ -492,49 +492,7 @@ let witness_to_string (g : Graph.t) m =
   String.concat ", "
     (List.map (fun (n, b) -> Printf.sprintf "%s=%d" n (if b then 1 else 0)) free)
 
-(* The modular fast path.  [proven_safe] names component types whose
-   summaries (Summary.analyze) proved every drive target exclusive for
-   the instantiated parameters.  A canonical class may be skipped when
-   every member net lives under an instance chain of proven types: a
-   net internal to an instance can only be driven by that instance's
-   own type, and a port net additionally by the instantiating parent —
-   both of which the chain covers.  Nets outside any instance (CLK,
-   RSET) are never skipped; the global scope holds declarations only,
-   so it contributes no drivers of its own. *)
-let modular_skip (g : Graph.t) proven_safe =
-  let nl = g.Graph.nl in
-  let type_of_path = Hashtbl.create 16 in
-  List.iter
-    (fun (i : Netlist.instance) ->
-      Hashtbl.replace type_of_path i.Netlist.ipath i.Netlist.itype)
-    (Netlist.instances nl);
-  let owner_types name =
-    let rec go name acc =
-      match String.rindex_opt name '.' with
-      | None -> acc
-      | Some i ->
-          let prefix = String.sub name 0 i in
-          let acc =
-            match Hashtbl.find_opt type_of_path prefix with
-            | Some t -> t :: acc
-            | None -> acc
-          in
-          go prefix acc
-    in
-    go name []
-  in
-  let skip = Array.make g.Graph.n_classes true in
-  Array.iter
-    (fun (net : Netlist.net) ->
-      let c = g.Graph.canon.(net.Netlist.id) in
-      match owner_types net.Netlist.name with
-      | [] -> skip.(c) <- false
-      | ts ->
-          if not (List.for_all proven_safe ts) then skip.(c) <- false)
-    (Netlist.nets_array nl);
-  skip
-
-let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
+let prove_conflicts st bag ~budget ~splits ~can_undef =
   let g = st.g in
   let n_gates = Array.length g.Graph.gates in
   (* every producer's drive condition, expanded in creation order
@@ -561,17 +519,6 @@ let prove_conflicts st bag ~budget ~splits ~can_undef ~skip =
       Graph.iter_producers g c (fun i -> ps := producer i :: !ps);
       match List.rev !ps with
       | [] | [ _ ] -> ()
-      | ps when skip c ->
-          verdicts :=
-            {
-              v_net = g.Graph.rep.(c);
-              v_name = g.Graph.names.(c);
-              v_kind = g.Graph.class_kind.(c);
-              v_producers = List.length ps;
-              v_class = Safe;
-              v_detail = "proved by the modular type summary (pre-pass)";
-            }
-            :: !verdicts
       | ps ->
           let name = g.Graph.names.(c) in
           let parr = Array.of_list ps in
@@ -925,50 +872,35 @@ let absint_pass bag (ai : Absint.t) sets ~never_defined ~dead_paths =
 
 let default_budget = 4096
 
-let analyze ~budget ~proven_safe (g : Graph.t) =
+let analyze ~budget (g : Graph.t) =
   let bag = Diag.Bag.create () in
   let st = make_expander g in
   let splits = ref 0 in
-  let skip =
-    match proven_safe with
-    | None -> fun _ -> false
-    | Some p ->
-        let arr = modular_skip g p in
-        fun c -> arr.(c)
-  in
   let sets, _ =
     Absint.value_sets g
       ~seed:(Absint.flow_seed g ~inputs:(Absint.m_zero lor Absint.m_one))
       ~exclusive:(fun _ -> false) ~kind_default:false
   in
   let can_undef c = Absint.booleanize_mask sets.(c) land Absint.m_undef <> 0 in
-  let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef ~skip in
+  let verdicts = prove_conflicts st bag ~budget ~splits ~can_undef in
   let never_defined = undef_pass bag g sets in
   let ai = Absint.analyze g in
   let dead_paths = dead_pass bag ai in
   absint_pass bag ai sets ~never_defined ~dead_paths;
   { verdicts; findings = Diag.Bag.all bag; splits = !splits }
 
-let run ?(budget = default_budget) ?proven_safe design =
-  analyze ~budget ~proven_safe (Graph.build design)
+let run ?(budget = default_budget) design = analyze ~budget (Graph.build design)
 
 let count cls report =
   List.length (List.filter (fun v -> v.v_class = cls) report.verdicts)
 
 let summary report =
-  (* the sequential-prover upgrade count appears only when non-zero, so
-     the plain-lint output is unchanged by the seqprove pass existing *)
-  let seq =
-    match count Safe_sequential report with
-    | 0 -> ""
-    | n -> Printf.sprintf ", %d safe-sequential" n
-  in
   Printf.sprintf
-    "%d multi-driven net%s: %d safe%s, %d conflict, %d needs-runtime-check; \
+    "%d multi-driven net%s: %d safe, %d conflict, %d needs-runtime-check; \
      %d finding%s (%d case splits)"
     (List.length report.verdicts)
     (if List.length report.verdicts = 1 then "" else "s")
-    (count Safe report) seq (count Conflict report)
+    (count Safe report) (count Conflict report)
     (count Needs_runtime_check report)
     (List.length report.findings)
     (if List.length report.findings = 1 then "" else "s")

@@ -110,22 +110,12 @@ val default_budget : int
     {!default_budget}): the class-wide proof {!co_drive} gets that
     many, and so does each witness search of a co-drivable pair.
     Exhausting it demotes the net to [Needs_runtime_check] rather than
-    guessing.
-
-    [proven_safe] is the modular fast path: a predicate over component
-    type names whose summaries ({!Summary}) already proved every drive
-    target conflict-free for the instantiated parameters.  A net class
-    all of whose member nets live under instances of proven types
-    (including, for port nets, the instantiating parent's type) is
-    classified [Safe] without expanding or solving anything — the
-    summary pre-pass skips proven-safe subtrees. *)
-val run :
-  ?budget:int -> ?proven_safe:(string -> bool) -> Elaborate.design -> report
+    guessing. *)
+val run : ?budget:int -> Elaborate.design -> report
 
 (** [run] over an already built class graph, for callers that share
     one {!Graph.t} across analyses ({!Seqprove}). *)
-val analyze :
-  budget:int -> proven_safe:(string -> bool) option -> Graph.t -> report
+val analyze : budget:int -> Graph.t -> report
 
 (** [count cls report] — verdicts with classification [cls]. *)
 val count : classification -> report -> int

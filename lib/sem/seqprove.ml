@@ -594,7 +594,7 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
   let lintrep =
     match lint with
     | Some r -> r
-    | None -> Lint.analyze ~budget ~proven_safe:None g
+    | None -> Lint.analyze ~budget g
   in
   let ctx = make_ctx g lintrep in
   let splits = ref 0 in
@@ -697,26 +697,7 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
     sp_findings = Diag.Bag.all bag;
     sp_witnesses = witnesses;
     sp_splits = !splits;
-    sp_lint =
-      {
-        lintrep with
-        Lint.verdicts;
-        (* the Z102 "needs runtime check" warnings of upgraded nets are
-           stale — the runtime check was just proved redundant *)
-        findings =
-          List.filter
-            (fun (d : Diag.t) ->
-              d.Diag.code <> Some Diag.Code.drive_unproven
-              || not
-                   (List.exists
-                      (fun (_, name) ->
-                        let q = "'" ^ name ^ "'" in
-                        let ql = String.length q in
-                        String.length d.Diag.message >= ql
-                        && String.sub d.Diag.message 0 ql = q)
-                      upgraded))
-            lintrep.Lint.findings;
-      };
+    sp_lint = { lintrep with Lint.verdicts };
   }
 
 let discharged (design : Elaborate.design) report =

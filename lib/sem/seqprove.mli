@@ -87,7 +87,8 @@ type report = {
   sp_splits : int;  (** case splits spent by the per-state prover *)
   sp_lint : Lint.report;
       (** the underlying lint report with upgrades applied — verdicts
-          for upgraded classes read [Safe_sequential] *)
+          for upgraded classes read [Safe_sequential]; its findings are
+          the combinational lint's, unchanged *)
 }
 
 val default_depth : int

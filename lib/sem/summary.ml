@@ -138,6 +138,7 @@ type sctx = {
   g : gctx;
   s_tname : string;
   s_key : string;
+  s_shown : string; (* the type as written, for messages: t(4) *)
   s_concrete : bool; (* every formal bound to a singleton *)
   (* slots *)
   slot_tbl : (int, slot) Hashtbl.t;
@@ -699,14 +700,14 @@ let check_index sx ~loc (av : aval) (ivlo : C.ival) (ivhi : C.ival) =
       ~code:Diag.Code.modular_range ~loc
       "ARRAY range is empty for %s parameters of %s"
       (if sx.s_concrete then "the instantiated" else "all")
-      sx.s_key
+      sx.s_shown
   else if C.cmp_lt iv ivlo = C.True || C.cmp_lt ivhi iv = C.True then
     finding sx
       ~sev:(if sx.s_concrete then Diag.Error else Diag.Warning)
       ~code:Diag.Code.modular_range ~loc
       "index %s out of ARRAY bounds %s..%s in %s"
       (C.ival_to_string iv) (C.ival_to_string ivlo) (C.ival_to_string ivhi)
-      sx.s_key
+      sx.s_shown
   else if
     sx.s_concrete
     && (C.cmp_le ivlo iv <> C.True || C.cmp_le iv ivhi <> C.True)
@@ -715,7 +716,7 @@ let check_index sx ~loc (av : aval) (ivlo : C.ival) (ivhi : C.ival) =
       "interval %s too coarse to bound this index within %s..%s — falling \
        back to elaboration for %s"
       (C.ival_to_string iv) (C.ival_to_string ivlo) (C.ival_to_string ivhi)
-      sx.s_key;
+      sx.s_shown;
     fallback_note sx "coarse interval at an index"
   end
 
@@ -932,7 +933,7 @@ let rec eval_expr sx env ~guard (e : Ast.expr) : eres =
           finding sx
             ~sev:(if sx.s_concrete then Diag.Error else Diag.Warning)
             ~code:Diag.Code.modular_range ~loc
-            "BIN width is non-positive in %s" sx.s_key
+            "BIN width is non-positive in %s" sx.s_shown
       | _ -> ());
       pure ()
   | Ast.Estar (_, _) -> raise (Fallback "'*' expression")
@@ -1340,8 +1341,8 @@ and drive_place sx ~guard ~loc ~desc er rr =
 (* Context construction and declaration processing                      *)
 (* ------------------------------------------------------------------ *)
 
-let mk_sctx g ~tname ~key ~concrete =
-  { g; s_tname = tname; s_key = key; s_concrete = concrete;
+let mk_sctx g ~tname ~key ~shown ~concrete =
+  { g; s_tname = tname; s_key = key; s_shown = shown; s_concrete = concrete;
     slot_tbl = Hashtbl.create 64; n_slots = 0; edges = []; undef_edges = [];
     insts = Hashtbl.create 8; pendings = []; n_atoms = 0;
     atom_kinds = Hashtbl.create 16; atom_descs = Hashtbl.create 16;
@@ -1849,7 +1850,7 @@ let conflict_pass sx members =
    the slot classes is a combinational loop — except pure systolic
    chains, whose every cycle has a nonzero index shift (c[i].in from
    c[i-1].out loops back to a *different* element). *)
-let cycle_pass sx =
+let cycle_pass sx members =
   let edges =
     List.sort_uniq compare
       (List.filter_map
@@ -1953,8 +1954,21 @@ let cycle_pass sx =
           List.filteri (fun i _ -> i < 4) scc
           |> List.map (fun v -> "'" ^ (slot sx v).s_path ^ "'")
         in
-        finding sx ~sev:Diag.Warning ~code:Diag.Code.modular_cycle
-          ~loc:Loc.dummy
+        (* located at the earliest driver of the first slot on the
+           cycle that has one *)
+        let loc =
+          List.find_map
+            (fun v ->
+              let ms = try Hashtbl.find members v with Not_found -> [ v ] in
+              List.concat_map (fun id -> (slot sx id).s_drivers) ms
+              |> List.map (fun d -> d.d_loc)
+              |> List.sort (fun (a : Loc.t) (b : Loc.t) ->
+                     compare a.Loc.start.Loc.offset b.Loc.start.Loc.offset)
+              |> List.find_opt (fun l -> not (Loc.is_dummy l)))
+            scc
+          |> Option.value ~default:Loc.dummy
+        in
+        finding sx ~sev:Diag.Warning ~code:Diag.Code.modular_cycle ~loc
           "combinational cycle in %s through %s%s — registers are the only \
            cycle breakers"
           sx.s_tname
@@ -2121,7 +2135,7 @@ let note_result g name (c : C.t) =
   g.contracts_acc <- (name, c) :: g.contracts_acc
 
 let rec summarize (g : gctx) (h : comp) : C.t =
-  let probe = mk_sctx g ~tname:h.h_name ~key:"?" ~concrete:false in
+  let probe = mk_sctx g ~tname:h.h_name ~key:"?" ~shown:"?" ~concrete:false in
   let sigs = sig_of_args probe h.h_args in
   let key = summarize_key h sigs in
   let ports = List.map (fun (pn, m, _) -> (pn, m)) h.h_ports in
@@ -2207,7 +2221,8 @@ let rec summarize (g : gctx) (h : comp) : C.t =
 
 and summarize_once g (h : comp) key sigs concrete :
     C.t * Diag.t list * string list =
-  let sx = mk_sctx g ~tname:h.h_name ~key ~concrete in
+  let shown = if sigs = "" then h.h_name else h.h_name ^ "(" ^ sigs ^ ")" in
+  let sx = mk_sctx g ~tname:h.h_name ~key ~shown ~concrete in
   try
     (* the signature's intervals become refinable terms for the formals *)
     let env =
@@ -2258,7 +2273,7 @@ and summarize_once g (h : comp) key sigs concrete :
     compose sx (summarize g);
     let members = flow_fixpoint sx in
     let conflict_safe = conflict_pass sx members in
-    let cycle_free = cycle_pass sx in
+    let cycle_free = cycle_pass sx members in
     let c = assemble sx ~sigs ~placed ~members ~conflict_safe ~cycle_free in
     (c, List.rev sx.s_findings, sx.s_fallbacks)
   with Fallback reason ->
@@ -2289,7 +2304,7 @@ let analyze ?(symbolic = true) (prog : Ast.program) : result =
       types_seen = Hashtbl.create 16; proven_conflict = Hashtbl.create 16;
       proven_cycle = Hashtbl.create 16; g_fallbacks = ref []; symbolic }
   in
-  let root = mk_sctx g ~tname:"<top>" ~key:"" ~concrete:true in
+  let root = mk_sctx g ~tname:"<top>" ~key:"" ~shown:"" ~concrete:true in
   let env = process_decls root { vals = [] } prog in
   (* the concrete pass: every top-level SIGNAL of component type
      exists, so its summary (at its concrete signature) is demanded *)

@@ -181,9 +181,10 @@ let test_recursion_z405 () =
 (* Soundness against the elaborated pipeline, over the whole corpus     *)
 (* ------------------------------------------------------------------ *)
 
-(* "proven" must never contradict elaboration: a net the elaborated
-   prover shows in Conflict may not be reclassified Safe by the modular
-   pre-pass, on any corpus design (the O5 oracle row, statically) *)
+(* "proven" must never contradict elaboration: no net the elaborated
+   prover shows in Conflict may lie wholly under types the summaries
+   proved conflict-safe, on any corpus design (the O5 oracle row,
+   statically) *)
 let test_corpus_sound () =
   List.iter
     (fun (name, src) ->
@@ -195,32 +196,10 @@ let test_corpus_sound () =
       in
       match elaborate_with_diags src with
       | Some design, _ ->
-          let plain = Lint.run design in
-          let conflicts =
-            List.filter_map
-              (fun (v : Lint.net_verdict) ->
-                if v.Lint.v_class = Lint.Conflict then Some v.Lint.v_name
-                else None)
-              plain.Lint.verdicts
-          in
-          if conflicts <> [] && r.Summary.proven_conflict_safe <> [] then begin
-            let pre =
-              Lint.run
-                ~proven_safe:(fun t ->
-                  List.mem t r.Summary.proven_conflict_safe)
-                design
-            in
-            List.iter
-              (fun (v : Lint.net_verdict) ->
-                if
-                  List.mem v.Lint.v_name conflicts
-                  && v.Lint.v_class = Lint.Safe
-                then
-                  Alcotest.failf
-                    "%s: conflict net '%s' hidden by the modular pre-pass"
-                    name v.Lint.v_name)
-              pre.Lint.verdicts
-          end
+          List.iter
+            (Alcotest.failf
+               "%s: conflict net '%s' lies under conflict-safe types" name)
+            (Oracle.modular_hidden_conflicts r design (Lint.run design))
       | None, _ -> ())
     (Corpus.all_named @ Corpus_fsm.all_named)
 
