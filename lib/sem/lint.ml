@@ -921,8 +921,10 @@ let json_loc (loc : Loc.t) =
 (* Bump whenever the shape of the JSON report changes, so downstream
    tooling can detect incompatible output.  1: first versioned schema
    (unversioned output predates it); 2: summary gained
-   [safe_sequential] (the sequential-prover upgrade count). *)
-let json_schema_version = 2
+   [safe_sequential] (the sequential-prover upgrade count); 3: summary
+   lost [safe_sequential] again — lint no longer carries the prover's
+   upgrades, so it always read 0 ([zeusc prove] reports them). *)
+let json_schema_version = 3
 
 let json_of_report report =
   let b = Buffer.create 1024 in
@@ -957,10 +959,9 @@ let json_of_report report =
     report.findings;
   Buffer.add_string b
     (Printf.sprintf
-       "\n  ],\n  \"summary\": {\"nets\":%d,\"safe\":%d,\"safe_sequential\":%d,\"conflict\":%d,\"needs_runtime_check\":%d,\"findings\":%d,\"splits\":%d}\n}"
+       "\n  ],\n  \"summary\": {\"nets\":%d,\"safe\":%d,\"conflict\":%d,\"needs_runtime_check\":%d,\"findings\":%d,\"splits\":%d}\n}"
        (List.length report.verdicts)
        (count Safe report)
-       (count Safe_sequential report)
        (count Conflict report)
        (count Needs_runtime_check report)
        (List.length report.findings)

@@ -232,11 +232,6 @@ let set_code st c code =
 
 let get st c = decode.(get_code st c)
 
-let is_zero st c =
-  let w = c lsr 5 in
-  (Array.unsafe_get st.a w lor Array.unsafe_get st.b w) lsr (c land 31) land 1
-  = 0
-
 let reg_get st r = decode.(get_bit st.ra r lor (get_bit st.rb r lsl 1))
 
 let ran st = st.ran
@@ -912,11 +907,12 @@ let run_sliced (prog : prog) w ~cycle =
 
 (* Compare against the previous cycle's planes, ascending class order:
    count toggles (only when a previous cycle exists, like every other
-   engine) and report changed classes to [on_change].  [first] is the
-   cold-start cycle: every class is fresh, so the trace lists them all
-   but no toggles accrue. *)
+   engine), report changed classes to [on_change] and return how many
+   toggled.  [first] is the cold-start cycle: every class is fresh, so
+   the trace lists them all but no toggles accrue. *)
 let sweep (st : state) ~first ~(toggles : int array)
     ~(on_change : (int -> unit) option) =
+  let changed = ref 0 in
   if first then (
     match on_change with
     | Some f ->
@@ -936,6 +932,7 @@ let sweep (st : state) ~first ~(toggles : int array)
           if !d land 1 = 1 then begin
             let c = base + !j in
             toggles.(c) <- toggles.(c) + 1;
+            incr changed;
             match on_change with Some f -> f c | None -> ()
           end;
           d := !d lsr 1;
@@ -944,4 +941,5 @@ let sweep (st : state) ~first ~(toggles : int array)
       end
     done;
   Array.blit st.a 0 st.pa 0 (Array.length st.a);
-  Array.blit st.b 0 st.pb 0 (Array.length st.b)
+  Array.blit st.b 0 st.pb 0 (Array.length st.b);
+  !changed

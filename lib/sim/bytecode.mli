@@ -159,10 +159,6 @@ val ran : state -> bool
 val get : state -> int -> Logic.t
 val reg_get : state -> int -> Logic.t
 
-(** [is_zero st c] is [Logic.equal (get st c) Logic.Zero], read straight
-    off the planes. *)
-val is_zero : state -> int -> bool
-
 (** Mirror one poke (or unpoke, [None]) into the packed poke planes —
     the only poke store the program reads. *)
 val sync_poke : state -> int -> Logic.t option -> unit
@@ -221,8 +217,9 @@ val run_sliced : prog -> sliced -> cycle:int -> (int * int) list
 
 (** Per-cycle change sweep against the previous cycle's planes, in
     ascending class order: accrues toggle counts (skipped on the
-    [first] cycle, which has no predecessor) and reports changed
-    classes, whose new values {!get} reads.  Call after {!run_cycle}. *)
+    [first] cycle, which has no predecessor), reports changed classes,
+    whose new values {!get} reads, and returns the number of toggles it
+    accrued.  Call after {!run_cycle}. *)
 val sweep :
   state -> first:bool -> toggles:int array ->
-  on_change:(int -> unit) option -> unit
+  on_change:(int -> unit) option -> int

@@ -134,6 +134,7 @@ type t = {
          planes ([cstate]) then hold the run's values *)
   mutable run_len : int;
       (* consecutive busy cone cycles, or sparse program cycles *)
+  mutable changed : int; (* classes the last warm cycle toggled *)
   mutable program_cycles : int;
   jobs : int; (* default domain count of [run_batch] *)
 }
@@ -243,6 +244,7 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~edge_guard ~cprog
     iprog;
     program = None;
     run_len = 0;
+    changed = 0;
     program_cycles = 0;
     jobs;
   }
@@ -666,7 +668,8 @@ let process_net t ~emit_conflict ~incremental net =
     if incremental then begin
       (match (t.prev_values.(net), t.values.(net)) with
       | Some a, Some b when not (Logic.equal a b) ->
-          t.toggles.(net) <- t.toggles.(net) + 1
+          t.toggles.(net) <- t.toggles.(net) + 1;
+          t.changed <- t.changed + 1
       | _ -> ());
       t.prev_values.(net) <- t.values.(net);
       if t.trace_enabled then
@@ -900,6 +903,7 @@ let step_incremental t =
   let g = t.g in
   t.epoch <- t.epoch + 1;
   t.trace <- [];
+  t.changed <- 0;
   (* RANDOM sources re-draw every cycle; each draw is the pure function
      {!random_value} of the output class, so neither order nor engine
      affects the stream *)
@@ -977,7 +981,7 @@ let step_compiled t prog st =
         (fun c -> t.trace <- (t.g.Graph.names.(c), Bytecode.get st c) :: t.trace)
     else None
   in
-  Bytecode.sweep st ~first ~toggles:t.toggles ~on_change;
+  ignore (Bytecode.sweep st ~first ~toggles:t.toggles ~on_change);
   for i = 0 to Array.length t.g.Graph.regs - 1 do
     t.reg_state.(i) <- Bytecode.reg_get st i
   done;
@@ -991,38 +995,39 @@ let step_compiled t prog st =
 (* The cone pass costs 100-500 ns per visited node; a program cycle
    evaluates every node, but for far less per node.  So a busy run of
    the incremental engine hands its cycles to the {!Compile}d program and
-   takes them back when activity drops.  The rule counts work and never
-   reads the clock, so a run's counters do not depend on the host:
+   takes them back when activity drops.  The rule reads the cycle's
+   toggles, which both evaluators count alike, and never the clock, so
+   the switch decisions are a function of the run's values alone:
 
-   - a cone cycle is busy when its cone — the node visits it counts —
-     reaches [dense_num/dense_den] of the graph's nodes and it changed at
-     most one stored register value;
+   - a cycle is busy when the classes it toggled reach
+     [dense_num/dense_den] of the graph's classes and it changed at most
+     one stored register value;
    - after [switch_after] busy cone cycles in a row the next cycle runs
-     the program; after [switch_after] program cycles in a row below the
-     same fraction the next one runs the cone pass again.
+     the program; after [switch_after] program cycles in a row that are
+     not busy the next one runs the cone pass again.
 
-   DESIGN.md gives the measurement behind both constants.  Every
-   observable stays what the cone pass reports: values, errors and their
-   order, toggles, [node_visits] (a program cycle adds the exact cone the
-   pass would have visited) and the trace.  The program lists its trace
-   in class order, not firing order, so it never runs while the trace is
-   on.  The pass's firing order also depends on the order of its dirty
-   seeds, and a latch lists the registers it changed in the order the
-   pass reached their inputs — which the program cannot know.  So a
-   program cycle commits only when at most one register changed;
-   otherwise it is dropped and the cone pass runs that cycle (and takes
-   the run back).  A busy cycle must change at most one register too,
-   so register-heavy designs do not switch only to drop the cycle. *)
+   DESIGN.md gives the measurement behind both constants.  The run's
+   values stay what the cone pass reports: values, errors and their
+   order, toggles and the trace.  [node_visits] counts what ran: a
+   program cycle adds the program's [visits_per_cycle], as the compiled
+   engine does.  The program lists its trace in class order, not firing
+   order, so it never runs while the trace is on.  The pass's firing
+   order also depends on the order of its dirty seeds, and a latch lists
+   the registers it changed in the order the pass reached their inputs
+   — which the program cannot know.  So a program cycle commits only
+   when at most one register changed; otherwise it is dropped and the
+   cone pass runs that cycle (and takes the run back).  A busy cycle
+   must change at most one register too, so register-heavy designs do
+   not switch only to drop the cycle. *)
 let dense_num = 1
 
 let dense_den = 8
 
 let switch_after = 4
 
-(* [visits] is the cycle's cone; the seeds left listed after a cycle
-   are the registers it changed *)
-let busy t visits =
-  visits * dense_den >= dense_num * Array.length t.g.Graph.nodes
+(* the seeds left listed after a cycle are the registers it changed *)
+let busy t =
+  t.changed * dense_den >= dense_num * t.g.Graph.n_classes
   && match t.seed_dirty_list with _ :: _ :: _ -> false | _ -> true
 
 (* built at most once per template, whichever domain asks first *)
@@ -1094,14 +1099,7 @@ let leave_program t prog st =
 
 (* One program cycle of the incremental engine; [false] when it latched
    two or more changed registers and must be redone by the cone pass.
-   The dirty seeds stay listed until the cycle commits.  A committed
-   cycle adds to [node_visits] the cone the pass would have visited:
-   every RANDOM source, plus each distinct consumer of a class whose
-   value changed (stamped with the pass's own epoch marks), under the
-   pass's guard rule.  The pass reads a guard when the source changes,
-   possibly before the guard's own change; the program reads it at the
-   end of the cycle.  Either way a changed guard counts the driver
-   through its own edge, so both count the same nodes. *)
+   The dirty seeds stay listed until the cycle commits. *)
 let program_cycle t prog st =
   let g = t.g in
   List.iter (fun c -> Bytecode.sync_poke st c t.poked.(c)) t.seed_dirty_list;
@@ -1120,30 +1118,10 @@ let program_cycle t prog st =
     List.iter (fun c -> t.seed_dirty.(c) <- false) t.seed_dirty_list;
     t.seed_dirty_list <- [];
     List.iter (fun c -> conflict_error t c) (List.sort compare conflicts);
-    t.epoch <- t.epoch + 1;
+    t.node_visits <- t.node_visits + prog.Bytecode.visits_per_cycle;
     t.trace <- [];
-    let node_mark = t.node_mark and epoch = t.epoch in
-    let edge_guard = t.edge_guard in
-    let cons_off = g.Graph.cons_off and cons_nodes = g.Graph.cons_nodes in
-    let visits = ref (Array.length t.random_nodes) in
-    (* the sweep's hot loop on busy cycles: every index comes from the
-       class graph's CSR, so the reads go unchecked *)
-    let count_cone c =
-      for k = Array.unsafe_get cons_off c to Array.unsafe_get cons_off (c + 1) - 1
-      do
-        let node = Array.unsafe_get cons_nodes k in
-        if Array.unsafe_get node_mark node <> epoch then begin
-          let gc = Array.unsafe_get edge_guard k in
-          if gc < 0 || not (Bytecode.is_zero st gc) then begin
-            Array.unsafe_set node_mark node epoch;
-            incr visits
-          end
-        end
-      done
-    in
-    Bytecode.sweep st ~first:false ~toggles:t.toggles
-      ~on_change:(Some count_cone);
-    t.node_visits <- t.node_visits + !visits;
+    t.changed <-
+      Bytecode.sweep st ~first:false ~toggles:t.toggles ~on_change:None;
     (* the latch of [latch_reg], its dirty seed included *)
     if !latched >= 0 then begin
       t.reg_state.(!latched) <- Bytecode.reg_get st !latched;
@@ -1164,7 +1142,6 @@ let step_warm t =
         match shared_program t with
         | Some prog -> enter_program t prog
         | None -> t.run_len <- 0 (* nothing to switch to *)));
-  let v0 = t.node_visits in
   (match (t.program, t.cstate) with
   | Some prog, Some st ->
       if not (program_cycle t prog st) then begin
@@ -1174,7 +1151,7 @@ let step_warm t =
   | _ -> step_incremental t);
   (* a busy cone cycle, or a sparse program cycle, is one more step
      towards the other evaluator *)
-  if busy t (t.node_visits - v0) = Option.is_none t.program then
+  if busy t = Option.is_none t.program then
     t.run_len <- t.run_len + 1
   else t.run_len <- 0
 

@@ -37,18 +37,20 @@ type engine =
           re-evaluated, in levelized schedule order ({!Sched});
           quiescent cycles cost O(dirty).  Busy stretches run through
           the {!Compiled} engine's program instead: after 4 cycles in a
-          row whose cone covers at least 1/8 of the graph's nodes and
-          changes at most one stored register value, the cycles go
+          row that each change the value of at least 1/8 of the graph's
+          classes and at most one stored register value, the cycles go
           through the bytecode program (compiled on first need, and
           shared by a template and its {!run_batch} clones), and after
-          4 program cycles in a row below 1/8 they return to the cone
+          4 program cycles in a row below that they return to the cone
           pass.  A program cycle that changes two or more registers is
-          dropped and rerun by the cone pass.  The switch is invisible:
-          values, runtime errors and their order, toggles, the trace
-          and {!node_visits} are those of the cone pass alone.  It
-          never runs the program while {!set_trace} is on; then the
-          per-cycle trace lists only the nets whose value {e changed},
-          in firing order. *)
+          dropped and rerun by the cone pass.  The switch is invisible
+          in the run's values: values, runtime errors and their order,
+          toggles, activity and the trace are those of the cone pass
+          alone, and since the rule reads toggles, so are the switch
+          decisions.  {!node_visits} counts what ran.  It never runs
+          the program while {!set_trace} is on; then the per-cycle
+          trace lists only the nets whose value {e changed}, in firing
+          order. *)
   | Compiled
       (** the levelized schedule lowered once to flat bytecode
           ({!Compile}, {!Bytecode}): dense opcode array, operand
@@ -175,11 +177,11 @@ val cycle_count : t -> int
 val runtime_errors : t -> runtime_error list
 
 (** Total node evaluations — the work metric of experiment E8.  For the
-    {!Incremental} engine it counts the dirty cone of every warm cycle
-    whichever evaluator ran it: a cycle run through the compiled program
-    adds exactly the visits the cone pass would have made.  The cone
-    leaves out a driver whose source changed while its guard, another
-    net, reads 0: that driver produces NOINFL whatever its source. *)
+    {!Incremental} engine a cone cycle adds its dirty cone, which leaves
+    out a driver whose source changed while its guard, another net,
+    reads 0 (that driver produces NOINFL whatever its source); a cycle
+    run through the compiled program adds the program's
+    [visits_per_cycle], as a {!Compiled} cycle does. *)
 val node_visits : t -> int
 
 (** Cycles the {!Incremental} engine ran through the compiled program

@@ -2,11 +2,14 @@
    incremental engine reports, cycle by cycle, over the scripted
    dense/sparse/quiet run of [Switch_scenario] on every corpus design —
    node visits, a digest of the snapshot, the running toggle total and
-   the trace — then the runtime errors in order and the activity
-   ranking, before the restart and at the end.  Long lists are
-   recorded as a count and a digest, so the file stays small while
-   any change of value or order still shows.  Whichever evaluator
-   runs a cycle, every one of these numbers must stay the same. *)
+   the trace — then the cycles run through the compiled program, the
+   runtime errors in order and the activity ranking, before the restart
+   and at the end.  Long lists are recorded as a count and a digest, so
+   the file stays small while any change of value or order still shows.
+   Whichever evaluator runs a cycle, the snapshots, toggles, trace,
+   errors and activity must stay the same; the visits and the program
+   cycles record which evaluator ran, so a change to the busy/sparse
+   switch rule shows here. *)
 
 open Zeus
 
@@ -31,9 +34,11 @@ let trace_text sim =
        (fun (n, v) -> n ^ "=" ^ String.make 1 (code v))
        (Sim.trace_last_cycle sim))
 
-(* the errors in order: their count, a digest of the whole ordered list
-   and the first few verbatim; then the activity ranking *)
+(* the cycles run through the program; the errors in order: their
+   count, a digest of the whole ordered list and the first few verbatim;
+   then the activity ranking *)
 let report sim =
+  Printf.printf "program_cycles=%d\n" (Sim.program_cycles sim);
   let lines =
     List.map
       (fun (e : Sim.runtime_error) ->

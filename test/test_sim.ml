@@ -574,7 +574,10 @@ let test_incremental_step_allocation () =
    counters test/golden/incremental_switch.txt locks), while a run whose
    cone stays small — one data bit of a 256-word RAM toggling, the
    pattern of the sim-sparse benchmark — never leaves the cone pass.
-   The other engines report no program cycles. *)
+   The other engines report no program cycles.  A committed program
+   cycle counts the nodes the program evaluated: on routing(16)'s dense
+   phase it adds [visits_per_cycle], as a compiled handle stepping the
+   same cycles does. *)
 let test_incremental_program_mode () =
   let switched =
     List.filter
@@ -618,27 +621,82 @@ let test_incremental_program_mode () =
         Alcotest.(check bool)
           (Printf.sprintf "at most 4 visits per warm cycle, saw %d" !widest)
           true (!widest <= 4))
-    Sim.all_engines
+    Sim.all_engines;
+  let d = compile (Corpus.routing_network 16) in
+  let inc = Sim.create ~engine:Sim.Incremental d
+  and cmp = Sim.create ~engine:Sim.Compiled d in
+  let per_cycle =
+    match Sim.compiled_program cmp with
+    | Some p -> p.Bytecode.visits_per_cycle
+    | None -> Alcotest.fail "routing16 compiles"
+  in
+  let committed = ref 0 in
+  for c = 0 to 29 do
+    for i = 0 to 15 do
+      let path = Printf.sprintf "net.input[%d]" i in
+      let v = ((7 * i) + (13 * c)) land 1023 in
+      Sim.poke_int inc path v;
+      Sim.poke_int cmp path v
+    done;
+    let p0 = Sim.program_cycles inc in
+    let vi = Sim.node_visits inc and vc = Sim.node_visits cmp in
+    Sim.step inc;
+    Sim.step cmp;
+    if Sim.program_cycles inc > p0 then begin
+      incr committed;
+      Alcotest.(check (pair int int))
+        (Printf.sprintf "cycle %d: program and compiled visits" c)
+        (per_cycle, per_cycle)
+        (Sim.node_visits inc - vi, Sim.node_visits cmp - vc)
+    end
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d committed program cycles checked" !committed)
+    true (!committed >= 20)
 
-(* [node_visits] does not depend on the evaluator: per cycle, the
-   scenario counts the same visits when busy phases run the program as
-   when the trace, held on for the whole run, keeps every cycle in the
-   cone pass. *)
-let test_visits_evaluator_parity () =
+(* The switch is invisible: per cycle, the scenario gives the same
+   snapshot, toggle total and runtime-error count when busy phases may
+   run the program as when the trace, held on for the whole run, keeps
+   every cycle in the cone pass — and the same runtime errors, in order,
+   and activity ranking before the restart and at the end. *)
+let test_switch_invisible () =
+  let error (e : Sim.runtime_error) =
+    Printf.sprintf "%d %s %s: %s" e.Sim.err_cycle e.Sim.err_code e.Sim.err_net
+      e.Sim.err_message
+  in
   List.iter
     (fun (name, src) ->
       let d = compile src in
-      let visits ~trace_all =
-        let v = Array.make Switch_scenario.cycles 0 in
-        ignore
-          (Switch_scenario.run ~trace_all
-             ~on_cycle:(fun c sim -> v.(c) <- Sim.node_visits sim)
-             d);
-        v
+      let observe ~trace_all =
+        let cycles = Array.make Switch_scenario.cycles ([||], 0, 0) in
+        let reports = ref [] in
+        let report sim =
+          let errors = List.map error (Sim.runtime_errors sim) in
+          reports := (errors, Sim.activity ~top:max_int sim) :: !reports
+        in
+        let sim =
+          Switch_scenario.run ~trace_all ~on_restart:report
+            ~on_cycle:(fun c sim ->
+              cycles.(c) <-
+                ( Sim.snapshot sim,
+                  Sim.total_toggles sim,
+                  List.length (Sim.runtime_errors sim) ))
+            d
+        in
+        report sim;
+        (cycles, List.rev !reports)
       in
-      Alcotest.(check (array int))
-        (name ^ ": visits per cycle")
-        (visits ~trace_all:true) (visits ~trace_all:false))
+      let cone_cycles, cone_reports = observe ~trace_all:true
+      and cycles, reports = observe ~trace_all:false in
+      Array.iteri
+        (fun c expected ->
+          Alcotest.(check (triple (array (option logic)) int int))
+            (Printf.sprintf "%s: cycle %d snapshot, toggles, errors" name c)
+            expected cycles.(c))
+        cone_cycles;
+      Alcotest.(check (list (pair (list string) (list (pair string int)))))
+        (name ^ ": errors and activity before the restart and at the end")
+        cone_reports reports)
     Switch_scenario.designs
 
 (* Snapshots are identical across the three engines and both sweep
@@ -1285,8 +1343,8 @@ let () =
             test_incremental_step_allocation;
           Alcotest.test_case "busy phases run the program" `Quick
             test_incremental_program_mode;
-          Alcotest.test_case "visits do not depend on the evaluator" `Quick
-            test_visits_evaluator_parity;
+          Alcotest.test_case "the switch is invisible" `Quick
+            test_switch_invisible;
         ] );
       ( "parallel",
         [
