@@ -369,9 +369,7 @@ let sim_cmd =
              per cycle ($(b,-) for a cycle with no new pokes, $(b,#) for \
              comments) — and shard whole runs across $(b,--jobs) domains \
              with no cross-run barriers.  Prints each run's watched \
-             signals after its final cycle and its runtime errors; the \
-             per-cycle options (watch printing, waves, VCD, trace, \
-             explain, activity) do not apply.")
+             signals after its final cycle and its runtime errors.")
   in
   let stats =
     Arg.(
@@ -441,9 +439,24 @@ let sim_cmd =
       engine jobs stats optimize discharge batch_file () =
     validate_count ~flag:"cycles" cycles;
     Option.iter validate_jobs jobs;
-    (* the per-cycle outputs show the watched signals; --batch ignores
-       them (its documented behaviour) *)
-    if batch_file = None && peeks = [] then begin
+    (* the deck carries every run's pokes, and --batch prints only each
+       run's final watched values and errors: a per-cycle option would be
+       dropped without a word *)
+    if batch_file <> None then
+      List.iter
+        (fun (given, flag) ->
+          if given then usage "%s does not apply to --batch" flag)
+        [
+          (pokes <> [], "-p");
+          (do_reset, "--reset");
+          (trace, "--trace");
+          (wave, "--wave");
+          (vcd_out <> None, "--vcd");
+          (explain <> [], "--explain");
+          (activity, "--activity");
+        ]
+    else if peeks = [] then begin
+      (* the per-cycle outputs show the watched signals *)
       if vcd_out <> None then requires "vcd" "watch";
       if wave then requires "wave" "watch"
     end;

@@ -3,15 +3,12 @@
     {!Compile} lowers the levelized schedule over the compacted class
     graph into a [prog]: one dense opcode array whose operand indices
     (class ids, immediates, register indices, scratch slots) were all
-    resolved at compile time.  Two stores execute it:
-    - [run_cycle] steps one run over a class-packed two-plane store —
-      32 classes per word pair — so the wide vectorizable ops (register
-      seed/latch, copy, NOT, guarded multiplex resolution) evaluate 32
-      nets per handful of word ops;
-    - [run_sliced] steps up to {!max_runs} independent runs at once
-      over the transposed, bit-sliced store of the batch engine — one
-      word per class and plane, bit r of each word is run r — so every
-      op is a few bitwise operations for all the runs together.
+    resolved at compile time.  [run_sliced] executes it over a
+    transposed, bit-sliced store — one word per class and plane, bit r
+    of each word is run r — stepping up to {!max_runs} independent runs
+    at once, so every op is a few bitwise operations for all the runs
+    together.  The batch engine fills the group; a single run is a group
+    of one, run 0.
 
     The program is a strict levelized evaluation: it computes exactly
     the per-cycle fixpoint of every other {!Sim} engine (section 8's
@@ -60,8 +57,8 @@ val seed_rset : int
 
 type op =
   | Oseed of { cls : int; kind : int }
-      (** load the cycle seed of a producer-less class: the packed poke
-          mirror if poked, else CLK/RSET/register/UNDEF by [kind] *)
+      (** load the cycle seed of a producer-less class: its poke if
+          poked, else CLK/RSET/register/UNDEF by [kind] *)
   | Ogate of {
       gate : int;
       args : int array;
@@ -84,10 +81,10 @@ type op =
           latch when the driven flag is set *)
   | Ovseed of { cls : int; len : int }
       (** wide plain seed: producer-less classes [cls..cls+len) read
-          the packed poke mirror, UNDEF where unpoked *)
+          their pokes, UNDEF where unpoked *)
   | Ovregseed of { reg : int; cls : int; len : int }
       (** wide register seed: classes [cls..cls+len) read registers
-          [reg..reg+len), with the packed poke mirror merged in *)
+          [reg..reg+len), with their pokes merged in *)
   | Ovcopy of { src : int; dst : int; len : int; kbool : bool; dr : bool }
       (** [dr] (here and below) is false when no lane feeds a register,
           letting the op skip the driven-plane write — the driven flags
@@ -139,56 +136,13 @@ type prog = {
   compile_secs : float;
 }
 
-(** {1 Packed state} *)
+(** {1 Bit-sliced store}
 
-type state
-
-val create_state : prog -> state
-
-(** Return the state to power-up: planes to UNDEF, registers to their
-    initial values, poke mirror cleared. *)
-val reset_state : prog -> state -> unit
-
-(** True once at least one compiled cycle has run (before that, peeks
-    fall back to UNDEF and snapshots to [None], like a fresh handle of
-    any other engine). *)
-val ran : state -> bool
-
-(** Current value of a class / stored value of a register. *)
-
-val get : state -> int -> Logic.t
-val reg_get : state -> int -> Logic.t
-
-(** Mirror one poke (or unpoke, [None]) into the packed poke planes —
-    the only poke store the program reads. *)
-val sync_poke : state -> int -> Logic.t option -> unit
-
-(** Store a register value / read or store the previous-cycle value of
-    a class — for a run handed over to the program part-way through:
-    the registers take the handle's stored values, and priming the
-    previous-cycle planes with the handle's last values lets the next
-    {!sweep} count toggles across the hand-over.  After a {!sweep} the
-    previous-cycle planes hold the swept cycle, so a handle taking the
-    run back reads them even when a later {!run_cycle} is to be
-    discarded. *)
-
-val set_reg : state -> int -> Logic.t -> unit
-val get_prev : state -> int -> Logic.t
-val set_prev : state -> int -> Logic.t -> unit
-
-(** {1 Execution} *)
-
-(** [run_cycle prog st ~seed ~cycle] executes one clock cycle for a
-    single run and returns the classes whose resolution saw a drive
-    conflict (unsorted; the caller reports them in class order). *)
-val run_cycle : prog -> state -> seed:int -> cycle:int -> int list
-
-(** {1 Bit-sliced batch store}
-
-    The batch engine's store: every class, scratch slot, register and
-    poke entry owns one word per plane, and bit r of each word is run r
-    of a group of up to {!max_runs} independent runs.  Poke entries
-    exist only for producer-less classes. *)
+    Every class, scratch slot, register and poke entry owns one word
+    per plane, and bit r of each word is run r of a group of up to
+    {!max_runs} independent runs.  Poke entries exist only for
+    producer-less classes.  Bits past the group's last run carry noise,
+    so every read below looks at one run's bit only. *)
 
 type sliced
 
@@ -199,12 +153,15 @@ val create_sliced : prog -> sliced
 
 (** Start a group of [Array.length seeds] runs (1 to {!max_runs}), run
     r drawing RANDOM with [seeds.(r)]: registers back to their initial
-    values, every poke forgotten. *)
+    values, every poke forgotten, {!ran} false. *)
 val reset_sliced : prog -> sliced -> seeds:int array -> unit
 
-(** Poke class [c] in run [run] until the group ends.  A poke of a
-    class with producers is ignored, as on every engine. *)
+(** Poke class [c] in run [run] until the group ends or
+    {!unpoke_run}.  A poke of a class with producers is ignored, as on
+    every engine. *)
 val poke_run : sliced -> run:int -> int -> Logic.t -> unit
+
+val unpoke_run : sliced -> run:int -> int -> unit
 
 (** Value of class [c] in run [run] after the last {!run_sliced}. *)
 val get_run : sliced -> run:int -> int -> Logic.t
@@ -215,11 +172,38 @@ val get_run : sliced -> run:int -> int -> Logic.t
     driving values on the class. *)
 val run_sliced : prog -> sliced -> cycle:int -> (int * int) list
 
-(** Per-cycle change sweep against the previous cycle's planes, in
-    ascending class order: accrues toggle counts (skipped on the
+(** True once {!run_sliced} has run since the last {!reset_sliced}
+    (before that, a single run's peeks fall back to UNDEF and its
+    snapshots to [None], like a fresh handle of any other engine). *)
+val ran : sliced -> bool
+
+(** {1 One-run groups}
+
+    A single run is the group of one, run 0 ([reset_sliced ~seeds:[|s|]]).
+    These operations read and write run 0's bit only. *)
+
+(** Stored value of a register / store one — for a run handed over to
+    the program part-way through, whose registers take the handle's
+    stored values. *)
+
+val get_reg : sliced -> int -> Logic.t
+val set_reg : sliced -> int -> Logic.t -> unit
+
+(** The previous-cycle value of a class, which {!sweep} compares
+    against and brings up to date.  Priming it with a handle's last
+    values lets the next {!sweep} count toggles across a hand-over to
+    the program; after a {!sweep} it holds the swept cycle, so a handle
+    taking the run back reads it even when a later {!run_sliced} is to
+    be discarded. *)
+
+val get_prev : sliced -> int -> Logic.t
+val set_prev : sliced -> int -> Logic.t -> unit
+
+(** Per-cycle change sweep of run 0 against the previous-cycle values,
+    in ascending class order: accrues toggle counts (skipped on the
     [first] cycle, which has no predecessor), reports changed classes,
-    whose new values {!get} reads, and returns the number of toggles it
-    accrued.  Call after {!run_cycle}. *)
+    whose new values {!get_run} reads, and returns the number of
+    toggles it accrued.  Call after {!run_sliced}. *)
 val sweep :
-  state -> first:bool -> toggles:int array ->
+  sliced -> first:bool -> toggles:int array ->
   on_change:(int -> unit) option -> int

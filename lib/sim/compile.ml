@@ -12,14 +12,15 @@
      level 0..L   node ops, then multi-producer net resolutions
      latches      end-of-cycle register latch
 
-   A peephole vectorizer turns stride-1 runs into wide word ops (32
-   lanes per word): register seeds and latches over consecutive
-   register files, unguarded copies, NOT chains, single guarded
-   drivers sharing one guard, and the two-driver guarded multiplex
-   shape (IF g THEN x := a ELSE x := b) that array elaboration emits
-   in bulk.  Anything that does not form a run stays scalar; both
-   paths share the semantics tables of {!Bytecode}, so vectorization
-   never changes values. *)
+   A peephole vectorizer turns stride-1 runs into wide ops, each one
+   dispatch for all its classes: register seeds and latches over
+   consecutive register files, unguarded copies, NOT chains, single
+   guarded drivers sharing one guard, and the two-driver guarded
+   multiplex shape (IF g THEN x := a ELSE x := b) that array
+   elaboration emits in bulk.  Anything that does not form a run stays
+   scalar; a wide op computes exactly what its scalar spelling would
+   (the word-formula test checks both against one scalar evaluator),
+   so vectorization never changes values. *)
 
 open Zeus_sem
 

@@ -23,13 +23,13 @@
    - [Compiled]    the levelized schedule lowered once ({!Compile}) to
                    flat bytecode ({!Bytecode}) — dense opcode array,
                    operand indices resolved at compile time — executed
-                   by a tight dispatch loop over a two-plane bit-packed
-                   value store, with stride-1 runs (register files,
-                   copies, NOT chains, guarded multiplexes) evaluated
-                   32 lanes per word op.  Every node is re-evaluated
-                   every cycle, but each evaluation is a handful of
-                   table lookups, so throughput beats the interpreted
-                   engines by an order of magnitude; designs with
+                   by a tight dispatch loop over the bit-sliced store,
+                   the run a group of one, with stride-1 runs (register
+                   files, copies, NOT chains, guarded multiplexes)
+                   walked without per-lane dispatch.  Every node is
+                   re-evaluated every cycle, but each evaluation is a
+                   handful of word operations, so throughput beats the
+                   interpreted engines on busy designs; designs with
                    combinational cycles fall back to [step_full].
 
    The iterate-to-stability baselines of experiment E8 live outside the
@@ -124,14 +124,14 @@ type t = {
   mutable reg_dirty_list : int list;
   (* --- compiled engine machinery --- *)
   cprog : Bytecode.prog option; (* Some iff engine = Compiled && acyclic *)
-  mutable cstate : Bytecode.state option;
-      (* the compiled engine's planes; the incremental engine's, from its
-         first switch to the program on *)
+  mutable cstate : Bytecode.sliced option;
+      (* the run's one-run store, allocated on its first program cycle
+         (compiled engine) or first switch to the program (incremental) *)
   (* --- incremental engine: busy cycles through the program --- *)
   iprog : shared_prog;
   mutable program : Bytecode.prog option;
       (* Some while the run's cycles go through the program, whose
-         planes ([cstate]) then hold the run's values *)
+         store ([cstate]) then holds the run's values *)
   mutable run_len : int;
       (* consecutive busy cone cycles, or sparse program cycles *)
   mutable changed : int; (* classes the last warm cycle toggled *)
@@ -240,7 +240,7 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~edge_guard ~cprog
     reg_dirty = Array.make (Array.length g.Graph.regs) false;
     reg_dirty_list = [];
     cprog;
-    cstate = Option.map Bytecode.create_state cprog;
+    cstate = None;
     iprog;
     program = None;
     run_len = 0;
@@ -411,9 +411,9 @@ let read_net g id v =
 let value_of_net t id =
   let c = canon t id in
   read_net t.g id
-    ((* the packed planes are authoritative during a compiled run *)
+    ((* the store is authoritative during a compiled run *)
      match t.cstate with
-     | Some st when Bytecode.ran st -> Bytecode.get st c
+     | Some st when Bytecode.ran st -> Bytecode.get_run st ~run:0 c
      | _ -> Option.value ~default:Logic.Undef t.values.(c))
 
 let peek_nets t nets = List.map (value_of_net t) nets
@@ -950,40 +950,60 @@ let step_incremental t =
 (* One compiled clock cycle                                             *)
 (* ------------------------------------------------------------------ *)
 
-(* The bytecode program is authoritative for net values (packed planes)
-   and register contents during a compiled run; peeks and snapshots
-   decode the planes directly ([value_of_net], [snapshot]), the change
-   sweep accrues toggles (and the trace, when enabled) without touching
+(* the run's one-run store, allocated on its first program cycle, so
+   templates and batch clones that never step one allocate nothing *)
+let store t prog =
+  match t.cstate with
+  | Some st -> st
+  | None ->
+      let st = Bytecode.create_sliced prog in
+      Bytecode.reset_sliced prog st ~seeds:[| t.seed |];
+      t.cstate <- Some st;
+      st
+
+(* the store's copy of class [c]'s poke (or unpoke) *)
+let sync_poke t st c =
+  match t.poked.(c) with
+  | Some v -> Bytecode.poke_run st ~run:0 c v
+  | None -> Bytecode.unpoke_run st ~run:0 c
+
+(* the conflicting classes of a one-run cycle, in class order *)
+let report_conflicts t confs =
+  List.iter (fun (c, _) -> conflict_error t c) (List.sort compare confs)
+
+(* The bytecode program is authoritative for net values (the store) and
+   register contents during a compiled run; peeks and snapshots read
+   the store directly ([value_of_net], [snapshot]), the change sweep
+   accrues toggles (and the trace, when enabled) without touching
    [t.values], and [reg_state] is decoded after each cycle so
    [reg_states] needs no dispatch. *)
 let step_compiled t prog st =
-  (* mirror pokes/unpokes since the last cycle into the packed poke
-     planes, the program's only poke store *)
+  (* copy pokes/unpokes since the last cycle into the store, the
+     program's only poke store *)
   let dirty = t.seed_dirty_list in
   t.seed_dirty_list <- [];
   List.iter
     (fun c ->
       t.seed_dirty.(c) <- false;
-      Bytecode.sync_poke st c t.poked.(c))
+      sync_poke t st c)
     dirty;
   let first = not (Bytecode.ran st) in
-  let conflicts =
-    Bytecode.run_cycle prog st ~seed:t.seed ~cycle:t.cycle
-  in
   (* the runtime multiple-drive check re-reports a standing conflict
      every cycle, in class order like the warm incremental path *)
-  List.iter (fun c -> conflict_error t c) (List.sort compare conflicts);
+  report_conflicts t (Bytecode.run_sliced prog st ~cycle:t.cycle);
   t.node_visits <- t.node_visits + prog.Bytecode.visits_per_cycle;
   t.trace <- [];
   let on_change =
     if t.trace_enabled then
       Some
-        (fun c -> t.trace <- (t.g.Graph.names.(c), Bytecode.get st c) :: t.trace)
+        (fun c ->
+          t.trace <-
+            (t.g.Graph.names.(c), Bytecode.get_run st ~run:0 c) :: t.trace)
     else None
   in
   ignore (Bytecode.sweep st ~first ~toggles:t.toggles ~on_change);
   for i = 0 to Array.length t.g.Graph.regs - 1 do
-    t.reg_state.(i) <- Bytecode.reg_get st i
+    t.reg_state.(i) <- Bytecode.get_reg st i
   done;
   t.started <- true;
   t.cycle <- t.cycle + 1
@@ -1043,32 +1063,25 @@ let shared_program t =
               Atomic.set t.iprog.built (Some p);
               p)
 
-(* Hand the run to the program: the planes (at power-up — fresh, or
-   reset when the last program stretch ended) take the standing pokes
-   and register contents, and their previous-cycle half takes this
+(* Hand the run to the program: the store (at power-up — fresh, or
+   reset when the last program stretch ended) takes the standing pokes
+   and register contents, and its previous-cycle values take this
    cycle's values, so toggle counting carries on across the switch. *)
 let enter_program t prog =
-  let st =
-    match t.cstate with
-    | Some st -> st
-    | None ->
-        let st = Bytecode.create_state prog in
-        t.cstate <- Some st;
-        st
-  in
+  let st = store t prog in
   for c = 0 to t.g.Graph.n_classes - 1 do
-    Bytecode.sync_poke st c t.poked.(c);
+    sync_poke t st c;
     Bytecode.set_prev st c (Option.value ~default:Logic.Undef t.values.(c))
   done;
   Array.iteri (Bytecode.set_reg st) t.reg_state;
   t.program <- Some prog;
   t.run_len <- 0
 
-(* Take the run back at the last committed cycle, which the planes'
-   previous-cycle half holds: decode it into [values], then rebuild the
+(* Take the run back at the last committed cycle, which the store's
+   previous-cycle values hold: decode it into [values], then rebuild the
    per-node and per-class resolution state the cone pass reads with one
-   strict pass (RANDOM draws at that cycle, [t.cycle - 1]).  The planes
-   go back to power-up, so peeks and snapshots read [values] again. *)
+   strict pass (RANDOM draws at that cycle, [t.cycle - 1]).  The store
+   goes back to power-up, so peeks and snapshots read [values] again. *)
 let leave_program t prog st =
   let g = t.g in
   for c = 0 to g.Graph.n_classes - 1 do
@@ -1093,7 +1106,7 @@ let leave_program t prog st =
     if g.Graph.producer_count.(c) > 0 then
       ignore (finalize_net t ~emit_conflict:false c)
   done;
-  Bytecode.reset_state prog st;
+  Bytecode.reset_sliced prog st ~seeds:[| t.seed |];
   t.program <- None;
   t.run_len <- 0
 
@@ -1102,14 +1115,14 @@ let leave_program t prog st =
    The dirty seeds stay listed until the cycle commits. *)
 let program_cycle t prog st =
   let g = t.g in
-  List.iter (fun c -> Bytecode.sync_poke st c t.poked.(c)) t.seed_dirty_list;
-  let conflicts = Bytecode.run_cycle prog st ~seed:t.seed ~cycle:t.cycle in
+  List.iter (sync_poke t st) t.seed_dirty_list;
+  let conflicts = Bytecode.run_sliced prog st ~cycle:t.cycle in
   (* the one register whose stored value changed, -1 for none, -2 for
      two or more *)
   let n_regs = Array.length g.Graph.regs in
   let latched = ref (-1) and i = ref 0 in
   while !i < n_regs do
-    if not (Logic.equal (Bytecode.reg_get st !i) t.reg_state.(!i)) then
+    if not (Logic.equal (Bytecode.get_reg st !i) t.reg_state.(!i)) then
       latched := if !latched = -1 then !i else -2;
     i := if !latched = -2 then n_regs else !i + 1
   done;
@@ -1117,14 +1130,14 @@ let program_cycle t prog st =
   else begin
     List.iter (fun c -> t.seed_dirty.(c) <- false) t.seed_dirty_list;
     t.seed_dirty_list <- [];
-    List.iter (fun c -> conflict_error t c) (List.sort compare conflicts);
+    report_conflicts t conflicts;
     t.node_visits <- t.node_visits + prog.Bytecode.visits_per_cycle;
     t.trace <- [];
     t.changed <-
       Bytecode.sweep st ~first:false ~toggles:t.toggles ~on_change:None;
     (* the latch of [latch_reg], its dirty seed included *)
     if !latched >= 0 then begin
-      t.reg_state.(!latched) <- Bytecode.reg_get st !latched;
+      t.reg_state.(!latched) <- Bytecode.get_reg st !latched;
       mark_seed t g.Graph.reg_out.(!latched)
     end;
     t.program_cycles <- t.program_cycles + 1;
@@ -1161,9 +1174,9 @@ let step t =
   match t.engine with
   | Incremental when t.started && t.sched.Sched.acyclic -> step_warm t
   | Compiled -> (
-      match (t.cprog, t.cstate) with
-      | Some prog, Some st -> step_compiled t prog st
-      | _ -> step_full t (* combinational cycle: no schedule to compile *))
+      match t.cprog with
+      | Some prog -> step_compiled t prog (store t prog)
+      | None -> step_full t (* combinational cycle: no schedule to compile *))
   | _ -> step_full t
 
 let step_n t n =
@@ -1228,11 +1241,11 @@ let restart t =
   t.conflict_list <- [];
   Array.fill t.reg_dirty 0 (Array.length t.reg_dirty) false;
   t.reg_dirty_list <- [];
-  (* back to the cone pass; the incremental engine's planes are already
+  (* back to the cone pass; the incremental engine's store is already
      at power-up unless a program stretch is running *)
   (match (t.cprog, t.program, t.cstate) with
   | Some prog, _, Some st | None, Some prog, Some st ->
-      Bytecode.reset_state prog st
+      Bytecode.reset_sliced prog st ~seeds:[| t.seed |]
   | _ -> ());
   t.program <- None;
   t.run_len <- 0;
@@ -1265,7 +1278,8 @@ let snapshot t =
          engine after its first full cycle *)
       Array.init g.Graph.n_nets (fun i ->
           let c = g.Graph.canon.(i) in
-          if g.Graph.rep.(c) = i then Some (Bytecode.get st c) else None)
+          if g.Graph.rep.(c) = i then Some (Bytecode.get_run st ~run:0 c)
+          else None)
   | _ ->
       Array.init g.Graph.n_nets (fun i ->
           let c = g.Graph.canon.(i) in

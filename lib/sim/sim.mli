@@ -55,11 +55,13 @@ type engine =
       (** the levelized schedule lowered once to flat bytecode
           ({!Compile}, {!Bytecode}): dense opcode array, operand
           indices resolved at compile time, executed by a tight
-          dispatch loop over a two-plane bit-packed value store where
-          stride-1 runs (register files, copies, NOT chains, guarded
-          multiplexes) evaluate 32 nets per word op.  Every node is
-          re-evaluated every cycle; snapshots, error traces and the
-          RANDOM stream are bit-identical to the other engines.
+          dispatch loop over the bit-sliced store of the batch engine,
+          the run a group of one, where stride-1 runs (register files,
+          copies, NOT chains, guarded multiplexes) are walked without
+          per-lane dispatch.  The store is allocated on the first
+          cycle.  Every node is re-evaluated every cycle; snapshots,
+          error traces and the RANDOM stream are bit-identical to the
+          other engines.
           Designs with combinational cycles fall back to full
           re-evaluation.  With {!set_trace} on, the per-cycle trace
           lists the changed nets in class order. *)

@@ -307,17 +307,18 @@ let read_deck design ~name ~watch src =
       if src.[!i] = ' ' then incr i
       else begin
         let k, j = split_kv !i e in
-        let once o =
-          if Option.is_some o then fail "repeated run option %S" (sub !i k)
-        in
+        (* the repeat checks are written out: a closure here would
+           capture the cursor [i] and box it, once per run *)
         if is src !i k "seed" then (
-          once !seed;
+          if Option.is_some !seed then
+            fail "repeated run option %S" (sub !i k);
           match int_at src (k + 1) j with
           | n -> seed := Some n
           | exception Not_found ->
               fail "seed must be an integer, got %S" (sub (k + 1) j))
         else if is src !i k "cycles" then (
-          once !cycles;
+          if Option.is_some !cycles then
+            fail "repeated run option %S" (sub !i k);
           match int_at src (k + 1) j with
           | n when n >= 0 -> cycles := Some n
           | _ | (exception Not_found) ->

@@ -1019,7 +1019,7 @@ let test_parallel_random_stream () =
 (* ---- the compiled engine ---- *)
 
 (* Restart + re-entry on one compiled handle: [Sim.restart] must return
-   the packed planes, registers and poke mirror to power-up, so two
+   the store's registers and pokes to power-up, so two
    consecutive runs give identical cycle-for-cycle traces — and both
    match a fresh incremental handle. *)
 let test_compiled_restart_reentry () =
@@ -1052,6 +1052,111 @@ let test_compiled_restart_reentry () =
   let isim = Sim.create ~engine:Sim.Incremental d in
   Alcotest.(check bool) "matches a fresh incremental run" true
     (run_once isim = first)
+
+(* A single run is a one-run group of the bit-sliced store, whose bits
+   1..62 carry noise: every op computes them, and [lnot] sets them.
+   Here the register [t] (REG(0)) toggles in every bit while the poked
+   inputs read UNDEF above bit 0, so the NAND/NOT chains flip their
+   upper bits on cycles where run 0's bit holds still.  Any one-run read
+   that looked past bit 0 — the change sweep (toggles, activity, trace),
+   a peek or snapshot, the register read after the latch, the planes a
+   hand-over primes and reads back — would show here against the firing
+   engine: compiled handles with the trace on throughout and for three
+   cycles, and an incremental one whose busy stretches switch into the
+   program, leave it while the trace is on, enter again and restart. *)
+let noisy_design =
+  {zeus|
+TYPE noisy = COMPONENT (IN a: ARRAY[1..8] OF boolean;
+                        OUT q: ARRAY[1..8] OF boolean) IS
+SIGNAL t: REG(0);
+       n1, n2, n3: ARRAY[1..8] OF boolean;
+BEGIN
+  t.in := NOT(t.out);
+  FOR i := 1 TO 8 DO n1[i] := NAND(a[i], t.out) END;
+  FOR i := 1 TO 8 DO n2[i] := NOT(n1[i]) END;
+  FOR i := 1 TO 8 DO n3[i] := NAND(n2[i], t.out, a[9-i]) END;
+  q := n3
+END;
+
+SIGNAL s: noisy;
+|zeus}
+
+let test_one_run_reads_run_0 () =
+  let d = compile noisy_design in
+  let cycles = 60 and restart_at = 40 in
+  (* per cycle: 0..7 of the inputs poked, the trace on or off *)
+  let pokes c =
+    if c mod 20 >= 14 then [] (* quiet *)
+    else
+      List.init 8 (fun i ->
+          (Printf.sprintf "s.a[%d]" (i + 1), ((c * 5) + (i * 3)) mod 7 < 3))
+  in
+  let traced c = c >= 18 && c < 21 in
+  (* the trace's changed nets, sorted: the firing engine lists every
+     net it fired, so its changes are read against the previous cycle *)
+  let changed last trace =
+    let now = List.sort_uniq compare trace in
+    let fresh =
+      List.filter (fun (n, v) -> Hashtbl.find_opt last n <> Some v) now
+    in
+    List.iter (fun (n, v) -> Hashtbl.replace last n v) now;
+    fresh
+  in
+  let observe engine ~trace_all =
+    let sim = Sim.create ~engine d in
+    let last = Hashtbl.create 64 in
+    let rows =
+      List.init cycles (fun c ->
+          if c = restart_at then begin
+            Sim.restart sim;
+            Hashtbl.reset last
+          end;
+          Sim.set_trace sim (trace_all || traced c);
+          List.iter (fun (p, v) -> Sim.poke_bool sim p v) (pokes c);
+          Sim.step sim;
+          let trace =
+            if not (trace_all || traced c) then []
+            else if engine = Sim.Firing then
+              changed last (Sim.trace_last_cycle sim)
+            else List.sort compare (Sim.trace_last_cycle sim)
+          in
+          let row =
+            ( (Sim.snapshot sim, Sim.peek sim "s.q"),
+              Sim.total_toggles sim,
+              Sim.reg_states sim,
+              Sim.activity ~top:max_int sim,
+              trace )
+          in
+          (row, Sim.program_cycles sim))
+    in
+    (List.map fst rows, Array.of_list (List.map snd rows))
+  in
+  let reference, _ = observe Sim.Firing ~trace_all:true in
+  let check name ~trace_all (rows, _) =
+    List.iteri
+      (fun c ((snap, toggles, regs, act, trace), (snap', toggles', regs', act', trace')) ->
+        let what = Printf.sprintf "%s, cycle %d: " name c in
+        Alcotest.(check (pair (array (option logic)) (list logic)))
+          (what ^ "snapshot and peek") snap snap';
+        Alcotest.(check int) (what ^ "toggles") toggles toggles';
+        Alcotest.(check (list (pair string logic))) (what ^ "registers") regs regs';
+        Alcotest.(check (list (pair string int))) (what ^ "activity") act act';
+        if trace_all || traced c then
+          Alcotest.(check (list (pair string logic))) (what ^ "trace") trace
+            trace')
+      (List.combine reference rows)
+  in
+  check "compiled" ~trace_all:true (observe Sim.Compiled ~trace_all:true);
+  check "compiled, traced cycles 18-20" ~trace_all:false
+    (observe Sim.Compiled ~trace_all:false);
+  let ((_, program) as inc) = observe Sim.Incremental ~trace_all:false in
+  check "incremental" ~trace_all:false inc;
+  (* program cycles before the trace, between it and the restart (which
+     zeroes the count), and after the restart *)
+  Alcotest.(check (list bool))
+    "the program ran in all three stretches" [ true; true; true ]
+    [ program.(17) > 0; program.(restart_at - 1) > program.(21);
+      program.(cycles - 1) > 0 ]
 
 (* Program-shape stats: only the compiled engine reports them, every
    counter except the compile time is a pure function of the design,
@@ -1194,11 +1299,11 @@ let test_vcd_to_file_full () =
 (* Batch lane extraction at the 32-class word boundary                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The single-run compiled store packs 32 classes per word in each of
-   its two planes; the batch store gives each class its own words, run
-   r in bit r.  Extraction must not bleed between runs or across the
-   single-run store's word boundary, so these designs put the highest
-   class index just below, exactly at, and just above 32: [pairs]
+(* The batch store gives each class its own words, run r in bit r, and
+   a single compiled run is the group of one.  Extraction must not bleed
+   between runs or between neighbouring classes, so these designs put
+   the highest class index just below, exactly at, and just above 32,
+   where a store packing 32 classes per word would split: [pairs]
    passthrough in/out pairs plus an optional dangling input give
    2*pairs(+1) net classes. *)
 let lane_src ~pairs ~extra =
@@ -1355,6 +1460,8 @@ let () =
         [
           Alcotest.test_case "restart + re-entry on one handle" `Quick
             test_compiled_restart_reentry;
+          Alcotest.test_case "a single run reads run 0 only" `Quick
+            test_one_run_reads_run_0;
           Alcotest.test_case "deterministic program stats" `Quick
             test_compiled_stats_deterministic;
         ] );
