@@ -303,7 +303,15 @@ let sim_cmd =
     Arg.(value & flag & info [ "reset" ] ~doc:"Pulse RSET for one cycle first.")
   in
   let trace =
-    Arg.(value & flag & info [ "trace" ] ~doc:"Print the firing order of the last cycle.")
+    Arg.(
+      value & flag
+      & info [ "trace" ]
+          ~doc:
+            "Print the last cycle's trace: the firing engine lists the nets \
+             in the order they fired, the incremental and compiled engines \
+             the nets that changed, in class order.  Two exceptions list \
+             firing order: the incremental engine's first cycle, and every \
+             cycle of a design with a combinational cycle.")
   in
   let wave =
     Arg.(

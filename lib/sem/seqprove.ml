@@ -645,11 +645,13 @@ let run ?(depth = default_depth) ?(budget = Lint.default_budget) ?lint
     (fun (net, _) ->
       Hashtbl.replace ctx.verdict_of g.Graph.canon.(net) Lint.Safe_sequential)
     upgraded;
-  (* 3. reset trajectory: Z601 / Z602 *)
+  (* 3. reset trajectory: Z601 / Z602, which need the pulse latched — a
+     depth-0 trajectory holds only the pre-reset fixpoint *)
   let traj =
     if stateless then [||] else reset_trajectory ctx ~budget ~splits ~depth fix
   in
-  if not stateless then reset_coverage ctx bag ~budget ~splits ~depth traj;
+  if (not stateless) && depth >= 1 then
+    reset_coverage ctx bag ~budget ~splits ~depth traj;
   (* 4. concrete witness search: Z603 (over the still-unproven nets) *)
   let witnesses = if stateless then [] else concrete_search ctx ~depth in
   List.iter

@@ -36,7 +36,8 @@
       Z601 (a register can still hold UNDEF [depth] cycles after
       reset) and Z602 (power-up UNDEF escapes the reset cone into an
       observable net: stripping the registers' UNDEF bits removes the
-      net's UNDEF, so the UNDEF is sequential in origin).
+      net's UNDEF, so the UNDEF is sequential in origin).  A depth-0
+      trajectory never latches the pulse, so it yields neither.
 
     - {b Concrete witnesses (Z603).}  For small acyclic designs
       without RANDOM, a breadth-first search over concrete register

@@ -192,9 +192,8 @@ val set_reg : sliced -> int -> Logic.t -> unit
 (** The previous-cycle value of a class, which {!sweep} compares
     against and brings up to date.  Priming it with a handle's last
     values lets the next {!sweep} count toggles across a hand-over to
-    the program; after a {!sweep} it holds the swept cycle, so a handle
-    taking the run back reads it even when a later {!run_sliced} is to
-    be discarded. *)
+    the program; after a {!sweep} it holds the swept cycle, which a
+    handle taking the run back reads. *)
 
 val get_prev : sliced -> int -> Logic.t
 val set_prev : sliced -> int -> Logic.t -> unit

@@ -19,7 +19,7 @@
                    to activity" property section 8 claims for the
                    firing evaluator, made true across cycles.  Busy
                    stretches run through the [Compiled] program
-                   instead, with every counter unchanged;
+                   instead, with every value unchanged;
    - [Compiled]    the levelized schedule lowered once ({!Compile}) to
                    flat bytecode ({!Bytecode}) — dense opcode array,
                    operand indices resolved at compile time — executed
@@ -93,7 +93,9 @@ type t = {
   mutable conflict_msg : string; (* Z101 message of [conflict_msg_cycle] *)
   mutable conflict_msg_cycle : int;
   mutable node_visits : int; (* work metric for the simulator benches *)
-  mutable trace : (string * Logic.t) list; (* firing order, last cycle *)
+  mutable trace : (int * Logic.t) list;
+      (* last cycle's (class, value), newest first: firing order, or the
+         changed classes in class order *)
   mutable trace_enabled : bool;
   prev_values : Logic.t option array; (* last cycle, for toggle counting *)
   toggles : int array; (* value changes per class *)
@@ -313,7 +315,8 @@ let program_cycles t = t.program_cycles
 
 let set_trace t b = t.trace_enabled <- b
 
-let trace_last_cycle t = List.rev t.trace
+let trace_last_cycle t =
+  List.rev_map (fun (c, v) -> (t.g.Graph.names.(c), v)) t.trace
 
 (* the section 4.7 "burning transistors" report, for a handle and for
    a run of a bit-sliced batch group alike; a cycle's reports share one
@@ -674,7 +677,7 @@ let process_net t ~emit_conflict ~incremental net =
       t.prev_values.(net) <- t.values.(net);
       if t.trace_enabled then
         match t.values.(net) with
-        | Some v -> t.trace <- (g.Graph.names.(net), v) :: t.trace
+        | Some v -> t.trace <- (net, v) :: t.trace
         | None -> ()
     end;
     for k = g.Graph.cons_off.(net) to g.Graph.cons_off.(net + 1) - 1 do
@@ -787,7 +790,7 @@ let step_full t =
     if not t.fired.(net) then begin
       t.fired.(net) <- true;
       t.values.(net) <- Some v;
-      if t.trace_enabled then t.trace <- (g.Graph.names.(net), v) :: t.trace;
+      if t.trace_enabled then t.trace <- (net, v) :: t.trace;
       Graph.iter_consumers g net (fun nid -> Queue.add nid worklist)
     end
   in
@@ -930,6 +933,10 @@ let step_incremental t =
       then schedule_net t c)
     dirty;
   run_pass t ~emit_conflict:false ~incremental:true;
+  (* a traced cycle lists its changed classes in class order, as a
+     program cycle's sweep does ([t.trace] is newest first) *)
+  if t.trace_enabled then
+    t.trace <- List.sort (fun (a, _) (b, _) -> compare b a) t.trace;
   (* the runtime multiple-drive check re-reports a standing conflict
      every cycle, like the firing engine, in class order *)
   if t.conflict_list <> [] then begin
@@ -947,7 +954,7 @@ let step_incremental t =
   t.cycle <- t.cycle + 1
 
 (* ------------------------------------------------------------------ *)
-(* One compiled clock cycle                                             *)
+(* One program cycle                                                   *)
 (* ------------------------------------------------------------------ *)
 
 (* the run's one-run store, allocated on its first program cycle, so
@@ -971,15 +978,18 @@ let sync_poke t st c =
 let report_conflicts t confs =
   List.iter (fun (c, _) -> conflict_error t c) (List.sort compare confs)
 
-(* The bytecode program is authoritative for net values (the store) and
-   register contents during a compiled run; peeks and snapshots read
-   the store directly ([value_of_net], [snapshot]), the change sweep
-   accrues toggles (and the trace, when enabled) without touching
-   [t.values], and [reg_state] is decoded after each cycle so
-   [reg_states] needs no dispatch. *)
-let step_compiled t prog st =
-  (* copy pokes/unpokes since the last cycle into the store, the
-     program's only poke store *)
+(* One cycle through the program, for the compiled engine and the
+   incremental engine's program stretches alike.  The program is
+   authoritative for net values (the store) and register contents
+   while it runs: peeks and snapshots read the store ([value_of_net],
+   [snapshot]), the change sweep accrues toggles and the trace without
+   touching [t.values], and [reg_state] follows the store's registers,
+   so [reg_states] needs no dispatch.  On the incremental engine each
+   register change is a dirty seed, as [latch_reg] marks it, for the
+   busy rule and for the cone pass to take the run back; the compiled
+   engine marks none, since the compare per register cost its
+   patternmatch(9) cycle 13 % (E27). *)
+let program_cycle t prog st =
   let dirty = t.seed_dirty_list in
   t.seed_dirty_list <- [];
   List.iter
@@ -987,7 +997,6 @@ let step_compiled t prog st =
       t.seed_dirty.(c) <- false;
       sync_poke t st c)
     dirty;
-  let first = not (Bytecode.ran st) in
   (* the runtime multiple-drive check re-reports a standing conflict
      every cycle, in class order like the warm incremental path *)
   report_conflicts t (Bytecode.run_sliced prog st ~cycle:t.cycle);
@@ -995,15 +1004,16 @@ let step_compiled t prog st =
   t.trace <- [];
   let on_change =
     if t.trace_enabled then
-      Some
-        (fun c ->
-          t.trace <-
-            (t.g.Graph.names.(c), Bytecode.get_run st ~run:0 c) :: t.trace)
+      Some (fun c -> t.trace <- (c, Bytecode.get_run st ~run:0 c) :: t.trace)
     else None
   in
-  ignore (Bytecode.sweep st ~first ~toggles:t.toggles ~on_change);
+  t.changed <-
+    Bytecode.sweep st ~first:(not t.started) ~toggles:t.toggles ~on_change;
   for i = 0 to Array.length t.g.Graph.regs - 1 do
-    t.reg_state.(i) <- Bytecode.get_reg st i
+    let v = Bytecode.get_reg st i in
+    if t.engine = Incremental && not (Logic.equal v t.reg_state.(i)) then
+      mark_seed t t.g.Graph.reg_out.(i);
+    t.reg_state.(i) <- v
   done;
   t.started <- true;
   t.cycle <- t.cycle + 1
@@ -1026,19 +1036,14 @@ let step_compiled t prog st =
      the program; after [switch_after] program cycles in a row that are
      not busy the next one runs the cone pass again.
 
-   DESIGN.md gives the measurement behind both constants.  The run's
-   values stay what the cone pass reports: values, errors and their
-   order, toggles and the trace.  [node_visits] counts what ran: a
-   program cycle adds the program's [visits_per_cycle], as the compiled
-   engine does.  The program lists its trace in class order, not firing
-   order, so it never runs while the trace is on.  The pass's firing
-   order also depends on the order of its dirty seeds, and a latch lists
-   the registers it changed in the order the pass reached their inputs
-   — which the program cannot know.  So a program cycle commits only
-   when at most one register changed; otherwise it is dropped and the
-   cone pass runs that cycle (and takes the run back).  A busy cycle
-   must change at most one register too, so register-heavy designs do
-   not switch only to drop the cycle. *)
+   DESIGN.md gives the measurement behind both constants.  Either
+   evaluator reports the same run: values, errors in class order,
+   toggles and the trace of changed classes in class order.
+   [node_visits] counts what ran: a program cycle adds the program's
+   [visits_per_cycle], as the compiled engine does.  A program cycle
+   commits whatever it latches; the register clause only keeps
+   register-heavy designs in the cone pass, as measured so far, until
+   the rule is re-derived (DESIGN.md). *)
 let dense_num = 1
 
 let dense_den = 8
@@ -1110,58 +1115,19 @@ let leave_program t prog st =
   t.program <- None;
   t.run_len <- 0
 
-(* One program cycle of the incremental engine; [false] when it latched
-   two or more changed registers and must be redone by the cone pass.
-   The dirty seeds stay listed until the cycle commits. *)
-let program_cycle t prog st =
-  let g = t.g in
-  List.iter (sync_poke t st) t.seed_dirty_list;
-  let conflicts = Bytecode.run_sliced prog st ~cycle:t.cycle in
-  (* the one register whose stored value changed, -1 for none, -2 for
-     two or more *)
-  let n_regs = Array.length g.Graph.regs in
-  let latched = ref (-1) and i = ref 0 in
-  while !i < n_regs do
-    if not (Logic.equal (Bytecode.get_reg st !i) t.reg_state.(!i)) then
-      latched := if !latched = -1 then !i else -2;
-    i := if !latched = -2 then n_regs else !i + 1
-  done;
-  if !latched = -2 then false
-  else begin
-    List.iter (fun c -> t.seed_dirty.(c) <- false) t.seed_dirty_list;
-    t.seed_dirty_list <- [];
-    report_conflicts t conflicts;
-    t.node_visits <- t.node_visits + prog.Bytecode.visits_per_cycle;
-    t.trace <- [];
-    t.changed <-
-      Bytecode.sweep st ~first:false ~toggles:t.toggles ~on_change:None;
-    (* the latch of [latch_reg], its dirty seed included *)
-    if !latched >= 0 then begin
-      t.reg_state.(!latched) <- Bytecode.get_reg st !latched;
-      mark_seed t g.Graph.reg_out.(!latched)
-    end;
-    t.program_cycles <- t.program_cycles + 1;
-    t.cycle <- t.cycle + 1;
-    true
-  end
-
 let step_warm t =
-  (match (t.program, t.cstate) with
-  | Some prog, Some st ->
-      if t.trace_enabled || t.run_len >= switch_after then
-        leave_program t prog st
-  | _ ->
-      if (not t.trace_enabled) && t.run_len >= switch_after then (
-        match shared_program t with
-        | Some prog -> enter_program t prog
-        | None -> t.run_len <- 0 (* nothing to switch to *)));
-  (match (t.program, t.cstate) with
-  | Some prog, Some st ->
-      if not (program_cycle t prog st) then begin
-        leave_program t prog st;
-        step_incremental t
-      end
-  | _ -> step_incremental t);
+  (if t.run_len >= switch_after then
+     match t.program with
+     | Some prog -> leave_program t prog (store t prog)
+     | None -> (
+         match shared_program t with
+         | Some prog -> enter_program t prog
+         | None -> t.run_len <- 0 (* nothing to switch to *)));
+  (match t.program with
+  | Some prog ->
+      program_cycle t prog (store t prog);
+      t.program_cycles <- t.program_cycles + 1
+  | None -> step_incremental t);
   (* a busy cone cycle, or a sparse program cycle, is one more step
      towards the other evaluator *)
   if busy t = Option.is_none t.program then
@@ -1175,7 +1141,7 @@ let step t =
   | Incremental when t.started && t.sched.Sched.acyclic -> step_warm t
   | Compiled -> (
       match t.cprog with
-      | Some prog -> step_compiled t prog (store t prog)
+      | Some prog -> program_cycle t prog (store t prog)
       | None -> step_full t (* combinational cycle: no schedule to compile *))
   | _ -> step_full t
 

@@ -42,14 +42,16 @@ type engine =
           through the bytecode program (compiled on first need, and
           shared by a template and its {!run_batch} clones), and after
           4 program cycles in a row below that they return to the cone
-          pass.  A program cycle that changes two or more registers is
-          dropped and rerun by the cone pass.  The switch is invisible
-          in the run's values: values, runtime errors and their order,
-          toggles, activity and the trace are those of the cone pass
-          alone, and since the rule reads toggles, so are the switch
-          decisions.  {!node_visits} counts what ran.  It never runs
-          the program while {!set_trace} is on; then the per-cycle
-          trace lists only the nets whose value {e changed}, in firing
+          pass.  The switch is invisible in the run's values: both
+          evaluators report the same values, runtime errors in class
+          order, toggles, activity and trace, and since the rule reads
+          toggles, the switch decisions are a function of those values
+          alone.  {!node_visits} counts what ran.  With {!set_trace}
+          on, the per-cycle trace of a warm cycle of an acyclic design
+          lists only the nets whose value {e changed}, in class order,
+          as the {!Compiled} engine's does; a cold cycle (the first
+          after {!create} or {!restart}), and every cycle of a design
+          with a combinational cycle, is a firing pass and lists firing
           order. *)
   | Compiled
       (** the levelized schedule lowered once to flat bytecode
@@ -63,7 +65,8 @@ type engine =
           error traces and the RANDOM stream are bit-identical to the
           other engines.
           Designs with combinational cycles fall back to full
-          re-evaluation.  With {!set_trace} on, the per-cycle trace
+          re-evaluation, and then trace in firing order.  With
+          {!set_trace} on, the per-cycle trace of an acyclic design
           lists the changed nets in class order. *)
 
 val engine_name : engine -> string
@@ -187,8 +190,8 @@ val runtime_errors : t -> runtime_error list
 val node_visits : t -> int
 
 (** Cycles the {!Incremental} engine ran through the compiled program
-    since {!create} or the last {!restart} (always 0 for the other
-    engines). *)
+    since {!create} or the last {!restart}, the trace on or off (always
+    0 for the other engines). *)
 val program_cycles : t -> int
 
 (** The {!Compiled} engine's program, whose counters give its shape:
@@ -206,10 +209,16 @@ val activity : ?top:int -> t -> (string * int) list
 (** Sum of all value changes over all nets and cycles. *)
 val total_toggles : t -> int
 
-(** Record the firing order of each cycle (experiment E5).  While it is
-    on, the {!Incremental} engine keeps to its cone pass. *)
+(** Record a trace of each cycle.  The {!Firing} engine lists every
+    net in the order it fired (experiment E5); the {!Incremental} and
+    {!Compiled} engines list the nets whose value changed, in class
+    order, so the two give the same trace on every cycle but an
+    incremental cold one; on a design with a combinational cycle both
+    run firing passes and list firing order.  The trace changes no
+    evaluator choice. *)
 val set_trace : t -> bool -> unit
 
+(** The last cycle's trace, as (net name, value) pairs. *)
 val trace_last_cycle : t -> (string * Logic.t) list
 
 (** {1 Batch engine}

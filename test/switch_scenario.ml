@@ -6,8 +6,8 @@
    each of the two runs so register designs leave UNDEF.
 
    It feeds the golden lock test/golden/incremental_switch.txt (through
-   gen_incremental_switch) and test_sim's check that busy phases engage
-   the compiled program. *)
+   gen_incremental_switch) and test_sim's checks that busy phases engage
+   the compiled program, unseen by every observer. *)
 
 open Zeus
 
@@ -38,14 +38,15 @@ let trace_on = 120
 let trace_off = 130
 let restart_at = 150
 
-(* [on_cycle c sim] after every cycle [c]; [on_restart sim] just before
-   the restart.  [trace_all] holds the trace on for the whole run, which
-   keeps every cycle in the cone pass.  Returns the handle after the
+(* The run on an [engine] handle (default: the incremental engine):
+   [on_cycle c sim] after every cycle [c], [on_restart sim] just before
+   the restart, and cycle [c] traced when [traced c] (default: the
+   cycles from [trace_on] to [trace_off]).  Returns the handle after the
    last cycle. *)
-let run ?(on_cycle = fun _ _ -> ()) ?(on_restart = fun _ -> ())
-    ?(trace_all = false) design =
-  let sim = Sim.create ~engine:Sim.Incremental design in
-  if trace_all then Sim.set_trace sim true;
+let run ?(engine = Sim.Incremental) ?(on_cycle = fun _ _ -> ())
+    ?(on_restart = fun _ -> ())
+    ?(traced = fun c -> trace_on <= c && c < trace_off) design =
+  let sim = Sim.create ~engine design in
   let inputs = Array.of_list (Graph.top_input_nets design) in
   let state = ref 0x2545F491 in
   let next () =
@@ -62,8 +63,7 @@ let run ?(on_cycle = fun _ _ -> ()) ?(on_restart = fun _ -> ())
       on_restart sim;
       Sim.restart sim
     end;
-    if c = trace_on then Sim.set_trace sim true;
-    if c = trace_off && not trace_all then Sim.set_trace sim false;
+    Sim.set_trace sim (traced c);
     if c = 0 || c = restart_at then Sim.poke sim "RSET" [ Logic.One ]
     else if c = 1 || c = restart_at + 1 then Sim.poke sim "RSET" [ Logic.Zero ];
     (match (c / 9) mod 3 with

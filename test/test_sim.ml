@@ -654,11 +654,11 @@ let test_incremental_program_mode () =
     (Printf.sprintf "%d committed program cycles checked" !committed)
     true (!committed >= 20)
 
-(* The switch is invisible: per cycle, the scenario gives the same
-   snapshot, toggle total and runtime-error count when busy phases may
-   run the program as when the trace, held on for the whole run, keeps
-   every cycle in the cone pass — and the same runtime errors, in order,
-   and activity ranking before the restart and at the end. *)
+(* The switch is invisible: per cycle, the scenario's incremental run
+   gives the snapshot, toggle total and register states of a firing
+   run, which never switches — and the same runtime errors, as per-cycle
+   sets (the firing engine reports them in firing order), and activity
+   ranking before the restart and at the end. *)
 let test_switch_invisible () =
   let error (e : Sim.runtime_error) =
     Printf.sprintf "%d %s %s: %s" e.Sim.err_cycle e.Sim.err_code e.Sim.err_net
@@ -667,37 +667,118 @@ let test_switch_invisible () =
   List.iter
     (fun (name, src) ->
       let d = compile src in
-      let observe ~trace_all =
-        let cycles = Array.make Switch_scenario.cycles ([||], 0, 0) in
+      let observe engine =
+        let cycles = Array.make Switch_scenario.cycles ([||], 0, []) in
         let reports = ref [] in
         let report sim =
-          let errors = List.map error (Sim.runtime_errors sim) in
+          let errors =
+            List.sort compare (List.map error (Sim.runtime_errors sim))
+          in
           reports := (errors, Sim.activity ~top:max_int sim) :: !reports
         in
         let sim =
-          Switch_scenario.run ~trace_all ~on_restart:report
+          Switch_scenario.run ~engine ~on_restart:report
             ~on_cycle:(fun c sim ->
               cycles.(c) <-
-                ( Sim.snapshot sim,
-                  Sim.total_toggles sim,
-                  List.length (Sim.runtime_errors sim) ))
+                (Sim.snapshot sim, Sim.total_toggles sim, Sim.reg_states sim))
             d
         in
         report sim;
         (cycles, List.rev !reports)
       in
-      let cone_cycles, cone_reports = observe ~trace_all:true
-      and cycles, reports = observe ~trace_all:false in
+      let firing_cycles, firing_reports = observe Sim.Firing
+      and cycles, reports = observe Sim.Incremental in
       Array.iteri
         (fun c expected ->
-          Alcotest.(check (triple (array (option logic)) int int))
-            (Printf.sprintf "%s: cycle %d snapshot, toggles, errors" name c)
+          Alcotest.(check
+                      (triple (array (option logic)) int
+                         (list (pair string logic))))
+            (Printf.sprintf "%s: cycle %d snapshot, toggles, registers" name c)
             expected cycles.(c))
-        cone_cycles;
+        firing_cycles;
       Alcotest.(check (list (pair (list string) (list (pair string int)))))
         (name ^ ": errors and activity before the restart and at the end")
-        cone_reports reports)
+        firing_reports reports)
     Switch_scenario.designs
+
+(* Both fast engines trace alike: with the trace held on for the whole
+   scenario, an incremental and a compiled handle list the same changed
+   nets, in the same (class) order, on every warm cycle — the cycles
+   the incremental engine runs through its program included.  (A cold
+   cycle, the first of each run, is a firing pass that lists every net
+   in firing order.) *)
+let test_fast_engines_trace_alike () =
+  let program_cycles = ref 0 and compared = ref 0 in
+  List.iter
+    (fun (name, src) ->
+      let d = compile src in
+      let observe engine =
+        let traces = Array.make Switch_scenario.cycles []
+        and in_program = Array.make Switch_scenario.cycles false in
+        let before = ref 0 in
+        ignore
+          (Switch_scenario.run ~engine ~traced:(fun _ -> true)
+             ~on_cycle:(fun c sim ->
+               traces.(c) <- Sim.trace_last_cycle sim;
+               in_program.(c) <- Sim.program_cycles sim > !before;
+               before := Sim.program_cycles sim)
+             ~on_restart:(fun _ -> before := 0)
+             d);
+        (traces, in_program)
+      in
+      let traces, in_program = observe Sim.Incremental
+      and compiled, _ = observe Sim.Compiled in
+      Array.iteri
+        (fun c trace ->
+          if c <> 0 && c <> Switch_scenario.restart_at then begin
+            incr compared;
+            if in_program.(c) then incr program_cycles;
+            Alcotest.(check (list (pair string logic)))
+              (Printf.sprintf "%s: cycle %d trace" name c)
+              compiled.(c) trace
+          end)
+        traces)
+    Switch_scenario.designs;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d of %d warm cycles compared ran the program"
+       !program_cycles !compared)
+    true (!program_cycles > 0)
+
+(* A program stretch commits a cycle that changes two or more
+   registers: counter(16) under a random enable and an occasional reset
+   enters the program, where a carry changes several registers at once,
+   and every cycle still matches the firing engine. *)
+let test_program_commits_multi_register () =
+  let d = compile (Corpus_fsm.counter 16) in
+  let inc = Sim.create ~engine:Sim.Incremental d and fir = Sim.create d in
+  let rand = Random.State.make [| 1 |] in
+  let committed = ref 0 in
+  for c = 0 to 199 do
+    let en = Random.State.bool rand and rset = Random.State.int rand 8 = 0 in
+    List.iter
+      (fun sim ->
+        Sim.poke_bool sim "c.en" en;
+        Sim.poke_bool sim "RSET" rset)
+      [ inc; fir ];
+    let regs = Sim.reg_states inc and p0 = Sim.program_cycles inc in
+    Sim.step inc;
+    Sim.step fir;
+    let changed =
+      List.fold_left2
+        (fun n (_, a) (_, b) -> if Logic.equal a b then n else n + 1)
+        0 regs (Sim.reg_states inc)
+    in
+    if Sim.program_cycles inc > p0 && changed >= 2 then incr committed;
+    Alcotest.(check
+                (triple (array (option logic)) int (list (pair string logic))))
+      (Printf.sprintf "cycle %d: snapshot, toggles, registers" c)
+      (Sim.snapshot fir, Sim.total_toggles fir, Sim.reg_states fir)
+      (Sim.snapshot inc, Sim.total_toggles inc, Sim.reg_states inc)
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d committed program cycles changed two or more registers"
+       !committed)
+    true (!committed > 0)
 
 (* Snapshots are identical across the three engines and both sweep
    orders on random multi-cycle poke sequences over designs that
@@ -1063,7 +1144,8 @@ let test_compiled_restart_reentry () =
    hand-over primes and reads back — would show here against the firing
    engine: compiled handles with the trace on throughout and for three
    cycles, and an incremental one whose busy stretches switch into the
-   program, leave it while the trace is on, enter again and restart. *)
+   program, trace three cycles there, leave it in an idle stretch (only
+   [t] toggles), enter again and restart. *)
 let noisy_design =
   {zeus|
 TYPE noisy = COMPONENT (IN a: ARRAY[1..8] OF boolean;
@@ -1085,8 +1167,12 @@ let test_one_run_reads_run_0 () =
   let d = compile noisy_design in
   let cycles = 60 and restart_at = 40 in
   (* per cycle: 0..7 of the inputs poked, the trace on or off *)
+  let idle c = c >= 22 && c < 30 in
   let pokes c =
-    if c mod 20 >= 14 then [] (* quiet *)
+    if idle c then
+      (* every input low: only [t] toggles, and the program hands back *)
+      List.init 8 (fun i -> (Printf.sprintf "s.a[%d]" (i + 1), false))
+    else if c mod 20 >= 14 then [] (* quiet *)
     else
       List.init 8 (fun i ->
           (Printf.sprintf "s.a[%d]" (i + 1), ((c * 5) + (i * 3)) mod 7 < 3))
@@ -1151,11 +1237,14 @@ let test_one_run_reads_run_0 () =
     (observe Sim.Compiled ~trace_all:false);
   let ((_, program) as inc) = observe Sim.Incremental ~trace_all:false in
   check "incremental" ~trace_all:false inc;
-  (* program cycles before the trace, between it and the restart (which
-     zeroes the count), and after the restart *)
+  (* program cycles before the trace and on its three cycles, none late
+     in the idle stretch, more between it and the restart (which zeroes
+     the count), and after the restart *)
   Alcotest.(check (list bool))
-    "the program ran in all three stretches" [ true; true; true ]
-    [ program.(17) > 0; program.(restart_at - 1) > program.(21);
+    "the program ran in all four stretches and left in the idle one"
+    [ true; true; true; true; true ]
+    [ program.(17) > 0; program.(20) = program.(17) + 3;
+      program.(29) = program.(27); program.(restart_at - 1) > program.(29);
       program.(cycles - 1) > 0 ]
 
 (* Program-shape stats: only the compiled engine reports them, every
@@ -1450,6 +1539,10 @@ let () =
             test_incremental_program_mode;
           Alcotest.test_case "the switch is invisible" `Quick
             test_switch_invisible;
+          Alcotest.test_case "fast engines trace alike" `Quick
+            test_fast_engines_trace_alike;
+          Alcotest.test_case "program commits multi-register cycles" `Quick
+            test_program_commits_multi_register;
         ] );
       ( "parallel",
         [
