@@ -750,6 +750,17 @@ let report path columns rows =
 (* E13: the cross-cycle incremental engine                              *)
 (* ------------------------------------------------------------------ *)
 
+(* ram(2^abits x 16) with one data bit toggling at a fixed address: the
+   bit's fan-out is 2^abits write drivers, one of them enabled *)
+let ram_write abits =
+  ( Printf.sprintf "ram(%dx16)/1-bit-write" (1 lsl abits),
+    Corpus.ram ~abits ~wbits:16,
+    (fun sim ->
+      Sim.poke_int sim "m.addr" 42;
+      Sim.poke_int sim "m.data" 0;
+      Sim.poke_bool sim "m.we" true),
+    fun sim c -> Sim.poke_int sim "m.data" (c land 1) )
+
 (* Low-activity workloads: a handful of input bits change per cycle
    while the bulk of the design is quiet — the regime the cross-cycle
    incremental engine exists for.  Each workload is
@@ -763,13 +774,9 @@ let e13_workloads =
           Sim.poke_int sim (Printf.sprintf "net.input[%d]" i) i
         done),
       fun sim c -> Sim.poke_int sim "net.input[0]" (c land 1) );
-    ( "ram(256x16)/1-bit-write",
-      Corpus.ram ~abits:8 ~wbits:16,
-      (fun sim ->
-        Sim.poke_int sim "m.addr" 42;
-        Sim.poke_int sim "m.data" 0;
-        Sim.poke_bool sim "m.we" true),
-      fun sim c -> Sim.poke_int sim "m.data" (c land 1) );
+    ram_write 6;
+    ram_write 8;
+    ram_write 10;
     ( "adder(64)/cin-toggle",
       Corpus.adder_n 64,
       (fun sim ->
@@ -783,6 +790,11 @@ let e13_incremental ~cycles () =
   section "E13"
     "cross-cycle incremental engine: node visits and wall clock vs \
      per-cycle firing (low-activity workloads)";
+  (* the narrowest and widest ram: the incremental engine's µs per
+     stimulated cycle over a longer stretch than [cycles], on the warm
+     handle *)
+  let narrow = "ram(64x16)/1-bit-write" and wide = "ram(1024x16)/1-bit-write" in
+  let long = 20_000 and per_cycle = Hashtbl.create 2 in
   let bench (name, src, warm, stim) =
     let d = compile src in
     let fv, fs, fsim = drive Sim.Firing ~cycles d (warm, stim) in
@@ -792,6 +804,16 @@ let e13_incremental ~cycles () =
     let q0 = Sim.node_visits isim in
     Sim.step_n isim 10;
     let qv = Sim.node_visits isim - q0 in
+    if name = narrow || name = wide then begin
+      let (), secs =
+        timed (fun () ->
+            for c = 1 to long do
+              stim isim c;
+              Sim.step isim
+            done)
+      in
+      Hashtbl.replace per_cycle name (secs *. 1e6 /. float_of_int long)
+    end;
     [
       ("design", Label name);
       ("cycles", Count cycles);
@@ -813,7 +835,15 @@ let e13_incremental ~cycles () =
     ]
     (List.map bench e13_workloads);
   Fmt.pr "(\"quiet\" = incremental node visits per fully quiescent cycle — \
-          must be 0)@."
+          must be 0)@.";
+  (* the fan-out walk costs O(width / 62 + enabled drivers): the cycle
+     should barely grow with the ram's width *)
+  let narrow_us = Hashtbl.find per_cycle narrow
+  and wide_us = Hashtbl.find per_cycle wide in
+  Fmt.pr
+    "incremental µs per cycle over %d cycles: ram(64x16) %.2f, ram(1024x16) \
+     %.2f, 1024/64 ratio %.2f@."
+    long narrow_us wide_us (ratio wide_us narrow_us)
 
 (* ------------------------------------------------------------------ *)
 (* E14: modular summary analysis vs elaborate-then-lint                 *)

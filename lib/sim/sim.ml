@@ -106,10 +106,17 @@ type t = {
   mutable epoch : int; (* stamps instead of Array.fill *)
   node_mark : int array; (* epoch when the node was scheduled *)
   net_mark : int array; (* epoch when the class was scheduled *)
-  edge_guard : int array;
-      (* parallel to [Graph.cons_nodes], immutable and shared by clones:
-         the guard class of a driver's source edge when the guard is
-         another class, else -1 (see [process_net]) *)
+  guard_off : int array;
+  guarded : int array;
+      (* immutable and shared by clones: CSR, per class, of the
+         [Graph.cons_nodes] edges it guards — each the source edge of a
+         driver guarded by this class and sourced from another; empty
+         when every cycle runs the compiled program *)
+  live : int array;
+      (* bitset over [Graph.cons_nodes], [live_bits] edges a word: bit k
+         is clear exactly when edge k is listed in [guarded] under a
+         class that reads [Some Zero] now.  [set_value], the one writer
+         of [values], keeps it so (see [process_net]) *)
   (* per-level work stacks, walked in push order; last slot = cyclic
      overflow.  Sized once from the schedule, so scheduling allocates
      nothing *)
@@ -178,26 +185,61 @@ let resolved x =
   else if x = 1 lsl tally_bits then Logic.One
   else Logic.Undef
 
-(* Per consumer edge of [g]: the guard class when the edge is the source
-   edge of a driver guarded by a different class, else -1. *)
-let edge_guards (g : Graph.t) =
-  let eg = Array.make (Array.length g.Graph.cons_nodes) (-1) in
-  for c = 0 to g.Graph.n_classes - 1 do
-    for k = g.Graph.cons_off.(c) to g.Graph.cons_off.(c + 1) - 1 do
-      match g.Graph.nodes.(g.Graph.cons_nodes.(k)) with
-      | Graph.Ndriver
-          { guard = Some (Netlist.Snet gc); source = Netlist.Snet s; _ }
-        when s = c && gc <> c ->
-          eg.(k) <- gc
-      | _ -> ()
+(* The edges each class guards, as a CSR over the classes: edge k of
+   [Graph.cons_nodes] is listed under class gc when it is the source
+   edge of a driver guarded by gc, a class other than the source. *)
+let guard_csr (g : Graph.t) =
+  let n = g.Graph.n_classes in
+  let guard_of = function
+    | Graph.Ndriver
+        { guard = Some (Netlist.Snet gc); source = Netlist.Snet s; _ }
+      when gc <> s ->
+        gc
+    | _ -> -1
+  in
+  (* count, sum into range ends, then place each edge from the end of
+     its guard's range down: [off] ends as the range starts *)
+  let off = Array.make (n + 1) 0 in
+  Array.iter
+    (fun node ->
+      let gc = guard_of node in
+      if gc >= 0 then off.(gc) <- off.(gc) + 1)
+    g.Graph.nodes;
+  for c = 1 to n do
+    off.(c) <- off.(c) + off.(c - 1)
+  done;
+  let edges = Array.make off.(n) 0 in
+  for c = n - 1 downto 0 do
+    for k = g.Graph.cons_off.(c + 1) - 1 downto g.Graph.cons_off.(c) do
+      (* such a driver has two edges: its guard's and its source's *)
+      let gc = guard_of g.Graph.nodes.(g.Graph.cons_nodes.(k)) in
+      if gc >= 0 && gc <> c then begin
+        off.(gc) <- off.(gc) - 1;
+        edges.(off.(gc)) <- k
+      end
     done
   done;
-  eg
+  (off, edges)
+
+(* the live-edge bitset's word: 62 bits, so no mask reaches the sign
+   bit *)
+let live_bits = 62
+
+let live_word = (1 lsl live_bits) - 1
+
+(* the index of [b], a power of two below 2^62: the powers of two are
+   distinct modulo 67, a prime with 2 as a primitive root *)
+let bit_of_power =
+  let a = Array.make 67 0 in
+  for i = 0 to live_bits - 1 do
+    a.((1 lsl i) mod 67) <- i
+  done;
+  a
 
 (* A handle with power-up run state over the given compile artifacts:
    the one place the record is built, for [create] and for the batch
    engine's per-run clones ([fresh_like]) *)
-let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~edge_guard ~cprog
+let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~guards ~cprog
     ~iprog ~jobs =
   let n = g.Graph.n_classes in
   let n_nodes = Array.length g.Graph.nodes in
@@ -229,7 +271,13 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~edge_guard ~cprog
     epoch = 0;
     node_mark = Array.make n_nodes 0;
     net_mark = Array.make n 0;
-    edge_guard;
+    guard_off = fst guards;
+    guarded = snd guards;
+    (* every class reads [None]: every edge is live *)
+    live =
+      Array.make
+        ((Array.length g.Graph.cons_nodes + live_bits - 1) / live_bits)
+        live_word;
     node_stack = level_stacks sched.Sched.nodes_at n_nodes;
     node_fill = Array.make (sched.Sched.max_level + 2) 0;
     net_stack = level_stacks sched.Sched.nets_at n;
@@ -297,8 +345,13 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
       Compile.build ?discharged g sched
     else None
   in
+  (* a handle whose every cycle runs the program never walks fan-out *)
+  let guards =
+    if Option.is_none cprog then guard_csr g
+    else (Array.make (g.Graph.n_classes + 1) 0, [||])
+  in
   alloc ~g ~sched ~engine ~seed ~const_nodes:(Array.of_list !const_nodes)
-    ~random_nodes:(Array.of_list !random_nodes) ~edge_guard:(edge_guards g)
+    ~random_nodes:(Array.of_list !random_nodes) ~guards
     ~cprog ~iprog:{ built = Atomic.make None; lock = Mutex.create () }
     ~jobs
 
@@ -601,7 +654,42 @@ let some_value = function
   | Logic.Undef -> Some Logic.Undef
   | Logic.Noinfl -> Some Logic.Noinfl
 
-let holds o v = match o with Some u -> Logic.equal u v | None -> false
+(* [o] is [Some v]: a match, not a call into [Logic.equal], since the
+   cone pass asks once per visit *)
+let[@inline] holds o (v : Logic.t) =
+  match (o, v) with
+  | Some Logic.Zero, Logic.Zero
+  | Some Logic.One, Logic.One
+  | Some Logic.Undef, Logic.Undef
+  | Some Logic.Noinfl, Logic.Noinfl ->
+      true
+  | _ -> false
+
+(* set ([on]) or clear the live bits of the edges class [c] guards *)
+let set_live t c on =
+  for i = t.guard_off.(c) to t.guard_off.(c + 1) - 1 do
+    let k = t.guarded.(i) in
+    let w = k / live_bits and b = 1 lsl (k mod live_bits) in
+    t.live.(w) <- (if on then t.live.(w) lor b else t.live.(w) land lnot b)
+  done
+
+(* The one writer of [values], with its power-up fill [clear_values]:
+   a class that starts or stops reading [Some Zero] clears or sets the
+   live bits of the edges it guards, so [live] always reads off
+   [values]. *)
+let[@inline] set_value t c v =
+  (if t.guard_off.(c) < t.guard_off.(c + 1) then
+     match (t.values.(c), v) with
+     | Some Logic.Zero, Some Logic.Zero -> ()
+     | Some Logic.Zero, _ -> set_live t c true
+     | _, Some Logic.Zero -> set_live t c false
+     | _ -> ());
+  t.values.(c) <- v
+
+(* every class reads [None], so every edge is live *)
+let clear_values t =
+  Array.fill t.values 0 (Array.length t.values) None;
+  Array.fill t.live 0 (Array.length t.live) live_word
 
 (* the one writer of [produced]: node [node] of output class [cls] now
    produces [v], and the class's tally follows *)
@@ -610,11 +698,11 @@ let set_produced t node cls v =
   t.tally.(cls) <- t.tally.(cls) - old + tally_unit v;
   t.produced.(node) <- some_value v
 
-let same_value (a : Logic.t option) b =
+let[@inline] same_value (a : Logic.t option) b =
   match (a, b) with
-  | Some x, Some y -> Logic.equal x y
+  | Some x, _ -> holds b x
   | None, None -> true
-  | _ -> false
+  | None, Some _ -> false
 
 (* Recompute a class's resolution from its tally (or, for
    producer-less classes, its seed); true when its value changed.  A
@@ -624,27 +712,28 @@ let same_value (a : Logic.t option) b =
 let finalize_net t ~emit_conflict net =
   let g = t.g in
   let old_value = t.values.(net) in
-  if g.Graph.producer_count.(net) = 0 then
-    t.values.(net) <- some_value (seed_value t net)
-  else begin
-    let x = t.tally.(net) in
-    let v = resolved x in
-    t.values.(net) <-
+  let value =
+    if g.Graph.producer_count.(net) = 0 then some_value (seed_value t net)
+    else begin
+      let x = t.tally.(net) in
+      if drives x >= 2 then begin
+        if not t.in_conflict.(net) then begin
+          t.in_conflict.(net) <- true;
+          t.conflict_list <- net :: t.conflict_list;
+          if emit_conflict then conflict_error t net
+        end
+      end
+      else if t.in_conflict.(net) then t.in_conflict.(net) <- false;
+      (* stale entries are filtered from conflict_list lazily *)
+      let v = resolved x in
       some_value
         (match g.Graph.class_kind.(net) with
         | Etype.KBool -> Logic.booleanize v
-        | Etype.KMux -> v);
-    if drives x >= 2 then begin
-      if not t.in_conflict.(net) then begin
-        t.in_conflict.(net) <- true;
-        t.conflict_list <- net :: t.conflict_list;
-        if emit_conflict then conflict_error t net
-      end
+        | Etype.KMux -> v)
     end
-    else if t.in_conflict.(net) then t.in_conflict.(net) <- false
-    (* stale entries are filtered from conflict_list lazily *)
-  end;
-  not (same_value t.values.(net) old_value)
+  in
+  set_value t net value;
+  not (same_value value old_value)
 
 let process_node t node =
   t.node_visits <- t.node_visits + 1;
@@ -662,6 +751,14 @@ let process_node t node =
    schedules the driver through its own edge.  So the skipped visit is
    exactly a re-evaluation that would change nothing.
 
+   The skip costs no test per edge: [live] has the bit of each such
+   edge clear, so the walk visits the set bits of the class's edge
+   range in ascending order — a zero word in one test, the partial
+   first and last words masked — and schedules what a per-edge guard
+   test would, in the same order.  A changed class costs O(width / 62
+   + enabled drivers); a class with one consumer, the common case on
+   busy designs, tests its one bit instead.
+
    Every processed class of the incremental pass marks its registers
    for the latch.  A latch whose input resolution did not change is a
    no-op, so this needs no record of the class's previous resolution. *)
@@ -670,7 +767,7 @@ let process_net t ~emit_conflict ~incremental net =
   if finalize_net t ~emit_conflict net then begin
     if incremental then begin
       (match (t.prev_values.(net), t.values.(net)) with
-      | Some a, Some b when not (Logic.equal a b) ->
+      | Some a, (Some _ as b) when not (holds b a) ->
           t.toggles.(net) <- t.toggles.(net) + 1;
           t.changed <- t.changed + 1
       | _ -> ());
@@ -680,11 +777,27 @@ let process_net t ~emit_conflict ~incremental net =
         | Some v -> t.trace <- (net, v) :: t.trace
         | None -> ()
     end;
-    for k = g.Graph.cons_off.(net) to g.Graph.cons_off.(net + 1) - 1 do
-      let gc = t.edge_guard.(k) in
-      if gc < 0 || not (holds t.values.(gc) Logic.Zero) then
-        schedule_node t g.Graph.cons_nodes.(k)
-    done
+    let lo = g.Graph.cons_off.(net) and hi = g.Graph.cons_off.(net + 1) in
+    if hi - lo = 1 then begin
+      (* most classes have one consumer: test its bit *)
+      if t.live.(lo / live_bits) land (1 lsl (lo mod live_bits)) <> 0 then
+        schedule_node t g.Graph.cons_nodes.(lo)
+    end
+    else if lo < hi then begin
+      let first = lo / live_bits and last = (hi - 1) / live_bits in
+      for wi = first to last do
+        let base = wi * live_bits in
+        let w = t.live.(wi) in
+        let w = if wi = first then w land (live_word lsl (lo - base)) else w in
+        let w = if wi = last then w land ((1 lsl (hi - base)) - 1) else w in
+        let w = ref w in
+        while !w <> 0 do
+          let b = !w land (- !w) in
+          schedule_node t g.Graph.cons_nodes.(base + bit_of_power.(b mod 67));
+          w := !w lxor b
+        done
+      done
+    end
   end;
   if incremental then mark_regs_dirty t g.Graph.regs_of_in.(net)
 
@@ -777,7 +890,7 @@ let step_full t =
   let g = t.g in
   let n_nodes = Array.length g.Graph.nodes in
   let n = g.Graph.n_classes in
-  Array.fill t.values 0 n None;
+  clear_values t;
   Array.fill t.produced 0 n_nodes None;
   Array.fill t.tally 0 n 0;
   Array.fill t.fired 0 n false;
@@ -789,7 +902,7 @@ let step_full t =
   let fire net v =
     if not t.fired.(net) then begin
       t.fired.(net) <- true;
-      t.values.(net) <- Some v;
+      set_value t net (Some v);
       if t.trace_enabled then t.trace <- (net, v) :: t.trace;
       Graph.iter_consumers g net (fun nid -> Queue.add nid worklist)
     end
@@ -805,7 +918,7 @@ let step_full t =
       let driving = not (Logic.equal v Logic.Noinfl) in
       if driving && drives t.tally.(net) = 2 then begin
         conflict_error t net;
-        t.values.(net) <- Some Logic.Undef;
+        set_value t net (Some Logic.Undef);
         if not t.in_conflict.(net) then begin
           t.in_conflict.(net) <- true;
           t.conflict_list <- net :: t.conflict_list
@@ -1091,7 +1204,7 @@ let leave_program t prog st =
   let g = t.g in
   for c = 0 to g.Graph.n_classes - 1 do
     let v = some_value (Bytecode.get_prev st c) in
-    t.values.(c) <- v;
+    set_value t c v;
     t.prev_values.(c) <- v
   done;
   let cycle = t.cycle - 1 in
@@ -1179,7 +1292,7 @@ let reset t =
    sets, epoch stamps, counters) is cleared, so re-entry is
    reproducible *)
 let restart t =
-  Array.fill t.values 0 (Array.length t.values) None;
+  clear_values t;
   Array.fill t.produced 0 (Array.length t.produced) None;
   Array.fill t.remaining 0 (Array.length t.remaining) 0;
   Array.fill t.tally 0 (Array.length t.tally) 0;
@@ -1318,7 +1431,7 @@ type batch_stats = {
 let fresh_like t ~seed =
   alloc ~g:t.g ~sched:t.sched ~engine:t.engine ~seed
     ~const_nodes:t.const_nodes ~random_nodes:t.random_nodes
-    ~edge_guard:t.edge_guard ~cprog:t.cprog ~iprog:t.iprog ~jobs:t.jobs
+    ~guards:(t.guard_off, t.guarded) ~cprog:t.cprog ~iprog:t.iprog ~jobs:t.jobs
 
 (* the watched paths of [run], read through [value] *)
 let watched (st : Stimulus.t) (run : Stimulus.run) value =

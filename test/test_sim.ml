@@ -780,6 +780,143 @@ let test_program_commits_multi_register () =
        !committed)
     true (!committed > 0)
 
+(* The live-edge walk: a changed class schedules exactly the consumers
+   a per-edge guard test would.  The design is ram(128x16) plus a bank
+   of inverters, whose toggling makes cycles busy enough to enter the
+   program, and a one-edge guarded copy.  The toggled data bit's 128
+   write-driver edges start mid-word in the walk's bitset (62 edges a
+   word) and span three or more words.  The stimulus moves the address
+   every few cycles, toggles [we] and unpokes an address bit, so the
+   write guards pass through 0, 1 and UNDEF (the read drivers then
+   conflict); it runs a busy stretch that enters and leaves the program
+   with the write guards changed inside it, and restarts mid-run.
+   Every cycle the incremental handle matches a firing one on snapshot,
+   errors and toggles, and every warm cone cycle visits exactly the
+   nodes with a changed input, less the drivers whose guard, another
+   class, held 0 (section 8). *)
+let live_edge_bank = 400
+
+let live_edge_design =
+  Printf.sprintf
+    {zeus|
+TYPE word = ARRAY[1..16] OF boolean;
+ram = COMPONENT (IN addr: ARRAY[1..7] OF boolean; IN data: word;
+                 IN we: boolean; OUT q: word;
+                 IN x: ARRAY[1..%d] OF boolean;
+                 OUT y: ARRAY[1..%d] OF boolean;
+                 IN e, s: boolean; OUT z: boolean) IS
+SIGNAL mem: ARRAY[0..127] OF ARRAY[1..16] OF REG;
+BEGIN
+  IF we THEN mem[NUM(addr)].in := data END;
+  q := mem[NUM(addr)].out;
+  FOR i := 1 TO %d DO y[i] := NOT(x[i]) END;
+  IF e THEN z := s END
+END;
+SIGNAL m: ram;
+|zeus}
+    live_edge_bank live_edge_bank live_edge_bank
+
+let test_live_edge_walk () =
+  let d = compile live_edge_design in
+  let inc = Sim.create ~engine:Sim.Incremental d and fir = Sim.create d in
+  let g = Sim.graph inc in
+  let data_bit = 2 in
+  let c =
+    match Elaborate.resolve_path d (Printf.sprintf "m.data[%d]" data_bit) with
+    | Ok [ id ] -> g.Graph.canon.(id)
+    | _ -> Alcotest.fail "m.data bit"
+  in
+  let lo = g.Graph.cons_off.(c) and hi = g.Graph.cons_off.(c + 1) in
+  Alcotest.(check bool)
+    (Printf.sprintf "edges [%d, %d) start mid-word and span three words" lo hi)
+    true
+    (hi - lo = 128 && lo mod 62 <> 0 && ((hi - 1) / 62) - (lo / 62) >= 2);
+  (* the class values of a snapshot, and the nodes a warm cone cycle
+     from [prev] to [cur] must visit *)
+  let value snap c = snap.(g.Graph.rep.(c)) in
+  let expected_visits prev cur =
+    let changed c = value prev c <> value cur c in
+    Array.fold_left
+      (fun n node ->
+        let visited =
+          match node with
+          | Graph.Ndriver
+              { guard = Some (Netlist.Snet gc); source = Netlist.Snet s; _ }
+            when gc <> s
+                 && value cur gc = Some Logic.Zero
+                 && not (changed gc) ->
+              false
+          | node ->
+              List.exists
+                (function
+                  | Netlist.Snet i -> changed i | Netlist.Sconst _ -> false)
+                (Graph.node_inputs node)
+        in
+        if visited then n + 1 else n)
+      0 g.Graph.nodes
+  in
+  let both f = List.iter f [ inc; fir ] in
+  let addresses = [| 100; 5; 127; 64; 0; 70; 33 |] in
+  let program = ref 0 and cone = ref 0 in
+  let run () =
+    let prev = ref [||] in
+    for c = 0 to 79 do
+      (* the address moves every 3 cycles, [we] drops every 4th *)
+      both (fun sim ->
+          if c mod 3 = 0 then
+            Sim.poke_int sim "m.addr"
+              addresses.(c / 3 mod Array.length addresses);
+          Sim.poke_bool sim "m.we" (c mod 4 <> 3 || (c >= 24 && c < 40));
+          Sim.poke_bool sim
+            (Printf.sprintf "m.data[%d]" data_bit)
+            (c land 1 = 1);
+          (* [s]'s one edge, under [e], a guard of one edge *)
+          Sim.poke_bool sim "m.s" (c land 1 = 0);
+          Sim.poke_bool sim "m.e" (c mod 10 < 3);
+          if c = 0 then Sim.poke_int sim "m.data" 0xbeef;
+          (* an UNDEF address bit: two write guards read UNDEF *)
+          if c = 10 then Sim.unpoke sim "m.addr[4]";
+          (* busy: the whole inverter bank toggles on cycles 21-43, so
+             the run enters the program; [we] stays 1 from cycle 24
+             while the address moves, so write guards change there *)
+          Sim.poke sim "m.x"
+            (List.init live_edge_bank (fun _ ->
+                 Logic.of_bool (c >= 20 && c < 44 && c land 1 = 1))));
+      let p0 = Sim.program_cycles inc and v0 = Sim.node_visits inc in
+      both Sim.step;
+      let snap = Sim.snapshot inc in
+      let errors sim =
+        List.map
+          (fun (e : Sim.runtime_error) ->
+            Printf.sprintf "%d %s %s" e.Sim.err_cycle e.Sim.err_code
+              e.Sim.err_net)
+          (Sim.runtime_errors sim)
+      in
+      Alcotest.(check
+                  (triple (array (option logic)) (list string) int))
+        (Printf.sprintf "cycle %d: snapshot, errors, toggles" c)
+        (Sim.snapshot fir, errors fir, Sim.total_toggles fir)
+        (snap, errors inc, Sim.total_toggles inc);
+      if Sim.program_cycles inc > p0 then incr program
+      else if c > 0 then begin
+        incr cone;
+        Alcotest.(check int)
+          (Printf.sprintf "cycle %d: cone visits" c)
+          (expected_visits !prev snap)
+          (Sim.node_visits inc - v0)
+      end;
+      prev := snap
+    done
+  in
+  run ();
+  both Sim.restart;
+  run ();
+  Alcotest.(check bool)
+    (Printf.sprintf "%d program and %d warm cone cycles, drive conflicts"
+       !program !cone)
+    true
+    (!program > 0 && !cone > 100 && Sim.runtime_errors fir <> [])
+
 (* Snapshots are identical across the three engines and both sweep
    orders on random multi-cycle poke sequences over designs that
    include drive conflicts, registers and aliasing — with UNDEF in the
@@ -1543,6 +1680,7 @@ let () =
             test_fast_engines_trace_alike;
           Alcotest.test_case "program commits multi-register cycles" `Quick
             test_program_commits_multi_register;
+          Alcotest.test_case "live-edge walk" `Quick test_live_edge_walk;
         ] );
       ( "parallel",
         [
