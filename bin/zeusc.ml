@@ -94,15 +94,19 @@ let load = function
       try In_channel.with_open_bin p In_channel.input_all
       with Sys_error msg -> usage "cannot read '%s': %s" p (sys_error_reason p msg))
 
-(* and every output file through here; the explicit flush reports a
-   failed write, which closing the channel would swallow *)
-let write_file path text =
+(* and every output file through here: [write] hands its text to the
+   sink piece by piece, so a large output is never held whole; the
+   explicit flush reports a failed write, which closing the channel
+   would swallow *)
+let stream_file path write =
   try
     Out_channel.with_open_bin path (fun oc ->
-        Out_channel.output_string oc text;
+        write (Out_channel.output_string oc);
         Out_channel.flush oc)
   with Sys_error msg ->
     usage "cannot write '%s': %s" path (sys_error_reason path msg)
+
+let write_file path text = stream_file path (fun out -> out text)
 
 let parse src =
   match Zeus.Parser.program src with
@@ -899,22 +903,32 @@ let export_cmd =
   let run file verilog output testbench cycles seed module_name () =
     if not verilog then usage "no format selected; pass --verilog";
     validate_count ~flag:"cycles" cycles;
-    let v =
-      match Zeus.Verilog.export ?module_name (design file) with
-      | Ok v -> v
+    let plan =
+      match Zeus.Verilog.lower ?module_name (design file) with
+      | Ok plan -> plan
       | Error e -> rejected "%s" (Zeus.Verilog.error_to_string e)
     in
-    let text =
-      if not testbench then v.Zeus.Verilog.text
+    (* the bench is built before the first byte, so a rejected design
+       or bench writes nothing and creates no file *)
+    let bench =
+      if not testbench then None
       else
-        let deck = Zeus.Verilog.random_deck ~seed ~cycles v in
-        match Zeus.Verilog.testbench ~seed v deck with
-        | Ok tb -> v.Zeus.Verilog.text ^ "\n" ^ tb
+        let deck = Zeus.Verilog.random_deck ~seed ~cycles plan in
+        match Zeus.Verilog.testbench ~seed plan deck with
+        | Ok tb -> Some tb
         | Error msg -> rejected "testbench: %s" msg
     in
+    let write out =
+      Zeus.Verilog.write plan out;
+      Option.iter
+        (fun tb ->
+          out "\n";
+          out tb)
+        bench
+    in
     (match output with
-    | None -> print_string text
-    | Some path -> write_file path text);
+    | None -> write print_string
+    | Some path -> stream_file path write);
     0
   in
   command "export"

@@ -147,6 +147,15 @@ let demangle s =
 (* Export                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* Two passes.  [lower] settles everything a module needs before any
+   byte of it exists: every name (each [uniq] call, in one fixed
+   order), every declaration, every gate's shape (each
+   [Unsupported_exn] is raised there) and how each class is assigned.
+   [write] then renders the module from that plan and the class graph
+   through a [string -> unit] sink, piece by piece; it cannot fail, so
+   a rejected design writes nothing, and the text is never held
+   whole unless the sink holds it ([export]). *)
+
 type dir =
   | Input
   | Output
@@ -156,6 +165,37 @@ type port = {
   pname : string;
   ppath : string;
   pclass : int;
+}
+
+(* how a scheduled class is assigned *)
+type class_plan =
+  | Port  (* an input port: driven from outside, nothing to assign *)
+  | Direct
+      (* the class wire takes its one producer's expression, or, with
+         no producer, CLK's constant 1, its register's reg or x *)
+  | Raw of string
+      (* a boolean class whose one producer may release: the raw wire
+         carries the producer, the class wire its booleanization *)
+  | Resolved of string array * string option
+      (* one wire per producer, in producer order, and the first-non-z
+         resolver over them, into the raw wire when the boolean class
+         may read z, else into the class wire *)
+
+type plan = {
+  module_name : string;
+  ports : port list;
+  net_count : int;
+  reg_count : int;
+  design : Elaborate.design;
+  graph : Graph.t;
+  sched : Sched.t;
+  wire_of_class : string array;
+  clk_port : string;
+  random_ports : (int * string) list;
+  classes : class_plan array;  (* per class *)
+  port_class : bool array;  (* declared by its port declaration *)
+  may_z : bool array;  (* per class: the exposed value may read z *)
+  reg_names : string array;  (* per register: its always-block reg *)
 }
 
 type t = {
@@ -169,6 +209,7 @@ type t = {
   wire_of_class : string array;
   clk_port : string;
   random_ports : (int * string) list;
+  plan : plan;
 }
 
 type error =
@@ -200,7 +241,20 @@ let default_module_name (design : Elaborate.design) =
   | (name, _) :: _ -> mangle name
   | [] -> "zeus_top"
 
-let export ?module_name (design : Elaborate.design) =
+(* the gate shapes the writer renders; anything else is rejected *)
+let check_gate op (inputs : Netlist.src array) =
+  match (op, Array.length inputs) with
+  | (Netlist.Grandom | Netlist.Gequal), 0 -> ()
+  | _, 0 ->
+      raise
+        (Unsupported_exn (Netlist.gate_op_to_string op ^ " gate with no inputs"))
+  | Netlist.Gnot, k when k > 1 ->
+      raise (Unsupported_exn "NOT gate with several inputs")
+  | Netlist.Gequal, k when k mod 2 <> 0 ->
+      raise (Unsupported_exn "EQUAL gate with odd input count")
+  | _ -> ()
+
+let lower ?module_name (design : Elaborate.design) =
   let g = Graph.build design in
   let sched = Sched.build g in
   if not sched.Sched.acyclic then Error Cyclic
@@ -263,6 +317,7 @@ let export ?module_name (design : Elaborate.design) =
       let is_output =
         Array.init n (fun c -> out_path.(c) <> None && not is_input.(c))
       in
+      let port_class = Array.init n (fun c -> is_input.(c) || is_output.(c)) in
       (* class wire names: port classes take their pin path, everything
          else its representative's name.  Representative names are not
          unique across classes (elaboration synthesizes internal nets
@@ -286,7 +341,7 @@ let export ?module_name (design : Elaborate.design) =
       in
       let wire = Array.make n "" in
       for c = 0 to n - 1 do
-        if is_input.(c) || is_output.(c) then
+        if port_class.(c) then
           wire.(c) <-
             uniq
               (mangle
@@ -295,13 +350,12 @@ let export ?module_name (design : Elaborate.design) =
                  | None -> g.Graph.names.(c)))
       done;
       for c = 0 to n - 1 do
-        if not (is_input.(c) || is_output.(c)) then
-          wire.(c) <- uniq (mangle g.Graph.names.(c))
+        if not port_class.(c) then wire.(c) <- uniq (mangle g.Graph.names.(c))
       done;
       let clk_port = uniq "clk" in
       (* RANDOM nodes: one input port per output class (two RANDOM
          nodes on one class draw the same value — and conflict — in the
-         simulator, which the resolver below reproduces) *)
+         simulator, which the resolver reproduces) *)
       let random_ports = ref [] in
       Array.iter
         (function
@@ -315,7 +369,11 @@ let export ?module_name (design : Elaborate.design) =
       let random_ports =
         List.sort (fun (a, _) (b, _) -> compare a b) !random_ports
       in
-      let rand_name c = List.assoc c random_ports in
+      let reg_names =
+        Array.map
+          (fun (r : Netlist.reg) -> uniq (mangle r.Netlist.rpath))
+          g.Graph.regs
+      in
       (* --- z-capability analysis (conservative "may read NOINFL") --- *)
       let exp_z = Array.make n (-1) in
       let rec exposed_can_z c =
@@ -346,228 +404,48 @@ let export ?module_name (design : Elaborate.design) =
         | Netlist.Sconst v -> Logic.equal v Logic.Noinfl
         | Netlist.Snet c -> exposed_can_z c
       in
-      (* --- expressions (graph [Snet] ids are class ids) --- *)
-      let src_e = function
-        | Netlist.Sconst v -> lit v
-        | Netlist.Snet c -> wire.(c)
+      (* --- the class plans, in the writer's order --- *)
+      let extra_wires = ref 0 in
+      let extra_wire name =
+        incr extra_wires;
+        uniq name
       in
-      let bz e = Printf.sprintf "((%s === 1'bz) ? 1'bx : %s)" e e in
-      let gate_expr op (inputs : Netlist.src array) =
-        let ins = Array.to_list inputs in
-        let join sep =
-          "(" ^ String.concat sep (List.map src_e ins) ^ ")"
-        in
-        match (op, ins) with
-        | Netlist.Grandom, _ -> assert false (* handled by node_expr *)
-        | _, [] -> (
-            match op with
-            | Netlist.Gequal -> "1'b1" (* empty fold base *)
-            | _ ->
-                raise
-                  (Unsupported_exn
-                     (Netlist.gate_op_to_string op ^ " gate with no inputs")))
-        | Netlist.Gnot, [ s ] -> "(~" ^ src_e s ^ ")"
-        | Netlist.Gnot, _ ->
-            raise (Unsupported_exn "NOT gate with several inputs")
-        | (Netlist.Gand | Netlist.Gor | Netlist.Gxor), [ s ] ->
-            (* n-ary gates booleanize a lone operand (z reads as x);
-               Verilog has no unary pass-through that does, so spell it *)
-            if src_can_z s then bz (src_e s) else src_e s
-        | (Netlist.Gnand | Netlist.Gnor), [ s ] -> "(~" ^ src_e s ^ ")"
-        | Netlist.Gand, _ -> join " & "
-        | Netlist.Gor, _ -> join " | "
-        | Netlist.Gxor, _ -> join " ^ "
-        | Netlist.Gnand, _ -> "(~" ^ join " & " ^ ")"
-        | Netlist.Gnor, _ -> "(~" ^ join " | " ^ ")"
-        | Netlist.Gequal, ins ->
-            (* EQUAL concatenates the two operands' bit lists: AND of
-               per-bit XNOR over the two halves *)
-            let k = List.length ins in
-            if k mod 2 <> 0 then
-              raise (Unsupported_exn "EQUAL gate with odd input count");
-            let arr = Array.of_list ins in
-            let half = k / 2 in
-            let pairs =
-              List.init half (fun i ->
-                  Printf.sprintf "(%s ~^ %s)" (src_e arr.(i))
-                    (src_e arr.(i + half)))
-            in
-            if half = 1 then List.hd pairs
-            else "(" ^ String.concat " & " pairs ^ ")"
-      in
-      let driver_expr guard source =
-        let s = src_e source in
-        match guard with
-        | None -> s
-        | Some (Netlist.Sconst v) -> (
-            (* guards go through the implicit amplifier *)
-            match Logic.booleanize v with
-            | Logic.One -> s
-            | Logic.Zero -> "1'bz"
-            | _ -> "1'bx")
-        | Some gs ->
-            let ge = src_e gs in
-            (* an undefined (x or z) guard *drives* UNDEF — it does not
-               release the net, so the plain [g ? s : 1'bz] idiom would
-               diverge from the simulator on every undefined guard *)
-            Printf.sprintf
-              "((%s === 1'b1) ? %s : (%s === 1'b0) ? 1'bz : 1'bx)" ge s ge
-      in
-      let node_expr nid =
-        match g.Graph.nodes.(nid) with
-        | Graph.Ngate { op = Netlist.Grandom; output; _ } -> rand_name output
-        | Graph.Ngate { op; inputs; _ } -> gate_expr op inputs
-        | Graph.Ndriver { guard; source; _ } -> driver_expr guard source
-      in
-      (* first non-z wins; any second non-z forces x — exactly
-         [Logic.resolve], which conflicts even on agreeing values.
-         Appended piecewise: the expression is O(k^2) bytes, and
-         nesting it through sprintf would copy it once per level *)
-      let resolver pws b =
-        let k = Array.length pws in
-        let add = Buffer.add_string b in
-        let rec others j v =
-          if j >= k then add v
-          else begin
-            add "((";
-            add pws.(j);
-            add " === 1'bz) ? ";
-            others (j + 1) v;
-            add " : 1'bx)"
-          end
-        in
-        let rec first i =
-          if i = k - 1 then add pws.(i)
-          else begin
-            add "((";
-            add pws.(i);
-            add " === 1'bz) ? ";
-            first (i + 1);
-            add " : ";
-            others (i + 1) pws.(i);
-            add ")"
-          end
-        in
-        first 0
-      in
-      (* --- emission --- *)
-      let decls = Buffer.create 1024 in
-      let body = Buffer.create 4096 in
-      let regs_buf = Buffer.create 1024 in
-      let wire_decls = ref 0 in
-      let decl_wire name =
-        incr wire_decls;
-        Buffer.add_string decls (Printf.sprintf "  wire %s;\n" name)
-      in
-      (* [emit name write]: [write] appends the expression to [body] *)
-      let emit name write =
-        Buffer.add_string body "  assign ";
-        Buffer.add_string body name;
-        Buffer.add_string body " = ";
-        write body;
-        Buffer.add_string body ";\n"
-      in
-      let assign name e = emit name (fun b -> Buffer.add_string b e) in
-      (* register always-blocks need the *raw* resolution of their
-         input class; raw_wire.(c) names the wire that carries it *)
-      let raw_wire = Array.copy wire in
-      let qname =
-        Array.map
-          (fun (r : Netlist.reg) -> uniq (mangle r.Netlist.rpath))
-          g.Graph.regs
-      in
-      (* one wire per class, minus the ports (port decls declare nets) *)
-      Array.iteri
-        (fun c w ->
-          if not (is_input.(c) || is_output.(c)) then decl_wire w)
-        wire;
+      let classes = Array.make n Direct in
       for l = 0 to sched.Sched.max_level do
         Array.iter
           (fun c ->
-            if is_input.(c) then ()
-            else if c = g.Graph.clk then
-              (* the CLK *value* is the constant 1 of [seed_value]; the
-                 latch edge is the separate clk port *)
-              assign wire.(c) "1'b1"
-            else if producerless c then begin
-              let r = Graph.reg_of_out g c in
-              if r >= 0 then assign wire.(c) qname.(r)
-              else assign wire.(c) "1'bx"
-            end
-            else begin
-              let producers = ref [] in
+            (* in level order, so the analysis recursion stays shallow:
+               every source class is settled already *)
+            ignore (exposed_can_z c);
+            if is_input.(c) then classes.(c) <- Port
+            else if not (producerless c) then begin
               Graph.iter_producers g c (fun nid ->
-                  producers := nid :: !producers);
-              let producers = Array.of_list (List.rev !producers) in
-              let k = Array.length producers in
-              let kind = g.Graph.class_kind.(c) in
-              let latches = g.Graph.regs_of_in.(c) <> [] in
+                  match g.Graph.nodes.(nid) with
+                  | Graph.Ngate { op; inputs; _ } -> check_gate op inputs
+                  | Graph.Ndriver _ -> ());
+              let k = g.Graph.producer_count.(c) in
+              (* the exposed value booleanizes (z -> x), but the register
+                 latch keys off the raw value *)
+              let raw_z =
+                g.Graph.class_kind.(c) = Etype.KBool && raw_can_z c
+              in
               if k = 1 then begin
-                let e = node_expr producers.(0) in
-                let can_z = node_can_z producers.(0) in
-                match kind with
-                | Etype.KMux -> assign wire.(c) e
-                | Etype.KBool ->
-                    if can_z then begin
-                      (* exposed value booleanizes (z -> x), but the
-                         register latch keys off the raw value *)
-                      let rw = uniq (wire.(c) ^ "$raw") in
-                      decl_wire rw;
-                      raw_wire.(c) <- rw;
-                      assign rw e;
-                      assign wire.(c) (bz rw)
-                    end
-                    else begin
-                      ignore latches;
-                      assign wire.(c) e
-                    end
+                if raw_z then classes.(c) <- Raw (extra_wire (wire.(c) ^ "$raw"))
               end
               else begin
                 let pws =
-                  Array.mapi
-                    (fun i nid ->
-                      let pw = uniq (Printf.sprintf "%s$p%d" wire.(c) i) in
-                      decl_wire pw;
-                      assign pw (node_expr nid);
-                      pw)
-                    producers
+                  Array.init k (fun i ->
+                      extra_wire (Printf.sprintf "%s$p%d" wire.(c) i))
                 in
-                let r = resolver pws in
-                match kind with
-                | Etype.KMux -> emit wire.(c) r
-                | Etype.KBool ->
-                    if raw_can_z c then begin
-                      let rw = uniq (wire.(c) ^ "$raw") in
-                      decl_wire rw;
-                      raw_wire.(c) <- rw;
-                      emit rw r;
-                      assign wire.(c) (bz rw)
-                    end
-                    else emit wire.(c) r
+                let raw =
+                  if raw_z then Some (extra_wire (wire.(c) ^ "$raw")) else None
+                in
+                classes.(c) <- Resolved (pws, raw)
               end
             end)
           sched.Sched.nets_at.(l)
       done;
-      (* registers: latch at the clock edge iff the raw input resolution
-         is not z (all-NOINFL keeps the stored value, section 5.1);
-         power-up is Verilog's default x unless REG(c) gave a value *)
-      Array.iteri
-        (fun i (r : Netlist.reg) ->
-          let ci = g.Graph.reg_in.(i) in
-          let src = raw_wire.(ci) in
-          Buffer.add_string regs_buf (Printf.sprintf "  reg %s;\n" qname.(i));
-          (match r.Netlist.rinit with
-          | Logic.Zero | Logic.One ->
-              Buffer.add_string regs_buf
-                (Printf.sprintf "  initial %s = %s;\n" qname.(i)
-                   (lit r.Netlist.rinit))
-          | _ -> ());
-          Buffer.add_string regs_buf
-            (Printf.sprintf
-               "  always @(posedge %s)\n    if (%s !== 1'bz) %s <= %s;\n"
-               clk_port src qname.(i) src))
-        g.Graph.regs;
-      (* --- assemble --- *)
+      let may_z = Array.map (fun z -> z = 1) exp_z in
       let input_ports =
         List.filter_map
           (fun c ->
@@ -618,50 +496,282 @@ let export ?module_name (design : Elaborate.design) =
         :: input_ports
         @ rports @ output_ports
       in
-      let buf = Buffer.create (Buffer.length body + 2048) in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "// %s: structural Verilog export of a Zeus design (zeusc \
-            export --verilog)\n\
-            // Four-valued nets: Zeus UNDEF is x, NOINFL is z.  Drive \
-            RSET low, toggle %s;\n\
-            // registers latch on posedge and power up at x unless \
-            REG(c) gave a value.\n"
-           module_name clk_port);
-      Buffer.add_string buf
-        (Printf.sprintf "module %s (%s);\n" module_name
-           (String.concat ", " (List.map (fun p -> p.pname) ports)));
-      List.iter
-        (fun p ->
-          Buffer.add_string buf
-            (Printf.sprintf "  %s %s;%s\n"
-               (match p.pdir with Input -> "input" | Output -> "output")
-               p.pname
-               (if p.pclass = -1 then
-                  " // latch edge only: the Zeus CLK value is the \
-                   constant-1 wire"
-                else if List.mem_assoc p.pclass random_ports then
-                  Printf.sprintf " // RANDOM stream of '%s'" p.ppath
-                else "")))
-        ports;
-      Buffer.add_buffer buf decls;
-      Buffer.add_buffer buf body;
-      Buffer.add_buffer buf regs_buf;
-      Buffer.add_string buf "endmodule\n";
+      let class_wires =
+        Array.fold_left (fun k p -> if p then k else k + 1) 0 port_class
+      in
       Ok
         {
           module_name;
           ports;
-          net_count = List.length ports + !wire_decls;
+          net_count = List.length ports + class_wires + !extra_wires;
           reg_count = Array.length g.Graph.regs;
-          text = Buffer.contents buf;
           design;
           graph = g;
+          sched;
           wire_of_class = wire;
           clk_port;
           random_ports;
+          classes;
+          port_class;
+          may_z;
+          reg_names;
         }
     with Unsupported_exn msg -> Error (Unsupported msg)
+
+(* The module text, header to endmodule, a few bytes per [out] call *)
+let write (p : plan) out =
+  let g = p.graph in
+  let wire = p.wire_of_class in
+  let src = function
+    | Netlist.Sconst v -> out (lit v)
+    | Netlist.Snet c -> out wire.(c)
+  in
+  let may_z = function
+    | Netlist.Sconst v -> Logic.equal v Logic.Noinfl
+    | Netlist.Snet c -> p.may_z.(c)
+  in
+  (* booleanize: z reads as x *)
+  let bz write_e =
+    out "((";
+    write_e ();
+    out " === 1'bz) ? 1'bx : ";
+    write_e ();
+    out ")"
+  in
+  let join sep inputs =
+    out "(";
+    Array.iteri
+      (fun i s ->
+        if i > 0 then out sep;
+        src s)
+      inputs;
+    out ")"
+  in
+  let gate op (inputs : Netlist.src array) output =
+    match (op, inputs) with
+    | Netlist.Grandom, _ -> out (List.assoc output p.random_ports)
+    | Netlist.Gequal, [||] -> out "1'b1" (* empty fold base *)
+    | Netlist.Gequal, _ ->
+        (* EQUAL concatenates the two operands' bit lists: AND of
+           per-bit XNOR over the two halves *)
+        let half = Array.length inputs / 2 in
+        if half > 1 then out "(";
+        for i = 0 to half - 1 do
+          if i > 0 then out " & ";
+          out "(";
+          src inputs.(i);
+          out " ~^ ";
+          src inputs.(i + half);
+          out ")"
+        done;
+        if half > 1 then out ")"
+    | Netlist.Gnot, _ | (Netlist.Gnand | Netlist.Gnor), [| _ |] ->
+        (* NOT reads its one input ([check_gate] rejects the others) *)
+        out "(~";
+        src inputs.(0);
+        out ")"
+    | (Netlist.Gand | Netlist.Gor | Netlist.Gxor), [| s |] ->
+        (* n-ary gates booleanize a lone operand (z reads as x); Verilog
+           has no unary pass-through that does, so spell it *)
+        if may_z s then bz (fun () -> src s) else src s
+    | Netlist.Gand, _ -> join " & " inputs
+    | Netlist.Gor, _ -> join " | " inputs
+    | Netlist.Gxor, _ -> join " ^ " inputs
+    | Netlist.Gnand, _ ->
+        out "(~";
+        join " & " inputs;
+        out ")"
+    | Netlist.Gnor, _ ->
+        out "(~";
+        join " | " inputs;
+        out ")"
+  in
+  let node nid =
+    match g.Graph.nodes.(nid) with
+    | Graph.Ngate { op; inputs; output } -> gate op inputs output
+    | Graph.Ndriver { guard = None; source; _ } -> src source
+    | Graph.Ndriver { guard = Some (Netlist.Sconst v); source; _ } -> (
+        (* guards go through the implicit amplifier *)
+        match Logic.booleanize v with
+        | Logic.One -> src source
+        | Logic.Zero -> out "1'bz"
+        | _ -> out "1'bx")
+    | Graph.Ndriver { guard = Some gs; source; _ } ->
+        (* an undefined (x or z) guard *drives* UNDEF — it does not
+           release the net, so the plain [g ? s : 1'bz] idiom would
+           diverge from the simulator on every undefined guard *)
+        out "((";
+        src gs;
+        out " === 1'b1) ? ";
+        src source;
+        out " : (";
+        src gs;
+        out " === 1'b0) ? 1'bz : 1'bx)"
+  in
+  (* first non-z wins; any second non-z forces x — exactly
+     [Logic.resolve], which conflicts even on agreeing values.  The
+     expression is O(k^2) bytes, written piecewise *)
+  let resolver pws =
+    let k = Array.length pws in
+    let rec others j v =
+      if j >= k then out v
+      else begin
+        out "((";
+        out pws.(j);
+        out " === 1'bz) ? ";
+        others (j + 1) v;
+        out " : 1'bx)"
+      end
+    in
+    let rec first i =
+      if i = k - 1 then out pws.(i)
+      else begin
+        out "((";
+        out pws.(i);
+        out " === 1'bz) ? ";
+        first (i + 1);
+        out " : ";
+        others (i + 1) pws.(i);
+        out ")"
+      end
+    in
+    first 0
+  in
+  let assign name write_e =
+    out "  assign ";
+    out name;
+    out " = ";
+    write_e ();
+    out ";\n"
+  in
+  let decl name =
+    out "  wire ";
+    out name;
+    out ";\n"
+  in
+  let first_producer c = g.Graph.prod_nodes.(g.Graph.prod_off.(c)) in
+  (* the wire a register latches from: the raw resolution *)
+  let raw_wire c =
+    match p.classes.(c) with
+    | Raw rw | Resolved (_, Some rw) -> rw
+    | Port | Direct | Resolved (_, None) -> wire.(c)
+  in
+  let levels = p.sched.Sched.nets_at in
+  (* --- header --- *)
+  out
+    (Printf.sprintf
+       "// %s: structural Verilog export of a Zeus design (zeusc export \
+        --verilog)\n\
+        // Four-valued nets: Zeus UNDEF is x, NOINFL is z.  Drive RSET low, \
+        toggle %s;\n\
+        // registers latch on posedge and power up at x unless REG(c) gave \
+        a value.\n"
+       p.module_name p.clk_port);
+  out
+    (Printf.sprintf "module %s (%s);\n" p.module_name
+       (String.concat ", " (List.map (fun q -> q.pname) p.ports)));
+  List.iter
+    (fun q ->
+      out
+        (Printf.sprintf "  %s %s;%s\n"
+           (match q.pdir with Input -> "input" | Output -> "output")
+           q.pname
+           (if q.pclass = -1 then
+              " // latch edge only: the Zeus CLK value is the constant-1 \
+               wire"
+            else if List.mem_assoc q.pclass p.random_ports then
+              Printf.sprintf " // RANDOM stream of '%s'" q.ppath
+            else "")))
+    p.ports;
+  (* --- declarations: one wire per class, minus the ports (port decls
+     declare nets), then the raw and per-producer wires --- *)
+  Array.iteri (fun c w -> if not p.port_class.(c) then decl w) wire;
+  Array.iter
+    (Array.iter (fun c ->
+         match p.classes.(c) with
+         | Raw rw -> decl rw
+         | Resolved (pws, raw) ->
+             Array.iter decl pws;
+             Option.iter decl raw
+         | Port | Direct -> ()))
+    levels;
+  (* --- continuous assignments, in schedule order --- *)
+  Array.iter
+    (Array.iter (fun c ->
+         let w = wire.(c) in
+         match p.classes.(c) with
+         | Port -> ()
+         | Direct ->
+             assign w (fun () ->
+                 if c = g.Graph.clk then
+                   (* the CLK *value* is the constant 1 of [seed_value];
+                      the latch edge is the separate clk port *)
+                   out "1'b1"
+                 else if g.Graph.producer_count.(c) > 0 then
+                   node (first_producer c)
+                 else
+                   let r = Graph.reg_of_out g c in
+                   out (if r >= 0 then p.reg_names.(r) else "1'bx"))
+         | Raw rw ->
+             assign rw (fun () -> node (first_producer c));
+             assign w (fun () -> bz (fun () -> out rw))
+         | Resolved (pws, raw) ->
+             let base = g.Graph.prod_off.(c) in
+             Array.iteri
+               (fun i pw ->
+                 assign pw (fun () -> node g.Graph.prod_nodes.(base + i)))
+               pws;
+             assign (Option.value raw ~default:w) (fun () -> resolver pws);
+             Option.iter (fun rw -> assign w (fun () -> bz (fun () -> out rw))) raw))
+    levels;
+  (* --- registers: latch at the clock edge iff the raw input resolution
+     is not z (all-NOINFL keeps the stored value, section 5.1); power-up
+     is Verilog's default x unless REG(c) gave a value --- *)
+  Array.iteri
+    (fun i (r : Netlist.reg) ->
+      let q = p.reg_names.(i) and src = raw_wire g.Graph.reg_in.(i) in
+      out "  reg ";
+      out q;
+      out ";\n";
+      (match r.Netlist.rinit with
+      | Logic.Zero | Logic.One ->
+          out "  initial ";
+          out q;
+          out " = ";
+          out (lit r.Netlist.rinit);
+          out ";\n"
+      | _ -> ());
+      out "  always @(posedge ";
+      out p.clk_port;
+      out ")\n    if (";
+      out src;
+      out " !== 1'bz) ";
+      out q;
+      out " <= ";
+      out src;
+      out ";\n")
+    g.Graph.regs;
+  out "endmodule\n"
+
+let export ?module_name design =
+  Result.map
+    (fun (p : plan) ->
+      let b = Buffer.create 65536 in
+      write p (Buffer.add_string b);
+      {
+        module_name = p.module_name;
+        ports = p.ports;
+        net_count = p.net_count;
+        reg_count = p.reg_count;
+        text = Buffer.contents b;
+        design = p.design;
+        graph = p.graph;
+        wire_of_class = p.wire_of_class;
+        clk_port = p.clk_port;
+        random_ports = p.random_ports;
+        plan = p;
+      })
+    (lower ?module_name design)
 
 (* ------------------------------------------------------------------ *)
 (* Self-checking testbench                                              *)
@@ -669,7 +779,7 @@ let export ?module_name (design : Elaborate.design) =
 
 type deck = (string * Logic.t) list list
 
-let random_deck ?(seed = 0x5eed) ~cycles t =
+let random_deck ?(seed = 0x5eed) ~cycles (t : plan) =
   let inputs =
     List.filter
       (fun p ->
@@ -689,7 +799,7 @@ let random_deck ?(seed = 0x5eed) ~cycles t =
           (p.ppath, v))
         inputs)
 
-let testbench ?(seed = 0x5eed) ?(tb_name = "zeus_tb") t (deck : deck) =
+let testbench ?(seed = 0x5eed) ?(tb_name = "zeus_tb") (t : plan) (deck : deck) =
   let g = t.graph in
   let n = g.Graph.n_classes in
   let tb_name = if tb_name = t.module_name then tb_name ^ "$t" else tb_name in

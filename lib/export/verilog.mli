@@ -65,6 +65,11 @@ type port = {
   pclass : int;  (** class id; [-1] for the synthetic clock port *)
 }
 
+type plan
+(** A design lowered for writing: every name chosen, every declaration
+    counted, every gate shape validated and the assignment of every
+    class settled.  Writing a plan cannot fail. *)
+
 type t = {
   module_name : string;
   ports : port list;  (** header order: clock, inputs, RANDOM, outputs *)
@@ -76,6 +81,7 @@ type t = {
   wire_of_class : string array;  (** class id -> wire/port identifier *)
   clk_port : string;
   random_ports : (int * string) list;  (** RANDOM class -> port name *)
+  plan : plan;  (** the lowering [text] was written from *)
 }
 
 type error =
@@ -86,9 +92,20 @@ type error =
 
 val error_to_string : error -> string
 
+val lower : ?module_name:string -> Elaborate.design -> (plan, error) result
+(** The lowering pass: everything that can reject a design happens
+    here, before any byte of the module exists.  [module_name] defaults
+    to the mangled name of the first top-level signal (or
+    ["zeus_top"]). *)
+
+val write : plan -> (string -> unit) -> unit
+(** The writer: the module text, header to [endmodule], handed to the
+    sink piece by piece.  It never holds the text whole, and raises
+    only what the sink raises. *)
+
 val export : ?module_name:string -> Elaborate.design -> (t, error) result
-(** Lower an elaborated design.  [module_name] defaults to the mangled
-    name of the first top-level signal (or ["zeus_top"]). *)
+(** [lower], then [write] into one buffer: [text] is exactly the bytes
+    a sink receives. *)
 
 (** {1 Self-checking testbench} *)
 
@@ -99,14 +116,15 @@ type deck = (string * Logic.t) list list
     design is ignored (as the simulator ignores it), a poke to an
     undriven class that is not an exported input port is an error. *)
 
-val random_deck : ?seed:int -> cycles:int -> t -> deck
+val random_deck : ?seed:int -> cycles:int -> plan -> deck
 (** A deterministic pseudo-random deck over the module's input ports
     (including RSET), defined values only. *)
 
-val testbench : ?seed:int -> ?tb_name:string -> t -> deck -> (string, string) result
-(** Emit a self-checking bench module (to be concatenated after
-    [t.text]).  The bench replays the deck against an internal run of
-    the {e incremental} engine (RANDOM seeded with [seed], default the
+val testbench :
+  ?seed:int -> ?tb_name:string -> plan -> deck -> (string, string) result
+(** Emit a self-checking bench module (to be written after the module
+    and a newline).  The bench replays the deck against an internal run
+    of the {e incremental} engine (RANDOM seeded with [seed], default the
     simulator's default): every cycle it drives the ports, waits for
     the combinational fabric to settle, compares every class wire
     against the engine's snapshot with [===], prints one MISMATCH line

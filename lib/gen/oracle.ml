@@ -813,7 +813,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                       (Printf.sprintf
                          "declared net count %d, reader found %d"
                          v.net_count vm.vm_nets));
-              match Zeus_export.Verilog.testbench v stim with
+              match Zeus_export.Verilog.testbench v.plan stim with
               | Error msg ->
                   add "verilog" ("testbench generation failed: " ^ msg)
               | Ok tb ->

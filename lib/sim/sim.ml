@@ -115,8 +115,10 @@ type t = {
   live : int array;
       (* bitset over [Graph.cons_nodes], [live_bits] edges a word: bit k
          is clear exactly when edge k is listed in [guarded] under a
-         class that reads [Some Zero] now.  [set_value], the one writer
-         of [values], keeps it so (see [process_net]) *)
+         class that reads [Some Zero] now, whenever a cone pass reads it
+         (see [process_net]).  [set_value] keeps it so; [step_full]'s
+         firing writes [values] without it and then rebuilds it
+         ([rebuild_live]) where a cone pass can follow *)
   (* per-level work stacks, walked in push order; last slot = cyclic
      overflow.  Sized once from the schedule, so scheduling allocates
      nothing *)
@@ -673,10 +675,10 @@ let set_live t c on =
     t.live.(w) <- (if on then t.live.(w) lor b else t.live.(w) land lnot b)
   done
 
-(* The one writer of [values], with its power-up fill [clear_values]:
-   a class that starts or stops reading [Some Zero] clears or sets the
-   live bits of the edges it guards, so [live] always reads off
-   [values]. *)
+(* The writer of [values] outside [step_full]'s firing, with its
+   power-up fill [clear_values]: a class that starts or stops reading
+   [Some Zero] clears or sets the live bits of the edges it guards, so
+   an exact [live] stays exact. *)
 let[@inline] set_value t c v =
   (if t.guard_off.(c) < t.guard_off.(c + 1) then
      match (t.values.(c), v) with
@@ -690,6 +692,15 @@ let[@inline] set_value t c v =
 let clear_values t =
   Array.fill t.values 0 (Array.length t.values) None;
   Array.fill t.live 0 (Array.length t.live) live_word
+
+(* [live] read off [values] afresh, for [step_full], which fires
+   without keeping it *)
+let rebuild_live t =
+  Array.fill t.live 0 (Array.length t.live) live_word;
+  for c = 0 to Array.length t.values - 1 do
+    if t.guard_off.(c) < t.guard_off.(c + 1) && holds t.values.(c) Logic.Zero
+    then set_live t c false
+  done
 
 (* the one writer of [produced]: node [node] of output class [cls] now
    produces [v], and the class's tally follows *)
@@ -890,7 +901,9 @@ let step_full t =
   let g = t.g in
   let n_nodes = Array.length g.Graph.nodes in
   let n = g.Graph.n_classes in
-  clear_values t;
+  (* the firing writes [values] directly and leaves [live] stale until
+     [rebuild_live] below *)
+  Array.fill t.values 0 n None;
   Array.fill t.produced 0 n_nodes None;
   Array.fill t.tally 0 n 0;
   Array.fill t.fired 0 n false;
@@ -902,7 +915,7 @@ let step_full t =
   let fire net v =
     if not t.fired.(net) then begin
       t.fired.(net) <- true;
-      set_value t net (Some v);
+      t.values.(net) <- Some v;
       if t.trace_enabled then t.trace <- (net, v) :: t.trace;
       Graph.iter_consumers g net (fun nid -> Queue.add nid worklist)
     end
@@ -918,7 +931,7 @@ let step_full t =
       let driving = not (Logic.equal v Logic.Noinfl) in
       if driving && drives t.tally.(net) = 2 then begin
         conflict_error t net;
-        set_value t net (Some Logic.Undef);
+        t.values.(net) <- Some Logic.Undef;
         if not t.in_conflict.(net) then begin
           t.in_conflict.(net) <- true;
           t.conflict_list <- net :: t.conflict_list
@@ -983,6 +996,10 @@ let step_full t =
     end
   in
   mop_up 1000;
+  (* a cone pass reads [live]: this cycle's re-propagation, or the next
+     cycle's on an incremental handle, whose cold cycle this is *)
+  if t.conflict_list <> [] || (t.engine = Incremental && t.sched.Sched.acyclic)
+  then rebuild_live t;
   (* Conflict re-propagation: a second driving value forces a net to
      UNDEF *after* consumers may already have fired on the first value,
      which would make downstream values depend on the engine's schedule.

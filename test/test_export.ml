@@ -75,6 +75,16 @@ let export_exn design =
   | Ok v -> v
   | Error e -> Alcotest.failf "export failed: %s" (Verilog.error_to_string e)
 
+(* what [lower] then [write] hand a sink, as the pieces arrived, and
+   how many pieces that was; a rejected design yields its error *)
+let streamed design =
+  Result.map
+    (fun plan ->
+      let pieces = ref [] in
+      Verilog.write plan (fun s -> pieces := s :: !pieces);
+      (String.concat "" (List.rev !pieces), List.length !pieces))
+    (Verilog.lower design)
+
 let prop_verilog_roundtrip =
   QCheck.Test.make ~count:150 ~name:"verilog_roundtrip"
     (QCheck.make ~print:Gen.to_zeus (Gen.gen ()))
@@ -108,6 +118,12 @@ let prop_verilog_roundtrip =
                 QCheck.Test.fail_reportf
                   "net count %d read back as %d:@.%s" v.Verilog.net_count
                   vm.Verilog.vm_nets v.Verilog.text
+              else if
+                Result.map fst (streamed design) <> Ok v.Verilog.text
+              then
+                QCheck.Test.fail_reportf
+                  "streamed bytes differ from the export text:@.%s"
+                  v.Verilog.text
               else true))
 
 (* ------------------------------------------------------------------ *)
@@ -133,8 +149,8 @@ let test_corpus_exports () =
           Alcotest.(check int)
             (name ^ " net count") v.Verilog.net_count vm.Verilog.vm_nets);
       (* a 5-cycle random deck must produce a bench for every example *)
-      let deck = Verilog.random_deck ~cycles:5 v in
-      match Verilog.testbench v deck with
+      let deck = Verilog.random_deck ~cycles:5 v.Verilog.plan in
+      match Verilog.testbench v.Verilog.plan deck with
       | Ok tb ->
           Alcotest.(check bool)
             (name ^ " bench has OK marker") true
@@ -179,6 +195,43 @@ let test_wide_resolver_digest () =
   Alcotest.(check string) "ram128x16 export md5" "d14f51887570cef4c528ad0841c0ce7f"
     (Digest.to_hex (Digest.string v.Verilog.text))
 
+(* the writer streams: a sink receives exactly [export]'s text, in
+   many pieces, on every corpus design and on two large generated ones *)
+let test_stream_equals_text () =
+  List.iter
+    (fun (name, src) ->
+      let design = Zeus.compile_exn src in
+      let v = export_exn design in
+      match streamed design with
+      | Error e ->
+          Alcotest.failf "%s: lower failed: %s" name (Verilog.error_to_string e)
+      | Ok (text, pieces) ->
+          Alcotest.(check bool)
+            (name ^ " streamed bytes = export text") true
+            (String.equal text v.Verilog.text);
+          Alcotest.(check bool) (name ^ " written in pieces") true (pieces > 1))
+    (all_corpus
+    @ [
+        ("routing16", Corpus.routing_network 16);
+        ("ram64x16", Corpus.ram ~abits:6 ~wbits:16);
+      ])
+
+(* every rejection happens in [lower]: a design with a driven CLK
+   reaches no writer, so a sink receives nothing *)
+let test_rejected_streams_nothing () =
+  let design =
+    Zeus.compile_exn
+      "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS BEGIN CLK := \
+       a; y := a END; SIGNAL s: t;"
+  in
+  match streamed design with
+  | Error (Verilog.Unsupported msg) ->
+      Alcotest.(check string)
+        "reason" "the predefined CLK net is driven" msg
+  | Error e -> Alcotest.failf "wrong error: %s" (Verilog.error_to_string e)
+  | Ok (text, _) ->
+      Alcotest.failf "a driven CLK streamed %d bytes" (String.length text)
+
 let test_cyclic_rejected () =
   let src =
     "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS SIGNAL u,v: \
@@ -199,12 +252,12 @@ let test_cyclic_rejected () =
 let test_testbench_bad_poke () =
   let design = Zeus.compile_exn (List.assoc "section8" all_corpus) in
   let v = export_exn design in
-  (match Verilog.testbench v [ [ ("top.nosuch", Logic.One) ] ] with
+  (match Verilog.testbench v.Verilog.plan [ [ ("top.nosuch", Logic.One) ] ] with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown poke path accepted");
   (* a poke to a driven net is ignored (as the simulator ignores it),
      so the bench still generates *)
-  match Verilog.testbench v [ [ ("top.out", Logic.One) ] ] with
+  match Verilog.testbench v.Verilog.plan [ [ ("top.out", Logic.One) ] ] with
   | Ok _ -> ()
   | Error msg -> Alcotest.failf "driven-net poke rejected: %s" msg
 
@@ -235,10 +288,14 @@ let () =
             test_register_block_shape;
           Alcotest.test_case "wide resolver digest" `Quick
             test_wide_resolver_digest;
+          Alcotest.test_case "stream equals text" `Quick
+            test_stream_equals_text;
         ] );
       ( "errors",
         [
           Alcotest.test_case "cyclic rejected" `Quick test_cyclic_rejected;
+          Alcotest.test_case "rejected design streams nothing" `Quick
+            test_rejected_streams_nothing;
           Alcotest.test_case "testbench bad poke" `Quick
             test_testbench_bad_poke;
           Alcotest.test_case "parse_module errors" `Quick

@@ -796,6 +796,51 @@ let test_program_commits_multi_register () =
    class, held 0 (section 8). *)
 let live_edge_bank = 400
 
+(* The firing engine fires without the live-edge bitset and rebuilds it
+   before its conflict re-propagation pass, which then skips a driver
+   whose guard reads 0, as the cone pass does.  [m] conflicts every
+   cycle after [w] has read its first value, so the pass changes [w].
+   While [g] reads 0, a driver of [n] sourced from [w] costs the pass
+   no more than one sourced from the input [a], which the pass never
+   changes; while [g] reads 1 it costs more.  The cycles alternate, so
+   each starts from a bitset the cycle before left stale. *)
+let test_firing_repropagation_skip () =
+  let visits src =
+    let d =
+      compile
+        (Printf.sprintf
+           "TYPE t = COMPONENT (IN a, b, g: boolean; OUT m, o: boolean) IS \
+            SIGNAL nb, w: boolean; n: multiplex; BEGIN IF a THEN m := 1 \
+            END; nb := NOT(b); IF nb THEN m := 0 END; w := NOT(m); IF g \
+            THEN n := %s END; o := n END; SIGNAL s: t;"
+           src)
+    in
+    let sim = Sim.create ~engine:Sim.Firing d in
+    Sim.poke sim "s.a" [ Logic.One ];
+    Sim.poke sim "s.b" [ Logic.Zero ];
+    List.map
+      (fun gv ->
+        Sim.poke sim "s.g" [ gv ];
+        let v0 = Sim.node_visits sim
+        and e0 = List.length (Sim.runtime_errors sim) in
+        Sim.step sim;
+        Alcotest.(check int)
+          "m conflicts" (e0 + 1)
+          (List.length (Sim.runtime_errors sim));
+        Sim.node_visits sim - v0)
+      Logic.[ Zero; One; Zero; One; Zero ]
+  in
+  let from_w = visits "w" and from_a = visits "a" in
+  List.iteri
+    (fun i (w, a) ->
+      if i mod 2 = 0 then
+        Alcotest.(check int) (Printf.sprintf "cycle %d, g = 0" (i + 1)) a w
+      else
+        Alcotest.(check bool)
+          (Printf.sprintf "cycle %d, g = 1" (i + 1))
+          true (w > a))
+    (List.combine from_w from_a)
+
 let live_edge_design =
   Printf.sprintf
     {zeus|
@@ -1681,6 +1726,8 @@ let () =
           Alcotest.test_case "program commits multi-register cycles" `Quick
             test_program_commits_multi_register;
           Alcotest.test_case "live-edge walk" `Quick test_live_edge_walk;
+          Alcotest.test_case "firing re-propagation skips disabled drivers"
+            `Quick test_firing_repropagation_skip;
         ] );
       ( "parallel",
         [
