@@ -71,34 +71,73 @@ let reserved_tbl =
 
 let is_reserved w = Hashtbl.mem reserved_tbl w
 
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> Buffer.add_char buf c
-      | '.' -> Buffer.add_string buf "$d"
-      | '[' -> Buffer.add_string buf "$b"
-      | ']' -> Buffer.add_string buf "$e"
-      | '#' -> Buffer.add_string buf "$h"
-      | '$' -> Buffer.add_string buf "$$"
-      | c -> Buffer.add_string buf (Printf.sprintf "$x%02x" (Char.code c)))
-    s;
-  Buffer.contents buf
+let hex_digit = "0123456789abcdef"
 
 (* The wrapper prefix "v$" never appears in an unwrapped escape result
    (escaping a literal "v$..." yields "v$$...", which is itself wrapped
    below), so mangling stays injective and demangle can strip exactly
-   one prefix. *)
+   one prefix.
+
+   Identifier characters pass through; '.', '[', ']', '#' and '$'
+   become two-byte escapes and every other byte "$x" plus two
+   lowercase hex digits.  Mangling runs once per class name, so it
+   measures its output first and fills exact-size bytes in plain
+   loops.  The wrap test reads the source: an escape starts with '$',
+   so the escaped name starts with a digit or '$' exactly when the
+   source does not start with a letter or '_', it starts with "v$"
+   exactly when the source starts with 'v' and an escaped byte, and
+   only an unescaped name can be a reserved word (every reserved word
+   is plain). *)
 let mangle s =
-  let base = escape s in
+  let n = String.length s in
+  let len = ref 0 in
+  for i = 0 to n - 1 do
+    len :=
+      !len
+      +
+      match String.unsafe_get s i with
+      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> 1
+      | '.' | '[' | ']' | '#' | '$' -> 2
+      | _ -> 4
+  done;
   let wrap =
-    base = ""
-    || (match base.[0] with '0' .. '9' | '$' -> true | _ -> false)
-    || is_reserved base
-    || String.starts_with ~prefix:"v$" base
+    n = 0
+    || (match s.[0] with 'A' .. 'Z' | 'a' .. 'z' | '_' -> false | _ -> true)
+    || (!len = n && is_reserved s)
+    || n >= 2
+       && s.[0] = 'v'
+       && match s.[1] with
+          | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> false
+          | _ -> true
   in
-  if wrap then "v$" ^ base else base
+  let off = if wrap then 2 else 0 in
+  let b = Bytes.create (off + !len) in
+  if wrap then Bytes.blit_string "v$" 0 b 0 2;
+  let j = ref off in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    match c with
+    | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' ->
+        Bytes.unsafe_set b !j c;
+        incr j
+    | '.' | '[' | ']' | '#' | '$' ->
+        Bytes.unsafe_set b !j '$';
+        Bytes.unsafe_set b (!j + 1)
+          (match c with
+          | '.' -> 'd'
+          | '[' -> 'b'
+          | ']' -> 'e'
+          | '#' -> 'h'
+          | _ -> '$');
+        j := !j + 2
+    | _ ->
+        Bytes.unsafe_set b !j '$';
+        Bytes.unsafe_set b (!j + 1) 'x';
+        Bytes.unsafe_set b (!j + 2) hex_digit.[Char.code c lsr 4];
+        Bytes.unsafe_set b (!j + 3) hex_digit.[Char.code c land 15];
+        j := !j + 4
+  done;
+  Bytes.unsafe_to_string b
 
 let demangle s =
   let body =
@@ -927,7 +966,7 @@ let testbench ?(seed = 0x5eed) ?(tb_name = "zeus_tb") (t : plan) (deck : deck) =
           (if p.pclass = g.Graph.rset then "1'b0" else "1'bx"))
       tb_inputs;
     List.iteri
-      (fun i pokes ->
+      (fun i (pokes, exp) ->
         pf "    // cycle %d\n" (i + 1);
         List.iter
           (fun (_, port, v) -> pf "    %s = %s;\n" port (lit v))
@@ -938,10 +977,10 @@ let testbench ?(seed = 0x5eed) ?(tb_name = "zeus_tb") (t : plan) (deck : deck) =
               (lit (Logic.of_bool (Prand.bool ~seed ~net:c ~cycle:i))))
           t.random_ports;
         pf "    #1;\n";
-        pf "    zeus$exp = %d'b%s;\n" n (List.nth expected i);
+        pf "    zeus$exp = %d'b%s;\n" n exp;
         pf "    zeus$check(%d);\n" (i + 1);
         pf "    %s = 1'b1; #1; %s = 1'b0; #1;\n" t.clk_port t.clk_port)
-      resolved_deck;
+      (List.combine resolved_deck expected);
     pf "    $display(\"ZEUS_TB_OK\");\n";
     pf "    $finish;\n";
     pf "  end\n";

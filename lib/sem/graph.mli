@@ -63,6 +63,11 @@ val top_input_nets : Elaborate.design -> int list
     be ignored. *)
 val driven : Elaborate.design -> int -> bool
 
+(** The graph of [design].  The last build is memoized: asking again
+    for the same design (physically equal, its netlist's net, gate and
+    driver counts unchanged) returns the same graph object, so Check,
+    the simulator, the analyses and the exporter of one command share
+    one build.  Safe from any domain. *)
 val build : Elaborate.design -> t
 val node_inputs : node -> Netlist.src list
 val node_output : node -> int

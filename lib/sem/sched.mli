@@ -25,4 +25,6 @@ type t = {
   nets_at : int array array;  (** class ids of each level, ascending *)
 }
 
+(** The schedule of a graph.  The last build is memoized by the graph's
+    physical identity, so one {!Graph.build} gets one schedule. *)
 val build : Graph.t -> t

@@ -223,6 +223,24 @@ let guard_csr (g : Graph.t) =
   done;
   (off, edges)
 
+(* the nodes that fire without a changed input: those with only
+   constant inputs, and the RANDOM sources, in creation order *)
+let firing_seeds (g : Graph.t) =
+  let const_nodes = ref [] and random_nodes = ref [] in
+  for node = Array.length g.Graph.nodes - 1 downto 0 do
+    let const_only =
+      List.for_all
+        (function Netlist.Sconst _ -> true | Netlist.Snet _ -> false)
+        (Graph.node_inputs g.Graph.nodes.(node))
+    in
+    if const_only then const_nodes := node :: !const_nodes;
+    match g.Graph.nodes.(node) with
+    | Graph.Ngate { op = Netlist.Grandom; _ } ->
+        random_nodes := node :: !random_nodes
+    | _ -> ()
+  done;
+  (Array.of_list !const_nodes, Array.of_list !random_nodes)
+
 (* the live-edge bitset's word: 62 bits, so no mask reaches the sign
    bit *)
 let live_bits = 62
@@ -240,11 +258,22 @@ let bit_of_power =
 
 (* A handle with power-up run state over the given compile artifacts:
    the one place the record is built, for [create] and for the batch
-   engine's per-run clones ([fresh_like]) *)
+   engine's per-run clones ([fresh_like]).  A handle with a compiled
+   program runs every cycle through it, so it gets none of the state
+   only [step_full] and the cone pass read: [values], [produced],
+   [remaining], [tally], [fired], [prev_values], the marks and work
+   stacks, [in_conflict], [reg_dirty] and [live] are empty, and
+   [guards], [const_nodes] and [random_nodes] come empty from
+   [create] *)
 let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~guards ~cprog
     ~iprog ~jobs =
-  let n = g.Graph.n_classes in
-  let n_nodes = Array.length g.Graph.nodes in
+  let lean = Option.is_some cprog in
+  let n = if lean then 0 else g.Graph.n_classes in
+  let n_nodes = if lean then 0 else Array.length g.Graph.nodes in
+  let n_regs = if lean then 0 else Array.length g.Graph.regs in
+  let n_edges = if lean then 0 else Array.length g.Graph.cons_nodes in
+  let stacks at n_items = if lean then [||] else level_stacks at n_items in
+  let n_slots = if lean then 0 else sched.Sched.max_level + 2 in
   {
     g;
     sched;
@@ -256,7 +285,7 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~guards ~cprog
     fired = Array.make n false;
     reg_state =
       Array.map (fun (r : Netlist.reg) -> r.Netlist.rinit) g.Graph.regs;
-    poked = Array.make n None;
+    poked = Array.make g.Graph.n_classes None;
     cycle = 0;
     seed;
     errors = [];
@@ -266,7 +295,7 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~guards ~cprog
     trace = [];
     trace_enabled = false;
     prev_values = Array.make n None;
-    toggles = Array.make n 0;
+    toggles = Array.make g.Graph.n_classes 0;
     const_nodes;
     random_nodes;
     started = false;
@@ -276,20 +305,17 @@ let alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~guards ~cprog
     guard_off = fst guards;
     guarded = snd guards;
     (* every class reads [None]: every edge is live *)
-    live =
-      Array.make
-        ((Array.length g.Graph.cons_nodes + live_bits - 1) / live_bits)
-        live_word;
-    node_stack = level_stacks sched.Sched.nodes_at n_nodes;
-    node_fill = Array.make (sched.Sched.max_level + 2) 0;
-    net_stack = level_stacks sched.Sched.nets_at n;
-    net_fill = Array.make (sched.Sched.max_level + 2) 0;
+    live = Array.make ((n_edges + live_bits - 1) / live_bits) live_word;
+    node_stack = stacks sched.Sched.nodes_at n_nodes;
+    node_fill = Array.make n_slots 0;
+    net_stack = stacks sched.Sched.nets_at n;
+    net_fill = Array.make n_slots 0;
     any_scheduled = false;
-    seed_dirty = Array.make n false;
+    seed_dirty = Array.make g.Graph.n_classes false;
     seed_dirty_list = [];
     in_conflict = Array.make n false;
     conflict_list = [];
-    reg_dirty = Array.make (Array.length g.Graph.regs) false;
+    reg_dirty = Array.make n_regs false;
     reg_dirty_list = [];
     cprog;
     cstate = None;
@@ -319,20 +345,6 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
     in
     max 1 (min requested Pool.max_jobs)
   in
-  let n_nodes = Array.length g.Graph.nodes in
-  let const_nodes = ref [] and random_nodes = ref [] in
-  for node = n_nodes - 1 downto 0 do
-    let const_only =
-      List.for_all
-        (function Netlist.Sconst _ -> true | Netlist.Snet _ -> false)
-        (Graph.node_inputs g.Graph.nodes.(node))
-    in
-    if const_only then const_nodes := node :: !const_nodes;
-    match g.Graph.nodes.(node) with
-    | Graph.Ngate { op = Netlist.Grandom; _ } ->
-        random_nodes := node :: !random_nodes
-    | _ -> ()
-  done;
   (* compile once; [None] on combinational cycles (fall back to the
      full re-evaluating step).  [discharged] speaks original canonical
      net ids (what {!Zeus_sem.Seqprove.discharged} indexes); the class
@@ -347,14 +359,16 @@ let create ?(engine = Firing) ?(seed = 0x5eed) ?jobs ?(optimize = false)
       Compile.build ?discharged g sched
     else None
   in
-  (* a handle whose every cycle runs the program never walks fan-out *)
-  let guards =
-    if Option.is_none cprog then guard_csr g
-    else (Array.make (g.Graph.n_classes + 1) 0, [||])
+  (* a handle whose every cycle runs the program never fires a node or
+     walks fan-out *)
+  let const_nodes, random_nodes, guards =
+    if Option.is_some cprog then
+      ([||], [||], (Array.make (g.Graph.n_classes + 1) 0, [||]))
+    else
+      let const_nodes, random_nodes = firing_seeds g in
+      (const_nodes, random_nodes, guard_csr g)
   in
-  alloc ~g ~sched ~engine ~seed ~const_nodes:(Array.of_list !const_nodes)
-    ~random_nodes:(Array.of_list !random_nodes) ~guards
-    ~cprog ~iprog:{ built = Atomic.make None; lock = Mutex.create () }
+  alloc ~g ~sched ~engine ~seed ~const_nodes ~random_nodes ~guards ~cprog ~iprog:{ built = Atomic.make None; lock = Mutex.create () }
     ~jobs
 
 let design t = t.g.Graph.design
@@ -472,6 +486,7 @@ let value_of_net t id =
     ((* the store is authoritative during a compiled run *)
      match t.cstate with
      | Some st when Bytecode.ran st -> Bytecode.get_run st ~run:0 c
+     | _ when Option.is_some t.cprog -> Logic.Undef (* nothing ran yet *)
      | _ -> Option.value ~default:Logic.Undef t.values.(c))
 
 let peek_nets t nets = List.map (value_of_net t) nets
@@ -1162,9 +1177,9 @@ let program_cycle t prog st =
    - a cycle is busy when the classes it toggled reach
      [dense_num/dense_den] of the graph's classes and it changed at most
      one stored register value;
-   - after [switch_after] busy cone cycles in a row the next cycle runs
-     the program; after [switch_after] program cycles in a row that are
-     not busy the next one runs the cone pass again.
+   - after [enter_after] busy cone cycle the next cycle runs the
+     program; after [switch_after] program cycles in a row that are not
+     busy the next one runs the cone pass again.
 
    DESIGN.md gives the measurement behind both constants.  Either
    evaluator reports the same run: values, errors in class order,
@@ -1178,12 +1193,21 @@ let dense_num = 1
 
 let dense_den = 8
 
+let enter_after = 1
+
 let switch_after = 4
 
 (* the seeds left listed after a cycle are the registers it changed *)
 let busy t =
   t.changed * dense_den >= dense_num * t.g.Graph.n_classes
   && match t.seed_dirty_list with _ :: _ :: _ -> false | _ -> true
+
+(* the cycle about to run has something to propagate: a seed that may
+   have changed (a poke, a register that latched a new value) or a
+   RANDOM source.  Without one a cone cycle costs O(1), and entering
+   the program for it would buy nothing and commit the run to
+   [switch_after] program cycles and a strict pass to leave *)
+let pending t = t.seed_dirty_list <> [] || Array.length t.random_nodes > 0
 
 (* built at most once per template, whichever domain asks first *)
 let shared_program t =
@@ -1246,13 +1270,14 @@ let leave_program t prog st =
   t.run_len <- 0
 
 let step_warm t =
-  (if t.run_len >= switch_after then
-     match t.program with
-     | Some prog -> leave_program t prog (store t prog)
-     | None -> (
-         match shared_program t with
-         | Some prog -> enter_program t prog
-         | None -> t.run_len <- 0 (* nothing to switch to *)));
+  (match t.program with
+  | Some prog when t.run_len >= switch_after ->
+      leave_program t prog (store t prog)
+  | None when t.run_len >= enter_after && pending t -> (
+      match shared_program t with
+      | Some prog -> enter_program t prog
+      | None -> t.run_len <- 0 (* nothing to switch to *))
+  | _ -> ());
   (match t.program with
   | Some prog ->
       program_cycle t prog (store t prog);
@@ -1376,6 +1401,9 @@ let snapshot t =
           let c = g.Graph.canon.(i) in
           if g.Graph.rep.(c) = i then Some (Bytecode.get_run st ~run:0 c)
           else None)
+  | _ when Option.is_some t.cprog ->
+      (* a program handle before its first cycle: nothing fired *)
+      Array.make g.Graph.n_nets None
   | _ ->
       Array.init g.Graph.n_nets (fun i ->
           let c = g.Graph.canon.(i) in

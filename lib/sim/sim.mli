@@ -36,12 +36,14 @@ type engine =
           cycle, registers that latched a new value, RANDOM sources) is
           re-evaluated, in levelized schedule order ({!Sched});
           quiescent cycles cost O(dirty).  Busy stretches run through
-          the {!Compiled} engine's program instead: after 4 cycles in a
-          row that each change the value of at least 1/8 of the graph's
-          classes and at most one stored register value, the cycles go
-          through the bytecode program (compiled on first need, and
+          the {!Compiled} engine's program instead: after one cycle
+          that changes the value of at least 1/8 of the graph's
+          classes and at most one stored register value, the cycles
+          go through the bytecode program (compiled on first need, and
           shared by a template and its {!run_batch} clones), and after
           4 program cycles in a row below that they return to the cone
+          pass.  A busy cycle followed by one with no poke, register
+          change or RANDOM source to propagate stays in the cone
           pass.  The switch is invisible in the run's values: both
           evaluators report the same values, runtime errors in class
           order, toggles, activity and trace, and since the rule reads

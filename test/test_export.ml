@@ -66,6 +66,51 @@ let prop_mangle_roundtrip =
           (Verilog.demangle m)
       else true)
 
+(* the escape as first written, one Buffer and a sprintf per escaped
+   byte: [mangle] fills exact-size bytes and must agree with it *)
+let reference_mangle s =
+  let buf = Buffer.create (String.length s + 8) in
+  String.iter
+    (fun c ->
+      match c with
+      | 'A' .. 'Z' | 'a' .. 'z' | '0' .. '9' | '_' -> Buffer.add_char buf c
+      | '.' -> Buffer.add_string buf "$d"
+      | '[' -> Buffer.add_string buf "$b"
+      | ']' -> Buffer.add_string buf "$e"
+      | '#' -> Buffer.add_string buf "$h"
+      | '$' -> Buffer.add_string buf "$$"
+      | c -> Buffer.add_string buf (Printf.sprintf "$x%02x" (Char.code c)))
+    s;
+  let base = Buffer.contents buf in
+  let wrap =
+    base = ""
+    || (match base.[0] with '0' .. '9' | '$' -> true | _ -> false)
+    || Verilog.is_reserved base
+    || String.starts_with ~prefix:"v$" base
+  in
+  if wrap then "v$" ^ base else base
+
+let test_mangle_corners () =
+  List.iter
+    (fun s ->
+      Alcotest.(check string) (Printf.sprintf "mangle %S" s)
+        (reference_mangle s) (Verilog.mangle s))
+    [ ""; "v"; "v$"; "v."; "v-x"; "va"; "_"; "9"; "\x00"; "a\xff"; "wire";
+      "wire.x"; "module"; "v$wire"; "top.a[3]"; "s.and#2[0]" ]
+
+let prop_mangle_reference =
+  QCheck.Test.make ~count:1000 ~name:"mangle_matches_reference"
+    QCheck.(
+      oneof
+        [
+          string_gen_of_size (Gen.int_range 0 12) Gen.char;
+          string_gen_of_size (Gen.int_range 0 12)
+            (Gen.oneofl [ 'v'; '$'; '.'; '['; ']'; '#'; 'a'; '0'; '_'; '-' ]);
+        ])
+    (fun s ->
+      let m = Verilog.mangle s and r = reference_mangle s in
+      m = r || QCheck.Test.fail_reportf "mangle %S = %S, expected %S" s m r)
+
 (* ------------------------------------------------------------------ *)
 (* Structural round-trip on generated programs                          *)
 (* ------------------------------------------------------------------ *)
@@ -278,6 +323,9 @@ let () =
           Alcotest.test_case "injective corners" `Quick
             test_mangle_injective_corners;
           QCheck_alcotest.to_alcotest prop_mangle_roundtrip;
+          Alcotest.test_case "matches the reference escape" `Quick
+            test_mangle_corners;
+          QCheck_alcotest.to_alcotest prop_mangle_reference;
         ] );
       ( "roundtrip",
         [ QCheck_alcotest.to_alcotest prop_verilog_roundtrip ] );
