@@ -54,16 +54,19 @@ let e1_adders () =
   section "E1" "full adder truth table and rippleCarry(n) sweep";
   let d = compile Corpus.adder4 in
   let sim = Sim.create d in
+  let port = Testbench.port d in
+  let pa = port "adder.a" and pb = port "adder.b" and pcin = port "adder.cin"
+  and s1 = port "adder.s[1]" and h2 = port "adder.h[2]" in
   Fmt.pr "fulladder via rippleCarry(4), bit 1 (Fig 3.2.2):@.";
   Fmt.pr "  a b cin | cout s@.";
   List.iter
     (fun (a, b, c) ->
-      Sim.poke_int_lsb sim "adder.a" a;
-      Sim.poke_int_lsb sim "adder.b" b;
-      Sim.poke_bool sim "adder.cin" (c = 1);
+      Sim.set_int ~lsb:true sim pa a;
+      Sim.set_int ~lsb:true sim pb b;
+      Sim.set_int sim pcin c;
       Sim.step sim;
-      let s = Sim.peek sim "adder.s[1]" in
-      let h = Sim.peek sim "adder.h[2]" in
+      let s = Sim.get sim s1 in
+      let h = Sim.get sim h2 in
       Fmt.pr "  %d %d  %d  |  %a    %a@." a b c
         Fmt.(list ~sep:nop Logic.pp) h
         Fmt.(list ~sep:nop Logic.pp) s)
@@ -75,17 +78,20 @@ let e1_adders () =
     (fun n ->
       let d = compile (Corpus.adder_n n) in
       let sim = Sim.create d in
+      let port = Testbench.port d in
+      let pa = port "adder.a" and pb = port "adder.b"
+      and pcin = port "adder.cin" and ps = port "adder.s" in
       let mism = ref 0 in
       let mask = (1 lsl min n 30) - 1 in
       for _ = 1 to 1000 do
         let a = Random.State.bits rng land mask
         and b = Random.State.bits rng land mask in
-        Sim.poke_int_lsb sim "adder.a" a;
-        Sim.poke_int_lsb sim "adder.b" b;
-        Sim.poke_bool sim "adder.cin" false;
+        Sim.set_int ~lsb:true sim pa a;
+        Sim.set_int ~lsb:true sim pb b;
+        Sim.set_int sim pcin 0;
         Sim.step sim;
         let want = (a + b) land ((1 lsl n) - 1) in
-        if n <= 30 && Sim.peek_int_lsb sim "adder.s" <> Some want then incr mism
+        if n <= 30 && Sim.get_int ~lsb:true sim ps <> Some want then incr mism
       done;
       let nl = d.Elaborate.netlist in
       Fmt.pr "  %6d %8d %8d %8d %8d@." n (Netlist.net_count nl)
@@ -101,8 +107,14 @@ let e2_blackjack () =
   section "E2" "Blackjack FSM state trace (section 10)";
   let d = compile Corpus.blackjack in
   let sim = Sim.create d in
-  Sim.poke_bool sim "bj.ycard" false;
-  Sim.poke_int sim "bj.value" 0;
+  let port = Testbench.port d in
+  let ycard = port "bj.ycard" and value = port "bj.value"
+  and state = port "bj.state.out" and score = port "bj.score.out" in
+  let hit = port "bj.hit" and stand = port "bj.stand"
+  and broke = port "bj.broke" in
+  let bit p = String.concat "" (List.map Logic.to_string (Sim.get sim p)) in
+  Sim.set_int sim ycard 0;
+  Sim.set_int sim value 0;
   Sim.reset sim;
   let state_name = function
     | Some 0 -> "start" | Some 1 -> "read" | Some 2 -> "sum"
@@ -113,24 +125,22 @@ let e2_blackjack () =
   Fmt.pr "  %5s %-9s %5s %4s %5s %5s@." "cycle" "state" "score" "hit" "stand" "broke";
   let dealt = ref false in
   for cyc = 1 to 14 do
-    let st = Sim.peek_int sim "bj.state.out" in
+    let st = Sim.get_int sim state in
     if st <> Some 1 then dealt := false;
     (match (st, !cards) with
     | Some 1, c :: rest when not !dealt ->
-        Sim.poke_int sim "bj.value" c;
-        Sim.poke_bool sim "bj.ycard" true;
+        Sim.set_int sim value c;
+        Sim.set_int sim ycard 1;
         cards := rest;
         dealt := true
-    | _ -> Sim.poke_bool sim "bj.ycard" false);
+    | _ -> Sim.set_int sim ycard 0);
     Sim.step sim;
     Fmt.pr "  %5d %-9s %5s %4s %5s %5s@." cyc
-      (state_name (Sim.peek_int sim "bj.state.out"))
-      (match Sim.peek_int sim "bj.score.out" with
+      (state_name (Sim.get_int sim state))
+      (match Sim.get_int sim score with
       | Some s -> string_of_int s
       | None -> "-")
-      (Logic.to_string (Sim.peek_bit sim "bj.hit"))
-      (Logic.to_string (Sim.peek_bit sim "bj.stand"))
-      (Logic.to_string (Sim.peek_bit sim "bj.broke"))
+      (bit hit) (bit stand) (bit broke)
   done;
   Fmt.pr "runtime errors: %d@." (List.length (Sim.runtime_errors sim))
 
@@ -161,9 +171,11 @@ let e4_patternmatch () =
   section "E4" "systolic pattern matcher computation sequence (section 10)";
   let d = compile (Corpus.patternmatch 3) in
   let sim = Sim.create d in
-  List.iter (fun p -> Sim.poke_bool sim p false)
-    [ "match.pattern"; "match.string"; "match.endofpattern"; "match.wild";
-      "match.resultin" ];
+  let port = Testbench.port d in
+  let pat = port "match.pattern" and str = port "match.string"
+  and eop = port "match.endofpattern" and result = port "match.result" in
+  List.iter (fun p -> Sim.set_int sim p 0)
+    [ pat; str; eop; port "match.wild"; port "match.resultin" ];
   Sim.reset sim;
   let pattern = [ 1; 0 ] and text = [ 1; 0; 1; 0; 1; 0; 1; 0 ] in
   let plen = List.length pattern in
@@ -182,11 +194,11 @@ let e4_patternmatch () =
           match List.nth_opt text i with Some 1 -> true | _ -> false )
       end
     in
-    Sim.poke_bool sim "match.pattern" p;
-    Sim.poke_bool sim "match.endofpattern" e;
-    Sim.poke_bool sim "match.string" s;
+    Sim.set_int sim pat (Bool.to_int p);
+    Sim.set_int sim eop (Bool.to_int e);
+    Sim.set_int sim str (Bool.to_int s);
     Sim.step sim;
-    let r = Sim.peek_bit sim "match.result" in
+    let r = List.hd (Sim.get sim result) in
     Fmt.pr "  %5d %3d %3d %3d %6s%s@." cyc (Bool.to_int p) (Bool.to_int e)
       (Bool.to_int s) (Logic.to_string r)
       (if Logic.equal r Logic.One then "  <- match" else "")
@@ -203,9 +215,9 @@ let e5_evalseq () =
   let sim = Sim.create d in
   Sim.set_trace sim true;
   List.iter
-    (fun (p, v) -> Sim.poke_bool sim p v)
-    [ ("top.a", true); ("top.b", true); ("top.cc", false); ("top.x", true);
-      ("top.y", false); ("top.rin", true) ];
+    (fun (p, v) -> Sim.set_int sim (Testbench.port d p) v)
+    [ ("top.a", 1); ("top.b", 1); ("top.cc", 0); ("top.x", 1);
+      ("top.y", 0); ("top.rin", 1) ];
   Sim.step sim;
   Fmt.pr "firing order (signal(value), cf. the report's \
           \"2(0),rout(0),rin(1),...\"):@.  ";
@@ -241,14 +253,16 @@ let e6_routing () =
   (* permutation property: all-swap headers reverse the butterfly *)
   let d = compile (Corpus.routing_network 8) in
   let sim = Sim.create d in
+  let ports f = Array.init 8 (fun i -> Testbench.port d (Printf.sprintf f i)) in
+  let inputs = ports "net.input[%d]" and outputs = ports "net.output[%d]" in
   for i = 0 to 7 do
-    Sim.poke_int sim (Printf.sprintf "net.input[%d]" i) (512 + i)
+    Sim.set_int sim inputs.(i) (512 + i)
   done;
   Sim.step sim;
   Fmt.pr "all-swap routing of 512+i headers: ";
   for i = 0 to 7 do
     Fmt.pr "%s "
-      (match Sim.peek_int sim (Printf.sprintf "net.output[%d]" i) with
+      (match Sim.get_int sim outputs.(i) with
       | Some v -> string_of_int (v - 512)
       | None -> "?")
   done;
@@ -318,16 +332,15 @@ let e7_typerules () =
 (* one cycle's node visits; the pokes are integers, index 1 = LSB *)
 let firing_visits d pokes =
   let sim = Sim.create d in
-  List.iter (fun (p, v) -> Sim.poke_int_lsb sim p v) pokes;
+  List.iter (fun (p, v) -> Sim.set_int ~lsb:true sim (Testbench.port d p) v) pokes;
   Sim.step sim;
   Sim.node_visits sim
 
 let sweep_visits order d pokes =
   let bits (p, v) =
-    match Elaborate.resolve_path d p with
-    | Ok ids ->
-        List.mapi (fun i id -> (id, Logic.of_bool ((v lsr i) land 1 = 1))) ids
-    | Error msg -> failwith msg
+    List.mapi
+      (fun i id -> (id, Logic.of_bool ((v lsr i) land 1 = 1)))
+      (Array.to_list (Testbench.port d p).nets)
   in
   (Sweep.run ~order d [ List.concat_map bits pokes ]).Sweep.visits
 
@@ -382,18 +395,21 @@ let e9_runtime_checks () =
        THEN m := x END; IF c THEN m := y END END; SIGNAL s: t;"
   in
   let sim = Sim.create d in
+  let port = Testbench.port d in
+  let pb = port "s.b" and pc = port "s.c" and px = port "s.x"
+  and py = port "s.y" and pm = port "s.m" in
   Fmt.pr "  %3s %3s | %5s %9s@." "b" "c" "m" "conflict";
   List.iter
     (fun (b, c) ->
       let before = List.length (Sim.runtime_errors sim) in
-      Sim.poke_bool sim "s.b" (b = 1);
-      Sim.poke_bool sim "s.c" (c = 1);
-      Sim.poke_bool sim "s.x" true;
-      Sim.poke_bool sim "s.y" false;
+      Sim.set_int sim pb b;
+      Sim.set_int sim pc c;
+      Sim.set_int sim px 1;
+      Sim.set_int sim py 0;
       Sim.step sim;
       let after = List.length (Sim.runtime_errors sim) in
       Fmt.pr "  %3d %3d | %5s %9s@." b c
-        (Logic.to_string (Sim.peek_bit sim "s.m"))
+        (Logic.to_string (List.hd (Sim.get sim pm)))
         (if after > before then "DETECTED" else "-"))
     [ (0, 0); (0, 1); (1, 0); (1, 1) ];
   (* detection rate over random guard workloads *)
@@ -402,8 +418,8 @@ let e9_runtime_checks () =
   for _ = 1 to 1000 do
     let b = Random.State.bool rng and c = Random.State.bool rng in
     let before = List.length (Sim.runtime_errors sim) in
-    Sim.poke_bool sim "s.b" b;
-    Sim.poke_bool sim "s.c" c;
+    Sim.set_int sim pb (Bool.to_int b);
+    Sim.set_int sim pc (Bool.to_int c);
     Sim.step sim;
     let after = List.length (Sim.runtime_errors sim) in
     if b && c then incr injected;
@@ -519,19 +535,22 @@ let a1_machines () =
   (* AM2901: random instruction streams against the reference model *)
   let d = compile Corpus.am2901 in
   let sim = Sim.create d in
+  let port = Testbench.port d in
+  let pi = port "alu.i" and pa = port "alu.a" and pb = port "alu.b"
+  and pd = port "alu.d" and pcin = port "alu.cin" and py = port "alu.y" in
   let model = Refmodel.Am2901.create () in
   let agree = ref 0 and total = 500 in
   (* initialise the register file through the datapath *)
   for reg = 0 to 15 do
-    Sim.poke_int sim "alu.i" 0o703;
-    Sim.poke_int sim "alu.a" 0;
-    Sim.poke_int sim "alu.b" reg;
-    Sim.poke_int sim "alu.d" 0;
-    Sim.poke_bool sim "alu.cin" false;
+    Sim.set_int sim pi 0o703;
+    Sim.set_int sim pa 0;
+    Sim.set_int sim pb reg;
+    Sim.set_int sim pd 0;
+    Sim.set_int sim pcin 0;
     Sim.step sim;
     ignore (Refmodel.Am2901.step model ~i:0o703 ~a:0 ~b:reg ~d:0 ~cin:false)
   done;
-  Sim.poke_int sim "alu.i" 0o700;
+  Sim.set_int sim pi 0o700;
   Sim.step sim;
   ignore (Refmodel.Am2901.step model ~i:0o700 ~a:0 ~b:0 ~d:0 ~cin:false);
   let rng = Random.State.make [| 2901 |] in
@@ -541,14 +560,14 @@ let a1_machines () =
     and b = Random.State.int rng 16
     and dd = Random.State.int rng 16
     and cin = Random.State.bool rng in
-    Sim.poke_int sim "alu.i" i;
-    Sim.poke_int sim "alu.a" a;
-    Sim.poke_int sim "alu.b" b;
-    Sim.poke_int sim "alu.d" dd;
-    Sim.poke_bool sim "alu.cin" cin;
+    Sim.set_int sim pi i;
+    Sim.set_int sim pa a;
+    Sim.set_int sim pb b;
+    Sim.set_int sim pd dd;
+    Sim.set_int sim pcin (Bool.to_int cin);
     Sim.step sim;
     let r = Refmodel.Am2901.step model ~i ~a ~b ~d:dd ~cin in
-    if Sim.peek_int sim "alu.y" = Some r.Refmodel.Am2901.y then incr agree
+    if Sim.get_int sim py = Some r.Refmodel.Am2901.y then incr agree
   done;
   Fmt.pr "  am2901: %d/%d random instructions agree with the golden model \
           (runtime errors: %d)@."
@@ -578,25 +597,28 @@ let a1_machines () =
   (* systolic priority queue: constant-cycle insert/extract-min *)
   let d = compile (Corpus.priority_queue ~slots:8 ~width:4) in
   let sim = Sim.create d in
-  Sim.poke_bool sim "pq.ins" false;
-  Sim.poke_bool sim "pq.ext" false;
-  Sim.poke_int sim "pq.din" 0;
+  let port = Testbench.port d in
+  let ins = port "pq.ins" and ext = port "pq.ext" and din = port "pq.din"
+  and minout = port "pq.minout" in
+  Sim.set_int sim ins 0;
+  Sim.set_int sim ext 0;
+  Sim.set_int sim din 0;
   let mins = ref [] in
   List.iter
     (fun op ->
       (match op with
       | `I v ->
-          Sim.poke_bool sim "pq.ins" true;
-          Sim.poke_bool sim "pq.ext" false;
-          Sim.poke_int sim "pq.din" v
+          Sim.set_int sim ins 1;
+          Sim.set_int sim ext 0;
+          Sim.set_int sim din v
       | `E ->
-          Sim.poke_bool sim "pq.ins" false;
-          Sim.poke_bool sim "pq.ext" true);
+          Sim.set_int sim ins 0;
+          Sim.set_int sim ext 1);
       Sim.step sim;
-      Sim.poke_bool sim "pq.ins" false;
-      Sim.poke_bool sim "pq.ext" false;
+      Sim.set_int sim ins 0;
+      Sim.set_int sim ext 0;
       Sim.step sim;
-      mins := Sim.peek_int sim "pq.minout" :: !mins)
+      mins := Sim.get_int sim minout :: !mins)
     [ `I 9; `I 3; `I 11; `E; `E; `E ];
   Fmt.pr "  pqueue(8x4): insert 9,3,11 then extract x3 -> min trace %a \
           (runtime errors: %d)@."
@@ -608,22 +630,21 @@ let a1_machines () =
   let n = 8 in
   let d = compile (Corpus.sorter ~n ~w:4) in
   let sim = Sim.create d in
-  Sim.poke_bool sim "srt.load" false;
+  let load = Testbench.port d "srt.load" in
+  let ports f = List.init n (fun i -> Testbench.port d (Printf.sprintf f (i + 1))) in
+  Sim.set_int sim load 0;
   let values = [ 7; 3; 15; 0; 9; 9; 1; 4 ] in
-  List.iteri
-    (fun i v -> Sim.poke_int sim (Printf.sprintf "srt.din[%d]" (i + 1)) v)
-    values;
+  List.iter2 (Sim.set_int sim) (ports "srt.din[%d]") values;
   Sim.reset sim;
-  Sim.poke_bool sim "srt.load" true;
+  Sim.set_int sim load 1;
   Sim.step sim;
-  Sim.poke_bool sim "srt.load" false;
+  Sim.set_int sim load 0;
   Sim.step_n sim (n + 1);
   Fmt.pr "  sorter(8x4): %a -> %a in %d cycles (runtime errors: %d)@."
     Fmt.(list ~sep:sp int)
     values
     Fmt.(list ~sep:sp (option ~none:(any "?") int))
-    (List.init n (fun i ->
-         Sim.peek_int sim (Printf.sprintf "srt.dout[%d]" (i + 1))))
+    (List.map (Sim.get_int sim) (ports "srt.dout[%d]"))
     (n + 1)
     (List.length (Sim.runtime_errors sim))
 
@@ -750,40 +771,60 @@ let report path columns rows =
 (* E13: the cross-cycle incremental engine                              *)
 (* ------------------------------------------------------------------ *)
 
+(* A workload is (name, source, prepare): [prepare d] looks the
+   design's ports up once and returns the warm-up pokes and the
+   per-cycle stimulus, so no path is resolved inside a measured loop. *)
+
+let routing_inputs d =
+  Array.init 128 (fun i -> Testbench.port d (Printf.sprintf "net.input[%d]" i))
+
 (* ram(2^abits x 16) with one data bit toggling at a fixed address: the
    bit's fan-out is 2^abits write drivers, one of them enabled *)
 let ram_write abits =
   ( Printf.sprintf "ram(%dx16)/1-bit-write" (1 lsl abits),
     Corpus.ram ~abits ~wbits:16,
-    (fun sim ->
-      Sim.poke_int sim "m.addr" 42;
-      Sim.poke_int sim "m.data" 0;
-      Sim.poke_bool sim "m.we" true),
-    fun sim c -> Sim.poke_int sim "m.data" (c land 1) )
+    fun d ->
+      let port = Testbench.port d in
+      let addr = port "m.addr" and data = port "m.data" and we = port "m.we" in
+      ( (fun sim ->
+          Sim.set_int sim addr 42;
+          Sim.set_int sim data 0;
+          Sim.set_int sim we 1),
+        fun sim c -> Sim.set_int sim data (c land 1) ) )
+
+let htree_toggle =
+  ( "htree(256)/root-toggle",
+    Corpus.htree 256,
+    fun d ->
+      let root = Testbench.port d "a.in" in
+      ( (fun sim -> Sim.set_int sim root 0),
+        fun sim c -> Sim.set_int sim root (c land 1) ) )
 
 (* Low-activity workloads: a handful of input bits change per cycle
    while the bulk of the design is quiet — the regime the cross-cycle
-   incremental engine exists for.  Each workload is
-   (name, source, warm-up pokes, per-cycle stimulus). *)
+   incremental engine exists for. *)
 let e13_workloads =
   [
     ( "routing(128)/1-header",
       Corpus.routing_network 128,
-      (fun sim ->
-        for i = 0 to 127 do
-          Sim.poke_int sim (Printf.sprintf "net.input[%d]" i) i
-        done),
-      fun sim c -> Sim.poke_int sim "net.input[0]" (c land 1) );
+      fun d ->
+        let inputs = routing_inputs d in
+        ( (fun sim -> Array.iteri (fun i p -> Sim.set_int sim p i) inputs),
+          fun sim c -> Sim.set_int sim inputs.(0) (c land 1) ) );
     ram_write 6;
     ram_write 8;
     ram_write 10;
     ( "adder(64)/cin-toggle",
       Corpus.adder_n 64,
-      (fun sim ->
-        Sim.poke_int_lsb sim "adder.a" 0;
-        Sim.poke_int_lsb sim "adder.b" 0;
-        Sim.poke_bool sim "adder.cin" false),
-      fun sim c -> Sim.poke_bool sim "adder.cin" (c land 1 = 1) );
+      fun d ->
+        let port = Testbench.port d in
+        let a = port "adder.a" and b = port "adder.b"
+        and cin = port "adder.cin" in
+        ( (fun sim ->
+            Sim.set_int ~lsb:true sim a 0;
+            Sim.set_int ~lsb:true sim b 0;
+            Sim.set_int sim cin 0),
+          fun sim c -> Sim.set_int sim cin (c land 1) ) );
   ]
 
 let e13_incremental ~cycles () =
@@ -795,10 +836,11 @@ let e13_incremental ~cycles () =
      handle *)
   let narrow = "ram(64x16)/1-bit-write" and wide = "ram(1024x16)/1-bit-write" in
   let long = 20_000 and per_cycle = Hashtbl.create 2 in
-  let bench (name, src, warm, stim) =
+  let bench (name, src, prepare) =
     let d = compile src in
-    let fv, fs, fsim = drive Sim.Firing ~cycles d (warm, stim) in
-    let iv, is_, isim = drive Sim.Incremental ~cycles d (warm, stim) in
+    let ((_, stim) as workload) = prepare d in
+    let fv, fs, fsim = drive Sim.Firing ~cycles d workload in
+    let iv, is_, isim = drive Sim.Incremental ~cycles d workload in
     let agree = Sim.snapshot fsim = Sim.snapshot isim in
     (* a fully quiescent tail: the incremental engine must do no work *)
     let q0 = Sim.node_visits isim in
@@ -927,50 +969,51 @@ let e14_modular ?(smoke = false) () =
 (* ------------------------------------------------------------------ *)
 
 (* High-activity workloads (restated by E17-E19): most of the design
-   switches every cycle, so the dirty cone is wide.  Each workload is
-   (name, source, warm-up pokes, per-cycle stimulus). *)
+   switches every cycle, so the dirty cone is wide. *)
 let activity_workloads =
   [
     ( "routing(128)/all-headers",
       Corpus.routing_network 128,
-      (fun sim ->
-        for i = 0 to 127 do
-          Sim.poke_int sim (Printf.sprintf "net.input[%d]" i) i
-        done),
-      fun sim c ->
-        for i = 0 to 127 do
-          Sim.poke_int sim
-            (Printf.sprintf "net.input[%d]" i)
-            ((i + c) land 1023)
-        done );
-    ( "htree(256)/root-toggle",
-      Corpus.htree 256,
-      (fun sim -> Sim.poke_bool sim "a.in" false),
-      fun sim c -> Sim.poke_bool sim "a.in" (c land 1 = 1) );
+      fun d ->
+        let inputs = routing_inputs d in
+        let headers = Array.init 1024 (fun v -> Stimulus.bits ~width:10 v) in
+        ( (fun sim -> Array.iteri (fun i p -> Sim.set sim p headers.(i)) inputs),
+          fun sim c ->
+            Array.iteri
+              (fun i p -> Sim.set sim p headers.((i + c) land 1023))
+              inputs ) );
+    htree_toggle;
     ( "patternmatch(9)/stream",
       Corpus.patternmatch 9,
-      (fun sim ->
-        List.iter
-          (fun p -> Sim.poke_bool sim ("match." ^ p) false)
-          [ "pattern"; "string"; "endofpattern"; "wild"; "resultin" ]),
-      fun sim c ->
-        Sim.poke_bool sim "match.pattern" (c land 1 = 1);
-        Sim.poke_bool sim "match.string" (c land 2 = 2);
-        Sim.poke_bool sim "match.endofpattern" (c mod 9 = 0);
-        Sim.poke_bool sim "match.wild" (c land 4 = 4);
-        Sim.poke_bool sim "match.resultin" (c land 1 = 0) );
+      fun d ->
+        let port p = Testbench.port d ("match." ^ p) in
+        let pattern = port "pattern" and string = port "string"
+        and eop = port "endofpattern" and wild = port "wild"
+        and resultin = port "resultin" in
+        ( (fun sim ->
+            List.iter
+              (fun p -> Sim.set_int sim p 0)
+              [ pattern; string; eop; wild; resultin ]),
+          fun sim c ->
+            Sim.set_int sim pattern (c land 1);
+            Sim.set_int sim string ((c lsr 1) land 1);
+            Sim.set_int sim eop (Bool.to_int (c mod 9 = 0));
+            Sim.set_int sim wild ((c lsr 2) land 1);
+            Sim.set_int sim resultin (1 - (c land 1)) ) );
   ]
 
 let e16_opt ~cycles () =
   section "E16"
     "proof-carrying reduction: optimized vs plain simulation (incremental \
      engine, high-activity workloads)";
-  let bench (name, src, warm, stim) =
+  let bench (name, src, prepare) =
     let d = compile src in
     let r = Reduce.run d in
-    let pv, ps, psim = drive Sim.Incremental ~cycles d (warm, stim) in
+    (* the reduction shares nets with [d], so [d]'s ports drive both *)
+    let workload = prepare d in
+    let pv, ps, psim = drive Sim.Incremental ~cycles d workload in
     let ov, os_, osim =
-      drive Sim.Incremental ~cycles r.Reduce.design (warm, stim)
+      drive Sim.Incremental ~cycles r.Reduce.design workload
     in
     (* observable equality through each design's class map: the
        reduction merges copy classes, so only per-net root slots are
@@ -1031,58 +1074,10 @@ let e16_opt ~cycles () =
 (* E17: the compiled bytecode engine                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The high-activity workloads, with the poke paths resolved once
-   per design instead of sprintf+resolve on every cycle — the stimulus
-   must not dominate the measurement when the engine under test spends
-   well under a millisecond per cycle. *)
-let e17_workloads =
-  [
-    ( "routing(128)/all-headers",
-      Corpus.routing_network 128,
-      fun d ->
-        let nets =
-          Array.init 128 (fun i ->
-              match
-                Elaborate.resolve_path d (Printf.sprintf "net.input[%d]" i)
-              with
-              | Ok nets -> nets
-              | Error msg -> failwith msg)
-        in
-        let headers =
-          Array.init 1024 (fun v -> Cval.sctree_leaves (Cval.bin v 10))
-        in
-        ( (fun sim ->
-            for i = 0 to 127 do
-              Sim.poke_nets sim nets.(i) headers.(i)
-            done),
-          fun sim c ->
-            for i = 0 to 127 do
-              Sim.poke_nets sim nets.(i) headers.((i + c) land 1023)
-            done ) );
-    ( "htree(256)/root-toggle",
-      Corpus.htree 256,
-      fun _ ->
-        ( (fun sim -> Sim.poke_bool sim "a.in" false),
-          fun sim c -> Sim.poke_bool sim "a.in" (c land 1 = 1) ) );
-    ( "patternmatch(9)/stream",
-      Corpus.patternmatch 9,
-      fun _ ->
-        ( (fun sim ->
-            List.iter
-              (fun p -> Sim.poke_bool sim ("match." ^ p) false)
-              [ "pattern"; "string"; "endofpattern"; "wild"; "resultin" ]),
-          fun sim c ->
-            Sim.poke_bool sim "match.pattern" (c land 1 = 1);
-            Sim.poke_bool sim "match.string" (c land 2 = 2);
-            Sim.poke_bool sim "match.endofpattern" (c mod 9 = 0);
-            Sim.poke_bool sim "match.wild" (c land 4 = 4);
-            Sim.poke_bool sim "match.resultin" (c land 1 = 0) ) );
-  ]
-
 let e17_compiled ~cycles () =
   section "E17"
     "compiled bytecode engine: wall clock and program shape vs incremental \
-     (high-activity workloads, poke paths preresolved)";
+     (high-activity workloads)";
   let bench (name, src, prepare) =
     let d = compile src in
     let workload = prepare d in
@@ -1116,7 +1111,7 @@ let e17_compiled ~cycles () =
       ("progops", "compiled.prog_ops"); ("vlanes", "compiled.vector_lanes");
       ("agree", "compiled.snapshots_agree");
     ]
-    (List.map bench e17_workloads);
+    (List.map bench activity_workloads);
   Fmt.pr "(program shape is design-deterministic; wall-clock speedup is \
           machine-dependent)@."
 
@@ -1230,17 +1225,15 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
              })
            stims)
     in
-    (* serial baseline: one fresh incremental handle per run; poke
-       paths pre-resolved once per design so the stimulus does not
-       dominate the measurement (as in E17) *)
+    (* serial baseline: one fresh incremental handle per run; each
+       poked port resolved once per design so the stimulus does not
+       dominate the measurement *)
     let resolved = Hashtbl.create 64 in
     Array.iter
       (Array.iter
          (List.iter (fun (p, _) ->
               if not (Hashtbl.mem resolved p) then
-                match Elaborate.resolve_path d p with
-                | Ok nets -> Hashtbl.add resolved p nets
-                | Error m -> failwith m)))
+                Hashtbl.add resolved p (Testbench.port d p))))
       stims;
     let serial_snaps, serial_secs =
       timed (fun () ->
@@ -1251,7 +1244,7 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
                 (fun pokes ->
                   List.iter
                     (fun (p, bits) ->
-                      Sim.poke_nets sim (Hashtbl.find resolved p) bits)
+                      Sim.set sim (Hashtbl.find resolved p) bits)
                     pokes;
                   Sim.step sim)
                 stim;
@@ -1365,49 +1358,51 @@ let e18_batch ~runs:nruns ~cycles ~jobs () =
    the regime the prover targets — plus one registerless high-activity
    workload as the no-op control (proof cost on a purely combinational
    design).
-   Each workload is (name, source, warm-up pokes, per-cycle stimulus);
-   the stimulus pokes only defined values, which is the environment
+   Each stimulus pokes only defined values, which is the environment
    assumption discharge lives under. *)
 let e19_workloads =
   [
     ( "pqueue(8x4)/ins-ext",
       Corpus.priority_queue ~slots:8 ~width:4,
-      (fun sim ->
-        Sim.poke_bool sim "pq.ins" false;
-        Sim.poke_bool sim "pq.ext" false;
-        Sim.poke_int sim "pq.din" 0),
-      fun sim c ->
-        (* alternate insert / idle / extract / idle *)
-        Sim.poke_bool sim "pq.ins" (c land 3 = 0);
-        Sim.poke_bool sim "pq.ext" (c land 3 = 2);
-        Sim.poke_int sim "pq.din" (c land 15) );
+      fun d ->
+        let port = Testbench.port d in
+        let ins = port "pq.ins" and ext = port "pq.ext" and din = port "pq.din" in
+        ( (fun sim ->
+            Sim.set_int sim ins 0;
+            Sim.set_int sim ext 0;
+            Sim.set_int sim din 0),
+          fun sim c ->
+            (* alternate insert / idle / extract / idle *)
+            Sim.set_int sim ins (Bool.to_int (c land 3 = 0));
+            Sim.set_int sim ext (Bool.to_int (c land 3 = 2));
+            Sim.set_int sim din (c land 15) ) );
     ( "sorter(8x4)/reload",
       Corpus.sorter ~n:8 ~w:4,
-      (fun sim ->
-        Sim.poke_bool sim "srt.load" false;
-        for i = 1 to 8 do
-          Sim.poke_int sim (Printf.sprintf "srt.din[%d]" i) 0
-        done),
-      fun sim c ->
-        (* reload a fresh vector every 10 cycles, sort in between *)
-        Sim.poke_bool sim "srt.load" (c mod 10 = 0);
-        for i = 1 to 8 do
-          Sim.poke_int sim
-            (Printf.sprintf "srt.din[%d]" i)
-            ((c + (3 * i)) land 15)
-        done );
-    ( "htree(256)/root-toggle",
-      Corpus.htree 256,
-      (fun sim -> Sim.poke_bool sim "a.in" false),
-      fun sim c -> Sim.poke_bool sim "a.in" (c land 1 = 1) );
+      fun d ->
+        let load = Testbench.port d "srt.load" in
+        let din =
+          Array.init 8 (fun i ->
+              Testbench.port d (Printf.sprintf "srt.din[%d]" (i + 1)))
+        in
+        ( (fun sim ->
+            Sim.set_int sim load 0;
+            Array.iter (fun p -> Sim.set_int sim p 0) din),
+          fun sim c ->
+            (* reload a fresh vector every 10 cycles, sort in between *)
+            Sim.set_int sim load (Bool.to_int (c mod 10 = 0));
+            Array.iteri
+              (fun i p -> Sim.set_int sim p ((c + (3 * (i + 1))) land 15))
+              din ) );
+    htree_toggle;
   ]
 
 let e19_prove ~cycles () =
   section "E19"
     "bounded sequential prover: proof cost, upgraded nets, and the \
      compiled engine with conflict checks discharged";
-  let bench (name, src, warm, stim) =
+  let bench (name, src, prepare) =
     let d = compile src in
+    let workload = prepare d in
     let lint = Lint.run d in
     let nrc =
       List.length
@@ -1418,9 +1413,9 @@ let e19_prove ~cycles () =
     in
     let sp, prove_secs = timed (fun () -> Seqprove.run ~lint d) in
     let disch = Seqprove.discharged d sp in
-    let _, ps, psim = drive Sim.Compiled ~cycles d (warm, stim) in
+    let _, ps, psim = drive Sim.Compiled ~cycles d workload in
     let _, ds, dsim =
-      drive Sim.Compiled ~discharged:(fun c -> disch.(c)) ~cycles d (warm, stim)
+      drive Sim.Compiled ~discharged:(fun c -> disch.(c)) ~cycles d workload
     in
     let plain = Option.get (Sim.compiled_program psim)
     and dis = Option.get (Sim.compiled_program dsim) in

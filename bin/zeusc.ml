@@ -481,16 +481,16 @@ let sim_cmd =
       List.map
         (fun (path, v) ->
           match Zeus.Stimulus.poke resolver path v with
-          | Ok poke -> poke
+          | Ok port -> (port, v)
           | Error m -> usage "%s" m)
         pokes
     in
-    let nets_of path =
-      match Zeus.Elaborate.resolve_path design path with
-      | Ok nets -> nets
+    let port path =
+      match Zeus.Sim.port design path with
+      | Ok port -> port
       | Error m -> usage "%s" m
     in
-    let watched = List.map (fun p -> (p, nets_of p)) peeks in
+    let watched = List.map port peeks in
     let discharged =
       if not discharge then None
       else begin
@@ -505,17 +505,17 @@ let sim_cmd =
     | None ->
         (* so are an --explain path and an unwritable VCD file, which
            would otherwise fail only after the run *)
-        List.iter (fun path -> ignore (nets_of path)) explain;
+        let explain = List.map port explain in
         Option.iter (fun path -> write_file path "") vcd_out;
         let sim = Zeus.Sim.create ~engine ~optimize ?discharged design in
-        List.iter (fun (nets, bits) -> Zeus.Sim.poke_nets sim nets bits) pokes;
+        List.iter (fun (port, v) -> Zeus.Sim.set_int sim port v) pokes;
         if do_reset then Zeus.Sim.reset sim;
         Zeus.Sim.set_trace sim trace;
         let waves =
-          if wave then Some (Zeus.Wave.create sim peeks)
+          if wave then Some (Zeus.Wave.create sim watched)
           else None
         in
-        let vcd = Option.map (fun _ -> Zeus.Vcd.create sim peeks) vcd_out in
+        let vcd = Option.map (fun _ -> Zeus.Vcd.create sim watched) vcd_out in
         for c = 1 to cycles do
           Zeus.Sim.step sim;
           Option.iter Zeus.Wave.sample waves;
@@ -523,10 +523,10 @@ let sim_cmd =
           if watched <> [] && waves = None then begin
             Fmt.pr "cycle %d:" c;
             List.iter
-              (fun (p, nets) ->
-                Fmt.pr " %s=%a" p
+              (fun (p : Zeus.Sim.port) ->
+                Fmt.pr " %s=%a" p.path
                   Fmt.(list ~sep:nop Zeus.Logic.pp)
-                  (Zeus.Sim.peek_nets sim nets))
+                  (Zeus.Sim.get sim p))
               watched;
             Fmt.pr "@."
           end
@@ -542,10 +542,8 @@ let sim_cmd =
             (fun (net, n) -> Fmt.pr "activity %6d %s@." n net)
             (Zeus.Sim.activity ~top:15 sim);
         List.iter
-          (fun path ->
-            match Zeus.Explain.explain sim path ~depth:2 with
-            | Ok entries -> Fmt.pr "%a@." Zeus.Explain.pp entries
-            | Error msg -> usage "%s" msg)
+          (fun port ->
+            Fmt.pr "%a@." Zeus.Explain.pp (Zeus.Explain.explain sim port ~depth:2))
           explain;
         if trace then
           List.iter

@@ -15,14 +15,17 @@ open Zeus
 let () =
   let design = compile_exn Corpus.am2901 in
   let sim = Sim.create design in
-  let exec ?(i = 0) ?(a = 0) ?(b = 0) ?(d = 0) ?(cin = false) () =
-    Sim.poke_int sim "alu.i" i;
-    Sim.poke_int sim "alu.a" a;
-    Sim.poke_int sim "alu.b" b;
-    Sim.poke_int sim "alu.d" d;
-    Sim.poke_bool sim "alu.cin" cin;
+  let port = Testbench.port design in
+  let pi = port "alu.i" and pa = port "alu.a" and pb = port "alu.b"
+  and pd = port "alu.d" and pcin = port "alu.cin" and py = port "alu.y" in
+  let exec ?(i = 0) ?(a = 0) ?(b = 0) ?(d = 0) ?(cin = 0) () =
+    Sim.set_int sim pi i;
+    Sim.set_int sim pa a;
+    Sim.set_int sim pb b;
+    Sim.set_int sim pd d;
+    Sim.set_int sim pcin cin;
     Sim.step sim;
-    Sim.peek_int sim "alu.y"
+    Sim.get_int sim py
   in
   (* octal instruction encoding: src | fn | dest *)
   let load_const ~reg v = exec ~i:0o703 ~b:reg ~d:v () in

@@ -21,8 +21,13 @@ let state_name = function
 let play hand =
   let design = compile_exn Corpus.blackjack in
   let sim = Sim.create design in
-  Sim.poke_bool sim "bj.ycard" false;
-  Sim.poke_int sim "bj.value" 0;
+  let port = Testbench.port design in
+  let ycard = port "bj.ycard" and value = port "bj.value" in
+  let state = port "bj.state.out" and score = port "bj.score.out" in
+  let hit = port "bj.hit" and stand = port "bj.stand"
+  and broke = port "bj.broke" in
+  Sim.set_int sim ycard 0;
+  Sim.set_int sim value 0;
   Sim.reset sim;
   Fmt.pr "@.hand: %a@." Fmt.(list ~sep:sp int) hand;
   let cards = ref hand in
@@ -31,36 +36,35 @@ let play hand =
   let just_dealt = ref false in
   while !outcome = None && !cycles < 100 do
     incr cycles;
-    let state = Sim.peek_int sim "bj.state.out" in
+    let state = Sim.get_int sim state in
     if state <> Some 1 then just_dealt := false;
     (* deal whenever the machine asks for a card in the read state (the
        visible state lags one cycle, so deal at most once per visit) *)
     (match (state, !cards) with
     | Some 1, c :: rest
-      when Logic.equal (Sim.peek_bit sim "bj.hit") Logic.One
+      when Sim.get_int sim hit = Some 1
            && not !just_dealt ->
         Fmt.pr "  cycle %2d: %-8s score=%-2s -> dealing %d@." !cycles
           (state_name state)
-          (match Sim.peek_int sim "bj.score.out" with
+          (match Sim.get_int sim score with
           | Some s -> string_of_int s
           | None -> "?")
           c;
-        Sim.poke_int sim "bj.value" c;
-        Sim.poke_bool sim "bj.ycard" true;
+        Sim.set_int sim value c;
+        Sim.set_int sim ycard 1;
         cards := rest;
         just_dealt := true
     | _ ->
-        Sim.poke_bool sim "bj.ycard" false);
+        Sim.set_int sim ycard 0);
     Sim.step sim;
-    if Logic.equal (Sim.peek_bit sim "bj.stand") Logic.One then
-      outcome := Some "STAND"
-    else if Logic.equal (Sim.peek_bit sim "bj.broke") Logic.One then
+    if Sim.get_int sim stand = Some 1 then outcome := Some "STAND"
+    else if Sim.get_int sim broke = Some 1 then
       outcome := Some "BROKE"
   done;
   Fmt.pr "  => %s with score %a after %d cycles@."
     (Option.value ~default:"no outcome" !outcome)
     Fmt.(option ~none:(any "?") int)
-    (Sim.peek_int sim "bj.score.out")
+    (Sim.get_int sim score)
     !cycles;
   (match Sim.runtime_errors sim with
   | [] -> ()

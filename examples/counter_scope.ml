@@ -10,11 +10,16 @@ let () =
   (* 4-bit counter on the scope *)
   let design = compile_exn (Corpus_fsm.counter 4) in
   let sim = Sim.create design in
-  let wave = Wave.create sim [ "c.en"; "c.value"; "c.value[4]"; "c.value[3]" ] in
-  Sim.poke_bool sim "c.en" true;
+  let port = Testbench.port design in
+  let en = port "c.en" in
+  let wave =
+    Wave.create sim
+      [ en; port "c.value"; port "c.value[4]"; port "c.value[3]" ]
+  in
+  Sim.set_int sim en 1;
   Sim.reset sim;
   for cyc = 1 to 24 do
-    Sim.poke_bool sim "c.en" (cyc < 18);
+    Sim.set_int sim en (Bool.to_int (cyc < 18));
     Sim.step sim;
     Wave.sample wave
   done;
@@ -23,8 +28,8 @@ let () =
   (* LFSR state sequence *)
   let design = compile_exn Corpus_fsm.lfsr4 in
   let sim = Sim.create design in
-  let wave = Wave.create sim [ "l.q" ] in
-  Sim.poke_bool sim "l.en" true;
+  let wave = Wave.create sim [ Testbench.port design "l.q" ] in
+  Sim.set_int sim (Testbench.port design "l.en") 1;
   Sim.reset sim;
   for _ = 1 to 16 do
     Sim.step sim;
@@ -35,20 +40,21 @@ let () =
   (* table-driven verification with the Testbench harness *)
   let design = compile_exn Corpus_fsm.serial_adder in
   let tb = Testbench.create design in
+  let port = Testbench.port design in
+  let pa = port "sa.a" and pb = port "sa.b" and ps = port "sa.s" in
   Testbench.reset tb;
   (* 3 + 5 bit-serially, LSB first: a=110..., b=101... *)
-  List.iteri
-    (fun i (a, b, s) ->
-      Testbench.set_bool tb "sa.a" a;
-      Testbench.set_bool tb "sa.b" b;
+  List.iter
+    (fun (a, b, s) ->
+      Testbench.set tb pa a;
+      Testbench.set tb pb b;
       Testbench.clock tb;
-      ignore i;
-      Testbench.expect_bool tb "sa.s" s)
+      Testbench.expect_int tb ps s)
     [
-      (true, true, false); (* 1+1 = 0 carry 1 *)
-      (true, false, false); (* 1+0+c = 0 carry 1 *)
-      (false, true, false); (* 0+1+c = 0 carry 1 *)
-      (false, false, true); (* 0+0+c = 1 *)
+      (1, 1, 0); (* 1+1 = 0 carry 1 *)
+      (1, 0, 0); (* 1+0+c = 0 carry 1 *)
+      (0, 1, 0); (* 0+1+c = 0 carry 1 *)
+      (0, 0, 1); (* 0+0+c = 1 *)
     ];
   Fmt.pr "serial adder 3+5 (expect 8 = 0001 LSB-first):@.";
   Testbench.report Fmt.stdout tb

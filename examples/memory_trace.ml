@@ -11,23 +11,26 @@ let () =
   Fmt.pr "16x8 RAM built from REG: %s@."
     (Netlist.stats design.Elaborate.netlist);
   let sim = Sim.create design in
-  let vcd = Vcd.create sim [ "m.addr"; "m.data"; "m.we"; "m.q" ] in
+  let port = Testbench.port design in
+  let maddr = port "m.addr" and data = port "m.data" and we = port "m.we"
+  and q = port "m.q" in
+  let vcd = Vcd.create sim [ maddr; data; we; q ] in
   let step () =
     Sim.step sim;
     Vcd.sample vcd
   in
   let write addr v =
-    Sim.poke_int sim "m.addr" addr;
-    Sim.poke_int sim "m.data" v;
-    Sim.poke_bool sim "m.we" true;
+    Sim.set_int sim maddr addr;
+    Sim.set_int sim data v;
+    Sim.set_int sim we 1;
     step ();
     Fmt.pr "  write [%2d] <- %3d@." addr v
   in
   let read addr =
-    Sim.poke_bool sim "m.we" false;
-    Sim.poke_int sim "m.addr" addr;
+    Sim.set_int sim we 0;
+    Sim.set_int sim maddr addr;
     step ();
-    let v = Sim.peek_int sim "m.q" in
+    let v = Sim.get_int sim q in
     Fmt.pr "  read  [%2d] -> %a@." addr Fmt.(option ~none:(any "UNDEF") int) v;
     v
   in

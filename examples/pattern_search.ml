@@ -13,10 +13,13 @@ open Zeus
 let search ~cells ~pattern ~wild ~text =
   let design = compile_exn (Corpus.patternmatch cells) in
   let sim = Sim.create design in
+  let port = Testbench.port design in
+  let pattern_in = port "match.pattern" and string_in = port "match.string"
+  and eop = port "match.endofpattern" and wild_in = port "match.wild"
+  and result = port "match.result" in
   List.iter
-    (fun p -> Sim.poke_bool sim p false)
-    [ "match.pattern"; "match.string"; "match.endofpattern"; "match.wild";
-      "match.resultin" ];
+    (fun p -> Sim.set_int sim p 0)
+    [ pattern_in; string_in; eop; wild_in; port "match.resultin" ];
   Sim.reset sim;
   let plen = List.length pattern in
   let results = ref [] in
@@ -24,23 +27,24 @@ let search ~cells ~pattern ~wild ~text =
   for cyc = 0 to cycles - 1 do
     let idle = cyc mod 2 = 1 in
     if idle then begin
-      Sim.poke_bool sim "match.pattern" false;
-      Sim.poke_bool sim "match.endofpattern" false;
-      Sim.poke_bool sim "match.wild" false;
-      Sim.poke_bool sim "match.string" false
+      Sim.set_int sim pattern_in 0;
+      Sim.set_int sim eop 0;
+      Sim.set_int sim wild_in 0;
+      Sim.set_int sim string_in 0
     end
     else begin
       let i = cyc / 2 in
       (* the pattern recirculates: items then the end marker, repeated *)
       let pi = i mod (plen + 1) in
-      Sim.poke_bool sim "match.pattern" (pi < plen && List.nth pattern pi = 1);
-      Sim.poke_bool sim "match.endofpattern" (pi = plen);
-      Sim.poke_bool sim "match.wild" (pi < plen && List.nth wild pi = 1);
-      Sim.poke_bool sim "match.string"
-        (match List.nth_opt text i with Some 1 -> true | _ -> false)
+      let bit b = Bool.to_int b in
+      Sim.set_int sim pattern_in (bit (pi < plen && List.nth pattern pi = 1));
+      Sim.set_int sim eop (bit (pi = plen));
+      Sim.set_int sim wild_in (bit (pi < plen && List.nth wild pi = 1));
+      Sim.set_int sim string_in
+        (match List.nth_opt text i with Some 1 -> 1 | _ -> 0)
     end;
     Sim.step sim;
-    if Logic.equal (Sim.peek_bit sim "match.result") Logic.One then
+    if Sim.get_int sim result = Some 1 then
       results := cyc :: !results
   done;
   (List.rev !results, Sim.runtime_errors sim)

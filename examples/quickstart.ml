@@ -39,18 +39,25 @@ let () =
 
   (* 2. simulate the full adder truth table *)
   let sim = Zeus.Sim.create design in
+  (* look each port up once, then drive and read it every cycle *)
+  let port path =
+    match Zeus.Sim.port design path with
+    | Ok p -> p
+    | Error msg -> failwith msg
+  in
+  let pa = port "fa.a" and pb = port "fa.b" and pcin = port "fa.cin" in
+  let cout = port "fa.cout" and s = port "fa.s" in
+  let bits = Fmt.(list ~sep:nop Zeus.Logic.pp) in
   Fmt.pr "@.a b cin | cout s@.";
   for a = 0 to 1 do
     for b = 0 to 1 do
       for cin = 0 to 1 do
-        Zeus.Sim.poke_bool sim "fa.a" (a = 1);
-        Zeus.Sim.poke_bool sim "fa.b" (b = 1);
-        Zeus.Sim.poke_bool sim "fa.cin" (cin = 1);
+        Zeus.Sim.set_int sim pa a;
+        Zeus.Sim.set_int sim pb b;
+        Zeus.Sim.set_int sim pcin cin;
         Zeus.Sim.step sim;
-        Fmt.pr "%d %d  %d  |  %a   %a@." a b cin Zeus.Logic.pp
-          (Zeus.Sim.peek_bit sim "fa.cout")
-          Zeus.Logic.pp
-          (Zeus.Sim.peek_bit sim "fa.s")
+        Fmt.pr "%d %d  %d  |  %a   %a@." a b cin bits (Zeus.Sim.get sim cout)
+          bits (Zeus.Sim.get sim s)
       done
     done
   done;

@@ -857,10 +857,10 @@ let testbench ?(seed = 0x5eed) ?(tb_name = "zeus_tb") (t : plan) (deck : deck) =
         (fun pokes ->
           List.filter_map
             (fun (path, v) ->
-              match Elaborate.resolve_path t.design path with
+              match Sim.port t.design path with
               | Error msg ->
                   raise (Bad (Printf.sprintf "poke '%s': %s" path msg))
-              | Ok [ id ] ->
+              | Ok ({ nets = [| id |]; _ } as sp) ->
                   let c = g.Graph.canon.(id) in
                   if c = g.Graph.clk then
                     raise
@@ -871,7 +871,7 @@ let testbench ?(seed = 0x5eed) ?(tb_name = "zeus_tb") (t : plan) (deck : deck) =
                     None (* driven: the simulator ignores the poke *)
                   else (
                     match Hashtbl.find_opt port_of_class c with
-                    | Some port -> Some (path, port, v)
+                    | Some port -> Some (sp, port, v)
                     | None ->
                         raise
                           (Bad
@@ -886,13 +886,13 @@ let testbench ?(seed = 0x5eed) ?(tb_name = "zeus_tb") (t : plan) (deck : deck) =
             pokes)
         deck
     in
-    (* the reference run: the incremental engine, poked by path exactly
-       like the oracle's serial reference *)
+    (* the reference run: the incremental engine, poked port by port
+       exactly like the oracle's serial reference *)
     let sim = Sim.create ~engine:Sim.Incremental ~seed t.design in
     let expected =
       List.map
         (fun pokes ->
-          List.iter (fun (path, _, v) -> Sim.poke sim path [ v ]) pokes;
+          List.iter (fun (sp, _, v) -> Sim.set sim sp [ v ]) pokes;
           Sim.step sim;
           let snap = Sim.snapshot sim in
           String.init n (fun i ->

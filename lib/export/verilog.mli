@@ -112,7 +112,7 @@ val export : ?module_name:string -> Elaborate.design -> (t, error) result
 type deck = (string * Logic.t) list list
 (** Per cycle: pokes applied before the step — the same shape as a
     fuzzer stimulus.  Paths resolve through
-    {!Elaborate.resolve_path}; a poke whose class is driven inside the
+    {!Zeus_sim.Sim.port}; a poke whose class is driven inside the
     design is ignored (as the simulator ignores it), a poke to an
     undriven class that is not an exported input port is an error. *)
 

@@ -199,12 +199,28 @@ type run = {
   errors : (int * string * string) list; (* cycle, net, code; sorted *)
 }
 
-let run_engine design engine (stim : Gen_prog.stimulus) =
-  let sim = Sim.create ~engine design in
+(* A stimulus resolved once for every row: the generator pokes
+   single-bit inputs only *)
+type pokes = (Sim.port * Logic.t) list list
+
+let ports design (stim : Gen_prog.stimulus) =
+  let exception Bad of string in
+  let port (path, v) =
+    match Sim.port design path with
+    | Ok ({ nets = [| _ |]; _ } as p) -> (p, v)
+    | Ok _ -> raise (Bad (path ^ " is not a single net"))
+    | Error msg -> raise (Bad msg)
+  in
+  match List.map (List.map port) stim with
+  | pokes -> Ok pokes
+  | exception Bad msg -> Error ("stimulus: " ^ msg)
+
+let run_engine ?seed ?discharged design engine (stim : pokes) =
+  let sim = Sim.create ~engine ?seed ?discharged design in
   let snaps =
     List.map
       (fun pokes ->
-        List.iter (fun (path, v) -> Sim.poke sim path [ v ]) pokes;
+        List.iter (fun (p, v) -> Sim.set sim p [ v ]) pokes;
         Sim.step sim;
         Sim.snapshot sim)
       stim
@@ -219,15 +235,9 @@ let run_engine design engine (stim : Gen_prog.stimulus) =
   { snaps; errors }
 
 (* The same observation from the sweeping reference evaluator *)
-let run_sweep design order (stim : Gen_prog.stimulus) =
+let run_sweep design order (stim : pokes) =
   let pokes =
-    List.map
-      (List.map (fun (path, v) ->
-           match Elaborate.resolve_path design path with
-           | Ok [ id ] -> (id, v)
-           | Ok _ -> invalid_arg "Sweep: width mismatch"
-           | Error msg -> invalid_arg ("Sweep: " ^ msg)))
-      stim
+    List.map (List.map (fun ((p : Sim.port), v) -> (p.nets.(0), v))) stim
   in
   let r = Sweep.run ~order design pokes in
   { snaps = r.Sweep.snaps; errors = List.sort compare r.Sweep.errors }
@@ -359,9 +369,18 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
           add "compile" (diags_to_string diags);
           List.rev !divs
       | Ok design ->
+          (* every row below pokes the same ports; a path that does not
+             resolve is a finding, and the rows run on no pokes *)
+          let pokes =
+            match ports design stim with
+            | Ok pokes -> pokes
+            | Error msg ->
+                add "stimulus" msg;
+                []
+          in
           (* O3: the other engines and the independent sweeping
              reference evaluator, against Firing cycle-by-cycle *)
-          let reference = run_engine design Sim.Firing stim in
+          let reference = run_engine design Sim.Firing pokes in
           let compare_run name r =
             (match first_snap_mismatch reference.snaps r.snaps with
             | None -> ()
@@ -381,21 +400,23 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
             (fun engine ->
               if engine <> Sim.Firing then
                 compare_run (Sim.engine_name engine)
-                  (run_engine design engine stim))
+                  (run_engine design engine pokes))
             Sim.all_engines;
           List.iter
             (fun order ->
               compare_run (Sweep.order_name order)
-                (run_sweep design order stim))
+                (run_sweep design order pokes))
             [ Sweep.Fixpoint; Sweep.Relaxation ];
           (* O7: the batch engine, against fresh serial runs — a mix of
              full and truncated runs with distinct per-run seeds, so the
              lane grouping, the sharding and the per-run RANDOM streams
              are all load-bearing *)
-          if stim <> [] then begin
+          if pokes <> [] then begin
             let stim_arr =
               Array.of_list
-                (List.map (List.map (fun (p, v) -> (p, [ v ]))) stim)
+                (List.map
+                   (List.map (fun ((p : Sim.port), v) -> (p.path, [ v ])))
+                   pokes)
             in
             let ncycles = Array.length stim_arr in
             let mk ~cycles ~seed =
@@ -437,20 +458,13 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                      (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
                    errs)
             in
+            (* a run of the mix replays the stimulus's first cycles *)
             let serial (r : Sim.batch_run) =
-              let sim =
-                Sim.create ~engine:Sim.Incremental ?seed:r.Sim.br_seed design
+              let { snaps; errors } =
+                run_engine ?seed:r.Sim.br_seed design Sim.Incremental
+                  (List.filteri (fun c _ -> c < r.Sim.br_cycles) pokes)
               in
-              let snaps = ref [] in
-              for c = 0 to r.Sim.br_cycles - 1 do
-                if c < Array.length r.Sim.br_stim then
-                  List.iter
-                    (fun (p, bits) -> Sim.poke sim p bits)
-                    r.Sim.br_stim.(c);
-                Sim.step sim;
-                snaps := Sim.snapshot sim :: !snaps
-              done;
-              (List.rev !snaps, error_set (Sim.runtime_errors sim))
+              (snaps, errors)
             in
             (* [batch tmpl ~lanes ~jobs runs] checked run by run against
                [refs] *)
@@ -535,7 +549,7 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
               in
               List.iter
                 (fun engine ->
-                  let ro = run_engine r.Reduce.design engine stim in
+                  let ro = run_engine r.Reduce.design engine pokes in
                   let rec go cycle ss os =
                     match (ss, os) with
                     | [], [] -> ()
@@ -594,14 +608,17 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                 ("pretty-printed source does not compile: "
                 ^ diags_to_string diags)
           | Ok design2 -> (
-              let r2 = run_engine design2 Sim.Firing stim in
-              match first_snap_mismatch reference.snaps r2.snaps with
-              | None -> ()
-              | Some (cycle, diffs) ->
-                  add "reelaborate"
-                    (Printf.sprintf
-                       "re-elaborated run differs at cycle %d (%d nets)" cycle
-                       diffs)));
+              match ports design2 stim with
+              | Error msg -> add "reelaborate" msg
+              | Ok pokes2 -> (
+                  let r2 = run_engine design2 Sim.Firing pokes2 in
+                  match first_snap_mismatch reference.snaps r2.snaps with
+                  | None -> ()
+                  | Some (cycle, diffs) ->
+                      add "reelaborate"
+                        (Printf.sprintf
+                           "re-elaborated run differs at cycle %d (%d nets)"
+                           cycle diffs))));
           (* O4: a statically-proved-safe net must never conflict at
              runtime — under lint's environment assumption that inputs
              are defined *)
@@ -677,7 +694,8 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                   Array.iter
                     (fun pokes ->
                       List.iter
-                        (fun (_, name, v) -> Sim.poke sim name [ v ])
+                        (fun (id, path, v) ->
+                          Sim.set sim { path; nets = [| id |] } [ v ])
                         pokes;
                       Sim.step sim)
                     w.Seqprove.w_trace;
@@ -704,18 +722,8 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                 let pred id =
                   id >= 0 && id < Array.length disch && disch.(id)
                 in
-                let sim =
-                  Sim.create ~engine:Sim.Compiled ~discharged:pred design
-                in
-                let snaps =
-                  List.map
-                    (fun pokes ->
-                      List.iter
-                        (fun (path, v) -> Sim.poke sim path [ v ])
-                        pokes;
-                      Sim.step sim;
-                      Sim.snapshot sim)
-                    stim
+                let { snaps; errors = errs } =
+                  run_engine ~discharged:pred design Sim.Compiled pokes
                 in
                 (match first_snap_mismatch reference.snaps snaps with
                 | None -> ()
@@ -725,13 +733,6 @@ let check ?(jobs = 4) ~src (stim : Gen_prog.stimulus) : divergence list =
                          "discharged compiled run changes values at cycle \
                           %d (%d nets)"
                          cycle diffs));
-                let errs =
-                  List.sort compare
-                    (List.map
-                       (fun (e : Sim.runtime_error) ->
-                         (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
-                       (Sim.runtime_errors sim))
-                in
                 let statically_proved net =
                   List.exists
                     (fun (v : Lint.net_verdict) ->

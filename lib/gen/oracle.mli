@@ -77,10 +77,20 @@ type run = {
   errors : (int * string * string) list;  (** cycle, net, code; sorted *)
 }
 
-(** A fresh handle on [engine], poked and stepped once per stimulus
-    cycle. *)
+(** A stimulus with its paths resolved. *)
+type pokes = (Sim.port * Logic.t) list list
+
+(** [ports design stim] resolves [stim]'s paths; [Error] names one that
+    is not a single net. *)
+val ports :
+  Zeus_sem.Elaborate.design -> Gen_prog.stimulus -> (pokes, string) result
+
+(** A fresh handle on [engine] ({!Sim.create}'s [seed] and
+    [discharged]), poked and stepped once per stimulus cycle.  The ports
+    of one design drive its reduced design too. *)
 val run_engine :
-  Zeus_sem.Elaborate.design -> Sim.engine -> Gen_prog.stimulus -> run
+  ?seed:int -> ?discharged:(int -> bool) -> Zeus_sem.Elaborate.design ->
+  Sim.engine -> pokes -> run
 
 (** O5's rule for the conflict-safe summaries: the names of the
     [Conflict] verdicts of [lint] whose every member net lies under a

@@ -24,9 +24,9 @@ type entry = {
   reason : reason;
 }
 
-(* explain the value of one net from the last evaluated cycle,
-   descending [depth] levels into its producers *)
-let explain_nets sim nets ~depth =
+(* explain the value of each net of [port] from the last evaluated
+   cycle, descending [depth] levels into its producers *)
+let explain sim (port : Sim.port) ~depth =
   let g = Sim.graph sim in
   let nl = g.Graph.nl in
   let value_of id = List.hd (Sim.peek_nets sim [ id ]) in
@@ -109,13 +109,8 @@ let explain_nets sim nets ~depth =
     | Netlist.Sconst v -> "const " ^ Logic.to_string v
     | Netlist.Snet s -> name s
   in
-  List.iter (fun id -> go id depth) nets;
+  Array.iter (fun id -> go id depth) port.nets;
   List.rev !entries
-
-let explain sim path ~depth =
-  Result.map
-    (fun nets -> explain_nets sim nets ~depth)
-    (Elaborate.resolve_path (Sim.design sim) path)
 
 let pp_entry ppf e =
   Fmt.pf ppf "%s = %a: " e.net Logic.pp e.value;

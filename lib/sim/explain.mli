@@ -25,11 +25,9 @@ type entry = {
   reason : reason;
 }
 
-(** [explain sim path ~depth] explains every bit of [path], descending
-    [depth] producer levels.  Call after at least one {!Sim.step}.
-    [Error] carries the path resolution message of a path that names
-    nothing. *)
-val explain : Sim.t -> string -> depth:int -> (entry list, string) result
+(** [explain sim port ~depth] explains every bit of [port], descending
+    [depth] producer levels.  Call after at least one {!Sim.step}. *)
+val explain : Sim.t -> Sim.port -> depth:int -> entry list
 
 val pp_entry : entry Fmt.t
 val pp : entry list Fmt.t

@@ -432,47 +432,36 @@ let mark_seed t c =
     t.seed_dirty_list <- c :: t.seed_dirty_list
   end
 
-let resolve_nets t path =
-  match Elaborate.resolve_path (design t) path with
-  | Ok nets -> nets
-  | Error msg -> invalid_arg ("Sim: " ^ msg)
+type port = Stimulus.entry = { path : string; nets : int array }
 
-let poke_nets t nets values =
-  if List.length nets <> List.length values then
-    invalid_arg "Sim.poke: width mismatch";
-  List.iter2
-    (fun id v ->
-      let c = canon t id in
-      t.poked.(c) <- Some v;
-      mark_seed t c)
-    nets values
+let port = Stimulus.port
 
-let poke t path values = poke_nets t (resolve_nets t path) values
+let set t (p : port) values =
+  List.iteri
+    (fun i v ->
+      if i < Array.length p.nets then begin
+        let c = canon t p.nets.(i) in
+        t.poked.(c) <- Some v;
+        mark_seed t c
+      end)
+    values
 
-let poke_bool t path b = poke t path [ Logic.of_bool b ]
+(* the -p and deck expansion, reversed for index 1 = LSB (the
+   convention of the report's rippleCarry example, where the carry
+   enters at add[1]) *)
+let int_bits ~lsb (p : port) v =
+  let bits = Stimulus.bits ~width:(Array.length p.nets) v in
+  if lsb then List.rev bits else bits
 
-(* poke an integer as BIN(v, width-of-path), index 1 = MSB *)
-let poke_int t path v =
-  let nets = resolve_nets t path in
-  let bits = Cval.sctree_leaves (Cval.bin v (List.length nets)) in
-  poke_nets t nets bits
+let set_int ?(lsb = false) t p v = set t p (int_bits ~lsb p v)
 
-(* poke an integer with index 1 = LSB (the convention of the report's
-   rippleCarry example, where the carry enters at add[1]) *)
-let poke_int_lsb t path v =
-  let nets = resolve_nets t path in
-  let bits =
-    List.init (List.length nets) (fun i -> Logic.of_bool ((v lsr i) land 1 = 1))
-  in
-  poke_nets t nets bits
-
-let unpoke t path =
-  List.iter
+let release t (p : port) =
+  Array.iter
     (fun id ->
       let c = canon t id in
       t.poked.(c) <- None;
       mark_seed t c)
-    (resolve_nets t path)
+    p.nets
 
 (* net [id] reads its class's value [v] through its kind *)
 let read_net g id v =
@@ -489,18 +478,15 @@ let value_of_net t id =
      | _ when Option.is_some t.cprog -> Logic.Undef (* nothing ran yet *)
      | _ -> Option.value ~default:Logic.Undef t.values.(c))
 
-let peek_nets t nets = List.map (value_of_net t) nets
+let get t (p : port) =
+  Array.fold_right (fun id acc -> value_of_net t id :: acc) p.nets []
 
-let peek t path = peek_nets t (resolve_nets t path)
+let get_int ?(lsb = false) t p =
+  let bits = get t p in
+  Cval.num (if lsb then List.rev bits else bits)
 
-let peek_int t path = Cval.num (peek t path)
-
-let peek_int_lsb t path = Cval.num (List.rev (peek t path))
-
-let peek_bit t path =
-  match peek t path with
-  | [ v ] -> v
-  | l -> invalid_arg (Fmt.str "Sim.peek_bit %S: width %d" path (List.length l))
+let poke_nets t nets values = set t { path = ""; nets = Array.of_list nets } values
+let peek_nets t nets = get t { path = ""; nets = Array.of_list nets }
 
 let reg_states t =
   Array.to_list
@@ -1113,7 +1099,7 @@ let store t prog =
       t.cstate <- Some st;
       st
 
-(* the store's copy of class [c]'s poke (or unpoke) *)
+(* the store's copy of class [c]'s poke (or release) *)
 let sync_poke t st c =
   match t.poked.(c) with
   | Some v -> Bytecode.poke_run st ~run:0 c v
@@ -1482,8 +1468,8 @@ let fresh_like t ~seed =
 let watched (st : Stimulus.t) (run : Stimulus.run) value =
   Array.fold_right
     (fun w acc ->
-      let p, nets = st.Stimulus.watches.(w) in
-      (p, List.map value nets) :: acc)
+      let e = st.Stimulus.watches.(w) in
+      (e.path, Array.fold_right (fun id l -> value id :: l) e.nets []) :: acc)
     run.Stimulus.watch []
 
 (* run [run] of [st], one fresh handle, the template's engine *)

@@ -118,34 +118,48 @@ val graph : t -> Graph.t
 
 (** {1 Driving inputs}
 
-    Paths are hierarchical ("adder.a", "bj.score.out") and resolve
-    through {!Elaborate.resolve_path}.  Poked values persist across
-    cycles until changed. *)
+    A testbench looks each path up once, as a port, then drives and
+    reads the port every cycle.  A port names nets of the design, so it
+    is valid on every handle of that design: any engine, a [~optimize]
+    handle (the reduction shares nets) and a template's {!run_batch}
+    clones.  A set value persists across cycles until set again or
+    released. *)
 
-val poke : t -> string -> Logic.t list -> unit
-val poke_nets : t -> int list -> Logic.t list -> unit
-val poke_bool : t -> string -> bool -> unit
+(** A resolved path: its nets, MSB first (index 1 first), and the path
+    as written, for messages. *)
+type port = Stimulus.entry = { path : string; nets : int array }
 
-(** Poke an integer as BIN(v, width): index 1 is the most significant
-    bit. *)
-val poke_int : t -> string -> int -> unit
+(** [port design path] resolves a hierarchical path ("adder.a",
+    "bj.score.out", "m.data[3]"); [Error] is the message [zeusc sim]
+    prints for it. *)
+val port : Elaborate.design -> string -> (port, string) result
 
-(** Poke an integer with index 1 as the {e least} significant bit (the
-    convention of the report's rippleCarry example). *)
-val poke_int_lsb : t -> string -> int -> unit
+(** [set t p values] pokes [values] onto [p]'s nets, MSB first.  The
+    list should have [p]'s width: values past it are ignored, and nets
+    past its end keep what they had. *)
+val set : t -> port -> Logic.t list -> unit
 
-val unpoke : t -> string -> unit
+(** Set an integer as BIN(v, width): index 1 is the most significant
+    bit, and bits past the width are dropped ({!Stimulus.bits}, the
+    [-p] rule).  With [~lsb:true] index 1 is the {e least} significant
+    bit (the convention of the report's rippleCarry example). *)
+val set_int : ?lsb:bool -> t -> port -> int -> unit
+
+(** Forget the values set on the port, as if it had never been set. *)
+val release : t -> port -> unit
 
 (** {1 Observing} *)
 
-val peek : t -> string -> Logic.t list
+val get : t -> port -> Logic.t list
+
+(** NUM of {!get}, MSB first ([~lsb:true]: LSB first); [None] when any
+    bit is UNDEF/NOINFL. *)
+val get_int : ?lsb:bool -> t -> port -> int option
+
+(** {!set} and {!get} on the port of the nets [ids]. *)
+val poke_nets : t -> int list -> Logic.t list -> unit
+
 val peek_nets : t -> int list -> Logic.t list
-val peek_bit : t -> string -> Logic.t
-
-(** [None] when any bit is UNDEF/NOINFL. *)
-val peek_int : t -> string -> int option
-
-val peek_int_lsb : t -> string -> int option
 
 (** Stored value of every register, by hierarchical path. *)
 val reg_states : t -> (string * Logic.t) list

@@ -27,8 +27,14 @@ type t = {
   lits : Logic.t array array;
   pokes : string;
   runs : run array;
-  watches : (string * int list) array;
+  watches : entry array;
 }
+
+(* the one place a path becomes nets *)
+let port design path =
+  Result.map
+    (fun nets -> { path; nets = Array.of_list nets })
+    (Elaborate.resolve_path design path)
 
 (* ------------------------------------------------------------------ *)
 (* The stream *)
@@ -178,21 +184,20 @@ let add r e h =
 let resolve r s i j h =
   match probe r s i (j - i) h (h land (Array.length r.slots - 1)) with
   | -1 ->
-      let path = String.sub s i (j - i) in
-      let nets =
-        match Elaborate.resolve_path r.design path with
-        | Ok nets -> nets
+      let e =
+        match port r.design (String.sub s i (j - i)) with
+        | Ok e -> e
         | Error m -> raise (Bad m)
       in
-      if List.exists (Lazy.force r.driven) nets then
+      if Array.exists (Lazy.force r.driven) e.nets then
         raise
           (Bad
              (Printf.sprintf
                 "%s is driven by the design, so a poke of it would be \
                  ignored (only inputs, registers and undriven nets take \
                  pokes)"
-                path));
-      add r { path; nets = Array.of_list nets } h
+                e.path));
+      add r e h
   | id -> id
 
 (* a poke of 0 or 1 sets one bit, so it needs a single-bit path; any
@@ -217,10 +222,7 @@ let poke r path v =
   | exception Bad m -> Error m
   | id -> (
       let e = r.ents.(id) in
-      match poke_error e v with
-      | Some m -> Error m
-      | None ->
-          Ok (Array.to_list e.nets, bits ~width:(Array.length e.nets) v))
+      match poke_error e v with Some m -> Error m | None -> Ok e)
 
 (* ------------------------------------------------------------------ *)
 (* The deck reader *)
@@ -453,13 +455,13 @@ let of_batch_runs design (runs : batch_run array) =
     match Hashtbl.find_opt paths p with
     | Some e -> e
     | None -> (
-        match Elaborate.resolve_path design p with
+        match port design p with
         | Error msg -> bad "run %d, cycle %d: %s" i c msg
-        | Ok nets ->
-            let e = (Hashtbl.length paths, List.length nets) in
-            entries := { path = p; nets = Array.of_list nets } :: !entries;
-            Hashtbl.add paths p e;
-            e)
+        | Ok e ->
+            let id = (Hashtbl.length paths, Array.length e.nets) in
+            entries := e :: !entries;
+            Hashtbl.add paths p id;
+            id)
   in
   let poke i c (p, bits) =
     let id, width = entry i c p in
@@ -476,9 +478,7 @@ let of_batch_runs design (runs : batch_run array) =
   in
   let watched i p =
     intern watch_ids watches p (fun () ->
-        match Elaborate.resolve_path design p with
-        | Ok nets -> (p, nets)
-        | Error msg -> bad "run %d: %s" i msg)
+        match port design p with Ok e -> e | Error msg -> bad "run %d: %s" i msg)
   in
   let pack i r =
     let off = Buffer.length b in

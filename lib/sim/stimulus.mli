@@ -18,11 +18,16 @@
 open Zeus_base
 open Zeus_sem
 
-(** One distinct poked path. *)
+(** A resolved path, a {!Sim.port}: one per distinct poked path. *)
 type entry = {
-  path : string;
+  path : string;  (** as written, for messages *)
   nets : int array;  (** its nets, MSB first; the width is their count *)
 }
+
+(** The one place in the library and [zeusc] where a path becomes nets
+    ({!Sim.port}); [Error] is what [zeusc] prints for a bad [-p], [-w]
+    or [--explain] path. *)
+val port : Elaborate.design -> string -> (entry, string) result
 
 type run = {
   off : int;  (** where the run's stream starts in {!t.pokes} *)
@@ -39,8 +44,7 @@ type t = {
   lits : Logic.t array array;  (** literal values, by index *)
   pokes : string;  (** every run's stream, back to back *)
   runs : run array;
-  watches : (string * int list) array;
-      (** the paths read back after a run's last cycle, with their nets *)
+  watches : entry array;  (** the ports read back after a run's last cycle *)
 }
 
 (** {1 Applying} *)
@@ -69,9 +73,9 @@ type resolver
 
 val resolver : Elaborate.design -> resolver
 
-(** [poke r path v] is the nets of [path] and the bits a poke of [v]
-    sets on them, or the message of the first rule it breaks. *)
-val poke : resolver -> string -> int -> (int list * Logic.t list, string) result
+(** [poke r path v] is the port of [path], to be set to [v] by
+    {!Sim.set_int}, or the message of the first rule it breaks. *)
+val poke : resolver -> string -> int -> (entry, string) result
 
 (** {1 Front ends} *)
 
@@ -83,7 +87,7 @@ val poke : resolver -> string -> int -> (int list * Logic.t list, string) result
     included, are ignored).  A run's cycle count is the explicit
     [cycles=N] if given, else its number of stimulus lines.  Values
     follow the [-p] convention and go through the same rules.  Every
-    run reads back [watch], paths already resolved to their nets.
+    run reads back [watch], ports already resolved.
 
     Raises [Failure] with a message naming the deck [name] and the line
     on a malformed line, a run option given twice in one header, an
@@ -95,8 +99,7 @@ val poke : resolver -> string -> int -> (int list * Logic.t list, string) result
     each value is read in place and appended to the run's stream, so a
     poke allocates nothing. *)
 val read_deck :
-  Elaborate.design -> name:string -> watch:(string * int list) list ->
-  string -> t
+  Elaborate.design -> name:string -> watch:entry list -> string -> t
 
 (** One independent run with string paths (the form of
     {!Sim.run_batch}). *)

@@ -37,7 +37,7 @@ type result = {
 
 (** [run ~order design pokes] simulates [List.length pokes] cycles.
     Cycle [i] first applies the [i]-th list of (original net id, value)
-    pokes; poked values persist until poked again, as with {!Sim.poke}.
+    pokes; poked values persist until poked again, as with {!Sim.set}.
     [seed] (default [0x5eed], {!Sim.create}'s default) keys the RANDOM
     draws. *)
 val run :

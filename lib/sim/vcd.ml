@@ -4,11 +4,9 @@
    Zeus's four values map onto VCD's: 0, 1, x (UNDEF), z (NOINFL). *)
 
 open Zeus_base
-open Zeus_sem
 
 type signal = {
-  path : string;
-  nets : int list;
+  port : Sim.port;
   code : string;
   mutable last : Logic.t list option;
 }
@@ -43,17 +41,9 @@ let id_code i =
   in
   go i ""
 
-let create sim paths =
+let create sim ports =
   let signals =
-    List.mapi
-      (fun i path ->
-        let nets =
-          match Elaborate.resolve_path (Sim.design sim) path with
-          | Ok nets -> nets
-          | Error msg -> invalid_arg ("Vcd.create: " ^ msg)
-        in
-        { path; nets; code = id_code i; last = None })
-      paths
+    List.mapi (fun i port -> { port; code = id_code i; last = None }) ports
   in
   { sim; buf = Buffer.create 4096; signals; header_done = false }
 
@@ -68,8 +58,8 @@ let write_header t =
   List.iter
     (fun s ->
       Buffer.add_string t.buf
-        (Printf.sprintf "$var wire %d %s %s $end\n" (List.length s.nets)
-           s.code (sanitize s.path)))
+        (Printf.sprintf "$var wire %d %s %s $end\n"
+           (Array.length s.port.nets) s.code (sanitize s.port.path)))
     t.signals;
   Buffer.add_string t.buf "$upscope $end\n";
   Buffer.add_string t.buf "$enddefinitions $end\n";
@@ -91,7 +81,7 @@ let sample t =
   in
   List.iter
     (fun s ->
-      let values = Sim.peek_nets t.sim s.nets in
+      let values = Sim.get t.sim s.port in
       if s.last <> Some values then begin
         s.last <- Some values;
         stamp ();

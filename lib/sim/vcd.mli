@@ -17,9 +17,9 @@ val logic_of_vcd_char : char -> Logic.t option
     whitespace character. *)
 val id_code : int -> string
 
-(** [create sim paths] starts a dump of the given hierarchical signal
-    paths.  @raise Invalid_argument for unresolvable paths. *)
-val create : Sim.t -> string list -> t
+(** [create sim ports] starts a dump of [ports], one signal each,
+    named by its path. *)
+val create : Sim.t -> Sim.port list -> t
 
 (** Record the current values; call once per simulated cycle. *)
 val sample : t -> unit

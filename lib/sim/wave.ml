@@ -5,8 +5,7 @@
 open Zeus_base
 
 type signal = {
-  path : string;
-  nets : int list;
+  port : Sim.port;
   mutable samples : Logic.t list list; (* newest first *)
 }
 
@@ -15,21 +14,13 @@ type t = {
   signals : signal list;
 }
 
-let create sim paths =
-  let signals =
-    List.map
-      (fun path ->
-        match Zeus_sem.Elaborate.resolve_path (Sim.design sim) path with
-        | Ok nets -> { path; nets; samples = [] }
-        | Error msg -> invalid_arg ("Wave.create: " ^ msg))
-      paths
-  in
-  { sim; signals }
+let create sim ports =
+  { sim; signals = List.map (fun port -> { port; samples = [] }) ports }
 
 (* record the current values; call once per simulated cycle *)
 let sample t =
   List.iter
-    (fun s -> s.samples <- Sim.peek_nets t.sim s.nets :: s.samples)
+    (fun s -> s.samples <- Sim.get t.sim s.port :: s.samples)
     t.signals
 
 let bit_char = function
@@ -51,12 +42,12 @@ let render t =
   let buf = Buffer.create 1024 in
   let width =
     List.fold_left
-      (fun acc s -> max acc (String.length s.path))
+      (fun acc s -> max acc (String.length s.port.path))
       0 t.signals
   in
   List.iter
     (fun s ->
-      Buffer.add_string buf (Printf.sprintf "%-*s " width s.path);
+      Buffer.add_string buf (Printf.sprintf "%-*s " width s.port.path);
       let samples = List.rev s.samples in
       List.iter
         (fun bits ->
@@ -73,7 +64,7 @@ let render_values t =
   let buf = Buffer.create 1024 in
   List.iter
     (fun s ->
-      Buffer.add_string buf s.path;
+      Buffer.add_string buf s.port.path;
       Buffer.add_string buf ":";
       List.iter
         (fun bits ->

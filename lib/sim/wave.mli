@@ -4,8 +4,8 @@
 
 type t
 
-(** @raise Invalid_argument for unresolvable paths. *)
-val create : Sim.t -> string list -> t
+(** [create sim ports] watches [ports], one row each, in order. *)
+val create : Sim.t -> Sim.port list -> t
 
 (** Record the current values; call once per simulated cycle. *)
 val sample : t -> unit

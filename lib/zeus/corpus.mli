@@ -14,7 +14,7 @@ val adder4 : string
 
 (** The prelude plus an n-bit instance.  Note the adder's index 1 is the
     least significant bit (the carry enters at add[1]); use
-    [Sim.poke_int_lsb]. *)
+    [Sim.set_int ~lsb:true]. *)
 val adder_n : int -> string
 
 (** Section 3.2's 4-way multiplexor function component, with a wrapper

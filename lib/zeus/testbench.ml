@@ -1,5 +1,5 @@
-(* A small vector-driven testbench harness over the simulator: poke
-   named inputs, clock, and collect expectation failures with readable
+(* A small vector-driven testbench harness over the simulator: drive
+   ports, clock, and collect expectation failures with readable
    messages.  Used by the examples and available to library users. *)
 
 module Sim = Zeus_sim.Sim
@@ -25,13 +25,12 @@ let sim t = t.sim
 (* Driving                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let set t path v = Sim.poke_int t.sim path v
+let port design path =
+  match Sim.port design path with Ok p -> p | Error msg -> failwith msg
 
-let set_lsb t path v = Sim.poke_int_lsb t.sim path v
+let set ?lsb t p v = Sim.set_int ?lsb t.sim p v
 
-let set_bool t path v = Sim.poke_bool t.sim path v
-
-let set_bits t path bits = Sim.poke t.sim path bits
+let set_bits t p bits = Sim.set t.sim p bits
 
 let reset t = Sim.reset t.sim
 
@@ -49,25 +48,14 @@ let record t signal expected actual =
 
 let bits_to_string bits = String.concat "" (List.map Logic.to_string bits)
 
-let expect_int t path v =
-  record t path (string_of_int v)
-    (match Sim.peek_int t.sim path with
+let expect_int ?lsb t (p : Sim.port) v =
+  record t p.path (string_of_int v)
+    (match Sim.get_int ?lsb t.sim p with
     | Some got -> string_of_int got
-    | None -> bits_to_string (Sim.peek t.sim path))
+    | None -> bits_to_string (Sim.get t.sim p))
 
-let expect_int_lsb t path v =
-  record t path (string_of_int v)
-    (match Sim.peek_int_lsb t.sim path with
-    | Some got -> string_of_int got
-    | None -> bits_to_string (Sim.peek t.sim path))
-
-let expect_bool t path v =
-  record t path
-    (Logic.to_string (Logic.of_bool v))
-    (Logic.to_string (Sim.peek_bit t.sim path))
-
-let expect_bits t path bits =
-  record t path (bits_to_string bits) (bits_to_string (Sim.peek t.sim path))
+let expect_bits t (p : Sim.port) bits =
+  record t p.path (bits_to_string bits) (bits_to_string (Sim.get t.sim p))
 
 (* ------------------------------------------------------------------ *)
 (* Vector tables                                                        *)
@@ -79,9 +67,9 @@ let expect_bits t path bits =
 let run_table t ~inputs ~outputs rows =
   List.iter
     (fun (ins, outs) ->
-      List.iter2 (fun path v -> set t path v) inputs ins;
+      List.iter2 (fun p v -> set t p v) inputs ins;
       clock t;
-      List.iter2 (fun path v -> expect_int t path v) outputs outs)
+      List.iter2 (fun p v -> expect_int t p v) outputs outs)
     rows
 
 (* ------------------------------------------------------------------ *)

@@ -1,6 +1,5 @@
-(** A small vector-driven testbench harness over the simulator: poke
-    named inputs, clock, record expectation failures with readable
-    messages. *)
+(** A small vector-driven testbench harness over the simulator: drive
+    ports, clock, record expectation failures with readable messages. *)
 
 module Sim = Zeus_sim.Sim
 module Logic = Zeus_base.Logic
@@ -20,14 +19,19 @@ val create :
 (** The underlying simulator, for operations not wrapped here. *)
 val sim : t -> Sim.t
 
+(** [port design path] is {!Sim.port}'s port, or raises [Failure] with
+    its message: in a testbench a path that names nothing is a bug in
+    the bench.  Resolve each port once, then drive and check it every
+    cycle. *)
+val port : Zeus_sem.Elaborate.design -> string -> Sim.port
+
 (** {1 Driving} *)
 
-(** Integer pokes use the MSB-first BIN convention. *)
-val set : t -> string -> int -> unit
+(** Integer values use the MSB-first BIN convention ({!Sim.set_int});
+    [~lsb:true] makes index 1 the least significant bit. *)
+val set : ?lsb:bool -> t -> Sim.port -> int -> unit
 
-val set_lsb : t -> string -> int -> unit
-val set_bool : t -> string -> bool -> unit
-val set_bits : t -> string -> Logic.t list -> unit
+val set_bits : t -> Sim.port -> Logic.t list -> unit
 val reset : t -> unit
 val clock : ?n:int -> t -> unit
 
@@ -35,15 +39,14 @@ val clock : ?n:int -> t -> unit
 
     Mismatches are recorded, not raised; see {!failures}/{!ok}. *)
 
-val expect_int : t -> string -> int -> unit
-val expect_int_lsb : t -> string -> int -> unit
-val expect_bool : t -> string -> bool -> unit
-val expect_bits : t -> string -> Logic.t list -> unit
+val expect_int : ?lsb:bool -> t -> Sim.port -> int -> unit
+val expect_bits : t -> Sim.port -> Logic.t list -> unit
 
 (** [run_table t ~inputs ~outputs rows]: for each row (input values,
     expected outputs), apply the inputs, clock once, check the outputs. *)
 val run_table :
-  t -> inputs:string list -> outputs:string list -> (int list * int list) list -> unit
+  t -> inputs:Sim.port list -> outputs:Sim.port list ->
+  (int list * int list) list -> unit
 
 (** {1 Results} *)
 

@@ -2,12 +2,15 @@
 
    {[
      let design = Zeus.compile_exn (Zeus.Corpus.adder_n 8) in
+     let port p = Zeus.Testbench.port design p in
+     let a = port "adder.a" and b = port "adder.b"
+     and cin = port "adder.cin" and s = port "adder.s" in
      let sim = Zeus.Sim.create design in
-     Zeus.Sim.poke_int sim "adder.a" 17;
-     Zeus.Sim.poke_int sim "adder.b" 25;
-     Zeus.Sim.poke_bool sim "adder.cin" false;
+     Zeus.Sim.set_int ~lsb:true sim a 17;
+     Zeus.Sim.set_int ~lsb:true sim b 25;
+     Zeus.Sim.set_int sim cin 0;
      Zeus.Sim.step sim;
-     assert (Zeus.Sim.peek_int sim "adder.s" = Some 42)
+     assert (Zeus.Sim.get_int ~lsb:true sim s = Some 42)
    ]} *)
 
 module Logic = Zeus_base.Logic

@@ -48,6 +48,7 @@ let run ?(engine = Sim.Incremental) ?(on_cycle = fun _ _ -> ())
     ?(traced = fun c -> trace_on <= c && c < trace_off) design =
   let sim = Sim.create ~engine design in
   let inputs = Array.of_list (Graph.top_input_nets design) in
+  let rset = Testbench.port design "RSET" in
   let state = ref 0x2545F491 in
   let next () =
     state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
@@ -64,8 +65,8 @@ let run ?(engine = Sim.Incremental) ?(on_cycle = fun _ _ -> ())
       Sim.restart sim
     end;
     Sim.set_trace sim (traced c);
-    if c = 0 || c = restart_at then Sim.poke sim "RSET" [ Logic.One ]
-    else if c = 1 || c = restart_at + 1 then Sim.poke sim "RSET" [ Logic.Zero ];
+    if c = 0 || c = restart_at then Sim.set_int sim rset 1
+    else if c = 1 || c = restart_at + 1 then Sim.set_int sim rset 0;
     (match (c / 9) mod 3 with
     | 0 -> Array.iter (fun id -> Sim.poke_nets sim [ id ] [ value () ]) inputs
     | 1 when Array.length inputs > 0 ->

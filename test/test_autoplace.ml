@@ -78,8 +78,9 @@ let test_wirelength_comparable () =
 let test_wave_render () =
   let d = compile (Corpus_fsm.counter 4) in
   let sim = Sim.create d in
-  let wave = Wave.create sim [ "c.en"; "c.value" ] in
-  Sim.poke_bool sim "c.en" true;
+  let en = Testbench.port d "c.en" in
+  let wave = Wave.create sim [ en; Testbench.port d "c.value" ] in
+  Sim.set_int sim en 1;
   Sim.reset sim;
   for _ = 1 to 6 do
     Sim.step sim;
@@ -105,7 +106,7 @@ let test_wave_render () =
 let test_wave_undef_marks () =
   let d = compile (Corpus.adder_n 2) in
   let sim = Sim.create d in
-  let wave = Wave.create sim [ "adder.cout" ] in
+  let wave = Wave.create sim [ Testbench.port d "adder.cout" ] in
   Sim.step sim;
   (* nothing poked *)
   Wave.sample wave;

@@ -67,13 +67,27 @@ let err_triples errs =
          (e.Sim.err_cycle, e.Sim.err_net, e.Sim.err_code))
        errs)
 
+(* the goldens replay a run's pokes by path: each path of a design is
+   resolved once, then found in a table *)
+let port_table design =
+  let tbl = Hashtbl.create 16 in
+  fun path ->
+    match Hashtbl.find_opt tbl path with
+    | Some p -> p
+    | None ->
+        let p = Testbench.port design path in
+        Hashtbl.add tbl path p;
+        p
+
 (* the golden: one fresh incremental handle per run *)
-let serial_run design (r : Sim.batch_run) =
+let serial_run design =
+  let port = port_table design in
+  fun (r : Sim.batch_run) ->
   let sim = Sim.create ~engine:Sim.Incremental ?seed:r.Sim.br_seed design in
   let snaps = ref [] in
   for c = 0 to r.Sim.br_cycles - 1 do
     if c < Array.length r.Sim.br_stim then
-      List.iter (fun (p, bits) -> Sim.poke sim p bits) r.Sim.br_stim.(c);
+      List.iter (fun (p, bits) -> Sim.set sim (port p) bits) r.Sim.br_stim.(c);
     Sim.step sim;
     snaps := Sim.snapshot sim :: !snaps
   done;
@@ -188,12 +202,13 @@ let test_incremental_busy_runs () =
     }
   in
   let runs = List.init 6 run in
+  let port = port_table design in
   let firing r =
     let sim = Sim.create ~engine:Sim.Firing design in
     let snaps = ref [] in
     for c = 0 to r.Sim.br_cycles - 1 do
       if c < Array.length r.Sim.br_stim then
-        List.iter (fun (p, bits) -> Sim.poke sim p bits) r.Sim.br_stim.(c);
+        List.iter (fun (p, bits) -> Sim.set sim (port p) bits) r.Sim.br_stim.(c);
       Sim.step sim;
       snaps := Sim.snapshot sim :: !snaps
     done;
@@ -294,13 +309,14 @@ let test_batch_watch () =
       br_watch = [ "adder.s" ];
     }
   in
+  let port = port_table design in
   let expect v =
     (* the golden: the same pokes on a plain serial handle *)
     let sim = Sim.create ~engine:Sim.Incremental design in
-    List.iter (fun (p, bits) -> Sim.poke sim p bits) (poke v).(0);
+    List.iter (fun (p, bits) -> Sim.set sim (port p) bits) (poke v).(0);
     Sim.step sim;
     Sim.step sim;
-    Sim.peek sim "adder.s"
+    Sim.get sim (port "adder.s")
   in
   let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 design in
   let results, _ =
@@ -357,13 +373,14 @@ let test_plane_reuse () =
   Alcotest.(check int) "lane runs" 6 st.Sim.bs_lane_runs;
   let nl = design.Elaborate.netlist in
   let at snap path =
-    match Elaborate.resolve_path design path with
-    | Ok [ id ] -> snap.(Netlist.canonical nl id)
+    match Testbench.port design path with
+    | { nets = [| id |]; _ } -> snap.(Netlist.canonical nl id)
     | _ -> Alcotest.failf "%s: not a single net" path
   in
+  let serial_run = serial_run design in
   List.iteri
     (fun i ((r : Sim.batch_run), (res : Sim.batch_result)) ->
-      let ref_snaps, ref_errs = serial_run design r in
+      let ref_snaps, ref_errs = serial_run r in
       if res.Sim.bres_snaps <> ref_snaps then
         Alcotest.failf "run %d: snapshots differ from a fresh serial handle" i;
       if err_triples res.Sim.bres_errors <> ref_errs then
@@ -397,9 +414,10 @@ let test_full_words () =
     let results, st = run_batch ~jobs:1 ~snapshots:true tmpl runs in
     Alcotest.(check int) (name ^ ": groups") 3 st.Sim.bs_lane_groups;
     Alcotest.(check int) (name ^ ": lanes") 63 st.Sim.bs_lanes;
+    let serial_run = serial_run design in
     List.iteri
       (fun i (r, (res : Sim.batch_result)) ->
-        let ref_snaps, ref_errs = serial_run design r in
+        let ref_snaps, ref_errs = serial_run r in
         if res.Sim.bres_snaps <> ref_snaps then
           Alcotest.failf "%s: run %d snapshots differ from serial" name i;
         if err_triples res.Sim.bres_errors <> ref_errs then
@@ -603,18 +621,20 @@ let batch_run_of dd r =
   }
 
 (* the golden: a fresh handle per run, its pokes replayed by path *)
-let serial_replay design (r : Sim.batch_run) =
+let serial_replay design =
+  let port = port_table design in
+  fun (r : Sim.batch_run) ->
   let sim = Sim.create ~engine:Sim.Incremental ?seed:r.Sim.br_seed design in
   let snaps = ref [] in
   for c = 0 to r.Sim.br_cycles - 1 do
     if c < Array.length r.Sim.br_stim then
-      List.iter (fun (p, bits) -> Sim.poke sim p bits) r.Sim.br_stim.(c);
+      List.iter (fun (p, bits) -> Sim.set sim (port p) bits) r.Sim.br_stim.(c);
     Sim.step sim;
     snaps := Sim.snapshot sim :: !snaps
   done;
   ( List.rev !snaps,
     err_triples (Sim.runtime_errors sim),
-    List.map (fun p -> (p, Sim.peek sim p)) r.Sim.br_watch )
+    List.map (fun p -> (p, Sim.get sim (port p))) r.Sim.br_watch )
 
 let deck_case_gen =
   let open QCheck.Gen in
@@ -647,11 +667,7 @@ let prop_packed_identity =
       | Ok design ->
           let batch_runs = List.map (batch_run_of dd) runs in
           let refs = List.map (serial_replay design) batch_runs in
-          let watch =
-            List.map
-              (fun p -> (p, Result.get_ok (Elaborate.resolve_path design p)))
-              dd.dd_watch
-          in
+          let watch = List.map (Testbench.port design) dd.dd_watch in
           let st =
             Stimulus.read_deck design ~name:"deck" ~watch (render_deck runs)
           in

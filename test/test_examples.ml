@@ -4,6 +4,12 @@
 
 open Zeus
 
+(* a single-bit port's value *)
+let one_bit sim p =
+  match Sim.get sim p with
+  | [ v ] -> v
+  | l -> Alcotest.failf "%s: %d bits" p.Sim.path (List.length l)
+
 let logic = Alcotest.testable Logic.pp Logic.equal
 
 let compile src =
@@ -22,23 +28,28 @@ let no_runtime_errors name sim =
 
 let test_fulladder_exhaustive () =
   let d = compile Corpus.adder4 in
+  let p_a = Testbench.port d "adder.a" in
+  let p_b = Testbench.port d "adder.b" in
+  let p_cin = Testbench.port d "adder.cin" in
+  let p_s = Testbench.port d "adder.s" in
+  let p_cout = Testbench.port d "adder.cout" in
   (* exercise the inner fulladder through the 4-bit ripple carry *)
   let sim = Sim.create d in
   for a = 0 to 15 do
     for b = 0 to 15 do
       for c = 0 to 1 do
-        Sim.poke_int_lsb sim "adder.a" a;
-        Sim.poke_int_lsb sim "adder.b" b;
-        Sim.poke_bool sim "adder.cin" (c = 1);
+        Sim.set_int ~lsb:true sim p_a a;
+        Sim.set_int ~lsb:true sim p_b b;
+        Sim.set_int sim p_cin c;
         Sim.step sim;
         let want = a + b + c in
         Alcotest.(check (option int))
           (Printf.sprintf "%d+%d+%d" a b c)
           (Some (want land 15))
-          (Sim.peek_int_lsb sim "adder.s");
+          (Sim.get_int ~lsb:true sim p_s);
         Alcotest.check logic "cout"
           (Logic.of_bool (want > 15))
-          (Sim.peek_bit sim "adder.cout")
+          (one_bit sim p_cout)
       done
     done
   done;
@@ -51,13 +62,18 @@ let prop_ripple_widths =
       let mask = (1 lsl n) - 1 in
       let a = a land mask and b = b land mask in
       let d = compile (Corpus.adder_n n) in
+      let p_a = Testbench.port d "adder.a" in
+      let p_b = Testbench.port d "adder.b" in
+      let p_cin = Testbench.port d "adder.cin" in
+      let p_s = Testbench.port d "adder.s" in
+      let p_cout = Testbench.port d "adder.cout" in
       let sim = Sim.create d in
-      Sim.poke_int_lsb sim "adder.a" a;
-      Sim.poke_int_lsb sim "adder.b" b;
-      Sim.poke_bool sim "adder.cin" false;
+      Sim.set_int ~lsb:true sim p_a a;
+      Sim.set_int ~lsb:true sim p_b b;
+      Sim.set_int sim p_cin 0;
       Sim.step sim;
-      Sim.peek_int_lsb sim "adder.s" = Some ((a + b) land mask)
-      && Logic.equal (Sim.peek_bit sim "adder.cout")
+      Sim.get_int ~lsb:true sim p_s = Some ((a + b) land mask)
+      && Logic.equal (one_bit sim p_cout)
            (Logic.of_bool (a + b > mask)))
 
 (* the arithmetic function components used by Blackjack *)
@@ -69,64 +85,91 @@ let test_arith5_components () =
          BEGIN su := plus(a,b); di := minus(a,b); l := lt(a,b); g := \
          ge(a,b) END; SIGNAL t: top;")
   in
+  let p_a = Testbench.port d "t.a" in
+  let p_b = Testbench.port d "t.b" in
+  let p_su = Testbench.port d "t.su" in
+  let p_di = Testbench.port d "t.di" in
+  let p_l = Testbench.port d "t.l" in
+  let p_g = Testbench.port d "t.g" in
   let sim = Sim.create d in
   List.iter
     (fun (a, b) ->
-      Sim.poke_int sim "t.a" a;
-      Sim.poke_int sim "t.b" b;
+      Sim.set_int sim p_a a;
+      Sim.set_int sim p_b b;
       Sim.step sim;
       Alcotest.(check (option int))
         (Printf.sprintf "plus %d %d" a b)
         (Some ((a + b) land 31))
-        (Sim.peek_int sim "t.su");
+        (Sim.get_int sim p_su);
       Alcotest.(check (option int))
         (Printf.sprintf "minus %d %d" a b)
         (Some ((a - b) land 31))
-        (Sim.peek_int sim "t.di");
+        (Sim.get_int sim p_di);
       Alcotest.check logic
         (Printf.sprintf "lt %d %d" a b)
         (Logic.of_bool (a < b))
-        (Sim.peek_bit sim "t.l");
+        (one_bit sim p_l);
       Alcotest.check logic
         (Printf.sprintf "ge %d %d" a b)
         (Logic.of_bool (a >= b))
-        (Sim.peek_bit sim "t.g"))
+        (one_bit sim p_g))
     [ (0, 0); (10, 9); (9, 10); (31, 1); (17, 17); (22, 10); (1, 31) ];
   no_runtime_errors "arith5" sim
 
 (* ---- E2: Blackjack ---- *)
 
+(* the machine's handle and its ports, each resolved once *)
 type bj = {
   sim : Sim.t;
+  ycard : Sim.port;
+  value : Sim.port;
+  state : Sim.port;
+  score : Sim.port;
+  hit : Sim.port;
+  stand : Sim.port;
+  broke : Sim.port;
 }
 
-(* [Sim.peek] shows values of the cycle just evaluated, so after
+(* [Sim.get] shows values of the cycle just evaluated, so after
    [bj_start] the visible state is "read" (the machine waits there until
    ycard is asserted: without a card, state.in is not driven and the
    registers keep their value). *)
 let bj_start () =
   let d = compile Corpus.blackjack in
-  let sim = Sim.create d in
-  Sim.poke_bool sim "bj.ycard" false;
-  Sim.poke_int sim "bj.value" 0;
-  Sim.reset sim;
-  Sim.step sim;
+  let port = Testbench.port d in
+  let t =
+    {
+      sim = Sim.create d;
+      ycard = port "bj.ycard";
+      value = port "bj.value";
+      state = port "bj.state.out";
+      score = port "bj.score.out";
+      hit = port "bj.hit";
+      stand = port "bj.stand";
+      broke = port "bj.broke";
+    }
+  in
+  Sim.set_int t.sim t.ycard 0;
+  Sim.set_int t.sim t.value 0;
+  Sim.reset t.sim;
+  Sim.step t.sim;
   (* evaluates the start state *)
-  Sim.step sim;
+  Sim.step t.sim;
   (* evaluates the read state *)
-  { sim }
+  t
 
-let bj_state t = Sim.peek_int t.sim "bj.state.out"
+let bj_state t = Sim.get_int t.sim t.state
+let bj_score t = Sim.get_int t.sim t.score
 
 (* present a card in the read state and run through sum, firstace and
    test; afterwards the visible cycle is the post-test state (read again,
    end, or a second test round after ace demotion) *)
 let bj_feed t v =
-  Sim.poke_int t.sim "bj.value" v;
-  Sim.poke_bool t.sim "bj.ycard" true;
+  Sim.set_int t.sim t.value v;
+  Sim.set_int t.sim t.ycard 1;
   Sim.step t.sim;
   (* read, accepting the card *)
-  Sim.poke_bool t.sim "bj.ycard" false;
+  Sim.set_int t.sim t.ycard 0;
   Sim.step t.sim;
   (* sum *)
   Sim.step t.sim;
@@ -139,16 +182,16 @@ let bj_feed t v =
 let test_blackjack_states () =
   let t = bj_start () in
   Alcotest.(check (option int)) "in read" (Some 1) (bj_state t);
-  Alcotest.check logic "hit asserted" Logic.One (Sim.peek_bit t.sim "bj.hit");
+  Alcotest.check logic "hit asserted" Logic.One (one_bit t.sim t.hit);
   bj_feed t 10;
   Alcotest.(check (option int)) "score 10, back to read" (Some 1) (bj_state t);
   Alcotest.(check (option int)) "score" (Some 10)
-    (Sim.peek_int t.sim "bj.score.out");
+    (bj_score t);
   bj_feed t 9;
   (* 19: >= 17 and < 22 -> end *)
   Alcotest.(check (option int)) "end state" (Some 5) (bj_state t);
   Sim.step t.sim;
-  Alcotest.check logic "stand" Logic.One (Sim.peek_bit t.sim "bj.stand");
+  Alcotest.check logic "stand" Logic.One (one_bit t.sim t.stand);
   no_runtime_errors "blackjack" t.sim
 
 let test_blackjack_bust () =
@@ -157,10 +200,10 @@ let test_blackjack_bust () =
   bj_feed t 9;
   (* at 19 the machine stands; deal anyway to restart: end -> start *)
   Alcotest.(check (option int)) "end" (Some 5) (bj_state t);
-  Sim.poke_bool t.sim "bj.ycard" true;
+  Sim.set_int t.sim t.ycard 1;
   Sim.step t.sim;
   (* end, accepting the restart *)
-  Sim.poke_bool t.sim "bj.ycard" false;
+  Sim.set_int t.sim t.ycard 0;
   Sim.step t.sim;
   (* start *)
   Alcotest.(check (option int)) "restart" (Some 0) (bj_state t);
@@ -178,17 +221,17 @@ let test_blackjack_bust_over_21 () =
   bj_feed t 9;
   Alcotest.(check (option int)) "end after bust" (Some 5) (bj_state t);
   Sim.step t.sim;
-  Alcotest.check logic "broke" Logic.One (Sim.peek_bit t.sim "bj.broke");
-  Alcotest.check logic "not stand" Logic.Undef (Sim.peek_bit t.sim "bj.stand")
+  Alcotest.check logic "broke" Logic.One (one_bit t.sim t.broke);
+  Alcotest.check logic "not stand" Logic.Undef (one_bit t.sim t.stand)
 
 let test_blackjack_ace () =
   (* ace (1) counts as 11 via the firstace state: 1 + 10 = 21 -> stand *)
   let t = bj_start () in
   bj_feed t 1;
   Alcotest.(check (option int)) "ace as 11" (Some 11)
-    (Sim.peek_int t.sim "bj.score.out");
+    (bj_score t);
   bj_feed t 10;
-  Alcotest.(check (option int)) "21" (Some 21) (Sim.peek_int t.sim "bj.score.out");
+  Alcotest.(check (option int)) "21" (Some 21) (bj_score t);
   Alcotest.(check (option int)) "stand at 21" (Some 5) (bj_state t)
 
 let test_blackjack_ace_demotion () =
@@ -197,13 +240,13 @@ let test_blackjack_ace_demotion () =
   let t = bj_start () in
   bj_feed t 1;
   bj_feed t 5;
-  Alcotest.(check (option int)) "16" (Some 16) (Sim.peek_int t.sim "bj.score.out");
+  Alcotest.(check (option int)) "16" (Some 16) (bj_score t);
   bj_feed t 9;
   (* 25 >= 22 with ace: test demotes by ten and stays in test *)
   Sim.step t.sim;
   (* extra test cycle after demotion *)
   Alcotest.(check (option int)) "demoted" (Some 15)
-    (Sim.peek_int t.sim "bj.score.out");
+    (bj_score t);
   Alcotest.(check (option int)) "back to read" (Some 1) (bj_state t)
 
 (* ---- E3: trees ---- *)
@@ -214,10 +257,12 @@ let test_tree_broadcast () =
       List.iter
         (fun n ->
           let d = compile (make n) in
+          let p_in = Testbench.port d "a.in" in
+          let p_leaf = Testbench.port d "a.leaf" in
           let sim = Sim.create d in
-          Sim.poke_bool sim "a.in" true;
+          Sim.set_int sim p_in 1;
           Sim.step sim;
-          let leaves = Sim.peek sim "a.leaf" in
+          let leaves = Sim.get sim p_leaf in
           Alcotest.(check int)
             (Printf.sprintf "%s(%d) leaf count" variant n)
             n (List.length leaves);
@@ -231,22 +276,29 @@ let test_tree_broadcast () =
 
 let test_tree_zero () =
   let d = compile (Corpus.tree_recursive 8) in
+  let p_in = Testbench.port d "a.in" in
+  let p_leaf = Testbench.port d "a.leaf" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "a.in" false;
+  Sim.set_int sim p_in 0;
   Sim.step sim;
   Alcotest.(check bool) "all zero" true
-    (List.for_all (Logic.equal Logic.Zero) (Sim.peek sim "a.leaf"))
+    (List.for_all (Logic.equal Logic.Zero) (Sim.get sim p_leaf))
 
 (* ---- E4: pattern matching ---- *)
 
 (* drive the systolic matcher: items enter every second cycle *)
 let run_matcher ~pattern ~text ~wild ~cycles =
   let d = compile (Corpus.patternmatch 3) in
+  let p_pattern = Testbench.port d "match.pattern" in
+  let p_endofpattern = Testbench.port d "match.endofpattern" in
+  let p_wild = Testbench.port d "match.wild" in
+  let p_string = Testbench.port d "match.string" in
+  let p_result = Testbench.port d "match.result" in
   let sim = Sim.create d in
   List.iter
-    (fun p -> Sim.poke_bool sim p false)
-    [ "match.pattern"; "match.string"; "match.endofpattern"; "match.wild";
-      "match.resultin" ];
+    (fun p -> Sim.set_int sim p 0)
+    [ p_pattern; p_string; p_endofpattern; p_wild;
+      Testbench.port d "match.resultin" ];
   Sim.reset sim;
   let results = ref [] in
   for cyc = 0 to cycles - 1 do
@@ -256,20 +308,19 @@ let run_matcher ~pattern ~text ~wild ~cycles =
     if not idle then begin
       let plen = List.length pattern in
       let pi = if plen = 0 then 0 else i mod (plen + 1) in
-      Sim.poke_bool sim "match.pattern"
-        (pi < plen && List.nth pattern pi = 1);
-      Sim.poke_bool sim "match.endofpattern" (pi = plen);
-      Sim.poke_bool sim "match.wild" (pi < plen && List.nth wild pi = 1);
-      Sim.poke_bool sim "match.string" (feed text 0 = 1)
+      Sim.set_int sim p_pattern (Bool.to_int (pi < plen && List.nth pattern pi = 1));
+      Sim.set_int sim p_endofpattern (Bool.to_int (pi = plen));
+      Sim.set_int sim p_wild (Bool.to_int (pi < plen && List.nth wild pi = 1));
+      Sim.set_int sim p_string (Bool.to_int (feed text 0 = 1))
     end
     else begin
-      Sim.poke_bool sim "match.pattern" false;
-      Sim.poke_bool sim "match.endofpattern" false;
-      Sim.poke_bool sim "match.wild" false;
-      Sim.poke_bool sim "match.string" false
+      Sim.set_int sim p_pattern 0;
+      Sim.set_int sim p_endofpattern 0;
+      Sim.set_int sim p_wild 0;
+      Sim.set_int sim p_string 0
     end;
     Sim.step sim;
-    results := Sim.peek_bit sim "match.result" :: !results
+    results := one_bit sim p_result :: !results
   done;
   (List.rev !results, Sim.runtime_errors sim)
 
@@ -311,17 +362,13 @@ let test_patternmatch_wildcard () =
 let test_routing_straight () =
   let d = compile (Corpus.routing_network 4) in
   let sim = Sim.create d in
+  let ports f = List.init 4 (fun i -> Testbench.port d (Printf.sprintf f i)) in
   (* headers with MSB=0: all routers pass straight through; the butterfly
      wiring still applies its perfect shuffle: column pairs feed the top
      and bottom sub-networks *)
-  for i = 0 to 3 do
-    Sim.poke_int sim (Printf.sprintf "net.input[%d]" i) i
-  done;
+  List.iteri (fun i p -> Sim.set_int sim p i) (ports "net.input[%d]");
   Sim.step sim;
-  let got =
-    List.init 4 (fun i ->
-        Sim.peek_int sim (Printf.sprintf "net.output[%d]" i))
-  in
+  let got = List.map (Sim.get_int sim) (ports "net.output[%d]") in
   Alcotest.(check (list (option int)))
     "shuffled"
     [ Some 0; Some 2; Some 1; Some 3 ]
@@ -331,15 +378,11 @@ let test_routing_straight () =
 let test_routing_swap () =
   let d = compile (Corpus.routing_network 4) in
   let sim = Sim.create d in
+  let ports f = List.init 4 (fun i -> Testbench.port d (Printf.sprintf f i)) in
   (* headers with MSB=1: every router swaps; the butterfly reverses *)
-  for i = 0 to 3 do
-    Sim.poke_int sim (Printf.sprintf "net.input[%d]" i) (512 + i)
-  done;
+  List.iteri (fun i p -> Sim.set_int sim p (512 + i)) (ports "net.input[%d]");
   Sim.step sim;
-  let got =
-    List.init 4 (fun i ->
-        Sim.peek_int sim (Printf.sprintf "net.output[%d]" i))
-  in
+  let got = List.map (Sim.get_int sim) (ports "net.output[%d]") in
   Alcotest.(check (list (option int)))
     "swapped"
     [ Some 515; Some 513; Some 514; Some 512 ]
@@ -366,18 +409,22 @@ let test_routing_sizes () =
 
 let test_ram_write_read () =
   let d = compile (Corpus.ram ~abits:4 ~wbits:8) in
+  let p_addr = Testbench.port d "m.addr" in
+  let p_data = Testbench.port d "m.data" in
+  let p_we = Testbench.port d "m.we" in
+  let p_q = Testbench.port d "m.q" in
   let sim = Sim.create d in
   let write addr v =
-    Sim.poke_int sim "m.addr" addr;
-    Sim.poke_int sim "m.data" v;
-    Sim.poke_bool sim "m.we" true;
+    Sim.set_int sim p_addr addr;
+    Sim.set_int sim p_data v;
+    Sim.set_int sim p_we 1;
     Sim.step sim
   in
   let read addr =
-    Sim.poke_bool sim "m.we" false;
-    Sim.poke_int sim "m.addr" addr;
+    Sim.set_int sim p_we 0;
+    Sim.set_int sim p_addr addr;
     Sim.step sim;
-    Sim.peek_int sim "m.q"
+    Sim.get_int sim p_q
   in
   write 5 171;
   write 3 42;
@@ -396,37 +443,45 @@ let prop_ram_random =
               (pair (int_bound 15) (int_bound 255)))
     (fun writes ->
       let d = compile (Corpus.ram ~abits:4 ~wbits:8) in
+      let p_addr = Testbench.port d "m.addr" in
+      let p_data = Testbench.port d "m.data" in
+      let p_we = Testbench.port d "m.we" in
+      let p_q = Testbench.port d "m.q" in
       let sim = Sim.create d in
       let model = Hashtbl.create 16 in
       List.iter
         (fun (addr, v) ->
           Hashtbl.replace model addr v;
-          Sim.poke_int sim "m.addr" addr;
-          Sim.poke_int sim "m.data" v;
-          Sim.poke_bool sim "m.we" true;
+          Sim.set_int sim p_addr addr;
+          Sim.set_int sim p_data v;
+          Sim.set_int sim p_we 1;
           Sim.step sim)
         writes;
-      Sim.poke_bool sim "m.we" false;
+      Sim.set_int sim p_we 0;
       Hashtbl.fold
         (fun addr v acc ->
           acc
           &&
-          (Sim.poke_int sim "m.addr" addr;
+          (Sim.set_int sim p_addr addr;
            Sim.step sim;
-           Sim.peek_int sim "m.q" = Some v))
+           Sim.get_int sim p_q = Some v))
         model true)
 
 (* ---- mux4 (section 3.2) ---- *)
 
 let test_mux4 () =
   let d = compile Corpus.mux4 in
+  let p_d = Testbench.port d "m.d" in
+  let p_a = Testbench.port d "m.a" in
+  let p_g = Testbench.port d "m.g" in
+  let p_z = Testbench.port d "m.z" in
   let sim = Sim.create d in
   let pick d4 a g =
-    Sim.poke_int sim "m.d" d4;
-    Sim.poke_int sim "m.a" a;
-    Sim.poke_bool sim "m.g" g;
+    Sim.set_int sim p_d d4;
+    Sim.set_int sim p_a a;
+    Sim.set_int sim p_g (Bool.to_int g);
     Sim.step sim;
-    Sim.peek_bit sim "m.z"
+    one_bit sim p_z
   in
   (* d = 1010 (d[1]=1, d[2]=0, d[3]=1, d[4]=0) *)
   Alcotest.check logic "select 1" Logic.One (pick 10 0 false);

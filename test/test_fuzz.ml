@@ -50,6 +50,12 @@ let prop_comb_direct_oracle =
             QCheck.Gen.generate ~n:5 ~rand:(seed_state 99)
               (gen_inputs p.Gen.n_in)
           in
+          let ins = Array.of_list (List.map (Testbench.port design) (Gen.poke_paths p))
+          and outs =
+            List.map
+              (fun (port, _) -> (port, Testbench.port design ("s." ^ port)))
+              (Gen.out_ports p)
+          in
           List.for_all
             (fun vec ->
               let inputs = Array.of_list vec in
@@ -57,13 +63,11 @@ let prop_comb_direct_oracle =
               List.for_all
                 (fun engine ->
                   let sim = Sim.create ~engine design in
-                  Array.iteri
-                    (fun i v -> Sim.poke sim (Printf.sprintf "s.x%d" i) [ v ])
-                    inputs;
+                  Array.iteri (fun i v -> Sim.set sim ins.(i) [ v ]) inputs;
                   Sim.step sim;
                   List.for_all
                     (fun (port, want) ->
-                      let got = Sim.peek_bit sim ("s." ^ port) in
+                      let got = List.hd (Sim.get sim (List.assoc port outs)) in
                       if not (Logic.equal got want) then
                         QCheck.Test.fail_reportf
                           "engine %s, port %s: expected %a, got %a for@.%s"
@@ -148,9 +152,15 @@ let prop_optimize_identity =
           let ai = r.Reduce.ai in
           let g1 = Graph.build design
           and g2 = Graph.build r.Reduce.design in
-          let reference = Oracle.run_engine design Sim.Incremental stim in
+          (* the reduced design shares nets: one set of ports drives both *)
+          let pokes =
+            match Oracle.ports design stim with
+            | Ok pokes -> pokes
+            | Error msg -> QCheck.Test.fail_reportf "%s" msg
+          in
+          let reference = Oracle.run_engine design Sim.Incremental pokes in
           let optimized =
-            Oracle.run_engine r.Reduce.design Sim.Incremental stim
+            Oracle.run_engine r.Reduce.design Sim.Incremental pokes
           in
           if
             List.length reference.Oracle.snaps
@@ -199,12 +209,13 @@ let prop_register_pipeline =
         (Printf.sprintf "  q := r[%d].out\nEND;\nSIGNAL s: t;\n" depth);
       let design = Zeus.compile_exn (Buffer.contents buf) in
       let sim = Sim.create design in
+      let d = Testbench.port design "s.d" and q = Testbench.port design "s.q" in
       let outputs =
         List.map
           (fun b ->
-            Sim.poke_bool sim "s.d" b;
+            Sim.set_int sim d (Bool.to_int b);
             Sim.step sim;
-            Sim.peek_bit sim "s.q")
+            List.hd (Sim.get sim q))
           stream
       in
       (* output k equals input k-depth *)
@@ -239,12 +250,13 @@ let prop_random_mux =
       Buffer.add_string buf "  z := h\nEND;\nSIGNAL s: t;\n";
       let design = Zeus.compile_exn (Buffer.contents buf) in
       let sim = Sim.create design in
+      let a = Testbench.port design "s.a" and z = Testbench.port design "s.z" in
       List.for_all
         (fun k ->
-          Sim.poke_int sim "s.a" k;
+          Sim.set_int sim a k;
           Sim.step sim;
           Logic.equal
-            (Sim.peek_bit sim "s.z")
+            (List.hd (Sim.get sim z))
             (Logic.of_bool ((data lsr (k mod 4)) land 1 = 1))
           && Sim.runtime_errors sim = [])
         (List.init n Fun.id))

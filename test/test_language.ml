@@ -6,6 +6,12 @@
 
 open Zeus
 
+(* a single-bit port's value *)
+let one_bit sim p =
+  match Sim.get sim p with
+  | [ v ] -> v
+  | l -> Alcotest.failf "%s: %d bits" p.Sim.path (List.length l)
+
 let logic = Alcotest.testable Logic.pp Logic.equal
 
 let compile src =
@@ -26,9 +32,11 @@ let test_with_nested () =
        inner; BEGIN WITH i DO a := x END; WITH i DO y := b END END;\n\
        SIGNAL s: outer;"
   in
-  Sim.poke_bool sim "s.x" false;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_x 0;
   Sim.step sim;
-  Alcotest.check logic "through two withs" Logic.One (Sim.peek_bit sim "s.y")
+  Alcotest.check logic "through two withs" Logic.One (one_bit sim p_y)
 
 let test_with_shadowing () =
   (* the with-field wins over an outer signal of the same name
@@ -42,11 +50,13 @@ let test_with_shadowing () =
        b END;\n\
        SIGNAL s: outer;"
   in
-  Sim.poke_bool sim "s.x" true;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_x 1;
   Sim.step sim;
   (* y must be i.b = NOT 1 = 0, not the local b = 1 *)
   Alcotest.check logic "field shadows local" Logic.Zero
-    (Sim.peek_bit sim "s.y")
+    (one_bit sim p_y)
 
 (* ---- record (bus) types, section 3.2 ---- *)
 
@@ -60,11 +70,14 @@ let test_bus_record () =
        b.s; z := b.u END;\n\
        SIGNAL q: t;"
   in
-  Sim.poke_int sim "q.x" 0b101;
+  let p_x = Testbench.port (Sim.design sim) "q.x" in
+  let p_y = Testbench.port (Sim.design sim) "q.y" in
+  let p_z = Testbench.port (Sim.design sim) "q.z" in
+  Sim.set_int sim p_x 0b101;
   Sim.step sim;
   Alcotest.(check (option int)) "bus wires" (Some 0b010)
-    (Sim.peek_int sim "q.y");
-  Alcotest.check logic "bus bit" Logic.Zero (Sim.peek_bit sim "q.z")
+    (Sim.get_int sim p_y);
+  Alcotest.check logic "bus bit" Logic.Zero (one_bit sim p_z)
 
 (* ---- field ranges .a..b (grammar line 39) ---- *)
 
@@ -77,10 +90,12 @@ let test_field_range () =
        q.c..d END;\n\
        SIGNAL s: t;"
   in
-  Sim.poke_int sim "s.x" 0b10;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_x 0b10;
   Sim.step sim;
   Alcotest.(check (option int)) "field range" (Some 0b10)
-    (Sim.peek_int sim "s.y")
+    (Sim.get_int sim p_y)
 
 (* ---- the parenthesis-irrelevance example of section 4.7 ---- *)
 
@@ -107,12 +122,15 @@ let test_connection_parens_irrelevant () =
   List.iter
     (fun conn ->
       let sim = sim_of (Printf.sprintf base conn) in
-      Sim.poke_int sim "x.p" 0b11;
-      Sim.poke_int sim "x.q" 0b111;
+      let p_p = Testbench.port (Sim.design sim) "x.p" in
+      let p_q = Testbench.port (Sim.design sim) "x.q" in
+      let p_z = Testbench.port (Sim.design sim) "x.z" in
+      Sim.set_int sim p_p 0b11;
+      Sim.set_int sim p_q 0b111;
       Sim.step sim;
       Alcotest.check logic
         (Printf.sprintf "all ones through %s" conn)
-        Logic.One (Sim.peek_bit sim "x.z"))
+        Logic.One (one_bit sim p_z))
     variants
 
 (* ---- unpoke ---- *)
@@ -123,12 +141,14 @@ let test_unpoke () =
       "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS BEGIN y := NOT \
        a END;\nSIGNAL s: t;"
   in
-  Sim.poke_bool sim "s.a" false;
+  let p_a = Testbench.port (Sim.design sim) "s.a" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_a 0;
   Sim.step sim;
-  Alcotest.check logic "poked" Logic.One (Sim.peek_bit sim "s.y");
-  Sim.unpoke sim "s.a";
+  Alcotest.check logic "poked" Logic.One (one_bit sim p_y);
+  Sim.release sim p_a;
   Sim.step sim;
-  Alcotest.check logic "floating again" Logic.Undef (Sim.peek_bit sim "s.y")
+  Alcotest.check logic "floating again" Logic.Undef (one_bit sim p_y)
 
 (* ---- DOWNTO and empty loops ---- *)
 
@@ -140,10 +160,12 @@ let test_downto_and_empty () =
        j := 1 TO 0 DO y[99] := x[99] END END;\n\
        SIGNAL s: t;"
   in
-  Sim.poke_int sim "s.x" 0b1100;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_x 0b1100;
   Sim.step sim;
   Alcotest.(check (option int)) "reversed" (Some 0b0011)
-    (Sim.peek_int sim "s.y")
+    (Sim.get_int sim p_y)
 
 (* ---- octal constants in types ---- *)
 
@@ -182,9 +204,11 @@ let test_when_chain () =
   in
   let run n input =
     let sim = sim_of (variant n) in
-    Sim.poke_bool sim "s.x" input;
+    let p_x = Testbench.port (Sim.design sim) "s.x" in
+    let p_y = Testbench.port (Sim.design sim) "s.y" in
+    Sim.set_int sim p_x (Bool.to_int input);
     Sim.step sim;
-    Sim.peek_bit sim "s.y"
+    one_bit sim p_y
   in
   Alcotest.check logic "arm 1" Logic.One (run 1 true);
   Alcotest.check logic "arm 2" Logic.Zero (run 2 true);
@@ -201,10 +225,12 @@ let test_parameterized_nesting () =
        pair(k); BEGIN p.lo := a; p.hi := NOT a; z := (p.hi,p.lo) END;\n\
        SIGNAL s: widen(3);"
   in
-  Sim.poke_int sim "s.a" 0b101;
+  let p_a = Testbench.port (Sim.design sim) "s.a" in
+  let p_z = Testbench.port (Sim.design sim) "s.z" in
+  Sim.set_int sim p_a 0b101;
   Sim.step sim;
   Alcotest.(check (option int)) "widened" (Some 0b010101)
-    (Sim.peek_int sim "s.z")
+    (Sim.get_int sim p_z)
 
 let test_min_max_in_bounds () =
   let d =
@@ -233,15 +259,18 @@ let test_inout_chain () =
        END;\n\
        SIGNAL s: top;"
   in
-  Sim.poke_bool sim "s.en" true;
-  Sim.poke_bool sim "s.v" true;
+  let p_en = Testbench.port (Sim.design sim) "s.en" in
+  let p_v = Testbench.port (Sim.design sim) "s.v" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_en 1;
+  Sim.set_int sim p_v 1;
   Sim.step sim;
   Alcotest.check logic "aliased through two levels" Logic.One
-    (Sim.peek_bit sim "s.y");
-  Sim.poke_bool sim "s.en" false;
+    (one_bit sim p_y);
+  Sim.set_int sim p_en 0;
   Sim.step sim;
   Alcotest.check logic "released reads UNDEF via amplifier" Logic.Undef
-    (Sim.peek_bit sim "s.y")
+    (one_bit sim p_y)
 
 (* ---- shared tri-state bus with two drivers ---- *)
 
@@ -255,13 +284,18 @@ let test_tristate_bus () =
        d1.en := en1; d1.v := v1; d2.en := en2; d2.v := v2; y := bus END;\n\
        SIGNAL s: top;"
   in
+  let p_en1 = Testbench.port (Sim.design sim) "s.en1" in
+  let p_v1 = Testbench.port (Sim.design sim) "s.v1" in
+  let p_en2 = Testbench.port (Sim.design sim) "s.en2" in
+  let p_v2 = Testbench.port (Sim.design sim) "s.v2" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
   let drive en1 v1 en2 v2 =
-    Sim.poke_bool sim "s.en1" en1;
-    Sim.poke_bool sim "s.v1" v1;
-    Sim.poke_bool sim "s.en2" en2;
-    Sim.poke_bool sim "s.v2" v2;
+    Sim.set_int sim p_en1 (Bool.to_int en1);
+    Sim.set_int sim p_v1 (Bool.to_int v1);
+    Sim.set_int sim p_en2 (Bool.to_int en2);
+    Sim.set_int sim p_v2 (Bool.to_int v2);
     Sim.step sim;
-    Sim.peek_bit sim "s.y"
+    one_bit sim p_y
   in
   Alcotest.check logic "driver 1" Logic.One (drive true true false false);
   Alcotest.check logic "driver 2" Logic.Zero (drive false true true false);
@@ -281,12 +315,14 @@ let test_named_sig_const () =
        IS BEGIN IF sel THEN y := pattern ELSE y := zero3 END END;\n\
        SIGNAL s: t;"
   in
-  Sim.poke_bool sim "s.sel" true;
+  let p_sel = Testbench.port (Sim.design sim) "s.sel" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_sel 1;
   Sim.step sim;
-  Alcotest.(check (option int)) "pattern" (Some 0b101) (Sim.peek_int sim "s.y");
-  Sim.poke_bool sim "s.sel" false;
+  Alcotest.(check (option int)) "pattern" (Some 0b101) (Sim.get_int sim p_y);
+  Sim.set_int sim p_sel 0;
   Sim.step sim;
-  Alcotest.(check (option int)) "zero" (Some 0) (Sim.peek_int sim "s.y")
+  Alcotest.(check (option int)) "zero" (Some 0) (Sim.get_int sim p_y)
 
 let test_const_of_const () =
   let sim =
@@ -296,9 +332,10 @@ let test_const_of_const () =
        BEGIN * := x; y := extended END;\n\
        SIGNAL s: t;"
   in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
   Sim.step sim;
   Alcotest.(check (option int)) "nested constant" (Some 0b110)
-    (Sim.peek_int sim "s.y")
+    (Sim.get_int sim p_y)
 
 (* ---- indexed constants ---- *)
 
@@ -310,8 +347,9 @@ let test_indexed_constant () =
        BEGIN * := x; y := table[3] END;\n\
        SIGNAL s: t;"
   in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
   Sim.step sim;
-  Alcotest.(check (option int)) "table[3]" (Some 0b10) (Sim.peek_int sim "s.y")
+  Alcotest.(check (option int)) "table[3]" (Some 0b10) (Sim.get_int sim p_y)
 
 (* ---- array slices in assignments ---- *)
 
@@ -323,12 +361,15 @@ let test_array_slice () =
        := x[1..2]; * := x[7..8] END;\n\
        SIGNAL s: t;"
   in
-  Sim.poke_int sim "s.x" 0b10110100;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  let p_z = Testbench.port (Sim.design sim) "s.z" in
+  Sim.set_int sim p_x 0b10110100;
   Sim.step sim;
   Alcotest.(check (option int)) "middle slice" (Some 0b1101)
-    (Sim.peek_int sim "s.y");
+    (Sim.get_int sim p_y);
   Alcotest.(check (option int)) "head slice" (Some 0b10)
-    (Sim.peek_int sim "s.z")
+    (Sim.get_int sim p_z)
 
 (* ---- nested SEQUENTIAL/PARALLEL ---- *)
 
@@ -349,11 +390,14 @@ let test_reg_initial_value () =
        REG(1); b: REG(0); BEGIN a.in := AND(x,a.out); b.in := OR(x,b.out); \
        y := a.out; z := b.out END;\nSIGNAL s: t;"
   in
-  Sim.poke_bool sim "s.x" true;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  let p_z = Testbench.port (Sim.design sim) "s.z" in
+  Sim.set_int sim p_x 1;
   Sim.step sim;
   (* first cycle reads the declared power-up values, no reset needed *)
-  Alcotest.check logic "starts at 1" Logic.One (Sim.peek_bit sim "s.y");
-  Alcotest.check logic "starts at 0" Logic.Zero (Sim.peek_bit sim "s.z")
+  Alcotest.check logic "starts at 1" Logic.One (one_bit sim p_y);
+  Alcotest.check logic "starts at 0" Logic.Zero (one_bit sim p_z)
 
 let test_reg_init_array () =
   (* a whole register array with a common initial value *)
@@ -363,10 +407,12 @@ let test_reg_init_array () =
        SIGNAL r: ARRAY[1..4] OF REG(1); BEGIN IF x THEN r.in := BIN(0,4) \
        END; q := r.out END;\nSIGNAL s: t;"
   in
-  Sim.poke_bool sim "s.x" false;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_q = Testbench.port (Sim.design sim) "s.q" in
+  Sim.set_int sim p_x 0;
   Sim.step sim;
   Alcotest.(check (option int)) "all ones at power-up" (Some 15)
-    (Sim.peek_int sim "s.q")
+    (Sim.get_int sim p_q)
 
 let test_reg_init_bad_value () =
   match Zeus.compile "SIGNAL r: REG(7);" with
@@ -381,9 +427,11 @@ let test_clk_reads_one () =
       "TYPE t = COMPONENT (IN x: boolean; OUT y: boolean) IS BEGIN y := \
        AND(x,CLK) END;\nSIGNAL s: t;"
   in
-  Sim.poke_bool sim "s.x" true;
+  let p_x = Testbench.port (Sim.design sim) "s.x" in
+  let p_y = Testbench.port (Sim.design sim) "s.y" in
+  Sim.set_int sim p_x 1;
   Sim.step sim;
-  Alcotest.check logic "CLK ticks" Logic.One (Sim.peek_bit sim "s.y")
+  Alcotest.check logic "CLK ticks" Logic.One (one_bit sim p_y)
 
 (* ---- empty statements and stray semicolons ---- *)
 

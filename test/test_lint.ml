@@ -299,11 +299,9 @@ let test_runtime_code_correlates () =
   Alcotest.(check bool) "static Z101" true
     (has_code static Diag.Code.drive_conflict);
   let sim = Sim.create design in
-  Sim.poke sim "top.x" [ Logic.One ];
-  Sim.poke sim "top.y" [ Logic.One ];
-  Sim.poke sim "top.a" [ Logic.One ];
-  Sim.poke sim "top.b" [ Logic.One ];
-  Sim.poke sim "top.cc" [ Logic.Zero ];
+  List.iter
+    (fun (p, v) -> Sim.set_int sim (Testbench.port design p) v)
+    [ ("top.x", 1); ("top.y", 1); ("top.a", 1); ("top.b", 1); ("top.cc", 0) ];
   Sim.step sim;
   match Sim.runtime_errors sim with
   | [] -> Alcotest.fail "expected a runtime multiple-drive violation"

@@ -15,24 +15,27 @@ let test_large_ram () =
   let nl = d.Elaborate.netlist in
   Alcotest.(check int) "registers" 4096 (List.length (Netlist.regs nl));
   let sim = Sim.create d in
+  let port = Testbench.port d in
+  let addr = port "m.addr" and data = port "m.data" and we = port "m.we"
+  and q = port "m.q" in
   (* a write/read burst across the address space *)
   for a = 0 to 255 do
     if a mod 17 = 0 then begin
-      Sim.poke_int sim "m.addr" a;
-      Sim.poke_int sim "m.data" ((a * 257) land 0xffff);
-      Sim.poke_bool sim "m.we" true;
+      Sim.set_int sim addr a;
+      Sim.set_int sim data ((a * 257) land 0xffff);
+      Sim.set_int sim we 1;
       Sim.step sim
     end
   done;
-  Sim.poke_bool sim "m.we" false;
+  Sim.set_int sim we 0;
   for a = 0 to 255 do
     if a mod 17 = 0 then begin
-      Sim.poke_int sim "m.addr" a;
+      Sim.set_int sim addr a;
       Sim.step sim;
       Alcotest.(check (option int))
         (Printf.sprintf "readback %d" a)
         (Some ((a * 257) land 0xffff))
-        (Sim.peek_int sim "m.q")
+        (Sim.get_int sim q)
     end
   done;
   Alcotest.(check int) "no runtime errors" 0
@@ -50,16 +53,12 @@ let test_large_routing () =
   in
   Alcotest.(check int) "router count" (128 / 2 * 7) routers;
   let sim = Sim.create d in
-  for i = 0 to 127 do
-    Sim.poke_int sim (Printf.sprintf "net.input[%d]" i) i
-  done;
+  let ports f = List.init 128 (fun i -> Testbench.port d (Printf.sprintf f i)) in
+  List.iteri (fun i p -> Sim.set_int sim p i) (ports "net.input[%d]");
   Sim.step sim;
   (* straight switches: the butterfly applies its wiring permutation;
      all outputs must be defined and a permutation of the inputs *)
-  let outs =
-    List.init 128 (fun i ->
-        Sim.peek_int sim (Printf.sprintf "net.output[%d]" i))
-  in
+  let outs = List.map (Sim.get_int sim) (ports "net.output[%d]") in
   Alcotest.(check bool) "all defined" true (List.for_all Option.is_some outs);
   let sorted = List.sort compare (List.map Option.get outs) in
   Alcotest.(check (list int)) "a permutation" (List.init 128 Fun.id) sorted
@@ -67,42 +66,45 @@ let test_large_routing () =
 let test_deep_adder () =
   let d = compile (Corpus.adder_n 128) in
   let sim = Sim.create d in
+  let port = Testbench.port d in
+  let a = port "adder.a" in
   (* worst-case carry propagation: all ones + 1 *)
-  Sim.poke_int_lsb sim "adder.a" 0;
-  Sim.poke_int_lsb sim "adder.b" 0;
-  Sim.poke_bool sim "adder.cin" true;
-  (* drive a[i] = 1 everywhere via direct bit pokes *)
-  (match Elaborate.resolve_path d "adder.a" with
-  | Ok nets -> Sim.poke_nets sim nets (List.map (fun _ -> Logic.One) nets)
-  | Error e -> Alcotest.fail e);
+  Sim.set_int ~lsb:true sim a 0;
+  Sim.set_int ~lsb:true sim (port "adder.b") 0;
+  Sim.set_int sim (port "adder.cin") 1;
+  (* drive a[i] = 1 everywhere, bit by bit *)
+  Sim.set sim a (Array.to_list (Array.map (fun _ -> Logic.One) a.nets));
   Sim.step sim;
-  Alcotest.(check char) "carry out after 128 bits" '1'
-    (Logic.to_char (Sim.peek_bit sim "adder.cout"));
+  Alcotest.(check (option int)) "carry out after 128 bits" (Some 1)
+    (Sim.get_int sim (port "adder.cout"));
   (* the sum is all zeros *)
-  let s = Sim.peek sim "adder.s" in
+  let s = Sim.get sim (port "adder.s") in
   Alcotest.(check bool) "sum wrapped to zero" true
     (List.for_all (Logic.equal Logic.Zero) s)
 
 let test_wide_dictionary () =
   let d = compile (Corpus.dictionary ~slots:64 ~keybits:12) in
   let sim = Sim.create d in
-  Sim.poke_bool sim "dict.ins" false;
-  Sim.poke_bool sim "dict.del" false;
-  Sim.poke_int sim "dict.slot" 0;
-  Sim.poke_int sim "dict.data" 0;
-  Sim.poke_int sim "dict.query" 0;
+  let port = Testbench.port d in
+  let ins = port "dict.ins" and slot_p = port "dict.slot"
+  and data = port "dict.data" and query = port "dict.query" in
+  Sim.set_int sim ins 0;
+  Sim.set_int sim (port "dict.del") 0;
+  Sim.set_int sim slot_p 0;
+  Sim.set_int sim data 0;
+  Sim.set_int sim query 0;
   Sim.reset sim;
   for slot = 0 to 63 do
-    Sim.poke_bool sim "dict.ins" true;
-    Sim.poke_int sim "dict.slot" slot;
-    Sim.poke_int sim "dict.data" (slot * 63);
+    Sim.set_int sim ins 1;
+    Sim.set_int sim slot_p slot;
+    Sim.set_int sim data (slot * 63);
     Sim.step sim
   done;
-  Sim.poke_bool sim "dict.ins" false;
-  Sim.poke_int sim "dict.query" (17 * 63);
+  Sim.set_int sim ins 0;
+  Sim.set_int sim query (17 * 63);
   Sim.step sim;
-  Alcotest.(check char) "member found among 64 slots" '1'
-    (Logic.to_char (Sim.peek_bit sim "dict.member"))
+  Alcotest.(check (option int)) "member found among 64 slots" (Some 1)
+    (Sim.get_int sim (port "dict.member"))
 
 let test_htree_large () =
   (* htree(4096): 5461 instances; elaboration + floorplan stay linear *)

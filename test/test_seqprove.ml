@@ -126,16 +126,20 @@ let test_witness_replays () =
     (sp.Seqprove.sp_witnesses <> []);
   List.iter
     (fun (w : Seqprove.witness) ->
+      (* the trace's names, each resolved once *)
+      let trace =
+        Array.map
+          (List.map (fun (_, name, v) -> (Testbench.port design name, v)))
+          w.Seqprove.w_trace
+      in
       List.iter
         (fun engine ->
           let sim = Sim.create ~engine design in
           Array.iter
             (fun pokes ->
-              List.iter
-                (fun (_, name, v) -> Sim.poke sim name [ v ])
-                pokes;
+              List.iter (fun (p, v) -> Sim.set sim p [ v ]) pokes;
               Sim.step sim)
-            w.Seqprove.w_trace;
+            trace;
           let hit =
             List.exists
               (fun (e : Sim.runtime_error) ->
@@ -174,11 +178,12 @@ let test_discharge () =
         (c.Bytecode.check_ops + c.Bytecode.discharged_ops)
   | _ -> Alcotest.fail "compiled engine not available");
   (* value identity under a defined stimulus *)
+  let a = Testbench.port design "s.a" and b = Testbench.port design "s.b" in
   for cycle = 0 to 7 do
     List.iter
       (fun sim ->
-        Sim.poke_bool sim "s.a" (cycle mod 2 = 0);
-        Sim.poke_bool sim "s.b" (cycle mod 3 = 0);
+        Sim.set_int sim a (Bool.to_int (cycle mod 2 = 0));
+        Sim.set_int sim b (Bool.to_int (cycle mod 3 = 0));
         Sim.step sim)
       [ plain; cut ]
   done;

@@ -143,17 +143,16 @@ let test_grown_netlist_misses () =
 (* Compiled handles without cone state                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* paths [explain] can name: class representatives without gate
+(* ports [explain] can name: class representatives without gate
    temporaries, first few that resolve *)
-let explain_paths d g =
+let explain_ports d g =
   let picked = ref [] in
   Array.iter
     (fun name ->
-      if
-        List.length !picked < 6
-        && (not (String.contains name '#'))
-        && Result.is_ok (Elaborate.resolve_path d name)
-      then picked := name :: !picked)
+      if List.length !picked < 6 && not (String.contains name '#') then
+        match Sim.port d name with
+        | Ok p -> picked := p :: !picked
+        | Error _ -> ())
     g.Graph.names;
   List.rev !picked
 
@@ -168,7 +167,7 @@ let test_lean_compiled_matches_firing () =
       let d = compile src in
       let g = Graph.build d in
       let inputs = Graph.top_input_nets d in
-      let paths = explain_paths d g in
+      let ports = explain_ports d g in
       let rng = Random.State.make [| 39 |] in
       let stimulus =
         List.init 6 (fun _ ->
@@ -196,11 +195,8 @@ let test_lean_compiled_matches_firing () =
           changed,
           Sim.activity ~top:1000 sim,
           List.map
-            (fun p ->
-              match Explain.explain sim p ~depth:2 with
-              | Ok e -> Explain.to_string e
-              | Error m -> m)
-            paths )
+            (fun p -> Explain.to_string (Explain.explain sim p ~depth:2))
+            ports )
       in
       let run engine =
         let sim = Sim.create ~engine d in

@@ -6,6 +6,12 @@
 
 open Zeus
 
+(* a single-bit port's value *)
+let one_bit sim p =
+  match Sim.get sim p with
+  | [ v ] -> v
+  | l -> Alcotest.failf "%s: %d bits" p.Sim.path (List.length l)
+
 let logic = Alcotest.testable Logic.pp Logic.equal
 
 let compile src =
@@ -27,11 +33,14 @@ let simple_gate op =
        op)
 
 let eval2 d a b =
+  let p_a = Testbench.port d "s.a" in
+  let p_b = Testbench.port d "s.b" in
+  let p_y = Testbench.port d "s.y" in
   let sim = Sim.create d in
-  Sim.poke sim "s.a" [ a ];
-  Sim.poke sim "s.b" [ b ];
+  Sim.set sim p_a [ a ];
+  Sim.set sim p_b [ b ];
   Sim.step sim;
-  Sim.peek_bit sim "s.y"
+  one_bit sim p_y
 
 let test_gate_sim () =
   let d = simple_gate "AND" in
@@ -46,13 +55,15 @@ let test_gate_sim () =
 
 let test_unpoked_inputs_undef () =
   let d = simple_gate "OR" in
+  let p_y = Testbench.port d "s.y" in
+  let p_a = Testbench.port d "s.a" in
   let sim = Sim.create d in
   Sim.step sim;
-  Alcotest.check logic "OR(U,U)" Logic.Undef (Sim.peek_bit sim "s.y");
-  Sim.poke sim "s.a" [ Logic.One ];
+  Alcotest.check logic "OR(U,U)" Logic.Undef (one_bit sim p_y);
+  Sim.set sim p_a [ Logic.One ];
   Sim.step sim;
   (* early firing: OR fires 1 even though b is UNDEF *)
-  Alcotest.check logic "OR(1,U)" Logic.One (Sim.peek_bit sim "s.y")
+  Alcotest.check logic "OR(1,U)" Logic.One (one_bit sim p_y)
 
 (* ---- registers (section 5.1) ---- *)
 
@@ -62,27 +73,33 @@ let reg_design =
 
 let test_reg_delay () =
   let d = compile reg_design in
+  let p_en = Testbench.port d "s.en" in
+  let p_d = Testbench.port d "s.d" in
+  let p_q = Testbench.port d "s.q" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.en" true;
-  Sim.poke_bool sim "s.d" true;
+  Sim.set_int sim p_en 1;
+  Sim.set_int sim p_d 1;
   Sim.step sim;
   (* q is last cycle's input: still UNDEF *)
-  Alcotest.check logic "initial out" Logic.Undef (Sim.peek_bit sim "s.q");
+  Alcotest.check logic "initial out" Logic.Undef (one_bit sim p_q);
   Sim.step sim;
-  Alcotest.check logic "one cycle later" Logic.One (Sim.peek_bit sim "s.q")
+  Alcotest.check logic "one cycle later" Logic.One (one_bit sim p_q)
 
 let test_reg_holds_value () =
   let d = compile reg_design in
+  let p_en = Testbench.port d "s.en" in
+  let p_d = Testbench.port d "s.d" in
+  let p_q = Testbench.port d "s.q" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.en" true;
-  Sim.poke_bool sim "s.d" true;
+  Sim.set_int sim p_en 1;
+  Sim.set_int sim p_d 1;
   Sim.step sim;
   (* disable: the input gets NOINFL, the register keeps its value *)
-  Sim.poke_bool sim "s.en" false;
+  Sim.set_int sim p_en 0;
   Sim.step sim;
   Sim.step sim;
   Sim.step sim;
-  Alcotest.check logic "held" Logic.One (Sim.peek_bit sim "s.q")
+  Alcotest.check logic "held" Logic.One (one_bit sim p_q)
 
 let test_reg_same_cycle_read_write () =
   (* "in the same clock cycle the in port is assigned and the stored
@@ -93,16 +110,18 @@ let test_reg_same_cycle_read_write () =
        BEGIN IF RSET THEN r.in := 0 ELSE r.in := XOR(r.out,a) END; q := \
        r.out END; SIGNAL s: t;"
   in
+  let p_a = Testbench.port d "s.a" in
+  let p_q = Testbench.port d "s.q" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.a" true;
+  Sim.set_int sim p_a 1;
   Sim.reset sim;
   Sim.step sim;
-  Alcotest.check logic "t1" Logic.Zero (Sim.peek_bit sim "s.q")
+  Alcotest.check logic "t1" Logic.Zero (one_bit sim p_q)
   |> fun () ->
   Sim.step sim;
-  Alcotest.check logic "t2" Logic.One (Sim.peek_bit sim "s.q");
+  Alcotest.check logic "t2" Logic.One (one_bit sim p_q);
   Sim.step sim;
-  Alcotest.check logic "t3" Logic.Zero (Sim.peek_bit sim "s.q")
+  Alcotest.check logic "t3" Logic.Zero (one_bit sim p_q)
 
 (* ---- multiplex resolution and the runtime check ---- *)
 
@@ -112,49 +131,68 @@ let mux_design =
 
 let test_mux_single_drive () =
   let d = compile mux_design in
+  let p_b = Testbench.port d "s.b" in
+  let p_c = Testbench.port d "s.c" in
+  let p_x = Testbench.port d "s.x" in
+  let p_y = Testbench.port d "s.y" in
+  let p_m = Testbench.port d "s.m" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.b" true;
-  Sim.poke_bool sim "s.c" false;
-  Sim.poke_bool sim "s.x" true;
-  Sim.poke_bool sim "s.y" false;
+  Sim.set_int sim p_b 1;
+  Sim.set_int sim p_c 0;
+  Sim.set_int sim p_x 1;
+  Sim.set_int sim p_y 0;
   Sim.step sim;
-  Alcotest.check logic "selected x" Logic.One (Sim.peek_bit sim "s.m");
+  Alcotest.check logic "selected x" Logic.One (one_bit sim p_m);
   Alcotest.(check int) "no runtime errors" 0
     (List.length (Sim.runtime_errors sim))
 
 let test_mux_no_drive_noinfl () =
   let d = compile mux_design in
+  let p_b = Testbench.port d "s.b" in
+  let p_c = Testbench.port d "s.c" in
+  let p_x = Testbench.port d "s.x" in
+  let p_y = Testbench.port d "s.y" in
+  let p_m = Testbench.port d "s.m" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.b" false;
-  Sim.poke_bool sim "s.c" false;
-  Sim.poke_bool sim "s.x" true;
-  Sim.poke_bool sim "s.y" false;
+  Sim.set_int sim p_b 0;
+  Sim.set_int sim p_c 0;
+  Sim.set_int sim p_x 1;
+  Sim.set_int sim p_y 0;
   Sim.step sim;
-  Alcotest.check logic "high impedance" Logic.Noinfl (Sim.peek_bit sim "s.m")
+  Alcotest.check logic "high impedance" Logic.Noinfl (one_bit sim p_m)
 
 let test_mux_conflict_detected () =
   (* both guards on: the "burning transistors" runtime check fires *)
   let d = compile mux_design in
+  let p_b = Testbench.port d "s.b" in
+  let p_c = Testbench.port d "s.c" in
+  let p_x = Testbench.port d "s.x" in
+  let p_y = Testbench.port d "s.y" in
+  let p_m = Testbench.port d "s.m" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.b" true;
-  Sim.poke_bool sim "s.c" true;
-  Sim.poke_bool sim "s.x" true;
-  Sim.poke_bool sim "s.y" false;
+  Sim.set_int sim p_b 1;
+  Sim.set_int sim p_c 1;
+  Sim.set_int sim p_x 1;
+  Sim.set_int sim p_y 0;
   Sim.step sim;
   Alcotest.(check bool) "conflict reported" true
     (Sim.runtime_errors sim <> []);
-  Alcotest.check logic "forced UNDEF" Logic.Undef (Sim.peek_bit sim "s.m")
+  Alcotest.check logic "forced UNDEF" Logic.Undef (one_bit sim p_m)
 
 let test_mux_undef_guard () =
   (* IF with UNDEF condition drives UNDEF (section 8) *)
   let d = compile mux_design in
+  let p_c = Testbench.port d "s.c" in
+  let p_x = Testbench.port d "s.x" in
+  let p_y = Testbench.port d "s.y" in
+  let p_m = Testbench.port d "s.m" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.c" false;
-  Sim.poke_bool sim "s.x" true;
-  Sim.poke_bool sim "s.y" false;
+  Sim.set_int sim p_c 0;
+  Sim.set_int sim p_x 1;
+  Sim.set_int sim p_y 0;
   (* b left undefined *)
   Sim.step sim;
-  Alcotest.check logic "undef guard" Logic.Undef (Sim.peek_bit sim "s.m")
+  Alcotest.check logic "undef guard" Logic.Undef (one_bit sim p_m)
 
 let test_if_else_exclusive () =
   let d =
@@ -162,16 +200,20 @@ let test_if_else_exclusive () =
       "TYPE t = COMPONENT (IN b,x,y: boolean; OUT z: boolean) IS BEGIN IF b \
        THEN z := x ELSE z := y END END; SIGNAL s: t;"
   in
+  let p_b = Testbench.port d "s.b" in
+  let p_x = Testbench.port d "s.x" in
+  let p_y = Testbench.port d "s.y" in
+  let p_z = Testbench.port d "s.z" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.b" false;
-  Sim.poke_bool sim "s.x" true;
-  Sim.poke_bool sim "s.y" false;
+  Sim.set_int sim p_b 0;
+  Sim.set_int sim p_x 1;
+  Sim.set_int sim p_y 0;
   Sim.step sim;
-  Alcotest.check logic "else branch" Logic.Zero (Sim.peek_bit sim "s.z");
+  Alcotest.check logic "else branch" Logic.Zero (one_bit sim p_z);
   Alcotest.(check int) "exclusive" 0 (List.length (Sim.runtime_errors sim));
-  Sim.poke_bool sim "s.b" true;
+  Sim.set_int sim p_b 1;
   Sim.step sim;
-  Alcotest.check logic "then branch" Logic.One (Sim.peek_bit sim "s.z")
+  Alcotest.check logic "then branch" Logic.One (one_bit sim p_z)
 
 let test_elsif_chain () =
   let d =
@@ -181,14 +223,16 @@ let test_elsif_chain () =
        ELSIF EQUAL(a,(0,1)) THEN z := (1,0) ELSIF EQUAL(a,(1,0)) THEN z := \
        (1,1) ELSE z := (0,0) END END; SIGNAL s: t;"
   in
+  let p_a = Testbench.port d "s.a" in
+  let p_z = Testbench.port d "s.z" in
   let sim = Sim.create d in
   List.iter
     (fun (input, want) ->
-      Sim.poke_int sim "s.a" input;
+      Sim.set_int sim p_a input;
       Sim.step sim;
       Alcotest.(check (option int))
         (Printf.sprintf "increment %d" input)
-        (Some want) (Sim.peek_int sim "s.z"))
+        (Some want) (Sim.get_int sim p_z))
     [ (0, 1); (1, 2); (2, 3); (3, 0) ];
   Alcotest.(check int) "no conflicts" 0 (List.length (Sim.runtime_errors sim))
 
@@ -200,12 +244,15 @@ let test_noinfl_reads_undef_on_boolean () =
       "TYPE t = COMPONENT (IN b,x: boolean; OUT z: boolean) IS SIGNAL m: \
        multiplex; BEGIN IF b THEN m := x END; z := m END; SIGNAL s: t;"
   in
+  let p_b = Testbench.port d "s.b" in
+  let p_x = Testbench.port d "s.x" in
+  let p_z = Testbench.port d "s.z" in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.b" false;
-  Sim.poke_bool sim "s.x" true;
+  Sim.set_int sim p_b 0;
+  Sim.set_int sim p_x 1;
   Sim.step sim;
   (* m is NOINFL; the boolean z reads UNDEF through the amplifier *)
-  Alcotest.check logic "amplified" Logic.Undef (Sim.peek_bit sim "s.z")
+  Alcotest.check logic "amplified" Logic.Undef (one_bit sim p_z)
 
 (* ---- RANDOM (predefined, section 7) ---- *)
 
@@ -215,12 +262,14 @@ let test_random_deterministic () =
       "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS BEGIN y := \
        AND(a,RANDOM()) END; SIGNAL s: t;"
   in
+  let p_a = Testbench.port d "s.a" in
+  let p_y = Testbench.port d "s.y" in
   let run seed =
     let sim = Sim.create ~seed d in
-    Sim.poke_bool sim "s.a" true;
+    Sim.set_int sim p_a 1;
     List.init 20 (fun _ ->
         Sim.step sim;
-        Sim.peek_bit sim "s.y")
+        one_bit sim p_y)
   in
   Alcotest.(check bool) "same seed same stream" true (run 1 = run 1);
   Alcotest.(check bool) "streams contain both values" true
@@ -232,12 +281,14 @@ let test_random_deterministic () =
 
 let test_trace_section8 () =
   let d = compile Corpus.section8_example in
+  let p_out = Testbench.port d "top.out" in
+  let p_rout = Testbench.port d "top.rout" in
   let sim = Sim.create d in
   Sim.set_trace sim true;
   List.iter
-    (fun (p, v) -> Sim.poke_bool sim p v)
-    [ ("top.a", true); ("top.b", true); ("top.cc", false); ("top.x", true);
-      ("top.y", false); ("top.rin", true) ];
+    (fun (p, v) -> Sim.set_int sim (Testbench.port d p) v)
+    [ ("top.a", 1); ("top.b", 1); ("top.cc", 0); ("top.x", 1); ("top.y", 0);
+      ("top.rin", 1) ];
   Sim.step sim;
   let trace = Sim.trace_last_cycle sim in
   let fired_names = List.map fst trace in
@@ -252,11 +303,11 @@ let test_trace_section8 () =
   in
   Alcotest.(check bool) "a before out" true (idx "top.a" < idx "top.out");
   Alcotest.(check bool) "x before out" true (idx "top.x" < idx "top.out");
-  Alcotest.check logic "out value" Logic.One (Sim.peek_bit sim "top.out");
+  Alcotest.check logic "out value" Logic.One (one_bit sim p_out);
   (* rout is r.out: UNDEF in cycle 1, rin's value in cycle 2 *)
-  Alcotest.check logic "rout cycle1" Logic.Undef (Sim.peek_bit sim "top.rout");
+  Alcotest.check logic "rout cycle1" Logic.Undef (one_bit sim p_rout);
   Sim.step sim;
-  Alcotest.check logic "rout cycle2" Logic.One (Sim.peek_bit sim "top.rout")
+  Alcotest.check logic "rout cycle2" Logic.One (one_bit sim p_rout)
 
 let test_section8_conflict_case () =
   (* x=1 and y=1 with AND(a,b) <> cc: the paper's own trace would drive
@@ -264,23 +315,25 @@ let test_section8_conflict_case () =
   let d = compile Corpus.section8_example in
   let sim = Sim.create d in
   List.iter
-    (fun (p, v) -> Sim.poke_bool sim p v)
-    [ ("top.a", true); ("top.b", true); ("top.cc", false); ("top.x", true);
-      ("top.y", true); ("top.rin", false) ];
+    (fun (p, v) -> Sim.set_int sim (Testbench.port d p) v)
+    [ ("top.a", 1); ("top.b", 1); ("top.cc", 0); ("top.x", 1); ("top.y", 1);
+      ("top.rin", 0) ];
   Sim.step sim;
   Alcotest.(check bool) "double drive detected" true
     (Sim.runtime_errors sim <> [])
 
 (* ---- engine equivalence (the section 8 claim) ---- *)
 
-(* path pokes as the (net id, value) pokes of [Sweep.run] *)
-let net_pokes d pokes =
+(* port pokes as the (net id, value) pokes of [Sweep.run] *)
+let net_pokes pokes =
   List.concat_map
-    (fun (p, vs) ->
-      match Elaborate.resolve_path d p with
-      | Ok ids -> List.combine ids vs
-      | Error msg -> Alcotest.fail msg)
+    (fun ((p : Sim.port), vs) -> List.combine (Array.to_list p.nets) vs)
     pokes
+
+(* a stimulus of (path, value) lines, each path resolved once, before
+   any run *)
+let resolve_lines d lines =
+  List.map (List.map (fun (p, v) -> (Testbench.port d p, v))) lines
 
 let sweep_orders = [ Sweep.Fixpoint; Sweep.Relaxation ]
 
@@ -295,15 +348,16 @@ let sorted_errors errs =
 (* every engine and both sweep orders reach one final snapshot *)
 let engines_agree_on src ~inputs ~cycles =
   let d = compile src in
+  let inputs = List.hd (resolve_lines d [ inputs ]) in
   let run engine =
     let sim = Sim.create ~engine d in
-    List.iter (fun (p, v) -> Sim.poke sim p [ v ]) inputs;
+    List.iter (fun (p, v) -> Sim.set sim p [ v ]) inputs;
     Sim.step_n sim cycles;
     Sim.snapshot sim
   in
   let sweep order =
     let pokes =
-      net_pokes d (List.map (fun (p, v) -> (p, [ v ])) inputs)
+      net_pokes (List.map (fun (p, v) -> (p, [ v ])) inputs)
       :: List.init (cycles - 1) (fun _ -> [])
     in
     List.nth (Sweep.run ~order d pokes).Sweep.snaps (cycles - 1)
@@ -372,13 +426,18 @@ let prop_engines_agree_random_inputs =
     QCheck.(triple (int_bound 255) (int_bound 255) bool)
     (fun (a, b, cin) ->
       let d = compile (Corpus.adder_n 8) in
+      let p_a = Testbench.port d "adder.a" in
+      let p_b = Testbench.port d "adder.b" in
+      let p_cin = Testbench.port d "adder.cin" in
+      let p_s = Testbench.port d "adder.s" in
+      let p_cout = Testbench.port d "adder.cout" in
       let run engine =
         let sim = Sim.create ~engine d in
-        Sim.poke_int_lsb sim "adder.a" a;
-        Sim.poke_int_lsb sim "adder.b" b;
-        Sim.poke_bool sim "adder.cin" cin;
+        Sim.set_int ~lsb:true sim p_a a;
+        Sim.set_int ~lsb:true sim p_b b;
+        Sim.set_int sim p_cin (Bool.to_int cin);
         Sim.step sim;
-        (Sim.peek_int_lsb sim "adder.s", Sim.peek_bit sim "adder.cout")
+        (Sim.get_int ~lsb:true sim p_s, one_bit sim p_cout)
       in
       let r1 = run Sim.Firing in
       List.for_all (fun e -> run e = r1) Sim.all_engines
@@ -396,19 +455,25 @@ let test_conflict_repropagates_downstream () =
        m: multiplex; BEGIN IF b THEN m := x END; IF c THEN m := y END; z := \
        NOT(m); w := AND(z,z) END; SIGNAL s: t;"
   in
+  let p_b = Testbench.port d "s.b" in
+  let p_c = Testbench.port d "s.c" in
+  let p_x = Testbench.port d "s.x" in
+  let p_y = Testbench.port d "s.y" in
+  let p_z = Testbench.port d "s.z" in
+  let p_w = Testbench.port d "s.w" in
   List.iter
     (fun engine ->
       let sim = Sim.create ~engine d in
-      Sim.poke_bool sim "s.b" true;
-      Sim.poke_bool sim "s.c" true;
-      Sim.poke_bool sim "s.x" true;
-      Sim.poke_bool sim "s.y" false;
+      Sim.set_int sim p_b 1;
+      Sim.set_int sim p_c 1;
+      Sim.set_int sim p_x 1;
+      Sim.set_int sim p_y 0;
       Sim.step sim;
       let n = Sim.engine_name engine in
       Alcotest.check logic (n ^ ": z re-fired") Logic.Undef
-        (Sim.peek_bit sim "s.z");
+        (one_bit sim p_z);
       Alcotest.check logic (n ^ ": w re-fired") Logic.Undef
-        (Sim.peek_bit sim "s.w");
+        (one_bit sim p_w);
       Alcotest.(check bool) (n ^ ": conflict reported") true
         (Sim.runtime_errors sim <> []))
     Sim.all_engines
@@ -418,13 +483,17 @@ let test_conflict_repropagates_downstream () =
    quiescent cycle). *)
 let test_conflict_reported_each_cycle () =
   let d = compile mux_design in
+  let p_b = Testbench.port d "s.b" in
+  let p_c = Testbench.port d "s.c" in
+  let p_x = Testbench.port d "s.x" in
+  let p_y = Testbench.port d "s.y" in
   List.iter
     (fun engine ->
       let sim = Sim.create ~engine d in
-      Sim.poke_bool sim "s.b" true;
-      Sim.poke_bool sim "s.c" true;
-      Sim.poke_bool sim "s.x" true;
-      Sim.poke_bool sim "s.y" false;
+      Sim.set_int sim p_b 1;
+      Sim.set_int sim p_c 1;
+      Sim.set_int sim p_x 1;
+      Sim.set_int sim p_y 0;
       Sim.step_n sim 3;
       Alcotest.(check int)
         (Sim.engine_name engine ^ ": one error per cycle")
@@ -447,14 +516,15 @@ let test_sweep_combinational_cycle () =
     | Some d, _ -> d
     | None, diags -> Alcotest.failf "parse: %a" Fmt.(list Diag.pp) diags
   in
+  let p_a = Testbench.port d "s.a" in
   List.iter
     (fun a ->
       let sim = Sim.create d in
-      Sim.poke sim "s.a" [ a ];
+      Sim.set sim p_a [ a ];
       Sim.step sim;
       List.iter
         (fun order ->
-          let r = Sweep.run ~order d [ net_pokes d [ ("s.a", [ a ]) ] ] in
+          let r = Sweep.run ~order d [ net_pokes [ (p_a, [ a ]) ] ] in
           Alcotest.(check bool)
             (Fmt.str "a=%a: %s = firing" Logic.pp a (Sweep.order_name order))
             true
@@ -471,34 +541,41 @@ let test_reset_restores_rset_poke () =
        BEGIN IF RSET THEN r.in := 0 ELSE r.in := XOR(r.out,a) END; q := \
        r.out END; SIGNAL s: t;"
   in
+  let p_a = Testbench.port d "s.a" in
+  let p_rset = Testbench.port d "RSET" in
+  let p_q = Testbench.port d "s.q" in
   List.iter
     (fun engine ->
       let n = Sim.engine_name engine in
       let sim = Sim.create ~engine d in
-      Sim.poke_bool sim "s.a" true;
-      Sim.poke sim "RSET" [ Logic.One ];
+      Sim.set_int sim p_a 1;
+      Sim.set sim p_rset [ Logic.One ];
       Sim.step_n sim 2;
       Alcotest.check logic (n ^ ": held in reset") Logic.Zero
-        (Sim.peek_bit sim "s.q");
+        (one_bit sim p_q);
       Sim.reset sim;
       (* the explicit One poke is restored, not overwritten with Zero *)
       Sim.step_n sim 2;
       Alcotest.check logic (n ^ ": still held after reset pulse") Logic.Zero
-        (Sim.peek_bit sim "s.q");
-      Sim.unpoke sim "RSET";
+        (one_bit sim p_q);
+      Sim.release sim p_rset;
       Sim.step_n sim 2;
       Alcotest.check logic (n ^ ": toggles once released") Logic.One
-        (Sim.peek_bit sim "s.q"))
+        (one_bit sim p_q))
     Sim.all_engines
 
 (* The incremental engine does zero work on fully quiescent cycles and
    still reports the right values. *)
 let test_incremental_quiescent_zero_visits () =
   let d = compile (Corpus.adder_n 16) in
+  let p_a = Testbench.port d "adder.a" in
+  let p_b = Testbench.port d "adder.b" in
+  let p_cin = Testbench.port d "adder.cin" in
+  let p_s = Testbench.port d "adder.s" in
   let sim = Sim.create ~engine:Sim.Incremental d in
-  Sim.poke_int_lsb sim "adder.a" 1234;
-  Sim.poke_int_lsb sim "adder.b" 4321;
-  Sim.poke_bool sim "adder.cin" false;
+  Sim.set_int ~lsb:true sim p_a 1234;
+  Sim.set_int ~lsb:true sim p_b 4321;
+  Sim.set_int sim p_cin 0;
   Sim.step sim;
   (* cold start: full evaluation *)
   Sim.step sim;
@@ -508,12 +585,12 @@ let test_incremental_quiescent_zero_visits () =
   Alcotest.(check int) "quiescent cycles visit no nodes" v
     (Sim.node_visits sim);
   Alcotest.(check (option int)) "sum still right" (Some 5555)
-    (Sim.peek_int_lsb sim "adder.s");
+    (Sim.get_int ~lsb:true sim p_s);
   (* a one-bit change wakes only a small cone *)
-  Sim.poke_bool sim "adder.cin" true;
+  Sim.set_int sim p_cin 1;
   Sim.step sim;
   Alcotest.(check (option int)) "incremental update" (Some 5556)
-    (Sim.peek_int_lsb sim "adder.s")
+    (Sim.get_int ~lsb:true sim p_s)
 
 (* The dirty-cone pass runs over preallocated storage: with every
    header of routing(16) re-poked each cycle the incremental engine
@@ -597,15 +674,19 @@ let test_incremental_program_mode () =
     true
     (2 * List.length switched > n && List.mem_assoc "routing16" switched);
   let d = compile (Corpus.ram ~abits:8 ~wbits:16) in
+  let p_addr = Testbench.port d "m.addr" in
+  let p_data = Testbench.port d "m.data" in
+  let p_we = Testbench.port d "m.we" in
+  let p_data_12 = Testbench.port d "m.data[12]" in
   List.iter
     (fun engine ->
       let sim = Sim.create ~engine d in
-      Sim.poke_int sim "m.addr" 251;
-      Sim.poke_int sim "m.data" 3765;
-      Sim.poke_bool sim "m.we" true;
+      Sim.set_int sim p_addr 251;
+      Sim.set_int sim p_data 3765;
+      Sim.set_int sim p_we 1;
       let widest = ref 0 in
       for c = 0 to 59 do
-        Sim.poke_bool sim "m.data[12]" (c land 1 = 1);
+        Sim.set_int sim p_data_12 (Bool.to_int (c land 1 = 1));
         let v0 = Sim.node_visits sim in
         Sim.step sim;
         (* from cycle 2 on, the written word has settled in q *)
@@ -631,13 +712,16 @@ let test_incremental_program_mode () =
     | None -> Alcotest.fail "routing16 compiles"
   in
   let committed = ref 0 in
+  let inputs =
+    Array.init 16 (fun i -> Testbench.port d (Printf.sprintf "net.input[%d]" i))
+  in
   for c = 0 to 29 do
-    for i = 0 to 15 do
-      let path = Printf.sprintf "net.input[%d]" i in
-      let v = ((7 * i) + (13 * c)) land 1023 in
-      Sim.poke_int inc path v;
-      Sim.poke_int cmp path v
-    done;
+    Array.iteri
+      (fun i p ->
+        let v = ((7 * i) + (13 * c)) land 1023 in
+        Sim.set_int inc p v;
+        Sim.set_int cmp p v)
+      inputs;
     let p0 = Sim.program_cycles inc in
     let vi = Sim.node_visits inc and vc = Sim.node_visits cmp in
     Sim.step inc;
@@ -750,6 +834,8 @@ let test_fast_engines_trace_alike () =
    and every cycle still matches the firing engine. *)
 let test_program_commits_multi_register () =
   let d = compile (Corpus_fsm.counter 16) in
+  let p_en = Testbench.port d "c.en" in
+  let p_rset = Testbench.port d "RSET" in
   let inc = Sim.create ~engine:Sim.Incremental d and fir = Sim.create d in
   let rand = Random.State.make [| 1 |] in
   let committed = ref 0 in
@@ -757,8 +843,8 @@ let test_program_commits_multi_register () =
     let en = Random.State.bool rand and rset = Random.State.int rand 8 = 0 in
     List.iter
       (fun sim ->
-        Sim.poke_bool sim "c.en" en;
-        Sim.poke_bool sim "RSET" rset)
+        Sim.set_int sim p_en (Bool.to_int en);
+        Sim.set_int sim p_rset (Bool.to_int rset))
       [ inc; fir ];
     let regs = Sim.reg_states inc and p0 = Sim.program_cycles inc in
     Sim.step inc;
@@ -815,12 +901,15 @@ let test_firing_repropagation_skip () =
             THEN n := %s END; o := n END; SIGNAL s: t;"
            src)
     in
+    let p_a = Testbench.port d "s.a" in
+    let p_b = Testbench.port d "s.b" in
+    let p_g = Testbench.port d "s.g" in
     let sim = Sim.create ~engine:Sim.Firing d in
-    Sim.poke sim "s.a" [ Logic.One ];
-    Sim.poke sim "s.b" [ Logic.Zero ];
+    Sim.set sim p_a [ Logic.One ];
+    Sim.set sim p_b [ Logic.Zero ];
     List.map
       (fun gv ->
-        Sim.poke sim "s.g" [ gv ];
+        Sim.set sim p_g [ gv ];
         let v0 = Sim.node_visits sim
         and e0 = List.length (Sim.runtime_errors sim) in
         Sim.step sim;
@@ -863,12 +952,19 @@ SIGNAL m: ram;
 
 let test_live_edge_walk () =
   let d = compile live_edge_design in
+  let p_addr = Testbench.port d "m.addr" in
+  let p_we = Testbench.port d "m.we" in
+  let p_s = Testbench.port d "m.s" in
+  let p_e = Testbench.port d "m.e" in
+  let p_data = Testbench.port d "m.data" in
+  let p_addr_4 = Testbench.port d "m.addr[4]" in
+  let p_x = Testbench.port d "m.x" in
   let inc = Sim.create ~engine:Sim.Incremental d and fir = Sim.create d in
   let g = Sim.graph inc in
-  let data_bit = 2 in
+  let data_bit = Testbench.port d "m.data[2]" in
   let c =
-    match Elaborate.resolve_path d (Printf.sprintf "m.data[%d]" data_bit) with
-    | Ok [ id ] -> g.Graph.canon.(id)
+    match data_bit.nets with
+    | [| id |] -> g.Graph.canon.(id)
     | _ -> Alcotest.fail "m.data bit"
   in
   let lo = g.Graph.cons_off.(c) and hi = g.Graph.cons_off.(c + 1) in
@@ -909,22 +1005,20 @@ let test_live_edge_walk () =
       (* the address moves every 3 cycles, [we] drops every 4th *)
       both (fun sim ->
           if c mod 3 = 0 then
-            Sim.poke_int sim "m.addr"
+            Sim.set_int sim p_addr
               addresses.(c / 3 mod Array.length addresses);
-          Sim.poke_bool sim "m.we" (c mod 4 <> 3 || (c >= 24 && c < 40));
-          Sim.poke_bool sim
-            (Printf.sprintf "m.data[%d]" data_bit)
-            (c land 1 = 1);
+          Sim.set_int sim p_we (Bool.to_int (c mod 4 <> 3 || (c >= 24 && c < 40)));
+          Sim.set_int sim data_bit (c land 1);
           (* [s]'s one edge, under [e], a guard of one edge *)
-          Sim.poke_bool sim "m.s" (c land 1 = 0);
-          Sim.poke_bool sim "m.e" (c mod 10 < 3);
-          if c = 0 then Sim.poke_int sim "m.data" 0xbeef;
+          Sim.set_int sim p_s (Bool.to_int (c land 1 = 0));
+          Sim.set_int sim p_e (Bool.to_int (c mod 10 < 3));
+          if c = 0 then Sim.set_int sim p_data 0xbeef;
           (* an UNDEF address bit: two write guards read UNDEF *)
-          if c = 10 then Sim.unpoke sim "m.addr[4]";
+          if c = 10 then Sim.release sim p_addr_4;
           (* busy: the whole inverter bank toggles on cycles 21-43, so
              the run enters the program; [we] stays 1 from cycle 24
              while the address moves, so write guards change there *)
-          Sim.poke sim "m.x"
+          Sim.set sim p_x
             (List.init live_edge_bank (fun _ ->
                  Logic.of_bool (c >= 20 && c < 44 && c land 1 = 1))));
       let p0 = Sim.program_cycles inc and v0 = Sim.node_visits inc in
@@ -1108,8 +1202,8 @@ let test_guard_rule_identity () =
       let d = compile src in
       let pokes =
         List.map
-          (fun line -> net_pokes d (List.map (fun (p, v) -> (p, [ v ])) line))
-          cycles
+          (fun line -> net_pokes (List.map (fun (p, v) -> (p, [ v ])) line))
+          (resolve_lines d cycles)
       in
       Alcotest.(check bool) name true (identity_holds d pokes))
     guard_rule_cases
@@ -1135,18 +1229,21 @@ let test_identity_gen_switches () =
 (* firing does strictly less work than the sweeping baselines (E8) *)
 let test_firing_fewer_visits () =
   let d = compile (Corpus.adder_n 32) in
+  let p_a = Testbench.port d "adder.a" in
+  let p_b = Testbench.port d "adder.b" in
+  let p_cin = Testbench.port d "adder.cin" in
   let sim = Sim.create d in
-  Sim.poke_int_lsb sim "adder.a" 123456789;
-  Sim.poke_int_lsb sim "adder.b" 987654321;
-  Sim.poke_bool sim "adder.cin" false;
+  Sim.set_int ~lsb:true sim p_a 123456789;
+  Sim.set_int ~lsb:true sim p_b 987654321;
+  Sim.set_int sim p_cin 0;
   Sim.step sim;
   let f = Sim.node_visits sim in
   let pokes =
-    net_pokes d
+    net_pokes
       [
-        ("adder.a", Sim.peek sim "adder.a");
-        ("adder.b", Sim.peek sim "adder.b");
-        ("adder.cin", [ Logic.Zero ]);
+        (p_a, Sim.get sim p_a);
+        (p_b, Sim.get sim p_b);
+        (p_cin, [ Logic.Zero ]);
       ]
   in
   let visits order = (Sweep.run ~order d [ pokes ]).Sweep.visits in
@@ -1164,15 +1261,16 @@ let test_firing_fewer_visits () =
 let test_sweep_drive_conflict () =
   let d = compile mux_design in
   let stim =
-    [ [ ("s.b", [ Logic.One ]); ("s.c", [ Logic.One ]); ("s.x", [ Logic.One ]);
-        ("s.y", [ Logic.Zero ]) ];
-      []; [ ("s.c", [ Logic.Zero ]) ]; [ ("s.c", [ Logic.One ]) ] ]
+    resolve_lines d
+      [ [ ("s.b", [ Logic.One ]); ("s.c", [ Logic.One ]); ("s.x", [ Logic.One ]);
+          ("s.y", [ Logic.Zero ]) ];
+        []; [ ("s.c", [ Logic.Zero ]) ]; [ ("s.c", [ Logic.One ]) ] ]
   in
   let sim = Sim.create d in
   let snaps =
     List.map
       (fun pokes ->
-        List.iter (fun (p, v) -> Sim.poke sim p v) pokes;
+        List.iter (fun (p, v) -> Sim.set sim p v) pokes;
         Sim.step sim;
         Sim.snapshot sim)
       stim
@@ -1184,7 +1282,7 @@ let test_sweep_drive_conflict () =
     firing;
   List.iter
     (fun order ->
-      let r = Sweep.run ~order d (List.map (net_pokes d) stim) in
+      let r = Sweep.run ~order d (List.map net_pokes stim) in
       let name = Sweep.order_name order in
       Alcotest.(check bool) (name ^ ": snapshots = firing") true
         (r.Sweep.snaps = snaps);
@@ -1203,17 +1301,18 @@ let test_sweep_drive_conflict () =
 let test_incremental_restart_reentry () =
   let d = compile Corpus.section8_example in
   let pokes =
-    [ [ ("top.a", true); ("top.b", true); ("top.x", true); ("top.y", false) ];
-      [ ("top.cc", true) ];
-      [ ("top.a", false) ];
-      [ ("top.rin", true) ];
-      [] ]
+    resolve_lines d
+      [ [ ("top.a", 1); ("top.b", 1); ("top.x", 1); ("top.y", 0) ];
+        [ ("top.cc", 1) ];
+        [ ("top.a", 0) ];
+        [ ("top.rin", 1) ];
+        [] ]
   in
   let run_once sim =
     let snaps =
       List.map
         (fun vec ->
-          List.iter (fun (p, v) -> Sim.poke_bool sim p v) vec;
+          List.iter (fun (p, v) -> Sim.set_int sim p v) vec;
           Sim.step sim;
           Sim.snapshot sim)
         pokes
@@ -1244,9 +1343,10 @@ let test_parallel_random_stream () =
       "TYPE t = COMPONENT (IN a: boolean; OUT y: boolean) IS BEGIN y := \
        AND(a,RANDOM()) END; SIGNAL s: t;"
   in
+  let p_a = Testbench.port d "s.a" in
   let run ~engine ~seed =
     let sim = Sim.create ~engine ~seed d in
-    Sim.poke_bool sim "s.a" true;
+    Sim.set_int sim p_a 1;
     List.init 24 (fun _ ->
         Sim.step sim;
         Sim.snapshot sim)
@@ -1288,17 +1388,18 @@ let test_parallel_random_stream () =
 let test_compiled_restart_reentry () =
   let d = compile Corpus.section8_example in
   let pokes =
-    [ [ ("top.a", true); ("top.b", true); ("top.x", true); ("top.y", false) ];
-      [ ("top.cc", true) ];
-      [ ("top.a", false) ];
-      [ ("top.rin", true) ];
-      [] ]
+    resolve_lines d
+      [ [ ("top.a", 1); ("top.b", 1); ("top.x", 1); ("top.y", 0) ];
+        [ ("top.cc", 1) ];
+        [ ("top.a", 0) ];
+        [ ("top.rin", 1) ];
+        [] ]
   in
   let run_once sim =
     let snaps =
       List.map
         (fun vec ->
-          List.iter (fun (p, v) -> Sim.poke_bool sim p v) vec;
+          List.iter (fun (p, v) -> Sim.set_int sim p v) vec;
           Sim.step sim;
           Sim.snapshot sim)
         pokes
@@ -1347,17 +1448,20 @@ SIGNAL s: noisy;
 
 let test_one_run_reads_run_0 () =
   let d = compile noisy_design in
+  let p_q = Testbench.port d "s.q" in
   let cycles = 60 and restart_at = 40 in
   (* per cycle: 0..7 of the inputs poked, the trace on or off *)
   let idle c = c >= 22 && c < 30 in
+  let a = List.init 8 (fun i -> Testbench.port d (Printf.sprintf "s.a[%d]" (i + 1))) in
   let pokes c =
     if idle c then
       (* every input low: only [t] toggles, and the program hands back *)
-      List.init 8 (fun i -> (Printf.sprintf "s.a[%d]" (i + 1), false))
+      List.map (fun p -> (p, 0)) a
     else if c mod 20 >= 14 then [] (* quiet *)
     else
-      List.init 8 (fun i ->
-          (Printf.sprintf "s.a[%d]" (i + 1), ((c * 5) + (i * 3)) mod 7 < 3))
+      List.mapi
+        (fun i p -> (p, Bool.to_int (((c * 5) + (i * 3)) mod 7 < 3)))
+        a
   in
   let traced c = c >= 18 && c < 21 in
   (* the trace's changed nets, sorted: the firing engine lists every
@@ -1380,7 +1484,7 @@ let test_one_run_reads_run_0 () =
             Hashtbl.reset last
           end;
           Sim.set_trace sim (trace_all || traced c);
-          List.iter (fun (p, v) -> Sim.poke_bool sim p v) (pokes c);
+          List.iter (fun (p, v) -> Sim.set_int sim p v) (pokes c);
           Sim.step sim;
           let trace =
             if not (trace_all || traced c) then []
@@ -1389,7 +1493,7 @@ let test_one_run_reads_run_0 () =
             else List.sort compare (Sim.trace_last_cycle sim)
           in
           let row =
-            ( (Sim.snapshot sim, Sim.peek sim "s.q"),
+            ( (Sim.snapshot sim, Sim.get sim p_q),
               Sim.total_toggles sim,
               Sim.reg_states sim,
               Sim.activity ~top:max_int sim,
@@ -1456,11 +1560,17 @@ let test_compiled_stats_deterministic () =
 
 let test_vcd' () =
   let d = compile (Corpus.adder_n 4) in
+  let p_a = Testbench.port d "adder.a" in
+  let p_b = Testbench.port d "adder.b" in
+  let p_cin = Testbench.port d "adder.cin" in
   let sim = Sim.create d in
-  let vcd = Vcd.create sim [ "adder.a"; "adder.s"; "adder.cout" ] in
-  Sim.poke_int_lsb sim "adder.a" 5;
-  Sim.poke_int_lsb sim "adder.b" 3;
-  Sim.poke_bool sim "adder.cin" false;
+  let vcd =
+    Vcd.create sim
+      [ p_a; Testbench.port d "adder.s"; Testbench.port d "adder.cout" ]
+  in
+  Sim.set_int ~lsb:true sim p_a 5;
+  Sim.set_int ~lsb:true sim p_b 3;
+  Sim.set_int sim p_cin 0;
   Sim.step sim;
   Vcd.sample vcd;
   let out = Vcd.contents vcd in
@@ -1520,11 +1630,14 @@ let prop_vcd_char_roundtrip =
    which is buffered until the first change record. *)
 let test_vcd_quiescent_no_timestamp () =
   let d = compile (Corpus.adder_n 4) in
+  let p_a = Testbench.port d "adder.a" in
+  let p_b = Testbench.port d "adder.b" in
+  let p_cin = Testbench.port d "adder.cin" in
   let sim = Sim.create d in
-  let vcd = Vcd.create sim [ "adder.s" ] in
-  Sim.poke_int_lsb sim "adder.a" 5;
-  Sim.poke_int_lsb sim "adder.b" 3;
-  Sim.poke_bool sim "adder.cin" false;
+  let vcd = Vcd.create sim [ Testbench.port d "adder.s" ] in
+  Sim.set_int ~lsb:true sim p_a 5;
+  Sim.set_int ~lsb:true sim p_b 3;
+  Sim.set_int sim p_cin 0;
   for _ = 1 to 4 do
     Sim.step sim;
     Vcd.sample vcd
@@ -1538,11 +1651,14 @@ let test_vcd_quiescent_no_timestamp () =
 (* [to_file] writes exactly [contents] and closes the channel. *)
 let test_vcd_to_file () =
   let d = compile (Corpus.adder_n 4) in
+  let p_a = Testbench.port d "adder.a" in
+  let p_b = Testbench.port d "adder.b" in
+  let p_cin = Testbench.port d "adder.cin" in
   let sim = Sim.create d in
-  let vcd = Vcd.create sim [ "adder.s" ] in
-  Sim.poke_int_lsb sim "adder.a" 1;
-  Sim.poke_int_lsb sim "adder.b" 2;
-  Sim.poke_bool sim "adder.cin" false;
+  let vcd = Vcd.create sim [ Testbench.port d "adder.s" ] in
+  Sim.set_int ~lsb:true sim p_a 1;
+  Sim.set_int ~lsb:true sim p_b 2;
+  Sim.set_int sim p_cin 0;
   Sim.step sim;
   Vcd.sample vcd;
   let path = Filename.temp_file "zeus_vcd" ".vcd" in
@@ -1561,7 +1677,7 @@ let test_vcd_to_file () =
 let test_vcd_to_file_full () =
   if not (Sys.file_exists "/dev/full") then Alcotest.skip ();
   let d = compile (Corpus.adder_n 4) in
-  let vcd = Vcd.create (Sim.create d) [ "adder.s" ] in
+  let vcd = Vcd.create (Sim.create d) [ Testbench.port d "adder.s" ] in
   match Vcd.to_file vcd "/dev/full" with
   | () -> Alcotest.fail "to_file to a full device returned normally"
   | exception Sys_error _ -> ()
@@ -1590,6 +1706,7 @@ let test_batch_lane_boundary () =
   List.iter
     (fun (pairs, extra, nets) ->
       let d = compile (lane_src ~pairs ~extra) in
+      let p_x = Testbench.port d "s.x" in
       let probe = Sim.create d in
       Alcotest.(check int)
         (Printf.sprintf "net classes (pairs=%d, extra=%b)" pairs extra)
@@ -1631,7 +1748,7 @@ let test_batch_lane_boundary () =
           | _ -> Alcotest.fail "expected exactly the watched bus");
           (* and the final snapshot matches a fresh serial handle *)
           let sim = Sim.create ~engine:Sim.Incremental d in
-          Sim.poke sim "s.x" (pattern r);
+          Sim.set sim p_x (pattern r);
           Sim.step sim;
           Sim.step sim;
           let final =
@@ -1644,6 +1761,102 @@ let test_batch_lane_boundary () =
               r pairs)
         results)
     [ (14, true, 31); (15, false, 32); (15, true, 33) ]
+
+(* ---- ports ---- *)
+
+(* The one resolver's errors are the messages [zeusc sim -w] prints
+   after its "sim: " prefix, for every kind of bad path *)
+let test_port_errors () =
+  let d = compile (Corpus.adder_n 4) in
+  List.iter
+    (fun (path, want) ->
+      match Sim.port d path with
+      | Ok _ -> Alcotest.failf "%S resolved" path
+      | Error msg -> Alcotest.(check string) (Printf.sprintf "%S" path) want msg)
+    [
+      ("adder.nosuch", "no field 'nosuch' in \"adder.nosuch\"");
+      ("adder.a[9]", "bad index [9] in \"adder.a[9]\"");
+      ( "adder.a[",
+        "bad path \"adder.a[\": 1:9-9: error(parse): expected constant \
+         expression, found '<eof>'" );
+      ("*", "'*' is not a path");
+      ("", "bad path \"\": 1:1-1: error(parse): expected signal, found '<eof>'");
+    ]
+
+(* A port names nets of the design, so one resolved port drives and
+   reads every handle of it alike: a second handle, a [~optimize] handle
+   (the reduction shares nets) and the clones of a batch template *)
+let test_port_shared_across_handles () =
+  let d = compile (Corpus.adder_n 4) in
+  let port = Testbench.port d in
+  let a = port "adder.a" and b = port "adder.b" and cin = port "adder.cin"
+  and s = port "adder.s" and cout = port "adder.cout" in
+  let run sim =
+    Sim.set_int ~lsb:true sim a 11;
+    Sim.set_int ~lsb:true sim b 7;
+    Sim.set_int sim cin 1;
+    Sim.step sim;
+    (Sim.get sim s, Sim.get sim cout)
+  in
+  let first = run (Sim.create d) in
+  Alcotest.(check (pair (list logic) (list logic)))
+    "11+7+1 = 19: sum 3 LSB first, carry out"
+    (List.rev (Stimulus.bits ~width:4 3), [ Logic.One ])
+    first;
+  Alcotest.(check bool) "second handle" true (run (Sim.create d) = first);
+  let opt = Sim.create ~optimize:true d in
+  Alcotest.(check bool) "optimized handle" true (run opt = first);
+  Alcotest.(check bool) "the reduced design resolves to the same nets" true
+    (Sim.port (Sim.design opt) "adder.s" = Ok s);
+  (* two clones of a compiled template read the ports the runs watch;
+     the deck's a=13 and b=14 are 11 and 7 written MSB first *)
+  let deck = "run\nadder.a=13 adder.b=14 adder.cin=1\nrun\nadder.a=13 adder.b=14 adder.cin=1\n" in
+  let st = Stimulus.read_deck d ~name:"deck" ~watch:[ s; cout ] deck in
+  let tmpl = Sim.create ~engine:Sim.Compiled ~jobs:1 d in
+  match fst (Sim.run_stimulus tmpl st) with
+  | [ r1; r2 ] ->
+      let want = [ ("adder.s", fst first); ("adder.cout", snd first) ] in
+      Alcotest.(check bool) "batch clone 1" true (r1.Sim.bres_watched = want);
+      Alcotest.(check bool) "batch clone 2" true (r2.Sim.bres_watched = want)
+  | _ -> Alcotest.fail "two runs"
+
+(* [set_int] is the -p expansion: BIN(v, width) MSB first through
+   [Stimulus.bits], the low bits of an out-of-range or negative value
+   kept; [~lsb:true] is its reverse *)
+let test_port_int_expansion () =
+  let d =
+    compile
+      "TYPE t = COMPONENT (IN a: ARRAY[1..4] OF boolean; OUT y: ARRAY[1..4] \
+       OF boolean) IS BEGIN y := a END; SIGNAL s: t;"
+  in
+  let a = Testbench.port d "s.a" and y = Testbench.port d "s.y" in
+  let sim = Sim.create d in
+  let bits l = List.map (fun b -> if b = 1 then Logic.One else Logic.Zero) l in
+  List.iter
+    (fun (v, msb) ->
+      Alcotest.(check (list logic))
+        (Printf.sprintf "bits %d" v) (bits msb) (Stimulus.bits ~width:4 v);
+      Sim.set_int sim a v;
+      Sim.step sim;
+      Alcotest.(check (list logic)) (Printf.sprintf "set %d" v) (bits msb)
+        (Sim.get sim y);
+      Sim.set_int ~lsb:true sim a v;
+      Sim.step sim;
+      Alcotest.(check (list logic))
+        (Printf.sprintf "set ~lsb %d" v)
+        (List.rev (bits msb)) (Sim.get sim y))
+    [
+      (5, [ 0; 1; 0; 1 ]) (* in range *);
+      (21, [ 0; 1; 0; 1 ]) (* 10101: the low four bits *);
+      (-1, [ 1; 1; 1; 1 ]);
+      (-6, [ 1; 0; 1; 0 ]) (* ...11010 *);
+    ];
+  Sim.set_int ~lsb:true sim a 3;
+  Sim.step sim;
+  Alcotest.(check (option int)) "get_int ~lsb reads it back" (Some 3)
+    (Sim.get_int ~lsb:true sim y);
+  Alcotest.(check (option int)) "get_int reads MSB first" (Some 12)
+    (Sim.get_int sim y)
 
 let () =
   Alcotest.run "sim"
@@ -1747,6 +1960,15 @@ let () =
         [
           Alcotest.test_case "lane extraction at 31/32/33 nets" `Quick
             test_batch_lane_boundary;
+        ] );
+      ( "ports",
+        [
+          Alcotest.test_case "bad paths are errors, as zeusc prints them"
+            `Quick test_port_errors;
+          Alcotest.test_case "one port drives every handle of a design"
+            `Quick test_port_shared_across_handles;
+          Alcotest.test_case "set_int expands as -p does" `Quick
+            test_port_int_expansion;
         ] );
       ( "vcd",
         [

@@ -13,9 +13,10 @@ let compile src =
 let test_testbench_pass () =
   let d = compile (Corpus.adder_n 4) in
   let tb = Testbench.create d in
+  let port = Testbench.port d in
   Testbench.run_table tb
-    ~inputs:[ "adder.a"; "adder.b"; "adder.cin" ]
-    ~outputs:[ "adder.cout" ]
+    ~inputs:[ port "adder.a"; port "adder.b"; port "adder.cin" ]
+    ~outputs:[ port "adder.cout" ]
     [
       (* run_table pokes MSB-first while the paper's adder is LSB-first;
          bit-palindromic values (0,6,9,15) read the same either way *)
@@ -31,11 +32,13 @@ let test_testbench_pass () =
 let test_testbench_fail_reporting () =
   let d = compile (Corpus.adder_n 4) in
   let tb = Testbench.create d in
-  Testbench.set_lsb tb "adder.a" 2;
-  Testbench.set_lsb tb "adder.b" 2;
-  Testbench.set_bool tb "adder.cin" false;
+  let port = Testbench.port d in
+  Testbench.set ~lsb:true tb (port "adder.a") 2;
+  Testbench.set ~lsb:true tb (port "adder.b") 2;
+  Testbench.set tb (port "adder.cin") 0;
   Testbench.clock tb;
-  Testbench.expect_int_lsb tb "adder.s" 5 (* wrong on purpose: 2+2=4 *);
+  Testbench.expect_int ~lsb:true tb (port "adder.s") 5
+  (* wrong on purpose: 2+2=4 *);
   Alcotest.(check bool) "not ok" false (Testbench.ok tb);
   match Testbench.failures tb with
   | [ f ] ->
@@ -47,12 +50,13 @@ let test_testbench_fail_reporting () =
 let test_testbench_expect_bits () =
   let d = compile (Corpus.adder_n 2) in
   let tb = Testbench.create d in
-  Testbench.set_bits tb "adder.a" [ Logic.One; Logic.Undef ];
-  Testbench.set_lsb tb "adder.b" 0;
-  Testbench.set_bool tb "adder.cin" false;
+  let port = Testbench.port d in
+  Testbench.set_bits tb (port "adder.a") [ Logic.One; Logic.Undef ];
+  Testbench.set ~lsb:true tb (port "adder.b") 0;
+  Testbench.set tb (port "adder.cin") 0;
   Testbench.clock tb;
   (* a[2] undefined poisons s[2] but not s[1]... a[1]+0 is defined *)
-  Testbench.expect_bits tb "adder.s[1]" [ Logic.One ];
+  Testbench.expect_bits tb (port "adder.s[1]") [ Logic.One ];
   Alcotest.(check bool) "bit check passes" true (Testbench.failures tb = [])
 
 (* ---- Stats ---- *)
@@ -118,14 +122,12 @@ let test_stats_alias_classes () =
 (* ---- Explain ---- *)
 
 let explain sim path ~depth =
-  match Explain.explain sim path ~depth with
-  | Ok entries -> entries
-  | Error msg -> Alcotest.failf "explain %s: %s" path msg
+  Explain.explain sim (Testbench.port (Sim.design sim) path) ~depth
 
 let test_explain_traces_undef () =
   let d = compile (Corpus.adder_n 2) in
   let sim = Sim.create d in
-  Sim.poke_int_lsb sim "adder.b" 1;
+  Sim.set_int ~lsb:true sim (Testbench.port d "adder.b") 1;
   (* a and cin left floating *)
   Sim.step sim;
   let entries = explain sim "adder.s[1]" ~depth:8 in
@@ -140,7 +142,7 @@ let test_explain_traces_undef () =
 let test_explain_register () =
   let d = compile (Corpus_fsm.counter 2) in
   let sim = Sim.create d in
-  Sim.poke_bool sim "c.en" true;
+  Sim.set_int sim (Testbench.port d "c.en") 1;
   Sim.reset sim;
   Sim.step sim;
   let entries = explain sim "c.value[2]" ~depth:2 in
@@ -156,8 +158,8 @@ let test_explain_guarded_driver () =
        THEN m := x END END;\nSIGNAL s: t;"
   in
   let sim = Sim.create d in
-  Sim.poke_bool sim "s.b" false;
-  Sim.poke_bool sim "s.x" true;
+  Sim.set_int sim (Testbench.port d "s.b") 0;
+  Sim.set_int sim (Testbench.port d "s.x") 1;
   Sim.step sim;
   let entries = explain sim "s.m" ~depth:1 in
   match entries with
@@ -170,11 +172,10 @@ let test_explain_guarded_driver () =
       | None -> Alcotest.fail "expected a guard")
   | _ -> Alcotest.fail "expected one guarded driver"
 
+(* an --explain path goes through the one resolver before any run *)
 let test_explain_unknown_path () =
   let d = compile (Corpus.adder_n 2) in
-  let sim = Sim.create d in
-  Sim.step sim;
-  match Explain.explain sim "adder.nosuch" ~depth:2 with
+  match Sim.port d "adder.nosuch" with
   | Ok _ -> Alcotest.fail "an unknown path must not explain"
   | Error msg ->
       let sub = "adder.nosuch" in
@@ -189,7 +190,7 @@ let test_explain_unknown_path () =
 let test_activity_counter () =
   let d = compile (Corpus_fsm.counter 4) in
   let sim = Sim.create d in
-  Sim.poke_bool sim "c.en" true;
+  Sim.set_int sim (Testbench.port d "c.en") 1;
   Sim.reset sim;
   Sim.step_n sim 16;
   (* a binary counter's LSB toggles every cycle, the MSB rarely: the
@@ -205,9 +206,10 @@ let test_activity_counter () =
 let test_activity_idle_design () =
   let d = compile (Corpus.adder_n 4) in
   let sim = Sim.create d in
-  Sim.poke_int_lsb sim "adder.a" 5;
-  Sim.poke_int_lsb sim "adder.b" 3;
-  Sim.poke_bool sim "adder.cin" false;
+  let port = Testbench.port d in
+  Sim.set_int ~lsb:true sim (port "adder.a") 5;
+  Sim.set_int ~lsb:true sim (port "adder.b") 3;
+  Sim.set_int sim (port "adder.cin") 0;
   Sim.step_n sim 10;
   (* constant inputs: nothing toggles after the first cycle *)
   Alcotest.(check int) "no switching under constant inputs" 0
